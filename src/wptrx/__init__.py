@@ -14,10 +14,11 @@ from .control import (ControllerState, Scenario, TransientRecord,
 from .params import (ReceiverParams, ValidatedParams, min_output_cap,
                      ripple_estimate, size_inductor, size_series_cap,
                      validate)
-from .simulator import (CycleDiagnostics, ModulationCommand, RunResult,
-                        SoftSwitchingSummary, SpectrumResult,
-                        SwitchCycleState, SwitchingState, Waveform, run,
-                        soft_switching_report, spectrum, step_cycle)
+from .simulator import (CycleDiagnostics, ModulationCommand, PeriodicOrbit,
+                        RunResult, SoftSwitchingSummary, SpectrumResult,
+                        SwitchCycleState, SwitchingState, Waveform,
+                        periodic_steady_state, run, soft_switching_report,
+                        spectrum, step_cycle)
 from .smallsignal import (BodePoint, PiGains, TransferFunction1P, bode,
                           bode_points, design_pi, loop_margins,
                           loop_response, perturb_bode_oracle, plant_tf)

@@ -31,13 +31,8 @@ import math
 from .errors import (ArccosDomain, CommutationImpossible, DutyOutOfBounds,
                      EmptyDutyRange, NoConvergence, NonPositiveParameter)
 from .params import ValidatedParams
-from .rootfind import bisect_root
 
 TWO_PI = 2.0 * math.pi
-
-# Event-localization tolerance (s): three orders below the ~100 ns
-# commutation times of interest.
-T_EVENT_TOL = 1e-13
 
 # solve_operating_point convergence threshold on successive v_o values (V).
 V_FIXED_POINT_TOL = 1e-6
@@ -87,8 +82,11 @@ def fall_time_exact(params: ValidatedParams, v_o: float) -> float:
     """Exact fall interval: smallest positive root of
     1 - cos(omega*t) = omega*C_sum*v_o/|I| (s).
 
-    Raises CommutationImpossible when the right-hand side exceeds 2 (the
-    current cannot swing the node across v_o, so zero-voltage turn-on is
+    With 1 - cos(x) = 2*sin(x/2)^2 the root is closed-form,
+    t = 2*asin(sqrt(c/2))/omega with c = omega*C_sum*v_o/|I|, and stays
+    accurate for the small angles of interest, where arccos(1 - c) loses
+    digits.  Raises CommutationImpossible when c exceeds 2 (the current
+    cannot swing the node across v_o, so zero-voltage turn-on is
     unreachable at this point).
     """
     if v_o < 0:
@@ -99,10 +97,7 @@ def fall_time_exact(params: ValidatedParams, v_o: float) -> float:
     if c > 2.0:
         raise CommutationImpossible(
             f"omega*C_sum*v_o/|I| = {c:.4g} > 2; node swing cannot reach v_o")
-    w = params.omega
-    half = math.pi / w
-    return bisect_root(lambda t: (1.0 - math.cos(w * t)) - c, 0.0, half,
-                       xtol=T_EVENT_TOL)
+    return 2.0 * math.asin(math.sqrt(0.5 * c)) / params.omega
 
 
 def duty_bounds(phase_delay_norm: float) -> tuple:
@@ -221,8 +216,7 @@ def solve_operating_point(params: ValidatedParams, duty: float,
         if abs(v_new - v) < V_FIXED_POINT_TOL:
             v = v_new
             break
-        # half-step damping: keeps the iteration contracting even where the
-        # exact fall-time root is quantized by its bisection tolerance
+        # half-step damping keeps the iteration contracting
         v = 0.5 * (v + v_new)
         if v < 0.0:
             v = 0.0

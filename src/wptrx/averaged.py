@@ -21,11 +21,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analytic import solve_operating_point, steady_state_vo
+from .analytic import TWO_PI, solve_operating_point, steady_state_vo
 from .errors import NonPositiveParameter
 from .params import ValidatedParams
-
-TWO_PI = 2.0 * math.pi
 
 # Integration undershoot below this is clamped to zero and flagged; the
 # rectifier cannot drive its output negative.

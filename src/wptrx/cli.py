@@ -29,7 +29,8 @@ from .errors import (ArccosDomain, CommutationImpossible, ConfigError,
                      ZeroGainOperatingPoint)
 from .params import (min_output_cap, ripple_estimate, size_inductor,
                      size_series_cap, validate)
-from .simulator import ModulationCommand, run, soft_switching_report, spectrum
+from .simulator import (ModulationCommand, periodic_steady_state, run,
+                        soft_switching_report, spectrum)
 from .smallsignal import bode, bode_points, design_pi, loop_margins, \
     loop_response, perturb_bode_oracle, plant_tf
 
@@ -209,7 +210,8 @@ def cmd_simulate(args) -> int:
     cmd = ModulationCommand.make(duty, fall_time_exact(vp, op.v_o), vp.f_s)
     rate = args.sample_rate if args.sample_rate else \
         _WAVE_RATE_PER_CYCLE * vp.f_s
-    result = run(vp, cmd, args.cycles, v_o0=op.v_o, sample_rate=rate)
+    orbit = periodic_steady_state(vp, cmd, op.v_o)
+    result = run(vp, cmd, args.cycles, initial=orbit.state, sample_rate=rate)
     os.makedirs(args.out, exist_ok=True)
     result.waveform.save_table(os.path.join(args.out, "waveform.csv"))
     result.waveform.save_events(os.path.join(args.out, "events.csv"))
@@ -316,29 +318,29 @@ def _fig9(out, rc):
     return ["fig9.csv"]
 
 
-def _steady_va_run(rc, n_capture: int, sample: bool):
-    """Settled run at the prototype operating point (measured delay)."""
+def _steady_va_run(rc, n_capture: int):
+    """Sampled run on the periodic steady state at the prototype operating
+    point (measured delay)."""
     vp = validate(rc.params)
     duty = rc.duty if rc.duty is not None else 0.532
     fst = rc.phase_delay_norm if rc.phase_delay_norm is not None else 0.0672
     cmd = ModulationCommand.make(duty, fst / vp.f_s, vp.f_s)
-    v0 = solve_operating_point(vp, duty).v_o
-    settle = run(vp, cmd, 8000, v_o0=v0)  # one RC time constant of lead-in
-    rate = _WAVE_RATE_PER_CYCLE * vp.f_s if sample else 0.0
-    cap = run(vp, cmd, n_capture, initial=settle.final_state,
-              sample_rate=rate)
+    orbit = periodic_steady_state(vp, cmd,
+                                  solve_operating_point(vp, duty).v_o)
+    cap = run(vp, cmd, n_capture, initial=orbit.state,
+              sample_rate=_WAVE_RATE_PER_CYCLE * vp.f_s)
     return vp, cap
 
 
 def _fig13(out, rc):
-    vp, cap = _steady_va_run(rc, 4, sample=True)
+    vp, cap = _steady_va_run(rc, 4)
     cap.waveform.save_table(os.path.join(out, "fig13.csv"))
     cap.waveform.save_events(os.path.join(out, "fig13_events.csv"))
     return ["fig13.csv", "fig13_events.csv"]
 
 
 def _fig14(out, rc):
-    vp, cap = _steady_va_run(rc, 32, sample=True)
+    vp, cap = _steady_va_run(rc, 32)
     files = []
     summary = []
     for channel in ("v_cd1", "i_ls"):

@@ -6,12 +6,13 @@ class WptrxError(Exception):
 
 
 class NonPositiveParameter(WptrxError):
-    """A physical quantity that must be strictly positive is not."""
+    """A physical quantity that must be finite and strictly positive (or,
+    where zero is allowed, non-negative) is not."""
 
-    def __init__(self, field: str, value: float):
+    def __init__(self, field: str, value: float, bound: str = "> 0"):
         self.field = field
         self.value = value
-        super().__init__(f"{field} must be > 0, got {value!r}")
+        super().__init__(f"{field} must be {bound}, got {value!r}")
 
 
 class CommutationImpossible(WptrxError):

@@ -79,14 +79,12 @@ class ValidatedParams:
 
     def with_load(self, r_load: float) -> "ValidatedParams":
         """Copy with a different load; derived fields are unaffected."""
-        if r_load <= 0:
-            raise NonPositiveParameter("r_load", r_load)
+        require_positive(r_load=r_load)
         return replace(self, r_load=r_load)
 
     def with_amplitude(self, i_ls_amp: float) -> "ValidatedParams":
         """Copy with a different coil-current amplitude (coupling change)."""
-        if i_ls_amp < 0:
-            raise NonPositiveParameter("i_ls_amp", i_ls_amp)
+        require_positive(allow_zero=True, i_ls_amp=i_ls_amp)
         return replace(self, i_ls_amp=i_ls_amp)
 
 
@@ -102,12 +100,8 @@ def validate(raw: ReceiverParams) -> ValidatedParams:
     an error: the receiver still works slightly off-resonance, the current
     amplitude simply deviates from the design value.
     """
-    for name in _POSITIVE_FIELDS:
-        value = getattr(raw, name)
-        if not (value > 0.0) or not math.isfinite(value):
-            raise NonPositiveParameter(name, value)
-    if raw.r_ls_esr < 0.0 or not math.isfinite(raw.r_ls_esr):
-        raise NonPositiveParameter("r_ls_esr", raw.r_ls_esr)
+    require_positive(**{name: getattr(raw, name) for name in _POSITIVE_FIELDS})
+    require_positive(allow_zero=True, r_ls_esr=raw.r_ls_esr)
 
     warnings = []
     f_res = 1.0 / (2.0 * math.pi * math.sqrt(raw.l_s * raw.c_s))
@@ -128,10 +122,15 @@ def validate(raw: ReceiverParams) -> ValidatedParams:
     )
 
 
-def _require_positive(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if not (value > 0.0) or not math.isfinite(value):
-            raise NonPositiveParameter(name, value)
+def require_positive(allow_zero: bool = False, **values: float) -> None:
+    """The one range check for values entering the toolkit: raise
+    NonPositiveParameter naming the first value that is not finite and > 0
+    (>= 0 with ``allow_zero``).  NaN and +-inf are always rejected."""
+    for name, value in values.items():
+        if not math.isfinite(value) or value < 0.0 or \
+                (value == 0.0 and not allow_zero):
+            raise NonPositiveParameter(name, value,
+                                       ">= 0" if allow_zero else "> 0")
 
 
 def size_inductor(q_target: float, r_esr: float, f_s: float) -> float:
@@ -147,13 +146,13 @@ def size_inductor(q_target: float, r_esr: float, f_s: float) -> float:
     Returns:
         Inductance (H).
     """
-    _require_positive(q_target=q_target, r_esr=r_esr, f_s=f_s)
+    require_positive(q_target=q_target, r_esr=r_esr, f_s=f_s)
     return q_target * r_esr / (2.0 * math.pi * f_s)
 
 
 def size_series_cap(l_s: float, f_s: float) -> float:
     """Series capacitor that resonates l_s at f_s: C_s = 1/((2*pi*f_s)^2 L_s)."""
-    _require_positive(l_s=l_s, f_s=f_s)
+    require_positive(l_s=l_s, f_s=f_s)
     w = 2.0 * math.pi * f_s
     return 1.0 / (w * w * l_s)
 
@@ -175,8 +174,8 @@ def min_output_cap(i_ls_amp: float, ripple_frac: float, v_o: float,
     Returns:
         Capacitance (F).
     """
-    _require_positive(i_ls_amp=i_ls_amp, ripple_frac=ripple_frac, v_o=v_o,
-                      f_s=f_s)
+    require_positive(i_ls_amp=i_ls_amp, ripple_frac=ripple_frac, v_o=v_o,
+                     f_s=f_s)
     if ripple_frac >= 1.0:
         raise NonPositiveParameter("ripple_frac (must be < 1)", ripple_frac)
     return i_ls_amp / (ripple_frac * v_o * math.pi * f_s)
@@ -188,5 +187,5 @@ def ripple_estimate(i_ls_amp: float, f_s: float, c_o: float) -> float:
     Inverse of :func:`min_output_cap`: the half-cycle charge 2*|I_Ls|/omega
     dumped on C_o.
     """
-    _require_positive(i_ls_amp=i_ls_amp, f_s=f_s, c_o=c_o)
+    require_positive(i_ls_amp=i_ls_amp, f_s=f_s, c_o=c_o)
     return i_ls_amp / (math.pi * f_s * c_o)

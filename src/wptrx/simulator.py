@@ -49,16 +49,20 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .analytic import phase_angle
-from .errors import (GateOverrun, InvalidDuty, NonPeriodicWindow,
-                     StateMachineViolation)
-from .params import ValidatedParams
+from .analytic import TWO_PI, phase_angle
+from .errors import (GateOverrun, InvalidDuty, NoConvergence,
+                     NonPeriodicWindow, StateMachineViolation)
+from .params import ValidatedParams, require_positive
 from .rootfind import bisect_root
-
-TWO_PI = 2.0 * math.pi
 
 # Event localization tolerance (s).
 T_EVENT_TOL = 1e-13
+
+# Periodic steady state: largest one-cycle change |P(x) - x| of the boundary
+# state accepted as "on the orbit" (V).  The attainable floor is set by
+# T_EVENT_TOL: a located turn-on that moves by 1e-13 s moves the cycle-end
+# output by about |I|*1e-13 s/C_o, 1e-10 V at the table2 point.
+V_ORBIT_TOL = 1e-9
 
 # Soft-switching verdict thresholds; small against the 24 V / 2.35 A scales.
 V_ZVS_TOL = 10e-3   # residual switch voltage at the gate edge (V)
@@ -379,14 +383,13 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     """Advance exactly one carrier period.
 
     Returns (next_state, CycleDiagnostics, CyclePiece).  ``state`` must be
-    cycle-aligned (phase 0).  Raises InvalidDuty for duty outside (0, 1) or
-    a negative gate delay, GateOverrun when the gate-off edge would pass the
-    end of the period.
+    cycle-aligned (phase 0).  Raises InvalidDuty for duty outside (0, 1),
+    NonPositiveParameter for a negative or non-finite gate delay, and
+    GateOverrun when the gate-off edge would pass the end of the period.
     """
     if not (0.0 < cmd.duty < 1.0):
         raise InvalidDuty(f"duty {cmd.duty!r} outside (0, 1)")
-    if cmd.t_f < 0.0:
-        raise InvalidDuty(f"gate delay {cmd.t_f!r} negative")
+    require_positive(allow_zero=True, t_f=cmd.t_f)
     if state.phase != 0.0:
         raise StateMachineViolation("step_cycle requires a cycle-aligned state")
 
@@ -650,6 +653,105 @@ def run(params: ValidatedParams, modulation: ModulationSource,
     return RunResult(diagnostics=diags, pieces=pieces, events=events,
                      waveform=waveform, steady_detected=steady_cycle is not None,
                      steady_cycle=steady_cycle, final_state=state)
+
+
+@dataclass(frozen=True)
+class PeriodicOrbit:
+    """Cycle-aligned state on the periodic orbit of a constant command.
+
+    ``residual`` is max(|dv_o|, |dv_cd1|) over one cycle started from
+    ``state`` (V); ``cycles`` counts the step_cycle calls the solve used.
+    """
+    state: SwitchCycleState
+    residual: float
+    cycles: int
+
+
+_MAX_ORBIT_ITER = 30
+_MIN_ORBIT_DAMPING = 1.0 / 1024.0
+_ORBIT_FD_STEP = 1e-4   # difference step, relative to max(|v_o|, 1 V)
+
+
+def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
+                          v_o0: float) -> PeriodicOrbit:
+    """Periodic steady state of a constant command, found by shooting.
+
+    Solves P(x) = x, where P is step_cycle's map of the boundary state
+    x = (v_o, v_cd1) over one carrier period (Aprille & Trick, Proc. IEEE
+    1972), starting from x = (v_o0, 0).  Newton steps use a one-sided
+    difference Jacobian and are halved until they reduce max|P(x) - x|, so
+    the solve also converges where P has a kink: at the soft/hard boundary
+    (the gate edge meets the natural commutation) and where cycles start or
+    stop reaching State V.  On cycles that reach State V, v_cd1 restarts
+    from zero and the solve is one-dimensional in v_o.
+
+    Raises NoConvergence, naming the command and the residual, when no
+    state within V_ORBIT_TOL is found.
+    """
+    require_positive(allow_zero=True, v_o0=v_o0)
+    calls = 0
+
+    def residual(x):
+        """(P(x) - x, its max-norm)."""
+        nonlocal calls
+        calls += 1
+        nxt = step_cycle(SwitchCycleState.at_cycle_start(*x), cmd, params)[0]
+        r = (nxt.v_o - x[0], nxt.v_cd1 - x[1])
+        return r, max(abs(r[0]), abs(r[1]))
+
+    def newton_descent(x, r, size, h):
+        """Damped Newton step with a one-sided difference Jacobian (step h);
+        None when no damping of it reduces the residual.  A damped point
+        that fails is retried with v_cd1 replaced by its one-cycle image,
+        which is what a step across the State-V boundary needs: there
+        v_cd1' turns from identically zero to following v_o."""
+        rv, _ = residual((x[0] + h, x[1]))
+        j11, j21 = (rv[0] - r[0]) / h, (rv[1] - r[1]) / h
+        if x[1] == 0.0 and r[1] == 0.0 and rv[1] == 0.0:
+            # State V reached: v_cd1 stays at zero, only v_o moves
+            j12, j22 = 0.0, -1.0
+        else:
+            ra, _ = residual((x[0], x[1] + h))
+            j12, j22 = (ra[0] - r[0]) / h, (ra[1] - r[1]) / h
+        det = j11 * j22 - j12 * j21
+        if det == 0.0:
+            return None
+        dv = (j12 * r[1] - j22 * r[0]) / det
+        da = (j21 * r[0] - j11 * r[1]) / det
+        lam = 1.0
+        while lam >= _MIN_ORBIT_DAMPING:
+            trial = (x[0] + lam * dv, x[1] + lam * da)
+            r_trial, size_trial = residual(trial)
+            if size_trial >= size and r_trial[1] != 0.0:
+                trial = (trial[0], trial[1] + r_trial[1])
+                r_trial, size_trial = residual(trial)
+            if size_trial < size:
+                return trial, r_trial, size_trial
+            lam *= 0.5
+        return None
+
+    def failure(why, size):
+        return NoConvergence(
+            f"periodic steady state at duty={cmd.duty!r}, t_f={cmd.t_f!r} "
+            f"s: {why}; residual {size:.3g} V after {calls} cycles")
+
+    x = (v_o0, 0.0)
+    r, size = residual(x)
+    newton_steps = 0
+    while size > V_ORBIT_TOL:
+        if newton_steps == _MAX_ORBIT_ITER:
+            raise failure(f"not within {V_ORBIT_TOL:g} V after "
+                          f"{_MAX_ORBIT_ITER} Newton steps", size)
+        newton_steps += 1
+        h = _ORBIT_FD_STEP * max(abs(x[0]), 1.0)
+        # x may sit on a kink of P; the Jacobian from its other side then
+        # gives the descent
+        step = newton_descent(x, r, size, h) or newton_descent(x, r, size, -h)
+        if step is None:
+            raise failure("no Newton step reduces the residual", size)
+        x, r, size = step
+    return PeriodicOrbit(state=SwitchCycleState.at_cycle_start(*x),
+                         residual=size, cycles=calls)
 
 
 def sample_waveform(pieces: Sequence[CyclePiece], params: ValidatedParams,

@@ -27,12 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import duty_bounds, steady_state_vo
+from .analytic import TWO_PI, duty_bounds, steady_state_vo
 from .errors import (NoCrossover, NonPeriodicWindow, NonPositiveParameter,
                      ZeroGainOperatingPoint)
 from .params import ValidatedParams
-
-TWO_PI = 2.0 * math.pi
 
 # |sin| below this means the operating point sits at the voltage maximum
 # where the first-order control gain vanishes.

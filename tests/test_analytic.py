@@ -15,6 +15,8 @@ from wptrx.analytic import (OperatingPoint, duty_bounds, duty_for_target_vo,
 from wptrx.errors import (ArccosDomain, CommutationImpossible,
                           DutyOutOfBounds, EmptyDutyRange)
 from wptrx.params import ReceiverParams, validate
+from wptrx.rootfind import bisect_root
+from wptrx.simulator import T_EVENT_TOL
 
 TWO_PI = 2 * math.pi
 
@@ -32,7 +34,7 @@ def vp():
 
 def fall_time_oracle(vp, v_o):
     """Root of the cosine charge equation found by brentq, independent of
-    the bisection implementation."""
+    the closed form."""
     c = vp.omega * vp.c_sum * v_o / vp.i_ls_amp
     return brentq(lambda t: (1 - math.cos(vp.omega * t)) - c, 0.0,
                   math.pi / vp.omega, xtol=1e-16)
@@ -101,6 +103,29 @@ def test_fall_time_exact_degenerate_and_impossible(vp):
     v_bad = 2.5 * vp.i_ls_amp / (vp.omega * vp.c_sum)
     with pytest.raises(CommutationImpossible):
         fall_time_exact(vp, v_bad)
+
+
+def test_fall_time_exact_matches_bisected_root(vp):
+    # the closed form agrees with event-style bisection of the cosine
+    # equation, up to the node swing limit c = 2 (root at half a period)
+    w = vp.omega
+    v_max = 2.0 * vp.i_ls_amp / (w * vp.c_sum)
+    for v_o in np.linspace(0.0, v_max, 41)[1:]:
+        c = w * vp.c_sum * v_o / vp.i_ls_amp
+        root = bisect_root(lambda t: (1.0 - math.cos(w * t)) - c, 0.0,
+                           math.pi / w, xtol=T_EVENT_TOL)
+        assert abs(fall_time_exact(vp, v_o) - root) <= T_EVENT_TOL
+
+
+@pytest.mark.parametrize("duty", [0.545, 0.555, 0.73])
+def test_exact_operating_point_converges(vp, duty):
+    # the damped fixed-point iteration used to cycle on the quantized
+    # bisected fall time at these duties and raise NoConvergence
+    op = solve_operating_point(vp, duty, exact=True)
+    assert op.t_f == fall_time_exact(vp, op.v_o)
+    assert op.v_o == pytest.approx(
+        steady_state_vo(vp.i_ls_amp, vp.r_load, duty, op.phase_delay_norm),
+        abs=1e-6)
 
 
 def test_fall_approx_within_2pct_of_exact_when_delay_small(vp):

@@ -1,5 +1,6 @@
 """Config parsing, CLI exit discipline, determinism, export formats."""
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -106,6 +107,35 @@ def test_cli_reproduce_deterministic(tmp_path):
     assert (out1 / "fig9.csv").read_bytes() == (out2 / "fig9.csv").read_bytes()
     header = (out1 / "fig9.csv").read_text().splitlines()[0]
     assert header == "f_hz,ol_mag_db,ol_phase_deg,cl_mag_db,cl_phase_deg"
+
+
+# sha256 of the design-figure tables.  These figures come from the analytic,
+# averaged and small-signal layers only, so a change to the switched
+# simulator must leave them byte-identical.  Digests taken before the
+# closed-form fall time and the periodic-steady-state solve were introduced
+# (CPython 3.11, numpy 2.4, x86-64 Linux).
+DESIGN_TABLE_SHA256 = {
+    "fig4a": {"fig4a.csv": "13b608d5e8a2545c5ce6043dc46a0fe1"
+                           "cdb46670c2b1dd910021f5c8daee9e82"},
+    "fig5": {"fig5.csv": "c44a501ae7191cc53259b220d2687074"
+                         "1ba6eb87fc097167cd65a3104d2abc78",
+             "fig5_summary.csv": "68bbe385cab0ee5893524885fe99ef65"
+                                 "fd7159b3e56bfc7c534360eab1dad1ef"},
+    "fig7": {"fig7_analytic.csv": "0b53cd48755d29c8b283f5d62e772eff"
+                                  "d334037b438873bb218d5f8e06c2f801",
+             "fig7_oracle.csv": "38f309c5f7ae12ba906c2d637530e409"
+                                "49a694e225707e15d20e1fb4c7cca40f"},
+    "fig9": {"fig9.csv": "709fcbf9d27ba44da6c962d7907320b1"
+                         "b73d70ee80ec43db23b5bfba1313e2aa"},
+}
+
+
+@pytest.mark.parametrize("figure", sorted(DESIGN_TABLE_SHA256))
+def test_design_figure_tables_are_pinned(figure, tmp_path):
+    assert main(["reproduce", figure, "--out", str(tmp_path)]) == 0
+    for name, digest in DESIGN_TABLE_SHA256[figure].items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == digest, name
 
 
 def test_cli_reproduce_fig7_grid(tmp_path):

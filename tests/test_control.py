@@ -10,7 +10,7 @@ from wptrx.analytic import fall_time_exact
 from wptrx.control import (ControllerState, Scenario, closed_loop_run,
                            feedforward_tf, pi_update, step_profile,
                            sync_gate_timing)
-from wptrx.errors import GateOverrun
+from wptrx.errors import GateOverrun, NonPositiveParameter
 from wptrx.params import ReceiverParams, validate
 from wptrx.scenarios import design_gains, equilibrium_duty
 from wptrx.simulator import ModulationCommand, SwitchCycleState, step_cycle
@@ -227,3 +227,15 @@ def test_scenario_requires_minimum_duration(vp):
         sc = Scenario(name="tiny", duration=10 * vp.t_period,
                       r_load=38.09, i_ls_amp=2.35, v_ref=24.0, i_ls_ff=2.35)
         closed_loop_run(sc, GAINS, vp)
+
+
+def test_non_finite_profile_value_is_rejected(vp_fast):
+    # a load profile that yields NaN stops the run where the value enters
+    # instead of producing a NaN trajectory
+    sc = Scenario(name="nan_load", duration=200 * vp_fast.t_period,
+                  r_load=step_profile(38.09, math.nan,
+                                      100 * vp_fast.t_period),
+                  i_ls_amp=2.35, v_ref=24.0, i_ls_ff=2.35, v_o0=24.0)
+    with pytest.raises(NonPositiveParameter) as err:
+        closed_loop_run(sc, GAINS, vp_fast)
+    assert err.value.field == "r_load"

@@ -43,6 +43,21 @@ def test_validate_rejects_negative_esr():
         validate(table2_raw(r_ls_esr=-1.0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_copies_reject_non_finite_values(value):
+    vp = validate(table2_raw())
+    with pytest.raises(NonPositiveParameter) as err:
+        vp.with_load(value)
+    assert err.value.field == "r_load"
+    with pytest.raises(NonPositiveParameter) as err:
+        vp.with_amplitude(value)
+    assert err.value.field == "i_ls_amp"
+    with pytest.raises(NonPositiveParameter):
+        validate(table2_raw(r_ls_esr=value))
+    # a zero amplitude (no coupling) stays representable
+    assert vp.with_amplitude(0.0).i_ls_amp == 0.0
+
+
 def test_validate_resonance_warning():
     # 2 nF against 172 uH resonates at ~271 kHz: 36% off a 200 kHz carrier
     vp = validate(table2_raw(c_s=2e-9))

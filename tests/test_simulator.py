@@ -6,14 +6,17 @@ import math
 import numpy as np
 import pytest
 
+from wptrx import cli, simulator
 from wptrx.analytic import (OperatingPoint, duty_bounds, fall_time_exact,
                             rise_time, solve_operating_point)
 from wptrx.averaged import averaged_rhs
-from wptrx.errors import GateOverrun, InvalidDuty, NonPeriodicWindow
+from wptrx.errors import (GateOverrun, InvalidDuty, NoConvergence,
+                          NonPeriodicWindow, NonPositiveParameter)
 from wptrx.params import ReceiverParams, ripple_estimate, validate
-from wptrx.simulator import (ModulationCommand, SwitchCycleState, Waveform,
-                             run, soft_switching_report, spectrum,
-                             step_cycle)
+from wptrx.simulator import (V_ORBIT_TOL, ModulationCommand,
+                             SwitchCycleState, Waveform,
+                             periodic_steady_state, run,
+                             soft_switching_report, spectrum, step_cycle)
 
 TWO_PI = 2 * math.pi
 
@@ -101,6 +104,10 @@ def test_invalid_commands(vp):
         step_cycle(st, ModulationCommand.make(1.2, 0.0, vp.f_s), vp)
     with pytest.raises(GateOverrun):
         step_cycle(st, ModulationCommand.make(0.95, 0.3e-6, vp.f_s), vp)
+    # a NaN gate delay used to run through and return v_o = NaN
+    for t_f in (math.nan, -1e-9):
+        with pytest.raises(NonPositiveParameter):
+            step_cycle(st, ModulationCommand.make(0.532, t_f, vp.f_s), vp)
 
 
 def test_single_cycle_from_zero_monotone_conduction(vp):
@@ -440,3 +447,108 @@ def test_steady_state_detection_flag(vp):
     assert warm.steady_detected and warm.steady_cycle is not None
     cold = run(vp, cmd, 5, v_o0=0.0)
     assert not cold.steady_detected and cold.steady_cycle is None
+
+
+# ---------------------------------------------------------------------------
+# periodic steady state (shooting on the one-cycle map)
+# ---------------------------------------------------------------------------
+
+def fig13_cmd(vp):
+    """Duty and measured delay f_s*t_f of the shipped table2 config."""
+    return ModulationCommand.make(0.532, 0.0672 / vp.f_s, vp.f_s)
+
+
+def one_cycle_change(vp, cmd, state):
+    nxt = step_cycle(state, cmd, vp)[0]
+    return max(abs(nxt.v_o - state.v_o), abs(nxt.v_cd1 - state.v_cd1))
+
+
+def test_periodic_steady_state_soft_and_hard(vp):
+    hard = fig13_cmd(vp)
+    soft = exact_cmd(vp, 0.532, 24.6, margin=20e-9)
+    for cmd, is_hard in ((hard, True), (soft, False)):
+        orbit = periodic_steady_state(vp, cmd, 24.0)
+        assert orbit.residual <= V_ORBIT_TOL
+        assert one_cycle_change(vp, cmd, orbit.state) == orbit.residual
+        assert orbit.cycles <= 12
+        d = step_cycle(orbit.state, cmd, vp)[1]
+        assert d.hard_switched == is_hard and d.reached_state_v
+    with pytest.raises(NonPositiveParameter):
+        periodic_steady_state(vp, hard, math.nan)
+
+
+def test_periodic_steady_state_at_the_soft_hard_kink(vp):
+    # locate the gate delay at which the orbit's natural commutation meets
+    # the gate edge: P has a kink there (w_resid -> 0 from the hard side)
+    def orbit_at(t_f):
+        cmd = ModulationCommand.make(0.532, t_f, vp.f_s)
+        orbit = periodic_steady_state(vp, cmd, 24.0)
+        assert orbit.residual <= V_ORBIT_TOL
+        return orbit.state.v_o, step_cycle(orbit.state, cmd, vp)[1]
+
+    t_gate = fall_time_exact(vp, 24.0)
+    lo, hi = 0.98 * t_gate, 1.02 * t_gate
+    assert orbit_at(lo)[1].hard_switched
+    assert not orbit_at(hi)[1].hard_switched
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if orbit_at(mid)[1].hard_switched:
+            lo = mid
+        else:
+            hi = mid
+    # the orbit is continuous across the kink
+    (v_lo, d_lo), (v_hi, _) = orbit_at(lo), orbit_at(hi)
+    assert d_lo.v_cs1_at_gate < 1e-6
+    assert v_hi == pytest.approx(v_lo, abs=1e-6)
+
+
+def test_periodic_steady_state_from_cycles_without_state_v(vp):
+    # D + f_s*t_f = 0.99: from 24 V the node never swings back to zero, so
+    # v_cd1 carries over between cycles; the orbit itself sits near 0 V
+    cmd = ModulationCommand.make(0.96, 0.03 / vp.f_s, vp.f_s)
+    first = step_cycle(SwitchCycleState.at_cycle_start(24.0), cmd, vp)
+    assert not first[1].reached_state_v and first[0].v_cd1 > 0.0
+    orbit = periodic_steady_state(vp, cmd, 24.0)
+    assert orbit.residual <= V_ORBIT_TOL
+    assert 0.0 < orbit.state.v_o < 0.1
+    # an orbit that never reaches State V: the load keeps v_o beyond the
+    # node swing 2|I|/(omega*C_sum), so v_cd1 is a true second coordinate
+    high = vp.with_load(3000.0)
+    cmd_h = ModulationCommand.make(0.3, 0.02 / vp.f_s, vp.f_s)
+    orbit_h = periodic_steady_state(high, cmd_h, 400.0)
+    assert orbit_h.residual <= V_ORBIT_TOL
+    d = step_cycle(orbit_h.state, cmd_h, high)[1]
+    assert not d.reached_state_v and orbit_h.state.v_cd1 > 0.0
+
+
+def test_long_run_approaches_the_solved_orbit(vp):
+    # the fixed 8000-cycle settle that fig13 and fig14 used to run ended
+    # at 24.144 V; continuing from there creeps monotonically toward the
+    # solved orbit at the linearized rate
+    cmd = fig13_cmd(vp)
+    v_star = periodic_steady_state(vp, cmd, 24.0).state.v_o
+    res = run(vp, cmd, 2000, v_o0=24.144)
+    ends = np.array([24.144] + [d.v_o_end for d in res.diagnostics])
+    steps = np.diff(ends)
+    assert np.all(steps > 0.0) and ends[-1] < v_star
+    # geometric decay: extrapolating the remaining steps lands on v_star
+    rho = (steps[-1] / steps[0]) ** (1.0 / (len(steps) - 1))
+    limit = ends[-1] + steps[-1] * rho / (1.0 - rho)
+    assert limit == pytest.approx(v_star, abs=1e-6)
+
+
+def test_fig13_capture_is_steady():
+    vp13, cap = cli._steady_va_run(cli._builtin_config("table2"), 4)
+    means = [d.v_o_mean for d in cap.diagnostics]
+    assert max(means) - min(means) <= 1e-9
+    assert cap.diagnostics[0].v_o_start == pytest.approx(24.352, abs=1e-3)
+
+
+def test_failed_orbit_solve_names_its_command(vp, monkeypatch):
+    monkeypatch.setattr(simulator, "_MAX_ORBIT_ITER", 0)
+    cmd = ModulationCommand.make(0.532, 336e-9, vp.f_s)
+    with pytest.raises(NoConvergence) as err:
+        periodic_steady_state(vp, cmd, 24.0)
+    msg = str(err.value)
+    assert "duty=0.532" in msg and "t_f=3.36e-07" in msg
+    assert "residual" in msg
