@@ -10,7 +10,7 @@ from .averaged import (AveragedState, AveragedTrajectory, DutySchedule,
 from .config import RunConfig, parse_config, parse_config_text
 from .control import (ControllerState, Scenario, TransientRecord,
                       closed_loop_run, feedforward_tf, pi_update,
-                      ramp_profile, step_profile, sync_gate_timing)
+                      ramp_profile, step_profile)
 from .params import (ReceiverParams, ValidatedParams, min_output_cap,
                      ripple_estimate, size_inductor, size_series_cap,
                      validate)

@@ -17,7 +17,7 @@ ODE solver.  A Runge-Kutta reference lives in the test suite only.
 from dataclasses import dataclass
 from enum import Enum
 import math
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,9 +54,7 @@ class DutySchedule:
     """Piecewise-constant (duty, phase-delay) command profile.
 
     ``times`` are segment start instants (first must be 0), ``duties`` and
-    ``fsts`` the per-segment values.  A callable profile can be wrapped with
-    :meth:`from_callable`; it is sampled with zero-order hold by the
-    integrator.
+    ``fsts`` the per-segment values.
     """
 
     def __init__(self, times: Sequence[float], duties: Sequence[float],
@@ -71,7 +69,6 @@ class DutySchedule:
         self.times = tuple(float(t) for t in times)
         self.duties = tuple(float(d) for d in duties)
         self.fsts = tuple(float(x) for x in fsts)
-        self._callable: Optional[Callable] = None
 
     @classmethod
     def constant(cls, duty: float, phase_delay_norm: float) -> "DutySchedule":
@@ -94,16 +91,7 @@ class DutySchedule:
                     for d in duties]
         return cls(times, duties, fsts)
 
-    @classmethod
-    def from_callable(cls, fn: Callable[[float], tuple]) -> "DutySchedule":
-        """Wrap ``fn(t) -> (duty, phase_delay_norm)``; sampled by ZOH."""
-        sched = cls((0.0,), (0.5,), (0.0,))
-        sched._callable = fn
-        return sched
-
     def eval(self, t: float) -> tuple:
-        if self._callable is not None:
-            return self._callable(t)
         idx = 0
         for i, start in enumerate(self.times):
             if t >= start:
@@ -113,7 +101,7 @@ class DutySchedule:
         return self.duties[idx], self.fsts[idx]
 
     def breakpoints(self) -> tuple:
-        return () if self._callable is not None else self.times
+        return self.times
 
 
 @dataclass(frozen=True)
@@ -151,14 +139,12 @@ def exp_segment(v0: float, duty: float, phase_delay_norm: float, dt: float,
 
 def integrate_averaged(initial: AveragedState, schedule: DutySchedule,
                        horizon: float, params: ValidatedParams,
-                       sample_dt: float = 1e-5,
-                       zoh_dt: Optional[float] = None) -> AveragedTrajectory:
+                       sample_dt: float = 1e-5) -> AveragedTrajectory:
     """Integrate the averaged model over ``horizon`` seconds.
 
-    Piecewise-constant schedules are advanced with the exact exponential
-    closed form between breakpoints; callable schedules are sampled with a
-    zero-order hold of ``zoh_dt`` (default: ``sample_dt``).  Output is
-    sampled every ``sample_dt`` including both endpoints.
+    The schedule is advanced with the exact exponential closed form between
+    its breakpoints.  Output is sampled every ``sample_dt`` including both
+    endpoints.
     """
     if horizon <= 0:
         raise NonPositiveParameter("horizon", horizon)
@@ -169,13 +155,8 @@ def integrate_averaged(initial: AveragedState, schedule: DutySchedule,
         sample_times = np.append(sample_times, t_end)
 
     # Knots: all instants where the command may change.
-    if schedule._callable is not None:
-        step = zoh_dt if zoh_dt is not None else sample_dt
-        knots = np.arange(t0, t_end, step)
-    else:
-        bps = [b for b in schedule.breakpoints() if t0 < b < t_end]
-        knots = np.array([t0] + bps)
-    knots = np.unique(np.concatenate([knots, [t_end]]))
+    bps = [b for b in schedule.breakpoints() if t0 < b < t_end]
+    knots = np.unique(np.array([t0] + bps + [t_end]))
 
     v = initial.v_o
     clamped = False

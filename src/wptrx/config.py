@@ -20,8 +20,7 @@ _VALUE_RE = re.compile(
 
 _PARAM_KEYS = ("l_s", "c_s", "c_s1", "c_d1", "c_o", "r_load", "f_s",
                "i_ls_amp", "r_ls_esr")
-_EXTRA_KEYS = ("v_ref", "f_c", "i_ls_ff", "duty", "phase_delay_norm",
-               "sample_rate", "seed")
+_EXTRA_KEYS = ("v_ref", "f_c", "i_ls_ff", "duty", "phase_delay_norm")
 _REQUIRED = ("l_s", "c_s", "c_s1", "c_d1", "c_o", "r_load", "f_s",
              "i_ls_amp")
 KNOWN_KEYS = _PARAM_KEYS + _EXTRA_KEYS
@@ -29,18 +28,13 @@ KNOWN_KEYS = _PARAM_KEYS + _EXTRA_KEYS
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A named run setup: receiver values plus controller/export settings.
-
-    ``seed`` is reserved; the default build has no stochastic paths.
-    """
+    """A named run setup: receiver values plus controller settings."""
     params: ReceiverParams
     v_ref: float = 24.0
     f_c: float = 1000.0
     i_ls_ff: Optional[float] = None   # defaults to i_ls_amp
     duty: Optional[float] = None
     phase_delay_norm: Optional[float] = None
-    sample_rate: float = 0.0
-    seed: int = 0
 
     @property
     def feedforward_amp(self) -> float:
@@ -90,9 +84,7 @@ def parse_config_text(text: str) -> RunConfig:
         f_c=seen.get("f_c", 1000.0),
         i_ls_ff=seen.get("i_ls_ff"),
         duty=seen.get("duty"),
-        phase_delay_norm=seen.get("phase_delay_norm"),
-        sample_rate=seen.get("sample_rate", 0.0),
-        seed=int(seen.get("seed", 0)))
+        phase_delay_norm=seen.get("phase_delay_norm"))
 
 
 def parse_config(path) -> RunConfig:

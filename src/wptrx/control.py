@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import GateOverrun, NonPositiveParameter
+from .errors import NonPositiveParameter
 from .params import ValidatedParams
 from .simulator import ModulationCommand, SwitchCycleState, step_cycle
 from .smallsignal import PiGains
@@ -73,24 +73,6 @@ def feedforward_tf(v_ref: float, i_ls_nominal: float,
         raise NonPositiveParameter("i_ls_nominal", i_ls_nominal)
     return math.sqrt(params.c_sum * v_ref
                      / (math.pi * params.f_s * i_ls_nominal))
-
-
-def sync_gate_timing(cycle_start: float, cmd: ModulationCommand,
-                     params: ValidatedParams) -> tuple:
-    """Absolute gate edges for one cycle: (gate_on, gate_off).
-
-    gate_on trails the synchronization edge by the commanded delay;
-    gate_off one duty interval later.  Equivalent to shifting a
-    centre-aligned carrier by 0.5*D*T_s + t_f, i.e. the phase angle
-    phi = 2*pi*f_s*t_f + D*pi.  Raises GateOverrun when the pulse would
-    spill into the next period (duty + f_s*t_f >= 1).
-    """
-    ts = params.t_period
-    if cmd.duty + cmd.t_f / ts >= 1.0:
-        raise GateOverrun(
-            f"duty + f_s*t_f = {cmd.duty + cmd.t_f / ts:.6g} >= 1")
-    gate_on = cycle_start + cmd.t_f
-    return gate_on, gate_on + cmd.duty * ts
 
 
 Profile = Union[float, Callable[[float], float]]
@@ -184,7 +166,7 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
                     if scenario.initial_integrator is not None else
                     init_duty),
         last_duty=init_duty, saturated=False)
-    state = SwitchCycleState.at_cycle_start(scenario.v_o0)
+    state = SwitchCycleState(scenario.v_o0)
 
     t_arr = np.empty(n_cycles)
     v_samp = np.empty(n_cycles)
@@ -204,7 +186,6 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
         else:
             duty = cstate.last_duty
         cmd = ModulationCommand.make(duty, t_f_cmd, params.f_s)
-        sync_gate_timing(t_n, cmd, params)
         new_state, d, piece = step_cycle(state, cmd, p_n, t_start=t_n)
         if piece.events[0] != (t_n, "cycle_start"):
             sample_align_ok = False

@@ -49,10 +49,6 @@ class InvalidDuty(WptrxError):
     """Commanded duty ratio outside (0, 1)."""
 
 
-class StateMachineViolation(WptrxError):
-    """Internal simulator assertion; never expected in normal operation."""
-
-
 class GateOverrun(WptrxError):
     """Gate-off edge would land beyond the end of the carrier period."""
 

@@ -50,8 +50,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .analytic import TWO_PI, phase_angle
-from .errors import (GateOverrun, InvalidDuty, NoConvergence,
-                     NonPeriodicWindow, StateMachineViolation)
+from .errors import GateOverrun, InvalidDuty, NoConvergence, NonPeriodicWindow
 from .params import ValidatedParams, require_positive
 from .rootfind import bisect_root
 
@@ -96,18 +95,12 @@ class ModulationCommand:
 
 @dataclass(frozen=True)
 class SwitchCycleState:
-    """Continuous state at a cycle boundary."""
-    v_cs1: float
-    v_cd1: float
+    """Continuous state at a cycle boundary (the positive-going current zero
+    crossing, where State I begins): the output voltage and the diode
+    capacitance voltage, which is zero after a cycle that reached State V.
+    The switch voltage is v_o - v_cd1."""
     v_o: float
-    phase: float
-    active: SwitchingState
-
-    @classmethod
-    def at_cycle_start(cls, v_o: float,
-                       v_cd1: float = 0.0) -> "SwitchCycleState":
-        return cls(v_cs1=v_o - v_cd1, v_cd1=v_cd1, v_o=v_o, phase=0.0,
-                   active=SwitchingState.STATE_I)
+    v_cd1: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -150,11 +143,12 @@ class CycleDiagnostics:
 class _Seg:
     """One analytic segment, times relative to the cycle start.
 
-    kind "decay": v(th) = v0 * exp(-(th-t_ref)/tau); no source-to-rail flow.
-    kind "cond":  v(th) = h * exp(-(th-t_ref)/tau) + p_s sin(w th) + p_c cos(w th).
+    Output voltage: v_o(th) = h * exp(-(th-t_ref)/tau) + p_s sin(w th)
+    + p_c cos(w th).  Without source-to-rail flow (States I, IV and V) the
+    output capacitor only discharges into the load: p_s = p_c = 0.
     ``t_ref`` is the exponential's reference instant; it equals t0 except on
-    the State-III half of a split conduction interval, which keeps the
-    parent segment's reference (the zero crossing is not a restart).
+    the State-III half of a conduction interval, which keeps the State-II
+    reference (the current zero crossing is not a restart).
     Node voltage (diode capacitance voltage):
       node "int":   va(th) = va0 + amp * (cos(w t_ref) - cos(w th))
       node "track": va = v_o(th)      (conduction clamp)
@@ -162,23 +156,15 @@ class _Seg:
     """
     t0: float
     t1: float
+    t_ref: float
     state: SwitchingState
-    kind: str
-    v0: float
     h: float
     p_s: float
     p_c: float
     node: str
     va0: float
-    t_ref: float = -1.0
-
-    def __post_init__(self):
-        if self.t_ref < 0.0:
-            object.__setattr__(self, "t_ref", self.t0)
 
     def v_o(self, th: float, tau: float, w: float) -> float:
-        if self.kind == "decay":
-            return self.v0 * math.exp(-(th - self.t_ref) / tau)
         return (self.h * math.exp(-(th - self.t_ref) / tau)
                 + self.p_s * math.sin(w * th) + self.p_c * math.cos(w * th))
 
@@ -195,7 +181,6 @@ class CyclePiece:
     """Everything step_cycle produced for one carrier period."""
     t_start: float
     i_amp: float
-    v_o_floor_adjust: float  # snap drop applied at forced turn-on (V)
     gate_on: float
     gate_off: float
     segments: list
@@ -265,12 +250,24 @@ def _exp_trig_integrals(a: float, w: float, delta: float) -> tuple:
     return i_s, i_c
 
 
+# antiderivatives of sin^2(w th), cos^2(w th) and sin(w th) cos(w th)
+def _sin2(th: float, w: float) -> float:
+    return th / 2.0 - math.sin(2.0 * w * th) / (4.0 * w)
+
+
+def _cos2(th: float, w: float) -> float:
+    return th / 2.0 + math.sin(2.0 * w * th) / (4.0 * w)
+
+
+def _sincos(th: float, w: float) -> float:
+    return -math.cos(2.0 * w * th) / (4.0 * w)
+
+
 def _effective_exp_coeff(seg: _Seg, tau: float) -> float:
     """Leading exponential coefficient referenced to the segment start."""
-    base = seg.v0 if seg.kind == "decay" else seg.h
-    if seg.t_ref != seg.t0:
-        base *= math.exp(-(seg.t0 - seg.t_ref) / tau)
-    return base
+    if seg.t_ref == seg.t0:
+        return seg.h
+    return seg.h * math.exp(-(seg.t0 - seg.t_ref) / tau)
 
 
 def _int_v(seg: _Seg, tau: float, w: float) -> float:
@@ -280,8 +277,6 @@ def _int_v(seg: _Seg, tau: float, w: float) -> float:
         return 0.0
     em = -math.expm1(-d / tau)  # 1 - exp(-d/tau)
     coeff = _effective_exp_coeff(seg, tau)
-    if seg.kind == "decay":
-        return tau * coeff * em
     trig = (-seg.p_s * math.cos(w * seg.t1) + seg.p_c * math.sin(w * seg.t1)
             + seg.p_s * math.cos(w * seg.t0) - seg.p_c * math.sin(w * seg.t0)) / w
     return tau * coeff * em + trig
@@ -290,22 +285,16 @@ def _int_v(seg: _Seg, tau: float, w: float) -> float:
 def _int_iv(seg: _Seg, tau: float, w: float, i_amp: float) -> float:
     """Integral of i(th) * v_o(th) over a conduction segment (J)."""
     d = seg.t1 - seg.t0
-    if d <= 0.0 or seg.kind != "cond":
+    if d <= 0.0:
         return 0.0
     a = -1.0 / tau
     i_s, i_c = _exp_trig_integrals(a, w, d)
     c0, s0 = math.cos(w * seg.t0), math.sin(w * seg.t0)
     # i = I sin(w th) = I (sin(wu)cos(wt0) + cos(wu)sin(wt0)), u = th - t0
     exp_part = _effective_exp_coeff(seg, tau) * (c0 * i_s + s0 * i_c)
-
-    def antider_sin2(th):  # int sin^2(w th) dth
-        return th / 2.0 - math.sin(2.0 * w * th) / (4.0 * w)
-
-    def antider_sincos(th):  # int sin cos dth
-        return -math.cos(2.0 * w * th) / (4.0 * w)
-
-    trig_part = (seg.p_s * (antider_sin2(seg.t1) - antider_sin2(seg.t0))
-                 + seg.p_c * (antider_sincos(seg.t1) - antider_sincos(seg.t0)))
+    t0, t1 = seg.t0, seg.t1
+    trig_part = (seg.p_s * (_sin2(t1, w) - _sin2(t0, w))
+                 + seg.p_c * (_sincos(t1, w) - _sincos(t0, w)))
     return i_amp * (exp_part + trig_part)
 
 
@@ -316,30 +305,18 @@ def _int_v2(seg: _Seg, tau: float, w: float) -> float:
         return 0.0
     em2 = -math.expm1(-2.0 * d / tau)
     coeff = _effective_exp_coeff(seg, tau)
-    if seg.kind == "decay":
-        return 0.5 * tau * coeff * coeff * em2
     a = -1.0 / tau
     i_s, i_c = _exp_trig_integrals(a, w, d)
     c0, s0 = math.cos(w * seg.t0), math.sin(w * seg.t0)
     # exp * sin(w th) and exp * cos(w th) pieces
     int_e_sin = c0 * i_s + s0 * i_c
     int_e_cos = c0 * i_c - s0 * i_s
-
-    def antider_sin2(th):
-        return th / 2.0 - math.sin(2.0 * w * th) / (4.0 * w)
-
-    def antider_cos2(th):
-        return th / 2.0 + math.sin(2.0 * w * th) / (4.0 * w)
-
-    def antider_sincos(th):
-        return -math.cos(2.0 * w * th) / (4.0 * w)
-
+    t0, t1 = seg.t0, seg.t1
     return (0.5 * tau * coeff * coeff * em2
             + 2.0 * coeff * (seg.p_s * int_e_sin + seg.p_c * int_e_cos)
-            + seg.p_s ** 2 * (antider_sin2(seg.t1) - antider_sin2(seg.t0))
-            + seg.p_c ** 2 * (antider_cos2(seg.t1) - antider_cos2(seg.t0))
-            + 2.0 * seg.p_s * seg.p_c
-            * (antider_sincos(seg.t1) - antider_sincos(seg.t0)))
+            + seg.p_s ** 2 * (_sin2(t1, w) - _sin2(t0, w))
+            + seg.p_c ** 2 * (_cos2(t1, w) - _cos2(t0, w))
+            + 2.0 * seg.p_s * seg.p_c * (_sincos(t1, w) - _sincos(t0, w)))
 
 
 def _conduction_extremes(seg: _Seg, tau: float, w: float, i_amp: float,
@@ -377,21 +354,17 @@ def _conduction_extremes(seg: _Seg, tau: float, w: float, i_amp: float,
 # ---------------------------------------------------------------------------
 
 def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
-               params: ValidatedParams, t_start: float = 0.0,
-               v_zvs_tol: float = V_ZVS_TOL,
-               i_zcs_tol: float = I_ZCS_TOL) -> tuple:
+               params: ValidatedParams, t_start: float = 0.0) -> tuple:
     """Advance exactly one carrier period.
 
-    Returns (next_state, CycleDiagnostics, CyclePiece).  ``state`` must be
-    cycle-aligned (phase 0).  Raises InvalidDuty for duty outside (0, 1),
-    NonPositiveParameter for a negative or non-finite gate delay, and
-    GateOverrun when the gate-off edge would pass the end of the period.
+    Returns (next_state, CycleDiagnostics, CyclePiece).  Raises InvalidDuty
+    for duty outside (0, 1), NonPositiveParameter for a negative or
+    non-finite gate delay, and GateOverrun when the gate-off edge would pass
+    the end of the period.
     """
     if not (0.0 < cmd.duty < 1.0):
         raise InvalidDuty(f"duty {cmd.duty!r} outside (0, 1)")
     require_positive(allow_zero=True, t_f=cmd.t_f)
-    if state.phase != 0.0:
-        raise StateMachineViolation("step_cycle requires a cycle-aligned state")
 
     ts = params.t_period
     w = params.omega
@@ -439,9 +412,9 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     # bisection tolerance; the clamp value does not)
     va_pre_snap = va_i(th1) if hard else vo_decay(th1)
     if th1 > 0.0:
-        segments.append(_Seg(t0=0.0, t1=th1, state=SwitchingState.STATE_I,
-                             kind="decay", v0=v0, h=0.0, p_s=0.0, p_c=0.0,
-                             node="int", va0=va0))
+        segments.append(_Seg(t0=0.0, t1=th1, t_ref=0.0,
+                             state=SwitchingState.STATE_I, h=v0, p_s=0.0,
+                             p_c=0.0, node="int", va0=va0))
     if not hard:
         events.append((t_start + th1, "cs1_zero"))
     events.append((t_start + gate_on, "gate_on"))
@@ -452,26 +425,31 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     t_f_meas = th1 if not hard else float("nan")
 
     e_hard = 0.0
-    snap_drop = 0.0
     if hard:
         events.append((t_start + th1, "hard_switch"))
         e_hard = 0.5 * params.c_s1 * w_resid * w_resid
         # diode capacitance top-up drawn from the output capacitor
-        snap_drop = w_resid * params.c_d1 / (params.c_o + params.c_d1)
-        v_at_th1 -= snap_drop
+        v_at_th1 -= w_resid * params.c_d1 / (params.c_o + params.c_d1)
 
-    # ---- conduction: [th1, max(gate_off, half)] ----
+    # ---- conduction: [th1, max(gate_off, half)], one closed form; State II
+    # before the current zero crossing at T/2, State III after it ----
     th_iv = max(gate_off, half)
     p_s = i_amp * params.r_load / (1.0 + (w * tau) ** 2)
     p_c = -w * tau * p_s
     h = (v_at_th1 - p_s * math.sin(w * th1) - p_c * math.cos(w * th1))
-    cond = _Seg(t0=th1, t1=th_iv, state=SwitchingState.STATE_II, kind="cond",
-                v0=v_at_th1, h=h, p_s=p_s, p_c=p_c, node="track", va0=0.0)
-    segments.append(cond)
+    if th1 < half:
+        segments.append(_Seg(t0=th1, t1=half, t_ref=th1,
+                             state=SwitchingState.STATE_II, h=h, p_s=p_s,
+                             p_c=p_c, node="track", va0=0.0))
+    state_iii = _Seg(t0=max(th1, half), t1=th_iv, t_ref=th1,
+                     state=SwitchingState.STATE_III, h=h, p_s=p_s, p_c=p_c,
+                     node="track", va0=0.0)
+    if th_iv > state_iii.t0:
+        segments.append(state_iii)
     events.append((t_start + half, "ils_zero"))
     events.append((t_start + gate_off, "gate_off"))
 
-    v_at_iv = cond.v_o(th_iv, tau, w)
+    v_at_iv = state_iii.v_o(th_iv, tau, w)
 
     # ---- State IV: node swings down toward the diode ----
     def va_iv(th):
@@ -488,10 +466,9 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
 
     th4_eff = th4 if th4 is not None else ts
     if th4_eff > th_iv:
-        segments.append(_Seg(t0=th_iv, t1=th4_eff,
-                             state=SwitchingState.STATE_IV, kind="decay",
-                             v0=v_at_iv, h=0.0, p_s=0.0, p_c=0.0,
-                             node="int", va0=v_at_iv))
+        segments.append(_Seg(t0=th_iv, t1=th4_eff, t_ref=th_iv,
+                             state=SwitchingState.STATE_IV, h=v_at_iv,
+                             p_s=0.0, p_c=0.0, node="int", va0=v_at_iv))
     va_end_iv = 0.0 if th4 is not None else va_iv(ts)
     e_in_node += 0.5 * c_sum * (va_end_iv ** 2 - v_at_iv ** 2)
     q_r = c_sum * (v_at_iv - va_end_iv)
@@ -501,20 +478,17 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     v_at_th4 = segments[-1].v_o(th4_eff, tau, w) if th4_eff > th_iv else v_at_iv
     reached_v = th4 is not None and th4 < ts
     if reached_v:
-        segments.append(_Seg(t0=th4, t1=ts, state=SwitchingState.STATE_V,
-                             kind="decay", v0=v_at_th4, h=0.0, p_s=0.0,
-                             p_c=0.0, node="zero", va0=0.0))
+        segments.append(_Seg(t0=th4, t1=ts, t_ref=th4,
+                             state=SwitchingState.STATE_V, h=v_at_th4,
+                             p_s=0.0, p_c=0.0, node="zero", va0=0.0))
 
     v_end = segments[-1].v_o(ts, tau, w)
     # 0 when State V was reached; on a cycle that never freewheels the
     # switch-path diode caps the carried node voltage at the output rail
     va_cycle_end = min(va_end_iv, v_end)
 
-    zcs_ok = reached_v and abs(i_amp * math.sin(w * ts)) <= i_zcs_tol
-    zvs_ok = v_cs1_at_gate <= v_zvs_tol
-
-    # split conduction at the current zero crossing for II/III labelling
-    segments = _normalize_segments(segments, half)
+    zcs_ok = reached_v and abs(i_amp * math.sin(w * ts)) <= I_ZCS_TOL
+    zvs_ok = v_cs1_at_gate <= V_ZVS_TOL
 
     # ---- ledgers ----
     e_cond = 0.0
@@ -526,7 +500,7 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
         int_v_total += _int_v(seg, tau, w)
         e_load_int += _int_v2(seg, tau, w) / params.r_load
         ends = (seg.v_o(seg.t0, tau, w), seg.v_o(seg.t1, tau, w))
-        if seg.kind == "cond":
+        if seg.node == "track":
             e_cond += _int_iv(seg, tau, w, i_amp)
             interior = _conduction_extremes(seg, tau, w, i_amp,
                                             params.r_load)
@@ -563,44 +537,10 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
         states_visited=tuple(sorted({int(s.state) for s in segments})))
 
     events.sort(key=lambda e: e[0])
-    piece = CyclePiece(t_start=t_start, i_amp=i_amp,
-                       v_o_floor_adjust=snap_drop, gate_on=t_start + gate_on,
+    piece = CyclePiece(t_start=t_start, i_amp=i_amp, gate_on=t_start + gate_on,
                        gate_off=t_start + gate_off, segments=segments,
                        events=events)
-    next_state = SwitchCycleState(v_cs1=v_end - va_cycle_end,
-                                  v_cd1=va_cycle_end, v_o=v_end, phase=0.0,
-                                  active=SwitchingState.STATE_I)
-    return next_state, diags, piece
-
-
-def _normalize_segments(segments: list, half: float) -> list:
-    """Split conduction segments at the current zero crossing and relabel
-    the halves as States II/III; everything else passes through ordered.
-
-    The split changes only the state label; both halves keep the same
-    closed-form coefficients (the zero crossing is not a topology change).
-    """
-    out = []
-    for seg in sorted(segments, key=lambda s: (s.t0, s.t1)):
-        if seg.t1 <= seg.t0:
-            continue
-        if seg.kind == "cond":
-            if seg.t0 < half < seg.t1:
-                out.append(_Seg(seg.t0, half, SwitchingState.STATE_II,
-                                "cond", seg.v0, seg.h, seg.p_s, seg.p_c,
-                                "track", 0.0, t_ref=seg.t_ref))
-                out.append(_Seg(half, seg.t1, SwitchingState.STATE_III,
-                                "cond", seg.v0, seg.h, seg.p_s, seg.p_c,
-                                "track", 0.0, t_ref=seg.t_ref))
-            else:
-                label = (SwitchingState.STATE_II if seg.t1 <= half
-                         else SwitchingState.STATE_III)
-                out.append(_Seg(seg.t0, seg.t1, label, "cond", seg.v0,
-                                seg.h, seg.p_s, seg.p_c, "track", 0.0,
-                                t_ref=seg.t_ref))
-        else:
-            out.append(seg)
-    return out
+    return SwitchCycleState(v_end, va_cycle_end), diags, piece
 
 
 ModulationSource = Union[ModulationCommand,
@@ -610,21 +550,23 @@ ModulationSource = Union[ModulationCommand,
 def run(params: ValidatedParams, modulation: ModulationSource,
         n_cycles: int, v_o0: float = 0.0,
         initial: Optional[SwitchCycleState] = None,
-        sample_rate: float = 0.0,
-        v_zvs_tol: float = V_ZVS_TOL,
-        i_zcs_tol: float = I_ZCS_TOL) -> RunResult:
+        sample_rate: float = 0.0) -> RunResult:
     """Run ``n_cycles`` carrier periods.
 
     ``modulation`` is either a constant command or a callable
     ``(cycle_index, state) -> ModulationCommand`` evaluated at each cycle
-    start.  ``sample_rate`` > 0 additionally captures a uniformly sampled
-    waveform.  Steady state is flagged when the cycle-mean output moves by
-    less than 1 uV for 10 consecutive cycles.
+    start.  The run starts from ``initial``, or else from output voltage
+    ``v_o0`` (finite, >= 0) with the diode capacitance empty.
+    ``sample_rate`` > 0 additionally captures a uniformly sampled waveform.
+    Steady state is flagged when the cycle-mean output moves by less than
+    1 uV for 10 consecutive cycles.
     """
     if n_cycles < 1:
         raise InvalidDuty(f"n_cycles must be >= 1, got {n_cycles}")
-    state = initial if initial is not None else \
-        SwitchCycleState.at_cycle_start(v_o0)
+    state = initial
+    if state is None:
+        require_positive(allow_zero=True, v_o0=v_o0)
+        state = SwitchCycleState(v_o0)
     diags = []
     pieces = []
     events = []
@@ -634,9 +576,7 @@ def run(params: ValidatedParams, modulation: ModulationSource,
     for n in range(n_cycles):
         cmd = modulation(n, state) if callable(modulation) else modulation
         state, d, piece = step_cycle(state, cmd, params,
-                                     t_start=n * params.t_period,
-                                     v_zvs_tol=v_zvs_tol,
-                                     i_zcs_tol=i_zcs_tol)
+                                     t_start=n * params.t_period)
         diags.append(d)
         pieces.append(piece)
         events.extend(piece.events)
@@ -695,7 +635,7 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
         """(P(x) - x, its max-norm)."""
         nonlocal calls
         calls += 1
-        nxt = step_cycle(SwitchCycleState.at_cycle_start(*x), cmd, params)[0]
+        nxt = step_cycle(SwitchCycleState(*x), cmd, params)[0]
         r = (nxt.v_o - x[0], nxt.v_cd1 - x[1])
         return r, max(abs(r[0]), abs(r[1]))
 
@@ -750,7 +690,7 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
         if step is None:
             raise failure("no Newton step reduces the residual", size)
         x, r, size = step
-    return PeriodicOrbit(state=SwitchCycleState.at_cycle_start(*x),
+    return PeriodicOrbit(state=SwitchCycleState(*x),
                          residual=size, cycles=calls)
 
 

@@ -291,7 +291,7 @@ def perturb_bode_switched(params: ValidatedParams, op,
         n_meas = cycles_per_period  # one full perturbation period
         v0 = steady_state_vo(params.i_ls_amp, params.r_load, d_bar,
                              op.phase_delay_norm)
-        state = SwitchCycleState.at_cycle_start(v0)
+        state = SwitchCycleState(v0)
         u = np.empty(n_meas)
         y = np.empty(n_meas)
         for n in range(lead + n_meas):

@@ -306,7 +306,7 @@ def test_c10_invariant_suite(vp, loadstep_rec, startup_rec, ramp_rec):
     # charge balance at 1e-9 on a stiff output rail
     stiff = dataclasses.replace(vp, c_o=1000.0)
     st, d, _ = step_cycle(
-        SwitchCycleState.at_cycle_start(24.0),
+        SwitchCycleState(24.0),
         ModulationCommand.make(DUTY_VA, fall_time_exact(stiff, 24.0) + 1e-12,
                                stiff.f_s), stiff)
     q_ref = stiff.c_sum * 24.0

@@ -187,22 +187,3 @@ def test_schedule_modes(vp):
     op = solve_operating_point(vp, 0.55)
     assert sched_s.eval(0.0)[1] == pytest.approx(op.phase_delay_norm,
                                                  rel=1e-9)
-
-
-def test_callable_schedule_zoh_integration(vp):
-    # a slowly varying callable profile integrated by zero-order hold
-    # tracks the quasi-static steady state
-    def profile(t):
-        return 0.55 + 0.02 * math.sin(2 * math.pi * 50.0 * t), 0.1
-
-    sched = DutySchedule.from_callable(profile)
-    v0 = steady_state_vo(vp.i_ls_amp, vp.r_load, 0.55, 0.1)
-    traj = integrate_averaged(AveragedState(v_o=v0, t=0.0), sched, 40e-3,
-                              vp, sample_dt=1e-4, zoh_dt=2e-5)
-    # after the first few time constants the response follows the drive
-    # with the single-pole lag; just bound the excursion sanely
-    late = traj.t > 20e-3
-    v_hi = steady_state_vo(vp.i_ls_amp, vp.r_load, 0.53, 0.1)
-    v_lo = steady_state_vo(vp.i_ls_amp, vp.r_load, 0.57, 0.1)
-    assert np.all(traj.v_o[late] < v_hi)
-    assert np.all(traj.v_o[late] > v_lo)

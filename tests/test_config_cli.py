@@ -11,7 +11,8 @@ from wptrx.config import parse_config, parse_config_text, parse_value
 from wptrx.errors import ConfigSyntax, MissingKey, UnknownKey
 from wptrx.params import validate
 
-REPO = Path(__file__).resolve().parent.parent
+CONFIGS = Path(__file__).resolve().parent.parent / "src" / "wptrx" / "configs"
+TABLE2 = str(CONFIGS / "table2.cfg")
 
 
 def test_prefix_folding():
@@ -28,7 +29,7 @@ def test_prefix_folding():
 
 
 def test_shipped_prototype_config_parses():
-    rc = parse_config(REPO / "configs" / "table2.cfg")
+    rc = parse_config(TABLE2)
     vp = validate(rc.params)
     assert vp.l_s == pytest.approx(172e-6, rel=1e-12)
     assert vp.c_s == pytest.approx(3.63e-9, rel=1e-12)
@@ -45,6 +46,10 @@ def test_config_rejects_duplicates_and_unknowns():
         parse_config_text("l_s = 1u\nl_s = 2u\n")
     with pytest.raises(UnknownKey):
         parse_config_text("coil = 172u\n")
+    # keys that nothing reads are rejected like any other unknown key
+    for key in ("seed", "sample_rate"):
+        with pytest.raises(UnknownKey):
+            parse_config_text(f"{key} = 1\n")
     with pytest.raises(MissingKey):
         parse_config_text("l_s = 172u\n")
     with pytest.raises(ConfigSyntax):
@@ -52,8 +57,7 @@ def test_config_rejects_duplicates_and_unknowns():
 
 
 def test_cli_validate_ok(capsys):
-    assert main(["validate", "--config",
-                 str(REPO / "configs" / "table2.cfg")]) == 0
+    assert main(["validate", "--config", TABLE2]) == 0
     out = capsys.readouterr().out
     assert "c_sum" in out
 
@@ -87,7 +91,7 @@ def test_cli_exit_code_unknown(capsys):
 
 
 def test_cli_steady_and_bode_outputs(tmp_path, capsys):
-    cfg = str(REPO / "configs" / "table2.cfg")
+    cfg = TABLE2
     out = tmp_path / "o1"
     assert main(["steady", "--config", cfg, "--sweep", "0.5:0.7:0.05",
                  "--out", str(out)]) == 0
@@ -138,6 +142,46 @@ def test_design_figure_tables_are_pinned(figure, tmp_path):
         assert got == digest, name
 
 
+# sha256 of switched-simulator tables at the table2 point: (argv, digests).
+# A refactor of the simulator must leave them byte-identical.  Digests taken
+# with the periodic-steady-state start, before the simulator segments were
+# merged into one closed form (CPython 3.11, numpy 2.4, x86-64 Linux).
+SIMULATOR_TABLE_SHA256 = {
+    "fig13": (["reproduce", "fig13"], {
+        "fig13.csv": "c01657c955ceda807d065ce87a384e20"
+                     "a3451471b9c5bbd1bbec19784fc3f22d",
+        "fig13_events.csv": "55126daae59a8a673ea52b85f572d2ae"
+                            "b5a85ee631b3eaf587d8dcaf1289a10b"}),
+    "fig14": (["reproduce", "fig14"], {
+        "fig14_i_ls.csv": "f0e88528e3909d028c2cf2f987fdf999"
+                          "f55223f30d7e4baa68068e21929350e8",
+        "fig14_summary.csv": "2a3600feab13bcbb4861e4537fdc782b"
+                             "67fbfc47817fa94ba9bfdfe365ec0f0d",
+        "fig14_v_cd1.csv": "d69c51d7a66a950faf40d244336eefba"
+                           "c1a2bf7e6f7d8ed52da75977a61f7b5a"}),
+    "simulate": (["simulate", "--config", TABLE2, "--cycles", "20"], {
+        "diagnostics.csv": "e2e6b0e97ac3d996efe3113dbdc713b2"
+                           "cacd68f244acec64a8dec698ccbb057a",
+        "events.csv": "e95e4efdd60e3c48ec72e28ec61cfe2a"
+                      "8e4ba3d7f03fc5054b29e01b8097a8c1",
+        "waveform.csv": "1648f033585c1de806498ca7f77f4735"
+                        "e350e3b32f79403095e2d917c18e3aba"}),
+    "load_step": (["transient", "--config", TABLE2,
+                   "--scenario", "load_step"], {
+        "load_step.csv": "12d75d4f714777874061b4b40888d6b4"
+                         "85477e88ac9930155bf7314042842f0c"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SIMULATOR_TABLE_SHA256))
+def test_simulator_tables_are_pinned(command, tmp_path):
+    argv, digests = SIMULATOR_TABLE_SHA256[command]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    for name, digest in digests.items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == digest, name
+
+
 def test_cli_reproduce_fig7_grid(tmp_path):
     out = tmp_path / "f7"
     assert main(["reproduce", "fig7", "--out", str(out)]) == 0
@@ -153,7 +197,7 @@ def test_cli_reproduce_fig7_grid(tmp_path):
 
 
 def test_cli_simulate_table_format(tmp_path):
-    cfg = str(REPO / "configs" / "table2.cfg")
+    cfg = TABLE2
     out = tmp_path / "sim"
     assert main(["simulate", "--config", cfg, "--cycles", "3",
                  "--out", str(out)]) == 0

@@ -8,8 +8,7 @@ import pytest
 
 from wptrx.analytic import fall_time_exact
 from wptrx.control import (ControllerState, Scenario, closed_loop_run,
-                           feedforward_tf, pi_update, step_profile,
-                           sync_gate_timing)
+                           feedforward_tf, pi_update, step_profile)
 from wptrx.errors import GateOverrun, NonPositiveParameter
 from wptrx.params import ReceiverParams, validate
 from wptrx.scenarios import design_gains, equilibrium_duty
@@ -88,7 +87,7 @@ def test_feedforward_mismatch_directions(vp):
     # zero-voltage turn-on is preserved
     t_cmd = feedforward_tf(24.0, 1.45, vp)
     assert t_cmd > fall_time_exact(vp, 24.0)
-    st = SwitchCycleState.at_cycle_start(24.0)
+    st = SwitchCycleState(24.0)
     _, d_ok, _ = step_cycle(st, ModulationCommand.make(0.532, t_cmd,
                                                        vp.f_s), vp)
     assert d_ok.zvs_ok and not d_ok.hard_switched
@@ -96,24 +95,28 @@ def test_feedforward_mismatch_directions(vp):
     # the reverse mismatch fires the gate before the node has swung
     p_weak = vp.with_amplitude(1.45)
     t_cmd2 = feedforward_tf(24.0, 2.35, p_weak)
-    st = SwitchCycleState.at_cycle_start(24.0)
+    st = SwitchCycleState(24.0)
     _, d_bad, _ = step_cycle(st, ModulationCommand.make(0.532, t_cmd2,
                                                         p_weak.f_s), p_weak)
     assert not d_bad.zvs_ok and d_bad.hard_switched
     assert d_bad.e_hard_switch > 0.0
 
 
-def test_sync_gate_timing_values(vp):
+def test_gate_edges_follow_the_command(vp):
+    # gate_on trails the synchronization edge by the commanded delay,
+    # gate_off one duty interval later
+    st = SwitchCycleState(24.0)
     cmd = ModulationCommand.make(0.5, 0.0, vp.f_s)
-    on, off = sync_gate_timing(0.0, cmd, vp)
-    assert on == 0.0 and off == pytest.approx(2.5e-6, rel=1e-12)
+    piece = step_cycle(st, cmd, vp)[2]
+    assert piece.gate_on == 0.0
+    assert piece.gate_off == pytest.approx(2.5e-6, rel=1e-12)
     cmd2 = ModulationCommand.make(0.532, 382e-9, vp.f_s)
-    on2, off2 = sync_gate_timing(10e-6, cmd2, vp)
-    assert on2 == pytest.approx(10e-6 + 382e-9, rel=1e-12)
-    assert off2 == pytest.approx(10e-6 + 3.042e-6, rel=1e-9)
+    piece2 = step_cycle(st, cmd2, vp, t_start=10e-6)[2]
+    assert piece2.gate_on == pytest.approx(10e-6 + 382e-9, rel=1e-12)
+    assert piece2.gate_off == pytest.approx(10e-6 + 3.042e-6, rel=1e-9)
     with pytest.raises(GateOverrun):
-        sync_gate_timing(0.0, ModulationCommand.make(
-            0.9, 0.15 / vp.f_s, vp.f_s), vp)
+        step_cycle(st, ModulationCommand.make(0.9, 0.15 / vp.f_s, vp.f_s),
+                   vp)
 
 
 def test_gate_phase_matches_command(vp):

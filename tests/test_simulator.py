@@ -53,7 +53,7 @@ def steady_soft_run(vp, duty=0.532, n=300):
 
 def test_prototype_cycle_soft_switching(vp):
     # at the nominal 24 V output the natural commutation takes ~386 ns
-    st = SwitchCycleState.at_cycle_start(24.0)
+    st = SwitchCycleState(24.0)
     st2, d24, _ = step_cycle(st, exact_cmd(vp, 0.532, 24.0, margin=1e-10),
                              vp)
     assert d24.zvs_ok and d24.zcs_ok and not d24.hard_switched
@@ -69,7 +69,7 @@ def test_prototype_cycle_soft_switching(vp):
 
 def test_zero_source_cycle(vp):
     p0 = vp.with_amplitude(0.0)
-    st = SwitchCycleState.at_cycle_start(24.0)
+    st = SwitchCycleState(24.0)
     cmd = ModulationCommand.make(0.5, 382e-9, vp.f_s)
     st2, d, piece = step_cycle(st, cmd, p0)
     assert math.isnan(d.t_f_meas) and math.isnan(d.t_r_meas)
@@ -88,7 +88,7 @@ def test_zero_source_cycle(vp):
 
 
 def test_forced_turn_on_energy(vp):
-    st = SwitchCycleState.at_cycle_start(24.0)
+    st = SwitchCycleState(24.0)
     st2, d, piece = step_cycle(st, ModulationCommand.make(0.532, 0.0,
                                                           vp.f_s), vp)
     assert not d.zvs_ok and d.hard_switched
@@ -99,7 +99,7 @@ def test_forced_turn_on_energy(vp):
 
 
 def test_invalid_commands(vp):
-    st = SwitchCycleState.at_cycle_start(24.0)
+    st = SwitchCycleState(24.0)
     with pytest.raises(InvalidDuty):
         step_cycle(st, ModulationCommand.make(1.2, 0.0, vp.f_s), vp)
     with pytest.raises(GateOverrun):
@@ -110,8 +110,16 @@ def test_invalid_commands(vp):
             step_cycle(st, ModulationCommand.make(0.532, t_f, vp.f_s), vp)
 
 
+def test_run_rejects_bad_start_voltage(vp):
+    # a NaN start voltage used to run through and return a NaN trajectory
+    cmd = ModulationCommand.make(0.532, 386e-9, vp.f_s)
+    for v_o0 in (math.nan, -1.0):
+        with pytest.raises(NonPositiveParameter):
+            run(vp, cmd, 3, v_o0=v_o0)
+
+
 def test_single_cycle_from_zero_monotone_conduction(vp):
-    st = SwitchCycleState.at_cycle_start(0.0)
+    st = SwitchCycleState(0.0)
     cmd = ModulationCommand.make(0.532, 386e-9, vp.f_s)
     st2, d, piece = step_cycle(st, cmd, vp)
     res = run(vp, cmd, 1, v_o0=0.0, sample_rate=256 * vp.f_s)
@@ -209,7 +217,7 @@ def test_state_sequence_legality(vp):
 
 def test_charge_balance(vp_stiff):
     v_o = 24.0
-    st = SwitchCycleState.at_cycle_start(v_o)
+    st = SwitchCycleState(v_o)
     cmd = exact_cmd(vp_stiff, 0.532, v_o)
     st2, d, _ = step_cycle(st, cmd, vp_stiff)
     q_expect = vp_stiff.c_sum * v_o
@@ -241,7 +249,7 @@ def test_steady_state_efficiency_is_unity(vp):
 
 
 def test_hard_cycle_residual_equals_merge_loss(vp):
-    st = SwitchCycleState.at_cycle_start(24.0)
+    st = SwitchCycleState(24.0)
     st2, d, _ = step_cycle(st, ModulationCommand.make(0.532, 0.0, vp.f_s),
                            vp)
     residual = (d.e_in + d.e_node_tracking - d.e_load - d.de_stored
@@ -269,7 +277,7 @@ def test_device_stress_bounded_by_output(vp):
 def test_commutation_time_parity(vp_stiff):
     v_o = 24.0
     cmd = exact_cmd(vp_stiff, 0.532, v_o, margin=1e-12)
-    st = SwitchCycleState.at_cycle_start(v_o)
+    st = SwitchCycleState(v_o)
     st2, d, _ = step_cycle(st, cmd, vp_stiff)
     t_f_pred = fall_time_exact(vp_stiff, v_o)
     assert abs(d.t_f_meas - t_f_pred) <= 1e-10
@@ -506,7 +514,7 @@ def test_periodic_steady_state_from_cycles_without_state_v(vp):
     # D + f_s*t_f = 0.99: from 24 V the node never swings back to zero, so
     # v_cd1 carries over between cycles; the orbit itself sits near 0 V
     cmd = ModulationCommand.make(0.96, 0.03 / vp.f_s, vp.f_s)
-    first = step_cycle(SwitchCycleState.at_cycle_start(24.0), cmd, vp)
+    first = step_cycle(SwitchCycleState(24.0), cmd, vp)
     assert not first[1].reached_state_v and first[0].v_cd1 > 0.0
     orbit = periodic_steady_state(vp, cmd, 24.0)
     assert orbit.residual <= V_ORBIT_TOL
