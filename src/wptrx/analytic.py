@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import math
 
 from .errors import (ArccosDomain, CommutationImpossible, DutyOutOfBounds,
-                     EmptyDutyRange, NoConvergence, NonPositiveParameter)
-from .params import ValidatedParams
+                     EmptyDutyRange, NoConvergence)
+from .params import ValidatedParams, require_positive
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,8 +71,7 @@ def input_current(t: float, params: ValidatedParams) -> float:
 
 def fall_time_approx(params: ValidatedParams, v_o: float) -> float:
     """Small-angle estimate of the switch-voltage fall interval (s)."""
-    if v_o < 0:
-        raise NonPositiveParameter("v_o", v_o)
+    require_positive(allow_zero=True, v_o=v_o)
     if v_o == 0.0:
         return 0.0
     return math.sqrt(params.c_sum * v_o / (math.pi * params.f_s * params.i_ls_amp))
@@ -89,8 +88,7 @@ def fall_time_exact(params: ValidatedParams, v_o: float) -> float:
     cannot swing the node across v_o, so zero-voltage turn-on is
     unreachable at this point).
     """
-    if v_o < 0:
-        raise NonPositiveParameter("v_o", v_o)
+    require_positive(allow_zero=True, v_o=v_o)
     if v_o == 0.0:
         return 0.0
     c = params.omega * params.c_sum * v_o / params.i_ls_amp
@@ -140,10 +138,8 @@ def resonant_cap_voltage_drop(i_ls_amp: float, r_load: float,
     D = 1/2) and the maximum with delay (D = 1/2 - f_s*t_f), both read off
     the steady-state relation: |I|*R/(2*pi) * (1 - cos(2*pi*f_s*t_f)).
     """
-    if i_ls_amp < 0:
-        raise NonPositiveParameter("i_ls_amp", i_ls_amp)
-    if r_load <= 0:
-        raise NonPositiveParameter("r_load", r_load)
+    require_positive(allow_zero=True, i_ls_amp=i_ls_amp)
+    require_positive(r_load=r_load)
     return i_ls_amp * r_load / TWO_PI * (
         1.0 - math.cos(TWO_PI * phase_delay_norm))
 

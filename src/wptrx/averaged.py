@@ -23,7 +23,7 @@ import numpy as np
 
 from .analytic import TWO_PI, solve_operating_point, steady_state_vo
 from .errors import NonPositiveParameter
-from .params import ValidatedParams
+from .params import ValidatedParams, require_positive
 
 # Integration undershoot below this is clamped to zero and flagged; the
 # rectifier cannot drive its output negative.
@@ -123,20 +123,6 @@ def averaged_rhs(v_o: float, duty: float, phase_delay_norm: float,
     return (k - v_o / params.r_load) / params.c_o
 
 
-def exp_segment(v0: float, duty: float, phase_delay_norm: float, dt: float,
-                params: ValidatedParams) -> tuple:
-    """Advance one constant-command segment exactly.
-
-    Returns (v_end, v_inf, tau): the endpoint, the segment's asymptote
-    (the steady-state voltage for this command) and the RC time constant.
-    """
-    tau = params.r_load * params.c_o
-    v_inf = steady_state_vo(params.i_ls_amp, params.r_load, duty,
-                            phase_delay_norm)
-    v_end = v_inf + (v0 - v_inf) * math.exp(-dt / tau)
-    return v_end, v_inf, tau
-
-
 def integrate_averaged(initial: AveragedState, schedule: DutySchedule,
                        horizon: float, params: ValidatedParams,
                        sample_dt: float = 1e-5) -> AveragedTrajectory:
@@ -146,8 +132,7 @@ def integrate_averaged(initial: AveragedState, schedule: DutySchedule,
     its breakpoints.  Output is sampled every ``sample_dt`` including both
     endpoints.
     """
-    if horizon <= 0:
-        raise NonPositiveParameter("horizon", horizon)
+    require_positive(horizon=horizon)
     t0 = initial.t
     t_end = t0 + horizon
     sample_times = np.arange(t0, t_end + 0.5 * sample_dt, sample_dt)

@@ -1,15 +1,17 @@
 """Command-line interface: validation, design, sweeps, simulation runs,
 transient scenarios, and the figure-reproduction harness.
 
-All outputs are comma-separated tables with a header row, 12-significant-
-digit scientific notation and LF line endings; identical config + command
-always produces byte-identical files.
+All outputs are comma-separated tables with a header row and LF line
+endings, written by ``_write_table``: strings as is, booleans and integers
+as integers, every other number in 12-significant-digit scientific
+notation.  Identical config + command always produces byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 unknown command or figure id.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -57,21 +59,33 @@ _FIG20_AMPS = (1.0, 1.85)   # peak amplitudes of the 2 -> 3.7 A pk-pk ramp
 _WAVE_RATE_PER_CYCLE = 256
 
 
-def _fmt(x) -> str:
+def _cell_format(x) -> str:
     if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.11e}"
+        return "%s"
+    if isinstance(x, (bool, int, np.bool_, np.integer)):
+        return "%d"
+    return "%.11e"
 
 
-def _write_table(path, header: str, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
+def _write_table(out, name: str, header: str, rows) -> None:
+    """The one table writer: ``header`` and ``rows`` as CSV into
+    ``out/name`` (creating ``out``), or to stdout when ``out`` is None.
+
+    The row format is built once from the cell types of the first row, so
+    each column must keep one cell type."""
+    if out is None:
+        stream = contextlib.nullcontext(sys.stdout)
+    else:
+        os.makedirs(out, exist_ok=True)
+        stream = open(os.path.join(out, name), "w", newline="\n")
+    with stream as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is not None:
+            fmt = ",".join(map(_cell_format, first)) + "\n"
+            fh.write(fmt % tuple(first))
+            fh.writelines(fmt % tuple(row) for row in rows)
 
 
 def _load_config(args) -> RunConfig:
@@ -150,9 +164,7 @@ def cmd_design(args) -> int:
     for name, value in rows:
         print(f"{name:18s} = {value:.6g}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_table(os.path.join(args.out, "design.csv"), "name,value",
-                     [(n, v) for n, v in rows])
+        _write_table(args.out, "design.csv", "name,value", rows)
     return 0
 
 
@@ -173,14 +185,8 @@ def cmd_steady(args) -> int:
     for d in duties:
         op = solve_operating_point(vp, d, exact=args.exact)
         rows.append((d, op.t_f, op.phase_delay_norm, op.v_o, op.regulable))
-    header = "duty,t_f,phase_delay_norm,v_o,regulable"
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_table(os.path.join(args.out, "steady.csv"), header, rows)
-    else:
-        print(header)
-        for r in rows:
-            print(",".join(_fmt(x) for x in r))
+    _write_table(args.out or None, "steady.csv",
+                 "duty,t_f,phase_delay_norm,v_o,regulable", rows)
     return 0
 
 
@@ -189,15 +195,8 @@ def cmd_bode(args) -> int:
     vp = validate(rc.params)
     op = _nominal_op(vp, rc)
     pts = bode(plant_tf(vp, op), _BODE_GRID)
-    header = "f_hz,mag_db,phase_deg"
-    rows = [(p.f_hz, p.mag_db, p.phase_deg) for p in pts]
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_table(os.path.join(args.out, "bode.csv"), header, rows)
-    else:
-        print(header)
-        for r in rows:
-            print(",".join(_fmt(x) for x in r))
+    _write_table(args.out or None, "bode.csv", "f_hz,mag_db,phase_deg",
+                 [(p.f_hz, p.mag_db, p.phase_deg) for p in pts])
     return 0
 
 
@@ -212,11 +211,9 @@ def cmd_simulate(args) -> int:
         _WAVE_RATE_PER_CYCLE * vp.f_s
     orbit = periodic_steady_state(vp, cmd, op.v_o)
     result = run(vp, cmd, args.cycles, initial=orbit.state, sample_rate=rate)
-    os.makedirs(args.out, exist_ok=True)
-    result.waveform.save_table(os.path.join(args.out, "waveform.csv"))
-    result.waveform.save_events(os.path.join(args.out, "events.csv"))
+    _write_capture(args.out, "waveform.csv", "events.csv", result)
     _write_table(
-        os.path.join(args.out, "diagnostics.csv"),
+        args.out, "diagnostics.csv",
         "cycle,t_f_meas,t_r_meas,zvs_ok,zcs_ok,q_f,q_r,e_in,e_load,"
         "e_hard_switch,v_o_mean,v_o_ripple_pp",
         [(k, d.t_f_meas, d.t_r_meas, d.zvs_ok, d.zcs_ok, d.q_f, d.q_r,
@@ -226,6 +223,13 @@ def cmd_simulate(args) -> int:
     print(f"cycles = {args.cycles}, steady = {result.steady_detected}, "
           f"zvs = {rep.zvs_fraction:.3f}, zcs = {rep.zcs_fraction:.3f}")
     return 0
+
+
+def _write_capture(out, wave_name: str, events_name: str, result) -> None:
+    w = result.waveform
+    _write_table(out, wave_name, "t,i_ls,v_cs1,v_cd1,v_o,gate,state",
+                 zip(w.t, w.i_ls, w.v_cs1, w.v_cd1, w.v_o, w.gate, w.state))
+    _write_table(out, events_name, "t,event", result.events)
 
 
 def _scenario_by_name(name: str, vp, rc: RunConfig):
@@ -241,16 +245,21 @@ def _scenario_by_name(name: str, vp, rc: RunConfig):
     raise UnknownFigure(f"unknown scenario {name!r}")
 
 
+def _closed_loop_table(out, name: str, sc, p, rc: RunConfig):
+    """Design the PI gains for scenario ``sc`` on receiver ``p``, run it
+    closed-loop and write the transient table ``out/name``."""
+    gains = scenarios.design_gains(p, rc.v_ref, sc.i_ls_ff, rc.f_c)
+    rec = closed_loop_run(sc, gains, p)
+    _write_table(out, name, "t,v_o_sample,v_o_mean,duty",
+                 zip(rec.t, rec.v_o_sample, rec.v_o_mean, rec.duty))
+    return rec
+
+
 def cmd_transient(args) -> int:
     rc = _load_config(args)
     vp = validate(rc.params)
     sc, p = _scenario_by_name(args.scenario, vp, rc)
-    gains = scenarios.design_gains(p, rc.v_ref, sc.i_ls_ff, rc.f_c)
-    rec = closed_loop_run(sc, gains, p)
-    os.makedirs(args.out, exist_ok=True)
-    _write_table(os.path.join(args.out, f"{sc.name}.csv"),
-                 "t,v_o_sample,v_o_mean,duty",
-                 zip(rec.t, rec.v_o_sample, rec.v_o_mean, rec.duty))
+    rec = _closed_loop_table(args.out, f"{sc.name}.csv", sc, p, rc)
     print(f"final = {rec.final_value:.4f} V, settle = {rec.settling_time:.6g} s, "
           f"overshoot = {rec.overshoot:.4f} V, error = "
           f"{rec.steady_state_error:.2e} V")
@@ -266,7 +275,7 @@ def _fig4a(out, rc):
     rows = []
     for row in averaged.vo_vs_duty_curve(vp, _FIG4A_LOADS, _duty_grid()):
         rows.append((row.r_load, row.duty, row.v_o, row.regulable))
-    _write_table(os.path.join(out, "fig4a.csv"),
+    _write_table(out, "fig4a.csv",
                  "r_load,duty,v_o,regulable", rows)
     return ["fig4a.csv"]
 
@@ -278,12 +287,12 @@ def _fig5(out, rc):
         ideal = steady_state_vo(vp.i_ls_amp, vp.r_load, d, 0.0)
         op = solve_operating_point(vp, d)
         rows.append((d, ideal, op.v_o))
-    _write_table(os.path.join(out, "fig5.csv"),
+    _write_table(out, "fig5.csv",
                  "duty,v_o_ideal,v_o_with_caps", rows)
     op_pk = solve_operating_point(vp, analytic.optimal_duty(0.0761))
     drop = analytic.resonant_cap_voltage_drop(vp.i_ls_amp, vp.r_load,
                                               op_pk.phase_delay_norm)
-    _write_table(os.path.join(out, "fig5_summary.csv"),
+    _write_table(out, "fig5_summary.csv",
                  "phase_delay_norm,peak_reduction_v",
                  [(op_pk.phase_delay_norm, drop)])
     return ["fig5.csv", "fig5_summary.csv"]
@@ -293,11 +302,11 @@ def _fig7(out, rc):
     vp = validate(rc.params)
     op = _nominal_op(vp, rc)
     pts = bode(plant_tf(vp, op), _BODE_GRID)
-    _write_table(os.path.join(out, "fig7_analytic.csv"),
+    _write_table(out, "fig7_analytic.csv",
                  "f_hz,mag_db,phase_deg",
                  [(p.f_hz, p.mag_db, p.phase_deg) for p in pts])
     pts_o = perturb_bode_oracle(vp, op, _BODE_GRID)
-    _write_table(os.path.join(out, "fig7_oracle.csv"),
+    _write_table(out, "fig7_oracle.csv",
                  "f_hz,mag_db,phase_deg",
                  [(p.f_hz, p.mag_db, p.phase_deg) for p in pts_o])
     return ["fig7_analytic.csv", "fig7_oracle.csv"]
@@ -311,7 +320,7 @@ def _fig9(out, rc):
     ol, cl = loop_response(plant, gains, _BODE_GRID)
     ol_pts = bode_points(_BODE_GRID, ol)
     cl_pts = bode_points(_BODE_GRID, cl)
-    _write_table(os.path.join(out, "fig9.csv"),
+    _write_table(out, "fig9.csv",
                  "f_hz,ol_mag_db,ol_phase_deg,cl_mag_db,cl_phase_deg",
                  [(o.f_hz, o.mag_db, o.phase_deg, c.mag_db, c.phase_deg)
                   for o, c in zip(ol_pts, cl_pts)])
@@ -334,8 +343,7 @@ def _steady_va_run(rc, n_capture: int):
 
 def _fig13(out, rc):
     vp, cap = _steady_va_run(rc, 4)
-    cap.waveform.save_table(os.path.join(out, "fig13.csv"))
-    cap.waveform.save_events(os.path.join(out, "fig13_events.csv"))
+    _write_capture(out, "fig13.csv", "fig13_events.csv", cap)
     return ["fig13.csv", "fig13_events.csv"]
 
 
@@ -346,13 +354,13 @@ def _fig14(out, rc):
     for channel in ("v_cd1", "i_ls"):
         spec_res = spectrum(cap.waveform, channel, 40, vp.f_s)
         name = f"fig14_{channel}.csv"
-        _write_table(os.path.join(out, name),
+        _write_table(out, name,
                      "harmonic,f_hz,amplitude,phase_rad",
                      [(k, k * vp.f_s, a, ph)
                       for k, a, ph in spec_res.harmonics])
         summary.append((channel, spec_res.fundamental, spec_res.thd))
         files.append(name)
-    _write_table(os.path.join(out, "fig14_summary.csv"),
+    _write_table(out, "fig14_summary.csv",
                  "channel,fundamental,thd", summary)
     return files + ["fig14_summary.csv"]
 
@@ -361,7 +369,7 @@ def _fig17(out, rc):
     vp = validate(rc.params).with_load(_FIG17_LOAD)
     rows = scenarios.coupling_sweep(vp, rc.v_ref, _FIG17_FF_AMP,
                                     _FIG17_AMPS, f_c=rc.f_c)
-    _write_table(os.path.join(out, "fig17.csv"),
+    _write_table(out, "fig17.csv",
                  "i_ls_amp,v_o_steady,reg_error,duty,zvs_fraction,"
                  "zcs_fraction",
                  [(r.i_ls_amp, r.v_o_steady, r.reg_error, r.duty,
@@ -374,22 +382,13 @@ def _fig19(out, rc):
     vp = validate(rc.params)
     sc = scenarios.load_step_scenario(vp, rc.v_ref, rc.feedforward_amp,
                                       r_low=36.0)
-    gains = scenarios.design_gains(vp, rc.v_ref, sc.i_ls_ff, rc.f_c)
-    rec = closed_loop_run(sc, gains, vp)
-    _write_table(os.path.join(out, "fig19.csv"), "t,v_o_sample,v_o_mean,duty",
-                 zip(rec.t, rec.v_o_sample, rec.v_o_mean, rec.duty))
+    _closed_loop_table(out, "fig19.csv", sc, vp, rc)
     return ["fig19.csv"]
 
 
 def _fig20(out, rc):
-    vp = validate(rc.params).with_load(_FIG20_LOAD) \
-        .with_amplitude(_FIG20_AMPS[0])
-    sc = scenarios.source_ramp_scenario(vp, rc.v_ref, _FIG20_AMPS[0],
-                                        _FIG20_AMPS[0], _FIG20_AMPS[1])
-    gains = scenarios.design_gains(vp, rc.v_ref, sc.i_ls_ff, rc.f_c)
-    rec = closed_loop_run(sc, gains, vp)
-    _write_table(os.path.join(out, "fig20.csv"), "t,v_o_sample,v_o_mean,duty",
-                 zip(rec.t, rec.v_o_sample, rec.v_o_mean, rec.duty))
+    sc, p = _scenario_by_name("source_ramp", validate(rc.params), rc)
+    _closed_loop_table(out, "fig20.csv", sc, p, rc)
     return ["fig20.csv"]
 
 

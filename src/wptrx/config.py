@@ -11,7 +11,7 @@ import re
 from typing import Optional
 
 from .errors import ConfigSyntax, MissingKey, UnknownKey
-from .params import ReceiverParams
+from .params import ReceiverParams, require_positive
 
 _PREFIX = {"n": 1e-9, "u": 1e-6, "m": 1e-3, "k": 1e3, "M": 1e6}
 
@@ -73,6 +73,8 @@ def parse_config_text(text: str) -> RunConfig:
     for key in _REQUIRED:
         if key not in seen:
             raise MissingKey(key)
+    require_positive(allow_zero=True, v_ref=seen.get("v_ref", 0.0))
+    require_positive(**{k: seen[k] for k in ("f_c", "i_ls_ff") if k in seen})
     params = ReceiverParams(
         l_s=seen["l_s"], c_s=seen["c_s"], c_s1=seen["c_s1"],
         c_d1=seen["c_d1"], c_o=seen["c_o"], r_load=seen["r_load"],

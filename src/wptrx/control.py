@@ -22,7 +22,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import NonPositiveParameter
-from .params import ValidatedParams
+from .params import ValidatedParams, require_positive
 from .simulator import ModulationCommand, SwitchCycleState, step_cycle
 from .smallsignal import PiGains
 
@@ -65,12 +65,10 @@ def feedforward_tf(v_ref: float, i_ls_nominal: float,
     Deliberately not the live values: the controller trades a small timing
     error for a constant that can be precomputed.  v_ref = 0 gives 0.
     """
-    if v_ref < 0:
-        raise NonPositiveParameter("v_ref", v_ref)
+    require_positive(allow_zero=True, v_ref=v_ref)
     if v_ref == 0.0:
         return 0.0
-    if i_ls_nominal <= 0:
-        raise NonPositiveParameter("i_ls_nominal", i_ls_nominal)
+    require_positive(i_ls_nominal=i_ls_nominal)
     return math.sqrt(params.c_sum * v_ref
                      / (math.pi * params.f_s * i_ls_nominal))
 
@@ -121,8 +119,7 @@ class Scenario:
     initial_integrator: Optional[float] = None
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise NonPositiveParameter("duration", self.duration)
+        require_positive(duration=self.duration)
 
 
 @dataclass

@@ -67,10 +67,6 @@ V_ORBIT_TOL = 1e-9
 V_ZVS_TOL = 10e-3   # residual switch voltage at the gate edge (V)
 I_ZCS_TOL = 1e-3    # diode current at turn-off (A)
 
-EVENT_NAMES = ("gate_on", "gate_off", "cs1_zero", "cd1_zero", "ils_zero",
-               "cycle_start", "hard_switch")
-
-
 class SwitchingState(IntEnum):
     STATE_I = 1
     STATE_II = 2
@@ -200,7 +196,7 @@ class RunResult:
 
 @dataclass
 class Waveform:
-    """Uniformly sampled channels plus the exact event log."""
+    """Uniformly sampled channels."""
     t: np.ndarray
     i_ls: np.ndarray
     v_cs1: np.ndarray
@@ -208,7 +204,6 @@ class Waveform:
     v_o: np.ndarray
     gate: np.ndarray
     state: np.ndarray
-    events: list
     sample_rate: float
 
     def channel(self, name: str) -> np.ndarray:
@@ -216,25 +211,6 @@ class Waveform:
             return getattr(self, name)
         except AttributeError:
             raise KeyError(f"no channel {name!r}") from None
-
-    def table_rows(self):
-        yield "t,i_ls,v_cs1,v_cd1,v_o,gate,state"
-        for k in range(len(self.t)):
-            yield (f"{self.t[k]:.11e},{self.i_ls[k]:.11e},"
-                   f"{self.v_cs1[k]:.11e},{self.v_cd1[k]:.11e},"
-                   f"{self.v_o[k]:.11e},{int(self.gate[k])},"
-                   f"{int(self.state[k])}")
-
-    def save_table(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            for row in self.table_rows():
-                fh.write(row + "\n")
-
-    def save_events(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("t,event\n")
-            for t, name in self.events:
-                fh.write(f"{t:.11e},{name}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +565,7 @@ def run(params: ValidatedParams, modulation: ModulationSource,
         prev_mean = d.v_o_mean
     waveform = None
     if sample_rate > 0.0:
-        waveform = sample_waveform(pieces, params, sample_rate, events)
+        waveform = sample_waveform(pieces, params, sample_rate)
     return RunResult(diagnostics=diags, pieces=pieces, events=events,
                      waveform=waveform, steady_detected=steady_cycle is not None,
                      steady_cycle=steady_cycle, final_state=state)
@@ -695,7 +671,7 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
 
 
 def sample_waveform(pieces: Sequence[CyclePiece], params: ValidatedParams,
-                    sample_rate: float, events: list) -> Waveform:
+                    sample_rate: float) -> Waveform:
     """Evaluate the exact piecewise forms on a uniform grid."""
     ts = params.t_period
     w = params.omega
@@ -726,8 +702,7 @@ def sample_waveform(pieces: Sequence[CyclePiece], params: ValidatedParams,
             state_ch[k] = int(seg.state)
             k += 1
     return Waveform(t=t, i_ls=i_ls, v_cs1=v_cs1, v_cd1=v_cd1, v_o=v_o,
-                    gate=gate, state=state_ch, events=list(events),
-                    sample_rate=sample_rate)
+                    gate=gate, state=state_ch, sample_rate=sample_rate)
 
 
 def _segment_at(segments: list, th: float) -> _Seg:

@@ -30,7 +30,7 @@ import numpy as np
 from .analytic import TWO_PI, duty_bounds, steady_state_vo
 from .errors import (NoCrossover, NonPeriodicWindow, NonPositiveParameter,
                      ZeroGainOperatingPoint)
-from .params import ValidatedParams
+from .params import ValidatedParams, require_positive
 
 # |sin| below this means the operating point sits at the voltage maximum
 # where the first-order control gain vanishes.
@@ -119,8 +119,7 @@ def design_pi(params: ValidatedParams, op, f_c: float) -> PiGains:
     k_i = k_p / (R*C_o).  Saturation bounds come from the admissible duty
     window at the operating point's phase delay.
     """
-    if f_c <= 0:
-        raise NonPositiveParameter("f_c", f_c)
+    require_positive(f_c=f_c)
     s = math.sin(TWO_PI * op.duty + TWO_PI * op.phase_delay_norm)
     if abs(s) < _ZERO_GAIN_TOL:
         raise ZeroGainOperatingPoint(

@@ -1,12 +1,14 @@
 """Config parsing, CLI exit discipline, determinism, export formats."""
 
 import hashlib
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wptrx.cli import main
+from wptrx.cli import _write_table, main
 from wptrx.config import parse_config, parse_config_text, parse_value
 from wptrx.errors import ConfigSyntax, MissingKey, UnknownKey
 from wptrx.params import validate
@@ -74,6 +76,21 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     assert main(["validate", "--config", str(zero)]) == 2
 
 
+@pytest.mark.parametrize("key", ["v_ref", "f_c", "i_ls_ff"])
+def test_cli_rejects_non_finite_controller_keys(key, tmp_path, capsys):
+    # 1e999 parses as inf; it is rejected where the config is read, not
+    # turned into inf gains, a zero gate delay or a math domain error
+    text = "".join(ln + "\n" for ln in Path(TABLE2).read_text().splitlines()
+                   if not ln.startswith(key + " "))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + f"{key} = 1e999\n")
+    for argv in (["design"], ["transient", "--scenario", "load_step",
+                              "--out", str(tmp_path)]):
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+    assert not (tmp_path / "load_step.csv").exists()
+
+
 def test_cli_exit_code_numerical_failure(tmp_path, capsys):
     # a heavy load pushes the exact commutation past reach: the node swing
     # cannot cover the output voltage
@@ -102,6 +119,32 @@ def test_cli_steady_and_bode_outputs(tmp_path, capsys):
     blines = (out / "bode.csv").read_text().splitlines()
     assert blines[0] == "f_hz,mag_db,phase_deg"
     assert len(blines) == 92
+
+
+def test_cli_prints_the_bytes_it_writes(tmp_path, capsys):
+    for argv, name in ((["steady", "--sweep", "0.5:0.7:0.05"], "steady.csv"),
+                       (["bode"], "bode.csv")):
+        assert main(argv + ["--config", TABLE2]) == 0
+        printed = capsys.readouterr().out.encode()
+        assert main(argv + ["--config", TABLE2, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert printed == (tmp_path / name).read_bytes()
+
+
+def test_table_writer_cell_formats(tmp_path):
+    # one format per column, chosen from the first row's cell types
+    rows = [("a", True, np.True_, 7, np.int8(-3), 1.5, np.float64(-0.25),
+             math.nan, math.inf),
+            ("bc", False, np.False_, -12, np.int8(4), -0.0, np.float64(1e300),
+             -math.inf, 2.0)]
+    _write_table(str(tmp_path), "t.csv", "s,b,nb,i,ni,f,nf,nan,inf", rows)
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"s,b,nb,i,ni,f,nf,nan,inf\n"
+        b"a,1,1,7,-3,1.50000000000e+00,-2.50000000000e-01,nan,inf\n"
+        b"bc,0,0,-12,4,-0.00000000000e+00,1.00000000000e+300,-inf,"
+        b"2.00000000000e+00\n")
+    _write_table(str(tmp_path), "empty.csv", "x,y", [])
+    assert (tmp_path / "empty.csv").read_bytes() == b"x,y\n"
 
 
 def test_cli_reproduce_deterministic(tmp_path):
@@ -173,13 +216,40 @@ SIMULATOR_TABLE_SHA256 = {
 }
 
 
+# sha256 of the closed-loop fig20 table and of the steady, bode and design
+# tables at the table2 point.  Digests taken before every table was routed
+# through the one table writer (CPython 3.11, numpy 2.4, x86-64 Linux).
+COMMAND_TABLE_SHA256 = {
+    "fig20": (["reproduce", "fig20"], {
+        "fig20.csv": "9967593f446c02363b5066e721a149ba"
+                     "16cf63997c4ab01548bc01085f9219e2"}),
+    "steady": (["steady", "--config", TABLE2, "--sweep", "0.5:0.7:0.05"], {
+        "steady.csv": "ec9a51c4e03a9e837cf55a789aca3264"
+                      "e01845132b20e210376224265aab5a51"}),
+    "bode": (["bode", "--config", TABLE2], {
+        "bode.csv": "d1545019f321e01cf63a117aa31b704d"
+                    "fb7c928130579071e81ceb5dd6017f24"}),
+    "design": (["design", "--config", TABLE2], {
+        "design.csv": "c9873b4700e6e7fe573c102ead7e3736"
+                      "c25e3d85cb88bfa820a2e581ab6811b8"}),
+}
+
+
+def _assert_pinned(argv, digests, out):
+    assert main(argv + ["--out", str(out)]) == 0
+    for name, digest in digests.items():
+        got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert got == digest, name
+
+
 @pytest.mark.parametrize("command", sorted(SIMULATOR_TABLE_SHA256))
 def test_simulator_tables_are_pinned(command, tmp_path):
-    argv, digests = SIMULATOR_TABLE_SHA256[command]
-    assert main(argv + ["--out", str(tmp_path)]) == 0
-    for name, digest in digests.items():
-        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert got == digest, name
+    _assert_pinned(*SIMULATOR_TABLE_SHA256[command], tmp_path)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_TABLE_SHA256))
+def test_command_tables_are_pinned(command, tmp_path):
+    _assert_pinned(*COMMAND_TABLE_SHA256[command], tmp_path)
 
 
 def test_cli_reproduce_fig7_grid(tmp_path):

@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from wptrx.analytic import (OperatingPoint, fall_time_approx,
+                            fall_time_exact, resonant_cap_voltage_drop)
+from wptrx.averaged import AveragedState, DutySchedule, integrate_averaged
+from wptrx.control import Scenario, feedforward_tf
 from wptrx.errors import NonPositiveParameter
 from wptrx.params import (ReceiverParams, min_output_cap, ripple_estimate,
                           size_inductor, size_series_cap, validate)
+from wptrx.smallsignal import design_pi
 
 
 def table2_raw(**overrides) -> ReceiverParams:
@@ -56,6 +61,37 @@ def test_copies_reject_non_finite_values(value):
         validate(table2_raw(r_ls_esr=value))
     # a zero amplitude (no coupling) stays representable
     assert vp.with_amplitude(0.0).i_ls_amp == 0.0
+
+
+# (field named in the error, call with the bad value x on the table2 point)
+ENTRY_POINTS = {
+    "fall_time_approx": ("v_o", lambda vp, x: fall_time_approx(vp, x)),
+    "fall_time_exact": ("v_o", lambda vp, x: fall_time_exact(vp, x)),
+    "cap_drop_amplitude": ("i_ls_amp", lambda vp, x:
+                           resonant_cap_voltage_drop(x, 38.09, 0.0672)),
+    "cap_drop_load": ("r_load", lambda vp, x:
+                      resonant_cap_voltage_drop(2.35, x, 0.0672)),
+    "feedforward_v_ref": ("v_ref", lambda vp, x: feedforward_tf(x, 2.35, vp)),
+    "feedforward_amplitude": ("i_ls_nominal", lambda vp, x:
+                              feedforward_tf(24.0, x, vp)),
+    "design_pi": ("f_c", lambda vp, x: design_pi(
+        vp, OperatingPoint.pinned(0.532, 0.0672, vp.f_s, v_o=24.0), x)),
+    "scenario": ("duration", lambda vp, x: Scenario(
+        name="bad", duration=x, r_load=38.09, i_ls_amp=2.35, v_ref=24.0,
+        i_ls_ff=2.35)),
+    "integrate_averaged": ("horizon", lambda vp, x: integrate_averaged(
+        AveragedState(v_o=0.0, t=0.0), DutySchedule.constant(0.532, 0.0672),
+        x, vp)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_non_finite_values(entry, value):
+    field, call = ENTRY_POINTS[entry]
+    with pytest.raises(NonPositiveParameter) as err:
+        call(validate(table2_raw()), value)
+    assert err.value.field == field
 
 
 def test_validate_resonance_warning():

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,7 +364,7 @@ def test_spectrum_of_ideal_square_wave(vp):
     y = amp * ((np.arange(n_per * spc) % spc) < n_on)
     wf = Waveform(t=t, i_ls=y, v_cs1=y, v_cd1=y, v_o=y,
                   gate=np.zeros_like(t, dtype=np.int8),
-                  state=np.ones_like(t, dtype=np.int8), events=[],
+                  state=np.ones_like(t, dtype=np.int8),
                   sample_rate=spc * vp.f_s)
     res = spectrum(wf, "v_o", 12, vp.f_s)
     expect = 2 * amp / math.pi * math.sin(math.pi * duty_high)
@@ -394,30 +396,10 @@ def test_spectrum_rejects_bad_windows(vp):
     wf = cap32.waveform
     clipped = Waveform(t=wf.t[:-7], i_ls=wf.i_ls[:-7], v_cs1=wf.v_cs1[:-7],
                        v_cd1=wf.v_cd1[:-7], v_o=wf.v_o[:-7],
-                       gate=wf.gate[:-7], state=wf.state[:-7], events=[],
+                       gate=wf.gate[:-7], state=wf.state[:-7],
                        sample_rate=wf.sample_rate)
     with pytest.raises(NonPeriodicWindow):
         spectrum(clipped, "v_cd1", 10, vp.f_s)
-
-
-def test_waveform_export_format(tmp_path, vp):
-    res, cmd, op = steady_soft_run(vp, n=2)
-    cap = run(vp, cmd, 1, initial=res.final_state, sample_rate=16 * vp.f_s)
-    path = tmp_path / "wave.csv"
-    cap.waveform.save_table(path)
-    raw = path.read_bytes()
-    assert b"\r" not in raw
-    lines = raw.decode().splitlines()
-    assert lines[0] == "t,i_ls,v_cs1,v_cd1,v_o,gate,state"
-    first = lines[1].split(",")
-    assert len(first) == 7
-    # 12 significant digits, scientific notation
-    assert "e" in first[0] and len(first[0].split("e")[0].replace("-", "")
-                                   .replace(".", "")) == 12
-    epath = tmp_path / "events.csv"
-    cap.waveform.save_events(epath)
-    elines = epath.read_text().splitlines()
-    assert elines[0] == "t,event"
 
 
 # ---------------------------------------------------------------------------
@@ -560,3 +542,15 @@ def test_failed_orbit_solve_names_its_command(vp, monkeypatch):
     msg = str(err.value)
     assert "duty=0.532" in msg and "t_f=3.36e-07" in msg
     assert "residual" in msg
+
+
+def test_readme_quick_tour_soft_switches(capsys):
+    # the tour commands the exact fall time of the exact operating point,
+    # so its cycles turn on at zero voltage
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"## Library quick tour\n\n```python\n(.*?)```",
+                      readme.read_text(), re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    v_o_mean, zvs_ok = capsys.readouterr().out.splitlines()[0].split()
+    assert zvs_ok == "True"
+    assert float(v_o_mean) == pytest.approx(23.67, abs=0.01)

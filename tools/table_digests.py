@@ -1,0 +1,91 @@
+"""Print the sha256 of every table the wptrx CLI writes, one ``sha256  path``
+line per file, the stdout and stderr of each command included.
+
+Runs every ``reproduce`` figure, the three ``transient`` scenarios and the
+``simulate``, ``steady``, ``bode`` and ``design`` commands against the
+``src`` tree next to this script, each in its own directory under a
+temporary root.  A refactor that must keep the outputs byte-identical is
+checked by diffing two runs:
+
+    python3 tools/table_digests.py > before.txt   # on the parent commit
+    python3 tools/table_digests.py > after.txt    # on the change
+    diff before.txt after.txt
+
+Stdlib only; about 15 s on a 2-core x86-64 VM.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "src" / "wptrx" / "configs"
+TABLE2 = str(CONFIGS / "table2.cfg")
+FIG7 = str(CONFIGS / "fig7.cfg")
+
+FIGURES = ("fig4a", "fig5", "fig7", "fig9", "fig13", "fig14", "fig17",
+           "fig19", "fig20")
+SWEEP = ("--sweep", "0.05:0.95:0.05")
+
+# (run name, argv, writes into --out)
+RUNS = (
+    [(f"reproduce_{fig}", ["reproduce", fig], True) for fig in FIGURES]
+    + [(f"transient_{name}", ["transient", "--config", TABLE2,
+                              "--scenario", name], True)
+       for name in ("startup", "load_step", "source_ramp")]
+    + [
+        ("simulate_table2_200", ["simulate", "--config", TABLE2,
+                                 "--cycles", "200"], True),
+        ("simulate_table2_d0.7_50", ["simulate", "--config", TABLE2,
+                                     "--duty", "0.7", "--cycles", "50"], True),
+        ("simulate_table2_20", ["simulate", "--config", TABLE2,
+                                "--cycles", "20"], True),
+        ("simulate_fig7_50", ["simulate", "--config", FIG7,
+                              "--cycles", "50"], True),
+        ("simulate_table2_rate10e6_5", ["simulate", "--config", TABLE2,
+                                        "--sample-rate", "10e6",
+                                        "--cycles", "5"], True),
+        ("steady_written", ["steady", "--config", TABLE2, *SWEEP], True),
+        ("steady_printed", ["steady", "--config", TABLE2, *SWEEP], False),
+        ("steady_exact_written", ["steady", "--config", TABLE2, *SWEEP,
+                                  "--exact"], True),
+        ("steady_exact_printed", ["steady", "--config", TABLE2, *SWEEP,
+                                  "--exact"], False),
+        ("bode_written", ["bode", "--config", TABLE2], True),
+        ("bode_printed", ["bode", "--config", TABLE2], False),
+        ("design_written", ["design", "--config", TABLE2], True),
+        ("design_fig7_written", ["design", "--config", FIG7], True),
+    ])
+
+
+def _run(tmp: Path, name: str, argv: list, writes: bool) -> None:
+    out = tmp / name
+    out.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, "-m", "wptrx", *argv]
+    if writes:
+        cmd += ["--out", str(out)]
+    proc = subprocess.run(cmd, capture_output=True, env=env, cwd=tmp)
+    (out / "stdout").write_bytes(proc.stdout)
+    (out / "stderr").write_bytes(proc.stderr)
+    (out / "exit").write_text(f"{proc.returncode}\n")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp_name:
+        tmp = Path(tmp_name)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for fut in [pool.submit(_run, tmp, *run) for run in RUNS]:
+                fut.result()
+        for path in sorted(p for p in tmp.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(tmp)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
