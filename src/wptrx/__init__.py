@@ -17,8 +17,8 @@ from .params import (ReceiverParams, ValidatedParams, min_output_cap,
 from .simulator import (CycleDiagnostics, ModulationCommand, PeriodicOrbit,
                         RunResult, SoftSwitchingSummary, SpectrumResult,
                         SwitchCycleState, SwitchingState, Waveform,
-                        periodic_steady_state, run, soft_switching_report,
-                        spectrum, step_cycle)
+                        periodic_steady_state, run, sample_waveform,
+                        soft_switching_report, spectrum, step_cycle)
 from .smallsignal import (BodePoint, PiGains, TransferFunction1P, bode,
                           bode_points, design_pi, loop_margins,
                           loop_response, perturb_bode_oracle, plant_tf)

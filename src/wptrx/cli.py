@@ -32,7 +32,7 @@ from .errors import (ArccosDomain, CommutationImpossible, ConfigError,
 from .params import (min_output_cap, ripple_estimate, size_inductor,
                      size_series_cap, validate)
 from .simulator import (ModulationCommand, periodic_steady_state, run,
-                        soft_switching_report, spectrum)
+                        sample_waveform, soft_switching_report, spectrum)
 from .smallsignal import bode, bode_points, design_pi, loop_margins, \
     loop_response, perturb_bode_oracle, plant_tf
 
@@ -206,12 +206,13 @@ def cmd_simulate(args) -> int:
     duty = args.duty if args.duty is not None else \
         (rc.duty if rc.duty is not None else 0.532)
     op = solve_operating_point(vp, duty, exact=True)
-    cmd = ModulationCommand.make(duty, fall_time_exact(vp, op.v_o), vp.f_s)
+    cmd = ModulationCommand(duty, fall_time_exact(vp, op.v_o))
     rate = args.sample_rate if args.sample_rate else \
         _WAVE_RATE_PER_CYCLE * vp.f_s
     orbit = periodic_steady_state(vp, cmd, op.v_o)
-    result = run(vp, cmd, args.cycles, initial=orbit.state, sample_rate=rate)
-    _write_capture(args.out, "waveform.csv", "events.csv", result)
+    result = run(vp, cmd, args.cycles, initial=orbit.state)
+    _write_capture(args.out, "waveform.csv", "events.csv", result.pieces,
+                   sample_waveform(result.pieces, vp, rate))
     _write_table(
         args.out, "diagnostics.csv",
         "cycle,t_f_meas,t_r_meas,zvs_ok,zcs_ok,q_f,q_r,e_in,e_load,"
@@ -220,16 +221,17 @@ def cmd_simulate(args) -> int:
           d.e_in, d.e_load, d.e_hard_switch, d.v_o_mean, d.v_o_ripple_pp)
          for k, d in enumerate(result.diagnostics)])
     rep = soft_switching_report(result.diagnostics)
-    print(f"cycles = {args.cycles}, steady = {result.steady_detected}, "
-          f"zvs = {rep.zvs_fraction:.3f}, zcs = {rep.zcs_fraction:.3f}")
+    print(f"cycles = {args.cycles}, orbit residual = "
+          f"{orbit.residual:.3g} V, zvs = {rep.zvs_fraction:.3f}, "
+          f"zcs = {rep.zcs_fraction:.3f}")
     return 0
 
 
-def _write_capture(out, wave_name: str, events_name: str, result) -> None:
-    w = result.waveform
+def _write_capture(out, wave_name: str, events_name: str, pieces, w) -> None:
     _write_table(out, wave_name, "t,i_ls,v_cs1,v_cd1,v_o,gate,state",
                  zip(w.t, w.i_ls, w.v_cs1, w.v_cd1, w.v_o, w.gate, w.state))
-    _write_table(out, events_name, "t,event", result.events)
+    _write_table(out, events_name, "t,event",
+                 (e for piece in pieces for e in piece.events))
 
 
 def _scenario_by_name(name: str, vp, rc: RunConfig):
@@ -328,31 +330,31 @@ def _fig9(out, rc):
 
 
 def _steady_va_run(rc, n_capture: int):
-    """Sampled run on the periodic steady state at the prototype operating
-    point (measured delay)."""
+    """Run on the periodic steady state at the prototype operating point
+    (measured delay): (params, RunResult, its sampled Waveform)."""
     vp = validate(rc.params)
     duty = rc.duty if rc.duty is not None else 0.532
     fst = rc.phase_delay_norm if rc.phase_delay_norm is not None else 0.0672
-    cmd = ModulationCommand.make(duty, fst / vp.f_s, vp.f_s)
+    cmd = ModulationCommand(duty, fst / vp.f_s)
     orbit = periodic_steady_state(vp, cmd,
                                   solve_operating_point(vp, duty).v_o)
-    cap = run(vp, cmd, n_capture, initial=orbit.state,
-              sample_rate=_WAVE_RATE_PER_CYCLE * vp.f_s)
-    return vp, cap
+    cap = run(vp, cmd, n_capture, initial=orbit.state)
+    return vp, cap, sample_waveform(cap.pieces, vp,
+                                    _WAVE_RATE_PER_CYCLE * vp.f_s)
 
 
 def _fig13(out, rc):
-    vp, cap = _steady_va_run(rc, 4)
-    _write_capture(out, "fig13.csv", "fig13_events.csv", cap)
+    _, cap, wave = _steady_va_run(rc, 4)
+    _write_capture(out, "fig13.csv", "fig13_events.csv", cap.pieces, wave)
     return ["fig13.csv", "fig13_events.csv"]
 
 
 def _fig14(out, rc):
-    vp, cap = _steady_va_run(rc, 32)
+    vp, _, wave = _steady_va_run(rc, 32)
     files = []
     summary = []
     for channel in ("v_cd1", "i_ls"):
-        spec_res = spectrum(cap.waveform, channel, 40, vp.f_s)
+        spec_res = spectrum(wave, channel, 40, vp.f_s)
         name = f"fig14_{channel}.csv"
         _write_table(out, name,
                      "harmonic,f_hz,amplitude,phase_rad",

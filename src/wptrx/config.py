@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import re
 from typing import Optional
 
-from .errors import ConfigSyntax, MissingKey, UnknownKey
+from .errors import (ConfigSyntax, MissingKey, NonPositiveParameter,
+                     UnknownKey)
 from .params import ReceiverParams, require_positive
 
 _PREFIX = {"n": 1e-9, "u": 1e-6, "m": 1e-3, "k": 1e3, "M": 1e6}
@@ -73,8 +74,14 @@ def parse_config_text(text: str) -> RunConfig:
     for key in _REQUIRED:
         if key not in seen:
             raise MissingKey(key)
-    require_positive(allow_zero=True, v_ref=seen.get("v_ref", 0.0))
-    require_positive(**{k: seen[k] for k in ("f_c", "i_ls_ff") if k in seen})
+    require_positive(allow_zero=True, v_ref=seen.get("v_ref", 0.0),
+                     phase_delay_norm=seen.get("phase_delay_norm", 0.0))
+    require_positive(**{k: seen[k] for k in ("f_c", "i_ls_ff", "duty")
+                        if k in seen})
+    # from f_s*t_f = 1/4 on, the duty window of analytic.duty_bounds is empty
+    for key, upper in (("duty", 1.0), ("phase_delay_norm", 0.25)):
+        if seen.get(key, 0.0) >= upper:
+            raise NonPositiveParameter(key, seen[key], f"< {upper:g}")
     params = ReceiverParams(
         l_s=seen["l_s"], c_s=seen["c_s"], c_s1=seen["c_s1"],
         c_d1=seen["c_d1"], c_o=seen["c_o"], r_load=seen["r_load"],

@@ -103,9 +103,7 @@ class Scenario:
     ``r_load``/``i_ls_amp``/``v_ref`` accept constants or callables of
     absolute time.  ``i_ls_ff`` is the feedforward amplitude constant;
     choose it at or below the smallest live amplitude so the commanded gate
-    delay never undershoots the exact commutation time.  Before
-    ``sync_enable_time`` the controller holds its initial command
-    (open-loop); regulated startup scenarios use 0.
+    delay never undershoots the exact commutation time.
     """
     name: str
     duration: float
@@ -114,7 +112,6 @@ class Scenario:
     v_ref: Profile
     i_ls_ff: float
     v_o0: float = 0.0
-    sync_enable_time: float = 0.0
     initial_duty: Optional[float] = None
     initial_integrator: Optional[float] = None
 
@@ -136,7 +133,6 @@ class TransientRecord:
     undershoot: float             # max excursion below the final value (V)
     steady_state_error: float     # |tail mean - v_ref(end)| (V)
     regulation_failed: bool
-    sample_times_match_events: bool
 
 
 def closed_loop_run(scenario: Scenario, gains: PiGains,
@@ -154,8 +150,6 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
     if n_cycles < 100:
         raise NonPositiveParameter("scenario duration (>= 100 cycles)",
                                    scenario.duration)
-    t_f_cmd = feedforward_tf(_eval_profile(scenario.v_ref, 0.0),
-                             scenario.i_ls_ff, params)
     init_duty = scenario.initial_duty if scenario.initial_duty is not None \
         else 0.5 * (gains.d_min + gains.d_max)
     cstate = ControllerState(
@@ -170,22 +164,16 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
     v_mean = np.empty(n_cycles)
     duty_arr = np.empty(n_cycles)
     diags: list = []
-    sample_align_ok = True
 
     for n in range(n_cycles):
         t_n = n * ts
         p_n = params.with_load(_eval_profile(scenario.r_load, t_n)) \
             .with_amplitude(_eval_profile(scenario.i_ls_amp, t_n))
         v_ref_n = _eval_profile(scenario.v_ref, t_n)
-        if t_n >= scenario.sync_enable_time:
-            t_f_cmd = feedforward_tf(v_ref_n, scenario.i_ls_ff, params)
-            duty, cstate = pi_update(state.v_o, v_ref_n, gains, cstate, ts)
-        else:
-            duty = cstate.last_duty
-        cmd = ModulationCommand.make(duty, t_f_cmd, params.f_s)
-        new_state, d, piece = step_cycle(state, cmd, p_n, t_start=t_n)
-        if piece.events[0] != (t_n, "cycle_start"):
-            sample_align_ok = False
+        t_f_cmd = feedforward_tf(v_ref_n, scenario.i_ls_ff, params)
+        duty, cstate = pi_update(state.v_o, v_ref_n, gains, cstate, ts)
+        new_state, d, _ = step_cycle(state, ModulationCommand(duty, t_f_cmd),
+                                     p_n, t_start=t_n)
         t_arr[n] = t_n
         v_samp[n] = state.v_o
         v_mean[n] = d.v_o_mean
@@ -193,12 +181,11 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
         diags.append(d)
         state = new_state
 
-    return _summarize(scenario, t_arr, v_samp, v_mean, duty_arr, diags,
-                      sample_align_ok)
+    return _summarize(scenario, t_arr, v_samp, v_mean, duty_arr, diags)
 
 
-def _summarize(scenario, t_arr, v_samp, v_mean, duty_arr, diags,
-               align_ok) -> TransientRecord:
+def _summarize(scenario, t_arr, v_samp, v_mean, duty_arr,
+               diags) -> TransientRecord:
     n_tail = max(1, len(v_mean) // 20)
     final = float(np.mean(v_mean[-n_tail:]))
     band = 0.01 * abs(final) if final != 0.0 else 0.01
@@ -218,5 +205,4 @@ def _summarize(scenario, t_arr, v_samp, v_mean, duty_arr, diags,
         overshoot=float(np.max(v_mean) - final),
         undershoot=float(final - np.min(v_mean)),
         steady_state_error=error,
-        regulation_failed=failed,
-        sample_times_match_events=align_ok)
+        regulation_failed=failed)

@@ -45,11 +45,11 @@ transfer loss of the diode-capacitance top-up.
 from dataclasses import dataclass
 from enum import IntEnum
 import math
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .analytic import TWO_PI, phase_angle
+from .analytic import TWO_PI
 from .errors import GateOverrun, InvalidDuty, NoConvergence, NonPeriodicWindow
 from .params import ValidatedParams, require_positive
 from .rootfind import bisect_root
@@ -77,16 +77,11 @@ class SwitchingState(IntEnum):
 
 @dataclass(frozen=True)
 class ModulationCommand:
-    """Per-cycle gate command: duty ratio, gate delay after the current zero
-    crossing, and the equivalent phase angle."""
+    """Per-cycle gate command of the hybrid modulation: duty ratio and gate
+    delay t_f after the current zero crossing (s).  The equivalent phase
+    angle is ``analytic.phase_angle(duty, f_s * t_f)``."""
     duty: float
     t_f: float
-    phi: float
-
-    @classmethod
-    def make(cls, duty: float, t_f: float, f_s: float) -> "ModulationCommand":
-        return cls(duty=duty, t_f=t_f,
-                   phi=phase_angle(duty, f_s * t_f))
 
 
 @dataclass(frozen=True)
@@ -187,10 +182,6 @@ class CyclePiece:
 class RunResult:
     diagnostics: list
     pieces: list
-    events: list
-    waveform: Optional["Waveform"]
-    steady_detected: bool
-    steady_cycle: Optional[int]
     final_state: SwitchCycleState
 
 
@@ -519,56 +510,28 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     return SwitchCycleState(v_end, va_cycle_end), diags, piece
 
 
-ModulationSource = Union[ModulationCommand,
-                         Callable[[int, SwitchCycleState], ModulationCommand]]
-
-
-def run(params: ValidatedParams, modulation: ModulationSource,
-        n_cycles: int, v_o0: float = 0.0,
-        initial: Optional[SwitchCycleState] = None,
-        sample_rate: float = 0.0) -> RunResult:
-    """Run ``n_cycles`` carrier periods.
-
-    ``modulation`` is either a constant command or a callable
-    ``(cycle_index, state) -> ModulationCommand`` evaluated at each cycle
-    start.  The run starts from ``initial``, or else from output voltage
-    ``v_o0`` (finite, >= 0) with the diode capacitance empty.
-    ``sample_rate`` > 0 additionally captures a uniformly sampled waveform.
-    Steady state is flagged when the cycle-mean output moves by less than
-    1 uV for 10 consecutive cycles.
+def run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
+        v_o0: float = 0.0,
+        initial: Optional[SwitchCycleState] = None) -> RunResult:
+    """Run ``n_cycles`` (>= 1) carrier periods of the constant command
+    ``cmd``, from ``initial``, or else from output voltage ``v_o0`` (finite,
+    >= 0) with the diode capacitance empty.  ``sample_waveform(pieces, ...)``
+    samples the result; ``periodic_steady_state`` gives a start on the
+    orbit.
     """
-    if n_cycles < 1:
-        raise InvalidDuty(f"n_cycles must be >= 1, got {n_cycles}")
+    require_positive(n_cycles=n_cycles)
     state = initial
     if state is None:
         require_positive(allow_zero=True, v_o0=v_o0)
         state = SwitchCycleState(v_o0)
     diags = []
     pieces = []
-    events = []
-    steady_run = 0
-    steady_cycle = None
-    prev_mean = None
     for n in range(n_cycles):
-        cmd = modulation(n, state) if callable(modulation) else modulation
         state, d, piece = step_cycle(state, cmd, params,
                                      t_start=n * params.t_period)
         diags.append(d)
         pieces.append(piece)
-        events.extend(piece.events)
-        if prev_mean is not None and abs(d.v_o_mean - prev_mean) < 1e-6:
-            steady_run += 1
-            if steady_run >= 10 and steady_cycle is None:
-                steady_cycle = n - 9
-        else:
-            steady_run = 0
-        prev_mean = d.v_o_mean
-    waveform = None
-    if sample_rate > 0.0:
-        waveform = sample_waveform(pieces, params, sample_rate)
-    return RunResult(diagnostics=diags, pieces=pieces, events=events,
-                     waveform=waveform, steady_detected=steady_cycle is not None,
-                     steady_cycle=steady_cycle, final_state=state)
+    return RunResult(diagnostics=diags, pieces=pieces, final_state=state)
 
 
 @dataclass(frozen=True)

@@ -296,8 +296,8 @@ def perturb_bode_switched(params: ValidatedParams, op,
         for n in range(lead + n_meas):
             t_n = n * t_s
             duty = d_bar + d_tilde * math.sin(TWO_PI * f * t_n)
-            cmd = ModulationCommand.make(duty, op.t_f, params.f_s)
-            state, diags, _ = step_cycle(state, cmd, params)
+            state, diags, _ = step_cycle(
+                state, ModulationCommand(duty, op.t_f), params)
             if n >= lead:
                 u[n - lead] = duty
                 y[n - lead] = diags.v_o_mean

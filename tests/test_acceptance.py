@@ -24,7 +24,8 @@ from wptrx.params import ReceiverParams, ripple_estimate, validate
 from wptrx.scenarios import (coupling_sweep, design_gains,
                              load_step_scenario, source_ramp_scenario,
                              startup_scenario)
-from wptrx.simulator import (ModulationCommand, SwitchCycleState, run,
+from wptrx.simulator import (ModulationCommand, SwitchCycleState,
+                             periodic_steady_state, run, sample_waveform,
                              spectrum, step_cycle)
 from wptrx.smallsignal import (bode, design_pi, loop_margins,
                                perturb_bode_oracle, plant_tf)
@@ -63,17 +64,18 @@ def op_fig7(vp_fig7):
 
 @pytest.fixture(scope="module")
 def va_run(vp):
-    """100 ms switched run at the prototype operating point."""
+    """32 switched cycles on the periodic orbit of the prototype operating
+    point."""
     v0 = steady_state_vo(I_NOM, R_VA, DUTY_VA, FST_VA)
-    cmd = ModulationCommand.make(DUTY_VA, FST_VA / vp.f_s, vp.f_s)
-    return run(vp, cmd, 20000, v_o0=v0)
+    cmd = ModulationCommand(DUTY_VA, FST_VA / vp.f_s)
+    orbit = periodic_steady_state(vp, cmd, v0)
+    return run(vp, cmd, 32, initial=orbit.state)
 
 
 @pytest.fixture(scope="module")
 def va_capture(vp, va_run):
-    cmd = ModulationCommand.make(DUTY_VA, FST_VA / vp.f_s, vp.f_s)
-    return run(vp, cmd, 32, initial=va_run.final_state,
-               sample_rate=256 * vp.f_s)
+    """The orbit run sampled at 256 points per carrier period."""
+    return sample_waveform(va_run.pieces, vp, 256 * vp.f_s)
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +201,7 @@ def test_c6_bode_parity(vp_fig7, op_fig7):
 
 
 def test_c7_harmonics(vp, va_capture):
-    sp = spectrum(va_capture.waveform, "v_cd1", 40, vp.f_s)
+    sp = spectrum(va_capture, "v_cd1", 40, vp.f_s)
     fund_ok = abs(sp.fundamental - 15.0) <= 0.05 * 15.0
     thd_ok = abs(sp.thd - 0.46) <= 0.05
     report("criterion 7 (harmonics)", fund_ok and thd_ok,
@@ -227,8 +229,7 @@ def test_c8_coupling_sweep(sweep_rows):
 
 def test_c9a_energy_audit(vp):
     op = solve_operating_point(vp, DUTY_VA, exact=True)
-    cmd = ModulationCommand.make(DUTY_VA, fall_time_exact(vp, op.v_o) + 5e-9,
-                                 vp.f_s)
+    cmd = ModulationCommand(DUTY_VA, fall_time_exact(vp, op.v_o) + 5e-9)
     res = run(vp, cmd, 300, v_o0=0.85 * op.v_o)
     worst = 0.0
     for d in res.diagnostics:
@@ -296,8 +297,7 @@ def test_c10_invariant_suite(vp, loadstep_rec, startup_rec, ramp_rec):
 
     # state-sequence legality
     op = solve_operating_point(vp, DUTY_VA, exact=True)
-    cmd = ModulationCommand.make(DUTY_VA, fall_time_exact(vp, op.v_o),
-                                 vp.f_s)
+    cmd = ModulationCommand(DUTY_VA, fall_time_exact(vp, op.v_o))
     res = run(vp, cmd, 30, v_o0=op.v_o)
     if not all(d.states_visited == (1, 2, 3, 4, 5)
                for d in res.diagnostics):
@@ -307,8 +307,8 @@ def test_c10_invariant_suite(vp, loadstep_rec, startup_rec, ramp_rec):
     stiff = dataclasses.replace(vp, c_o=1000.0)
     st, d, _ = step_cycle(
         SwitchCycleState(24.0),
-        ModulationCommand.make(DUTY_VA, fall_time_exact(stiff, 24.0) + 1e-12,
-                               stiff.f_s), stiff)
+        ModulationCommand(DUTY_VA, fall_time_exact(stiff, 24.0) + 1e-12),
+        stiff)
     q_ref = stiff.c_sum * 24.0
     if not (abs(d.q_f - q_ref) <= 1e-9 * q_ref
             and abs(d.q_r - q_ref) <= 1e-9 * q_ref):

@@ -161,7 +161,7 @@ def test_switched_mean_converges_to_averaged_steady(vp):
     # onto the averaged fixed point within 1% after ten time constants
     duty = 0.55
     op = solve_operating_point(vp, duty)
-    cmd = ModulationCommand.make(duty, op.t_f, vp.f_s)
+    cmd = ModulationCommand(duty, op.t_f)
     n = int(10 * vp.r_load * vp.c_o / vp.t_period) + 50
     res = run(vp, cmd, n, v_o0=0.0)
     mean_tail = res.diagnostics[-1].v_o_mean

@@ -76,19 +76,45 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     assert main(["validate", "--config", str(zero)]) == 2
 
 
+def _table2_with(tmp_path, key, value):
+    """table2.cfg with ``key = value`` in place of its own line."""
+    text = "".join(ln + "\n" for ln in Path(TABLE2).read_text().splitlines()
+                   if not ln.startswith(key + " "))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + f"{key} = {value}\n")
+    return cfg
+
+
 @pytest.mark.parametrize("key", ["v_ref", "f_c", "i_ls_ff"])
 def test_cli_rejects_non_finite_controller_keys(key, tmp_path, capsys):
     # 1e999 parses as inf; it is rejected where the config is read, not
     # turned into inf gains, a zero gate delay or a math domain error
-    text = "".join(ln + "\n" for ln in Path(TABLE2).read_text().splitlines()
-                   if not ln.startswith(key + " "))
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text + f"{key} = 1e999\n")
+    cfg = _table2_with(tmp_path, key, "1e999")
     for argv in (["design"], ["transient", "--scenario", "load_step",
                               "--out", str(tmp_path)]):
         assert main(argv + ["--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
     assert not (tmp_path / "load_step.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("duty", "2"), ("duty", "-1"), ("duty", "1e999"),
+    ("phase_delay_norm", "0.25"), ("phase_delay_norm", "1e999")])
+def test_cli_rejects_out_of_range_operating_point(key, value, tmp_path,
+                                                  capsys):
+    # duty must lie in (0, 1) and f_s*t_f in [0, 0.25): design used to print
+    # gains for duty = 2 and die with a math domain error on 1e999
+    cfg = _table2_with(tmp_path, key, value)
+    for command in ("design", "bode"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+
+def test_cli_simulate_rejects_zero_cycles(tmp_path, capsys):
+    # a cycle count is a usage error (2), not a numerical failure (3)
+    assert main(["simulate", "--config", TABLE2, "--cycles", "0",
+                 "--out", str(tmp_path / "sim")]) == 2
+    assert "n_cycles" in capsys.readouterr().err
 
 
 def test_cli_exit_code_numerical_failure(tmp_path, capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wptrx.analytic import fall_time_exact
+from wptrx.analytic import fall_time_exact, phase_angle
 from wptrx.control import (ControllerState, Scenario, closed_loop_run,
                            feedforward_tf, pi_update, step_profile)
 from wptrx.errors import GateOverrun, NonPositiveParameter
@@ -88,16 +88,14 @@ def test_feedforward_mismatch_directions(vp):
     t_cmd = feedforward_tf(24.0, 1.45, vp)
     assert t_cmd > fall_time_exact(vp, 24.0)
     st = SwitchCycleState(24.0)
-    _, d_ok, _ = step_cycle(st, ModulationCommand.make(0.532, t_cmd,
-                                                       vp.f_s), vp)
+    _, d_ok, _ = step_cycle(st, ModulationCommand(0.532, t_cmd), vp)
     assert d_ok.zvs_ok and not d_ok.hard_switched
 
     # the reverse mismatch fires the gate before the node has swung
     p_weak = vp.with_amplitude(1.45)
     t_cmd2 = feedforward_tf(24.0, 2.35, p_weak)
     st = SwitchCycleState(24.0)
-    _, d_bad, _ = step_cycle(st, ModulationCommand.make(0.532, t_cmd2,
-                                                        p_weak.f_s), p_weak)
+    _, d_bad, _ = step_cycle(st, ModulationCommand(0.532, t_cmd2), p_weak)
     assert not d_bad.zvs_ok and d_bad.hard_switched
     assert d_bad.e_hard_switch > 0.0
 
@@ -106,23 +104,25 @@ def test_gate_edges_follow_the_command(vp):
     # gate_on trails the synchronization edge by the commanded delay,
     # gate_off one duty interval later
     st = SwitchCycleState(24.0)
-    cmd = ModulationCommand.make(0.5, 0.0, vp.f_s)
+    cmd = ModulationCommand(0.5, 0.0)
     piece = step_cycle(st, cmd, vp)[2]
     assert piece.gate_on == 0.0
     assert piece.gate_off == pytest.approx(2.5e-6, rel=1e-12)
-    cmd2 = ModulationCommand.make(0.532, 382e-9, vp.f_s)
+    cmd2 = ModulationCommand(0.532, 382e-9)
     piece2 = step_cycle(st, cmd2, vp, t_start=10e-6)[2]
     assert piece2.gate_on == pytest.approx(10e-6 + 382e-9, rel=1e-12)
     assert piece2.gate_off == pytest.approx(10e-6 + 3.042e-6, rel=1e-9)
     with pytest.raises(GateOverrun):
-        step_cycle(st, ModulationCommand.make(0.9, 0.15 / vp.f_s, vp.f_s),
-                   vp)
+        step_cycle(st, ModulationCommand(0.9, 0.15 / vp.f_s), vp)
 
 
 def test_gate_phase_matches_command(vp):
-    cmd = ModulationCommand.make(0.532, 382e-9, vp.f_s)
-    assert cmd.phi == pytest.approx(2 * math.pi * vp.f_s * 382e-9
-                                    + 0.532 * math.pi, rel=1e-12)
+    # the centre of the on-pulse sits at the paper's phase angle
+    cmd = ModulationCommand(0.532, 382e-9)
+    piece = step_cycle(SwitchCycleState(24.0), cmd, vp)[2]
+    centre = 0.5 * (piece.gate_on + piece.gate_off)
+    assert vp.omega * centre == pytest.approx(
+        phase_angle(cmd.duty, vp.f_s * cmd.t_f), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +212,6 @@ def test_discretization_matches_continuous_design(vp):
     model = base + dv * (1.0 - np.exp(-2 * math.pi * f_c * t_rel))
     rms = math.sqrt(float(np.mean((rec.v_o_sample[post] - model) ** 2)))
     assert rms <= 0.02 * dv
-
-
-def test_sample_alignment_with_event_log(vp_fast):
-    gains = design_gains(vp_fast, 24.0, 2.35, 1000.0)
-    d0 = equilibrium_duty(vp_fast, 24.0, 2.35)
-    sc = Scenario(name="align", duration=1e-3, r_load=vp_fast.r_load,
-                  i_ls_amp=vp_fast.i_ls_amp, v_ref=24.0, i_ls_ff=2.35,
-                  v_o0=24.0, initial_duty=d0, initial_integrator=d0)
-    rec = closed_loop_run(sc, gains, vp_fast)
-    assert rec.sample_times_match_events
-    assert np.allclose(rec.t, np.arange(len(rec.t)) * vp_fast.t_period)
 
 
 def test_scenario_requires_minimum_duration(vp):

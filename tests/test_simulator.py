@@ -17,7 +17,7 @@ from wptrx.errors import (GateOverrun, InvalidDuty, NoConvergence,
 from wptrx.params import ReceiverParams, ripple_estimate, validate
 from wptrx.simulator import (V_ORBIT_TOL, ModulationCommand,
                              SwitchCycleState, Waveform,
-                             periodic_steady_state, run,
+                             periodic_steady_state, run, sample_waveform,
                              soft_switching_report, spectrum, step_cycle)
 
 TWO_PI = 2 * math.pi
@@ -39,13 +39,12 @@ def vp_stiff(vp):
 
 def exact_cmd(vp, duty, v_o, margin=1e-12):
     """Command whose gate delay just covers the exact commutation time."""
-    return ModulationCommand.make(duty, fall_time_exact(vp, v_o) + margin,
-                                  vp.f_s)
+    return ModulationCommand(duty, fall_time_exact(vp, v_o) + margin)
 
 
 def steady_soft_run(vp, duty=0.532, n=300):
     op = solve_operating_point(vp, duty, exact=True)
-    cmd = ModulationCommand.make(duty, fall_time_exact(vp, op.v_o), vp.f_s)
+    cmd = ModulationCommand(duty, fall_time_exact(vp, op.v_o))
     return run(vp, cmd, n, v_o0=op.v_o), cmd, op
 
 
@@ -72,7 +71,7 @@ def test_prototype_cycle_soft_switching(vp):
 def test_zero_source_cycle(vp):
     p0 = vp.with_amplitude(0.0)
     st = SwitchCycleState(24.0)
-    cmd = ModulationCommand.make(0.5, 382e-9, vp.f_s)
+    cmd = ModulationCommand(0.5, 382e-9)
     st2, d, piece = step_cycle(st, cmd, p0)
     assert math.isnan(d.t_f_meas) and math.isnan(d.t_r_meas)
     assert not d.zcs_ok
@@ -91,8 +90,7 @@ def test_zero_source_cycle(vp):
 
 def test_forced_turn_on_energy(vp):
     st = SwitchCycleState(24.0)
-    st2, d, piece = step_cycle(st, ModulationCommand.make(0.532, 0.0,
-                                                          vp.f_s), vp)
+    st2, d, piece = step_cycle(st, ModulationCommand(0.532, 0.0), vp)
     assert not d.zvs_ok and d.hard_switched
     assert d.e_hard_switch == pytest.approx(0.5 * vp.c_s1 * 24.0 ** 2,
                                             rel=1e-12)
@@ -103,18 +101,18 @@ def test_forced_turn_on_energy(vp):
 def test_invalid_commands(vp):
     st = SwitchCycleState(24.0)
     with pytest.raises(InvalidDuty):
-        step_cycle(st, ModulationCommand.make(1.2, 0.0, vp.f_s), vp)
+        step_cycle(st, ModulationCommand(1.2, 0.0), vp)
     with pytest.raises(GateOverrun):
-        step_cycle(st, ModulationCommand.make(0.95, 0.3e-6, vp.f_s), vp)
+        step_cycle(st, ModulationCommand(0.95, 0.3e-6), vp)
     # a NaN gate delay used to run through and return v_o = NaN
     for t_f in (math.nan, -1e-9):
         with pytest.raises(NonPositiveParameter):
-            step_cycle(st, ModulationCommand.make(0.532, t_f, vp.f_s), vp)
+            step_cycle(st, ModulationCommand(0.532, t_f), vp)
 
 
 def test_run_rejects_bad_start_voltage(vp):
     # a NaN start voltage used to run through and return a NaN trajectory
-    cmd = ModulationCommand.make(0.532, 386e-9, vp.f_s)
+    cmd = ModulationCommand(0.532, 386e-9)
     for v_o0 in (math.nan, -1.0):
         with pytest.raises(NonPositiveParameter):
             run(vp, cmd, 3, v_o0=v_o0)
@@ -122,10 +120,10 @@ def test_run_rejects_bad_start_voltage(vp):
 
 def test_single_cycle_from_zero_monotone_conduction(vp):
     st = SwitchCycleState(0.0)
-    cmd = ModulationCommand.make(0.532, 386e-9, vp.f_s)
+    cmd = ModulationCommand(0.532, 386e-9)
     st2, d, piece = step_cycle(st, cmd, vp)
-    res = run(vp, cmd, 1, v_o0=0.0, sample_rate=256 * vp.f_s)
-    wf = res.waveform
+    res = run(vp, cmd, 1, v_o0=0.0)
+    wf = sample_waveform(res.pieces, vp, 256 * vp.f_s)
     cond = (wf.state == 2) | (wf.state == 3)
     v_cond = wf.v_o[cond]
     t_cond = wf.t[cond]
@@ -141,7 +139,7 @@ def test_single_cycle_from_zero_monotone_conduction(vp):
 def test_run_mean_matches_operating_point(vp):
     # constant feedforward-style command from the self-consistent solution
     op = solve_operating_point(vp, 0.532)
-    cmd = ModulationCommand.make(0.532, op.t_f, vp.f_s)
+    cmd = ModulationCommand(0.532, op.t_f)
     res = run(vp, cmd, 4000, v_o0=op.v_o)
     assert res.diagnostics[-1].v_o_mean == pytest.approx(op.v_o, rel=0.01)
 
@@ -180,13 +178,12 @@ def test_averaged_parity_during_slow_transient(vp):
     # so the conduction window matches the averaged model's cycle by cycle
     p = dataclasses.replace(vp, c_o=100e-6)
     op = solve_operating_point(p, 0.55, exact=True)
-
-    def tracking(n, state):
-        return ModulationCommand.make(
-            0.55, fall_time_exact(p, state.v_o) + 1e-12, p.f_s)
-
-    res = run(p, tracking, 400, v_o0=0.9 * op.v_o)
-    diags = res.diagnostics
+    state = SwitchCycleState(0.9 * op.v_o)
+    diags = []
+    for _ in range(400):
+        cmd = ModulationCommand(0.55, fall_time_exact(p, state.v_o) + 1e-12)
+        state, d, _ = step_cycle(state, cmd, p)
+        diags.append(d)
     checked = 0
     for a, b in zip(diags[50:-1], diags[51:]):
         dv = b.v_o_mean - a.v_o_mean
@@ -231,8 +228,7 @@ def test_charge_balance(vp_stiff):
 def test_energy_audit_closes(vp):
     # transient run: every soft cycle's ledger must close to 1e-9 relative
     op = solve_operating_point(vp, 0.532, exact=True)
-    cmd = ModulationCommand.make(0.532, fall_time_exact(vp, op.v_o) + 5e-9,
-                                 vp.f_s)
+    cmd = ModulationCommand(0.532, fall_time_exact(vp, op.v_o) + 5e-9)
     res = run(vp, cmd, 200, v_o0=0.8 * op.v_o)
     for d in res.diagnostics:
         assert not d.hard_switched
@@ -252,8 +248,7 @@ def test_steady_state_efficiency_is_unity(vp):
 
 def test_hard_cycle_residual_equals_merge_loss(vp):
     st = SwitchCycleState(24.0)
-    st2, d, _ = step_cycle(st, ModulationCommand.make(0.532, 0.0, vp.f_s),
-                           vp)
+    st2, d, _ = step_cycle(st, ModulationCommand(0.532, 0.0), vp)
     residual = (d.e_in + d.e_node_tracking - d.e_load - d.de_stored
                 - d.e_hard_switch)
     w = d.v_cs1_at_gate
@@ -303,9 +298,8 @@ def test_diode_turns_off_on_the_zero_crossing(vp):
 
 def test_waveform_channel_invariants(vp):
     res, cmd, op = steady_soft_run(vp, n=8)
-    cap = run(vp, cmd, 8, initial=res.final_state,
-              sample_rate=512 * vp.f_s)
-    wf = cap.waveform
+    cap = run(vp, cmd, 8, initial=res.final_state)
+    wf = sample_waveform(cap.pieces, vp, 512 * vp.f_s)
     eps = 1e-6
     assert np.all(wf.v_cs1 >= -eps) and np.all(wf.v_cd1 >= -eps)
     assert np.all(wf.v_cs1 <= wf.v_o + eps)
@@ -328,18 +322,18 @@ def test_waveform_channel_invariants(vp):
 
 def test_event_log_monotone_and_vocabulary(vp):
     res, cmd, op = steady_soft_run(vp, n=12)
-    times = [t for t, _ in res.events]
+    events = [e for piece in res.pieces for e in piece.events]
+    times = [t for t, _ in events]
     assert all(b > a for a, b in zip(times, times[1:]))
     allowed = {"gate_on", "gate_off", "cs1_zero", "cd1_zero", "ils_zero",
                "cycle_start", "hard_switch"}
-    assert {n for _, n in res.events} <= allowed
+    assert {n for _, n in events} <= allowed
 
 
 def test_conduction_samples_satisfy_ode(vp):
     res, cmd, op = steady_soft_run(vp, n=4)
-    cap = run(vp, cmd, 2, initial=res.final_state,
-              sample_rate=4096 * vp.f_s)
-    wf = cap.waveform
+    cap = run(vp, cmd, 2, initial=res.final_state)
+    wf = sample_waveform(cap.pieces, vp, 4096 * vp.f_s)
     dt = 1.0 / wf.sample_rate
     mid = slice(1, -1)
     dv = (wf.v_o[2:] - wf.v_o[:-2]) / (2 * dt)
@@ -378,22 +372,22 @@ def test_spectrum_of_ideal_square_wave(vp):
 
 def test_spectrum_source_current_is_pure(vp):
     res, cmd, op = steady_soft_run(vp, n=4)
-    cap = run(vp, cmd, 32, initial=res.final_state,
-              sample_rate=256 * vp.f_s)
-    sp = spectrum(cap.waveform, "i_ls", 10, vp.f_s)
+    cap = run(vp, cmd, 32, initial=res.final_state)
+    sp = spectrum(sample_waveform(cap.pieces, vp, 256 * vp.f_s), "i_ls", 10,
+                  vp.f_s)
     assert sp.thd < 1e-12
     assert sp.fundamental == pytest.approx(vp.i_ls_amp, rel=1e-12)
 
 
 def test_spectrum_rejects_bad_windows(vp):
     res, cmd, op = steady_soft_run(vp, n=4)
-    cap = run(vp, cmd, 8, initial=res.final_state,
-              sample_rate=256 * vp.f_s)
+    cap = run(vp, cmd, 8, initial=res.final_state)
     with pytest.raises(NonPeriodicWindow):
-        spectrum(cap.waveform, "v_cd1", 10, vp.f_s)  # only 8 periods
-    cap32 = run(vp, cmd, 32, initial=res.final_state,
-                sample_rate=256 * vp.f_s)
-    wf = cap32.waveform
+        # only 8 periods
+        spectrum(sample_waveform(cap.pieces, vp, 256 * vp.f_s), "v_cd1", 10,
+                 vp.f_s)
+    cap32 = run(vp, cmd, 32, initial=res.final_state)
+    wf = sample_waveform(cap32.pieces, vp, 256 * vp.f_s)
     clipped = Waveform(t=wf.t[:-7], i_ls=wf.i_ls[:-7], v_cs1=wf.v_cs1[:-7],
                        v_cd1=wf.v_cd1[:-7], v_o=wf.v_o[:-7],
                        gate=wf.gate[:-7], state=wf.state[:-7],
@@ -411,8 +405,7 @@ def test_soft_switching_sweep_across_duty_window(vp):
     all_diags = []
     for duty in np.linspace(lo + 0.01, hi - 0.01, 7):
         op = solve_operating_point(vp, float(duty), exact=True)
-        cmd = ModulationCommand.make(float(duty),
-                                     fall_time_exact(vp, op.v_o), vp.f_s)
+        cmd = ModulationCommand(float(duty), fall_time_exact(vp, op.v_o))
         res = run(vp, cmd, 30, v_o0=op.v_o)
         all_diags.extend(res.diagnostics)
     rep = soft_switching_report(all_diags)
@@ -422,21 +415,12 @@ def test_soft_switching_sweep_across_duty_window(vp):
 
 
 def test_soft_switching_report_counts_hard_cycles(vp):
-    cmd = ModulationCommand.make(0.532, 0.0, vp.f_s)
+    cmd = ModulationCommand(0.532, 0.0)
     res = run(vp, cmd, 20, v_o0=24.0)
     rep = soft_switching_report(res.diagnostics)
     assert rep.zvs_fraction == 0.0
     assert rep.worst_v_cs1_at_gate > 1.0
     assert rep.total_e_hard_switch > 0.0
-
-
-def test_steady_state_detection_flag(vp):
-    op = solve_operating_point(vp, 0.532, exact=True)
-    cmd = ModulationCommand.make(0.532, fall_time_exact(vp, op.v_o), vp.f_s)
-    warm = run(vp, cmd, 60, v_o0=op.v_o)
-    assert warm.steady_detected and warm.steady_cycle is not None
-    cold = run(vp, cmd, 5, v_o0=0.0)
-    assert not cold.steady_detected and cold.steady_cycle is None
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +429,7 @@ def test_steady_state_detection_flag(vp):
 
 def fig13_cmd(vp):
     """Duty and measured delay f_s*t_f of the shipped table2 config."""
-    return ModulationCommand.make(0.532, 0.0672 / vp.f_s, vp.f_s)
+    return ModulationCommand(0.532, 0.0672 / vp.f_s)
 
 
 def one_cycle_change(vp, cmd, state):
@@ -471,7 +455,7 @@ def test_periodic_steady_state_at_the_soft_hard_kink(vp):
     # locate the gate delay at which the orbit's natural commutation meets
     # the gate edge: P has a kink there (w_resid -> 0 from the hard side)
     def orbit_at(t_f):
-        cmd = ModulationCommand.make(0.532, t_f, vp.f_s)
+        cmd = ModulationCommand(0.532, t_f)
         orbit = periodic_steady_state(vp, cmd, 24.0)
         assert orbit.residual <= V_ORBIT_TOL
         return orbit.state.v_o, step_cycle(orbit.state, cmd, vp)[1]
@@ -495,7 +479,7 @@ def test_periodic_steady_state_at_the_soft_hard_kink(vp):
 def test_periodic_steady_state_from_cycles_without_state_v(vp):
     # D + f_s*t_f = 0.99: from 24 V the node never swings back to zero, so
     # v_cd1 carries over between cycles; the orbit itself sits near 0 V
-    cmd = ModulationCommand.make(0.96, 0.03 / vp.f_s, vp.f_s)
+    cmd = ModulationCommand(0.96, 0.03 / vp.f_s)
     first = step_cycle(SwitchCycleState(24.0), cmd, vp)
     assert not first[1].reached_state_v and first[0].v_cd1 > 0.0
     orbit = periodic_steady_state(vp, cmd, 24.0)
@@ -504,7 +488,7 @@ def test_periodic_steady_state_from_cycles_without_state_v(vp):
     # an orbit that never reaches State V: the load keeps v_o beyond the
     # node swing 2|I|/(omega*C_sum), so v_cd1 is a true second coordinate
     high = vp.with_load(3000.0)
-    cmd_h = ModulationCommand.make(0.3, 0.02 / vp.f_s, vp.f_s)
+    cmd_h = ModulationCommand(0.3, 0.02 / vp.f_s)
     orbit_h = periodic_steady_state(high, cmd_h, 400.0)
     assert orbit_h.residual <= V_ORBIT_TOL
     d = step_cycle(orbit_h.state, cmd_h, high)[1]
@@ -528,15 +512,26 @@ def test_long_run_approaches_the_solved_orbit(vp):
 
 
 def test_fig13_capture_is_steady():
-    vp13, cap = cli._steady_va_run(cli._builtin_config("table2"), 4)
+    vp13, cap, _ = cli._steady_va_run(cli._builtin_config("table2"), 4)
     means = [d.v_o_mean for d in cap.diagnostics]
     assert max(means) - min(means) <= 1e-9
     assert cap.diagnostics[0].v_o_start == pytest.approx(24.352, abs=1e-3)
 
 
+def test_simulate_reports_the_orbit_it_starts_on(tmp_path, capsys):
+    # it used to print "steady = False": its 1 uV/10-cycle test never saw
+    # 10 cycles
+    table2 = Path(cli.__file__).parent / "configs" / "table2.cfg"
+    assert cli.main(["simulate", "--config", str(table2), "--cycles", "5",
+                     "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    residual = float(re.search(r"orbit residual = (\S+) V", out).group(1))
+    assert 0.0 <= residual <= V_ORBIT_TOL
+
+
 def test_failed_orbit_solve_names_its_command(vp, monkeypatch):
     monkeypatch.setattr(simulator, "_MAX_ORBIT_ITER", 0)
-    cmd = ModulationCommand.make(0.532, 336e-9, vp.f_s)
+    cmd = ModulationCommand(0.532, 336e-9)
     with pytest.raises(NoConvergence) as err:
         periodic_steady_state(vp, cmd, 24.0)
     msg = str(err.value)
