@@ -548,7 +548,27 @@ class PeriodicOrbit:
 
 _MAX_ORBIT_ITER = 30
 _MIN_ORBIT_DAMPING = 1.0 / 1024.0
-_ORBIT_FD_STEP = 1e-4   # difference step, relative to max(|v_o|, 1 V)
+CYCLE_FD_STEP = 1e-4    # state difference step, relative to max(|v_o|, 1 V)
+
+
+def cycle_residual(params: ValidatedParams, cmd: ModulationCommand,
+                   x: tuple) -> tuple:
+    """(P(x) - x, cycle mean) of one step_cycle from x = (v_o, v_cd1)."""
+    nxt, diags, _ = step_cycle(SwitchCycleState(*x), cmd, params)
+    return (nxt.v_o - x[0], nxt.v_cd1 - x[1], diags.v_o_mean)
+
+
+def cycle_jacobian(residual, x: tuple, r: tuple, h: float) -> tuple:
+    """Columns d/dv_o and d/dv_cd1 of ``residual`` (cycle_residual as a
+    map of x) at x, where its value is r, by one-sided differences of
+    step h."""
+    rv = residual((x[0] + h, x[1]))
+    if x[1] == 0.0 and r[1] == 0.0 and rv[1] == 0.0:
+        # State V reached: v_cd1 restarts from zero, so P(x) is unchanged
+        ra = (r[0], r[1] - h, r[2])
+    else:
+        ra = residual((x[0], x[1] + h))
+    return tuple(tuple((p - q) / h for p, q in zip(f, r)) for f in (rv, ra))
 
 
 def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
@@ -571,11 +591,10 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
     calls = 0
 
     def residual(x):
-        """(P(x) - x, its max-norm)."""
+        """(cycle_residual, the max-norm of its P(x) - x)."""
         nonlocal calls
         calls += 1
-        nxt = step_cycle(SwitchCycleState(*x), cmd, params)[0]
-        r = (nxt.v_o - x[0], nxt.v_cd1 - x[1])
+        r = cycle_residual(params, cmd, x)
         return r, max(abs(r[0]), abs(r[1]))
 
     def newton_descent(x, r, size, h):
@@ -584,14 +603,8 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
         that fails is retried with v_cd1 replaced by its one-cycle image,
         which is what a step across the State-V boundary needs: there
         v_cd1' turns from identically zero to following v_o."""
-        rv, _ = residual((x[0] + h, x[1]))
-        j11, j21 = (rv[0] - r[0]) / h, (rv[1] - r[1]) / h
-        if x[1] == 0.0 and r[1] == 0.0 and rv[1] == 0.0:
-            # State V reached: v_cd1 stays at zero, only v_o moves
-            j12, j22 = 0.0, -1.0
-        else:
-            ra, _ = residual((x[0], x[1] + h))
-            j12, j22 = (ra[0] - r[0]) / h, (ra[1] - r[1]) / h
+        (j11, j21, _), (j12, j22, _) = cycle_jacobian(
+            lambda y: residual(y)[0], x, r, h)
         det = j11 * j22 - j12 * j21
         if det == 0.0:
             return None
@@ -622,7 +635,7 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
             raise failure(f"not within {V_ORBIT_TOL:g} V after "
                           f"{_MAX_ORBIT_ITER} Newton steps", size)
         newton_steps += 1
-        h = _ORBIT_FD_STEP * max(abs(x[0]), 1.0)
+        h = CYCLE_FD_STEP * max(abs(x[0]), 1.0)
         # x may sit on a kink of P; the Jacobian from its other side then
         # gives the descent
         step = newton_descent(x, r, size, h) or newton_descent(x, r, size, -h)
@@ -636,6 +649,7 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
 def sample_waveform(pieces: Sequence[CyclePiece], params: ValidatedParams,
                     sample_rate: float) -> Waveform:
     """Evaluate the exact piecewise forms on a uniform grid."""
+    require_positive(sample_rate=sample_rate)
     ts = params.t_period
     w = params.omega
     tau = params.r_load * params.c_o
@@ -733,9 +747,8 @@ class SoftSwitchingSummary:
 
 def soft_switching_report(diags: Sequence[CycleDiagnostics]) -> SoftSwitchingSummary:
     """Aggregate soft-switching verdicts over a run."""
-    if len(diags) == 0:
-        raise InvalidDuty("empty diagnostics list")
     n = len(diags)
+    require_positive(n_cycles=n)
     return SoftSwitchingSummary(
         n_cycles=n,
         zvs_fraction=sum(d.zvs_ok for d in diags) / n,

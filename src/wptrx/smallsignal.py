@@ -13,28 +13,35 @@ the design frequency and an exact 90-degree phase margin.  Margins are
 computed analytically from this one-pole-plus-PI structure, never from
 sampled curves, so tests carry no grid artifacts.
 
-The perturbation oracle re-derives the frequency response from the
-nonlinear averaged model: a small sinusoidal duty perturbation is driven
-through the exact exponential-segment integrator and the first-harmonic
-ratio of output to input is extracted with closed-form Fourier integrals
-over an integer number of periods, starting from the exact periodic state.
+Two checks re-derive the frequency response from the nonlinear models.
+The perturbation oracle drives a small sinusoidal duty through the exact
+exponential-segment integrator of the averaged model, from its periodic
+state, and takes the first-harmonic ratio of output to input with
+closed-form Fourier integrals.  The switched check linearizes the
+simulator's one-cycle map at its periodic orbit into a sampled-data model.
 """
 
 from dataclasses import dataclass
 import cmath
+import functools
 import math
 from typing import Sequence
 
 import numpy as np
 
 from .analytic import TWO_PI, duty_bounds, steady_state_vo
-from .errors import (NoCrossover, NonPeriodicWindow, NonPositiveParameter,
-                     ZeroGainOperatingPoint)
+from .errors import NoCrossover, NonPositiveParameter, ZeroGainOperatingPoint
 from .params import ValidatedParams, require_positive
+from .simulator import (CYCLE_FD_STEP, ModulationCommand, cycle_jacobian,
+                        cycle_residual, periodic_steady_state)
 
 # |sin| below this means the operating point sits at the voltage maximum
 # where the first-order control gain vanishes.
 _ZERO_GAIN_TOL = 1e-9
+
+# switched_bode's duty step: it moves only the gate-off edge, never a
+# located event, so it can be small.
+_DUTY_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -190,7 +197,7 @@ def loop_margins(plant: TransferFunction1P, gains: PiGains) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Perturbation oracle: frequency response measured on the averaged model.
+# Frequency response measured on the averaged and the switched models.
 # ---------------------------------------------------------------------------
 
 def _cycle_run(v0: float, d_bar: float, d_tilde: float, fst: float,
@@ -262,54 +269,31 @@ def perturb_bode_oracle(params: ValidatedParams, op, f_grid: Sequence[float],
     return bode_points(f_grid, h)
 
 
-def perturb_bode_switched(params: ValidatedParams, op,
-                          f_list: Sequence[float], rel_amp: float = 2e-3,
-                          settle_taus: float = 6.0) -> list:
-    """Spot-check variant of the perturbation measurement on the switched
-    simulator (slow; meant for a handful of frequencies).
-
-    The duty command of each carrier cycle carries the perturbation; the
-    response is read from the per-cycle mean output voltage and correlated
-    against the applied duty sequence over an integer number of
-    perturbation periods.
-    """
-    from .simulator import ModulationCommand, SwitchCycleState, step_cycle
-
-    d_bar = op.duty
-    d_tilde = rel_amp * d_bar
-    t_s = params.t_period
-    tau = params.r_load * params.c_o
-    out = []
-    for f in f_list:
-        cycles_per_period = int(round(1.0 / (f * t_s)))
-        if abs(cycles_per_period * f * t_s - 1.0) > 1e-9:
-            raise NonPeriodicWindow(
-                f"1/{f} Hz is not an integer number of carrier periods")
-        lead = int(math.ceil(settle_taus * tau / t_s))
-        lead = int(math.ceil(lead / cycles_per_period)) * cycles_per_period
-        n_meas = cycles_per_period  # one full perturbation period
-        v0 = steady_state_vo(params.i_ls_amp, params.r_load, d_bar,
-                             op.phase_delay_norm)
-        state = SwitchCycleState(v0)
-        u = np.empty(n_meas)
-        y = np.empty(n_meas)
-        for n in range(lead + n_meas):
-            t_n = n * t_s
-            duty = d_bar + d_tilde * math.sin(TWO_PI * f * t_n)
-            state, diags, _ = step_cycle(
-                state, ModulationCommand(duty, op.t_f), params)
-            if n >= lead:
-                u[n - lead] = duty
-                y[n - lead] = diags.v_o_mean
-        t_n = (np.arange(n_meas) + lead) * t_s
-        basis = np.exp(-1j * TWO_PI * f * t_n)
-        # mid-cycle reference for the mean-over-cycle output sample
-        basis_y = np.exp(-1j * TWO_PI * f * (t_n + 0.5 * t_s))
-        u1 = np.sum(u * basis)
-        y1 = np.sum(y * basis_y)
-        g = y1 / u1
-        phase = math.degrees(cmath.phase(g))
-        if phase > 1e-9:
-            phase -= 360.0
-        out.append(BodePoint(float(f), 20.0 * math.log10(abs(g)), phase))
-    return out
+def switched_bode(params: ValidatedParams, op,
+                  f_grid: Sequence[float]) -> list:
+    """Frequency response of the switched simulator from its one-cycle map
+    linearized at the periodic orbit of (op.duty, op.t_f): x_{n+1} =
+    A x_n + B d_n and y_n = C x_n + D d_n, with x = (v_o, v_cd1), d_n the
+    duty held over cycle n and y_n the mean of cycle n (Verghese, Elbuluk
+    & Kassakian, IEEE Trans. Power Electron. 1986), evaluated as
+    C (zI - A)^-1 B + D at z = exp(j*2*pi*f*T_s).  Raises
+    ZeroGainOperatingPoint where the duty does not move the map."""
+    cmd = ModulationCommand(op.duty, op.t_f)
+    orbit = periodic_steady_state(params, cmd, steady_state_vo(
+        params.i_ls_amp, params.r_load, op.duty, op.phase_delay_norm))
+    x = (orbit.state.v_o, orbit.state.v_cd1)
+    residual = functools.partial(cycle_residual, params, cmd)
+    r = residual(x)
+    h_v = CYCLE_FD_STEP * max(abs(x[0]), 1.0)
+    jac = np.array(cycle_jacobian(residual, x, r, h_v)).T  # rows: A - I, C
+    r_d = cycle_residual(params, ModulationCommand(op.duty + _DUTY_FD_STEP,
+                                                   op.t_f), x)
+    col_d = [(p - q) / _DUTY_FD_STEP for p, q in zip(r_d, r)]  # B, then D
+    if not any(col_d):
+        raise ZeroGainOperatingPoint(
+            f"the duty does not move the cycle map at D = {op.duty}")
+    a = jac[:2] + np.eye(2)
+    z = np.exp(1j * TWO_PI * params.t_period * np.asarray(f_grid, float))
+    h = [jac[2] @ np.linalg.solve(zk * np.eye(2) - a, col_d[:2]) + col_d[2]
+         for zk in z]
+    return bode_points(f_grid, np.array(h))

@@ -117,6 +117,17 @@ def test_cli_simulate_rejects_zero_cycles(tmp_path, capsys):
     assert "n_cycles" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["-5", "nan", "inf"])
+def test_cli_simulate_rejects_bad_sample_rate(rate, tmp_path, capsys):
+    # a negative rate wrote a header-only waveform, nan and inf died with
+    # an uncaught ValueError/OverflowError; 0 keeps the default
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", TABLE2, "--cycles", "2",
+                 "--sample-rate", rate, "--out", str(out)]) == 2
+    assert "sample_rate" in capsys.readouterr().err
+    assert not (out / "waveform.csv").exists()
+
+
 def test_cli_exit_code_numerical_failure(tmp_path, capsys):
     # a heavy load pushes the exact commutation past reach: the node swing
     # cannot cover the output voltage

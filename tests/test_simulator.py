@@ -423,6 +423,13 @@ def test_soft_switching_report_counts_hard_cycles(vp):
     assert rep.total_e_hard_switch > 0.0
 
 
+def test_soft_switching_report_rejects_empty_run():
+    # the cycle-count error of run, not a duty error
+    with pytest.raises(NonPositiveParameter) as exc:
+        soft_switching_report([])
+    assert exc.value.field == "n_cycles"
+
+
 # ---------------------------------------------------------------------------
 # periodic steady state (shooting on the one-cycle map)
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ from wptrx.analytic import OperatingPoint, optimal_duty, steady_state_vo
 from wptrx.averaged import averaged_rhs
 from wptrx.errors import NoCrossover, ZeroGainOperatingPoint
 from wptrx.params import ReceiverParams, validate
+from wptrx.simulator import (ModulationCommand, periodic_steady_state,
+                             step_cycle)
 from wptrx.smallsignal import (PiGains, TransferFunction1P, bode, bode_points,
                                design_pi, loop_margins, loop_response,
-                               perturb_bode_oracle, perturb_bode_switched,
-                               plant_tf)
+                               perturb_bode_oracle, plant_tf, switched_bode)
 
 TWO_PI = 2 * math.pi
 BODE_GRID = [10.0 * 10.0 ** (k / 30.0) for k in range(91)]
@@ -179,10 +180,60 @@ def test_switched_simulator_spot_check(vp, op):
     # frequencies; cycle-sampling artifacts keep this looser
     analytic = {p.f_hz: p for p in bode(plant_tf(vp, op), [50.0, 500.0,
                                                            5000.0])}
-    for pt in perturb_bode_switched(vp, op, [50.0, 500.0, 5000.0]):
+    for pt in switched_bode(vp, op, [50.0, 500.0, 5000.0]):
         ref = analytic[pt.f_hz]
         assert abs(pt.mag_db - ref.mag_db) <= 0.5
         assert abs(pt.phase_deg - ref.phase_deg) <= 6.0
+
+
+@pytest.fixture(scope="module")
+def vp_table2():
+    return validate(ReceiverParams(l_s=172e-6, c_s=3.63e-9, c_s1=4.5e-9,
+                                   c_d1=4.5e-9, c_o=1000e-6, r_load=38.09,
+                                   f_s=200e3, i_ls_amp=2.35, r_ls_esr=2.16))
+
+
+@pytest.mark.parametrize("point", ["study", "table2"])
+def test_switched_model_matches_plant_on_bode_grid(point, vp, op, vp_table2):
+    # the switched sampled-data model against the averaged plant over the
+    # whole 91-point grid, with the spot check's bounds
+    if point == "table2":
+        vp = vp_table2
+        op = OperatingPoint.pinned(0.532, 0.0672, vp.f_s)
+    analytic = bode(plant_tf(vp, op), BODE_GRID)
+    switched = switched_bode(vp, op, BODE_GRID)
+    assert [p.f_hz for p in switched] == BODE_GRID
+    for a, s in zip(analytic, switched):
+        assert abs(a.mag_db - s.mag_db) <= 0.5
+        assert abs(a.phase_deg - s.phase_deg) <= 6.0
+
+
+def test_switched_model_dc_limit_is_the_orbit_slope(vp, op):
+    # at 0.1 Hz the model's gain is the orbit-to-orbit slope of the cycle
+    # mean with respect to the duty
+    v0 = steady_state_vo(vp.i_ls_amp, vp.r_load, op.duty,
+                         op.phase_delay_norm)
+
+    def orbit_mean(duty):
+        cmd = ModulationCommand(duty, op.t_f)
+        orbit = periodic_steady_state(vp, cmd, v0)
+        return step_cycle(orbit.state, cmd, vp)[1].v_o_mean
+
+    slope = (orbit_mean(op.duty + 1e-4) - orbit_mean(op.duty - 1e-4)) / 2e-4
+    pt = switched_bode(vp, op, [0.1])[0]
+    assert slope < 0 and pt.phase_deg == pytest.approx(-180.0, abs=0.5)
+    assert 10 ** (pt.mag_db / 20) == pytest.approx(-slope, rel=1e-3)
+
+
+def test_switched_model_zero_gain_orbit(vp_table2):
+    # at 3000 ohm, D = 0.3 and f_s*t_f = 0.02 the orbit (v_o 1117.6 V,
+    # v_cd1 702 V) is hard-switched, the gate turns off before the current
+    # zero crossing and State V is never reached: the duty does not move
+    # the cycle map at all
+    vp = vp_table2.with_load(3000.0)
+    op_z = OperatingPoint.pinned(0.3, 0.02, vp.f_s)
+    with pytest.raises(ZeroGainOperatingPoint):
+        switched_bode(vp, op_z, BODE_GRID)
 
 
 def test_loop_response_shapes(vp, op):
