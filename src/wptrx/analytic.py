@@ -34,6 +34,9 @@ from .params import ValidatedParams, require_positive
 
 TWO_PI = 2.0 * math.pi
 
+# From f_s*t_f = 1/4 on, the duty window of duty_bounds is empty.
+PHASE_DELAY_MAX = 0.25
+
 # solve_operating_point convergence threshold on successive v_o values (V).
 V_FIXED_POINT_TOL = 1e-6
 _MAX_FIXED_POINT_ITER = 100
@@ -105,8 +108,9 @@ def duty_bounds(phase_delay_norm: float) -> tuple:
     and EmptyDutyRange is raised.
     """
     x = phase_delay_norm
-    if not (0.0 <= x < 0.25):
-        raise EmptyDutyRange(f"phase delay f_s*t_f = {x!r} outside [0, 0.25)")
+    if not (0.0 <= x < PHASE_DELAY_MAX):
+        raise EmptyDutyRange(f"phase delay f_s*t_f = {x!r} outside "
+                             f"[0, {PHASE_DELAY_MAX:g})")
     return (0.5 - x, 1.0 - 2.0 * x)
 
 

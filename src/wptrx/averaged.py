@@ -14,6 +14,7 @@ and the integrator here composes those closed forms instead of stepping an
 ODE solver.  A Runge-Kutta reference lives in the test suite only.
 """
 
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 import math
@@ -21,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import TWO_PI, solve_operating_point, steady_state_vo
+from .analytic import (PHASE_DELAY_MAX, TWO_PI, solve_operating_point,
+                       steady_state_vo)
 from .errors import NonPositiveParameter
 from .params import ValidatedParams, require_positive
 
@@ -38,23 +40,17 @@ class AveragedState:
 
 
 class TfMode(Enum):
-    """How the phase delay inside a schedule is produced.
-
-    PINNED           constant value supplied by the caller.
-    FEEDFORWARD      square-root fall-time estimate at (V_ref, |I|_nominal),
-                     mirroring the controller's computation-saving shortcut.
-    SELF_CONSISTENT  converged operating point per duty segment.
-    """
+    """How the phase delay inside a schedule is produced: PINNED, a
+    constant value supplied by the caller, is the one mode."""
     PINNED = "pinned"
-    FEEDFORWARD = "feedforward"
-    SELF_CONSISTENT = "self_consistent"
 
 
 class DutySchedule:
     """Piecewise-constant (duty, phase-delay) command profile.
 
-    ``times`` are segment start instants (first must be 0), ``duties`` and
-    ``fsts`` the per-segment values.
+    ``times`` are segment start instants, finite and strictly increasing
+    from 0; ``duties`` (in (0, 1)) and ``fsts`` (f_s*t_f in [0, 0.25)) the
+    per-segment values.
     """
 
     def __init__(self, times: Sequence[float], duties: Sequence[float],
@@ -62,10 +58,16 @@ class DutySchedule:
         if len(times) != len(duties) or len(times) != len(fsts):
             raise ValueError("times, duties, fsts must have equal length")
         if times[0] != 0.0:
-            raise ValueError("first segment must start at t = 0")
-        for d in duties:
+            raise NonPositiveParameter("first segment start", times[0], "= 0")
+        for a, b in zip(times, times[1:]):
+            require_positive(segment_length=b - a)
+        for d, fst in zip(duties, fsts):
             if not (0.0 < d < 1.0):
                 raise NonPositiveParameter("duty (must lie in (0,1))", d)
+            require_positive(allow_zero=True, phase_delay_norm=fst)
+            if fst >= PHASE_DELAY_MAX:
+                raise NonPositiveParameter("phase_delay_norm", fst,
+                                           f"< {PHASE_DELAY_MAX:g}")
         self.times = tuple(float(t) for t in times)
         self.duties = tuple(float(d) for d in duties)
         self.fsts = tuple(float(x) for x in fsts)
@@ -76,32 +78,16 @@ class DutySchedule:
 
     @classmethod
     def steps(cls, times: Sequence[float], duties: Sequence[float],
-              params: ValidatedParams, mode: TfMode = TfMode.FEEDFORWARD,
-              pinned_fst: float = 0.0, v_ref: float = 0.0,
-              i_ls_nominal: float = 0.0) -> "DutySchedule":
-        """Build a stepped schedule, deriving the phase delay per ``mode``."""
-        if mode is TfMode.PINNED:
-            fsts = [pinned_fst] * len(times)
-        elif mode is TfMode.FEEDFORWARD:
-            from .control import feedforward_tf
-            fst = params.f_s * feedforward_tf(v_ref, i_ls_nominal, params)
-            fsts = [fst] * len(times)
-        else:
-            fsts = [solve_operating_point(params, d).phase_delay_norm
-                    for d in duties]
-        return cls(times, duties, fsts)
+              params: ValidatedParams, mode: TfMode,
+              pinned_fst: float) -> "DutySchedule":
+        """Stepped duties under one pinned phase delay.  ``params`` and
+        ``mode`` are not read; the benchmark's design pass passes them."""
+        return cls(times, duties, [pinned_fst] * len(times))
 
     def eval(self, t: float) -> tuple:
-        idx = 0
-        for i, start in enumerate(self.times):
-            if t >= start:
-                idx = i
-            else:
-                break
+        """(duty, phase delay) in force at ``t``."""
+        idx = max(bisect.bisect_right(self.times, t) - 1, 0)
         return self.duties[idx], self.fsts[idx]
-
-    def breakpoints(self) -> tuple:
-        return self.times
 
 
 @dataclass(frozen=True)
@@ -111,7 +97,7 @@ class AveragedTrajectory:
     v_o: np.ndarray
     duty: np.ndarray
     phase_delay_norm: np.ndarray
-    clamped: bool = False  # True if the solution undershot zero and was held
+    clamped: bool  # True if the solution undershot zero and was held
 
 
 def averaged_rhs(v_o: float, duty: float, phase_delay_norm: float,
@@ -129,57 +115,40 @@ def integrate_averaged(initial: AveragedState, schedule: DutySchedule,
     """Integrate the averaged model over ``horizon`` seconds.
 
     The schedule is advanced with the exact exponential closed form between
-    its breakpoints.  Output is sampled every ``sample_dt`` including both
-    endpoints.
+    its breakpoints.  Output is sampled every ``sample_dt`` from the start
+    and once more at the end of the horizon; no sample lies past it.
     """
-    require_positive(horizon=horizon)
+    require_positive(horizon=horizon, sample_dt=sample_dt)
+    require_positive(allow_zero=True, v_o=initial.v_o, t=initial.t)
     t0 = initial.t
     t_end = t0 + horizon
-    sample_times = np.arange(t0, t_end + 0.5 * sample_dt, sample_dt)
-    if sample_times[-1] < t_end - 1e-15:
-        sample_times = np.append(sample_times, t_end)
+    n_inside = max(1, math.ceil(horizon / sample_dt - 1e-9))
+    sample_times = np.append(t0 + sample_dt * np.arange(n_inside), t_end)
 
     # Knots: all instants where the command may change.
-    bps = [b for b in schedule.breakpoints() if t0 < b < t_end]
-    knots = np.unique(np.array([t0] + bps + [t_end]))
+    knots = [t0] + [b for b in schedule.times if t0 < b < t_end] + [t_end]
+    edges = [0, *np.searchsorted(sample_times, knots[1:-1]),
+             len(sample_times)]
 
+    tau = params.r_load * params.c_o
     v = initial.v_o
     clamped = False
     out_v = np.empty_like(sample_times)
-    out_d = np.empty_like(sample_times)
-    out_f = np.empty_like(sample_times)
-    si = 0
-    for k in range(len(knots) - 1):
-        a, b = knots[k], knots[k + 1]
+    for a, b, lo, hi in zip(knots, knots[1:], edges, edges[1:]):
         duty, fst = schedule.eval(a)
-        tau = params.r_load * params.c_o
         v_inf = steady_state_vo(params.i_ls_amp, params.r_load, duty, fst)
-        # emit samples inside [a, b)
-        while si < len(sample_times) and sample_times[si] < b - 1e-15:
-            ts = sample_times[si]
-            vs = v_inf + (v - v_inf) * math.exp(-(ts - a) / tau)
-            if vs < 0.0:
-                if vs < _V_NEG_TOL:
-                    clamped = True
-                vs = max(vs, 0.0)
-            out_v[si] = vs
-            out_d[si] = duty
-            out_f[si] = fst
-            si += 1
-        v = v_inf + (v - v_inf) * math.exp(-(b - a) / tau)
-        if v < 0.0:
-            if v < _V_NEG_TOL:
-                clamped = True
-            v = 0.0
-    # trailing samples at exactly t_end
-    duty, fst = schedule.eval(knots[-1] - 1e-15)
-    while si < len(sample_times):
-        out_v[si] = max(v, 0.0)
-        out_d[si] = duty
-        out_f[si] = fst
-        si += 1
-    return AveragedTrajectory(t=sample_times, v_o=out_v, duty=out_d,
-                              phase_delay_norm=out_f, clamped=clamped)
+        # the samples in [a, b), then b itself, which starts the next span
+        span = np.append(sample_times[lo:hi], b)
+        v_span = v_inf + (v - v_inf) * np.exp((a - span) / tau)
+        clamped |= bool(v_span.min() < _V_NEG_TOL)
+        np.maximum(v_span, 0.0, out=v_span)
+        out_v[lo:hi] = v_span[:-1]
+        v = v_span[-1]
+    segment = np.searchsorted(schedule.times, sample_times, "right") - 1
+    return AveragedTrajectory(t=sample_times, v_o=out_v,
+                              duty=np.take(schedule.duties, segment),
+                              phase_delay_norm=np.take(schedule.fsts, segment),
+                              clamped=clamped)
 
 
 @dataclass(frozen=True)
@@ -194,8 +163,7 @@ class DutyCurveRow:
 
 
 def vo_vs_duty_curve(params: ValidatedParams, r_values: Sequence[float],
-                     d_grid: Sequence[float],
-                     exact: bool = False) -> list:
+                     d_grid: Sequence[float]) -> list:
     """Output voltage versus duty for several loads.
 
     Each point is a converged operating point (fall time self-consistent
@@ -209,7 +177,7 @@ def vo_vs_duty_curve(params: ValidatedParams, r_values: Sequence[float],
         p_r = params.with_load(r)
         for d in d_grid:
             try:
-                op = solve_operating_point(p_r, d, exact=exact)
+                op = solve_operating_point(p_r, d)
                 rows.append(DutyCurveRow(r_load=r, duty=d, v_o=op.v_o,
                                          t_f=op.t_f, regulable=op.regulable))
             except Exception as exc:  # per-row propagation, sweep continues

@@ -41,12 +41,6 @@ _NUMERIC_ERRORS = (NoConvergence, CommutationImpossible, ArccosDomain,
                    ZeroGainOperatingPoint, GateOverrun, InvalidDuty,
                    NonPeriodicWindow)
 
-FIGURES = ("fig4a", "fig5", "fig7", "fig9", "fig13", "fig14", "fig17",
-           "fig19", "fig20")
-
-COMMANDS = ("validate", "design", "steady", "bode", "simulate", "transient",
-            "reproduce")
-
 # Figure-table grids are frozen so outputs stay byte-stable.
 _BODE_GRID = tuple(10.0 * 10.0 ** (k / 30.0) for k in range(91))
 _DUTY_STEP = 0.002
@@ -57,6 +51,7 @@ _FIG17_FF_AMP = 1.40        # margin below the weakest coupling amplitude
 _FIG20_LOAD = 120.0
 _FIG20_AMPS = (1.0, 1.85)   # peak amplitudes of the 2 -> 3.7 A pk-pk ramp
 _WAVE_RATE_PER_CYCLE = 256
+_PROTOTYPE_DUTY = 0.532    # where neither argv nor the config gives a duty
 
 
 def _cell_format(x) -> str:
@@ -88,10 +83,6 @@ def _write_table(out, name: str, header: str, rows) -> None:
             fh.writelines(fmt % tuple(row) for row in rows)
 
 
-def _load_config(args) -> RunConfig:
-    return parse_config(args.config)
-
-
 def _builtin_config(name: str) -> RunConfig:
     text = resources.files("wptrx").joinpath(f"configs/{name}.cfg").read_text()
     return parse_config_text(text)
@@ -121,26 +112,20 @@ def _nominal_op(vp, rc: RunConfig) -> OperatingPoint:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    rc = _load_config(args)
+    rc = parse_config(args.config)
     vp = validate(rc.params)
-    print(f"l_s      = {vp.l_s:.6g} H")
-    print(f"c_s      = {vp.c_s:.6g} F")
-    print(f"c_s1     = {vp.c_s1:.6g} F")
-    print(f"c_d1     = {vp.c_d1:.6g} F")
-    print(f"c_o      = {vp.c_o:.6g} F")
-    print(f"r_load   = {vp.r_load:.6g} ohm")
-    print(f"f_s      = {vp.f_s:.6g} Hz")
-    print(f"i_ls_amp = {vp.i_ls_amp:.6g} A")
-    print(f"omega    = {vp.omega:.6g} rad/s")
-    print(f"c_sum    = {vp.c_sum:.6g} F")
-    print(f"t_period = {vp.t_period:.6g} s")
+    for name, unit in (("l_s", "H"), ("c_s", "F"), ("c_s1", "F"),
+                       ("c_d1", "F"), ("c_o", "F"), ("r_load", "ohm"),
+                       ("f_s", "Hz"), ("i_ls_amp", "A"), ("omega", "rad/s"),
+                       ("c_sum", "F"), ("t_period", "s")):
+        print(f"{name:8s} = {getattr(vp, name):.6g} {unit}")
     for wmsg in vp.warnings:
         print(f"warning: {wmsg}")
     return 0
 
 
 def cmd_design(args) -> int:
-    rc = _load_config(args)
+    rc = parse_config(args.config)
     vp = validate(rc.params)
     rows = []
     if vp.r_ls_esr > 0:
@@ -169,12 +154,10 @@ def cmd_design(args) -> int:
 
 
 def cmd_steady(args) -> int:
-    rc = _load_config(args)
+    rc = parse_config(args.config)
     vp = validate(rc.params)
     if args.sweep:
-        lo, hi, step = (float(x) for x in args.sweep.split(":"))
-        n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        duties = [lo + k * step for k in range(n)]
+        duties = args.sweep
     elif args.duty is not None:
         duties = [args.duty]
     elif rc.duty is not None:
@@ -191,28 +174,30 @@ def cmd_steady(args) -> int:
 
 
 def cmd_bode(args) -> int:
-    rc = _load_config(args)
+    rc = parse_config(args.config)
     vp = validate(rc.params)
-    op = _nominal_op(vp, rc)
-    pts = bode(plant_tf(vp, op), _BODE_GRID)
-    _write_table(args.out or None, "bode.csv", "f_hz,mag_db,phase_deg",
-                 [(p.f_hz, p.mag_db, p.phase_deg) for p in pts])
+    _write_bode(args.out or None, "bode.csv",
+                bode(plant_tf(vp, _nominal_op(vp, rc)), _BODE_GRID))
     return 0
 
 
+def _write_bode(out, name: str, pts) -> None:
+    _write_table(out, name, "f_hz,mag_db,phase_deg",
+                 [(p.f_hz, p.mag_db, p.phase_deg) for p in pts])
+
+
 def cmd_simulate(args) -> int:
-    rc = _load_config(args)
+    rc = parse_config(args.config)
     vp = validate(rc.params)
     duty = args.duty if args.duty is not None else \
-        (rc.duty if rc.duty is not None else 0.532)
+        (rc.duty if rc.duty is not None else _PROTOTYPE_DUTY)
     op = solve_operating_point(vp, duty, exact=True)
     cmd = ModulationCommand(duty, fall_time_exact(vp, op.v_o))
     rate = args.sample_rate if args.sample_rate else \
         _WAVE_RATE_PER_CYCLE * vp.f_s
-    orbit = periodic_steady_state(vp, cmd, op.v_o)
-    result = run(vp, cmd, args.cycles, initial=orbit.state)
+    orbit, result, wave = _orbit_capture(vp, cmd, op.v_o, args.cycles, rate)
     _write_capture(args.out, "waveform.csv", "events.csv", result.pieces,
-                   sample_waveform(result.pieces, vp, rate))
+                   wave)
     _write_table(
         args.out, "diagnostics.csv",
         "cycle,t_f_meas,t_r_meas,zvs_ok,zcs_ok,q_f,q_r,e_in,e_load,"
@@ -227,6 +212,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _orbit_capture(vp, cmd, v_o_guess: float, n_cycles: int, rate: float):
+    """(PeriodicOrbit, RunResult, Waveform) of ``n_cycles`` run on the orbit
+    of ``cmd`` solved from ``v_o_guess``, sampled at ``rate``."""
+    orbit = periodic_steady_state(vp, cmd, v_o_guess)
+    result = run(vp, cmd, n_cycles, initial=orbit.state)
+    return orbit, result, sample_waveform(result.pieces, vp, rate)
+
+
 def _write_capture(out, wave_name: str, events_name: str, pieces, w) -> None:
     _write_table(out, wave_name, "t,i_ls,v_cs1,v_cd1,v_o,gate,state",
                  zip(w.t, w.i_ls, w.v_cs1, w.v_cd1, w.v_o, w.gate, w.state))
@@ -234,17 +227,20 @@ def _write_capture(out, wave_name: str, events_name: str, pieces, w) -> None:
                  (e for piece in pieces for e in piece.events))
 
 
-def _scenario_by_name(name: str, vp, rc: RunConfig):
-    if name == "startup":
-        return scenarios.startup_scenario(vp, rc.v_ref, rc.feedforward_amp), vp
-    if name == "load_step":
-        return scenarios.load_step_scenario(vp, rc.v_ref, rc.feedforward_amp,
-                                            r_low=vp.r_load), vp
-    if name == "source_ramp":
-        p = vp.with_load(_FIG20_LOAD).with_amplitude(_FIG20_AMPS[0])
-        return scenarios.source_ramp_scenario(
-            p, rc.v_ref, _FIG20_AMPS[0], _FIG20_AMPS[0], _FIG20_AMPS[1]), p
-    raise UnknownFigure(f"unknown scenario {name!r}")
+def _source_ramp(vp, rc: RunConfig):
+    p = vp.with_load(_FIG20_LOAD).with_amplitude(_FIG20_AMPS[0])
+    return scenarios.source_ramp_scenario(
+        p, rc.v_ref, _FIG20_AMPS[0], _FIG20_AMPS[0], _FIG20_AMPS[1]), p
+
+
+# transient --scenario: name -> (vp, rc) -> (Scenario, receiver it runs on)
+_SCENARIOS = {
+    "startup": lambda vp, rc: (scenarios.startup_scenario(
+        vp, rc.v_ref, rc.feedforward_amp), vp),
+    "load_step": lambda vp, rc: (scenarios.load_step_scenario(
+        vp, rc.v_ref, rc.feedforward_amp, r_low=vp.r_load), vp),
+    "source_ramp": _source_ramp,
+}
 
 
 def _closed_loop_table(out, name: str, sc, p, rc: RunConfig):
@@ -258,9 +254,9 @@ def _closed_loop_table(out, name: str, sc, p, rc: RunConfig):
 
 
 def cmd_transient(args) -> int:
-    rc = _load_config(args)
+    rc = parse_config(args.config)
     vp = validate(rc.params)
-    sc, p = _scenario_by_name(args.scenario, vp, rc)
+    sc, p = _SCENARIOS[args.scenario](vp, rc)
     rec = _closed_loop_table(args.out, f"{sc.name}.csv", sc, p, rc)
     print(f"final = {rec.final_value:.4f} V, settle = {rec.settling_time:.6g} s, "
           f"overshoot = {rec.overshoot:.4f} V, error = "
@@ -303,14 +299,9 @@ def _fig5(out, rc):
 def _fig7(out, rc):
     vp = validate(rc.params)
     op = _nominal_op(vp, rc)
-    pts = bode(plant_tf(vp, op), _BODE_GRID)
-    _write_table(out, "fig7_analytic.csv",
-                 "f_hz,mag_db,phase_deg",
-                 [(p.f_hz, p.mag_db, p.phase_deg) for p in pts])
-    pts_o = perturb_bode_oracle(vp, op, _BODE_GRID)
-    _write_table(out, "fig7_oracle.csv",
-                 "f_hz,mag_db,phase_deg",
-                 [(p.f_hz, p.mag_db, p.phase_deg) for p in pts_o])
+    _write_bode(out, "fig7_analytic.csv", bode(plant_tf(vp, op), _BODE_GRID))
+    _write_bode(out, "fig7_oracle.csv",
+                perturb_bode_oracle(vp, op, _BODE_GRID))
     return ["fig7_analytic.csv", "fig7_oracle.csv"]
 
 
@@ -333,14 +324,13 @@ def _steady_va_run(rc, n_capture: int):
     """Run on the periodic steady state at the prototype operating point
     (measured delay): (params, RunResult, its sampled Waveform)."""
     vp = validate(rc.params)
-    duty = rc.duty if rc.duty is not None else 0.532
+    duty = rc.duty if rc.duty is not None else _PROTOTYPE_DUTY
     fst = rc.phase_delay_norm if rc.phase_delay_norm is not None else 0.0672
-    cmd = ModulationCommand(duty, fst / vp.f_s)
-    orbit = periodic_steady_state(vp, cmd,
-                                  solve_operating_point(vp, duty).v_o)
-    cap = run(vp, cmd, n_capture, initial=orbit.state)
-    return vp, cap, sample_waveform(cap.pieces, vp,
-                                    _WAVE_RATE_PER_CYCLE * vp.f_s)
+    _, cap, wave = _orbit_capture(
+        vp, ModulationCommand(duty, fst / vp.f_s),
+        solve_operating_point(vp, duty).v_o, n_capture,
+        _WAVE_RATE_PER_CYCLE * vp.f_s)
+    return vp, cap, wave
 
 
 def _fig13(out, rc):
@@ -389,7 +379,7 @@ def _fig19(out, rc):
 
 
 def _fig20(out, rc):
-    sc, p = _scenario_by_name("source_ramp", validate(rc.params), rc)
+    sc, p = _source_ramp(validate(rc.params), rc)
     _closed_loop_table(out, "fig20.csv", sc, p, rc)
     return ["fig20.csv"]
 
@@ -399,6 +389,7 @@ _FIG_BUILDERS = {"fig4a": (_fig4a, "table2"), "fig5": (_fig5, "table2"),
                  "fig13": (_fig13, "table2"), "fig14": (_fig14, "table2"),
                  "fig17": (_fig17, "table2"), "fig19": (_fig19, "table2"),
                  "fig20": (_fig20, "table2")}
+FIGURES = tuple(_FIG_BUILDERS)
 
 _PLOT_HELPER = '''\
 """Convenience plotting for the reproduction tables (no acceptance weight)."""
@@ -439,6 +430,22 @@ def cmd_reproduce(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _sweep_duties(text: str) -> list:
+    """``--sweep start:stop:step`` as its duty grid: three finite numbers,
+    step > 0 and start <= stop."""
+    try:
+        lo, hi, step = (float(x) for x in text.split(":"))
+    except ValueError:
+        lo = hi = step = math.nan  # rejected below
+    if not (step > 0.0 and lo <= hi and
+            all(map(math.isfinite, (lo, hi, step, (hi - lo) / step)))):
+        raise argparse.ArgumentTypeError(
+            f"need finite start:stop:step, start <= stop and step > 0, "
+            f"got {text!r}")
+    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    return [lo + k * step for k in range(n)]
+
+
 def _build_parser(command: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog=f"wptrx {command}")
     if command != "reproduce":
@@ -446,26 +453,23 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
     if command == "design":
         p.add_argument("--q", type=float, default=100.0)
         p.add_argument("--ripple-frac", type=float, default=0.01)
-        p.add_argument("--out", default="")
     if command == "steady":
         p.add_argument("--duty", type=float)
-        p.add_argument("--sweep", help="start:stop:step")
+        p.add_argument("--sweep", type=_sweep_duties, help="start:stop:step")
         p.add_argument("--exact", action="store_true")
-        p.add_argument("--out", default="")
-    if command == "bode":
-        p.add_argument("--out", default="")
     if command == "simulate":
         p.add_argument("--cycles", type=int, required=True)
         p.add_argument("--duty", type=float)
         p.add_argument("--sample-rate", type=float, default=0.0)
-        p.add_argument("--out", default="out")
     if command == "transient":
         p.add_argument("--scenario", required=True,
-                       choices=("startup", "load_step", "source_ramp"))
-        p.add_argument("--out", default="out")
+                       choices=tuple(_SCENARIOS))
     if command == "reproduce":
         p.add_argument("figure")
         p.add_argument("--config", default="")
+    if command in ("design", "steady", "bode"):  # no --out: print the table
+        p.add_argument("--out", default="")
+    elif command != "validate":
         p.add_argument("--out", default="out")
     return p
 
@@ -474,6 +478,7 @@ _HANDLERS = {"validate": cmd_validate, "design": cmd_design,
              "steady": cmd_steady, "bode": cmd_bode,
              "simulate": cmd_simulate, "transient": cmd_transient,
              "reproduce": cmd_reproduce}
+COMMANDS = tuple(_HANDLERS)
 
 
 def main(argv=None) -> int:

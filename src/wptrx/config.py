@@ -6,10 +6,11 @@ comment.  Unknown and duplicate keys are rejected so a typo cannot
 silently fall back to a default.
 """
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 import re
 from typing import Optional
 
+from .analytic import PHASE_DELAY_MAX
 from .errors import (ConfigSyntax, MissingKey, NonPositiveParameter,
                      UnknownKey)
 from .params import ReceiverParams, require_positive
@@ -19,12 +20,11 @@ _PREFIX = {"n": 1e-9, "u": 1e-6, "m": 1e-3, "k": 1e3, "M": 1e6}
 _VALUE_RE = re.compile(
     r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)([numkM])?$")
 
-_PARAM_KEYS = ("l_s", "c_s", "c_s1", "c_d1", "c_o", "r_load", "f_s",
-               "i_ls_amp", "r_ls_esr")
-_EXTRA_KEYS = ("v_ref", "f_c", "i_ls_ff", "duty", "phase_delay_norm")
-_REQUIRED = ("l_s", "c_s", "c_s1", "c_d1", "c_o", "r_load", "f_s",
-             "i_ls_amp")
-KNOWN_KEYS = _PARAM_KEYS + _EXTRA_KEYS
+_PARAM_KEYS = tuple(f.name for f in fields(ReceiverParams))
+_REQUIRED = tuple(f.name for f in fields(ReceiverParams)
+                  if f.default is MISSING)
+KNOWN_KEYS = _PARAM_KEYS + ("v_ref", "f_c", "i_ls_ff", "duty",
+                            "phase_delay_norm")
 
 
 @dataclass(frozen=True)
@@ -78,17 +78,12 @@ def parse_config_text(text: str) -> RunConfig:
                      phase_delay_norm=seen.get("phase_delay_norm", 0.0))
     require_positive(**{k: seen[k] for k in ("f_c", "i_ls_ff", "duty")
                         if k in seen})
-    # from f_s*t_f = 1/4 on, the duty window of analytic.duty_bounds is empty
-    for key, upper in (("duty", 1.0), ("phase_delay_norm", 0.25)):
+    for key, upper in (("duty", 1.0), ("phase_delay_norm", PHASE_DELAY_MAX)):
         if seen.get(key, 0.0) >= upper:
             raise NonPositiveParameter(key, seen[key], f"< {upper:g}")
-    params = ReceiverParams(
-        l_s=seen["l_s"], c_s=seen["c_s"], c_s1=seen["c_s1"],
-        c_d1=seen["c_d1"], c_o=seen["c_o"], r_load=seen["r_load"],
-        f_s=seen["f_s"], i_ls_amp=seen["i_ls_amp"],
-        r_ls_esr=seen.get("r_ls_esr", 0.0))
     return RunConfig(
-        params=params,
+        params=ReceiverParams(**{k: seen[k] for k in _PARAM_KEYS
+                                 if k in seen}),
         v_ref=seen.get("v_ref", 24.0),
         f_c=seen.get("f_c", 1000.0),
         i_ls_ff=seen.get("i_ls_ff"),

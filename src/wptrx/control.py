@@ -17,7 +17,7 @@ reverses.
 
 from dataclasses import dataclass
 import math
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -30,9 +30,9 @@ from .smallsignal import PiGains
 @dataclass(frozen=True)
 class ControllerState:
     """PI internal state between cycles."""
-    integrator: float = 0.0
-    last_duty: float = 0.5
-    saturated: bool = False
+    integrator: float
+    last_duty: float
+    saturated: bool
 
 
 def pi_update(v_o_sample: float, v_ref: float, gains: PiGains,
@@ -111,9 +111,9 @@ class Scenario:
     i_ls_amp: Profile
     v_ref: Profile
     i_ls_ff: float
-    v_o0: float = 0.0
-    initial_duty: Optional[float] = None
-    initial_integrator: Optional[float] = None
+    v_o0: float
+    initial_duty: float
+    initial_integrator: float
 
     def __post_init__(self):
         require_positive(duration=self.duration)
@@ -150,14 +150,10 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
     if n_cycles < 100:
         raise NonPositiveParameter("scenario duration (>= 100 cycles)",
                                    scenario.duration)
-    init_duty = scenario.initial_duty if scenario.initial_duty is not None \
-        else 0.5 * (gains.d_min + gains.d_max)
-    cstate = ControllerState(
-        integrator=(scenario.initial_integrator
-                    if scenario.initial_integrator is not None else
-                    init_duty),
-        last_duty=init_duty, saturated=False)
+    cstate = ControllerState(integrator=scenario.initial_integrator,
+                             last_duty=scenario.initial_duty, saturated=False)
     state = SwitchCycleState(scenario.v_o0)
+    p_n = params
 
     t_arr = np.empty(n_cycles)
     v_samp = np.empty(n_cycles)
@@ -167,8 +163,10 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
 
     for n in range(n_cycles):
         t_n = n * ts
-        p_n = params.with_load(_eval_profile(scenario.r_load, t_n)) \
-            .with_amplitude(_eval_profile(scenario.i_ls_amp, t_n))
+        r_n = _eval_profile(scenario.r_load, t_n)
+        i_n = _eval_profile(scenario.i_ls_amp, t_n)
+        if r_n != p_n.r_load or i_n != p_n.i_ls_amp:  # NaN always differs
+            p_n = params.with_load(r_n).with_amplitude(i_n)
         v_ref_n = _eval_profile(scenario.v_ref, t_n)
         t_f_cmd = feedforward_tf(v_ref_n, scenario.i_ls_ff, params)
         duty, cstate = pi_update(state.v_o, v_ref_n, gains, cstate, ts)

@@ -17,7 +17,7 @@ All quantities are SI base units throughout; unit prefixes are folded by the
 configuration layer, never here.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 import math
 
 from .errors import NonPositiveParameter
@@ -54,8 +54,8 @@ class ReceiverParams:
     r_ls_esr: float = 0.0
 
 
-@dataclass(frozen=True)
-class ValidatedParams:
+@dataclass(frozen=True, kw_only=True)
+class ValidatedParams(ReceiverParams):
     """Receiver parameters plus derived fields, produced by :func:`validate`.
 
     Derived fields: ``omega`` = 2*pi*f_s (rad/s), ``c_sum`` = c_s1 + c_d1 (F),
@@ -63,19 +63,10 @@ class ValidatedParams:
     findings (currently only the resonance mismatch).
     """
 
-    l_s: float
-    c_s: float
-    c_s1: float
-    c_d1: float
-    c_o: float
-    r_load: float
-    f_s: float
-    i_ls_amp: float
-    r_ls_esr: float
     omega: float
     c_sum: float
     t_period: float
-    warnings: tuple = ()
+    warnings: tuple
 
     def with_load(self, r_load: float) -> "ValidatedParams":
         """Copy with a different load; derived fields are unaffected."""
@@ -112,9 +103,7 @@ def validate(raw: ReceiverParams) -> ValidatedParams:
             f"{f_res:.6g} Hz vs f_s = {raw.f_s:.6g} Hz")
 
     return ValidatedParams(
-        l_s=raw.l_s, c_s=raw.c_s, c_s1=raw.c_s1, c_d1=raw.c_d1, c_o=raw.c_o,
-        r_load=raw.r_load, f_s=raw.f_s, i_ls_amp=raw.i_ls_amp,
-        r_ls_esr=raw.r_ls_esr,
+        **asdict(raw),
         omega=2.0 * math.pi * raw.f_s,
         c_sum=raw.c_s1 + raw.c_d1,
         t_period=1.0 / raw.f_s,

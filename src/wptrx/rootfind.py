@@ -10,7 +10,7 @@ from typing import Callable
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float,
-                xtol: float = 1e-13) -> float:
+                xtol: float) -> float:
     """Smallest root of ``f`` in ``[lo, hi]`` given ``f(lo)`` and ``f(hi)``
     bracket a sign change.  Absolute tolerance on the abscissa.
 

@@ -18,7 +18,7 @@ Two conventions matter here:
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .analytic import OperatingPoint, duty_for_target_vo
 from .control import (Scenario, closed_loop_run, feedforward_tf,
@@ -29,6 +29,9 @@ from .smallsignal import PiGains, design_pi
 
 NO_LOAD_RESISTANCE = 10e3
 
+# Carrier periods each coupling-sweep point runs.
+SWEEP_CYCLES = 3000
+
 
 def design_gains(params: ValidatedParams, v_ref: float, i_ls_ff: float,
                  f_c: float) -> PiGains:
@@ -38,8 +41,8 @@ def design_gains(params: ValidatedParams, v_ref: float, i_ls_ff: float,
     phase delay, i.e. exactly where the loop will sit in steady state.
     """
     fst = params.f_s * feedforward_tf(v_ref, i_ls_ff, params)
-    duty = duty_for_target_vo(params.i_ls_amp, params.r_load, v_ref, fst)
-    op = OperatingPoint.pinned(duty, fst, params.f_s, v_o=v_ref)
+    op = OperatingPoint.pinned(equilibrium_duty(params, v_ref, i_ls_ff), fst,
+                               params.f_s, v_o=v_ref)
     return design_pi(params, op, f_c)
 
 
@@ -61,16 +64,16 @@ def startup_scenario(params: ValidatedParams, v_ref: float, i_ls_ff: float,
 
 def load_step_scenario(params: ValidatedParams, v_ref: float, i_ls_ff: float,
                        r_low: float, t_step: float = 10e-3,
-                       duration: float = 30e-3,
-                       r_high: float = NO_LOAD_RESISTANCE) -> Scenario:
+                       duration: float = 30e-3) -> Scenario:
     """No-load-equivalent to loaded step at fixed reference.
 
     Starts warm at the unloaded equilibrium so the record isolates the
     step response.
     """
-    d0 = equilibrium_duty(params.with_load(r_high), v_ref, i_ls_ff)
+    d0 = equilibrium_duty(params.with_load(NO_LOAD_RESISTANCE), v_ref,
+                          i_ls_ff)
     return Scenario(name="load_step", duration=duration,
-                    r_load=step_profile(r_high, r_low, t_step),
+                    r_load=step_profile(NO_LOAD_RESISTANCE, r_low, t_step),
                     i_ls_amp=params.i_ls_amp, v_ref=v_ref, i_ls_ff=i_ls_ff,
                     v_o0=v_ref, initial_duty=d0, initial_integrator=d0)
 
@@ -100,22 +103,21 @@ class SweepRow:
 
 
 def coupling_sweep(params: ValidatedParams, v_ref: float, i_ls_ff: float,
-                   amplitudes: Sequence[float], f_c: float = 1000.0,
-                   cycles: int = 3000,
-                   gains: Optional[PiGains] = None) -> list:
+                   amplitudes: Sequence[float], f_c: float) -> list:
     """Closed-loop regulation across source amplitudes.
 
-    Each point runs ``cycles`` carrier periods from a warm start at its own
-    equilibrium; the row reports the tail-window mean output, regulation
-    error, and soft-switching fractions over the whole run.
+    Each point designs its own PI gains and runs SWEEP_CYCLES carrier
+    periods from a warm start at its own equilibrium; the row reports the
+    tail-window mean output, regulation error, and soft-switching fractions
+    over the whole run.
     """
     rows = []
     for i_amp in amplitudes:
         p_i = params.with_amplitude(i_amp)
-        g = gains if gains is not None else \
-            design_gains(p_i, v_ref, i_ls_ff, f_c)
+        g = design_gains(p_i, v_ref, i_ls_ff, f_c)
         d0 = equilibrium_duty(p_i, v_ref, i_ls_ff)
-        sc = Scenario(name=f"sweep_{i_amp:g}", duration=cycles * params.t_period,
+        sc = Scenario(name=f"sweep_{i_amp:g}",
+                      duration=SWEEP_CYCLES * params.t_period,
                       r_load=params.r_load, i_ls_amp=i_amp, v_ref=v_ref,
                       i_ls_ff=i_ls_ff, v_o0=v_ref, initial_duty=d0,
                       initial_integrator=d0)

@@ -39,6 +39,11 @@ from .simulator import (CYCLE_FD_STEP, ModulationCommand, cycle_jacobian,
 # where the first-order control gain vanishes.
 _ZERO_GAIN_TOL = 1e-9
 
+# The oracle's record: whole perturbation periods, each held as this many
+# zero-order-hold duty segments.
+_ORACLE_PERIODS = 2
+_ORACLE_SEGMENTS = 64
+
 # switched_bode's duty step: it moves only the gate-off edge, never a
 # located event, so it can be small.
 _DUTY_FD_STEP = 1e-5
@@ -46,23 +51,15 @@ _DUTY_FD_STEP = 1e-5
 
 @dataclass(frozen=True)
 class TransferFunction1P:
-    """First-order transfer function dc_gain / ((1 + s/w_p) * s^n).
-
-    ``integrator_count`` n is 0 for the plant and 1 for integrator-
-    augmented loops.  ``dc_gain`` keeps its sign; for n >= 1 it is the
-    integrator coefficient rather than a finite DC value.
-    """
+    """First-order transfer function dc_gain / (1 + s/w_p); ``dc_gain``
+    keeps its sign."""
     dc_gain: float
     pole_hz: float
-    integrator_count: int = 0
 
     def response(self, f_hz: np.ndarray) -> np.ndarray:
         """Complex response at the given frequencies (Hz)."""
         s = 1j * TWO_PI * np.asarray(f_hz, dtype=float)
-        h = self.dc_gain / (1.0 + s / (TWO_PI * self.pole_hz))
-        if self.integrator_count:
-            h = h / s ** self.integrator_count
-        return h
+        return self.dc_gain / (1.0 + s / (TWO_PI * self.pole_hz))
 
 
 @dataclass(frozen=True)
@@ -95,26 +92,23 @@ def plant_tf(params: ValidatedParams, op) -> TransferFunction1P:
             "operating point sits at the output-voltage maximum")
     return TransferFunction1P(
         dc_gain=params.i_ls_amp * params.r_load * s,
-        pole_hz=1.0 / (TWO_PI * params.r_load * params.c_o),
-        integrator_count=0)
+        pole_hz=1.0 / (TWO_PI * params.r_load * params.c_o))
 
 
 def bode(tf: TransferFunction1P, f_grid: Sequence[float]) -> list:
     """Magnitude/phase table of a TransferFunction1P.
 
     Phase is continuous by construction: a negative dc gain contributes
-    -180 degrees (not +180), each integrator -90, and the pole rolls off
-    another 90.  The plant therefore spans -180 to -270 degrees.
+    -180 degrees (not +180), and the pole rolls off another 90.  The plant
+    therefore spans -180 to -270 degrees.
     """
     f = np.asarray(f_grid, dtype=float)
     if len(f) == 0 or np.any(f <= 0) or np.any(np.diff(f) <= 0):
         raise NonPositiveParameter("f_grid (ascending, positive)", 0.0)
-    n = tf.integrator_count
     mag_db = (20.0 * np.log10(abs(tf.dc_gain))
-              - 10.0 * np.log10(1.0 + (f / tf.pole_hz) ** 2)
-              - n * 20.0 * np.log10(TWO_PI * f))
+              - 10.0 * np.log10(1.0 + (f / tf.pole_hz) ** 2))
     phase = (-180.0 if tf.dc_gain < 0 else 0.0) \
-        - np.degrees(np.arctan(f / tf.pole_hz)) - 90.0 * n
+        - np.degrees(np.arctan(f / tf.pole_hz))
     return [BodePoint(float(fi), float(m), float(p))
             for fi, m, p in zip(f, mag_db, phase)]
 
@@ -201,9 +195,9 @@ def loop_margins(plant: TransferFunction1P, gains: PiGains) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _cycle_run(v0: float, d_bar: float, d_tilde: float, fst: float,
-               w_pert: float, t0: float, n_seg: int, t_seg: float,
+               w_pert: float, t0: float, t_seg: float,
                params: ValidatedParams, accumulate: bool) -> tuple:
-    """Advance one perturbation period of n_seg ZOH segments.
+    """Advance one perturbation period of _ORACLE_SEGMENTS ZOH segments.
 
     Returns (v_end, U1, Y1): the endpoint and, when ``accumulate``, the
     closed-form Fourier integrals of the duty input and the voltage
@@ -215,7 +209,7 @@ def _cycle_run(v0: float, d_bar: float, d_tilde: float, fst: float,
     u1 = 0.0 + 0.0j
     y1 = 0.0 + 0.0j
     v = v0
-    for k in range(n_seg):
+    for k in range(_ORACLE_SEGMENTS):
         tk = t0 + k * t_seg
         duty = d_bar + d_tilde * math.sin(w_pert * tk)
         v_inf = steady_state_vo(params.i_ls_amp, params.r_load, duty, fst)
@@ -230,8 +224,7 @@ def _cycle_run(v0: float, d_bar: float, d_tilde: float, fst: float,
 
 
 def perturb_bode_oracle(params: ValidatedParams, op, f_grid: Sequence[float],
-                        rel_amp: float = 1e-3, n_periods: int = 2,
-                        segments_per_period: int = 64) -> list:
+                        rel_amp: float = 1e-3) -> list:
     """Frequency response extracted from the nonlinear averaged model.
 
     For each frequency a duty perturbation D*(rel_amp)*sin(2*pi*f*t) rides
@@ -250,19 +243,18 @@ def perturb_bode_oracle(params: ValidatedParams, op, f_grid: Sequence[float],
     for i, f in enumerate(f_grid):
         w = TWO_PI * f
         t_per = 1.0 / f
-        n_seg = segments_per_period
-        t_seg = t_per / n_seg
+        t_seg = t_per / _ORACLE_SEGMENTS
         # Fixed point of the affine one-period map v -> a*v + b.
         a_per = math.exp(-t_per / tau)
-        b_per, _, _ = _cycle_run(0.0, d_bar, d_tilde, fst, w, 0.0, n_seg,
+        b_per, _, _ = _cycle_run(0.0, d_bar, d_tilde, fst, w, 0.0,
                                  t_seg, params, accumulate=False)
         v_star = b_per / (1.0 - a_per)
         u1 = 0.0 + 0.0j
         y1 = 0.0 + 0.0j
         v = v_star
-        for p in range(n_periods):
+        for p in range(_ORACLE_PERIODS):
             v, du, dy = _cycle_run(v, d_bar, d_tilde, fst, w, p * t_per,
-                                   n_seg, t_seg, params, accumulate=True)
+                                   t_seg, params, accumulate=True)
             u1 += du
             y1 += dy
         h[i] = y1 / u1

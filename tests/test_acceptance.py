@@ -106,7 +106,7 @@ def ramp_rec(vp):
 def sweep_rows(vp):
     p = vp.with_load(57.6)  # 10 W at 24 V
     amps = np.linspace(1.45, 2.6, 12)
-    return coupling_sweep(p, V_REF, 1.40, amps, f_c=1000.0, cycles=3000)
+    return coupling_sweep(p, V_REF, 1.40, amps, f_c=1000.0)
 
 
 # ---------------------------------------------------------------------------

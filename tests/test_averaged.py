@@ -23,7 +23,7 @@ def vp():
 
 def rk4_oracle(schedule, v0, t_grid, vp):
     """Classic fixed-step RK4 run strictly inside constant-command spans."""
-    knots = sorted(set(schedule.breakpoints()) | set(t_grid))
+    knots = sorted(set(schedule.times) | set(t_grid))
     v = v0
     out = {t_grid[0]: v0} if t_grid[0] == knots[0] else {}
     for a, b in zip(knots, knots[1:]):
@@ -170,20 +170,85 @@ def test_switched_mean_converges_to_averaged_steady(vp):
 
 def test_schedule_modes(vp):
     from wptrx.averaged import TfMode
-    from wptrx.control import feedforward_tf
 
     sched_p = DutySchedule.steps([0.0, 1e-3], [0.55, 0.6], vp,
                                  mode=TfMode.PINNED, pinned_fst=0.08)
     assert sched_p.eval(0.5e-3) == (0.55, 0.08)
     assert sched_p.eval(2e-3) == (0.6, 0.08)
 
-    sched_f = DutySchedule.steps([0.0], [0.55], vp, mode=TfMode.FEEDFORWARD,
-                                 v_ref=20.0, i_ls_nominal=1.0)
-    expect = vp.f_s * feedforward_tf(20.0, 1.0, vp)
-    assert sched_f.eval(0.0)[1] == pytest.approx(expect, rel=1e-12)
 
-    sched_s = DutySchedule.steps([0.0], [0.55], vp,
-                                 mode=TfMode.SELF_CONSISTENT)
-    op = solve_operating_point(vp, 0.55)
-    assert sched_s.eval(0.0)[1] == pytest.approx(op.phase_delay_norm,
-                                                 rel=1e-9)
+@pytest.mark.parametrize("sample_dt,t_expect", [
+    (0.03, [0.0, 0.03, 0.05]),
+    (3e-5, None),
+    (1e-3, [k * 1e-3 for k in range(51)]),
+])
+def test_samples_end_on_the_horizon(vp, sample_dt, t_expect):
+    # no sample lies past the horizon and the last one sits on it, holding
+    # the closed-form value there
+    sched = DutySchedule((0.0, 0.02), (0.55, 0.65), (0.1, 0.1))
+    v0 = 3.0
+    traj = integrate_averaged(AveragedState(v_o=v0, t=0.0), sched, 0.05, vp,
+                              sample_dt=sample_dt)
+    assert traj.t[-1] == 0.05
+    assert np.all(np.diff(traj.t) > 0.0)
+    if t_expect is not None:
+        assert traj.t == pytest.approx(t_expect, abs=1e-15)
+    tau = vp.r_load * vp.c_o
+    v1 = steady_state_vo(1.0, 30.0, 0.55, 0.1)
+    v2 = steady_state_vo(1.0, 30.0, 0.65, 0.1)
+    v_step = v1 + (v0 - v1) * math.exp(-0.02 / tau)
+    v_end = v2 + (v_step - v2) * math.exp(-0.03 / tau)
+    assert traj.v_o[-1] == pytest.approx(v_end, rel=1e-12)
+
+
+def per_sample_reference(schedule, initial, t_samples, vp):
+    """The averaged closed form evaluated one sample at a time with
+    math.exp: v is carried from knot to knot (held at 0 from below), then
+    to the sample.  Returns (v_o, (duty, phase delay) per sample, clamped)."""
+    tau = vp.r_load * vp.c_o
+
+    def advance(v, a, b):
+        duty, fst = schedule.eval(a)
+        v_inf = steady_state_vo(vp.i_ls_amp, vp.r_load, duty, fst)
+        return v_inf + (v - v_inf) * math.exp(-(b - a) / tau)
+
+    v_out, cmds, clamped = [], [], False
+    for ts in t_samples:
+        v, a = initial.v_o, initial.t
+        for b in schedule.times:
+            if a < b <= ts:
+                v = advance(v, a, b)
+                clamped |= v < -1e-6
+                v, a = max(v, 0.0), b
+        v = advance(v, a, ts)
+        clamped |= v < -1e-6
+        v_out.append(max(v, 0.0))
+        cmds.append(schedule.eval(a))
+    return v_out, cmds, clamped
+
+
+def test_one_sample_path_matches_per_sample_reference(vp):
+    rng = np.random.default_rng(2024)
+    n_clamped = 0
+    for _ in range(60):
+        n_seg = int(rng.integers(1, 6))
+        horizon = float(rng.uniform(2e-3, 20e-3))
+        times = [0.0] + sorted(rng.uniform(0.0, 1.2 * horizon,
+                                           n_seg - 1).tolist())
+        duties = rng.uniform(0.3, 0.98, n_seg).tolist()
+        fsts = rng.uniform(0.0, 0.2, n_seg).tolist()
+        sched = DutySchedule(times, duties, fsts)
+        initial = AveragedState(v_o=float(rng.uniform(0.0, 30.0)),
+                                t=float(rng.choice([0.0, 0.3 * horizon])))
+        sample_dt = horizon / float(rng.uniform(20.0, 300.0))
+        traj = integrate_averaged(initial, sched, horizon, vp,
+                                  sample_dt=sample_dt)
+        v, cmds, clamped = per_sample_reference(sched, initial, traj.t, vp)
+        assert traj.t[0] == initial.t
+        assert traj.t[-1] == initial.t + horizon
+        scale = np.maximum(np.abs(v), 1.0)
+        assert np.all(np.abs(traj.v_o - v) <= 1e-12 * scale)
+        assert list(zip(traj.duty, traj.phase_delay_norm)) == cmds
+        assert traj.clamped == clamped
+        n_clamped += clamped
+    assert n_clamped > 0  # the draw reaches the clamp

@@ -1,6 +1,7 @@
 """Config parsing, CLI exit discipline, determinism, export formats."""
 
 import hashlib
+import importlib.util
 import math
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wptrx import cli
 from wptrx.cli import _write_table, main
 from wptrx.config import parse_config, parse_config_text, parse_value
 from wptrx.errors import ConfigSyntax, MissingKey, UnknownKey
@@ -142,6 +144,28 @@ def test_cli_exit_code_numerical_failure(tmp_path, capsys):
 def test_cli_exit_code_unknown(capsys):
     assert main(["frobnicate"]) == 4
     assert main(["reproduce", "fig99"]) == 4
+
+
+@pytest.mark.parametrize("sweep", ["0.1:0.2", "0.1:0.9:0", "nan:0.5:0.1",
+                                   "0.9:0.1:0.1", "0.1:inf:0.1",
+                                   "0.1:0.9:-0.1", "0:1:1e-320", "a:b:c"])
+def test_cli_steady_rejects_malformed_sweep(sweep, tmp_path, capsys):
+    # each used to raise (exit 1) or write a header-only table (exit 0)
+    assert main(["steady", "--config", TABLE2, "--sweep", sweep,
+                 "--out", str(tmp_path)]) == 2
+    assert "sweep" in capsys.readouterr().err
+    assert not (tmp_path / "steady.csv").exists()
+
+
+def test_digest_tool_covers_every_command_and_figure():
+    # tools/table_digests.py is the byte-identity check for refactors; it
+    # must run every figure and every command the CLI has
+    spec = importlib.util.spec_from_file_location(
+        "table_digests", CONFIGS.parents[2] / "tools" / "table_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.FIGURES == cli.FIGURES
+    assert set(cli.COMMANDS) <= {argv[0] for _, argv, _ in tool.RUNS}
 
 
 def test_cli_steady_and_bode_outputs(tmp_path, capsys):

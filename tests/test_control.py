@@ -217,7 +217,8 @@ def test_discretization_matches_continuous_design(vp):
 def test_scenario_requires_minimum_duration(vp):
     with pytest.raises(Exception):
         sc = Scenario(name="tiny", duration=10 * vp.t_period,
-                      r_load=38.09, i_ls_amp=2.35, v_ref=24.0, i_ls_ff=2.35)
+                      r_load=38.09, i_ls_amp=2.35, v_ref=24.0, i_ls_ff=2.35,
+                      v_o0=24.0, initial_duty=0.6, initial_integrator=0.6)
         closed_loop_run(sc, GAINS, vp)
 
 
@@ -227,7 +228,8 @@ def test_non_finite_profile_value_is_rejected(vp_fast):
     sc = Scenario(name="nan_load", duration=200 * vp_fast.t_period,
                   r_load=step_profile(38.09, math.nan,
                                       100 * vp_fast.t_period),
-                  i_ls_amp=2.35, v_ref=24.0, i_ls_ff=2.35, v_o0=24.0)
+                  i_ls_amp=2.35, v_ref=24.0, i_ls_ff=2.35, v_o0=24.0,
+                  initial_duty=0.6, initial_integrator=0.6)
     with pytest.raises(NonPositiveParameter) as err:
         closed_loop_run(sc, GAINS, vp_fast)
     assert err.value.field == "r_load"

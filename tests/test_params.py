@@ -78,16 +78,41 @@ ENTRY_POINTS = {
         vp, OperatingPoint.pinned(0.532, 0.0672, vp.f_s, v_o=24.0), x)),
     "scenario": ("duration", lambda vp, x: Scenario(
         name="bad", duration=x, r_load=38.09, i_ls_amp=2.35, v_ref=24.0,
-        i_ls_ff=2.35)),
+        i_ls_ff=2.35, v_o0=24.0, initial_duty=0.532,
+        initial_integrator=0.532)),
     "integrate_averaged": ("horizon", lambda vp, x: integrate_averaged(
         AveragedState(v_o=0.0, t=0.0), DutySchedule.constant(0.532, 0.0672),
         x, vp)),
+    "averaged_start": ("v_o", lambda vp, x: integrate_averaged(
+        AveragedState(v_o=x, t=0.0), DutySchedule.constant(0.532, 0.0672),
+        1e-3, vp)),
+    "averaged_sample_dt": ("sample_dt", lambda vp, x: integrate_averaged(
+        AveragedState(v_o=0.0, t=0.0), DutySchedule.constant(0.532, 0.0672),
+        1e-3, vp, sample_dt=x)),
+    "schedule_time": ("segment_length", lambda vp, x: DutySchedule(
+        (0.0, 1e-3, x), (0.5, 0.55, 0.6), (0.0672,) * 3)),
+    "schedule_phase_delay": ("phase_delay_norm", lambda vp, x:
+                             DutySchedule((0.0, 1e-3), (0.5, 0.55),
+                                          (0.0672, x))),
 }
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_entry_points_reject_non_finite_values(entry, value):
+    field, call = ENTRY_POINTS[entry]
+    with pytest.raises(NonPositiveParameter) as err:
+        call(validate(table2_raw()), value)
+    assert err.value.field == field
+
+
+# finite values out of range at an entry point of ENTRY_POINTS
+@pytest.mark.parametrize("entry,value", [
+    ("averaged_start", -1e-3), ("averaged_sample_dt", -1e-3),
+    ("averaged_sample_dt", 0.0), ("schedule_time", 0.5e-3),
+    ("schedule_time", 1e-3), ("schedule_phase_delay", -0.01),
+    ("schedule_phase_delay", 0.25)])
+def test_entry_points_reject_out_of_range_values(entry, value):
     field, call = ENTRY_POINTS[entry]
     with pytest.raises(NonPositiveParameter) as err:
         call(validate(table2_raw()), value)

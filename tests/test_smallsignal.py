@@ -11,8 +11,8 @@ from wptrx.errors import NoCrossover, ZeroGainOperatingPoint
 from wptrx.params import ReceiverParams, validate
 from wptrx.simulator import (ModulationCommand, periodic_steady_state,
                              step_cycle)
-from wptrx.smallsignal import (PiGains, TransferFunction1P, bode, bode_points,
-                               design_pi, loop_margins, loop_response,
+from wptrx.smallsignal import (PiGains, bode, bode_points, design_pi,
+                               loop_margins, loop_response,
                                perturb_bode_oracle, plant_tf, switched_bode)
 
 TWO_PI = 2 * math.pi
@@ -39,7 +39,6 @@ def test_plant_tf_study_point(vp, op):
     assert tf.dc_gain == pytest.approx(-17.6336, abs=1e-3)
     assert 20 * math.log10(abs(tf.dc_gain)) == pytest.approx(24.93, abs=0.01)
     assert tf.pole_hz == pytest.approx(53.0516, abs=1e-3)
-    assert tf.integrator_count == 0
 
 
 def test_plant_tf_zero_gain_at_voltage_peak(vp):
@@ -70,12 +69,6 @@ def test_bode_single_pole_properties(vp, op):
     f_unity = tf.pole_hz * math.sqrt(tf.dc_gain ** 2 - 1.0)
     assert f_unity == pytest.approx(934.0, abs=1.0)
     assert bode(tf, [f_unity])[0].mag_db == pytest.approx(0.0, abs=1e-9)
-
-
-def test_bode_integrator_slope():
-    tf = TransferFunction1P(dc_gain=5.0, pole_hz=1e6, integrator_count=1)
-    pts = bode(tf, [0.01, 0.1])
-    assert pts[0].mag_db - pts[1].mag_db == pytest.approx(20.0, abs=1e-6)
 
 
 def test_design_pi_study_point(vp, op):

@@ -2,10 +2,10 @@
 line per file, the stdout and stderr of each command included.
 
 Runs every ``reproduce`` figure, the three ``transient`` scenarios and the
-``simulate``, ``steady``, ``bode`` and ``design`` commands against the
-``src`` tree next to this script, each in its own directory under a
-temporary root.  A refactor that must keep the outputs byte-identical is
-checked by diffing two runs:
+``simulate``, ``steady``, ``bode``, ``design`` and ``validate`` commands
+against the ``src`` tree next to this script, each in its own directory
+under a temporary root.  A refactor that must keep the outputs
+byte-identical is checked by diffing two runs:
 
     python3 tools/table_digests.py > before.txt   # on the parent commit
     python3 tools/table_digests.py > after.txt    # on the change
@@ -59,6 +59,8 @@ RUNS = (
         ("bode_printed", ["bode", "--config", TABLE2], False),
         ("design_written", ["design", "--config", TABLE2], True),
         ("design_fig7_written", ["design", "--config", FIG7], True),
+        ("validate_table2", ["validate", "--config", TABLE2], False),
+        ("validate_fig7", ["validate", "--config", FIG7], False),
     ])
 
 
