@@ -197,11 +197,11 @@ def solve_operating_point(params: ValidatedParams, duty: float,
     what the feedforward path of the controller computes; ``exact=True``
     switches to the cosine-equation root for oracle comparisons.
 
-    Raises NoConvergence after 100 iterations and propagates
-    CommutationImpossible from the exact solver.
+    Raises NonPositiveParameter for a duty outside (0, 1), NoConvergence
+    after 100 iterations, and propagates CommutationImpossible from the
+    exact solver.
     """
-    if not (0.0 < duty < 1.0):
-        raise DutyOutOfBounds(f"duty {duty!r} outside (0, 1)")
+    require_positive(below=1.0, duty=duty)
     if params.i_ls_amp == 0.0:
         return OperatingPoint(duty=duty, t_f=0.0, v_o=0.0,
                               phase_delay_norm=0.0, regulable=False)

@@ -62,12 +62,9 @@ class DutySchedule:
         for a, b in zip(times, times[1:]):
             require_positive(segment_length=b - a)
         for d, fst in zip(duties, fsts):
-            if not (0.0 < d < 1.0):
-                raise NonPositiveParameter("duty (must lie in (0,1))", d)
-            require_positive(allow_zero=True, phase_delay_norm=fst)
-            if fst >= PHASE_DELAY_MAX:
-                raise NonPositiveParameter("phase_delay_norm", fst,
-                                           f"< {PHASE_DELAY_MAX:g}")
+            require_positive(below=1.0, duty=d)
+            require_positive(allow_zero=True, below=PHASE_DELAY_MAX,
+                             phase_delay_norm=fst)
         self.times = tuple(float(t) for t in times)
         self.duties = tuple(float(d) for d in duties)
         self.fsts = tuple(float(x) for x in fsts)

@@ -25,8 +25,7 @@ from .analytic import (OperatingPoint, duty_for_target_vo, fall_time_exact,
 from .config import RunConfig, parse_config, parse_config_text
 from .control import closed_loop_run, feedforward_tf
 from .errors import (ArccosDomain, CommutationImpossible, ConfigError,
-                     DutyOutOfBounds, EmptyDutyRange, GateOverrun,
-                     InvalidDuty, NoConvergence, NoCrossover,
+                     EmptyDutyRange, GateOverrun, NoConvergence, NoCrossover,
                      NonPeriodicWindow, NonPositiveParameter, UnknownFigure,
                      ZeroGainOperatingPoint)
 from .params import (min_output_cap, ripple_estimate, size_inductor,
@@ -37,9 +36,8 @@ from .smallsignal import bode, bode_points, design_pi, loop_margins, \
     loop_response, perturb_bode_oracle, plant_tf
 
 _NUMERIC_ERRORS = (NoConvergence, CommutationImpossible, ArccosDomain,
-                   DutyOutOfBounds, EmptyDutyRange, NoCrossover,
-                   ZeroGainOperatingPoint, GateOverrun, InvalidDuty,
-                   NonPeriodicWindow)
+                   EmptyDutyRange, NoCrossover, ZeroGainOperatingPoint,
+                   GateOverrun, NonPeriodicWindow)
 
 # Figure-table grids are frozen so outputs stay byte-stable.
 _BODE_GRID = tuple(10.0 * 10.0 ** (k / 30.0) for k in range(91))
@@ -52,6 +50,13 @@ _FIG20_LOAD = 120.0
 _FIG20_AMPS = (1.0, 1.85)   # peak amplitudes of the 2 -> 3.7 A pk-pk ramp
 _WAVE_RATE_PER_CYCLE = 256
 _PROTOTYPE_DUTY = 0.532    # where neither argv nor the config gives a duty
+# the prototype's measured switch-voltage fall delay f_s*t_f: fig13 and
+# fig14 capture at it where the config gives no phase_delay_norm
+_MEASURED_FST = 0.0672
+# fig5_summary solves the operating point at optimal_duty(_FIG5_FST) =
+# 0.4239, near the peak of table2's with-caps curve (D ~ 0.4195), and
+# reports the capacitor voltage drop at that point's own delay
+_FIG5_FST = 0.0761
 
 
 def _cell_format(x) -> str:
@@ -111,9 +116,7 @@ def _nominal_op(vp, rc: RunConfig) -> OperatingPoint:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args) -> int:
-    rc = parse_config(args.config)
-    vp = validate(rc.params)
+def cmd_validate(args, rc, vp) -> int:
     for name, unit in (("l_s", "H"), ("c_s", "F"), ("c_s1", "F"),
                        ("c_d1", "F"), ("c_o", "F"), ("r_load", "ohm"),
                        ("f_s", "Hz"), ("i_ls_amp", "A"), ("omega", "rad/s"),
@@ -124,9 +127,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_design(args) -> int:
-    rc = parse_config(args.config)
-    vp = validate(rc.params)
+def cmd_design(args, rc, vp) -> int:
     rows = []
     if vp.r_ls_esr > 0:
         ls_min = size_inductor(args.q, vp.r_ls_esr, vp.f_s)
@@ -153,9 +154,7 @@ def cmd_design(args) -> int:
     return 0
 
 
-def cmd_steady(args) -> int:
-    rc = parse_config(args.config)
-    vp = validate(rc.params)
+def cmd_steady(args, rc, vp) -> int:
     if args.sweep:
         duties = args.sweep
     elif args.duty is not None:
@@ -163,7 +162,8 @@ def cmd_steady(args) -> int:
     elif rc.duty is not None:
         duties = [rc.duty]
     else:
-        raise InvalidDuty("no duty given: use --duty or --sweep")
+        raise ConfigError("no duty given: use --duty or --sweep, or set "
+                          "the config key 'duty'")
     rows = []
     for d in duties:
         op = solve_operating_point(vp, d, exact=args.exact)
@@ -173,9 +173,7 @@ def cmd_steady(args) -> int:
     return 0
 
 
-def cmd_bode(args) -> int:
-    rc = parse_config(args.config)
-    vp = validate(rc.params)
+def cmd_bode(args, rc, vp) -> int:
     _write_bode(args.out or None, "bode.csv",
                 bode(plant_tf(vp, _nominal_op(vp, rc)), _BODE_GRID))
     return 0
@@ -186,9 +184,7 @@ def _write_bode(out, name: str, pts) -> None:
                  [(p.f_hz, p.mag_db, p.phase_deg) for p in pts])
 
 
-def cmd_simulate(args) -> int:
-    rc = parse_config(args.config)
-    vp = validate(rc.params)
+def cmd_simulate(args, rc, vp) -> int:
     duty = args.duty if args.duty is not None else \
         (rc.duty if rc.duty is not None else _PROTOTYPE_DUTY)
     op = solve_operating_point(vp, duty, exact=True)
@@ -253,9 +249,7 @@ def _closed_loop_table(out, name: str, sc, p, rc: RunConfig):
     return rec
 
 
-def cmd_transient(args) -> int:
-    rc = parse_config(args.config)
-    vp = validate(rc.params)
+def cmd_transient(args, rc, vp) -> int:
     sc, p = _SCENARIOS[args.scenario](vp, rc)
     rec = _closed_loop_table(args.out, f"{sc.name}.csv", sc, p, rc)
     print(f"final = {rec.final_value:.4f} V, settle = {rec.settling_time:.6g} s, "
@@ -268,8 +262,7 @@ def cmd_transient(args) -> int:
 # figure reproduction
 # ---------------------------------------------------------------------------
 
-def _fig4a(out, rc):
-    vp = validate(rc.params)
+def _fig4a(out, rc, vp):
     rows = []
     for row in averaged.vo_vs_duty_curve(vp, _FIG4A_LOADS, _duty_grid()):
         rows.append((row.r_load, row.duty, row.v_o, row.regulable))
@@ -278,8 +271,7 @@ def _fig4a(out, rc):
     return ["fig4a.csv"]
 
 
-def _fig5(out, rc):
-    vp = validate(rc.params)
+def _fig5(out, rc, vp):
     rows = []
     for d in _duty_grid():
         ideal = steady_state_vo(vp.i_ls_amp, vp.r_load, d, 0.0)
@@ -287,7 +279,7 @@ def _fig5(out, rc):
         rows.append((d, ideal, op.v_o))
     _write_table(out, "fig5.csv",
                  "duty,v_o_ideal,v_o_with_caps", rows)
-    op_pk = solve_operating_point(vp, analytic.optimal_duty(0.0761))
+    op_pk = solve_operating_point(vp, analytic.optimal_duty(_FIG5_FST))
     drop = analytic.resonant_cap_voltage_drop(vp.i_ls_amp, vp.r_load,
                                               op_pk.phase_delay_norm)
     _write_table(out, "fig5_summary.csv",
@@ -296,8 +288,7 @@ def _fig5(out, rc):
     return ["fig5.csv", "fig5_summary.csv"]
 
 
-def _fig7(out, rc):
-    vp = validate(rc.params)
+def _fig7(out, rc, vp):
     op = _nominal_op(vp, rc)
     _write_bode(out, "fig7_analytic.csv", bode(plant_tf(vp, op), _BODE_GRID))
     _write_bode(out, "fig7_oracle.csv",
@@ -305,8 +296,7 @@ def _fig7(out, rc):
     return ["fig7_analytic.csv", "fig7_oracle.csv"]
 
 
-def _fig9(out, rc):
-    vp = validate(rc.params)
+def _fig9(out, rc, vp):
     op = _nominal_op(vp, rc)
     plant = plant_tf(vp, op)
     gains = design_pi(vp, op, rc.f_c)
@@ -320,27 +310,26 @@ def _fig9(out, rc):
     return ["fig9.csv"]
 
 
-def _steady_va_run(rc, n_capture: int):
+def _steady_va_run(rc, vp, n_capture: int):
     """Run on the periodic steady state at the prototype operating point
-    (measured delay): (params, RunResult, its sampled Waveform)."""
-    vp = validate(rc.params)
+    (measured delay): (RunResult, its sampled Waveform)."""
     duty = rc.duty if rc.duty is not None else _PROTOTYPE_DUTY
-    fst = rc.phase_delay_norm if rc.phase_delay_norm is not None else 0.0672
+    fst = _MEASURED_FST if rc.phase_delay_norm is None else rc.phase_delay_norm
     _, cap, wave = _orbit_capture(
         vp, ModulationCommand(duty, fst / vp.f_s),
         solve_operating_point(vp, duty).v_o, n_capture,
         _WAVE_RATE_PER_CYCLE * vp.f_s)
-    return vp, cap, wave
+    return cap, wave
 
 
-def _fig13(out, rc):
-    _, cap, wave = _steady_va_run(rc, 4)
+def _fig13(out, rc, vp):
+    cap, wave = _steady_va_run(rc, vp, 4)
     _write_capture(out, "fig13.csv", "fig13_events.csv", cap.pieces, wave)
     return ["fig13.csv", "fig13_events.csv"]
 
 
-def _fig14(out, rc):
-    vp, _, wave = _steady_va_run(rc, 32)
+def _fig14(out, rc, vp):
+    _, wave = _steady_va_run(rc, vp, 32)
     files = []
     summary = []
     for channel in ("v_cd1", "i_ls"):
@@ -357,10 +346,9 @@ def _fig14(out, rc):
     return files + ["fig14_summary.csv"]
 
 
-def _fig17(out, rc):
-    vp = validate(rc.params).with_load(_FIG17_LOAD)
-    rows = scenarios.coupling_sweep(vp, rc.v_ref, _FIG17_FF_AMP,
-                                    _FIG17_AMPS, f_c=rc.f_c)
+def _fig17(out, rc, vp):
+    rows = scenarios.coupling_sweep(vp.with_load(_FIG17_LOAD), rc.v_ref,
+                                    _FIG17_FF_AMP, _FIG17_AMPS, f_c=rc.f_c)
     _write_table(out, "fig17.csv",
                  "i_ls_amp,v_o_steady,reg_error,duty,zvs_fraction,"
                  "zcs_fraction",
@@ -370,16 +358,15 @@ def _fig17(out, rc):
     return ["fig17.csv"]
 
 
-def _fig19(out, rc):
-    vp = validate(rc.params)
+def _fig19(out, rc, vp):
     sc = scenarios.load_step_scenario(vp, rc.v_ref, rc.feedforward_amp,
                                       r_low=36.0)
     _closed_loop_table(out, "fig19.csv", sc, vp, rc)
     return ["fig19.csv"]
 
 
-def _fig20(out, rc):
-    sc, p = _source_ramp(validate(rc.params), rc)
+def _fig20(out, rc, vp):
+    sc, p = _source_ramp(vp, rc)
     _closed_loop_table(out, "fig20.csv", sc, p, rc)
     return ["fig20.csv"]
 
@@ -410,15 +397,9 @@ plt.show()
 '''
 
 
-def cmd_reproduce(args) -> int:
-    if args.figure not in FIGURES:
-        raise UnknownFigure(f"unknown figure {args.figure!r}; supported: "
-                            + ", ".join(FIGURES))
-    builder, cfg_name = _FIG_BUILDERS[args.figure]
-    rc = parse_config(args.config) if args.config else \
-        _builtin_config(cfg_name)
+def cmd_reproduce(args, rc, vp) -> int:
     os.makedirs(args.out, exist_ok=True)
-    files = builder(args.out, rc)
+    files = _FIG_BUILDERS[args.figure][0](args.out, rc, vp)
     with open(os.path.join(args.out, "plot_tables.py"), "w",
               newline="\n") as fh:
         fh.write(_PLOT_HELPER)
@@ -496,7 +477,14 @@ def main(argv=None) -> int:
     except SystemExit:
         return 2
     try:
-        return _HANDLERS[command](args)
+        if command == "reproduce" and args.figure not in FIGURES:
+            raise UnknownFigure(f"unknown figure {args.figure!r}; supported: "
+                                + ", ".join(FIGURES))
+        if command == "reproduce" and not args.config:
+            rc = _builtin_config(_FIG_BUILDERS[args.figure][1])
+        else:
+            rc = parse_config(args.config)
+        return _HANDLERS[command](args, rc, validate(rc.params))
     except (ConfigError, NonPositiveParameter, FileNotFoundError,
             IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

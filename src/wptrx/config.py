@@ -7,12 +7,12 @@ silently fall back to a default.
 """
 
 from dataclasses import MISSING, dataclass, fields
+import math
 import re
 from typing import Optional
 
 from .analytic import PHASE_DELAY_MAX
-from .errors import (ConfigSyntax, MissingKey, NonPositiveParameter,
-                     UnknownKey)
+from .errors import ConfigSyntax, MissingKey, UnknownKey
 from .params import ReceiverParams, require_positive
 
 _PREFIX = {"n": 1e-9, "u": 1e-6, "m": 1e-3, "k": 1e3, "M": 1e6}
@@ -23,8 +23,11 @@ _VALUE_RE = re.compile(
 _PARAM_KEYS = tuple(f.name for f in fields(ReceiverParams))
 _REQUIRED = tuple(f.name for f in fields(ReceiverParams)
                   if f.default is MISSING)
-KNOWN_KEYS = _PARAM_KEYS + ("v_ref", "f_c", "i_ls_ff", "duty",
-                            "phase_delay_norm")
+# the controller and run keys: (zero allowed, exclusive upper bound)
+_RUN_KEY_RANGES = {"v_ref": (True, math.inf), "f_c": (False, math.inf),
+                   "i_ls_ff": (False, math.inf), "duty": (False, 1.0),
+                   "phase_delay_norm": (True, PHASE_DELAY_MAX)}
+KNOWN_KEYS = _PARAM_KEYS + tuple(_RUN_KEY_RANGES)
 
 
 @dataclass(frozen=True)
@@ -74,13 +77,9 @@ def parse_config_text(text: str) -> RunConfig:
     for key in _REQUIRED:
         if key not in seen:
             raise MissingKey(key)
-    require_positive(allow_zero=True, v_ref=seen.get("v_ref", 0.0),
-                     phase_delay_norm=seen.get("phase_delay_norm", 0.0))
-    require_positive(**{k: seen[k] for k in ("f_c", "i_ls_ff", "duty")
-                        if k in seen})
-    for key, upper in (("duty", 1.0), ("phase_delay_norm", PHASE_DELAY_MAX)):
-        if seen.get(key, 0.0) >= upper:
-            raise NonPositiveParameter(key, seen[key], f"< {upper:g}")
+    for key, (allow_zero, below) in _RUN_KEY_RANGES.items():
+        if key in seen:
+            require_positive(allow_zero, below, **{key: seen[key]})
     return RunConfig(
         params=ReceiverParams(**{k: seen[k] for k in _PARAM_KEYS
                                  if k in seen}),

@@ -116,7 +116,12 @@ class Scenario:
     initial_integrator: float
 
     def __post_init__(self):
-        require_positive(duration=self.duration)
+        require_positive(duration=self.duration, i_ls_ff=self.i_ls_ff)
+        require_positive(allow_zero=True, v_o0=self.v_o0)
+        require_positive(below=1.0, initial_duty=self.initial_duty)
+        if not math.isfinite(self.initial_integrator):
+            raise NonPositiveParameter("initial_integrator",
+                                       self.initial_integrator, "finite")
 
 
 @dataclass
@@ -187,12 +192,10 @@ def _summarize(scenario, t_arr, v_samp, v_mean, duty_arr,
     n_tail = max(1, len(v_mean) // 20)
     final = float(np.mean(v_mean[-n_tail:]))
     band = 0.01 * abs(final) if final != 0.0 else 0.01
-    inside = np.abs(v_mean - final) <= band
-    settling = float("nan")
-    for k in range(len(inside)):
-        if inside[k:].all():
-            settling = float(t_arr[k])
-            break
+    # the cycle after the last one outside the band; none if it is the last
+    outside = np.flatnonzero(~(np.abs(v_mean - final) <= band))
+    k = outside[-1] + 1 if len(outside) else 0
+    settling = float(t_arr[k]) if k < len(t_arr) else float("nan")
     v_ref_end = _eval_profile(scenario.v_ref, float(t_arr[-1]))
     error = abs(final - v_ref_end)
     # regulation failure: the loop never pulled the tail near the reference

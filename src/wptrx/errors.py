@@ -25,7 +25,8 @@ class ArccosDomain(WptrxError):
 
 
 class DutyOutOfBounds(WptrxError):
-    """Duty ratio outside the regulable window."""
+    """Duty ratio outside the regulable window at its phase delay.  A duty
+    outside (0, 1) is a NonPositiveParameter naming ``duty``."""
 
 
 class EmptyDutyRange(WptrxError):
@@ -43,10 +44,6 @@ class ZeroGainOperatingPoint(WptrxError):
 
 class NoCrossover(WptrxError):
     """Open-loop magnitude never reaches unity."""
-
-
-class InvalidDuty(WptrxError):
-    """Commanded duty ratio outside (0, 1)."""
 
 
 class GateOverrun(WptrxError):

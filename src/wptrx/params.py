@@ -111,15 +111,18 @@ def validate(raw: ReceiverParams) -> ValidatedParams:
     )
 
 
-def require_positive(allow_zero: bool = False, **values: float) -> None:
+def require_positive(allow_zero: bool = False, below: float = math.inf,
+                     **values: float) -> None:
     """The one range check for values entering the toolkit: raise
     NonPositiveParameter naming the first value that is not finite and > 0
-    (>= 0 with ``allow_zero``).  NaN and +-inf are always rejected."""
+    (>= 0 with ``allow_zero``) and < ``below``.  NaN and +-inf are always
+    rejected."""
     for name, value in values.items():
-        if not math.isfinite(value) or value < 0.0 or \
-                (value == 0.0 and not allow_zero):
-            raise NonPositiveParameter(name, value,
-                                       ">= 0" if allow_zero else "> 0")
+        if not (math.isfinite(value) and value < below and
+                (value > 0.0 or allow_zero and value == 0.0)):
+            lower = ">= 0" if allow_zero else "> 0"
+            raise NonPositiveParameter(name, value, lower if below == math.inf
+                                       else f"{lower} and < {below:g}")
 
 
 def size_inductor(q_target: float, r_esr: float, f_s: float) -> float:
@@ -163,10 +166,8 @@ def min_output_cap(i_ls_amp: float, ripple_frac: float, v_o: float,
     Returns:
         Capacitance (F).
     """
-    require_positive(i_ls_amp=i_ls_amp, ripple_frac=ripple_frac, v_o=v_o,
-                     f_s=f_s)
-    if ripple_frac >= 1.0:
-        raise NonPositiveParameter("ripple_frac (must be < 1)", ripple_frac)
+    require_positive(i_ls_amp=i_ls_amp, v_o=v_o, f_s=f_s)
+    require_positive(below=1.0, ripple_frac=ripple_frac)
     return i_ls_amp / (ripple_frac * v_o * math.pi * f_s)
 
 

@@ -33,24 +33,19 @@ NO_LOAD_RESISTANCE = 10e3
 SWEEP_CYCLES = 3000
 
 
+def equilibrium_op(params: ValidatedParams, v_ref: float,
+                   i_ls_ff: float) -> OperatingPoint:
+    """Where the loop sits in steady state: v_ref at the feedforward phase
+    delay, pinned, with the duty that produces it."""
+    fst = params.f_s * feedforward_tf(v_ref, i_ls_ff, params)
+    duty = duty_for_target_vo(params.i_ls_amp, params.r_load, v_ref, fst)
+    return OperatingPoint.pinned(duty, fst, params.f_s, v_o=v_ref)
+
+
 def design_gains(params: ValidatedParams, v_ref: float, i_ls_ff: float,
                  f_c: float) -> PiGains:
-    """PI gains at the nominal regulated operating point.
-
-    The design point is the duty that produces v_ref with the feedforward
-    phase delay, i.e. exactly where the loop will sit in steady state.
-    """
-    fst = params.f_s * feedforward_tf(v_ref, i_ls_ff, params)
-    op = OperatingPoint.pinned(equilibrium_duty(params, v_ref, i_ls_ff), fst,
-                               params.f_s, v_o=v_ref)
-    return design_pi(params, op, f_c)
-
-
-def equilibrium_duty(params: ValidatedParams, v_ref: float,
-                     i_ls_ff: float) -> float:
-    """Steady-state duty for v_ref under the scenario's feedforward delay."""
-    fst = params.f_s * feedforward_tf(v_ref, i_ls_ff, params)
-    return duty_for_target_vo(params.i_ls_amp, params.r_load, v_ref, fst)
+    """PI gains at the regulated operating point, ``equilibrium_op``."""
+    return design_pi(params, equilibrium_op(params, v_ref, i_ls_ff), f_c)
 
 
 def startup_scenario(params: ValidatedParams, v_ref: float, i_ls_ff: float,
@@ -70,8 +65,8 @@ def load_step_scenario(params: ValidatedParams, v_ref: float, i_ls_ff: float,
     Starts warm at the unloaded equilibrium so the record isolates the
     step response.
     """
-    d0 = equilibrium_duty(params.with_load(NO_LOAD_RESISTANCE), v_ref,
-                          i_ls_ff)
+    d0 = equilibrium_op(params.with_load(NO_LOAD_RESISTANCE), v_ref,
+                        i_ls_ff).duty
     return Scenario(name="load_step", duration=duration,
                     r_load=step_profile(NO_LOAD_RESISTANCE, r_low, t_step),
                     i_ls_amp=params.i_ls_amp, v_ref=v_ref, i_ls_ff=i_ls_ff,
@@ -83,7 +78,7 @@ def source_ramp_scenario(params: ValidatedParams, v_ref: float,
                          t_ramp_start: float = 5e-3, ramp_len: float = 10e-3,
                          duration: float = 30e-3) -> Scenario:
     """Source-amplitude ramp (coupling drift) at fixed load and reference."""
-    d0 = equilibrium_duty(params.with_amplitude(i_start), v_ref, i_ls_ff)
+    d0 = equilibrium_op(params.with_amplitude(i_start), v_ref, i_ls_ff).duty
     return Scenario(name="source_ramp", duration=duration,
                     r_load=params.r_load,
                     i_ls_amp=ramp_profile(i_start, i_stop, t_ramp_start,
@@ -114,14 +109,13 @@ def coupling_sweep(params: ValidatedParams, v_ref: float, i_ls_ff: float,
     rows = []
     for i_amp in amplitudes:
         p_i = params.with_amplitude(i_amp)
-        g = design_gains(p_i, v_ref, i_ls_ff, f_c)
-        d0 = equilibrium_duty(p_i, v_ref, i_ls_ff)
+        op = equilibrium_op(p_i, v_ref, i_ls_ff)
         sc = Scenario(name=f"sweep_{i_amp:g}",
                       duration=SWEEP_CYCLES * params.t_period,
                       r_load=params.r_load, i_ls_amp=i_amp, v_ref=v_ref,
-                      i_ls_ff=i_ls_ff, v_o0=v_ref, initial_duty=d0,
-                      initial_integrator=d0)
-        rec = closed_loop_run(sc, g, p_i)
+                      i_ls_ff=i_ls_ff, v_o0=v_ref, initial_duty=op.duty,
+                      initial_integrator=op.duty)
+        rec = closed_loop_run(sc, design_pi(p_i, op, f_c), p_i)
         tail = max(1, len(rec.v_o_mean) // 5)
         v_tail = float(rec.v_o_mean[-tail:].mean())
         rep = soft_switching_report(rec.diagnostics)

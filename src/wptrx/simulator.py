@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analytic import TWO_PI
-from .errors import GateOverrun, InvalidDuty, NoConvergence, NonPeriodicWindow
+from .errors import GateOverrun, NoConvergence, NonPeriodicWindow
 from .params import ValidatedParams, require_positive
 from .rootfind import bisect_root
 
@@ -324,13 +324,12 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
                params: ValidatedParams, t_start: float = 0.0) -> tuple:
     """Advance exactly one carrier period.
 
-    Returns (next_state, CycleDiagnostics, CyclePiece).  Raises InvalidDuty
-    for duty outside (0, 1), NonPositiveParameter for a negative or
+    Returns (next_state, CycleDiagnostics, CyclePiece).  Raises
+    NonPositiveParameter for a duty outside (0, 1) or a negative or
     non-finite gate delay, and GateOverrun when the gate-off edge would pass
     the end of the period.
     """
-    if not (0.0 < cmd.duty < 1.0):
-        raise InvalidDuty(f"duty {cmd.duty!r} outside (0, 1)")
+    require_positive(below=1.0, duty=cmd.duty)
     require_positive(allow_zero=True, t_f=cmd.t_f)
 
     ts = params.t_period

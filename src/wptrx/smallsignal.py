@@ -78,20 +78,26 @@ class BodePoint:
     phase_deg: float
 
 
-def plant_tf(params: ValidatedParams, op) -> TransferFunction1P:
-    """Duty-to-output small-signal plant at an operating point.
-
-    dc_gain = |I| * R * sin(2*pi*D + 2*pi*f_s*t_f),  pole at 1/(2*pi*R*C_o).
-    Raises ZeroGainOperatingPoint at the voltage maximum (sin = 0), where
-    the output is uncontrollable to first order.
-    """
+def _gain_sine(op) -> float:
+    """sin(2*pi*D + 2*pi*f_s*t_f), the operating point's factor of the
+    plant gain.  Raises ZeroGainOperatingPoint at the voltage maximum
+    (sin = 0), where the output is uncontrollable to first order."""
     s = math.sin(TWO_PI * op.duty + TWO_PI * op.phase_delay_norm)
     if abs(s) < _ZERO_GAIN_TOL:
         raise ZeroGainOperatingPoint(
             f"sin(2*pi*(D + f_s*t_f)) = {s:.3g} at D = {op.duty}; "
             "operating point sits at the output-voltage maximum")
+    return s
+
+
+def plant_tf(params: ValidatedParams, op) -> TransferFunction1P:
+    """Duty-to-output small-signal plant at an operating point.
+
+    dc_gain = |I| * R * sin(2*pi*D + 2*pi*f_s*t_f),  pole at 1/(2*pi*R*C_o).
+    Raises ZeroGainOperatingPoint at the voltage maximum (sin = 0).
+    """
     return TransferFunction1P(
-        dc_gain=params.i_ls_amp * params.r_load * s,
+        dc_gain=params.i_ls_amp * params.r_load * _gain_sine(op),
         pole_hz=1.0 / (TWO_PI * params.r_load * params.c_o))
 
 
@@ -118,14 +124,11 @@ def design_pi(params: ValidatedParams, op, f_c: float) -> PiGains:
 
     k_p = 2*pi*f_c*C_o / (|I| * sin(2*pi*D + 2*pi*f_s*t_f)),
     k_i = k_p / (R*C_o).  Saturation bounds come from the admissible duty
-    window at the operating point's phase delay.
+    window at the operating point's phase delay.  Raises
+    ZeroGainOperatingPoint at the voltage maximum (sin = 0).
     """
     require_positive(f_c=f_c)
-    s = math.sin(TWO_PI * op.duty + TWO_PI * op.phase_delay_norm)
-    if abs(s) < _ZERO_GAIN_TOL:
-        raise ZeroGainOperatingPoint(
-            f"cannot place a crossover: plant gain vanishes at D = {op.duty}")
-    k_p = TWO_PI * f_c * params.c_o / (params.i_ls_amp * s)
+    k_p = TWO_PI * f_c * params.c_o / (params.i_ls_amp * _gain_sine(op))
     k_i = k_p / (params.r_load * params.c_o)
     d_min, d_max = duty_bounds(op.phase_delay_norm)
     return PiGains(k_p=k_p, k_i=k_i, d_min=d_min, d_max=d_max)

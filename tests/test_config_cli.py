@@ -112,6 +112,26 @@ def test_cli_rejects_out_of_range_operating_point(key, value, tmp_path,
         assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["steady", "--duty", "2"], ["steady", "--duty", "nan"],
+    ["steady", "--duty", "inf"], ["steady", "--sweep", "0.5:1.5:0.5"],
+    ["simulate", "--duty", "1.5", "--cycles", "5"], ["steady"]])
+def test_cli_rejects_out_of_range_duty_flags(argv, tmp_path, capsys):
+    # a duty outside (0, 1) is a configuration error wherever it comes
+    # from; these flags used to exit 3 as a numerical failure
+    text = "".join(ln + "\n" for ln in Path(TABLE2).read_text().splitlines()
+                   if not ln.startswith("duty "))
+    cfg = tmp_path / "no_duty.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "duty" in err
+    if argv == ["steady"]:  # neither the flags nor the config give one
+        assert "--duty" in err and "--sweep" in err
+    assert not out.exists()
+
+
 def test_cli_simulate_rejects_zero_cycles(tmp_path, capsys):
     # a cycle count is a usage error (2), not a numerical failure (3)
     assert main(["simulate", "--config", TABLE2, "--cycles", "0",

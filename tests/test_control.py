@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from wptrx import control
 from wptrx.analytic import fall_time_exact, phase_angle
 from wptrx.control import (ControllerState, Scenario, closed_loop_run,
                            feedforward_tf, pi_update, step_profile)
 from wptrx.errors import GateOverrun, NonPositiveParameter
 from wptrx.params import ReceiverParams, validate
-from wptrx.scenarios import design_gains, equilibrium_duty
+from wptrx.scenarios import design_gains, equilibrium_op
 from wptrx.simulator import ModulationCommand, SwitchCycleState, step_cycle
 from wptrx.smallsignal import PiGains
 
@@ -136,8 +137,8 @@ def test_duty_stays_admissible_everywhere(vp_fast):
                   i_ls_amp=vp_fast.i_ls_amp,
                   v_ref=step_profile(24.0, 21.0, 14e-3), i_ls_ff=2.35,
                   v_o0=24.0,
-                  initial_duty=equilibrium_duty(vp_fast, 24.0, 2.35),
-                  initial_integrator=equilibrium_duty(vp_fast, 24.0, 2.35))
+                  initial_duty=equilibrium_op(vp_fast, 24.0, 2.35).duty,
+                  initial_integrator=equilibrium_op(vp_fast, 24.0, 2.35).duty)
     rec = closed_loop_run(sc, gains, vp_fast)
     assert not rec.regulation_failed
     assert np.min(rec.duty) >= gains.d_min
@@ -152,7 +153,7 @@ def test_antiwindup_recovery_is_prompt(vp_fast):
     # integrator would hold the pin for thousands of cycles past the
     # reversal.
     gains = design_gains(vp_fast, 24.0, 2.35, 1000.0)
-    d0 = equilibrium_duty(vp_fast, 24.0, 2.35)
+    d0 = equilibrium_op(vp_fast, 24.0, 2.35).duty
     sc = Scenario(name="down_step", duration=30e-3,
                   r_load=vp_fast.r_load, i_ls_amp=vp_fast.i_ls_amp,
                   v_ref=step_profile(24.0, 20.5, 2e-3), i_ls_ff=2.35,
@@ -196,7 +197,7 @@ def test_discretization_matches_continuous_design(vp):
     # first-order response within 2% RMS of the step size
     f_c = 500.0
     gains = design_gains(vp, 24.0, 2.35, f_c)
-    d0 = equilibrium_duty(vp, 24.0, 2.35)
+    d0 = equilibrium_op(vp, 24.0, 2.35).duty
     t_step = 2e-3
     dv = 0.02  # small enough that the duty never saturates
     sc = Scenario(name="small_step", duration=6e-3,
@@ -233,3 +234,22 @@ def test_non_finite_profile_value_is_rejected(vp_fast):
     with pytest.raises(NonPositiveParameter) as err:
         closed_loop_run(sc, GAINS, vp_fast)
     assert err.value.field == "r_load"
+
+
+@pytest.mark.parametrize("case,k_settle", [
+    ("never", None), ("at_once", 0), ("late", 30)])
+def test_settling_time_is_the_cycle_after_the_last_out_of_band(case,
+                                                               k_settle):
+    # +-1% band around the mean of the last 5 of 100 cycles
+    v_mean = {"never": np.append(np.ones(99), 2.0),
+              "at_once": np.ones(100),
+              "late": np.append(np.full(30, 5.0), np.ones(70))}[case]
+    t = np.arange(100) * 1e-3
+    sc = Scenario(name=case, duration=0.1, r_load=38.09, i_ls_amp=2.35,
+                  v_ref=1.0, i_ls_ff=2.35, v_o0=1.0, initial_duty=0.6,
+                  initial_integrator=0.6)
+    rec = control._summarize(sc, t, v_mean, v_mean, np.full(100, 0.6), [])
+    if k_settle is None:
+        assert math.isnan(rec.settling_time)
+    else:
+        assert rec.settling_time == t[k_settle]

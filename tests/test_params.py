@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from wptrx.analytic import (OperatingPoint, fall_time_approx,
-                            fall_time_exact, resonant_cap_voltage_drop)
+                            fall_time_exact, resonant_cap_voltage_drop,
+                            solve_operating_point)
 from wptrx.averaged import AveragedState, DutySchedule, integrate_averaged
+from wptrx.config import parse_config_text
 from wptrx.control import Scenario, feedforward_tf
 from wptrx.errors import NonPositiveParameter
 from wptrx.params import (ReceiverParams, min_output_cap, ripple_estimate,
                           size_inductor, size_series_cap, validate)
+from wptrx.simulator import ModulationCommand, SwitchCycleState, step_cycle
 from wptrx.smallsignal import design_pi
 
 
@@ -63,6 +66,14 @@ def test_copies_reject_non_finite_values(value):
     assert vp.with_amplitude(0.0).i_ls_amp == 0.0
 
 
+def table2_scenario(**overrides) -> Scenario:
+    base = dict(name="bad", duration=0.1, r_load=38.09, i_ls_amp=2.35,
+                v_ref=24.0, i_ls_ff=2.35, v_o0=24.0, initial_duty=0.532,
+                initial_integrator=0.532)
+    base.update(overrides)
+    return Scenario(**base)
+
+
 # (field named in the error, call with the bad value x on the table2 point)
 ENTRY_POINTS = {
     "fall_time_approx": ("v_o", lambda vp, x: fall_time_approx(vp, x)),
@@ -80,6 +91,11 @@ ENTRY_POINTS = {
         name="bad", duration=x, r_load=38.09, i_ls_amp=2.35, v_ref=24.0,
         i_ls_ff=2.35, v_o0=24.0, initial_duty=0.532,
         initial_integrator=0.532)),
+    "scenario_start": ("v_o0", lambda vp, x: table2_scenario(v_o0=x)),
+    "scenario_integrator": ("initial_integrator", lambda vp, x:
+                            table2_scenario(initial_integrator=x)),
+    "scenario_feedforward": ("i_ls_ff", lambda vp, x:
+                             table2_scenario(i_ls_ff=x)),
     "integrate_averaged": ("horizon", lambda vp, x: integrate_averaged(
         AveragedState(v_o=0.0, t=0.0), DutySchedule.constant(0.532, 0.0672),
         x, vp)),
@@ -111,11 +127,44 @@ def test_entry_points_reject_non_finite_values(entry, value):
     ("averaged_start", -1e-3), ("averaged_sample_dt", -1e-3),
     ("averaged_sample_dt", 0.0), ("schedule_time", 0.5e-3),
     ("schedule_time", 1e-3), ("schedule_phase_delay", -0.01),
-    ("schedule_phase_delay", 0.25)])
+    ("schedule_phase_delay", 0.25), ("scenario_start", -5.0),
+    ("scenario_feedforward", 0.0), ("scenario_feedforward", -1.0)])
 def test_entry_points_reject_out_of_range_values(entry, value):
     field, call = ENTRY_POINTS[entry]
     with pytest.raises(NonPositiveParameter) as err:
         call(validate(table2_raw()), value)
+    assert err.value.field == field
+
+
+_TABLE2_RECEIVER = ("l_s = 172u\nc_s = 3.63n\nc_s1 = 4.5n\nc_d1 = 4.5n\n"
+                    "c_o = 1000u\nr_load = 38.09\nf_s = 200k\n"
+                    "i_ls_amp = 2.35\n")
+
+# every place a duty enters, Scenario.initial_duty included: (field named
+# in the error, call with duty d)
+DUTY_ENTRY_POINTS = {
+    # a config spells inf as an overflowing literal
+    "config": ("duty", lambda vp, d: parse_config_text(
+        _TABLE2_RECEIVER + f"duty = {'1e999' if d == math.inf else d}\n")),
+    "schedule": ("duty", lambda vp, d: DutySchedule.constant(d, 0.0672)),
+    "step_cycle": ("duty", lambda vp, d: step_cycle(
+        SwitchCycleState(24.0), ModulationCommand(d, 386e-9), vp)),
+    "solve_operating_point": ("duty", lambda vp, d:
+                              solve_operating_point(vp, d)),
+    "scenario": ("initial_duty", lambda vp, d:
+                 table2_scenario(initial_duty=d)),
+}
+
+
+# the config grammar has no NaN: "duty = nan" is a ConfigSyntax error
+@pytest.mark.parametrize("entry,duty", [
+    (entry, d) for entry in sorted(DUTY_ENTRY_POINTS)
+    for d in (0.0, 1.0, -0.1, math.nan, math.inf)
+    if not (entry == "config" and math.isnan(d))])
+def test_every_duty_entry_point_rejects_the_same_range(entry, duty):
+    field, call = DUTY_ENTRY_POINTS[entry]
+    with pytest.raises(NonPositiveParameter) as err:
+        call(validate(table2_raw()), duty)
     assert err.value.field == field
 
 

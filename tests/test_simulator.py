@@ -12,8 +12,8 @@ from wptrx import cli, simulator
 from wptrx.analytic import (OperatingPoint, duty_bounds, fall_time_exact,
                             rise_time, solve_operating_point)
 from wptrx.averaged import averaged_rhs
-from wptrx.errors import (GateOverrun, InvalidDuty, NoConvergence,
-                          NonPeriodicWindow, NonPositiveParameter)
+from wptrx.errors import (GateOverrun, NoConvergence, NonPeriodicWindow,
+                          NonPositiveParameter)
 from wptrx.params import ReceiverParams, ripple_estimate, validate
 from wptrx.simulator import (V_ORBIT_TOL, ModulationCommand,
                              SwitchCycleState, Waveform,
@@ -100,8 +100,9 @@ def test_forced_turn_on_energy(vp):
 
 def test_invalid_commands(vp):
     st = SwitchCycleState(24.0)
-    with pytest.raises(InvalidDuty):
+    with pytest.raises(NonPositiveParameter) as err:
         step_cycle(st, ModulationCommand(1.2, 0.0), vp)
+    assert err.value.field == "duty"
     with pytest.raises(GateOverrun):
         step_cycle(st, ModulationCommand(0.95, 0.3e-6), vp)
     # a NaN gate delay used to run through and return v_o = NaN
@@ -519,7 +520,8 @@ def test_long_run_approaches_the_solved_orbit(vp):
 
 
 def test_fig13_capture_is_steady():
-    vp13, cap, _ = cli._steady_va_run(cli._builtin_config("table2"), 4)
+    rc = cli._builtin_config("table2")
+    cap, _ = cli._steady_va_run(rc, validate(rc.params), 4)
     means = [d.v_o_mean for d in cap.diagnostics]
     assert max(means) - min(means) <= 1e-9
     assert cap.diagnostics[0].v_o_start == pytest.approx(24.352, abs=1e-3)

@@ -4,7 +4,10 @@ line per file, the stdout and stderr of each command included.
 Runs every ``reproduce`` figure, the three ``transient`` scenarios and the
 ``simulate``, ``steady``, ``bode``, ``design`` and ``validate`` commands
 against the ``src`` tree next to this script, each in its own directory
-under a temporary root.  A refactor that must keep the outputs
+under a temporary root.  ``design``, ``bode``, ``simulate`` and ``reproduce
+fig13`` also run on a copy of table2 without its ``duty`` and
+``phase_delay_norm`` keys, so the fallbacks the CLI takes when a config
+gives neither are checked too.  A refactor that must keep the outputs
 byte-identical is checked by diffing two runs:
 
     python3 tools/table_digests.py > before.txt   # on the parent commit
@@ -26,6 +29,11 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "src" / "wptrx" / "configs"
 TABLE2 = str(CONFIGS / "table2.cfg")
 FIG7 = str(CONFIGS / "fig7.cfg")
+
+# table2 without the two keys the CLI otherwise falls back from; written to
+# a temporary file of its own by main()
+FALLBACK = "<table2 without duty and phase_delay_norm>"
+_FALLBACK_DROP = ("duty", "phase_delay_norm")
 
 FIGURES = ("fig4a", "fig5", "fig7", "fig9", "fig13", "fig14", "fig17",
            "fig19", "fig20")
@@ -61,12 +69,27 @@ RUNS = (
         ("design_fig7_written", ["design", "--config", FIG7], True),
         ("validate_table2", ["validate", "--config", TABLE2], False),
         ("validate_fig7", ["validate", "--config", FIG7], False),
+        ("fallback_design", ["design", "--config", FALLBACK], True),
+        ("fallback_bode", ["bode", "--config", FALLBACK], True),
+        ("fallback_simulate_20", ["simulate", "--config", FALLBACK,
+                                  "--cycles", "20"], True),
+        ("fallback_reproduce_fig13", ["reproduce", "fig13",
+                                      "--config", FALLBACK], True),
     ])
 
 
-def _run(tmp: Path, name: str, argv: list, writes: bool) -> None:
+def _write_fallback_config(path: Path) -> None:
+    lines = (CONFIGS / "table2.cfg").read_text().splitlines(keepends=True)
+    path.write_text("".join(
+        line for line in lines
+        if line.split("=", 1)[0].strip() not in _FALLBACK_DROP))
+
+
+def _run(tmp: Path, fallback: Path, name: str, argv: list,
+         writes: bool) -> None:
     out = tmp / name
     out.mkdir()
+    argv = [str(fallback) if a == FALLBACK else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     cmd = [sys.executable, "-m", "wptrx", *argv]
     if writes:
@@ -78,10 +101,14 @@ def _run(tmp: Path, name: str, argv: list, writes: bool) -> None:
 
 
 def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp_name:
+    with tempfile.TemporaryDirectory() as tmp_name, \
+            tempfile.TemporaryDirectory() as cfg_dir:
         tmp = Path(tmp_name)
+        fallback = Path(cfg_dir) / "table2_fallback.cfg"
+        _write_fallback_config(fallback)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            for fut in [pool.submit(_run, tmp, *run) for run in RUNS]:
+            for fut in [pool.submit(_run, tmp, fallback, *run)
+                        for run in RUNS]:
                 fut.result()
         for path in sorted(p for p in tmp.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
