@@ -14,11 +14,12 @@ from .control import (ControllerState, Scenario, TransientRecord,
 from .params import (ReceiverParams, ValidatedParams, min_output_cap,
                      ripple_estimate, size_inductor, size_series_cap,
                      validate)
-from .simulator import (CycleDiagnostics, ModulationCommand, PeriodicOrbit,
-                        RunResult, SoftSwitchingSummary, SpectrumResult,
-                        SwitchCycleState, SwitchingState, Waveform,
-                        periodic_steady_state, run, sample_waveform,
-                        soft_switching_report, spectrum, step_cycle)
+from .simulator import (CycleDiagnostics, CycleSummary, ModulationCommand,
+                        PeriodicOrbit, RunResult, SoftSwitchingSummary,
+                        SpectrumResult, SwitchCycleState, SwitchingState,
+                        Waveform, cycle_diagnostics, periodic_steady_state,
+                        run, sample_waveform, soft_switching_report,
+                        spectrum, step_cycle)
 from .smallsignal import (BodePoint, PiGains, TransferFunction1P, bode,
                           bode_points, design_pi, loop_margins,
                           loop_response, perturb_bode_oracle, plant_tf)

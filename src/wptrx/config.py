@@ -24,7 +24,7 @@ _PARAM_KEYS = tuple(f.name for f in fields(ReceiverParams))
 _REQUIRED = tuple(f.name for f in fields(ReceiverParams)
                   if f.default is MISSING)
 # the controller and run keys: (zero allowed, exclusive upper bound)
-_RUN_KEY_RANGES = {"v_ref": (True, math.inf), "f_c": (False, math.inf),
+_RUN_KEY_RANGES = {"v_ref": (False, math.inf), "f_c": (False, math.inf),
                    "i_ls_ff": (False, math.inf), "duty": (False, 1.0),
                    "phase_delay_norm": (True, PHASE_DELAY_MAX)}
 KNOWN_KEYS = _PARAM_KEYS + tuple(_RUN_KEY_RANGES)

@@ -131,7 +131,7 @@ class TransientRecord:
     v_o_sample: np.ndarray        # voltage sampled at the sync edge (V)
     v_o_mean: np.ndarray          # cycle-mean output voltage (V)
     duty: np.ndarray
-    diagnostics: list
+    diagnostics: list             # CycleSummary of each cycle
     final_value: float
     settling_time: float          # entry into the +-1% band (s); nan if never
     overshoot: float              # max excursion above the final value (V)
@@ -159,6 +159,7 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
                              last_duty=scenario.initial_duty, saturated=False)
     state = SwitchCycleState(scenario.v_o0)
     p_n = params
+    v_ref_ff = math.nan  # the reference t_f_cmd was fed forward from
 
     t_arr = np.empty(n_cycles)
     v_samp = np.empty(n_cycles)
@@ -173,7 +174,9 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
         if r_n != p_n.r_load or i_n != p_n.i_ls_amp:  # NaN always differs
             p_n = params.with_load(r_n).with_amplitude(i_n)
         v_ref_n = _eval_profile(scenario.v_ref, t_n)
-        t_f_cmd = feedforward_tf(v_ref_n, scenario.i_ls_ff, params)
+        if v_ref_n != v_ref_ff:  # NaN always differs
+            t_f_cmd = feedforward_tf(v_ref_n, scenario.i_ls_ff, params)
+            v_ref_ff = v_ref_n
         duty, cstate = pi_update(state.v_o, v_ref_n, gains, cstate, ts)
         new_state, d, _ = step_cycle(state, ModulationCommand(duty, t_f_cmd),
                                      p_n, t_start=t_n)

@@ -1,9 +1,9 @@
-"""Bracketed bisection used for commutation-event localization.
+"""Bracketed bisection for the output-ripple extremes.
 
-Bisection is deliberately chosen over faster open methods: every event the
-simulator locates already comes with a guaranteed bracket, and bisection is
-immune to the flat regions the cosine forms develop near the precondition
-boundaries.
+Its one caller is ``simulator._conduction_extremes``, which scans each
+conduction segment for the stationary points of v_o and bisects each
+bracketed sign change.  The commutation events no longer use it: the
+simulator locates them in closed form and by safeguarded Newton.
 """
 
 from typing import Callable

@@ -17,9 +17,17 @@ positive-going zero crossing of the coil current:
       crossing, i.e. with zero current.
 
 Every interval is analytically integrable (RC exponentials and
-sinusoid-driven RC forms), so the simulator composes closed forms and
-locates the two commutation events by bracketed bisection to 1e-13 s.  No
-step size exists anywhere.
+sinusoid-driven RC forms), so the simulator composes closed forms.  The
+State IV end (the diode capacitance reaching zero) is closed-form; the
+State I end (the switch voltage reaching zero) takes safeguarded Newton
+steps from the lossless closed form to 1e-13 s.  No step size exists
+anywhere.
+
+``step_cycle`` returns what every caller reads: the next state, a
+``CycleSummary`` (cycle mean and end voltage, timing, soft-switching
+verdicts) and the cycle's ``CyclePiece``.  ``cycle_diagnostics`` builds
+the full ``CycleDiagnostics`` (ledger, ripple extremes, device peaks) from
+a piece; ``run`` does so for every cycle it records.
 
 If the commanded gate delay arrives before the switch voltage has fallen to
 zero, turn-on is forced: the residual switch-capacitor energy
@@ -56,12 +64,14 @@ from .rootfind import bisect_root
 
 # Event localization tolerance (s).
 T_EVENT_TOL = 1e-13
+_MAX_EVENT_ITER = 100
 
 # Periodic steady state: largest one-cycle change |P(x) - x| of the boundary
-# state accepted as "on the orbit" (V).  The attainable floor is set by
-# T_EVENT_TOL: a located turn-on that moves by 1e-13 s moves the cycle-end
-# output by about |I|*1e-13 s/C_o, 1e-10 V at the table2 point.
-V_ORBIT_TOL = 1e-9
+# state accepted as "on the orbit" (V).  The event times are smooth in the
+# state, so the attainable floor is float resolution: on a seeded sweep of
+# receivers with loads up to 10 kOhm (outputs up to ~8 kV) every orbit is
+# found to 1e-12 V and some fail at 1e-13 V; this keeps a decade of margin.
+V_ORBIT_TOL = 1e-11
 
 # Soft-switching verdict thresholds; small against the 24 V / 2.35 A scales.
 V_ZVS_TOL = 10e-3   # residual switch voltage at the gate edge (V)
@@ -95,16 +105,17 @@ class SwitchCycleState:
 
 
 @dataclass(frozen=True)
-class CycleDiagnostics:
-    """Measured timing, soft-switching verdicts, and the charge/energy
-    ledger of one cycle.
+class CycleSummary:
+    """What step_cycle reports of every cycle: the output voltage at both
+    boundaries and its cycle mean, the measured timing and the
+    soft-switching verdicts.
 
     ``t_f_meas``/``t_r_meas`` are the natural commutation intervals and are
     NaN when the corresponding transition never completed naturally.
-    ``de_stored`` uses the node-referenced convention described in the
-    module docstring, so ``e_in + e_node_tracking - e_load - de_stored -
-    e_hard_switch`` is zero (to roundoff) for every soft-switched cycle.
     """
+    v_o_start: float
+    v_o_end: float
+    v_o_mean: float
     t_f_meas: float
     t_r_meas: float
     zvs_ok: bool
@@ -112,21 +123,30 @@ class CycleDiagnostics:
     v_cs1_at_gate: float
     hard_switched: bool
     reached_state_v: bool
+    e_hard_switch: float
+
+
+@dataclass(frozen=True)
+class CycleDiagnostics(CycleSummary):
+    """The summary plus the charge/energy ledger, the output ripple
+    extremes and the device peaks of one cycle; built by
+    ``cycle_diagnostics``.
+
+    ``de_stored`` uses the node-referenced convention described in the
+    module docstring, so ``e_in + e_node_tracking - e_load - de_stored -
+    e_hard_switch`` is zero (to roundoff) for every soft-switched cycle.
+    """
     q_f: float
     q_r: float
     e_in: float
     e_load: float
-    e_hard_switch: float
     e_node_tracking: float
     de_stored: float
-    v_o_mean: float
     v_o_ripple_pp: float
     v_o_min: float
     v_o_max: float
     v_cs1_peak: float
     v_cd1_peak: float
-    v_o_start: float
-    v_o_end: float
     states_visited: tuple
 
 
@@ -176,6 +196,11 @@ class CyclePiece:
     gate_off: float
     segments: list
     events: list  # (absolute time, name)
+    summary: CycleSummary
+    # node voltage v_cd1 at the cycle start, at the end of State I, at the
+    # start and the end of the conduction clamp, at the end of State IV and
+    # at the cycle end; cycle_diagnostics reads it for the ledger
+    node_v: tuple
 
 
 @dataclass
@@ -320,11 +345,50 @@ def _conduction_extremes(seg: _Seg, tau: float, w: float, i_amp: float,
 # the cycle engine
 # ---------------------------------------------------------------------------
 
+def _turn_on_time(v0: float, va0: float, amp: float, w: float, tau: float,
+                  hi: float) -> float:
+    """Natural end of State I: the root of the switch voltage
+    gap(th) = v0 e^{-th/tau} - (va0 + amp (1 - cos w th)) on (0, hi], given
+    gap(0) > 0 >= gap(hi).
+
+    Newton steps on gap with its analytic derivative, seeded with the
+    lossless root (tau -> inf, the ``analytic.fall_time_exact`` form).  The
+    sign bracket [lo, hi] is kept as a safeguard: a step that leaves it is
+    replaced by the bracket midpoint (Brent 1973, ch. 4).  Stops after a
+    step shorter than T_EVENT_TOL; the point it reaches is then off the
+    root by the order of that step squared.
+    """
+    lo = 0.0
+    s = (v0 - va0) / (2.0 * amp)
+    th = min(2.0 * math.asin(math.sqrt(s)) / w, hi) if s < 1.0 else hi
+    for _ in range(_MAX_EVENT_ITER):
+        decay = v0 * math.exp(-th / tau)
+        g = decay - (va0 + amp * (1.0 - math.cos(w * th)))
+        if g == 0.0:
+            return th
+        if g > 0.0:
+            lo = th
+        else:
+            hi = th
+        slope = -decay / tau - amp * w * math.sin(w * th)
+        # gap falls on the bracket when v0 > 0; any other slope, like a
+        # step out of the bracket, takes the midpoint
+        nxt = th - g / slope if slope < 0.0 else hi
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - th) <= T_EVENT_TOL:
+            return nxt
+        th = nxt
+    raise NoConvergence(f"State I turn-on not located in {_MAX_EVENT_ITER} "
+                        f"steps: v0={v0!r}, va0={va0!r}, amp={amp!r}")
+
+
 def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
                params: ValidatedParams, t_start: float = 0.0) -> tuple:
     """Advance exactly one carrier period.
 
-    Returns (next_state, CycleDiagnostics, CyclePiece).  Raises
+    Returns (next_state, CycleSummary, CyclePiece);
+    ``cycle_diagnostics(piece, params)`` builds the full record.  Raises
     NonPositiveParameter for a duty outside (0, 1) or a negative or
     non-finite gate delay, and GateOverrun when the gate-off edge would pass
     the end of the period.
@@ -336,7 +400,6 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     w = params.omega
     tau = params.r_load * params.c_o
     i_amp = params.i_ls_amp
-    c_sum = params.c_sum
     half = 0.5 * ts
     gate_on = cmd.t_f
     gate_off = cmd.t_f + cmd.duty * ts
@@ -344,39 +407,29 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
         raise GateOverrun(
             f"duty + f_s*t_f = {cmd.duty + cmd.t_f / ts:.6g} >= 1")
 
-    amp = i_amp / (w * c_sum) if i_amp > 0.0 else 0.0
+    amp = i_amp / (w * params.c_sum) if i_amp > 0.0 else 0.0
     v0 = state.v_o
     va0 = state.v_cd1
     events = [(t_start, "cycle_start")]
     segments = []
 
-    # ---- State I: locate natural commutation or force at the gate edge ----
-    def va_i(th):
-        return va0 + amp * (1.0 - math.cos(w * th))
-
-    def vo_decay(th):
-        return v0 * math.exp(-th / tau)
-
-    def gap(th):  # switch voltage v_o - v_node during State I
-        return vo_decay(th) - va_i(th)
-
+    # ---- State I: natural commutation, or forced at the gate edge ----
     natural = None
-    if gap(0.0) <= 0.0:
+    hi = min(gate_on, half)
+    if v0 - va0 <= 0.0:
         natural = 0.0
-    elif i_amp > 0.0:
-        hi = min(gate_on, half)
-        if hi > 0.0 and gap(hi) <= 0.0:
-            natural = bisect_root(gap, 0.0, hi, xtol=T_EVENT_TOL)
+    elif (i_amp > 0.0 and hi > 0.0 and v0 * math.exp(-hi / tau)
+          - (va0 + amp * (1.0 - math.cos(w * hi))) <= 0.0):
+        natural = _turn_on_time(v0, va0, amp, w, tau, hi)
 
     hard = natural is None
     th1 = gate_on if hard else natural
-    w_resid = max(gap(th1), 0.0) if hard else 0.0
-    v_cs1_at_gate = w_resid
-
+    v_at_th1 = v0 * math.exp(-th1 / tau)
     # node value when conduction begins: the clamp pins it to the output
     # voltage on natural completion (the located event time carries the
-    # bisection tolerance; the clamp value does not)
-    va_pre_snap = va_i(th1) if hard else vo_decay(th1)
+    # solver tolerance; the clamp value does not)
+    va_pre_snap = va0 + amp * (1.0 - math.cos(w * th1)) if hard else v_at_th1
+    v_cs1_at_gate = max(v_at_th1 - va_pre_snap, 0.0) if hard else 0.0
     if th1 > 0.0:
         segments.append(_Seg(t0=0.0, t1=th1, t_ref=0.0,
                              state=SwitchingState.STATE_I, h=v0, p_s=0.0,
@@ -385,17 +438,12 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
         events.append((t_start + th1, "cs1_zero"))
     events.append((t_start + gate_on, "gate_on"))
 
-    v_at_th1 = vo_decay(th1)
-    e_in_node = 0.5 * c_sum * (va_pre_snap ** 2 - va0 ** 2)
-    q_f = c_sum * (va_pre_snap - va0)
-    t_f_meas = th1 if not hard else float("nan")
-
     e_hard = 0.0
     if hard:
         events.append((t_start + th1, "hard_switch"))
-        e_hard = 0.5 * params.c_s1 * w_resid * w_resid
+        e_hard = 0.5 * params.c_s1 * v_cs1_at_gate * v_cs1_at_gate
         # diode capacitance top-up drawn from the output capacitor
-        v_at_th1 -= w_resid * params.c_d1 / (params.c_o + params.c_d1)
+        v_at_th1 -= v_cs1_at_gate * params.c_d1 / (params.c_o + params.c_d1)
 
     # ---- conduction: [th1, max(gate_off, half)], one closed form; State II
     # before the current zero crossing at T/2, State III after it ----
@@ -417,16 +465,17 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
 
     v_at_iv = state_iii.v_o(th_iv, tau, w)
 
-    # ---- State IV: node swings down toward the diode ----
-    def va_iv(th):
-        return v_at_iv + amp * (math.cos(w * th_iv) - math.cos(w * th))
-
+    # ---- State IV: the node swings down toward the diode along
+    # va(th) = v_at_iv + amp (cos w th_iv - cos w th).  On [th_iv, T] the
+    # phase w th lies in [pi, 2 pi], where cos increases, so the zero is
+    # the one root of cos w th = c; c > 1 means no zero before T ----
     th4 = None
-    if i_amp > 0.0 and v_at_iv > 0.0:
-        if va_iv(ts) <= 0.0:
-            th4 = bisect_root(va_iv, th_iv, ts, xtol=T_EVENT_TOL)
-    elif v_at_iv <= 0.0:
+    if v_at_iv <= 0.0:
         th4 = th_iv
+    elif i_amp > 0.0:
+        c = math.cos(w * th_iv) + v_at_iv / amp
+        if c <= 1.0:
+            th4 = min(max((TWO_PI - math.acos(c)) / w, th_iv), ts)
     if th4 is not None:
         events.append((t_start + th4, "cd1_zero"))
 
@@ -435,15 +484,14 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
         segments.append(_Seg(t0=th_iv, t1=th4_eff, t_ref=th_iv,
                              state=SwitchingState.STATE_IV, h=v_at_iv,
                              p_s=0.0, p_c=0.0, node="int", va0=v_at_iv))
-    va_end_iv = 0.0 if th4 is not None else va_iv(ts)
-    e_in_node += 0.5 * c_sum * (va_end_iv ** 2 - v_at_iv ** 2)
-    q_r = c_sum * (v_at_iv - va_end_iv)
+    va_end_iv = 0.0 if th4 is not None else \
+        v_at_iv + amp * (math.cos(w * th_iv) - math.cos(w * ts))
     t_r_meas = (th4 - th_iv) if th4 is not None else float("nan")
 
     # ---- State V: freewheel ----
-    v_at_th4 = segments[-1].v_o(th4_eff, tau, w) if th4_eff > th_iv else v_at_iv
     reached_v = th4 is not None and th4 < ts
     if reached_v:
+        v_at_th4 = segments[-1].v_o(th4, tau, w) if th4 > th_iv else v_at_iv
         segments.append(_Seg(t0=th4, t1=ts, t_ref=th4,
                              state=SwitchingState.STATE_V, h=v_at_th4,
                              p_s=0.0, p_c=0.0, node="zero", va0=0.0))
@@ -453,60 +501,76 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     # switch-path diode caps the carried node voltage at the output rail
     va_cycle_end = min(va_end_iv, v_end)
 
-    zcs_ok = reached_v and abs(i_amp * math.sin(w * ts)) <= I_ZCS_TOL
-    zvs_ok = v_cs1_at_gate <= V_ZVS_TOL
+    summary = CycleSummary(
+        v_o_start=v0, v_o_end=v_end,
+        v_o_mean=sum(_int_v(seg, tau, w) for seg in segments) / ts,
+        t_f_meas=th1 if not hard else float("nan"), t_r_meas=t_r_meas,
+        zvs_ok=v_cs1_at_gate <= V_ZVS_TOL,
+        zcs_ok=reached_v and abs(i_amp * math.sin(w * ts)) <= I_ZCS_TOL,
+        v_cs1_at_gate=v_cs1_at_gate, hard_switched=hard,
+        reached_state_v=reached_v, e_hard_switch=e_hard)
 
-    # ---- ledgers ----
+    events.sort(key=lambda e: e[0])
+    piece = CyclePiece(t_start=t_start, i_amp=i_amp, gate_on=t_start + gate_on,
+                       gate_off=t_start + gate_off, segments=segments,
+                       events=events, summary=summary,
+                       node_v=(va0, va_pre_snap, v_at_th1, v_at_iv,
+                               va_end_iv, va_cycle_end))
+    return SwitchCycleState(v_end, va_cycle_end), summary, piece
+
+
+def cycle_diagnostics(piece: CyclePiece,
+                      params: ValidatedParams) -> CycleDiagnostics:
+    """The full record of one cycle, built from its piece: the summary plus
+    the charge/energy ledger, the output ripple extremes and the device
+    peaks.  ``params`` must be the receiver the piece was stepped with."""
+    s = piece.summary
+    w = params.omega
+    tau = params.r_load * params.c_o
+    c_sum = params.c_sum
+    va0, va_pre_snap, va_clamp_start, v_at_iv, va_end_iv, va_cycle_end = \
+        piece.node_v
+    v0, v_end = s.v_o_start, s.v_o_end
+
     e_cond = 0.0
-    e_load_int = 0.0
-    int_v_total = 0.0
+    e_load = 0.0
     candidates = [v0, v_end]
     cond_candidates = [va_pre_snap]
-    for seg in segments:
-        int_v_total += _int_v(seg, tau, w)
-        e_load_int += _int_v2(seg, tau, w) / params.r_load
+    for seg in piece.segments:
+        e_load += _int_v2(seg, tau, w) / params.r_load
         ends = (seg.v_o(seg.t0, tau, w), seg.v_o(seg.t1, tau, w))
         if seg.node == "track":
-            e_cond += _int_iv(seg, tau, w, i_amp)
-            interior = _conduction_extremes(seg, tau, w, i_amp,
+            e_cond += _int_iv(seg, tau, w, piece.i_amp)
+            interior = _conduction_extremes(seg, tau, w, piece.i_amp,
                                             params.r_load)
             candidates.extend(interior)
             cond_candidates.extend(interior)
             cond_candidates.extend(ends)
         candidates.extend(ends)
 
-    e_in = e_in_node + e_cond
-    # node energy acquired while clamped to the rail (model supplies no
-    # rail current for it; see module docstring)
-    va_clamp_start = v_at_th1 if hard else va_pre_snap
-    e_node_tracking = 0.5 * c_sum * (v_at_iv ** 2 - va_clamp_start ** 2)
-    de_stored = (0.5 * params.c_o * (v_end ** 2 - v0 ** 2)
-                 + 0.5 * c_sum * (va_cycle_end ** 2 - va0 ** 2))
-    v_o_mean = int_v_total / ts
+    # node energy of the State I and State IV swings
+    e_in_node = (0.5 * c_sum * (va_pre_snap ** 2 - va0 ** 2)
+                 + 0.5 * c_sum * (va_end_iv ** 2 - v_at_iv ** 2))
     v_o_min = min(candidates)
     v_o_max = max(candidates)
-
     # device peaks: the diode sees the output rail during conduction, the
-    # switch sees it while the diode freewheels
-    v_cd1_peak = max(cond_candidates)
-    v_cs1_peak = max(v0 - va0, v_at_th4 if reached_v else v_end - va_cycle_end)
-
-    diags = CycleDiagnostics(
-        t_f_meas=t_f_meas, t_r_meas=t_r_meas, zvs_ok=zvs_ok, zcs_ok=zcs_ok,
-        v_cs1_at_gate=v_cs1_at_gate, hard_switched=hard,
-        reached_state_v=reached_v, q_f=q_f, q_r=q_r, e_in=e_in,
-        e_load=e_load_int, e_hard_switch=e_hard,
-        e_node_tracking=e_node_tracking, de_stored=de_stored,
-        v_o_mean=v_o_mean, v_o_ripple_pp=v_o_max - v_o_min,
-        v_o_min=v_o_min, v_o_max=v_o_max, v_cs1_peak=v_cs1_peak,
-        v_cd1_peak=v_cd1_peak, v_o_start=v0, v_o_end=v_end,
-        states_visited=tuple(sorted({int(s.state) for s in segments})))
-
-    events.sort(key=lambda e: e[0])
-    piece = CyclePiece(t_start=t_start, i_amp=i_amp, gate_on=t_start + gate_on,
-                       gate_off=t_start + gate_off, segments=segments,
-                       events=events)
-    return SwitchCycleState(v_end, va_cycle_end), diags, piece
+    # switch sees it while the diode freewheels (from State V's start, h)
+    v_cs1_end = (piece.segments[-1].h if s.reached_state_v
+                 else v_end - va_cycle_end)
+    return CycleDiagnostics(
+        **vars(s),
+        q_f=c_sum * (va_pre_snap - va0),
+        q_r=c_sum * (v_at_iv - va_end_iv),
+        e_in=e_in_node + e_cond, e_load=e_load,
+        # node energy acquired while clamped to the rail (model supplies no
+        # rail current for it; see module docstring)
+        e_node_tracking=0.5 * c_sum * (v_at_iv ** 2 - va_clamp_start ** 2),
+        de_stored=(0.5 * params.c_o * (v_end ** 2 - v0 ** 2)
+                   + 0.5 * c_sum * (va_cycle_end ** 2 - va0 ** 2)),
+        v_o_ripple_pp=v_o_max - v_o_min, v_o_min=v_o_min, v_o_max=v_o_max,
+        v_cs1_peak=max(v0 - va0, v_cs1_end),
+        v_cd1_peak=max(cond_candidates),
+        states_visited=tuple(sorted({int(g.state) for g in piece.segments})))
 
 
 def run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
@@ -514,7 +578,8 @@ def run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
         initial: Optional[SwitchCycleState] = None) -> RunResult:
     """Run ``n_cycles`` (>= 1) carrier periods of the constant command
     ``cmd``, from ``initial``, or else from output voltage ``v_o0`` (finite,
-    >= 0) with the diode capacitance empty.  ``sample_waveform(pieces, ...)``
+    >= 0) with the diode capacitance empty.  Its diagnostics are the full
+    ``cycle_diagnostics`` of every cycle; ``sample_waveform(pieces, ...)``
     samples the result; ``periodic_steady_state`` gives a start on the
     orbit.
     """
@@ -523,14 +588,14 @@ def run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
     if state is None:
         require_positive(allow_zero=True, v_o0=v_o0)
         state = SwitchCycleState(v_o0)
-    diags = []
     pieces = []
     for n in range(n_cycles):
-        state, d, piece = step_cycle(state, cmd, params,
+        state, _, piece = step_cycle(state, cmd, params,
                                      t_start=n * params.t_period)
-        diags.append(d)
         pieces.append(piece)
-    return RunResult(diagnostics=diags, pieces=pieces, final_state=state)
+    return RunResult(diagnostics=[cycle_diagnostics(p, params)
+                                  for p in pieces],
+                     pieces=pieces, final_state=state)
 
 
 @dataclass(frozen=True)
@@ -744,8 +809,9 @@ class SoftSwitchingSummary:
     total_e_hard_switch: float
 
 
-def soft_switching_report(diags: Sequence[CycleDiagnostics]) -> SoftSwitchingSummary:
-    """Aggregate soft-switching verdicts over a run."""
+def soft_switching_report(diags: Sequence[CycleSummary]) -> SoftSwitchingSummary:
+    """Aggregate soft-switching verdicts over a run (summaries or full
+    diagnostics)."""
     n = len(diags)
     require_positive(n_cycles=n)
     return SoftSwitchingSummary(

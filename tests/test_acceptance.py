@@ -25,8 +25,8 @@ from wptrx.scenarios import (coupling_sweep, design_gains,
                              load_step_scenario, source_ramp_scenario,
                              startup_scenario)
 from wptrx.simulator import (ModulationCommand, SwitchCycleState,
-                             periodic_steady_state, run, sample_waveform,
-                             spectrum, step_cycle)
+                             cycle_diagnostics, periodic_steady_state, run,
+                             sample_waveform, spectrum, step_cycle)
 from wptrx.smallsignal import (bode, design_pi, loop_margins,
                                perturb_bode_oracle, plant_tf)
 
@@ -305,10 +305,10 @@ def test_c10_invariant_suite(vp, loadstep_rec, startup_rec, ramp_rec):
 
     # charge balance at 1e-9 on a stiff output rail
     stiff = dataclasses.replace(vp, c_o=1000.0)
-    st, d, _ = step_cycle(
+    d = cycle_diagnostics(step_cycle(
         SwitchCycleState(24.0),
         ModulationCommand(DUTY_VA, fall_time_exact(stiff, 24.0) + 1e-12),
-        stiff)
+        stiff)[2], stiff)
     q_ref = stiff.c_sum * 24.0
     if not (abs(d.q_f - q_ref) <= 1e-9 * q_ref
             and abs(d.q_r - q_ref) <= 1e-9 * q_ref):

@@ -99,6 +99,20 @@ def test_cli_rejects_non_finite_controller_keys(key, tmp_path, capsys):
     assert not (tmp_path / "load_step.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["design"], ["transient", "--scenario", "startup"],
+    ["transient", "--scenario", "load_step"]])
+def test_cli_rejects_zero_v_ref(argv, tmp_path, capsys):
+    # no loop regulates to 0 V: its equilibrium duty is 1, outside (0, 1).
+    # These exited 3 (ZeroGainOperatingPoint) or 2 naming initial_duty or
+    # v_o, never the key at fault
+    cfg = _table2_with(tmp_path, "v_ref", "0")
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert "v_ref" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("duty", "2"), ("duty", "-1"), ("duty", "1e999"),
     ("phase_delay_norm", "0.25"), ("phase_delay_norm", "1e999")])
@@ -267,43 +281,45 @@ def test_design_figure_tables_are_pinned(figure, tmp_path):
 
 
 # sha256 of switched-simulator tables at the table2 point: (argv, digests).
-# A refactor of the simulator must leave them byte-identical.  Digests taken
-# with the periodic-steady-state start, before the simulator segments were
-# merged into one closed form (CPython 3.11, numpy 2.4, x86-64 Linux).
+# A refactor of the simulator must leave them byte-identical.  Digests
+# re-taken when the commutation events moved from bisection to closed form
+# and Newton and V_ORBIT_TOL went from 1e-9 to 1e-11 V; fig14_i_ls.csv did
+# not move (CPython 3.11, numpy 2.4, x86-64 Linux).
 SIMULATOR_TABLE_SHA256 = {
     "fig13": (["reproduce", "fig13"], {
-        "fig13.csv": "c01657c955ceda807d065ce87a384e20"
-                     "a3451471b9c5bbd1bbec19784fc3f22d",
-        "fig13_events.csv": "55126daae59a8a673ea52b85f572d2ae"
-                            "b5a85ee631b3eaf587d8dcaf1289a10b"}),
+        "fig13.csv": "a0579e3c14559a6c9dfdcb8f350d9b4a"
+                     "6106879bdf2b2e985b81e67afff76b67",
+        "fig13_events.csv": "414bb586a4041d192181a0bcee622227"
+                            "6c2dd2898ea62ad443f520f604d041bc"}),
     "fig14": (["reproduce", "fig14"], {
         "fig14_i_ls.csv": "f0e88528e3909d028c2cf2f987fdf999"
                           "f55223f30d7e4baa68068e21929350e8",
-        "fig14_summary.csv": "2a3600feab13bcbb4861e4537fdc782b"
-                             "67fbfc47817fa94ba9bfdfe365ec0f0d",
-        "fig14_v_cd1.csv": "d69c51d7a66a950faf40d244336eefba"
-                           "c1a2bf7e6f7d8ed52da75977a61f7b5a"}),
+        "fig14_summary.csv": "45df837207a0ba6387c1645a91355eed"
+                             "5ae3bb53ed28417da2b5b13a6a6c656d",
+        "fig14_v_cd1.csv": "05c344215b60cc9d80c2ab3da85c7d7f"
+                           "625c66783569bb00f0dd649b4937eed6"}),
     "simulate": (["simulate", "--config", TABLE2, "--cycles", "20"], {
-        "diagnostics.csv": "e2e6b0e97ac3d996efe3113dbdc713b2"
-                           "cacd68f244acec64a8dec698ccbb057a",
-        "events.csv": "e95e4efdd60e3c48ec72e28ec61cfe2a"
-                      "8e4ba3d7f03fc5054b29e01b8097a8c1",
-        "waveform.csv": "1648f033585c1de806498ca7f77f4735"
-                        "e350e3b32f79403095e2d917c18e3aba"}),
+        "diagnostics.csv": "7fd337b54dd9c100283a0c7399092b85"
+                           "cce2c2ff5b2983d9cb8347a6c05976b7",
+        "events.csv": "ac0b2cd138c176cc802314ae776eeb0b"
+                      "e10b09548cf34d988baeb09c7acedcbb",
+        "waveform.csv": "9a27f2b0d0deb72d2c0e5664296bc736"
+                        "e3f9ee4603a965719ce0ee3912a49d2f"}),
     "load_step": (["transient", "--config", TABLE2,
                    "--scenario", "load_step"], {
-        "load_step.csv": "12d75d4f714777874061b4b40888d6b4"
-                         "85477e88ac9930155bf7314042842f0c"}),
+        "load_step.csv": "b9807a72c878910d764a3ad1efb9840b"
+                         "c6ab7f87852c1fea04f2fca864faafb1"}),
 }
 
 
 # sha256 of the closed-loop fig20 table and of the steady, bode and design
 # tables at the table2 point.  Digests taken before every table was routed
-# through the one table writer (CPython 3.11, numpy 2.4, x86-64 Linux).
+# through the one table writer; fig20's re-taken with the simulator ones
+# above (CPython 3.11, numpy 2.4, x86-64 Linux).
 COMMAND_TABLE_SHA256 = {
     "fig20": (["reproduce", "fig20"], {
-        "fig20.csv": "9967593f446c02363b5066e721a149ba"
-                     "16cf63997c4ab01548bc01085f9219e2"}),
+        "fig20.csv": "3ae074ab2cc07f910077e341d315779a"
+                     "1f4db7d6582b3d6b8e4be43010d68172"}),
     "steady": (["steady", "--config", TABLE2, "--sweep", "0.5:0.7:0.05"], {
         "steady.csv": "ec9a51c4e03a9e837cf55a789aca3264"
                       "e01845132b20e210376224265aab5a51"}),

@@ -236,6 +236,30 @@ def test_non_finite_profile_value_is_rejected(vp_fast):
     assert err.value.field == "r_load"
 
 
+def test_feedforward_recomputed_only_when_the_reference_moves(vp_fast,
+                                                              monkeypatch):
+    # one square root per reference value, not per cycle; a NaN reference
+    # still differs from the last one and is rejected where it enters
+    calls = []
+
+    def counted(v_ref, i_ls_nominal, params):
+        calls.append(v_ref)
+        return feedforward_tf(v_ref, i_ls_nominal, params)
+
+    monkeypatch.setattr(control, "feedforward_tf", counted)
+    sc = Scenario(name="ref_step", duration=200 * vp_fast.t_period,
+                  r_load=38.09, i_ls_amp=2.35,
+                  v_ref=step_profile(24.0, 23.0, 100 * vp_fast.t_period),
+                  i_ls_ff=2.35, v_o0=24.0, initial_duty=0.6,
+                  initial_integrator=0.6)
+    closed_loop_run(sc, GAINS, vp_fast)
+    assert calls == [24.0, 23.0]
+    with pytest.raises(NonPositiveParameter) as err:
+        closed_loop_run(dataclasses.replace(sc, v_ref=step_profile(
+            24.0, math.nan, 100 * vp_fast.t_period)), GAINS, vp_fast)
+    assert err.value.field == "v_ref"
+
+
 @pytest.mark.parametrize("case,k_settle", [
     ("never", None), ("at_once", 0), ("late", 30)])
 def test_settling_time_is_the_cycle_after_the_last_out_of_band(case,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import re
 from pathlib import Path
 
@@ -10,15 +11,18 @@ import pytest
 
 from wptrx import cli, simulator
 from wptrx.analytic import (OperatingPoint, duty_bounds, fall_time_exact,
-                            rise_time, solve_operating_point)
+                            rise_time, solve_operating_point,
+                            steady_state_vo)
 from wptrx.averaged import averaged_rhs
-from wptrx.errors import (GateOverrun, NoConvergence, NonPeriodicWindow,
-                          NonPositiveParameter)
+from wptrx.errors import (CommutationImpossible, GateOverrun, NoConvergence,
+                          NonPeriodicWindow, NonPositiveParameter)
 from wptrx.params import ReceiverParams, ripple_estimate, validate
-from wptrx.simulator import (V_ORBIT_TOL, ModulationCommand,
+from wptrx.rootfind import bisect_root
+from wptrx.simulator import (T_EVENT_TOL, V_ORBIT_TOL, ModulationCommand,
                              SwitchCycleState, Waveform,
-                             periodic_steady_state, run, sample_waveform,
-                             soft_switching_report, spectrum, step_cycle)
+                             cycle_diagnostics, periodic_steady_state, run,
+                             sample_waveform, soft_switching_report,
+                             spectrum, step_cycle)
 
 TWO_PI = 2 * math.pi
 
@@ -46,6 +50,50 @@ def steady_soft_run(vp, duty=0.532, n=300):
     op = solve_operating_point(vp, duty, exact=True)
     cmd = ModulationCommand(duty, fall_time_exact(vp, op.v_o))
     return run(vp, cmd, n, v_o0=op.v_o), cmd, op
+
+
+def random_receivers(seed, n):
+    """``n`` seeded (receiver, command, averaged output) triples.
+
+    Receivers take turns among a fig7-like box, a table2-like box and a
+    light-load box (25-10k ohm log-uniform, up to the scenarios' 10 kohm
+    no load, so outputs reach kilovolts).  The duty lies inside
+    ``duty_bounds`` of a drawn f_s*t_f in [0.02, 0.15]; every fourth
+    command instead fires the gate at the exact fall time of its averaged
+    output, on the kink between soft and hard orbits, where that is a
+    valid command.
+    """
+    rng = random.Random(seed)
+    u = rng.uniform
+    out = []
+    for k in range(n):
+        if k % 3 == 2:
+            c_o, r_load, i_amp = (u(80e-6, 1200e-6),
+                                  math.exp(u(math.log(25.0), math.log(10e3))),
+                                  u(0.85, 2.65))
+        elif k % 3:
+            c_o, r_load, i_amp = u(820e-6, 1200e-6), u(38.0, 50.0), \
+                u(2.0, 2.65)
+        else:
+            c_o, r_load, i_amp = u(80e-6, 120e-6), u(25.0, 35.0), \
+                u(0.85, 1.15)
+        p = validate(ReceiverParams(
+            l_s=172e-6, c_s=3.63e-9, c_s1=u(3.8e-9, 5.2e-9),
+            c_d1=u(3.8e-9, 5.2e-9), c_o=c_o, r_load=r_load, f_s=200e3,
+            i_ls_amp=i_amp))
+        fst = u(0.02, 0.15)
+        duty = u(*duty_bounds(fst))
+        v_avg = steady_state_vo(i_amp, r_load, duty, fst)
+        t_f = fst / p.f_s
+        if k % 4 == 1:
+            try:
+                fst_exact = p.f_s * fall_time_exact(p, v_avg)
+            except CommutationImpossible:
+                fst_exact = 1.0
+            if fst_exact < min(0.25, 1.0 - duty):
+                t_f = fst_exact / p.f_s
+        out.append((p, ModulationCommand(duty, t_f), v_avg))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +144,63 @@ def test_forced_turn_on_energy(vp):
                                             rel=1e-12)
     assert ("hard_switch" in {n for _, n in piece.events})
     assert math.isnan(d.t_f_meas)
+
+
+def test_events_match_a_bisection_oracle():
+    # the State I turn-on (safeguarded Newton) and the State IV diode
+    # turn-on (closed form) against bisection on the same forms, on random
+    # single cycles that cover soft, hard and no-State-V cycles
+    rng = random.Random(7)
+    kinds = {"soft": 0, "hard": 0, "no_state_v": 0}
+    for p, cmd, v_avg in random_receivers(8, 3000):
+        w, tau, ts = p.omega, p.r_load * p.c_o, p.t_period
+        half = 0.5 * ts
+        amp = p.i_ls_amp / (w * p.c_sum)
+        v0 = v_avg * rng.uniform(0.5, 1.5)
+        va0 = v0 * rng.uniform(0.0, 1.0) if rng.random() < 0.3 else 0.0
+        if rng.random() < 0.2:  # gate-off late: State V may not be reached
+            cmd = ModulationCommand(
+                rng.uniform(cmd.duty, 0.999 - p.f_s * cmd.t_f), cmd.t_f)
+        _, s, piece = step_cycle(SwitchCycleState(v0, va0), cmd, p)
+
+        def gap(th):
+            return v0 * math.exp(-th / tau) - (va0 + amp * (1.0 - math.cos(
+                w * th)))
+
+        hi = min(cmd.t_f, half)
+        if gap(0.0) <= 0.0:
+            t_f = 0.0
+        elif hi > 0.0 and gap(hi) <= 0.0:
+            t_f = bisect_root(gap, 0.0, hi, xtol=T_EVENT_TOL)
+        else:
+            t_f = math.nan
+        assert s.hard_switched == math.isnan(t_f)
+        assert not abs(s.t_f_meas - t_f) > T_EVENT_TOL
+
+        th_iv = max(cmd.t_f + cmd.duty * ts, half)
+        v_at_iv = piece.node_v[3]
+
+        def va_iv(th):
+            return v_at_iv + amp * (math.cos(w * th_iv) - math.cos(w * th))
+
+        if v_at_iv <= 0.0:
+            t_r = 0.0
+        elif va_iv(ts) <= 0.0:
+            t_r = bisect_root(va_iv, th_iv, ts, xtol=T_EVENT_TOL) - th_iv
+        else:
+            t_r = math.nan
+        assert s.reached_state_v == (t_r < ts - th_iv)
+        assert math.isnan(s.t_r_meas) == math.isnan(t_r)
+        assert not abs(s.t_r_meas - t_r) > T_EVENT_TOL
+
+        d = cycle_diagnostics(piece, p)
+        assert (d.v_o_mean, d.v_o_end, d.hard_switched, d.reached_state_v,
+                d.zvs_ok, d.zcs_ok) == (s.v_o_mean, s.v_o_end,
+                                        s.hard_switched, s.reached_state_v,
+                                        s.zvs_ok, s.zcs_ok)
+        kinds["hard" if s.hard_switched else "soft"] += 1
+        kinds["no_state_v"] += not s.reached_state_v
+    assert min(kinds.values()) >= 50, kinds
 
 
 def test_invalid_commands(vp):
@@ -219,7 +324,8 @@ def test_charge_balance(vp_stiff):
     v_o = 24.0
     st = SwitchCycleState(v_o)
     cmd = exact_cmd(vp_stiff, 0.532, v_o)
-    st2, d, _ = step_cycle(st, cmd, vp_stiff)
+    piece = step_cycle(st, cmd, vp_stiff)[2]
+    d = cycle_diagnostics(piece, vp_stiff)
     q_expect = vp_stiff.c_sum * v_o
     assert d.q_f == pytest.approx(q_expect, rel=1e-9)
     assert d.q_r == pytest.approx(q_expect, rel=1e-9)
@@ -249,7 +355,8 @@ def test_steady_state_efficiency_is_unity(vp):
 
 def test_hard_cycle_residual_equals_merge_loss(vp):
     st = SwitchCycleState(24.0)
-    st2, d, _ = step_cycle(st, ModulationCommand(0.532, 0.0), vp)
+    d = cycle_diagnostics(step_cycle(st, ModulationCommand(0.532, 0.0), vp)[2],
+                          vp)
     residual = (d.e_in + d.e_node_tracking - d.e_load - d.de_stored
                 - d.e_hard_switch)
     w = d.v_cs1_at_gate
@@ -536,6 +643,14 @@ def test_simulate_reports_the_orbit_it_starts_on(tmp_path, capsys):
     out = capsys.readouterr().out
     residual = float(re.search(r"orbit residual = (\S+) V", out).group(1))
     assert 0.0 <= residual <= V_ORBIT_TOL
+
+
+def test_orbits_converge_across_the_receiver_box():
+    # the orbit solve reaches V_ORBIT_TOL only where the one-cycle map is
+    # smooth to float resolution: a turn-on time quantized to T_EVENT_TOL
+    # makes it a staircase that stalls the solve near 1e-10 V
+    for p, cmd, v_avg in random_receivers(11, 2000):
+        assert periodic_steady_state(p, cmd, v_avg).residual <= V_ORBIT_TOL
 
 
 def test_failed_orbit_solve_names_its_command(vp, monkeypatch):

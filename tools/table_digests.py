@@ -4,7 +4,8 @@ line per file, the stdout and stderr of each command included.
 Runs every ``reproduce`` figure, the three ``transient`` scenarios and the
 ``simulate``, ``steady``, ``bode``, ``design`` and ``validate`` commands
 against the ``src`` tree next to this script, each in its own directory
-under a temporary root.  ``design``, ``bode``, ``simulate`` and ``reproduce
+under a temporary root, or under ``--keep DIR`` (created; must not exist),
+which keeps the tables.  ``design``, ``bode``, ``simulate`` and ``reproduce
 fig13`` also run on a copy of table2 without its ``duty`` and
 ``phase_delay_norm`` keys, so the fallbacks the CLI takes when a config
 gives neither are checked too.  A refactor that must keep the outputs
@@ -14,9 +15,18 @@ byte-identical is checked by diffing two runs:
     python3 tools/table_digests.py > after.txt    # on the change
     diff before.txt after.txt
 
+Where outputs are expected to move in their last digits, keep both sets of
+tables and measure the change per column with ``tools/table_drift.py``:
+
+    python3 tools/table_digests.py --keep /tmp/before   # parent commit
+    python3 tools/table_digests.py --keep /tmp/after    # the change
+    python3 tools/table_drift.py /tmp/before /tmp/after
+
 Stdlib only; about 15 s on a 2-core x86-64 VM.
 """
 
+import argparse
+import contextlib
 import hashlib
 import os
 import subprocess
@@ -100,10 +110,18 @@ def _run(tmp: Path, fallback: Path, name: str, argv: list,
     (out / "exit").write_text(f"{proc.returncode}\n")
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp_name, \
-            tempfile.TemporaryDirectory() as cfg_dir:
-        tmp = Path(tmp_name)
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--keep", metavar="DIR",
+                    help="write the tables under DIR and keep them")
+    args = ap.parse_args(argv)
+    with contextlib.ExitStack() as stack:
+        if args.keep:
+            tmp = Path(args.keep).resolve()
+            tmp.mkdir(parents=True)
+        else:
+            tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        cfg_dir = stack.enter_context(tempfile.TemporaryDirectory())
         fallback = Path(cfg_dir) / "table2_fallback.cfg"
         _write_fallback_config(fallback)
         with ThreadPoolExecutor(max_workers=2) as pool:
