@@ -179,13 +179,6 @@ class _Seg:
         return (self.h * math.exp(-(th - self.t_ref) / tau)
                 + self.p_s * math.sin(w * th) + self.p_c * math.cos(w * th))
 
-    def v_node(self, th: float, tau: float, w: float, amp: float) -> float:
-        if self.node == "int":
-            return self.va0 + amp * (math.cos(w * self.t_ref) - math.cos(w * th))
-        if self.node == "track":
-            return self.v_o(th, tau, w)
-        return 0.0
-
 
 @dataclass
 class CyclePiece:
@@ -221,12 +214,6 @@ class Waveform:
     gate: np.ndarray
     state: np.ndarray
     sample_rate: float
-
-    def channel(self, name: str) -> np.ndarray:
-        try:
-            return getattr(self, name)
-        except AttributeError:
-            raise KeyError(f"no channel {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +394,7 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
         raise GateOverrun(
             f"duty + f_s*t_f = {cmd.duty + cmd.t_f / ts:.6g} >= 1")
 
-    amp = i_amp / (w * params.c_sum) if i_amp > 0.0 else 0.0
+    amp = i_amp / (w * params.c_sum)
     v0 = state.v_o
     va0 = state.v_cd1
     events = [(t_start, "cycle_start")]
@@ -712,7 +699,10 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
 
 def sample_waveform(pieces: Sequence[CyclePiece], params: ValidatedParams,
                     sample_rate: float) -> Waveform:
-    """Evaluate the exact piecewise forms on a uniform grid."""
+    """Evaluate each segment's closed form over its slice of a uniform grid.
+    A sample within 1e-18 s of a cycle's end belongs to the next cycle, and
+    one exactly on a segment's end to the next segment (the sample at T/2
+    is State III)."""
     require_positive(sample_rate=sample_rate)
     ts = params.t_period
     w = params.omega
@@ -721,36 +711,35 @@ def sample_waveform(pieces: Sequence[CyclePiece], params: ValidatedParams,
     n = int(round((t_end - pieces[0].t_start) * sample_rate))
     t = pieces[0].t_start + np.arange(n) / sample_rate
     i_ls = np.empty(n)
-    v_cs1 = np.empty(n)
     v_cd1 = np.empty(n)
     v_o = np.empty(n)
-    gate = np.zeros(n, dtype=np.int8)
+    gate = np.empty(n, dtype=np.int8)
     state_ch = np.empty(n, dtype=np.int8)
-    k = 0
-    for piece in pieces:
-        amp = piece.i_amp / (w * params.c_sum) if piece.i_amp > 0 else 0.0
-        t_hi = piece.t_start + ts
-        while k < n and t[k] < t_hi - 1e-18:
-            th = t[k] - piece.t_start
-            seg = _segment_at(piece.segments, th)
-            vo = seg.v_o(th, tau, w)
-            vn = seg.v_node(th, tau, w, amp)
-            i_ls[k] = piece.i_amp * math.sin(w * th)
-            v_o[k] = vo
-            v_cd1[k] = vn
-            v_cs1[k] = vo - vn
-            gate[k] = 1 if piece.gate_on <= t[k] < piece.gate_off else 0
-            state_ch[k] = int(seg.state)
-            k += 1
-    return Waveform(t=t, i_ls=i_ls, v_cs1=v_cs1, v_cd1=v_cd1, v_o=v_o,
+    cycle_ends = np.searchsorted(t, [p.t_start + ts - 1e-18 for p in pieces])
+    lo = 0
+    for piece, hi in zip(pieces, cycle_ends):
+        tk = t[lo:hi]
+        th = tk - piece.t_start
+        sin_wt = np.sin(w * th)
+        cos_wt = np.cos(w * th)
+        amp = piece.i_amp / (w * params.c_sum)
+        i_ls[lo:hi] = piece.i_amp * sin_wt
+        gate[lo:hi] = (piece.gate_on <= tk) & (tk < piece.gate_off)
+        segs = piece.segments
+        cuts = np.searchsorted(th, [seg.t1 for seg in segs[:-1]]).tolist()
+        for seg, a, b in zip(segs, [0, *cuts], [*cuts, len(th)]):
+            out = slice(lo + a, lo + b)
+            v_o[out] = (seg.h * np.exp(-(th[a:b] - seg.t_ref) / tau)
+                        + seg.p_s * sin_wt[a:b] + seg.p_c * cos_wt[a:b])
+            if seg.node == "int":
+                v_cd1[out] = seg.va0 + amp * (math.cos(w * seg.t_ref)
+                                              - cos_wt[a:b])
+            else:
+                v_cd1[out] = v_o[out] if seg.node == "track" else 0.0
+            state_ch[out] = seg.state
+        lo = hi
+    return Waveform(t=t, i_ls=i_ls, v_cs1=v_o - v_cd1, v_cd1=v_cd1, v_o=v_o,
                     gate=gate, state=state_ch, sample_rate=sample_rate)
-
-
-def _segment_at(segments: list, th: float) -> _Seg:
-    for seg in segments:
-        if seg.t0 - 1e-18 <= th < seg.t1:
-            return seg
-    return segments[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +764,7 @@ def spectrum(waveform: Waveform, channel: str, n_harmonics: int,
     the correlation over such a window is exact for band-limited content
     and rejects all other harmonics on the uniform grid.
     """
-    y = waveform.channel(channel)
+    y = getattr(waveform, channel)
     t = waveform.t
     n = len(t)
     dt = 1.0 / waveform.sample_rate

@@ -8,7 +8,9 @@ under a temporary root, or under ``--keep DIR`` (created; must not exist),
 which keeps the tables.  ``design``, ``bode``, ``simulate`` and ``reproduce
 fig13`` also run on a copy of table2 without its ``duty`` and
 ``phase_delay_norm`` keys, so the fallbacks the CLI takes when a config
-gives neither are checked too.  A refactor that must keep the outputs
+gives neither are checked too, and ``reproduce fig13`` and ``fig14`` on a
+copy at ``r_load = 1.5k`` and ``duty = 0.3``, whose orbit hard-switches and
+never reaches State V.  A refactor that must keep the outputs
 byte-identical is checked by diffing two runs:
 
     python3 tools/table_digests.py > before.txt   # on the parent commit
@@ -40,10 +42,12 @@ CONFIGS = ROOT / "src" / "wptrx" / "configs"
 TABLE2 = str(CONFIGS / "table2.cfg")
 FIG7 = str(CONFIGS / "fig7.cfg")
 
-# table2 without the two keys the CLI otherwise falls back from; written to
-# a temporary file of its own by main()
+# copies of table2, each written to a temporary file of its own by main():
+# key -> new value, or None to drop the key
 FALLBACK = "<table2 without duty and phase_delay_norm>"
-_FALLBACK_DROP = ("duty", "phase_delay_norm")
+LIGHT = "<table2 at r_load = 1.5k and duty = 0.3>"
+_DERIVED = {FALLBACK: {"duty": None, "phase_delay_norm": None},
+            LIGHT: {"r_load": "1.5k", "duty": "0.3"}}
 
 FIGURES = ("fig4a", "fig5", "fig7", "fig9", "fig13", "fig14", "fig17",
            "fig19", "fig20")
@@ -85,21 +89,29 @@ RUNS = (
                                   "--cycles", "20"], True),
         ("fallback_reproduce_fig13", ["reproduce", "fig13",
                                       "--config", FALLBACK], True),
+        ("light_reproduce_fig13", ["reproduce", "fig13",
+                                   "--config", LIGHT], True),
+        ("light_reproduce_fig14", ["reproduce", "fig14",
+                                   "--config", LIGHT], True),
     ])
 
 
-def _write_fallback_config(path: Path) -> None:
-    lines = (CONFIGS / "table2.cfg").read_text().splitlines(keepends=True)
-    path.write_text("".join(
-        line for line in lines
-        if line.split("=", 1)[0].strip() not in _FALLBACK_DROP))
+def _write_derived_config(path: Path, changes: dict) -> None:
+    out = []
+    for line in (CONFIGS / "table2.cfg").read_text().splitlines(True):
+        key = line.split("=", 1)[0].strip()
+        if key not in changes:
+            out.append(line)
+        elif changes[key] is not None:
+            out.append(f"{key} = {changes[key]}\n")
+    path.write_text("".join(out))
 
 
-def _run(tmp: Path, fallback: Path, name: str, argv: list,
+def _run(tmp: Path, derived: dict, name: str, argv: list,
          writes: bool) -> None:
     out = tmp / name
     out.mkdir()
-    argv = [str(fallback) if a == FALLBACK else a for a in argv]
+    argv = [derived.get(a, a) for a in argv]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     cmd = [sys.executable, "-m", "wptrx", *argv]
     if writes:
@@ -121,11 +133,13 @@ def main(argv=None) -> int:
             tmp.mkdir(parents=True)
         else:
             tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
-        cfg_dir = stack.enter_context(tempfile.TemporaryDirectory())
-        fallback = Path(cfg_dir) / "table2_fallback.cfg"
-        _write_fallback_config(fallback)
+        cfg_dir = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        derived = {}
+        for k, (name, changes) in enumerate(_DERIVED.items()):
+            derived[name] = str(cfg_dir / f"table2_{k}.cfg")
+            _write_derived_config(Path(derived[name]), changes)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            for fut in [pool.submit(_run, tmp, fallback, *run)
+            for fut in [pool.submit(_run, tmp, derived, *run)
                         for run in RUNS]:
                 fut.result()
         for path in sorted(p for p in tmp.rglob("*") if p.is_file()):
