@@ -8,9 +8,9 @@ from .averaged import (AveragedState, AveragedTrajectory, DutySchedule,
                        TfMode, averaged_rhs, integrate_averaged,
                        vo_vs_duty_curve)
 from .config import RunConfig, parse_config, parse_config_text
-from .control import (ControllerState, Scenario, TransientRecord,
-                      closed_loop_run, feedforward_tf, pi_update,
-                      ramp_profile, step_profile)
+from .control import (ClosedLoopOrbit, ControllerState, Scenario,
+                      TransientRecord, closed_loop_orbit, closed_loop_run,
+                      feedforward_tf, pi_update, ramp_profile, step_profile)
 from .params import (ReceiverParams, ValidatedParams, min_output_cap,
                      ripple_estimate, size_inductor, size_series_cap,
                      validate)

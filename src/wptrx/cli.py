@@ -312,12 +312,13 @@ def _fig9(out, rc, vp):
 
 def _steady_va_run(rc, vp, n_capture: int):
     """Run on the periodic steady state at the prototype operating point
-    (measured delay): (RunResult, its sampled Waveform)."""
+    (measured delay), seeded at the averaged output at the commanded delay:
+    (RunResult, its sampled Waveform)."""
     duty = rc.duty if rc.duty is not None else _PROTOTYPE_DUTY
     fst = _MEASURED_FST if rc.phase_delay_norm is None else rc.phase_delay_norm
     _, cap, wave = _orbit_capture(
         vp, ModulationCommand(duty, fst / vp.f_s),
-        solve_operating_point(vp, duty).v_o, n_capture,
+        steady_state_vo(vp.i_ls_amp, vp.r_load, duty, fst), n_capture,
         _WAVE_RATE_PER_CYCLE * vp.f_s)
     return cap, wave
 
@@ -351,9 +352,10 @@ def _fig17(out, rc, vp):
                                     _FIG17_FF_AMP, _FIG17_AMPS, f_c=rc.f_c)
     _write_table(out, "fig17.csv",
                  "i_ls_amp,v_o_steady,reg_error,duty,zvs_fraction,"
-                 "zcs_fraction",
+                 "zcs_fraction,spectral_radius",
                  [(r.i_ls_amp, r.v_o_steady, r.reg_error, r.duty,
-                   r.zvs_fraction, r.zcs_fraction) for r in rows])
+                   r.zvs_fraction, r.zcs_fraction, r.spectral_radius)
+                  for r in rows])
     print(f"max regulation error = {max(r.reg_error for r in rows):.4g} V")
     return ["fig17.csv"]
 

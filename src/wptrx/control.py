@@ -17,14 +17,17 @@ reverses.
 
 from dataclasses import dataclass
 import math
+import sys
 from typing import Callable, Union
 
 import numpy as np
 
-from .errors import NonPositiveParameter
+from .analytic import OperatingPoint, duty_for_target_vo
+from .errors import NoConvergence, NonPositiveParameter
 from .params import ValidatedParams, require_positive
-from .simulator import ModulationCommand, SwitchCycleState, step_cycle
-from .smallsignal import PiGains
+from .simulator import (V_ORBIT_TOL, CycleSummary, ModulationCommand,
+                        SwitchCycleState, periodic_steady_state, step_cycle)
+from .smallsignal import PiGains, cycle_linearization, plant_tf
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,161 @@ def feedforward_tf(v_ref: float, i_ls_nominal: float,
     require_positive(i_ls_nominal=i_ls_nominal)
     return math.sqrt(params.c_sum * v_ref
                      / (math.pi * params.f_s * i_ls_nominal))
+
+
+def equilibrium_op(params: ValidatedParams, v_ref: float,
+                   i_ls_ff: float) -> OperatingPoint:
+    """Where the loop sits in steady state: v_ref at the feedforward phase
+    delay, pinned, with the duty that produces it."""
+    fst = params.f_s * feedforward_tf(v_ref, i_ls_ff, params)
+    duty = duty_for_target_vo(params.i_ls_amp, params.r_load, v_ref, fst)
+    return OperatingPoint.pinned(duty, fst, params.f_s, v_o=v_ref)
+
+
+@dataclass(frozen=True)
+class ClosedLoopOrbit:
+    """Fixed point of the closed-loop cycle map at a constant reference,
+    load and source.
+
+    ``state`` is the boundary state on the orbit and ``duty`` the PI
+    integrator there, which is also the duty it commands; ``summary`` is
+    the orbit's cycle.  ``residual`` is the largest change of v_o, v_cd1
+    (V) and the integrator over one closed-loop cycle started on the orbit.
+    ``spectral_radius`` is the largest eigenvalue modulus of the
+    closed-loop map linearized there: below 1 the orbit is stable.
+    ``regulation_failed`` means v_ref is out of reach inside the gains'
+    duty window; the orbit is then the open-loop one at the nearer bound,
+    where the clamp holds the duty and the anti-windup freezes the
+    integrator, and the radius is that of the open-loop map.  ``cycles``
+    counts the step_cycle calls the solve used.
+    """
+    state: SwitchCycleState
+    duty: float
+    summary: CycleSummary
+    residual: float
+    spectral_radius: float
+    regulation_failed: bool
+    cycles: int
+
+
+_MAX_DUTY_ITER = 60
+
+
+def _spectral_radius(m: np.ndarray) -> float:
+    """Largest eigenvalue modulus of a real 3x3 matrix, from the roots of
+    its characteristic polynomial.  (np.linalg.eigvals would page in about
+    1 MB of LAPACK for it.)  The cubic's real root is bisected inside the
+    largest absolute row sum, which bounds every eigenvalue, and divided
+    out."""
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    c2 = -(a + e + i)
+    c1 = a * e - b * d + a * i - c * g + e * i - f * h
+    c0 = -(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
+    bound = max(abs(a) + abs(b) + abs(c), abs(d) + abs(e) + abs(f),
+                abs(g) + abs(h) + abs(i))
+    lo, hi = -bound, bound
+    while hi - lo > 4.0 * sys.float_info.epsilon * bound:
+        mid = 0.5 * (lo + hi)
+        if ((mid + c2) * mid + c1) * mid + c0 < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    root = 0.5 * (lo + hi)
+    p, q = c2 + root, c1 + root * (c2 + root)  # quotient x^2 + p x + q
+    disc = 0.25 * p * p - q
+    pair = 0.5 * abs(p) + math.sqrt(disc) if disc >= 0.0 else math.sqrt(q)
+    return max(abs(root), pair)
+
+
+def closed_loop_orbit(params: ValidatedParams, v_ref: float, i_ls_ff: float,
+                      gains: PiGains) -> ClosedLoopOrbit:
+    """The closed-loop periodic orbit under ``gains`` with the gate delay
+    fed forward from (v_ref, i_ls_ff).
+
+    On the orbit the sampled error is zero, so v_o at the cycle start is
+    v_ref and the duty is the integrator: the orbit is the open-loop orbit
+    (``periodic_steady_state``) of the duty d* whose orbit starts at v_ref.
+    d* is found by secant steps in the duty from ``equilibrium_op``'s, the
+    first along the averaged model's slope, bisecting once a sign change
+    brackets it, until |v_o - v_ref| <= V_ORBIT_TOL.  The stability verdict
+    linearizes the cycle map once (``cycle_linearization``) and closes the
+    PI loop around it: with de = -dv_o, du = dI + (k_p + k_i*T) de and
+    dI' = dI + k_i*T de,
+
+        J = [[A - B (k_p + k_i*T) e1^T, B], [-k_i*T e1^T, 1]].
+
+    Raises NoConvergence, naming the amplitude and the duty, when no d* is
+    found in _MAX_DUTY_ITER steps.
+    """
+    ts = params.t_period
+    t_f = feedforward_tf(v_ref, i_ls_ff, params)
+    op = equilibrium_op(params, v_ref, i_ls_ff)
+    cycles = 0
+
+    def orbit_at(d):
+        nonlocal cycles
+        try:
+            orbit = periodic_steady_state(params, ModulationCommand(d, t_f),
+                                          v_ref)
+        except NoConvergence as exc:
+            raise NoConvergence(f"closed-loop orbit at i_ls_amp = "
+                                f"{params.i_ls_amp!r} A: {exc}") from exc
+        cycles += orbit.cycles
+        return orbit, orbit.state.v_o - v_ref
+
+    d = min(max(op.duty, gains.d_min), gains.d_max)
+    orbit, g = orbit_at(d)
+    slope = plant_tf(params, op).dc_gain
+    low = high = None  # latest duties whose orbit ends below / above v_ref
+    failed = False
+    for _ in range(_MAX_DUTY_ITER):
+        if abs(g) <= V_ORBIT_TOL:
+            break
+        if g < 0.0:
+            low = d
+        else:
+            high = d
+        # a step that left g unchanged gives no direction: NaN bisects, or
+        # moves to a bound
+        d_new = d - g / slope if slope else math.nan
+        if low is not None and high is not None:
+            lo, hi = sorted((low, high))
+            if not lo < d_new < hi:  # NaN too
+                d_new = 0.5 * (lo + hi)
+        elif not gains.d_min <= d_new <= gains.d_max:
+            bound = gains.d_min if d_new < gains.d_min else gains.d_max
+            if d == bound:  # no sign change between here and the bound
+                failed = True
+                break
+            d_new = bound
+        orbit, g_new = orbit_at(d_new)
+        slope = (g_new - g) / (d_new - d)
+        d, g = d_new, g_new
+    else:
+        raise NoConvergence(
+            f"closed-loop orbit at i_ls_amp = {params.i_ls_amp!r} A: "
+            f"|v_o - v_ref| = {abs(g):.3g} V at duty {d!r} after "
+            f"{_MAX_DUTY_ITER} duty steps")
+
+    x = orbit.state
+    cstate = ControllerState(integrator=d, last_duty=d, saturated=failed)
+    duty, cnext = pi_update(x.v_o, v_ref, gains, cstate, ts)
+    nxt, summary, _ = step_cycle(x, ModulationCommand(duty, t_f), params)
+    residual = max(abs(nxt.v_o - x.v_o), abs(nxt.v_cd1 - x.v_cd1),
+                   abs(cnext.integrator - d))
+    a, b, _, _, n_lin = cycle_linearization(
+        params, ModulationCommand(d, t_f), (x.v_o, x.v_cd1))
+    jac = np.zeros((3, 3))  # failed: the clamp holds the duty, J = diag(A, 0)
+    jac[:2, :2] = a
+    if not failed:
+        k_t = gains.k_i * ts
+        jac[:2, :2] -= np.outer(b, (gains.k_p + k_t, 0.0))
+        jac[:2, 2] = b
+        jac[2] = (-k_t, 0.0, 1.0)
+    return ClosedLoopOrbit(
+        state=x, duty=d, summary=summary, residual=residual,
+        spectral_radius=_spectral_radius(jac),
+        regulation_failed=failed, cycles=cycles + 1 + n_lin)
 
 
 Profile = Union[float, Callable[[float], float]]

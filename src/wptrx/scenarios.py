@@ -1,8 +1,10 @@
 """Prebuilt closed-loop experiments and the coupling sweep.
 
 These encode the transient studies the CLI and the acceptance suite share:
-regulated startup, a no-load-to-full-load step, a source-amplitude ramp,
-and the coupling sweep (source amplitude standing in for coil separation).
+regulated startup, a no-load-to-full-load step and a source-amplitude ramp,
+each run cycle by cycle under PI control, and the coupling sweep (source
+amplitude standing in for coil separation), whose points are steady states
+solved directly as closed-loop periodic orbits rather than simulated.
 
 Two conventions matter here:
 
@@ -20,26 +22,12 @@ Two conventions matter here:
 from dataclasses import dataclass
 from typing import Sequence
 
-from .analytic import OperatingPoint, duty_for_target_vo
-from .control import (Scenario, closed_loop_run, feedforward_tf,
+from .control import (Scenario, closed_loop_orbit, equilibrium_op,
                       ramp_profile, step_profile)
 from .params import ValidatedParams
-from .simulator import soft_switching_report
 from .smallsignal import PiGains, design_pi
 
 NO_LOAD_RESISTANCE = 10e3
-
-# Carrier periods each coupling-sweep point runs.
-SWEEP_CYCLES = 3000
-
-
-def equilibrium_op(params: ValidatedParams, v_ref: float,
-                   i_ls_ff: float) -> OperatingPoint:
-    """Where the loop sits in steady state: v_ref at the feedforward phase
-    delay, pinned, with the duty that produces it."""
-    fst = params.f_s * feedforward_tf(v_ref, i_ls_ff, params)
-    duty = duty_for_target_vo(params.i_ls_amp, params.r_load, v_ref, fst)
-    return OperatingPoint.pinned(duty, fst, params.f_s, v_o=v_ref)
 
 
 def design_gains(params: ValidatedParams, v_ref: float, i_ls_ff: float,
@@ -95,33 +83,30 @@ class SweepRow:
     duty: float
     zvs_fraction: float
     zcs_fraction: float
+    spectral_radius: float
 
 
 def coupling_sweep(params: ValidatedParams, v_ref: float, i_ls_ff: float,
                    amplitudes: Sequence[float], f_c: float) -> list:
-    """Closed-loop regulation across source amplitudes.
+    """Closed-loop regulation across source amplitudes, in steady state.
 
-    Each point designs its own PI gains and runs SWEEP_CYCLES carrier
-    periods from a warm start at its own equilibrium; the row reports the
-    tail-window mean output, regulation error, and soft-switching fractions
-    over the whole run.
+    Each point designs its own PI gains (``design_gains``) and solves for
+    its closed-loop periodic orbit (``control.closed_loop_orbit``).  The row
+    reports the orbit's cycle-mean output and its distance from v_ref, the
+    duty, the orbit's ZVS and ZCS verdicts (1.0 or 0.0) and the spectral
+    radius of the closed-loop cycle map.  Where v_ref is out of reach inside
+    the duty window, the row is the open-loop orbit at the bound and its
+    ``reg_error`` shows the miss.
     """
     rows = []
     for i_amp in amplitudes:
         p_i = params.with_amplitude(i_amp)
-        op = equilibrium_op(p_i, v_ref, i_ls_ff)
-        sc = Scenario(name=f"sweep_{i_amp:g}",
-                      duration=SWEEP_CYCLES * params.t_period,
-                      r_load=params.r_load, i_ls_amp=i_amp, v_ref=v_ref,
-                      i_ls_ff=i_ls_ff, v_o0=v_ref, initial_duty=op.duty,
-                      initial_integrator=op.duty)
-        rec = closed_loop_run(sc, design_pi(p_i, op, f_c), p_i)
-        tail = max(1, len(rec.v_o_mean) // 5)
-        v_tail = float(rec.v_o_mean[-tail:].mean())
-        rep = soft_switching_report(rec.diagnostics)
-        rows.append(SweepRow(i_ls_amp=i_amp, v_o_steady=v_tail,
-                             reg_error=abs(v_tail - v_ref),
-                             duty=float(rec.duty[-1]),
-                             zvs_fraction=rep.zvs_fraction,
-                             zcs_fraction=rep.zcs_fraction))
+        orbit = closed_loop_orbit(p_i, v_ref, i_ls_ff,
+                                  design_gains(p_i, v_ref, i_ls_ff, f_c))
+        v_mean = orbit.summary.v_o_mean
+        rows.append(SweepRow(i_ls_amp=i_amp, v_o_steady=v_mean,
+                             reg_error=abs(v_mean - v_ref), duty=orbit.duty,
+                             zvs_fraction=float(orbit.summary.zvs_ok),
+                             zcs_fraction=float(orbit.summary.zcs_ok),
+                             spectral_radius=orbit.spectral_radius))
     return rows

@@ -23,7 +23,6 @@ simulator's one-cycle map at its periodic orbit into a sampled-data model.
 
 from dataclasses import dataclass
 import cmath
-import functools
 import math
 from typing import Sequence
 
@@ -264,31 +263,45 @@ def perturb_bode_oracle(params: ValidatedParams, op, f_grid: Sequence[float],
     return bode_points(f_grid, h)
 
 
-def switched_bode(params: ValidatedParams, op,
-                  f_grid: Sequence[float]) -> list:
-    """Frequency response of the switched simulator from its one-cycle map
-    linearized at the periodic orbit of (op.duty, op.t_f): x_{n+1} =
-    A x_n + B d_n and y_n = C x_n + D d_n, with x = (v_o, v_cd1), d_n the
-    duty held over cycle n and y_n the mean of cycle n (Verghese, Elbuluk
-    & Kassakian, IEEE Trans. Power Electron. 1986), evaluated as
-    C (zI - A)^-1 B + D at z = exp(j*2*pi*f*T_s).  Raises
+def cycle_linearization(params: ValidatedParams, cmd: ModulationCommand,
+                        x: tuple) -> tuple:
+    """The one-cycle map linearized at the boundary state x = (v_o, v_cd1)
+    under ``cmd``: x_{n+1} = A x_n + B d_n and y_n = C x_n + D d_n, with
+    d_n the duty held over cycle n and y_n the mean of cycle n, by one-sided
+    differences (state step CYCLE_FD_STEP relative, duty step
+    _DUTY_FD_STEP).  Returns (A, B, C, D, step_cycle calls).  Raises
     ZeroGainOperatingPoint where the duty does not move the map."""
-    cmd = ModulationCommand(op.duty, op.t_f)
-    orbit = periodic_steady_state(params, cmd, steady_state_vo(
-        params.i_ls_amp, params.r_load, op.duty, op.phase_delay_norm))
-    x = (orbit.state.v_o, orbit.state.v_cd1)
-    residual = functools.partial(cycle_residual, params, cmd)
+    calls = 0
+
+    def residual(y, duty=cmd.duty):
+        nonlocal calls
+        calls += 1
+        return cycle_residual(params, ModulationCommand(duty, cmd.t_f), y)
+
     r = residual(x)
     h_v = CYCLE_FD_STEP * max(abs(x[0]), 1.0)
     jac = np.array(cycle_jacobian(residual, x, r, h_v)).T  # rows: A - I, C
-    r_d = cycle_residual(params, ModulationCommand(op.duty + _DUTY_FD_STEP,
-                                                   op.t_f), x)
-    col_d = [(p - q) / _DUTY_FD_STEP for p, q in zip(r_d, r)]  # B, then D
-    if not any(col_d):
+    r_d = residual(x, cmd.duty + _DUTY_FD_STEP)
+    col_d = np.array([(p - q) / _DUTY_FD_STEP for p, q in zip(r_d, r)])
+    if not col_d.any():
         raise ZeroGainOperatingPoint(
-            f"the duty does not move the cycle map at D = {op.duty}")
-    a = jac[:2] + np.eye(2)
+            f"the duty does not move the cycle map at D = {cmd.duty}")
+    return jac[:2] + np.eye(2), col_d[:2], jac[2], col_d[2], calls
+
+
+def switched_bode(params: ValidatedParams, op,
+                  f_grid: Sequence[float]) -> list:
+    """Frequency response of the switched simulator from its one-cycle map
+    linearized at the periodic orbit of (op.duty, op.t_f),
+    ``cycle_linearization`` (Verghese, Elbuluk & Kassakian, IEEE Trans.
+    Power Electron. 1986), evaluated as C (zI - A)^-1 B + D at
+    z = exp(j*2*pi*f*T_s).  Raises ZeroGainOperatingPoint where the duty
+    does not move the map."""
+    cmd = ModulationCommand(op.duty, op.t_f)
+    orbit = periodic_steady_state(params, cmd, steady_state_vo(
+        params.i_ls_amp, params.r_load, op.duty, op.phase_delay_norm))
+    a, b, c, d, _ = cycle_linearization(
+        params, cmd, (orbit.state.v_o, orbit.state.v_cd1))
     z = np.exp(1j * TWO_PI * params.t_period * np.asarray(f_grid, float))
-    h = [jac[2] @ np.linalg.solve(zk * np.eye(2) - a, col_d[:2]) + col_d[2]
-         for zk in z]
+    h = [c @ np.linalg.solve(zk * np.eye(2) - a, b) + d for zk in z]
     return bode_points(f_grid, np.array(h))

@@ -10,10 +10,11 @@ from wptrx import control
 from wptrx.analytic import fall_time_exact, phase_angle
 from wptrx.control import (ControllerState, Scenario, closed_loop_run,
                            feedforward_tf, pi_update, step_profile)
-from wptrx.errors import GateOverrun, NonPositiveParameter
+from wptrx.errors import GateOverrun, NoConvergence, NonPositiveParameter
 from wptrx.params import ReceiverParams, validate
 from wptrx.scenarios import design_gains, equilibrium_op
-from wptrx.simulator import ModulationCommand, SwitchCycleState, step_cycle
+from wptrx.simulator import (V_ORBIT_TOL, ModulationCommand, SwitchCycleState,
+                             step_cycle)
 from wptrx.smallsignal import PiGains
 
 
@@ -277,3 +278,103 @@ def test_settling_time_is_the_cycle_after_the_last_out_of_band(case,
         assert math.isnan(rec.settling_time)
     else:
         assert rec.settling_time == t[k_settle]
+
+
+# ---------------------------------------------------------------------------
+# closed-loop orbit, at fig17's load (10 W at 24 V) and feedforward amplitude
+# ---------------------------------------------------------------------------
+
+def _sweep_point(vp, i_amp, i_ff=1.40):
+    p = vp.with_load(57.6).with_amplitude(i_amp)
+    return p, design_gains(p, 24.0, i_ff, 1000.0)
+
+
+# at 2 A with the gate delay fed forward from 2.2 A the gate fires before
+# the switch voltage has fallen, so that orbit is hard-switched
+@pytest.mark.parametrize("i_amp,i_ff", [(1.45, 1.40), (2.6, 1.40),
+                                        (2.0, 2.2)])
+def test_closed_loop_orbit_is_a_fixed_point(vp, i_amp, i_ff):
+    # one PI update and one cycle from the orbit, with the integrator at
+    # the orbit's duty, land back on it
+    p, gains = _sweep_point(vp, i_amp, i_ff)
+    orbit = control.closed_loop_orbit(p, 24.0, i_ff, gains)
+    assert not orbit.regulation_failed
+    assert gains.d_min < orbit.duty < gains.d_max
+    x = orbit.state
+    assert abs(24.0 - x.v_o) <= V_ORBIT_TOL  # the sampled error
+    duty, cnext = pi_update(x.v_o, 24.0, gains,
+                            ControllerState(orbit.duty, orbit.duty, False),
+                            p.t_period)
+    nxt, summary, _ = step_cycle(
+        x, ModulationCommand(duty, feedforward_tf(24.0, i_ff, p)), p)
+    assert abs(nxt.v_o - x.v_o) <= V_ORBIT_TOL
+    assert abs(nxt.v_cd1 - x.v_cd1) <= V_ORBIT_TOL
+    assert abs(cnext.integrator - orbit.duty) <= V_ORBIT_TOL
+    assert orbit.residual <= V_ORBIT_TOL
+    assert summary.v_o_mean == orbit.summary.v_o_mean
+    assert summary.zvs_ok == orbit.summary.zvs_ok == (i_amp > i_ff)
+    assert 0.0 < orbit.spectral_radius < 1.0
+    assert orbit.cycles < 30  # 14 to 17 step_cycle calls measured
+
+
+@pytest.mark.parametrize("i_amp", [1.45, 2.6])
+def test_spectral_radius_is_the_measured_decay(vp, i_amp):
+    # started 1e-3 off the orbit in the integrator, the sampled error
+    # decays at the spectral radius once the crossover-rate modes have died
+    # out; between cycles 1000 and 3000, 1 - rate matched 1 - rho to
+    # 6.2e-8 (1.45 A) and 1.6e-9 (2.6 A) relative
+    p, gains = _sweep_point(vp, i_amp)
+    orbit = control.closed_loop_orbit(p, 24.0, 1.40, gains)
+    sc = Scenario(name="off_orbit", duration=3001 * p.t_period,
+                  r_load=p.r_load, i_ls_amp=i_amp, v_ref=24.0, i_ls_ff=1.40,
+                  v_o0=orbit.state.v_o, initial_duty=orbit.duty,
+                  initial_integrator=orbit.duty + 1e-3)
+    e = closed_loop_run(sc, gains, p).v_o_sample - 24.0
+    rate = (e[3000] / e[1000]) ** (1.0 / 2000)
+    rho = orbit.spectral_radius
+    assert abs(rate - rho) <= 1e-5 * (1.0 - rho)
+
+
+@pytest.mark.parametrize("window,side", [
+    ({"d_max": 0.6}, 1.0), ({"d_max": 0.633}, 1.0), ({"d_min": 0.65}, -1.0)])
+def test_orbit_outside_the_duty_window_is_a_regulation_failure(vp, window,
+                                                               side):
+    # at 2.6 A the loop needs d* = 0.6331; a window without it gives the
+    # open-loop orbit at the nearer bound, flagged, not an exception.  A
+    # lower duty raises the output, so below the window v_o ends above v_ref.
+    p, gains = _sweep_point(vp, 2.6)
+    orbit = control.closed_loop_orbit(p, 24.0, 1.40,
+                                      dataclasses.replace(gains, **window))
+    assert orbit.regulation_failed
+    assert orbit.duty == next(iter(window.values()))
+    assert side * (orbit.state.v_o - 24.0) > 1e-4
+    assert orbit.residual <= V_ORBIT_TOL
+    assert 0.0 < orbit.spectral_radius < 1.0
+
+
+def test_closed_loop_orbit_failure_names_amplitude_and_duty(vp, monkeypatch):
+    monkeypatch.setattr(control, "_MAX_DUTY_ITER", 1)
+    p, gains = _sweep_point(vp, 2.6)
+    with pytest.raises(NoConvergence, match=r"i_ls_amp = 2\.6 A.*duty 0\.6"):
+        control.closed_loop_orbit(p, 24.0, 1.40, gains)
+
+
+def test_spectral_radius_matches_lapack():
+    # the closed-form radius against np.linalg.eigvals on seeded 3x3
+    # matrices over six decades of scale, a fifth with a zero column (a soft
+    # orbit's v_cd1 column) and a fifth with a zero last row and column (a
+    # failed orbit's); where the eigenvalues are apart by 1e-3 or more of
+    # the radius, they agreed to 1.5e-14 relative
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        m = rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-3, 4)
+        if rng.random() < 0.2:
+            m[:, 1] = 0.0
+        elif rng.random() < 0.25:
+            m[2] = m[:, 2] = 0.0
+        ev = np.linalg.eigvals(m)
+        rho = max(abs(ev))
+        if min(abs(ev[i] - ev[j]) for i in range(3)
+               for j in range(i + 1, 3)) < 1e-3 * rho:
+            continue
+        assert abs(control._spectral_radius(m) - rho) <= 1e-12 * rho

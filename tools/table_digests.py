@@ -10,7 +10,9 @@ fig13`` also run on a copy of table2 without its ``duty`` and
 ``phase_delay_norm`` keys, so the fallbacks the CLI takes when a config
 gives neither are checked too, and ``reproduce fig13`` and ``fig14`` on a
 copy at ``r_load = 1.5k`` and ``duty = 0.3``, whose orbit hard-switches and
-never reaches State V.  A refactor that must keep the outputs
+never reaches State V, and on a copy at ``r_load = 3k``, ``duty = 0.3`` and
+``phase_delay_norm = 0.02``, where the averaged operating point with the
+delay left free has no solution.  A refactor that must keep the outputs
 byte-identical is checked by diffing two runs:
 
     python3 tools/table_digests.py > before.txt   # on the parent commit
@@ -46,8 +48,11 @@ FIG7 = str(CONFIGS / "fig7.cfg")
 # key -> new value, or None to drop the key
 FALLBACK = "<table2 without duty and phase_delay_norm>"
 LIGHT = "<table2 at r_load = 1.5k and duty = 0.3>"
+LIGHTER = "<table2 at r_load = 3k, duty = 0.3 and phase_delay_norm = 0.02>"
 _DERIVED = {FALLBACK: {"duty": None, "phase_delay_norm": None},
-            LIGHT: {"r_load": "1.5k", "duty": "0.3"}}
+            LIGHT: {"r_load": "1.5k", "duty": "0.3"},
+            LIGHTER: {"r_load": "3k", "duty": "0.3",
+                      "phase_delay_norm": "0.02"}}
 
 FIGURES = ("fig4a", "fig5", "fig7", "fig9", "fig13", "fig14", "fig17",
            "fig19", "fig20")
@@ -93,6 +98,10 @@ RUNS = (
                                    "--config", LIGHT], True),
         ("light_reproduce_fig14", ["reproduce", "fig14",
                                    "--config", LIGHT], True),
+        ("lighter_reproduce_fig13", ["reproduce", "fig13",
+                                     "--config", LIGHTER], True),
+        ("lighter_reproduce_fig14", ["reproduce", "fig14",
+                                     "--config", LIGHTER], True),
     ])
 
 
