@@ -2,16 +2,19 @@
 transient scenarios, and the figure-reproduction harness.
 
 All outputs are comma-separated tables with a header row and LF line
-endings, written by ``_write_table``: strings as is, booleans and integers
-as integers, every other number in 12-significant-digit scientific
-notation.  Identical config + command always produces byte-identical files.
+endings, written by ``_write_table`` column by column, by a rule taken from
+each column's element type: strings as is, booleans and integers as
+``%d``, every other number as ``%.11e`` (12 significant digits).  The
+numpy kernels reproduce ``%`` exactly; a float cell whose rounding the
+``%.11e`` kernel cannot settle (see ``_float_cells``) is formatted by
+``%`` itself.  Identical config + command always produces byte-identical
+files.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 unknown command or figure id.
 """
 
 import argparse
-import contextlib
 import math
 import os
 import sys
@@ -59,33 +62,149 @@ _MEASURED_FST = 0.0672
 _FIG5_FST = 0.0761
 
 
-def _cell_format(x) -> str:
-    if isinstance(x, str):
-        return "%s"
-    if isinstance(x, (bool, int, np.bool_, np.integer)):
-        return "%d"
-    return "%.11e"
+# Rows formatted per pass of _write_table.  A block of the waveform table
+# peaks at about 0.5 MB of working memory; larger blocks take more memory
+# and save no time.
+_TABLE_BLOCK_ROWS = 1024
 
 
-def _write_table(out, name: str, header: str, rows) -> None:
-    """The one table writer: ``header`` and ``rows`` as CSV into
-    ``out/name`` (creating ``out``), or to stdout when ``out`` is None.
+def _words(cells, dtype) -> np.ndarray:
+    """Byte strings ``cells``, NUL-padded to the size of ``dtype``, viewed
+    as that unsigned integer type, so lookups copy machine words."""
+    return np.array(cells, dtype=f"S{np.dtype(dtype).itemsize}").view(dtype)
 
-    The row format is built once from the cell types of the first row, so
-    each column must keep one cell type."""
+
+# Tables of the %.11e kernel.  A cell is the sign, the first digit, the
+# point and the second digit; five pairs of digits; the exponent; one NUL
+# pad byte.  A positive cell's sign byte is NUL.  The scale 10**k and the
+# exponent e = 11 - k are indexed by k + 22, k in [-22, 22]; 10**|k| is
+# exact in float64, and each cell multiplies by one table and divides by
+# the other, one of them 1.0.
+_SCALE_UP = np.array([1.0] * 22 + [float(10 ** k) for k in range(23)])
+_SCALE_DOWN = np.array([float(10 ** -k) for k in range(-22, 0)] + [1.0] * 23)
+_EXPONENTS = _words([b"e%+03d" % (11 - k) for k in range(-22, 23)], "u4")
+_LEADS = _words([sign + b"%d.%d" % divmod(i, 10)
+                 for sign in (b"", b"-") for i in range(100)], "u4")
+_PAIRS = _words([b"%02d" % i for i in range(100)], "u2")
+_FLOAT_CELL = np.dtype([("lead", "u4")]
+                       + [(f"pair{j}", "u2") for j in range(1, 6)]
+                       + [("exp", "u4"), ("pad", "u1")])
+# the pair of an integer's digits, indexed by pair + 100 when no digit
+# precedes it (no leading zero) + 100 more when it is a leading zero pair
+_INT_PAIRS = np.concatenate([_PAIRS, _words([b"%d" % i for i in range(100)],
+                                            "u2"), np.zeros(100, "u2")])
+_MINUS = _words([b"-"], "u2")[0]
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """``"%.11e" % v`` of each float64 ``v`` of ``x``, as NUL-padded S19.
+
+    With e = floor(log10|v|) and k = 11 - e, s = |v| * 10**k is the exact
+    product correctly rounded, for 10**|k| is exact when |k| <= 22.  The
+    12 digits are floor(s + 1/2) unless s is exactly a half-integer: a
+    half-integer below 2**40 is a float64, so s and the exact product lie
+    on the same side of every rounding tie.  Those cells, cells with
+    |k| > 22, cells whose digits fall outside [1e11, 1e12) (log10 off by
+    one, or rounding up to the next power of ten) and non-finite cells are
+    formatted by ``%`` itself."""
+    a = np.abs(x)
+    zero = a == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = 11.0 - np.floor(np.log10(a))
+        k[zero] = 11.0  # e = 0, so a zero prints as 0.00000000000e+00
+        ok = np.abs(k) <= 22.0
+        k[~ok] = 0.0
+        i = k.astype(np.intp) + 22
+        s = a * _SCALE_UP[i] / _SCALE_DOWN[i]
+        m = np.floor(s + 0.5)
+        guard = ~(ok & (m - s != 0.5)
+                  & ((m >= 1e11) & (m < 1e12) | zero))
+    m[guard] = 0.0
+    m = m.astype(np.int64)
+    cells = np.zeros(len(x), _FLOAT_CELL)
+    head = m // 10 ** 10  # the first two of the 12 digits
+    cells["lead"] = _LEADS[head + 100 * np.signbit(x)]
+    for j in range(1, 6):
+        digits = m // 10 ** (10 - 2 * j)  # the first 2 + 2j digits
+        cells[f"pair{j}"] = _PAIRS[digits - 100 * head]
+        head = digits
+    cells["exp"] = _EXPONENTS[i]
+    text = cells.view("S19")
+    where = np.flatnonzero(guard)
+    if where.size:
+        text[where] = [b"%.11e" % v for v in x[where].tolist()]
+    return text
+
+
+def _int_cells(v: np.ndarray) -> np.ndarray:
+    """``"%d" % i`` of each int64 ``i`` of ``v``, as NUL-padded bytes."""
+    mag = np.abs(v).view(np.uint64)  # |int64 min| = 2**63 too
+    n_pairs = (len(str(mag.max(initial=0))) + 1) // 2
+    cells = np.empty((len(v), 1 + n_pairs), "u2")
+    cells[:, 0] = np.where(v < 0, _MINUS, 0)
+    hundred, head = np.uint64(100), np.zeros_like(mag)
+    for j in range(1, n_pairs + 1):
+        digits = mag // np.uint64(100 ** (n_pairs - j))  # the first j pairs
+        index = digits - hundred * head + hundred * (head == 0)
+        if j < n_pairs:
+            index += hundred * (digits == 0)
+        cells[:, j] = _INT_PAIRS[index]
+        head = digits
+    return cells.view(f"S{2 + 2 * n_pairs}").ravel()
+
+
+def _table_rows(columns: list) -> np.ndarray:
+    """Rows of equal-length ``columns`` as records of NUL-padded cells,
+    each followed by its separator byte: ASCII strings as is, booleans and
+    integers as ``%d``, anything else as ``%.11e``.  The float columns
+    share one ``_float_cells`` call."""
+    floats = [c for c in columns if c.dtype.kind not in "USbiu"]
+    float_cells = iter(_float_cells(np.array(floats, np.float64).ravel())
+                       .reshape(len(floats), len(columns[0])))
+    cells = [c.astype("S") if c.dtype.kind in "US"
+             else _int_cells(c.astype(np.int64)) if c.dtype.kind in "biu"
+             else next(float_cells) for c in columns]
+    rows = np.empty(len(columns[0]), [
+        field for i, c in enumerate(cells)
+        for field in ((f"c{i}", c.dtype), (f"s{i}", "S1"))])
+    for i, c in enumerate(cells):
+        rows[f"c{i}"] = c
+        rows[f"s{i}"] = b"," if i < len(cells) - 1 else b"\n"
+    return rows
+
+
+def _table_bytes(header: str, columns: list, n_rows: int):
+    """The CSV text of a table, as bytes, block by block."""
+    yield header.encode() + b"\n"
+    for lo in range(0, n_rows, _TABLE_BLOCK_ROWS):
+        # one expression, so each intermediate is freed as the next is made
+        yield _table_rows([c[lo:lo + _TABLE_BLOCK_ROWS] for c in columns]
+                          ).tobytes().replace(b"\0", b"")
+
+
+def _write_table(out, name: str, header: str, columns) -> None:
+    """The one table writer: ``header`` and the equal-length ``columns``
+    as CSV into ``out/name`` (creating ``out``), or to stdout when ``out``
+    is None.  Each column keeps one cell type (see ``_table_rows``)."""
+    columns = [np.asarray(c) for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"table {name}: columns differ in length: "
+                         f"{lengths}")
+    blocks = _table_bytes(header, columns, lengths[0] if lengths else 0)
     if out is None:
-        stream = contextlib.nullcontext(sys.stdout)
+        for block in blocks:
+            sys.stdout.write(block.decode())
     else:
         os.makedirs(out, exist_ok=True)
-        stream = open(os.path.join(out, name), "w", newline="\n")
-    with stream as fh:
-        fh.write(header + "\n")
-        rows = iter(rows)
-        first = next(rows, None)
-        if first is not None:
-            fmt = ",".join(map(_cell_format, first)) + "\n"
-            fh.write(fmt % tuple(first))
-            fh.writelines(fmt % tuple(row) for row in rows)
+        with open(os.path.join(out, name), "wb") as fh:
+            fh.writelines(blocks)
+
+
+def _fields(records, names: str) -> list:
+    """The columns ``names`` (comma-separated attribute names) of
+    ``records``."""
+    return [[getattr(r, f) for r in records] for f in names.split(",")]
 
 
 def _builtin_config(name: str) -> RunConfig:
@@ -150,7 +269,7 @@ def cmd_design(args, rc, vp) -> int:
     for name, value in rows:
         print(f"{name:18s} = {value:.6g}")
     if args.out:
-        _write_table(args.out, "design.csv", "name,value", rows)
+        _write_table(args.out, "design.csv", "name,value", zip(*rows))
     return 0
 
 
@@ -164,12 +283,10 @@ def cmd_steady(args, rc, vp) -> int:
     else:
         raise ConfigError("no duty given: use --duty or --sweep, or set "
                           "the config key 'duty'")
-    rows = []
-    for d in duties:
-        op = solve_operating_point(vp, d, exact=args.exact)
-        rows.append((d, op.t_f, op.phase_delay_norm, op.v_o, op.regulable))
+    ops = [solve_operating_point(vp, d, exact=args.exact) for d in duties]
     _write_table(args.out or None, "steady.csv",
-                 "duty,t_f,phase_delay_norm,v_o,regulable", rows)
+                 "duty,t_f,phase_delay_norm,v_o,regulable",
+                 [duties] + _fields(ops, "t_f,phase_delay_norm,v_o,regulable"))
     return 0
 
 
@@ -180,8 +297,8 @@ def cmd_bode(args, rc, vp) -> int:
 
 
 def _write_bode(out, name: str, pts) -> None:
-    _write_table(out, name, "f_hz,mag_db,phase_deg",
-                 [(p.f_hz, p.mag_db, p.phase_deg) for p in pts])
+    header = "f_hz,mag_db,phase_deg"
+    _write_table(out, name, header, _fields(pts, header))
 
 
 def cmd_simulate(args, rc, vp) -> int:
@@ -194,13 +311,11 @@ def cmd_simulate(args, rc, vp) -> int:
     orbit, result, wave = _orbit_capture(vp, cmd, op.v_o, args.cycles, rate)
     _write_capture(args.out, "waveform.csv", "events.csv", result.pieces,
                    wave)
-    _write_table(
-        args.out, "diagnostics.csv",
-        "cycle,t_f_meas,t_r_meas,zvs_ok,zcs_ok,q_f,q_r,e_in,e_load,"
-        "e_hard_switch,v_o_mean,v_o_ripple_pp",
-        [(k, d.t_f_meas, d.t_r_meas, d.zvs_ok, d.zcs_ok, d.q_f, d.q_r,
-          d.e_in, d.e_load, d.e_hard_switch, d.v_o_mean, d.v_o_ripple_pp)
-         for k, d in enumerate(result.diagnostics)])
+    fields = ("t_f_meas,t_r_meas,zvs_ok,zcs_ok,q_f,q_r,e_in,e_load,"
+              "e_hard_switch,v_o_mean,v_o_ripple_pp")
+    _write_table(args.out, "diagnostics.csv", "cycle," + fields,
+                 [range(len(result.diagnostics))]
+                 + _fields(result.diagnostics, fields))
     rep = soft_switching_report(result.diagnostics)
     print(f"cycles = {args.cycles}, orbit residual = "
           f"{orbit.residual:.3g} V, zvs = {rep.zvs_fraction:.3f}, "
@@ -217,10 +332,12 @@ def _orbit_capture(vp, cmd, v_o_guess: float, n_cycles: int, rate: float):
 
 
 def _write_capture(out, wave_name: str, events_name: str, pieces, w) -> None:
-    _write_table(out, wave_name, "t,i_ls,v_cs1,v_cd1,v_o,gate,state",
-                 zip(w.t, w.i_ls, w.v_cs1, w.v_cd1, w.v_o, w.gate, w.state))
+    header = "t,i_ls,v_cs1,v_cd1,v_o,gate,state"
+    _write_table(out, wave_name, header,
+                 [getattr(w, f) for f in header.split(",")])
+    events = [e for piece in pieces for e in piece.events]
     _write_table(out, events_name, "t,event",
-                 (e for piece in pieces for e in piece.events))
+                 ([t for t, _ in events], [name for _, name in events]))
 
 
 def _source_ramp(vp, rc: RunConfig):
@@ -245,7 +362,7 @@ def _closed_loop_table(out, name: str, sc, p, rc: RunConfig):
     gains = scenarios.design_gains(p, rc.v_ref, sc.i_ls_ff, rc.f_c)
     rec = closed_loop_run(sc, gains, p)
     _write_table(out, name, "t,v_o_sample,v_o_mean,duty",
-                 zip(rec.t, rec.v_o_sample, rec.v_o_mean, rec.duty))
+                 (rec.t, rec.v_o_sample, rec.v_o_mean, rec.duty))
     return rec
 
 
@@ -263,28 +380,25 @@ def cmd_transient(args, rc, vp) -> int:
 # ---------------------------------------------------------------------------
 
 def _fig4a(out, rc, vp):
-    rows = []
-    for row in averaged.vo_vs_duty_curve(vp, _FIG4A_LOADS, _duty_grid()):
-        rows.append((row.r_load, row.duty, row.v_o, row.regulable))
-    _write_table(out, "fig4a.csv",
-                 "r_load,duty,v_o,regulable", rows)
+    header = "r_load,duty,v_o,regulable"
+    _write_table(out, "fig4a.csv", header, _fields(
+        averaged.vo_vs_duty_curve(vp, _FIG4A_LOADS, _duty_grid()), header))
     return ["fig4a.csv"]
 
 
 def _fig5(out, rc, vp):
-    rows = []
-    for d in _duty_grid():
-        ideal = steady_state_vo(vp.i_ls_amp, vp.r_load, d, 0.0)
-        op = solve_operating_point(vp, d)
-        rows.append((d, ideal, op.v_o))
-    _write_table(out, "fig5.csv",
-                 "duty,v_o_ideal,v_o_with_caps", rows)
+    duties = _duty_grid()
+    _write_table(out, "fig5.csv", "duty,v_o_ideal,v_o_with_caps",
+                 (duties,
+                  [steady_state_vo(vp.i_ls_amp, vp.r_load, d, 0.0)
+                   for d in duties],
+                  [solve_operating_point(vp, d).v_o for d in duties]))
     op_pk = solve_operating_point(vp, analytic.optimal_duty(_FIG5_FST))
     drop = analytic.resonant_cap_voltage_drop(vp.i_ls_amp, vp.r_load,
                                               op_pk.phase_delay_norm)
     _write_table(out, "fig5_summary.csv",
                  "phase_delay_norm,peak_reduction_v",
-                 [(op_pk.phase_delay_norm, drop)])
+                 ([op_pk.phase_delay_norm], [drop]))
     return ["fig5.csv", "fig5_summary.csv"]
 
 
@@ -305,8 +419,8 @@ def _fig9(out, rc, vp):
     cl_pts = bode_points(_BODE_GRID, cl)
     _write_table(out, "fig9.csv",
                  "f_hz,ol_mag_db,ol_phase_deg,cl_mag_db,cl_phase_deg",
-                 [(o.f_hz, o.mag_db, o.phase_deg, c.mag_db, c.phase_deg)
-                  for o, c in zip(ol_pts, cl_pts)])
+                 _fields(ol_pts, "f_hz,mag_db,phase_deg")
+                 + _fields(cl_pts, "mag_db,phase_deg"))
     return ["fig9.csv"]
 
 
@@ -336,26 +450,22 @@ def _fig14(out, rc, vp):
     for channel in ("v_cd1", "i_ls"):
         spec_res = spectrum(wave, channel, 40, vp.f_s)
         name = f"fig14_{channel}.csv"
-        _write_table(out, name,
-                     "harmonic,f_hz,amplitude,phase_rad",
-                     [(k, k * vp.f_s, a, ph)
-                      for k, a, ph in spec_res.harmonics])
+        ks, amps, phases = zip(*spec_res.harmonics)
+        _write_table(out, name, "harmonic,f_hz,amplitude,phase_rad",
+                     (ks, [k * vp.f_s for k in ks], amps, phases))
         summary.append((channel, spec_res.fundamental, spec_res.thd))
         files.append(name)
     _write_table(out, "fig14_summary.csv",
-                 "channel,fundamental,thd", summary)
+                 "channel,fundamental,thd", zip(*summary))
     return files + ["fig14_summary.csv"]
 
 
 def _fig17(out, rc, vp):
     rows = scenarios.coupling_sweep(vp.with_load(_FIG17_LOAD), rc.v_ref,
                                     _FIG17_FF_AMP, _FIG17_AMPS, f_c=rc.f_c)
-    _write_table(out, "fig17.csv",
-                 "i_ls_amp,v_o_steady,reg_error,duty,zvs_fraction,"
-                 "zcs_fraction,spectral_radius",
-                 [(r.i_ls_amp, r.v_o_steady, r.reg_error, r.duty,
-                   r.zvs_fraction, r.zcs_fraction, r.spectral_radius)
-                  for r in rows])
+    header = ("i_ls_amp,v_o_steady,reg_error,duty,zvs_fraction,"
+              "zcs_fraction,spectral_radius")
+    _write_table(out, "fig17.csv", header, _fields(rows, header))
     print(f"max regulation error = {max(r.reg_error for r in rows):.4g} V")
     return ["fig17.csv"]
 

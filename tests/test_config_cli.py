@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wptrx import cli
 from wptrx.cli import _write_table, main
@@ -227,19 +229,82 @@ def test_cli_prints_the_bytes_it_writes(tmp_path, capsys):
 
 
 def test_table_writer_cell_formats(tmp_path):
-    # one format per column, chosen from the first row's cell types
-    rows = [("a", True, np.True_, 7, np.int8(-3), 1.5, np.float64(-0.25),
-             math.nan, math.inf),
-            ("bc", False, np.False_, -12, np.int8(4), -0.0, np.float64(1e300),
-             -math.inf, 2.0)]
-    _write_table(str(tmp_path), "t.csv", "s,b,nb,i,ni,f,nf,nan,inf", rows)
+    # one format per column, chosen from the column's element type
+    columns = [("a", "bc"), (True, False), (np.True_, np.False_), (7, -12),
+               (np.int8(-3), np.int8(4)), (1.5, -0.0),
+               (np.float64(-0.25), np.float64(1e300)), (math.nan, -math.inf),
+               (math.inf, 2.0)]
+    _write_table(str(tmp_path), "t.csv", "s,b,nb,i,ni,f,nf,nan,inf", columns)
     assert (tmp_path / "t.csv").read_bytes() == (
         b"s,b,nb,i,ni,f,nf,nan,inf\n"
         b"a,1,1,7,-3,1.50000000000e+00,-2.50000000000e-01,nan,inf\n"
         b"bc,0,0,-12,4,-0.00000000000e+00,1.00000000000e+300,-inf,"
         b"2.00000000000e+00\n")
-    _write_table(str(tmp_path), "empty.csv", "x,y", [])
+    _write_table(str(tmp_path), "empty.csv", "x,y", [[], []])
     assert (tmp_path / "empty.csv").read_bytes() == b"x,y\n"
+    _write_table(str(tmp_path), "no_float.csv", "s,i", [["a"], [3]])
+    assert (tmp_path / "no_float.csv").read_bytes() == b"s,i\na,3\n"
+
+
+BLOCK = cli._TABLE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_table_writer_blocks_match_per_row_format(tmp_path, capsys, n):
+    rng = np.random.default_rng(n)
+    bits = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+    scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-14, 14, n)
+    floats = np.where(np.arange(n) % 3 == 0, bits, scaled)
+    columns = [["ab"[: k % 3] + "event" * (k % 2) for k in range(n)],
+               [bool(k % 2) for k in range(n)],
+               rng.integers(0, 2, n).astype(np.bool_),
+               [int(v) for v in rng.integers(-10 ** 15, 10 ** 15, n)],
+               rng.integers(-128, 128, n).astype(np.int8),
+               floats]
+    header = "s,b,nb,i,ni,f"
+    # the reference: the per-row rule, one %-format per column
+    row_format = "%s,%d,%d,%d,%d,%.11e\n"
+    expected = (header + "\n" + "".join(
+        row_format % row for row in zip(*columns))).encode()
+    _write_table(str(tmp_path), "t.csv", header, columns)
+    assert (tmp_path / "t.csv").read_bytes() == expected
+    _write_table(None, "t.csv", header, columns)
+    assert capsys.readouterr().out.encode() == expected
+
+
+def test_table_writer_rejects_unequal_columns(tmp_path):
+    with pytest.raises(ValueError, match=r"table t\.csv.*\[3, 2\]"):
+        _write_table(str(tmp_path), "t.csv", "x,y", [[1.0, 2.0, 3.0], [1, 2]])
+    assert not (tmp_path / "t.csv").exists()
+
+
+# the %.11e kernel against % itself
+_NEAR_TIES = st.builds(lambda m, n: float(f"{m - m % 10 + 5}e{n}"),
+                       st.integers(10 ** 12, 10 ** 13 - 1),
+                       st.integers(-40, 40))
+# |k| = 22 and 23, k = 11 - floor(log10|x|): the kernel's scaling limits
+_SCALE_EDGES = st.builds(lambda m, e: m * 10.0 ** e,
+                         st.floats(1.0, 10.0, exclude_max=True),
+                         st.sampled_from([-12, -11, 33, 34]))
+# signed zeros, non-finite values, subnormals, the |k| = 22/23 edges
+# (1e-11 and 1e34), values whose 12 digits round up to the next power of
+# ten and exact ties, which % rounds half to even
+_EDGES = [0.0, math.nan, math.inf, 5e-324, 2.2250738585072e-308, 1e-11,
+          math.nextafter(1e-11, 0.0), 1e-12, 1e33, 1e34,
+          math.nextafter(1e34, 0.0), 9.999999999995, 9.999999999995e5,
+          9.9999999999996, 9.9999999999996e-7, 9.99999999999951e15,
+          9.9999999999999e33, 100000000000.5, 100000000001.5]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.floats(), _NEAR_TIES, _SCALE_EDGES),
+                max_size=40))
+@example(_EDGES + [-v for v in _EDGES])
+def test_float_kernel_matches_percent_format(values):
+    cells = cli._float_cells(np.array(values, dtype=np.float64))
+    assert [c.replace(b"\0", b"") for c in cells.tolist()] == \
+        [("%.11e" % v).encode() for v in values]
 
 
 def test_cli_reproduce_deterministic(tmp_path):

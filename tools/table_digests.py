@@ -5,15 +5,17 @@ Runs every ``reproduce`` figure, the three ``transient`` scenarios and the
 ``simulate``, ``steady``, ``bode``, ``design`` and ``validate`` commands
 against the ``src`` tree next to this script, each in its own directory
 under a temporary root, or under ``--keep DIR`` (created; must not exist),
-which keeps the tables.  ``design``, ``bode``, ``simulate`` and ``reproduce
-fig13`` also run on a copy of table2 without its ``duty`` and
-``phase_delay_norm`` keys, so the fallbacks the CLI takes when a config
-gives neither are checked too, and ``reproduce fig13`` and ``fig14`` on a
-copy at ``r_load = 1.5k`` and ``duty = 0.3``, whose orbit hard-switches and
-never reaches State V, and on a copy at ``r_load = 3k``, ``duty = 0.3`` and
-``phase_delay_norm = 0.02``, where the averaged operating point with the
-delay left free has no solution.  A refactor that must keep the outputs
-byte-identical is checked by diffing two runs:
+which keeps the tables.  ``simulate --config table2 --cycles 400`` writes a
+102,400-row waveform, the size of the benchmark's capture op, so the table
+writer is checked across many of its row blocks.  ``design``, ``bode``,
+``simulate`` and ``reproduce fig13`` also run on a copy of table2 without
+its ``duty`` and ``phase_delay_norm`` keys, so the fallbacks the CLI takes
+when a config gives neither are checked too, and ``reproduce fig13`` and
+``fig14`` on a copy at ``r_load = 1.5k`` and ``duty = 0.3``, whose orbit
+hard-switches and never reaches State V, and on a copy at ``r_load = 3k``,
+``duty = 0.3`` and ``phase_delay_norm = 0.02``, where the averaged
+operating point with the delay left free has no solution.  A refactor
+that must keep the outputs byte-identical is checked by diffing two runs:
 
     python3 tools/table_digests.py > before.txt   # on the parent commit
     python3 tools/table_digests.py > after.txt    # on the change
@@ -26,7 +28,7 @@ tables and measure the change per column with ``tools/table_drift.py``:
     python3 tools/table_digests.py --keep /tmp/after    # the change
     python3 tools/table_drift.py /tmp/before /tmp/after
 
-Stdlib only; about 15 s on a 2-core x86-64 VM.
+Stdlib only; about 7 s on a 2-core x86-64 VM.
 """
 
 import argparse
@@ -65,6 +67,8 @@ RUNS = (
                               "--scenario", name], True)
        for name in ("startup", "load_step", "source_ramp")]
     + [
+        ("simulate_table2_400", ["simulate", "--config", TABLE2,
+                                 "--cycles", "400"], True),
         ("simulate_table2_200", ["simulate", "--config", TABLE2,
                                  "--cycles", "200"], True),
         ("simulate_table2_d0.7_50", ["simulate", "--config", TABLE2,
