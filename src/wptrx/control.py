@@ -289,7 +289,6 @@ class TransientRecord:
     v_o_sample: np.ndarray        # voltage sampled at the sync edge (V)
     v_o_mean: np.ndarray          # cycle-mean output voltage (V)
     duty: np.ndarray
-    diagnostics: list             # CycleSummary of each cycle
     final_value: float
     settling_time: float          # entry into the +-1% band (s); nan if never
     overshoot: float              # max excursion above the final value (V)
@@ -323,7 +322,6 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
     v_samp = np.empty(n_cycles)
     v_mean = np.empty(n_cycles)
     duty_arr = np.empty(n_cycles)
-    diags: list = []
 
     for n in range(n_cycles):
         t_n = n * ts
@@ -342,14 +340,12 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
         v_samp[n] = state.v_o
         v_mean[n] = d.v_o_mean
         duty_arr[n] = duty
-        diags.append(d)
         state = new_state
 
-    return _summarize(scenario, t_arr, v_samp, v_mean, duty_arr, diags)
+    return _summarize(scenario, t_arr, v_samp, v_mean, duty_arr)
 
 
-def _summarize(scenario, t_arr, v_samp, v_mean, duty_arr,
-               diags) -> TransientRecord:
+def _summarize(scenario, t_arr, v_samp, v_mean, duty_arr) -> TransientRecord:
     n_tail = max(1, len(v_mean) // 20)
     final = float(np.mean(v_mean[-n_tail:]))
     band = 0.01 * abs(final) if final != 0.0 else 0.01
@@ -363,7 +359,7 @@ def _summarize(scenario, t_arr, v_samp, v_mean, duty_arr,
     failed = error > 0.05 * max(abs(v_ref_end), 1.0)
     return TransientRecord(
         t=t_arr, v_o_sample=v_samp, v_o_mean=v_mean, duty=duty_arr,
-        diagnostics=diags, final_value=final, settling_time=settling,
+        final_value=final, settling_time=settling,
         overshoot=float(np.max(v_mean) - final),
         undershoot=float(final - np.min(v_mean)),
         steady_state_error=error,

@@ -23,11 +23,14 @@ State I end (the switch voltage reaching zero) takes safeguarded Newton
 steps from the lossless closed form to 1e-13 s.  No step size exists
 anywhere.
 
-``step_cycle`` returns what every caller reads: the next state, a
-``CycleSummary`` (cycle mean and end voltage, timing, soft-switching
-verdicts) and the cycle's ``CyclePiece``.  ``cycle_diagnostics`` builds
-the full ``CycleDiagnostics`` (ledger, ripple extremes, device peaks) from
-a piece; ``run`` does so for every cycle it records.
+``step_cycle`` computes only the cycle's numbers and returns what every
+caller reads: the next state, a ``CycleSummary`` (cycle mean and end
+voltage, timing, soft-switching verdicts) and the cycle's ``CyclePiece``,
+which keeps the event times and closed-form coefficients and builds the
+segments and the event list the first time they are read.
+``cycle_diagnostics`` builds the full ``CycleDiagnostics`` (ledger, ripple
+extremes, device peaks) from a piece; ``run`` does so for every cycle it
+records.
 
 If the commanded gate delay arrives before the switch voltage has fallen to
 zero, turn-on is forced: the residual switch-capacitor energy
@@ -52,6 +55,7 @@ transfer loss of the diode-capacitance top-up.
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 import math
 from typing import Optional, Sequence
 
@@ -182,18 +186,77 @@ class _Seg:
 
 @dataclass
 class CyclePiece:
-    """Everything step_cycle produced for one carrier period."""
+    """One carrier period as step_cycle solved it: its event times and
+    closed-form coefficients.  ``segments`` and ``events`` are built from
+    them the first time they are read."""
     t_start: float
+    t_period: float
     i_amp: float
-    gate_on: float
+    gate_on: float   # absolute gate edges
     gate_off: float
-    segments: list
-    events: list  # (absolute time, name)
     summary: CycleSummary
     # node voltage v_cd1 at the cycle start, at the end of State I, at the
     # start and the end of the conduction clamp, at the end of State IV and
     # at the cycle end; cycle_diagnostics reads it for the ledger
     node_v: tuple
+    # after t_start: the end of State I, the start of State IV and its end
+    # (None when the node never reaches zero)
+    th1: float
+    th_iv: float
+    th4: Optional[float]
+    # the conduction closed form (see _Seg), and v_o where State V starts
+    # (v_o at th_iv on a cycle that never reaches State V)
+    h: float
+    p_s: float
+    p_c: float
+    v_at_th4: float
+
+    @cached_property
+    def segments(self) -> list:
+        """The cycle's _Seg of each state it spent time in, in order.
+        step_cycle's cycle mean integrates these same segments from its
+        scalars, so the two must skip the same empty states."""
+        ts, th1, th_iv, th4 = self.t_period, self.th1, self.th_iv, self.th4
+        half = 0.5 * ts
+        h, p_s, p_c = self.h, self.p_s, self.p_c
+        v_at_iv = self.node_v[3]
+        segs = []
+        if th1 > 0.0:
+            segs.append(_Seg(0.0, th1, 0.0, SwitchingState.STATE_I,
+                             self.summary.v_o_start, 0.0, 0.0, "int",
+                             self.node_v[0]))
+        if th1 < half:
+            segs.append(_Seg(th1, half, th1, SwitchingState.STATE_II,
+                             h, p_s, p_c, "track", 0.0))
+        t_iii = max(th1, half)
+        if th_iv > t_iii:
+            segs.append(_Seg(t_iii, th_iv, th1, SwitchingState.STATE_III,
+                             h, p_s, p_c, "track", 0.0))
+        th4_eff = th4 if th4 is not None else ts
+        if th4_eff > th_iv:
+            segs.append(_Seg(th_iv, th4_eff, th_iv, SwitchingState.STATE_IV,
+                             v_at_iv, 0.0, 0.0, "int", v_at_iv))
+        if self.summary.reached_state_v:
+            segs.append(_Seg(th4, ts, th4, SwitchingState.STATE_V,
+                             self.v_at_th4, 0.0, 0.0, "zero", 0.0))
+        return segs
+
+    @cached_property
+    def events(self) -> list:
+        """(absolute time, name) of the cycle's events, in time order."""
+        t0, hard = self.t_start, self.summary.hard_switched
+        events = [(t0, "cycle_start")]
+        if not hard:
+            events.append((t0 + self.th1, "cs1_zero"))
+        events.append((self.gate_on, "gate_on"))
+        if hard:
+            events.append((t0 + self.th1, "hard_switch"))
+        events.append((t0 + 0.5 * self.t_period, "ils_zero"))
+        events.append((self.gate_off, "gate_off"))
+        if self.th4 is not None:
+            events.append((t0 + self.th4, "cd1_zero"))
+        events.sort(key=lambda e: e[0])
+        return events
 
 
 @dataclass
@@ -249,15 +312,15 @@ def _effective_exp_coeff(seg: _Seg, tau: float) -> float:
     return seg.h * math.exp(-(seg.t0 - seg.t_ref) / tau)
 
 
-def _int_v(seg: _Seg, tau: float, w: float) -> float:
-    """Integral of v_o over the segment (V*s)."""
-    d = seg.t1 - seg.t0
-    if d <= 0.0:
-        return 0.0
-    em = -math.expm1(-d / tau)  # 1 - exp(-d/tau)
-    coeff = _effective_exp_coeff(seg, tau)
-    trig = (-seg.p_s * math.cos(w * seg.t1) + seg.p_c * math.sin(w * seg.t1)
-            + seg.p_s * math.cos(w * seg.t0) - seg.p_c * math.sin(w * seg.t0)) / w
+def _int_v(t0: float, t1: float, coeff: float, p_s: float, p_c: float,
+           tau: float, w: float) -> float:
+    """Integral of v_o over a segment [t0, t1] whose exponential term is
+    coeff at t0 (V*s)."""
+    em = -math.expm1(-(t1 - t0) / tau)  # 1 - exp(-d/tau)
+    if p_s == 0.0 and p_c == 0.0:  # no source-to-rail flow
+        return tau * coeff * em
+    trig = (-p_s * math.cos(w * t1) + p_c * math.sin(w * t1)
+            + p_s * math.cos(w * t0) - p_c * math.sin(w * t0)) / w
     return tau * coeff * em + trig
 
 
@@ -380,8 +443,11 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     non-finite gate delay, and GateOverrun when the gate-off edge would pass
     the end of the period.
     """
-    require_positive(below=1.0, duty=cmd.duty)
-    require_positive(allow_zero=True, t_f=cmd.t_f)
+    # require_positive keeps the rule and its message; the chain only keeps
+    # its two calls off the valid command of every cycle
+    if not (0.0 < cmd.duty < 1.0 and 0.0 <= cmd.t_f < math.inf):
+        require_positive(below=1.0, duty=cmd.duty)
+        require_positive(allow_zero=True, t_f=cmd.t_f)
 
     ts = params.t_period
     w = params.omega
@@ -397,8 +463,8 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     amp = i_amp / (w * params.c_sum)
     v0 = state.v_o
     va0 = state.v_cd1
-    events = [(t_start, "cycle_start")]
-    segments = []
+    # integral of v_o over each segment, in segment order: the cycle mean
+    areas = []
 
     # ---- State I: natural commutation, or forced at the gate edge ----
     natural = None
@@ -418,16 +484,10 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     va_pre_snap = va0 + amp * (1.0 - math.cos(w * th1)) if hard else v_at_th1
     v_cs1_at_gate = max(v_at_th1 - va_pre_snap, 0.0) if hard else 0.0
     if th1 > 0.0:
-        segments.append(_Seg(t0=0.0, t1=th1, t_ref=0.0,
-                             state=SwitchingState.STATE_I, h=v0, p_s=0.0,
-                             p_c=0.0, node="int", va0=va0))
-    if not hard:
-        events.append((t_start + th1, "cs1_zero"))
-    events.append((t_start + gate_on, "gate_on"))
+        areas.append(_int_v(0.0, th1, v0, 0.0, 0.0, tau, w))
 
     e_hard = 0.0
     if hard:
-        events.append((t_start + th1, "hard_switch"))
         e_hard = 0.5 * params.c_s1 * v_cs1_at_gate * v_cs1_at_gate
         # diode capacitance top-up drawn from the output capacitor
         v_at_th1 -= v_cs1_at_gate * params.c_d1 / (params.c_o + params.c_d1)
@@ -439,18 +499,13 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     p_c = -w * tau * p_s
     h = (v_at_th1 - p_s * math.sin(w * th1) - p_c * math.cos(w * th1))
     if th1 < half:
-        segments.append(_Seg(t0=th1, t1=half, t_ref=th1,
-                             state=SwitchingState.STATE_II, h=h, p_s=p_s,
-                             p_c=p_c, node="track", va0=0.0))
-    state_iii = _Seg(t0=max(th1, half), t1=th_iv, t_ref=th1,
-                     state=SwitchingState.STATE_III, h=h, p_s=p_s, p_c=p_c,
-                     node="track", va0=0.0)
-    if th_iv > state_iii.t0:
-        segments.append(state_iii)
-    events.append((t_start + half, "ils_zero"))
-    events.append((t_start + gate_off, "gate_off"))
-
-    v_at_iv = state_iii.v_o(th_iv, tau, w)
+        areas.append(_int_v(th1, half, h, p_s, p_c, tau, w))
+    t_iii = max(th1, half)
+    if th_iv > t_iii:
+        areas.append(_int_v(t_iii, th_iv, h * math.exp(-(t_iii - th1) / tau),
+                            p_s, p_c, tau, w))
+    v_at_iv = (h * math.exp(-(th_iv - th1) / tau) + p_s * math.sin(w * th_iv)
+               + p_c * math.cos(w * th_iv))
 
     # ---- State IV: the node swings down toward the diode along
     # va(th) = v_at_iv + amp (cos w th_iv - cos w th).  On [th_iv, T] the
@@ -463,46 +518,41 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
         c = math.cos(w * th_iv) + v_at_iv / amp
         if c <= 1.0:
             th4 = min(max((TWO_PI - math.acos(c)) / w, th_iv), ts)
-    if th4 is not None:
-        events.append((t_start + th4, "cd1_zero"))
 
     th4_eff = th4 if th4 is not None else ts
     if th4_eff > th_iv:
-        segments.append(_Seg(t0=th_iv, t1=th4_eff, t_ref=th_iv,
-                             state=SwitchingState.STATE_IV, h=v_at_iv,
-                             p_s=0.0, p_c=0.0, node="int", va0=v_at_iv))
+        areas.append(_int_v(th_iv, th4_eff, v_at_iv, 0.0, 0.0, tau, w))
     va_end_iv = 0.0 if th4 is not None else \
         v_at_iv + amp * (math.cos(w * th_iv) - math.cos(w * ts))
     t_r_meas = (th4 - th_iv) if th4 is not None else float("nan")
 
-    # ---- State V: freewheel ----
+    # ---- State V: freewheel; v_o decays from the last segment's start ----
     reached_v = th4 is not None and th4 < ts
+    t_last = th4 if reached_v else th_iv
+    v_at_th4 = v_at_iv * math.exp(-(t_last - th_iv) / tau)
     if reached_v:
-        v_at_th4 = segments[-1].v_o(th4, tau, w) if th4 > th_iv else v_at_iv
-        segments.append(_Seg(t0=th4, t1=ts, t_ref=th4,
-                             state=SwitchingState.STATE_V, h=v_at_th4,
-                             p_s=0.0, p_c=0.0, node="zero", va0=0.0))
+        areas.append(_int_v(th4, ts, v_at_th4, 0.0, 0.0, tau, w))
 
-    v_end = segments[-1].v_o(ts, tau, w)
+    v_end = v_at_th4 * math.exp(-(ts - t_last) / tau)
     # 0 when State V was reached; on a cycle that never freewheels the
     # switch-path diode caps the carried node voltage at the output rail
     va_cycle_end = min(va_end_iv, v_end)
 
     summary = CycleSummary(
-        v_o_start=v0, v_o_end=v_end,
-        v_o_mean=sum(_int_v(seg, tau, w) for seg in segments) / ts,
+        v_o_start=v0, v_o_end=v_end, v_o_mean=sum(areas) / ts,
         t_f_meas=th1 if not hard else float("nan"), t_r_meas=t_r_meas,
         zvs_ok=v_cs1_at_gate <= V_ZVS_TOL,
         zcs_ok=reached_v and abs(i_amp * math.sin(w * ts)) <= I_ZCS_TOL,
         v_cs1_at_gate=v_cs1_at_gate, hard_switched=hard,
         reached_state_v=reached_v, e_hard_switch=e_hard)
 
-    events.sort(key=lambda e: e[0])
-    piece = CyclePiece(t_start=t_start, i_amp=i_amp, gate_on=t_start + gate_on,
-                       gate_off=t_start + gate_off, segments=segments,
-                       events=events, summary=summary,
+    piece = CyclePiece(t_start=t_start, t_period=ts, i_amp=i_amp,
+                       gate_on=t_start + gate_on, gate_off=t_start + gate_off,
+                       summary=summary,
                        node_v=(va0, va_pre_snap, v_at_th1, v_at_iv,
-                               va_end_iv, va_cycle_end))
+                               va_end_iv, va_cycle_end),
+                       th1=th1, th_iv=th_iv, th4=th4, h=h, p_s=p_s, p_c=p_c,
+                       v_at_th4=v_at_th4)
     return SwitchCycleState(v_end, va_cycle_end), summary, piece
 
 
@@ -541,8 +591,8 @@ def cycle_diagnostics(piece: CyclePiece,
     v_o_min = min(candidates)
     v_o_max = max(candidates)
     # device peaks: the diode sees the output rail during conduction, the
-    # switch sees it while the diode freewheels (from State V's start, h)
-    v_cs1_end = (piece.segments[-1].h if s.reached_state_v
+    # switch sees it while the diode freewheels (from State V's start)
+    v_cs1_end = (piece.v_at_th4 if s.reached_state_v
                  else v_end - va_cycle_end)
     return CycleDiagnostics(
         **vars(s),

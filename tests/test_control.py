@@ -273,7 +273,7 @@ def test_settling_time_is_the_cycle_after_the_last_out_of_band(case,
     sc = Scenario(name=case, duration=0.1, r_load=38.09, i_ls_amp=2.35,
                   v_ref=1.0, i_ls_ff=2.35, v_o0=1.0, initial_duty=0.6,
                   initial_integrator=0.6)
-    rec = control._summarize(sc, t, v_mean, v_mean, np.full(100, 0.6), [])
+    rec = control._summarize(sc, t, v_mean, v_mean, np.full(100, 0.6))
     if k_settle is None:
         assert math.isnan(rec.settling_time)
     else:

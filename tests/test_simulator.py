@@ -8,16 +8,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from wptrx import cli, simulator
 from wptrx.analytic import (OperatingPoint, duty_bounds, fall_time_exact,
                             rise_time, solve_operating_point,
                             steady_state_vo)
 from wptrx.averaged import averaged_rhs
+from wptrx.control import equilibrium_op, feedforward_tf
 from wptrx.errors import (CommutationImpossible, GateOverrun, NoConvergence,
                           NonPeriodicWindow, NonPositiveParameter)
 from wptrx.params import ReceiverParams, ripple_estimate, validate
 from wptrx.rootfind import bisect_root
+from wptrx.scenarios import NO_LOAD_RESISTANCE
 from wptrx.simulator import (T_EVENT_TOL, V_ORBIT_TOL, ModulationCommand,
                              SwitchCycleState, Waveform,
                              cycle_diagnostics, periodic_steady_state, run,
@@ -248,6 +251,31 @@ def test_run_mean_matches_operating_point(vp):
     cmd = ModulationCommand(0.532, op.t_f)
     res = run(vp, cmd, 4000, v_o0=op.v_o)
     assert res.diagnostics[-1].v_o_mean == pytest.approx(op.v_o, rel=0.01)
+
+
+@pytest.mark.parametrize("r_load, command, hard, state_v", [
+    (None, lambda p: ModulationCommand(0.532, 0.0672 / p.f_s), True, True),
+    (1500.0, lambda p: ModulationCommand(0.3, 0.0672 / p.f_s), True, False),
+    # the load step's pre-step point
+    (NO_LOAD_RESISTANCE, lambda p: ModulationCommand(
+        equilibrium_op(p, 24.0, 2.35).duty, feedforward_tf(24.0, 2.35, p)),
+     True, True),
+    (None, lambda p: exact_cmd(p, 0.532, 24.6, margin=20e-9), False, True),
+], ids=["table2", "no_state_v", "no_load", "soft"])
+def test_cycle_mean_matches_quadrature_of_its_segments(vp, r_load, command,
+                                                       hard, state_v):
+    # step_cycle sums the segment integrals from its scalars; the segments
+    # its piece builds when read must integrate to the same mean
+    p = vp.with_load(r_load) if r_load else vp
+    cmd = command(p)
+    orbit = periodic_steady_state(p, cmd, 24.0)
+    _, s, piece = step_cycle(orbit.state, cmd, p)
+    assert (s.hard_switched, s.reached_state_v) == (hard, state_v)
+    tau = p.r_load * p.c_o
+    area = sum(quad(lambda th, seg=seg: seg.v_o(th, tau, p.omega), seg.t0,
+                    seg.t1, epsabs=0.0, epsrel=1e-13)[0]
+               for seg in piece.segments)
+    assert s.v_o_mean == pytest.approx(area / p.t_period, rel=1e-12)
 
 
 def ripple_oracle(vp, v_bar, theta_on):
