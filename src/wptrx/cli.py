@@ -179,7 +179,7 @@ def _table_bytes(header: str, columns: list, n_rows: int):
     for lo in range(0, n_rows, _TABLE_BLOCK_ROWS):
         # one expression, so each intermediate is freed as the next is made
         yield _table_rows([c[lo:lo + _TABLE_BLOCK_ROWS] for c in columns]
-                          ).tobytes().replace(b"\0", b"")
+                          ).tobytes().translate(None, b"\0")
 
 
 def _write_table(out, name: str, header: str, columns) -> None:

@@ -26,7 +26,8 @@ from .analytic import OperatingPoint, duty_for_target_vo
 from .errors import NoConvergence, NonPositiveParameter
 from .params import ValidatedParams, require_positive
 from .simulator import (V_ORBIT_TOL, CycleSummary, ModulationCommand,
-                        SwitchCycleState, periodic_steady_state, step_cycle)
+                        SwitchCycleState, _cycle, periodic_steady_state,
+                        step_cycle)
 from .smallsignal import PiGains, cycle_linearization, plant_tf
 
 
@@ -100,7 +101,7 @@ class ClosedLoopOrbit:
     duty window; the orbit is then the open-loop one at the nearer bound,
     where the clamp holds the duty and the anti-windup freezes the
     integrator, and the radius is that of the open-loop map.  ``cycles``
-    counts the step_cycle calls the solve used.
+    counts the cycles the solve stepped.
     """
     state: SwitchCycleState
     duty: float
@@ -314,8 +315,9 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
                                    scenario.duration)
     cstate = ControllerState(integrator=scenario.initial_integrator,
                              last_duty=scenario.initial_duty, saturated=False)
-    state = SwitchCycleState(scenario.v_o0)
-    p_n = params
+    v_o, v_cd1 = scenario.v_o0, 0.0
+    # the live load and amplitude, each checked whenever it changes
+    r_n, i_n = params.r_load, params.i_ls_amp
     v_ref_ff = math.nan  # the reference t_f_cmd was fed forward from
 
     t_arr = np.empty(n_cycles)
@@ -325,22 +327,24 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
 
     for n in range(n_cycles):
         t_n = n * ts
-        r_n = _eval_profile(scenario.r_load, t_n)
-        i_n = _eval_profile(scenario.i_ls_amp, t_n)
-        if r_n != p_n.r_load or i_n != p_n.i_ls_amp:  # NaN always differs
-            p_n = params.with_load(r_n).with_amplitude(i_n)
+        r = _eval_profile(scenario.r_load, t_n)
+        if r != r_n:  # NaN always differs
+            require_positive(r_load=r)
+            r_n = r
+        i = _eval_profile(scenario.i_ls_amp, t_n)
+        if i != i_n:
+            require_positive(allow_zero=True, i_ls_amp=i)
+            i_n = i
         v_ref_n = _eval_profile(scenario.v_ref, t_n)
         if v_ref_n != v_ref_ff:  # NaN always differs
             t_f_cmd = feedforward_tf(v_ref_n, scenario.i_ls_ff, params)
             v_ref_ff = v_ref_n
-        duty, cstate = pi_update(state.v_o, v_ref_n, gains, cstate, ts)
-        new_state, d, _ = step_cycle(state, ModulationCommand(duty, t_f_cmd),
-                                     p_n, t_start=t_n)
+        duty, cstate = pi_update(v_o, v_ref_n, gains, cstate, ts)
         t_arr[n] = t_n
-        v_samp[n] = state.v_o
-        v_mean[n] = d.v_o_mean
+        v_samp[n] = v_o
+        v_o, v_cd1, v_mean[n] = _cycle(v_o, v_cd1, duty, t_f_cmd, r_n, i_n,
+                                       params)[:3]
         duty_arr[n] = duty
-        state = new_state
 
     return _summarize(scenario, t_arr, v_samp, v_mean, duty_arr)
 

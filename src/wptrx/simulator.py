@@ -23,14 +23,19 @@ State I end (the switch voltage reaching zero) takes safeguarded Newton
 steps from the lossless closed form to 1e-13 s.  No step size exists
 anywhere.
 
-``step_cycle`` computes only the cycle's numbers and returns what every
-caller reads: the next state, a ``CycleSummary`` (cycle mean and end
-voltage, timing, soft-switching verdicts) and the cycle's ``CyclePiece``,
-which keeps the event times and closed-form coefficients and builds the
-segments and the event list the first time they are read.
-``cycle_diagnostics`` builds the full ``CycleDiagnostics`` (ledger, ripple
-extremes, device peaks) from a piece; ``run`` does so for every cycle it
-records.
+All of a cycle's arithmetic lives in one private kernel, ``_cycle``, which
+takes and returns plain floats: the boundary state, the gate command, the
+load and the source amplitude in, the next state, the cycle mean and the
+event times and closed-form coefficients out.  The closed-loop run and the
+orbit solvers (``cycle_residual``) call it directly and build no records.
+``step_cycle`` calls it and builds what other callers read: the next
+state, a ``CycleSummary`` (cycle mean and end voltage, timing,
+soft-switching verdicts) and the cycle's ``CyclePiece``, which keeps the
+event times and closed-form coefficients and builds the segments and the
+event list the first time they are read.  ``cycle_diagnostics`` builds the
+full ``CycleDiagnostics`` (ledger, ripple extremes, device peaks) from a
+piece; a ``run``'s result does so for every cycle the first time its
+diagnostics are read.
 
 If the commanded gate delay arrives before the switch voltage has fallen to
 zero, turn-on is forced: the residual switch-capacitor energy
@@ -261,9 +266,16 @@ class CyclePiece:
 
 @dataclass
 class RunResult:
-    diagnostics: list
+    """The pieces of a ``run``, its final state and the receiver it ran
+    on.  ``diagnostics`` (``cycle_diagnostics`` of every piece) is built
+    the first time it is read."""
     pieces: list
     final_state: SwitchCycleState
+    params: ValidatedParams
+
+    @cached_property
+    def diagnostics(self) -> list:
+        return [cycle_diagnostics(p, self.params) for p in self.pieces]
 
 
 @dataclass
@@ -433,36 +445,34 @@ def _turn_on_time(v0: float, va0: float, amp: float, w: float, tau: float,
                         f"steps: v0={v0!r}, va0={va0!r}, amp={amp!r}")
 
 
-def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
-               params: ValidatedParams, t_start: float = 0.0) -> tuple:
-    """Advance exactly one carrier period.
+def _cycle(v0: float, va0: float, duty: float, t_f: float, r_load: float,
+           i_amp: float, params: ValidatedParams) -> tuple:
+    """The arithmetic of one carrier period from the boundary state
+    (v0, va0) under the gate command (duty, t_f), with load r_load and
+    source amplitude i_amp; every other value is read from ``params``.
 
-    Returns (next_state, CycleSummary, CyclePiece);
-    ``cycle_diagnostics(piece, params)`` builds the full record.  Raises
-    NonPositiveParameter for a duty outside (0, 1) or a negative or
-    non-finite gate delay, and GateOverrun when the gate-off edge would pass
-    the end of the period.
+    Returns plain floats: the next v_o and v_cd1 and the cycle mean first,
+    then what step_cycle's records need: gate_off, th1, hard, v_cs1_at_gate,
+    va_pre_snap, v_at_th1, th_iv, h, p_s, p_c, v_at_iv, th4 (None when the
+    node never reaches zero), va_end_iv, reached_v and v_at_th4 (see
+    CyclePiece).  Raises as step_cycle does.
     """
     # require_positive keeps the rule and its message; the chain only keeps
     # its two calls off the valid command of every cycle
-    if not (0.0 < cmd.duty < 1.0 and 0.0 <= cmd.t_f < math.inf):
-        require_positive(below=1.0, duty=cmd.duty)
-        require_positive(allow_zero=True, t_f=cmd.t_f)
+    if not (0.0 < duty < 1.0 and 0.0 <= t_f < math.inf):
+        require_positive(below=1.0, duty=duty)
+        require_positive(allow_zero=True, t_f=t_f)
 
     ts = params.t_period
     w = params.omega
-    tau = params.r_load * params.c_o
-    i_amp = params.i_ls_amp
+    tau = r_load * params.c_o
     half = 0.5 * ts
-    gate_on = cmd.t_f
-    gate_off = cmd.t_f + cmd.duty * ts
+    gate_on = t_f
+    gate_off = t_f + duty * ts
     if gate_off >= ts:
-        raise GateOverrun(
-            f"duty + f_s*t_f = {cmd.duty + cmd.t_f / ts:.6g} >= 1")
+        raise GateOverrun(f"duty + f_s*t_f = {duty + t_f / ts:.6g} >= 1")
 
     amp = i_amp / (w * params.c_sum)
-    v0 = state.v_o
-    va0 = state.v_cd1
     # integral of v_o over each segment, in segment order: the cycle mean
     areas = []
 
@@ -486,16 +496,14 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     if th1 > 0.0:
         areas.append(_int_v(0.0, th1, v0, 0.0, 0.0, tau, w))
 
-    e_hard = 0.0
     if hard:
-        e_hard = 0.5 * params.c_s1 * v_cs1_at_gate * v_cs1_at_gate
         # diode capacitance top-up drawn from the output capacitor
         v_at_th1 -= v_cs1_at_gate * params.c_d1 / (params.c_o + params.c_d1)
 
     # ---- conduction: [th1, max(gate_off, half)], one closed form; State II
     # before the current zero crossing at T/2, State III after it ----
     th_iv = max(gate_off, half)
-    p_s = i_amp * params.r_load / (1.0 + (w * tau) ** 2)
+    p_s = i_amp * r_load / (1.0 + (w * tau) ** 2)
     p_c = -w * tau * p_s
     h = (v_at_th1 - p_s * math.sin(w * th1) - p_c * math.cos(w * th1))
     if th1 < half:
@@ -524,7 +532,6 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
         areas.append(_int_v(th_iv, th4_eff, v_at_iv, 0.0, 0.0, tau, w))
     va_end_iv = 0.0 if th4 is not None else \
         v_at_iv + amp * (math.cos(w * th_iv) - math.cos(w * ts))
-    t_r_meas = (th4 - th_iv) if th4 is not None else float("nan")
 
     # ---- State V: freewheel; v_o decays from the last segment's start ----
     reached_v = th4 is not None and th4 < ts
@@ -536,20 +543,44 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     v_end = v_at_th4 * math.exp(-(ts - t_last) / tau)
     # 0 when State V was reached; on a cycle that never freewheels the
     # switch-path diode caps the carried node voltage at the output rail
-    va_cycle_end = min(va_end_iv, v_end)
+    return (v_end, min(va_end_iv, v_end), sum(areas) / ts,
+            gate_off, th1, hard, v_cs1_at_gate, va_pre_snap, v_at_th1, th_iv,
+            h, p_s, p_c, v_at_iv, th4, va_end_iv, reached_v, v_at_th4)
 
+
+def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
+               params: ValidatedParams, t_start: float = 0.0) -> tuple:
+    """Advance exactly one carrier period.
+
+    Returns (next_state, CycleSummary, CyclePiece);
+    ``cycle_diagnostics(piece, params)`` builds the full record.  Raises
+    NonPositiveParameter for a duty outside (0, 1) or a negative or
+    non-finite gate delay, and GateOverrun when the gate-off edge would pass
+    the end of the period.  The arithmetic is ``_cycle``'s, at
+    ``params.r_load`` and ``params.i_ls_amp``; this builds the records.
+    """
+    i_amp = params.i_ls_amp
+    (v_end, va_cycle_end, v_mean, gate_off, th1, hard, v_cs1_at_gate,
+     va_pre_snap, v_at_th1, th_iv, h, p_s, p_c, v_at_iv, th4, va_end_iv,
+     reached_v, v_at_th4) = _cycle(state.v_o, state.v_cd1, cmd.duty, cmd.t_f,
+                                   params.r_load, i_amp, params)
+    ts = params.t_period
     summary = CycleSummary(
-        v_o_start=v0, v_o_end=v_end, v_o_mean=sum(areas) / ts,
-        t_f_meas=th1 if not hard else float("nan"), t_r_meas=t_r_meas,
+        v_o_start=state.v_o, v_o_end=v_end, v_o_mean=v_mean,
+        t_f_meas=th1 if not hard else float("nan"),
+        t_r_meas=(th4 - th_iv) if th4 is not None else float("nan"),
         zvs_ok=v_cs1_at_gate <= V_ZVS_TOL,
-        zcs_ok=reached_v and abs(i_amp * math.sin(w * ts)) <= I_ZCS_TOL,
+        zcs_ok=(reached_v
+                and abs(i_amp * math.sin(params.omega * ts)) <= I_ZCS_TOL),
         v_cs1_at_gate=v_cs1_at_gate, hard_switched=hard,
-        reached_state_v=reached_v, e_hard_switch=e_hard)
+        reached_state_v=reached_v,
+        e_hard_switch=(0.5 * params.c_s1 * v_cs1_at_gate * v_cs1_at_gate
+                       if hard else 0.0))
 
     piece = CyclePiece(t_start=t_start, t_period=ts, i_amp=i_amp,
-                       gate_on=t_start + gate_on, gate_off=t_start + gate_off,
+                       gate_on=t_start + cmd.t_f, gate_off=t_start + gate_off,
                        summary=summary,
-                       node_v=(va0, va_pre_snap, v_at_th1, v_at_iv,
+                       node_v=(state.v_cd1, va_pre_snap, v_at_th1, v_at_iv,
                                va_end_iv, va_cycle_end),
                        th1=th1, th_iv=th_iv, th4=th4, h=h, p_s=p_s, p_c=p_c,
                        v_at_th4=v_at_th4)
@@ -616,9 +647,9 @@ def run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
     """Run ``n_cycles`` (>= 1) carrier periods of the constant command
     ``cmd``, from ``initial``, or else from output voltage ``v_o0`` (finite,
     >= 0) with the diode capacitance empty.  Its diagnostics are the full
-    ``cycle_diagnostics`` of every cycle; ``sample_waveform(pieces, ...)``
-    samples the result; ``periodic_steady_state`` gives a start on the
-    orbit.
+    ``cycle_diagnostics`` of every cycle, built when first read;
+    ``sample_waveform(pieces, ...)`` samples the result;
+    ``periodic_steady_state`` gives a start on the orbit.
     """
     require_positive(n_cycles=n_cycles)
     state = initial
@@ -630,9 +661,7 @@ def run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
         state, _, piece = step_cycle(state, cmd, params,
                                      t_start=n * params.t_period)
         pieces.append(piece)
-    return RunResult(diagnostics=[cycle_diagnostics(p, params)
-                                  for p in pieces],
-                     pieces=pieces, final_state=state)
+    return RunResult(pieces=pieces, final_state=state, params=params)
 
 
 @dataclass(frozen=True)
@@ -640,7 +669,7 @@ class PeriodicOrbit:
     """Cycle-aligned state on the periodic orbit of a constant command.
 
     ``residual`` is max(|dv_o|, |dv_cd1|) over one cycle started from
-    ``state`` (V); ``cycles`` counts the step_cycle calls the solve used.
+    ``state`` (V); ``cycles`` counts the cycles the solve stepped.
     """
     state: SwitchCycleState
     residual: float
@@ -654,9 +683,10 @@ CYCLE_FD_STEP = 1e-4    # state difference step, relative to max(|v_o|, 1 V)
 
 def cycle_residual(params: ValidatedParams, cmd: ModulationCommand,
                    x: tuple) -> tuple:
-    """(P(x) - x, cycle mean) of one step_cycle from x = (v_o, v_cd1)."""
-    nxt, diags, _ = step_cycle(SwitchCycleState(*x), cmd, params)
-    return (nxt.v_o - x[0], nxt.v_cd1 - x[1], diags.v_o_mean)
+    """(P(x) - x, cycle mean) of one cycle from x = (v_o, v_cd1)."""
+    v_o, v_cd1, v_mean = _cycle(x[0], x[1], cmd.duty, cmd.t_f, params.r_load,
+                                params.i_ls_amp, params)[:3]
+    return (v_o - x[0], v_cd1 - x[1], v_mean)
 
 
 def cycle_jacobian(residual, x: tuple, r: tuple, h: float) -> tuple:
@@ -676,7 +706,7 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
                           v_o0: float) -> PeriodicOrbit:
     """Periodic steady state of a constant command, found by shooting.
 
-    Solves P(x) = x, where P is step_cycle's map of the boundary state
+    Solves P(x) = x, where P is the one-cycle map of the boundary state
     x = (v_o, v_cd1) over one carrier period (Aprille & Trick, Proc. IEEE
     1972), starting from x = (v_o0, 0).  Newton steps use a one-sided
     difference Jacobian and are halved until they reduce max|P(x) - x|, so

@@ -269,7 +269,7 @@ def cycle_linearization(params: ValidatedParams, cmd: ModulationCommand,
     under ``cmd``: x_{n+1} = A x_n + B d_n and y_n = C x_n + D d_n, with
     d_n the duty held over cycle n and y_n the mean of cycle n, by one-sided
     differences (state step CYCLE_FD_STEP relative, duty step
-    _DUTY_FD_STEP).  Returns (A, B, C, D, step_cycle calls).  Raises
+    _DUTY_FD_STEP).  Returns (A, B, C, D, cycles stepped).  Raises
     ZeroGainOperatingPoint where the duty does not move the map."""
     calls = 0
 

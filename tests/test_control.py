@@ -224,17 +224,22 @@ def test_scenario_requires_minimum_duration(vp):
         closed_loop_run(sc, GAINS, vp)
 
 
-def test_non_finite_profile_value_is_rejected(vp_fast):
-    # a load profile that yields NaN stops the run where the value enters
-    # instead of producing a NaN trajectory
-    sc = Scenario(name="nan_load", duration=200 * vp_fast.t_period,
-                  r_load=step_profile(38.09, math.nan,
-                                      100 * vp_fast.t_period),
-                  i_ls_amp=2.35, v_ref=24.0, i_ls_ff=2.35, v_o0=24.0,
-                  initial_duty=0.6, initial_integrator=0.6)
+@pytest.mark.parametrize("field,bad", [
+    ("r_load", math.nan), ("r_load", 0.0), ("i_ls_amp", math.nan),
+    ("i_ls_amp", -1.0)],
+    ids=["r_load_nan", "r_load_zero", "i_ls_amp_nan", "i_ls_amp_negative"])
+def test_non_finite_profile_value_is_rejected(vp_fast, field, bad):
+    # a load or source profile that yields a bad value stops the run where
+    # the value enters instead of producing a bad trajectory
+    profiles = {"r_load": 38.09, "i_ls_amp": 2.35}
+    profiles[field] = step_profile(profiles[field], bad,
+                                   100 * vp_fast.t_period)
+    sc = Scenario(name="bad_profile", duration=200 * vp_fast.t_period,
+                  v_ref=24.0, i_ls_ff=2.35, v_o0=24.0,
+                  initial_duty=0.6, initial_integrator=0.6, **profiles)
     with pytest.raises(NonPositiveParameter) as err:
         closed_loop_run(sc, GAINS, vp_fast)
-    assert err.value.field == "r_load"
+    assert err.value.field == field
 
 
 def test_feedforward_recomputed_only_when_the_reference_moves(vp_fast,
@@ -314,7 +319,7 @@ def test_closed_loop_orbit_is_a_fixed_point(vp, i_amp, i_ff):
     assert summary.v_o_mean == orbit.summary.v_o_mean
     assert summary.zvs_ok == orbit.summary.zvs_ok == (i_amp > i_ff)
     assert 0.0 < orbit.spectral_radius < 1.0
-    assert orbit.cycles < 30  # 14 to 17 step_cycle calls measured
+    assert orbit.cycles < 30  # 14 to 17 cycles measured
 
 
 @pytest.mark.parametrize("i_amp", [1.45, 2.6])

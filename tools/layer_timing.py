@@ -8,6 +8,8 @@ table2 receiver:
 * ``step_cycle`` on the periodic orbit of the config's command (duty 0.532,
   f_s*t_f = 0.0672, the fig13 operating point), in us per cycle;
 * ``closed_loop_run`` on fig19's load step (6000 cycles), in us per cycle;
+* ``closed_loop_run`` on fig20's source ramp (6000 cycles, the amplitude
+  changing on 2000 of them), in us per cycle;
 * ``periodic_steady_state`` of that command from the averaged output, in ms
   per solve;
 * ``sample_waveform`` of 32 orbit cycles at 256 samples per cycle, in us
@@ -17,7 +19,7 @@ Each figure is the median of several repeats, after one warm-up call, so
 a slow repeat on a shared host moves it little; the lowest and highest
 repeat are printed beside it.  Compare two commits by running the script
 in a checkout of each, on the same machine, one right after the other.
-Needs numpy; about 5 s on a 2-core x86-64 VM.
+Needs numpy; about 2 s on a 2-core x86-64 VM.
 """
 
 import statistics
@@ -28,7 +30,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from wptrx import scenarios  # noqa: E402
+from wptrx import cli, scenarios  # noqa: E402
 from wptrx.analytic import steady_state_vo  # noqa: E402
 from wptrx.config import parse_config  # noqa: E402
 from wptrx.control import closed_loop_run  # noqa: E402
@@ -75,6 +77,10 @@ def main() -> int:
                                       r_low=36.0)
     gains = scenarios.design_gains(vp, rc.v_ref, sc.i_ls_ff, rc.f_c)
     n_loop = len(closed_loop_run(sc, gains, vp).t)
+    sc_ramp, p_ramp = cli._source_ramp(vp, rc)
+    gains_ramp = scenarios.design_gains(p_ramp, rc.v_ref, sc_ramp.i_ls_ff,
+                                        rc.f_c)
+    n_ramp = len(closed_loop_run(sc_ramp, gains_ramp, p_ramp).t)
     pieces = run(vp, cmd, SAMPLE_CYCLES, initial=orbit.state).pieces
     rate = SAMPLES_PER_CYCLE * vp.f_s
     n_samples = len(sample_waveform(pieces, vp, rate).t)
@@ -85,6 +91,9 @@ def main() -> int:
         (f"closed_loop_run, fig19 load step ({n_loop} cycles)", "us/cycle",
          _timed(lambda: closed_loop_run(sc, gains, vp), LOOP_REPEATS,
                 n_loop / 1e6)),
+        (f"closed_loop_run, fig20 source ramp ({n_ramp} cycles)", "us/cycle",
+         _timed(lambda: closed_loop_run(sc_ramp, gains_ramp, p_ramp),
+                LOOP_REPEATS, n_ramp / 1e6)),
         (f"periodic_steady_state, table2 ({orbit.cycles} cycles)",
          "ms/solve",
          _timed(lambda: periodic_steady_state(vp, cmd, v_guess),
