@@ -24,7 +24,7 @@ import numpy as np
 
 from .analytic import (PHASE_DELAY_MAX, TWO_PI, solve_operating_point,
                        steady_state_vo)
-from .errors import NonPositiveParameter
+from .errors import NonPositiveParameter, WptrxError
 from .params import ValidatedParams, require_positive
 
 # Integration undershoot below this is clamped to zero and flagged; the
@@ -164,8 +164,8 @@ def vo_vs_duty_curve(params: ValidatedParams, r_values: Sequence[float],
     """Output voltage versus duty for several loads.
 
     Each point is a converged operating point (fall time self-consistent
-    with the output voltage).  Solver failures are recorded per row instead
-    of aborting the sweep.
+    with the output voltage).  Solver failures (WptrxError) are recorded
+    per row instead of aborting the sweep; any other exception propagates.
     """
     if len(r_values) == 0 or len(d_grid) == 0:
         raise NonPositiveParameter("grid size", 0)
@@ -177,7 +177,7 @@ def vo_vs_duty_curve(params: ValidatedParams, r_values: Sequence[float],
                 op = solve_operating_point(p_r, d)
                 rows.append(DutyCurveRow(r_load=r, duty=d, v_o=op.v_o,
                                          t_f=op.t_f, regulable=op.regulable))
-            except Exception as exc:  # per-row propagation, sweep continues
+            except WptrxError as exc:  # per-row record, sweep continues
                 rows.append(DutyCurveRow(r_load=r, duty=d, v_o=float("nan"),
                                          t_f=float("nan"), regulable=False,
                                          error=type(exc).__name__))

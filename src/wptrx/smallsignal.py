@@ -17,8 +17,13 @@ Two checks re-derive the frequency response from the nonlinear models.
 The perturbation oracle drives a small sinusoidal duty through the exact
 exponential-segment integrator of the averaged model, from its periodic
 state, and takes the first-harmonic ratio of output to input with
-closed-form Fourier integrals.  The switched check linearizes the
-simulator's one-cycle map at its periodic orbit into a sampled-data model.
+closed-form Fourier integrals.  It evaluates the whole grid at once, one
+perturbation period at a time, with its complex arithmetic written on
+real and imaginary float arrays: numpy's complex * and /, np.exp and
+np.sum round differently from the scalar evaluation, and the tables are
+kept byte-identical to it.  The switched check linearizes the simulator's
+one-cycle map at its periodic orbit into a sampled-data model.  Every
+Bode entry point checks its grid with one helper.
 """
 
 from dataclasses import dataclass
@@ -100,6 +105,18 @@ def plant_tf(params: ValidatedParams, op) -> TransferFunction1P:
         pole_hz=1.0 / (TWO_PI * params.r_load * params.c_o))
 
 
+def _check_grid(f_grid: Sequence[float]) -> np.ndarray:
+    """The one check of a Bode grid: returns it as a float array, or raises
+    NonPositiveParameter unless it is non-empty, finite, > 0 and strictly
+    ascending."""
+    f = np.asarray(f_grid, dtype=float)
+    if not (f.ndim == 1 and f.size > 0 and np.all(np.isfinite(f))
+            and f[0] > 0.0 and np.all(np.diff(f) > 0.0)):
+        raise NonPositiveParameter(
+            "f_grid", f_grid, "non-empty, finite, > 0 and strictly ascending")
+    return f
+
+
 def bode(tf: TransferFunction1P, f_grid: Sequence[float]) -> list:
     """Magnitude/phase table of a TransferFunction1P.
 
@@ -107,9 +124,7 @@ def bode(tf: TransferFunction1P, f_grid: Sequence[float]) -> list:
     -180 degrees (not +180), and the pole rolls off another 90.  The plant
     therefore spans -180 to -270 degrees.
     """
-    f = np.asarray(f_grid, dtype=float)
-    if len(f) == 0 or np.any(f <= 0) or np.any(np.diff(f) <= 0):
-        raise NonPositiveParameter("f_grid (ascending, positive)", 0.0)
+    f = _check_grid(f_grid)
     mag_db = (20.0 * np.log10(abs(tf.dc_gain))
               - 10.0 * np.log10(1.0 + (f / tf.pole_hz) ** 2))
     phase = (-180.0 if tf.dc_gain < 0 else 0.0) \
@@ -196,33 +211,24 @@ def loop_margins(plant: TransferFunction1P, gains: PiGains) -> tuple:
 # Frequency response measured on the averaged and the switched models.
 # ---------------------------------------------------------------------------
 
-def _cycle_run(v0: float, d_bar: float, d_tilde: float, fst: float,
-               w_pert: float, t0: float, t_seg: float,
-               params: ValidatedParams, accumulate: bool) -> tuple:
-    """Advance one perturbation period of _ORACLE_SEGMENTS ZOH segments.
+def _cmul(ar, ai, br, bi) -> tuple:
+    """(ar + j*ai)*(br + j*bi) on real and imaginary parts, in CPython's
+    operation order (a float operand is the complex (x, 0))."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
-    Returns (v_end, U1, Y1): the endpoint and, when ``accumulate``, the
-    closed-form Fourier integrals of the duty input and the voltage
-    response at the perturbation frequency.
-    """
-    tau = params.r_load * params.c_o
-    a_seg = math.exp(-t_seg / tau)
-    c = 1.0 / tau + 1j * w_pert
-    u1 = 0.0 + 0.0j
-    y1 = 0.0 + 0.0j
-    v = v0
-    for k in range(_ORACLE_SEGMENTS):
-        tk = t0 + k * t_seg
-        duty = d_bar + d_tilde * math.sin(w_pert * tk)
-        v_inf = steady_state_vo(params.i_ls_amp, params.r_load, duty, fst)
-        if accumulate:
-            e0 = cmath.exp(-1j * w_pert * tk)
-            e1 = cmath.exp(-1j * w_pert * (tk + t_seg))
-            box = (e0 - e1) / (1j * w_pert)       # integral of e^{-jwt}
-            u1 += duty * box
-            y1 += v_inf * box + (v - v_inf) * e0 * (1.0 - cmath.exp(-t_seg * c)) / c
-        v = v_inf + (v - v_inf) * a_seg
-    return v, u1, y1
+
+def _cdiv(ar, ai, br, bi) -> tuple:
+    """(ar + j*ai)/(br + j*bi) on real and imaginary parts, by CPython's
+    scaled quotient, which divides through by the larger of |br| and |bi|.
+    Its two branches, ((ar + ai*r), (ai - ar*r)) and ((ar*r + ai),
+    (ai*r - ar)), are one expression with the factors (1, r) or (r, 1):
+    a product with 1.0 is exact, so only the divisor's arrays branch."""
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_real, bi / br, br / bi)
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    m1, m2 = np.where(by_real, 1.0, ratio), np.where(by_real, ratio, 1.0)
+    return (ar * m1 + ai * m2) / denom, (ai * m1 - ar * m2) / denom
 
 
 def perturb_bode_oracle(params: ValidatedParams, op, f_grid: Sequence[float],
@@ -236,31 +242,92 @@ def perturb_bode_oracle(params: ValidatedParams, op, f_grid: Sequence[float],
     map is affine, so its fixed point is available in closed form), and the
     first-harmonic gain/phase is the ratio of closed-form Fourier integrals
     of output and input over an integer number of periods.
+
+    The whole grid is evaluated at once, one perturbation period at a
+    time: (frequency x segment) arrays, with the zero-order-hold recurrence
+    stepped segment by segment over all frequencies.  The arithmetic
+    repeats the scalar complex evaluation bit for bit, so the tables stay
+    byte-identical: the complex products and quotients are written on real
+    and imaginary float arrays in CPython's order (numpy's complex * and /
+    round differently), the per-frequency decays come from math.exp (np.exp
+    does not always match it), and each period's terms are summed in
+    sequence with cumsum (np.sum adds pairwise).  Raises
+    NonPositiveParameter for a grid that is empty, non-finite, not > 0 or
+    not ascending, and for rel_amp outside (0, 1).
     """
+    f = _check_grid(f_grid)
+    require_positive(below=1.0, rel_amp=rel_amp)
     d_bar = op.duty
     d_tilde = rel_amp * d_bar
-    fst = op.phase_delay_norm
+    phi = TWO_PI * op.phase_delay_norm
     tau = params.r_load * params.c_o
-    h = np.empty(len(f_grid), dtype=complex)
-    for i, f in enumerate(f_grid):
-        w = TWO_PI * f
-        t_per = 1.0 / f
-        t_seg = t_per / _ORACLE_SEGMENTS
-        # Fixed point of the affine one-period map v -> a*v + b.
-        a_per = math.exp(-t_per / tau)
-        b_per, _, _ = _cycle_run(0.0, d_bar, d_tilde, fst, w, 0.0,
-                                 t_seg, params, accumulate=False)
-        v_star = b_per / (1.0 - a_per)
-        u1 = 0.0 + 0.0j
-        y1 = 0.0 + 0.0j
-        v = v_star
-        for p in range(_ORACLE_PERIODS):
-            v, du, dy = _cycle_run(v, d_bar, d_tilde, fst, w, p * t_per,
-                                   t_seg, params, accumulate=True)
-            u1 += du
-            y1 += dy
-        h[i] = y1 / u1
-    return bode_points(f_grid, h)
+    # steady_state_vo over arrays of duty, in its own operation order
+    v_scale = params.i_ls_amp * params.r_load / TWO_PI
+    cos_phi = math.cos(phi)
+
+    w = TWO_PI * f
+    t_per = 1.0 / f
+    t_seg = t_per / _ORACLE_SEGMENTS
+    a_seg = np.array([math.exp(-t / tau) for t in t_seg.tolist()])
+    a_per = np.array([math.exp(-t / tau) for t in t_per.tolist()])
+    # 1 - exp(-t_seg*c) with c = 1/tau + j*w, one complex per frequency
+    c_re = 1.0 / tau
+    g = np.array([1.0 - cmath.exp(-t * complex(c_re, wi))
+                  for t, wi in zip(t_seg.tolist(), w.tolist())])
+    # frequencies down the rows, segments along them
+    w, t_seg, g_re, g_im = (x[:, None] for x in (w, t_seg, g.real, g.imag))
+    k = np.arange(_ORACLE_SEGMENTS, dtype=float)
+
+    def period(t0):
+        """Segment starts t_k, duties and v_inf of the period from t0."""
+        tk = t0 + k * t_seg
+        duty = d_bar + d_tilde * np.sin(w * tk)
+        return tk, duty, v_scale * (cos_phi - np.cos(TWO_PI * duty + phi))
+
+    def ramp(v, v_inf):
+        """Step the ZOH recurrence over one period; returns the state at
+        the start of each segment and the end state."""
+        starts = np.empty_like(v_inf)
+        for j in range(_ORACLE_SEGMENTS):
+            starts[:, j] = v
+            v = v_inf[:, j] + (v - v_inf[:, j]) * a_seg
+        return starts, v
+
+    def fourier(tk, duty, v_inf, starts):
+        """The period's closed-form Fourier sums (Re U1, Im U1, Re Y1,
+        Im Y1), each segment's term added in order.  Each (frequency x
+        segment) temporary is released once used: together they set the
+        oracle's peak memory."""
+        th = -w * tk
+        e0_re, e0_im = np.cos(th), np.sin(th)
+        th = -w * (tk + t_seg)
+        # integral of e^{-jwt} over the segment: (e0 - e1)/(jw)
+        box = _cdiv(e0_re - np.cos(th), e0_im - np.sin(th), 0.0, w)
+        del th
+        # Y1's term is v_inf*box + tail, tail = (v - v_inf)*e0*g/c
+        tail = _cdiv(
+            *_cmul(*_cmul(starts - v_inf, 0.0, e0_re, e0_im), g_re, g_im),
+            c_re, w)
+        del e0_re, e0_im
+        head = _cmul(v_inf, 0.0, *box)
+        y1 = [np.cumsum(a + b, axis=1)[:, -1] for a, b in zip(head, tail)]
+        del head, tail
+        u1 = [np.cumsum(a, axis=1)[:, -1] for a in _cmul(duty, 0.0, *box)]
+        return np.array(u1 + y1)
+
+    drive = period(0.0)
+    # Fixed point of the affine one-period map v -> a*v + b, b from v = 0.
+    _, b_per = ramp(np.zeros(len(f)), drive[2])
+    v = b_per / (1.0 - a_per)
+    sums = np.zeros((4, len(f)))
+    for p in range(_ORACLE_PERIODS):
+        if p:
+            drive = period(p * t_per[:, None])
+        starts, v = ramp(v, drive[2])
+        sums += fourier(*drive, starts)
+    h = [complex(yr, yi) / complex(ur, ui)
+         for ur, ui, yr, yi in zip(*sums.tolist())]
+    return bode_points(f, np.array(h))
 
 
 def cycle_linearization(params: ValidatedParams, cmd: ModulationCommand,
@@ -296,12 +363,14 @@ def switched_bode(params: ValidatedParams, op,
     ``cycle_linearization`` (Verghese, Elbuluk & Kassakian, IEEE Trans.
     Power Electron. 1986), evaluated as C (zI - A)^-1 B + D at
     z = exp(j*2*pi*f*T_s).  Raises ZeroGainOperatingPoint where the duty
-    does not move the map."""
+    does not move the map.  Raises NonPositiveParameter for a grid that is
+    empty, non-finite, not > 0 or not ascending."""
+    f = _check_grid(f_grid)
     cmd = ModulationCommand(op.duty, op.t_f)
     orbit = periodic_steady_state(params, cmd, steady_state_vo(
         params.i_ls_amp, params.r_load, op.duty, op.phase_delay_norm))
     a, b, c, d, _ = cycle_linearization(
         params, cmd, (orbit.state.v_o, orbit.state.v_cd1))
-    z = np.exp(1j * TWO_PI * params.t_period * np.asarray(f_grid, float))
+    z = np.exp(1j * TWO_PI * params.t_period * f)
     h = [c @ np.linalg.solve(zk * np.eye(2) - a, b) + d for zk in z]
-    return bode_points(f_grid, np.array(h))
+    return bode_points(f, np.array(h))

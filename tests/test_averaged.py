@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wptrx import averaged
 from wptrx.analytic import optimal_duty, solve_operating_point, steady_state_vo
 from wptrx.averaged import (AveragedState, DutySchedule, averaged_rhs,
                             integrate_averaged, vo_vs_duty_curve)
@@ -128,6 +129,25 @@ def test_duty_curve_rows_consistent():
         assert r.v_o == pytest.approx(
             steady_state_vo(2.35, r.r_load, r.duty, vp2.f_s * r.t_f),
             abs=1e-5)
+
+
+def test_duty_curve_records_solver_errors_per_row():
+    vp2 = validate(ReceiverParams(l_s=172e-6, c_s=3.63e-9, c_s1=4.5e-9,
+                                  c_d1=4.5e-9, c_o=1000e-6, r_load=38.09,
+                                  f_s=200e3, i_ls_amp=2.35))
+    rows = vo_vs_duty_curve(vp2, [38.09], [0.55, 1.0, 1.2])
+    assert [r.error for r in rows] == ["", "NonPositiveParameter",
+                                     "NonPositiveParameter"]
+    assert math.isnan(rows[1].v_o) and not rows[1].regulable
+
+
+def test_duty_curve_lets_programming_errors_through(vp, monkeypatch):
+    def broken(params, duty):
+        raise TypeError("not a solver failure")
+
+    monkeypatch.setattr(averaged, "solve_operating_point", broken)
+    with pytest.raises(TypeError, match="not a solver failure"):
+        vo_vs_duty_curve(vp, [30.0], [0.55])
 
 
 def test_duty_curve_linear_in_load_when_delay_pinned():

@@ -1,5 +1,6 @@
 """Plant linearization, PI design, margins, and the perturbation oracle."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,13 +8,15 @@ import pytest
 
 from wptrx.analytic import OperatingPoint, optimal_duty, steady_state_vo
 from wptrx.averaged import averaged_rhs
-from wptrx.errors import NoCrossover, ZeroGainOperatingPoint
+from wptrx.errors import (NoCrossover, NonPositiveParameter,
+                          ZeroGainOperatingPoint)
 from wptrx.params import ReceiverParams, validate
 from wptrx.simulator import (ModulationCommand, periodic_steady_state,
                              step_cycle)
-from wptrx.smallsignal import (PiGains, bode, bode_points, design_pi,
-                               loop_margins, loop_response,
-                               perturb_bode_oracle, plant_tf, switched_bode)
+from wptrx.smallsignal import (_ORACLE_PERIODS, _ORACLE_SEGMENTS, PiGains,
+                               bode, bode_points, design_pi, loop_margins,
+                               loop_response, perturb_bode_oracle, plant_tf,
+                               switched_bode)
 
 TWO_PI = 2 * math.pi
 BODE_GRID = [10.0 * 10.0 ** (k / 30.0) for k in range(91)]
@@ -166,6 +169,96 @@ def test_perturbation_oracle_linearity(vp, op):
     g2 = perturb_bode_oracle(vp, op, [100.0], rel_amp=2e-3)[0]
     assert 10 ** (g1.mag_db / 20) == pytest.approx(10 ** (g2.mag_db / 20),
                                                    rel=1e-3)
+
+
+def oracle_reference(params, op, f_grid, rel_amp=1e-3):
+    """The oracle as a scalar loop over frequencies, periods and segments,
+    in Python complex arithmetic."""
+    d_bar, fst = op.duty, op.phase_delay_norm
+    d_tilde = rel_amp * d_bar
+    tau = params.r_load * params.c_o
+
+    def one_period(v, w, t0, t_seg):
+        c = 1.0 / tau + 1j * w
+        u1 = y1 = 0.0 + 0.0j
+        for k in range(_ORACLE_SEGMENTS):
+            tk = t0 + k * t_seg
+            duty = d_bar + d_tilde * math.sin(w * tk)
+            v_inf = steady_state_vo(params.i_ls_amp, params.r_load, duty, fst)
+            e0 = cmath.exp(-1j * w * tk)
+            box = (e0 - cmath.exp(-1j * w * (tk + t_seg))) / (1j * w)
+            u1 += duty * box
+            y1 += v_inf * box + (v - v_inf) * e0 * (
+                1.0 - cmath.exp(-t_seg * c)) / c
+            v = v_inf + (v - v_inf) * math.exp(-t_seg / tau)
+        return v, u1, y1
+
+    h = []
+    for f in f_grid:
+        w, t_per = TWO_PI * f, 1.0 / f
+        t_seg = t_per / _ORACLE_SEGMENTS
+        b_per = one_period(0.0, w, 0.0, t_seg)[0]
+        v = b_per / (1.0 - math.exp(-t_per / tau))
+        u1 = y1 = 0.0 + 0.0j
+        for p in range(_ORACLE_PERIODS):
+            v, du, dy = one_period(v, w, p * t_per, t_seg)
+            u1 += du
+            y1 += dy
+        h.append(y1 / u1)
+    return bode_points(f_grid, np.array(h))
+
+
+def _fig7_box_receiver(seed):
+    rng = np.random.default_rng(seed)
+    fst = rng.uniform(0.08, 0.12)
+    vp_r = validate(ReceiverParams(
+        l_s=172e-6, c_s=3.6817e-9, c_s1=rng.uniform(3.8e-9, 5.2e-9),
+        c_d1=rng.uniform(3.8e-9, 5.2e-9), c_o=rng.uniform(80e-6, 120e-6),
+        r_load=rng.uniform(25.0, 35.0), f_s=200e3,
+        i_ls_amp=rng.uniform(0.85, 1.15)))
+    duty = 0.5 - fst + rng.uniform(0.05, 0.15)
+    return vp_r, OperatingPoint.pinned(duty, fst, vp_r.f_s)
+
+
+@pytest.mark.parametrize("point,rel_amp", [
+    ("fig7", 1e-3), ("table2", 1e-3), ("fig7_box", 1e-3), ("fig7", 0.3)])
+def test_oracle_is_bit_identical_to_the_scalar_loop(point, rel_amp, vp, op,
+                                                    vp_table2):
+    # fig7's 1/tau = 333 s^-1 takes both branches of the complex quotient
+    # by 1/tau + jw across the grid; table2's 26 s^-1 only the jw one.  At
+    # rel_amp 1e-3 the quotient's term is too small beside v_inf*box for
+    # the branch taken to reach the last bit of any point; at 0.3 it
+    # reaches 8 of the 91.
+    if point == "table2":
+        vp = vp_table2
+        op = OperatingPoint.pinned(0.532, 0.0672, vp.f_s)
+    elif point == "fig7_box":
+        vp, op = _fig7_box_receiver(11)
+    fast = perturb_bode_oracle(vp, op, BODE_GRID, rel_amp)
+    ref = oracle_reference(vp, op, BODE_GRID, rel_amp)
+    assert [(p.f_hz, p.mag_db, p.phase_deg) for p in fast] == \
+        [(p.f_hz, p.mag_db, p.phase_deg) for p in ref]
+
+
+@pytest.mark.parametrize("grid", [
+    [], [-10.0], [0.0], [float("nan")], [float("inf")], [10.0, float("nan")],
+    [10.0, float("inf")], [10.0, 10.0], [100.0, 10.0], [[10.0, 100.0]]],
+    ids=["empty", "negative", "zero", "nan", "inf", "tail_nan", "tail_inf",
+         "repeated", "descending", "2d"])
+@pytest.mark.parametrize("entry", ["bode", "oracle", "switched"])
+def test_bode_entry_points_reject_bad_grids(entry, grid, vp, op):
+    call = {"bode": lambda: bode(plant_tf(vp, op), grid),
+            "oracle": lambda: perturb_bode_oracle(vp, op, grid),
+            "switched": lambda: switched_bode(vp, op, grid)}[entry]
+    with pytest.raises(NonPositiveParameter, match="f_grid"):
+        call()
+
+
+@pytest.mark.parametrize("rel_amp", [0.0, -1e-3, 1.0, float("nan"),
+                                     float("inf")])
+def test_oracle_rejects_bad_rel_amp(rel_amp, vp, op):
+    with pytest.raises(NonPositiveParameter, match="rel_amp"):
+        perturb_bode_oracle(vp, op, [100.0], rel_amp=rel_amp)
 
 
 def test_switched_simulator_spot_check(vp, op):
