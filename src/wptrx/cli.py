@@ -328,7 +328,7 @@ def _orbit_capture(vp, cmd, v_o_guess: float, n_cycles: int, rate: float):
     of ``cmd`` solved from ``v_o_guess``, sampled at ``rate``."""
     orbit = periodic_steady_state(vp, cmd, v_o_guess)
     result = run(vp, cmd, n_cycles, initial=orbit.state)
-    return orbit, result, sample_waveform(result.pieces, vp, rate)
+    return orbit, result, sample_waveform(result.pieces, rate)
 
 
 def _write_capture(out, wave_name: str, events_name: str, pieces, w) -> None:
@@ -343,7 +343,7 @@ def _write_capture(out, wave_name: str, events_name: str, pieces, w) -> None:
 def _source_ramp(vp, rc: RunConfig):
     p = vp.with_load(_FIG20_LOAD).with_amplitude(_FIG20_AMPS[0])
     return scenarios.source_ramp_scenario(
-        p, rc.v_ref, _FIG20_AMPS[0], _FIG20_AMPS[0], _FIG20_AMPS[1]), p
+        p, rc.v_ref, _FIG20_AMPS[0], _FIG20_AMPS[1]), p
 
 
 # transient --scenario: name -> (vp, rc) -> (Scenario, receiver it runs on)
@@ -448,7 +448,7 @@ def _fig14(out, rc, vp):
     files = []
     summary = []
     for channel in ("v_cd1", "i_ls"):
-        spec_res = spectrum(wave, channel, 40, vp.f_s)
+        spec_res = spectrum(wave, channel, 40)
         name = f"fig14_{channel}.csv"
         ks, amps, phases = zip(*spec_res.harmonics)
         _write_table(out, name, "harmonic,f_hz,amplitude,phase_rad",

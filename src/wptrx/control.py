@@ -261,8 +261,9 @@ class Scenario:
 
     ``r_load``/``i_ls_amp``/``v_ref`` accept constants or callables of
     absolute time.  ``i_ls_ff`` is the feedforward amplitude constant;
-    choose it at or below the smallest live amplitude so the commanded gate
-    delay never undershoots the exact commutation time.
+    choose it below the smallest live amplitude by more than the
+    square-root estimate's undershoot of the exact commutation time (2 %
+    on table2; at the live amplitude the turn-on is hard).
     """
     name: str
     duration: float

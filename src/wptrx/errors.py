@@ -51,7 +51,7 @@ class GateOverrun(WptrxError):
 
 
 class NonPeriodicWindow(WptrxError):
-    """Spectrum window does not cover an integer number of carrier periods."""
+    """Sampled window is not a whole number of periods of one carrier."""
 
 
 class ConfigError(WptrxError):

@@ -10,13 +10,12 @@ Two conventions matter here:
 
 * "No load" is 10 kOhm, not infinity: regulation still needs a bleed path
   and a finite RC time constant.
-* The feedforward amplitude of a scenario is chosen at (or below) the
-  smallest live amplitude it will see.  The square-root fall-time estimate
-  always undershoots the exact commutation time by a percent or two, so a
-  feedforward evaluated at the live amplitude fires the gate marginally
-  early and forfeits zero-voltage turn-on; an amplitude margin keeps the
-  commanded delay on the safe side, where the switch path's diode simply
-  holds the node until the gate edge.
+* The feedforward amplitude of a scenario must lie below the smallest
+  live amplitude it will see, by more than the undershoot of the
+  square-root fall-time estimate (2 % holds on table2; at or 1 % below the
+  amplitude the gate fires early and turn-on is hard).  fig19 (table2's
+  ``i_ls_ff`` is its amplitude) and fig20 (fed forward at its ramp's start)
+  have no margin, so they hard-switch.
 """
 
 from dataclasses import dataclass
@@ -62,14 +61,16 @@ def load_step_scenario(params: ValidatedParams, v_ref: float, i_ls_ff: float,
 
 
 def source_ramp_scenario(params: ValidatedParams, v_ref: float,
-                         i_ls_ff: float, i_start: float, i_stop: float,
+                         i_ls_ff: float, i_stop: float,
                          t_ramp_start: float = 5e-3, ramp_len: float = 10e-3,
                          duration: float = 30e-3) -> Scenario:
-    """Source-amplitude ramp (coupling drift) at fixed load and reference."""
-    d0 = equilibrium_op(params.with_amplitude(i_start), v_ref, i_ls_ff).duty
+    """Source-amplitude ramp from the receiver's amplitude to ``i_stop``
+    (coupling drift) at fixed load and reference."""
+    d0 = equilibrium_op(params, v_ref, i_ls_ff).duty
     return Scenario(name="source_ramp", duration=duration,
                     r_load=params.r_load,
-                    i_ls_amp=ramp_profile(i_start, i_stop, t_ramp_start,
+                    i_ls_amp=ramp_profile(params.i_ls_amp, i_stop,
+                                          t_ramp_start,
                                           t_ramp_start + ramp_len),
                     v_ref=v_ref, i_ls_ff=i_ls_ff, v_o0=v_ref,
                     initial_duty=d0, initial_integrator=d0)

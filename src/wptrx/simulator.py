@@ -31,11 +31,11 @@ orbit solvers (``cycle_residual``) call it directly and build no records.
 ``step_cycle`` calls it and builds what other callers read: the next
 state, a ``CycleSummary`` (cycle mean and end voltage, timing,
 soft-switching verdicts) and the cycle's ``CyclePiece``, which keeps the
-event times and closed-form coefficients and builds the segments and the
-event list the first time they are read.  ``cycle_diagnostics`` builds the
-full ``CycleDiagnostics`` (ledger, ripple extremes, device peaks) from a
-piece; a ``run``'s result does so for every cycle the first time its
-diagnostics are read.
+receiver, the event times and closed-form coefficients and builds the
+segments and the event list the first time they are read.
+``cycle_diagnostics`` builds the full ``CycleDiagnostics`` (ledger, ripple
+extremes, device peaks) from a piece alone; a ``run``'s result does so for
+every cycle the first time its diagnostics are read.
 
 If the commanded gate delay arrives before the switch voltage has fallen to
 zero, turn-on is forced: the residual switch-capacitor energy
@@ -191,12 +191,11 @@ class _Seg:
 
 @dataclass
 class CyclePiece:
-    """One carrier period as step_cycle solved it: its event times and
-    closed-form coefficients.  ``segments`` and ``events`` are built from
-    them the first time they are read."""
+    """One carrier period as step_cycle solved it: its receiver, event times
+    and closed-form coefficients.  ``segments`` and ``events`` are built
+    from them the first time they are read."""
+    params: ValidatedParams
     t_start: float
-    t_period: float
-    i_amp: float
     gate_on: float   # absolute gate edges
     gate_off: float
     summary: CycleSummary
@@ -221,7 +220,8 @@ class CyclePiece:
         """The cycle's _Seg of each state it spent time in, in order.
         step_cycle's cycle mean integrates these same segments from its
         scalars, so the two must skip the same empty states."""
-        ts, th1, th_iv, th4 = self.t_period, self.th1, self.th_iv, self.th4
+        ts, th1, th_iv, th4 = self.params.t_period, self.th1, self.th_iv, \
+            self.th4
         half = 0.5 * ts
         h, p_s, p_c = self.h, self.p_s, self.p_c
         v_at_iv = self.node_v[3]
@@ -256,7 +256,7 @@ class CyclePiece:
         events.append((self.gate_on, "gate_on"))
         if hard:
             events.append((t0 + self.th1, "hard_switch"))
-        events.append((t0 + 0.5 * self.t_period, "ils_zero"))
+        events.append((t0 + 0.5 * self.params.t_period, "ils_zero"))
         events.append((self.gate_off, "gate_off"))
         if self.th4 is not None:
             events.append((t0 + self.th4, "cd1_zero"))
@@ -266,21 +266,20 @@ class CyclePiece:
 
 @dataclass
 class RunResult:
-    """The pieces of a ``run``, its final state and the receiver it ran
-    on.  ``diagnostics`` (``cycle_diagnostics`` of every piece) is built
-    the first time it is read."""
+    """The pieces of a ``run`` and its final state.  ``diagnostics``
+    (``cycle_diagnostics`` of every piece) is built the first time it is
+    read."""
     pieces: list
     final_state: SwitchCycleState
-    params: ValidatedParams
 
     @cached_property
     def diagnostics(self) -> list:
-        return [cycle_diagnostics(p, self.params) for p in self.pieces]
+        return [cycle_diagnostics(p) for p in self.pieces]
 
 
 @dataclass
 class Waveform:
-    """Uniformly sampled channels."""
+    """Uniformly sampled channels of cycles at carrier frequency ``f_s``."""
     t: np.ndarray
     i_ls: np.ndarray
     v_cs1: np.ndarray
@@ -289,20 +288,12 @@ class Waveform:
     gate: np.ndarray
     state: np.ndarray
     sample_rate: float
+    f_s: float
 
 
 # ---------------------------------------------------------------------------
 # closed-form segment integrals
 # ---------------------------------------------------------------------------
-
-def _exp_trig_integrals(a: float, w: float, delta: float) -> tuple:
-    """(int e^{au} sin(wu) du, int e^{au} cos(wu) du) over [0, delta]."""
-    e = math.exp(a * delta)
-    den = a * a + w * w
-    i_s = (e * (a * math.sin(w * delta) - w * math.cos(w * delta)) + w) / den
-    i_c = (e * (a * math.cos(w * delta) + w * math.sin(w * delta)) - a) / den
-    return i_s, i_c
-
 
 # antiderivatives of sin^2(w th), cos^2(w th) and sin(w th) cos(w th)
 def _sin2(th: float, w: float) -> float:
@@ -317,13 +308,6 @@ def _sincos(th: float, w: float) -> float:
     return -math.cos(2.0 * w * th) / (4.0 * w)
 
 
-def _effective_exp_coeff(seg: _Seg, tau: float) -> float:
-    """Leading exponential coefficient referenced to the segment start."""
-    if seg.t_ref == seg.t0:
-        return seg.h
-    return seg.h * math.exp(-(seg.t0 - seg.t_ref) / tau)
-
-
 def _int_v(t0: float, t1: float, coeff: float, p_s: float, p_c: float,
            tau: float, w: float) -> float:
     """Integral of v_o over a segment [t0, t1] whose exponential term is
@@ -336,41 +320,39 @@ def _int_v(t0: float, t1: float, coeff: float, p_s: float, p_c: float,
     return tau * coeff * em + trig
 
 
-def _int_iv(seg: _Seg, tau: float, w: float, i_amp: float) -> float:
-    """Integral of i(th) * v_o(th) over a conduction segment (J)."""
+def _seg_integrals(seg: _Seg, tau: float, w: float, i_amp: float) -> tuple:
+    """(source energy into the rail (J), integral of v_o^2 (V^2*s)) over a
+    segment.  The source feeds the rail only on a conduction ("track")
+    segment, with i(th) = i_amp sin(w th); elsewhere p_s = p_c = 0 and v_o
+    is a pure decay."""
     d = seg.t1 - seg.t0
     if d <= 0.0:
-        return 0.0
+        return 0.0, 0.0
+    # the exponential term's coefficient at the segment start
+    coeff = (seg.h if seg.t_ref == seg.t0
+             else seg.h * math.exp(-(seg.t0 - seg.t_ref) / tau))
+    e_sq = 0.5 * tau * coeff * coeff * -math.expm1(-2.0 * d / tau)
+    if seg.node != "track":
+        return 0.0, e_sq
+    # int e^{au} sin(wu) du and int e^{au} cos(wu) du over [0, d]
     a = -1.0 / tau
-    i_s, i_c = _exp_trig_integrals(a, w, d)
+    e, den = math.exp(a * d), a * a + w * w
+    i_s = (e * (a * math.sin(w * d) - w * math.cos(w * d)) + w) / den
+    i_c = (e * (a * math.cos(w * d) + w * math.sin(w * d)) - a) / den
     c0, s0 = math.cos(w * seg.t0), math.sin(w * seg.t0)
-    # i = I sin(w th) = I (sin(wu)cos(wt0) + cos(wu)sin(wt0)), u = th - t0
-    exp_part = _effective_exp_coeff(seg, tau) * (c0 * i_s + s0 * i_c)
-    t0, t1 = seg.t0, seg.t1
-    trig_part = (seg.p_s * (_sin2(t1, w) - _sin2(t0, w))
-                 + seg.p_c * (_sincos(t1, w) - _sincos(t0, w)))
-    return i_amp * (exp_part + trig_part)
-
-
-def _int_v2(seg: _Seg, tau: float, w: float) -> float:
-    """Integral of v_o^2 over the segment (V^2*s)."""
-    d = seg.t1 - seg.t0
-    if d <= 0.0:
-        return 0.0
-    em2 = -math.expm1(-2.0 * d / tau)
-    coeff = _effective_exp_coeff(seg, tau)
-    a = -1.0 / tau
-    i_s, i_c = _exp_trig_integrals(a, w, d)
-    c0, s0 = math.cos(w * seg.t0), math.sin(w * seg.t0)
-    # exp * sin(w th) and exp * cos(w th) pieces
+    # exp * sin(w th) and exp * cos(w th), by sin(w th) = sin(wu)cos(wt0)
+    # + cos(wu)sin(wt0), u = th - t0
     int_e_sin = c0 * i_s + s0 * i_c
     int_e_cos = c0 * i_c - s0 * i_s
     t0, t1 = seg.t0, seg.t1
-    return (0.5 * tau * coeff * coeff * em2
-            + 2.0 * coeff * (seg.p_s * int_e_sin + seg.p_c * int_e_cos)
-            + seg.p_s ** 2 * (_sin2(t1, w) - _sin2(t0, w))
-            + seg.p_c ** 2 * (_cos2(t1, w) - _cos2(t0, w))
-            + 2.0 * seg.p_s * seg.p_c * (_sincos(t1, w) - _sincos(t0, w)))
+    sin2 = _sin2(t1, w) - _sin2(t0, w)
+    sincos = _sincos(t1, w) - _sincos(t0, w)
+    e_rail = i_amp * (coeff * int_e_sin + (seg.p_s * sin2 + seg.p_c * sincos))
+    return e_rail, (e_sq
+                    + 2.0 * coeff * (seg.p_s * int_e_sin + seg.p_c * int_e_cos)
+                    + seg.p_s ** 2 * sin2
+                    + seg.p_c ** 2 * (_cos2(t1, w) - _cos2(t0, w))
+                    + 2.0 * seg.p_s * seg.p_c * sincos)
 
 
 def _conduction_extremes(seg: _Seg, tau: float, w: float, i_amp: float,
@@ -553,7 +535,7 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     """Advance exactly one carrier period.
 
     Returns (next_state, CycleSummary, CyclePiece);
-    ``cycle_diagnostics(piece, params)`` builds the full record.  Raises
+    ``cycle_diagnostics(piece)`` builds the full record.  Raises
     NonPositiveParameter for a duty outside (0, 1) or a negative or
     non-finite gate delay, and GateOverrun when the gate-off edge would pass
     the end of the period.  The arithmetic is ``_cycle``'s, at
@@ -577,7 +559,7 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
         e_hard_switch=(0.5 * params.c_s1 * v_cs1_at_gate * v_cs1_at_gate
                        if hard else 0.0))
 
-    piece = CyclePiece(t_start=t_start, t_period=ts, i_amp=i_amp,
+    piece = CyclePiece(params=params, t_start=t_start,
                        gate_on=t_start + cmd.t_f, gate_off=t_start + gate_off,
                        summary=summary,
                        node_v=(state.v_cd1, va_pre_snap, v_at_th1, v_at_iv,
@@ -587,14 +569,15 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     return SwitchCycleState(v_end, va_cycle_end), summary, piece
 
 
-def cycle_diagnostics(piece: CyclePiece,
-                      params: ValidatedParams) -> CycleDiagnostics:
+def cycle_diagnostics(piece: CyclePiece) -> CycleDiagnostics:
     """The full record of one cycle, built from its piece: the summary plus
     the charge/energy ledger, the output ripple extremes and the device
-    peaks.  ``params`` must be the receiver the piece was stepped with."""
+    peaks."""
     s = piece.summary
+    params = piece.params
     w = params.omega
-    tau = params.r_load * params.c_o
+    r_load, i_amp = params.r_load, params.i_ls_amp
+    tau = r_load * params.c_o
     c_sum = params.c_sum
     va0, va_pre_snap, va_clamp_start, v_at_iv, va_end_iv, va_cycle_end = \
         piece.node_v
@@ -605,12 +588,12 @@ def cycle_diagnostics(piece: CyclePiece,
     candidates = [v0, v_end]
     cond_candidates = [va_pre_snap]
     for seg in piece.segments:
-        e_load += _int_v2(seg, tau, w) / params.r_load
+        e_rail, int_v2 = _seg_integrals(seg, tau, w, i_amp)
+        e_cond += e_rail
+        e_load += int_v2 / r_load
         ends = (seg.v_o(seg.t0, tau, w), seg.v_o(seg.t1, tau, w))
         if seg.node == "track":
-            e_cond += _int_iv(seg, tau, w, piece.i_amp)
-            interior = _conduction_extremes(seg, tau, w, piece.i_amp,
-                                            params.r_load)
+            interior = _conduction_extremes(seg, tau, w, i_amp, r_load)
             candidates.extend(interior)
             cond_candidates.extend(interior)
             cond_candidates.extend(ends)
@@ -646,7 +629,8 @@ def run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
         initial: Optional[SwitchCycleState] = None) -> RunResult:
     """Run ``n_cycles`` (>= 1) carrier periods of the constant command
     ``cmd``, from ``initial``, or else from output voltage ``v_o0`` (finite,
-    >= 0) with the diode capacitance empty.  Its diagnostics are the full
+    >= 0) with the diode capacitance empty; ``initial``'s voltages must be
+    finite and >= 0 too.  Its diagnostics are the full
     ``cycle_diagnostics`` of every cycle, built when first read;
     ``sample_waveform(pieces, ...)`` samples the result;
     ``periodic_steady_state`` gives a start on the orbit.
@@ -656,12 +640,14 @@ def run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
     if state is None:
         require_positive(allow_zero=True, v_o0=v_o0)
         state = SwitchCycleState(v_o0)
+    else:
+        require_positive(allow_zero=True, v_o=state.v_o, v_cd1=state.v_cd1)
     pieces = []
     for n in range(n_cycles):
         state, _, piece = step_cycle(state, cmd, params,
                                      t_start=n * params.t_period)
         pieces.append(piece)
-    return RunResult(pieces=pieces, final_state=state, params=params)
+    return RunResult(pieces=pieces, final_state=state)
 
 
 @dataclass(frozen=True)
@@ -777,13 +763,16 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
                          residual=size, cycles=calls)
 
 
-def sample_waveform(pieces: Sequence[CyclePiece], params: ValidatedParams,
+def sample_waveform(pieces: Sequence[CyclePiece],
                     sample_rate: float) -> Waveform:
     """Evaluate each segment's closed form over its slice of a uniform grid.
     A sample within 1e-18 s of a cycle's end belongs to the next cycle, and
     one exactly on a segment's end to the next segment (the sample at T/2
-    is State III)."""
+    is State III).  The cycles must share one receiver."""
     require_positive(sample_rate=sample_rate)
+    params = pieces[0].params
+    if any(piece.params != params for piece in pieces):
+        raise NonPeriodicWindow("cycles stepped on different receivers")
     ts = params.t_period
     w = params.omega
     tau = params.r_load * params.c_o
@@ -802,8 +791,8 @@ def sample_waveform(pieces: Sequence[CyclePiece], params: ValidatedParams,
         th = tk - piece.t_start
         sin_wt = np.sin(w * th)
         cos_wt = np.cos(w * th)
-        amp = piece.i_amp / (w * params.c_sum)
-        i_ls[lo:hi] = piece.i_amp * sin_wt
+        amp = params.i_ls_amp / (w * params.c_sum)
+        i_ls[lo:hi] = params.i_ls_amp * sin_wt
         gate[lo:hi] = (piece.gate_on <= tk) & (tk < piece.gate_off)
         segs = piece.segments
         cuts = np.searchsorted(th, [seg.t1 for seg in segs[:-1]]).tolist()
@@ -819,7 +808,8 @@ def sample_waveform(pieces: Sequence[CyclePiece], params: ValidatedParams,
             state_ch[out] = seg.state
         lo = hi
     return Waveform(t=t, i_ls=i_ls, v_cs1=v_o - v_cd1, v_cd1=v_cd1, v_o=v_o,
-                    gate=gate, state=state_ch, sample_rate=sample_rate)
+                    gate=gate, state=state_ch, sample_rate=sample_rate,
+                    f_s=params.f_s)
 
 
 # ---------------------------------------------------------------------------
@@ -836,14 +826,16 @@ class SpectrumResult:
         return self.harmonics[0][1]
 
 
-def spectrum(waveform: Waveform, channel: str, n_harmonics: int,
-             f_s: float) -> SpectrumResult:
-    """Single-bin correlation at k*f_s for k = 1..n_harmonics, plus THD.
+def spectrum(waveform: Waveform, channel: str,
+             n_harmonics: int) -> SpectrumResult:
+    """Single-bin correlation at k*f_s (the waveform's carrier) for
+    k = 1..n_harmonics, plus THD.
 
     The waveform must cover an integer number of carrier periods (>= 16);
     the correlation over such a window is exact for band-limited content
     and rejects all other harmonics on the uniform grid.
     """
+    f_s = waveform.f_s
     y = getattr(waveform, channel)
     t = waveform.t
     n = len(t)

@@ -75,7 +75,7 @@ def va_run(vp):
 @pytest.fixture(scope="module")
 def va_capture(vp, va_run):
     """The orbit run sampled at 256 points per carrier period."""
-    return sample_waveform(va_run.pieces, vp, 256 * vp.f_s)
+    return sample_waveform(va_run.pieces, 256 * vp.f_s)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ def startup_rec(vp):
 @pytest.fixture(scope="module")
 def ramp_rec(vp):
     p = vp.with_load(120.0).with_amplitude(1.0)
-    sc = source_ramp_scenario(p, V_REF, 1.0, 1.0, 1.85, t_ramp_start=5e-3,
+    sc = source_ramp_scenario(p, V_REF, 1.0, 1.85, t_ramp_start=5e-3,
                               ramp_len=10e-3, duration=30e-3)
     gains = design_gains(p, V_REF, 1.0, 1000.0)
     return closed_loop_run(sc, gains, p)
@@ -201,7 +201,7 @@ def test_c6_bode_parity(vp_fig7, op_fig7):
 
 
 def test_c7_harmonics(vp, va_capture):
-    sp = spectrum(va_capture, "v_cd1", 40, vp.f_s)
+    sp = spectrum(va_capture, "v_cd1", 40)
     fund_ok = abs(sp.fundamental - 15.0) <= 0.05 * 15.0
     thd_ok = abs(sp.thd - 0.46) <= 0.05
     report("criterion 7 (harmonics)", fund_ok and thd_ok,
@@ -308,7 +308,7 @@ def test_c10_invariant_suite(vp, loadstep_rec, startup_rec, ramp_rec):
     d = cycle_diagnostics(step_cycle(
         SwitchCycleState(24.0),
         ModulationCommand(DUTY_VA, fall_time_exact(stiff, 24.0) + 1e-12),
-        stiff)[2], stiff)
+        stiff)[2])
     q_ref = stiff.c_sum * 24.0
     if not (abs(d.q_f - q_ref) <= 1e-9 * q_ref
             and abs(d.q_r - q_ref) <= 1e-9 * q_ref):

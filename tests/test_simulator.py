@@ -196,7 +196,7 @@ def test_events_match_a_bisection_oracle():
         assert math.isnan(s.t_r_meas) == math.isnan(t_r)
         assert not abs(s.t_r_meas - t_r) > T_EVENT_TOL
 
-        d = cycle_diagnostics(piece, p)
+        d = cycle_diagnostics(piece)
         assert (d.v_o_mean, d.v_o_end, d.hard_switched, d.reached_state_v,
                 d.zvs_ok, d.zcs_ok) == (s.v_o_mean, s.v_o_end,
                                         s.hard_switched, s.reached_state_v,
@@ -225,6 +225,15 @@ def test_run_rejects_bad_start_voltage(vp):
     for v_o0 in (math.nan, -1.0):
         with pytest.raises(NonPositiveParameter):
             run(vp, cmd, 3, v_o0=v_o0)
+    # a start state was taken as given: NaN ran to an all-NaN trajectory and
+    # a negative output voltage ran with no error
+    for initial, field in ((SwitchCycleState(math.nan), "v_o"),
+                           (SwitchCycleState(-5.0), "v_o"),
+                           (SwitchCycleState(24.0, math.inf), "v_cd1"),
+                           (SwitchCycleState(24.0, -1.0), "v_cd1")):
+        with pytest.raises(NonPositiveParameter) as err:
+            run(vp, cmd, 3, initial=initial)
+        assert err.value.field == field
 
 
 def test_single_cycle_from_zero_monotone_conduction(vp):
@@ -232,7 +241,7 @@ def test_single_cycle_from_zero_monotone_conduction(vp):
     cmd = ModulationCommand(0.532, 386e-9)
     st2, d, piece = step_cycle(st, cmd, vp)
     res = run(vp, cmd, 1, v_o0=0.0)
-    wf = sample_waveform(res.pieces, vp, 256 * vp.f_s)
+    wf = sample_waveform(res.pieces, 256 * vp.f_s)
     cond = (wf.state == 2) | (wf.state == 3)
     v_cond = wf.v_o[cond]
     t_cond = wf.t[cond]
@@ -353,7 +362,7 @@ def test_charge_balance(vp_stiff):
     st = SwitchCycleState(v_o)
     cmd = exact_cmd(vp_stiff, 0.532, v_o)
     piece = step_cycle(st, cmd, vp_stiff)[2]
-    d = cycle_diagnostics(piece, vp_stiff)
+    d = cycle_diagnostics(piece)
     q_expect = vp_stiff.c_sum * v_o
     assert d.q_f == pytest.approx(q_expect, rel=1e-9)
     assert d.q_r == pytest.approx(q_expect, rel=1e-9)
@@ -383,8 +392,7 @@ def test_steady_state_efficiency_is_unity(vp):
 
 def test_hard_cycle_residual_equals_merge_loss(vp):
     st = SwitchCycleState(24.0)
-    d = cycle_diagnostics(step_cycle(st, ModulationCommand(0.532, 0.0), vp)[2],
-                          vp)
+    d = cycle_diagnostics(step_cycle(st, ModulationCommand(0.532, 0.0), vp)[2])
     residual = (d.e_in + d.e_node_tracking - d.e_load - d.de_stored
                 - d.e_hard_switch)
     w = d.v_cs1_at_gate
@@ -435,7 +443,7 @@ def test_diode_turns_off_on_the_zero_crossing(vp):
 def test_waveform_channel_invariants(vp):
     res, cmd, op = steady_soft_run(vp, n=8)
     cap = run(vp, cmd, 8, initial=res.final_state)
-    wf = sample_waveform(cap.pieces, vp, 512 * vp.f_s)
+    wf = sample_waveform(cap.pieces, 512 * vp.f_s)
     eps = 1e-6
     assert np.all(wf.v_cs1 >= -eps) and np.all(wf.v_cd1 >= -eps)
     assert np.all(wf.v_cs1 <= wf.v_o + eps)
@@ -469,7 +477,7 @@ def test_event_log_monotone_and_vocabulary(vp):
 def test_conduction_samples_satisfy_ode(vp):
     res, cmd, op = steady_soft_run(vp, n=4)
     cap = run(vp, cmd, 2, initial=res.final_state)
-    wf = sample_waveform(cap.pieces, vp, 4096 * vp.f_s)
+    wf = sample_waveform(cap.pieces, 4096 * vp.f_s)
     dt = 1.0 / wf.sample_rate
     mid = slice(1, -1)
     dv = (wf.v_o[2:] - wf.v_o[:-2]) / (2 * dt)
@@ -481,26 +489,26 @@ def test_conduction_samples_satisfy_ode(vp):
     assert np.max(err) / np.max(np.abs(rhs[ok])) < 1e-3
 
 
-def reference_samples(pieces, params, t):
+def reference_samples(pieces, t):
     """(i_ls, v_cs1, v_cd1, v_o, gate, state) on the grid ``t``, one sample
     at a time: a sample belongs to the first cycle with
     t < t_start + T - 1e-18 and, in it, to the first segment with th < t1."""
-    ts, w = params.t_period, params.omega
-    tau = params.r_load * params.c_o
     cycles = iter(pieces)
     piece = next(cycles)
     rows = []
     for tk in t:
-        while not tk < piece.t_start + ts - 1e-18:
+        while not tk < piece.t_start + piece.params.t_period - 1e-18:
             piece = next(cycles)
+        params = piece.params
+        w, tau = params.omega, params.r_load * params.c_o
         th = tk - piece.t_start
         seg = next(s for s in piece.segments if th < s.t1)
-        amp = piece.i_amp / (w * params.c_sum)
+        amp = params.i_ls_amp / (w * params.c_sum)
         vo = seg.v_o(th, tau, w)
         vn = {"int": seg.va0 + amp * (math.cos(w * seg.t_ref)
                                       - math.cos(w * th)),
               "track": vo, "zero": 0.0}[seg.node]
-        rows.append((piece.i_amp * math.sin(w * th), vo - vn, vn, vo,
+        rows.append((params.i_ls_amp * math.sin(w * th), vo - vn, vn, vo,
                      int(piece.gate_on <= tk < piece.gate_off),
                      int(seg.state)))
     return [np.array(col) for col in zip(*rows)]
@@ -517,9 +525,9 @@ def test_sampler_matches_per_sample_reference(vp, r_load, duty, per_cycle):
     v0 = steady_state_vo(p.i_ls_amp, p.r_load, duty, 0.0672)
     pieces = run(p, cmd, 8,
                  initial=periodic_steady_state(p, cmd, v0).state).pieces
-    wf = sample_waveform(pieces, p, per_cycle * p.f_s)
+    wf = sample_waveform(pieces, per_cycle * p.f_s)
     assert len(wf.t) == round(8 * per_cycle)
-    i_ls, v_cs1, v_cd1, v_o, gate, state = reference_samples(pieces, p, wf.t)
+    i_ls, v_cs1, v_cd1, v_o, gate, state = reference_samples(pieces, wf.t)
     assert np.array_equal(wf.state, state)
     assert np.array_equal(wf.gate, gate)
     for got, ref in ((wf.i_ls, i_ls), (wf.v_cs1, v_cs1), (wf.v_cd1, v_cd1),
@@ -533,6 +541,14 @@ def test_sampler_matches_per_sample_reference(vp, r_load, duty, per_cycle):
         # a sample exactly on a segment end belongs to the next segment
         assert wf.t[128] - pieces[0].t_start == 0.5 * p.t_period
         assert wf.state[128] == 3
+
+
+def test_sampler_rejects_cycles_of_different_receivers(vp):
+    cmd = ModulationCommand(0.532, 386e-9)
+    pieces = (run(vp, cmd, 2, v_o0=24.0).pieces
+              + run(vp.with_load(50.0), cmd, 1, v_o0=24.0).pieces)
+    with pytest.raises(NonPeriodicWindow):
+        sample_waveform(pieces, 256 * vp.f_s)
 
 
 def test_spectrum_of_ideal_square_wave(vp):
@@ -549,8 +565,8 @@ def test_spectrum_of_ideal_square_wave(vp):
     wf = Waveform(t=t, i_ls=y, v_cs1=y, v_cd1=y, v_o=y,
                   gate=np.zeros_like(t, dtype=np.int8),
                   state=np.ones_like(t, dtype=np.int8),
-                  sample_rate=spc * vp.f_s)
-    res = spectrum(wf, "v_o", 12, vp.f_s)
+                  sample_rate=spc * vp.f_s, f_s=vp.f_s)
+    res = spectrum(wf, "v_o", 12)
     expect = 2 * amp / math.pi * math.sin(math.pi * duty_high)
     assert res.fundamental == pytest.approx(expect, abs=0.1)
     assert res.fundamental == pytest.approx(15.2, abs=0.1)
@@ -563,8 +579,7 @@ def test_spectrum_of_ideal_square_wave(vp):
 def test_spectrum_source_current_is_pure(vp):
     res, cmd, op = steady_soft_run(vp, n=4)
     cap = run(vp, cmd, 32, initial=res.final_state)
-    sp = spectrum(sample_waveform(cap.pieces, vp, 256 * vp.f_s), "i_ls", 10,
-                  vp.f_s)
+    sp = spectrum(sample_waveform(cap.pieces, 256 * vp.f_s), "i_ls", 10)
     assert sp.thd < 1e-12
     assert sp.fundamental == pytest.approx(vp.i_ls_amp, rel=1e-12)
 
@@ -574,16 +589,15 @@ def test_spectrum_rejects_bad_windows(vp):
     cap = run(vp, cmd, 8, initial=res.final_state)
     with pytest.raises(NonPeriodicWindow):
         # only 8 periods
-        spectrum(sample_waveform(cap.pieces, vp, 256 * vp.f_s), "v_cd1", 10,
-                 vp.f_s)
+        spectrum(sample_waveform(cap.pieces, 256 * vp.f_s), "v_cd1", 10)
     cap32 = run(vp, cmd, 32, initial=res.final_state)
-    wf = sample_waveform(cap32.pieces, vp, 256 * vp.f_s)
+    wf = sample_waveform(cap32.pieces, 256 * vp.f_s)
     clipped = Waveform(t=wf.t[:-7], i_ls=wf.i_ls[:-7], v_cs1=wf.v_cs1[:-7],
                        v_cd1=wf.v_cd1[:-7], v_o=wf.v_o[:-7],
                        gate=wf.gate[:-7], state=wf.state[:-7],
-                       sample_rate=wf.sample_rate)
+                       sample_rate=wf.sample_rate, f_s=wf.f_s)
     with pytest.raises(NonPeriodicWindow):
-        spectrum(clipped, "v_cd1", 10, vp.f_s)
+        spectrum(clipped, "v_cd1", 10)
 
 
 # ---------------------------------------------------------------------------

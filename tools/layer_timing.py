@@ -12,7 +12,9 @@ table2 receiver:
   changing on 2000 of them), in us per cycle;
 * ``periodic_steady_state`` of that command from the averaged output, in ms
   per solve;
-* ``sample_waveform`` of 32 orbit cycles at 256 samples per cycle, in us
+* ``cycle_diagnostics`` (ledger, ripple extremes, device peaks) of 32
+  orbit cycles, in us per cycle;
+* ``sample_waveform`` of those 32 cycles at 256 samples per cycle, in us
   per sample;
 
 and, on the built-in fig7 receiver at its operating point (duty 0.5,
@@ -45,8 +47,8 @@ from wptrx.config import parse_config  # noqa: E402
 from wptrx.control import closed_loop_run  # noqa: E402
 from wptrx.params import validate  # noqa: E402
 from wptrx.simulator import (  # noqa: E402
-    ModulationCommand, periodic_steady_state, run, sample_waveform,
-    step_cycle)
+    ModulationCommand, cycle_diagnostics, periodic_steady_state, run,
+    sample_waveform, step_cycle)
 from wptrx.smallsignal import perturb_bode_oracle  # noqa: E402
 
 STEP_CYCLES = 2000
@@ -54,6 +56,7 @@ STEP_REPEATS = 15
 LOOP_REPEATS = 7
 ORBIT_REPEATS = 51
 SAMPLE_CYCLES = 32
+DIAG_REPEATS = 51
 SAMPLES_PER_CYCLE = 256
 SAMPLE_REPEATS = 21
 ORACLE_REPEATS = 21
@@ -98,7 +101,7 @@ def main() -> int:
     n_ramp = len(closed_loop_run(sc_ramp, gains_ramp, p_ramp).t)
     pieces = run(vp, cmd, SAMPLE_CYCLES, initial=orbit.state).pieces
     rate = SAMPLES_PER_CYCLE * vp.f_s
-    n_samples = len(sample_waveform(pieces, vp, rate).t)
+    n_samples = len(sample_waveform(pieces, rate).t)
 
     rc7 = parse_config(SRC / "wptrx" / "configs" / "fig7.cfg")
     vp7 = validate(rc7.params)
@@ -120,8 +123,11 @@ def main() -> int:
          "ms/solve",
          _timed(lambda: periodic_steady_state(vp, cmd, v_guess),
                 ORBIT_REPEATS, 1e-3)),
+        (f"cycle_diagnostics, {SAMPLE_CYCLES} orbit cycles", "us/cycle",
+         _timed(lambda: [cycle_diagnostics(p) for p in pieces], DIAG_REPEATS,
+                SAMPLE_CYCLES / 1e6)),
         (f"sample_waveform, {SAMPLE_CYCLES} cycles", "us/sample",
-         _timed(lambda: sample_waveform(pieces, vp, rate), SAMPLE_REPEATS,
+         _timed(lambda: sample_waveform(pieces, rate), SAMPLE_REPEATS,
                 n_samples / 1e6)),
         (f"perturb_bode_oracle, fig7 ({len(cli._BODE_GRID)} frequencies)",
          "ms/call",
