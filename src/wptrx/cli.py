@@ -447,8 +447,8 @@ def _fig14(out, rc, vp):
     _, wave = _steady_va_run(rc, vp, 32)
     files = []
     summary = []
-    for channel in ("v_cd1", "i_ls"):
-        spec_res = spectrum(wave, channel, 40)
+    channels = ("v_cd1", "i_ls")
+    for channel, spec_res in zip(channels, spectrum(wave, channels, 40)):
         name = f"fig14_{channel}.csv"
         ks, amps, phases = zip(*spec_res.harmonics)
         _write_table(out, name, "harmonic,f_hz,amplitude,phase_rad",

@@ -625,23 +625,17 @@ def cycle_diagnostics(piece: CyclePiece) -> CycleDiagnostics:
 
 
 def run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
-        v_o0: float = 0.0,
-        initial: Optional[SwitchCycleState] = None) -> RunResult:
+        initial: SwitchCycleState = SwitchCycleState(0.0)) -> RunResult:
     """Run ``n_cycles`` (>= 1) carrier periods of the constant command
-    ``cmd``, from ``initial``, or else from output voltage ``v_o0`` (finite,
-    >= 0) with the diode capacitance empty; ``initial``'s voltages must be
-    finite and >= 0 too.  Its diagnostics are the full
-    ``cycle_diagnostics`` of every cycle, built when first read;
-    ``sample_waveform(pieces, ...)`` samples the result;
+    ``cmd`` from the boundary state ``initial`` (by default an empty output
+    capacitor), whose voltages must be finite and >= 0.  Its diagnostics
+    are the full ``cycle_diagnostics`` of every cycle, built when first
+    read; ``sample_waveform(pieces, ...)`` samples the result;
     ``periodic_steady_state`` gives a start on the orbit.
     """
     require_positive(n_cycles=n_cycles)
+    require_positive(allow_zero=True, v_o=initial.v_o, v_cd1=initial.v_cd1)
     state = initial
-    if state is None:
-        require_positive(allow_zero=True, v_o0=v_o0)
-        state = SwitchCycleState(v_o0)
-    else:
-        require_positive(allow_zero=True, v_o=state.v_o, v_cd1=state.v_cd1)
     pieces = []
     for n in range(n_cycles):
         state, _, piece = step_cycle(state, cmd, params,
@@ -763,12 +757,46 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
                          residual=size, cycles=calls)
 
 
+# Samples per block of whole cycles that sample_waveform evaluates at once;
+# the block bounds its memory (see its docstring).
+_BLOCK_SAMPLES = 4096
+_NODE_KIND = {"int": 0, "track": 1, "zero": 2}
+
+
+def _segment_table(pieces: Sequence[CyclePiece], w: float) -> tuple:
+    """The segments of ``pieces`` as columns with one row per segment: h,
+    t_ref, p_s, p_c, va0, cos(w t_ref), node kind and state; then the
+    cycles as columns with one row per cycle: t_start, gate_on, gate_off,
+    its first segment row and the ends of all its segments but the last
+    (a cycle has at most five; missing ends are inf)."""
+    rows, cycles = [], []
+    for piece in pieces:
+        segs = piece.segments
+        cuts = [seg.t1 for seg in segs[:-1]]
+        cycles.append((piece.t_start, piece.gate_on, piece.gate_off,
+                       len(rows), *cuts, *[math.inf] * (4 - len(cuts))))
+        rows.extend((seg.h, seg.t_ref, seg.p_s, seg.p_c, seg.va0,
+                     math.cos(w * seg.t_ref), _NODE_KIND[seg.node], seg.state)
+                    for seg in segs)
+    return np.array(rows).T, np.array(cycles).T
+
+
 def sample_waveform(pieces: Sequence[CyclePiece],
                     sample_rate: float) -> Waveform:
-    """Evaluate each segment's closed form over its slice of a uniform grid.
+    """Evaluate the cycles' segment closed forms on a uniform grid.
     A sample within 1e-18 s of a cycle's end belongs to the next cycle, and
     one exactly on a segment's end to the next segment (the sample at T/2
-    is State III).  The cycles must share one receiver."""
+    is State III).  The cycles must share one receiver.
+
+    The grid is evaluated in blocks of whole cycles of at most about
+    ``_BLOCK_SAMPLES`` (4096) samples, 16 cycles at 256 samples per cycle,
+    written into preallocated channels.  The block size is bounded because
+    every temporary, the segment table included, is one block long: on
+    400 cycles at 256 samples per cycle (a 4.3 MB result) they need about
+    0.4 MB, where one pass over the whole run needed about 8 MB.  A
+    sample's segment is its cycle's first segment plus the number of the
+    cycle's segment ends at or before it.
+    """
     require_positive(sample_rate=sample_rate)
     params = pieces[0].params
     if any(piece.params != params for piece in pieces):
@@ -776,38 +804,48 @@ def sample_waveform(pieces: Sequence[CyclePiece],
     ts = params.t_period
     w = params.omega
     tau = params.r_load * params.c_o
+    amp = params.i_ls_amp / (w * params.c_sum)
     t_end = pieces[-1].t_start + ts
     n = int(round((t_end - pieces[0].t_start) * sample_rate))
     t = pieces[0].t_start + np.arange(n) / sample_rate
     i_ls = np.empty(n)
+    v_cs1 = np.empty(n)
     v_cd1 = np.empty(n)
     v_o = np.empty(n)
     gate = np.empty(n, dtype=np.int8)
     state_ch = np.empty(n, dtype=np.int8)
-    cycle_ends = np.searchsorted(t, [p.t_start + ts - 1e-18 for p in pieces])
+    cycle_ends = np.searchsorted(
+        t, np.array([piece.t_start for piece in pieces]) + ts - 1e-18)
+    per_block = max(1, _BLOCK_SAMPLES * len(pieces) // max(n, 1))
     lo = 0
-    for piece, hi in zip(pieces, cycle_ends):
+    for c0 in range(0, len(pieces), per_block):
+        ((h, t_ref, p_s, p_c, va0, cos_ref, node, seg_state),
+         (t_start, gate_on, gate_off, first_row, *cut_ends)) = \
+            _segment_table(pieces[c0:c0 + per_block], w)
+        ends = cycle_ends[c0:c0 + per_block]
+        hi = ends[-1]
+        cyc = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=lo))
         tk = t[lo:hi]
-        th = tk - piece.t_start
+        th = tk - t_start[cyc]
+        row = first_row.astype(np.intp)[cyc]
+        for cut in cut_ends:
+            row += th >= cut[cyc]
         sin_wt = np.sin(w * th)
         cos_wt = np.cos(w * th)
-        amp = params.i_ls_amp / (w * params.c_sum)
         i_ls[lo:hi] = params.i_ls_amp * sin_wt
-        gate[lo:hi] = (piece.gate_on <= tk) & (tk < piece.gate_off)
-        segs = piece.segments
-        cuts = np.searchsorted(th, [seg.t1 for seg in segs[:-1]]).tolist()
-        for seg, a, b in zip(segs, [0, *cuts], [*cuts, len(th)]):
-            out = slice(lo + a, lo + b)
-            v_o[out] = (seg.h * np.exp(-(th[a:b] - seg.t_ref) / tau)
-                        + seg.p_s * sin_wt[a:b] + seg.p_c * cos_wt[a:b])
-            if seg.node == "int":
-                v_cd1[out] = seg.va0 + amp * (math.cos(w * seg.t_ref)
-                                              - cos_wt[a:b])
-            else:
-                v_cd1[out] = v_o[out] if seg.node == "track" else 0.0
-            state_ch[out] = seg.state
+        gate[lo:hi] = (gate_on[cyc] <= tk) & (tk < gate_off[cyc])
+        v = (h[row] * np.exp(-(th - t_ref[row]) / tau)
+             + p_s[row] * sin_wt + p_c[row] * cos_wt)
+        v_o[lo:hi] = v
+        kind = node[row]
+        v_cd1[lo:hi] = np.where(
+            kind == _NODE_KIND["track"], v,
+            np.where(kind == _NODE_KIND["zero"], 0.0,
+                     va0[row] + amp * (cos_ref[row] - cos_wt)))
+        state_ch[lo:hi] = seg_state[row]
         lo = hi
-    return Waveform(t=t, i_ls=i_ls, v_cs1=v_o - v_cd1, v_cd1=v_cd1, v_o=v_o,
+    np.subtract(v_o, v_cd1, out=v_cs1)
+    return Waveform(t=t, i_ls=i_ls, v_cs1=v_cs1, v_cd1=v_cd1, v_o=v_o,
                     gate=gate, state=state_ch, sample_rate=sample_rate,
                     f_s=params.f_s)
 
@@ -826,17 +864,25 @@ class SpectrumResult:
         return self.harmonics[0][1]
 
 
-def spectrum(waveform: Waveform, channel: str,
-             n_harmonics: int) -> SpectrumResult:
+def spectrum(waveform: Waveform, channels: Sequence[str],
+             n_harmonics: int) -> list:
     """Single-bin correlation at k*f_s (the waveform's carrier) for
-    k = 1..n_harmonics, plus THD.
+    k = 1..n_harmonics, plus THD: one SpectrumResult per name in
+    ``channels``, in order.  ``channels`` is a sequence of names; a bare
+    string is rejected with a TypeError rather than read letter by letter.
 
-    The waveform must cover an integer number of carrier periods (>= 16);
-    the correlation over such a window is exact for band-limited content
-    and rejects all other harmonics on the uniform grid.
+    Each harmonic's phasor exp(-j 2 pi k f_s t) is computed once and
+    correlated with every channel, so a channel's result is the same as
+    from a call for it alone.  The waveform must cover an integer number
+    of carrier periods (>= 16); the correlation over such a window is exact
+    for band-limited content and rejects all other harmonics on the
+    uniform grid.
     """
+    if isinstance(channels, str):
+        raise TypeError(f"channels must be a sequence of names, not the "
+                        f"string {channels!r}; pass ({channels!r},)")
+    ys = [getattr(waveform, channel) for channel in channels]
     f_s = waveform.f_s
-    y = getattr(waveform, channel)
     t = waveform.t
     n = len(t)
     dt = 1.0 / waveform.sample_rate
@@ -851,14 +897,19 @@ def spectrum(waveform: Waveform, channel: str,
         raise NonPeriodicWindow(
             f"harmonic {n_harmonics} above Nyquist for sample rate "
             f"{waveform.sample_rate:.3g}")
-    harmonics = []
+    harmonics = [[] for _ in ys]
     for k in range(1, n_harmonics + 1):
-        c = 2.0 / n * np.sum(y * np.exp(-1j * TWO_PI * k * f_s * t))
-        harmonics.append((k, float(np.abs(c)), float(np.angle(c))))
-    a1 = harmonics[0][1]
-    rest = math.sqrt(sum(a * a for _, a, _ in harmonics[1:]))
-    thd = rest / a1 if a1 > 0 else float("inf")
-    return SpectrumResult(harmonics=harmonics, thd=thd)
+        phasor = np.exp(-1j * TWO_PI * k * f_s * t)
+        for y, rows in zip(ys, harmonics):
+            c = 2.0 / n * np.sum(y * phasor)
+            rows.append((k, float(np.abs(c)), float(np.angle(c))))
+    results = []
+    for rows in harmonics:
+        a1 = rows[0][1]
+        rest = math.sqrt(sum(a * a for _, a, _ in rows[1:]))
+        thd = rest / a1 if a1 > 0 else float("inf")
+        results.append(SpectrumResult(harmonics=rows, thd=thd))
+    return results
 
 
 @dataclass(frozen=True)

@@ -201,7 +201,7 @@ def test_c6_bode_parity(vp_fig7, op_fig7):
 
 
 def test_c7_harmonics(vp, va_capture):
-    sp = spectrum(va_capture, "v_cd1", 40)
+    sp, = spectrum(va_capture, ("v_cd1",), 40)
     fund_ok = abs(sp.fundamental - 15.0) <= 0.05 * 15.0
     thd_ok = abs(sp.thd - 0.46) <= 0.05
     report("criterion 7 (harmonics)", fund_ok and thd_ok,
@@ -230,7 +230,7 @@ def test_c8_coupling_sweep(sweep_rows):
 def test_c9a_energy_audit(vp):
     op = solve_operating_point(vp, DUTY_VA, exact=True)
     cmd = ModulationCommand(DUTY_VA, fall_time_exact(vp, op.v_o) + 5e-9)
-    res = run(vp, cmd, 300, v_o0=0.85 * op.v_o)
+    res = run(vp, cmd, 300, initial=SwitchCycleState(0.85 * op.v_o))
     worst = 0.0
     for d in res.diagnostics:
         residual = abs(d.e_in + d.e_node_tracking - d.e_load - d.de_stored
@@ -298,7 +298,7 @@ def test_c10_invariant_suite(vp, loadstep_rec, startup_rec, ramp_rec):
     # state-sequence legality
     op = solve_operating_point(vp, DUTY_VA, exact=True)
     cmd = ModulationCommand(DUTY_VA, fall_time_exact(vp, op.v_o))
-    res = run(vp, cmd, 30, v_o0=op.v_o)
+    res = run(vp, cmd, 30, initial=SwitchCycleState(op.v_o))
     if not all(d.states_visited == (1, 2, 3, 4, 5)
                for d in res.diagnostics):
         failures.append("state sequence")

@@ -183,7 +183,7 @@ def test_switched_mean_converges_to_averaged_steady(vp):
     op = solve_operating_point(vp, duty)
     cmd = ModulationCommand(duty, op.t_f)
     n = int(10 * vp.r_load * vp.c_o / vp.t_period) + 50
-    res = run(vp, cmd, n, v_o0=0.0)
+    res = run(vp, cmd, n)
     mean_tail = res.diagnostics[-1].v_o_mean
     assert mean_tail == pytest.approx(op.v_o, rel=0.01)
 

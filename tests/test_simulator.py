@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ def exact_cmd(vp, duty, v_o, margin=1e-12):
 def steady_soft_run(vp, duty=0.532, n=300):
     op = solve_operating_point(vp, duty, exact=True)
     cmd = ModulationCommand(duty, fall_time_exact(vp, op.v_o))
-    return run(vp, cmd, n, v_o0=op.v_o), cmd, op
+    return run(vp, cmd, n, initial=SwitchCycleState(op.v_o)), cmd, op
 
 
 def random_receivers(seed, n):
@@ -220,27 +221,29 @@ def test_invalid_commands(vp):
 
 
 def test_run_rejects_bad_start_voltage(vp):
-    # a NaN start voltage used to run through and return a NaN trajectory
-    cmd = ModulationCommand(0.532, 386e-9)
-    for v_o0 in (math.nan, -1.0):
-        with pytest.raises(NonPositiveParameter):
-            run(vp, cmd, 3, v_o0=v_o0)
     # a start state was taken as given: NaN ran to an all-NaN trajectory and
     # a negative output voltage ran with no error
+    cmd = ModulationCommand(0.532, 386e-9)
     for initial, field in ((SwitchCycleState(math.nan), "v_o"),
+                           (SwitchCycleState(-1.0), "v_o"),
                            (SwitchCycleState(-5.0), "v_o"),
                            (SwitchCycleState(24.0, math.inf), "v_cd1"),
                            (SwitchCycleState(24.0, -1.0), "v_cd1")):
         with pytest.raises(NonPositiveParameter) as err:
             run(vp, cmd, 3, initial=initial)
         assert err.value.field == field
+    # the start is one argument, so no second start voltage can be passed
+    # beside a start state and dropped without notice
+    with pytest.raises(TypeError):
+        run(vp, cmd, 3, v_o0=5.0, initial=SwitchCycleState(24.0))
+    assert run(vp, cmd, 1).pieces[0].summary.v_o_start == 0.0
 
 
 def test_single_cycle_from_zero_monotone_conduction(vp):
     st = SwitchCycleState(0.0)
     cmd = ModulationCommand(0.532, 386e-9)
     st2, d, piece = step_cycle(st, cmd, vp)
-    res = run(vp, cmd, 1, v_o0=0.0)
+    res = run(vp, cmd, 1)
     wf = sample_waveform(res.pieces, 256 * vp.f_s)
     cond = (wf.state == 2) | (wf.state == 3)
     v_cond = wf.v_o[cond]
@@ -258,7 +261,7 @@ def test_run_mean_matches_operating_point(vp):
     # constant feedforward-style command from the self-consistent solution
     op = solve_operating_point(vp, 0.532)
     cmd = ModulationCommand(0.532, op.t_f)
-    res = run(vp, cmd, 4000, v_o0=op.v_o)
+    res = run(vp, cmd, 4000, initial=SwitchCycleState(op.v_o))
     assert res.diagnostics[-1].v_o_mean == pytest.approx(op.v_o, rel=0.01)
 
 
@@ -373,7 +376,7 @@ def test_energy_audit_closes(vp):
     # transient run: every soft cycle's ledger must close to 1e-9 relative
     op = solve_operating_point(vp, 0.532, exact=True)
     cmd = ModulationCommand(0.532, fall_time_exact(vp, op.v_o) + 5e-9)
-    res = run(vp, cmd, 200, v_o0=0.8 * op.v_o)
+    res = run(vp, cmd, 200, initial=SwitchCycleState(0.8 * op.v_o))
     for d in res.diagnostics:
         assert not d.hard_switched
         residual = (d.e_in + d.e_node_tracking - d.e_load - d.de_stored
@@ -514,19 +517,17 @@ def reference_samples(pieces, t):
     return [np.array(col) for col in zip(*rows)]
 
 
-@pytest.mark.parametrize("r_load, duty, per_cycle", [
-    (None, 0.532, 256),     # table2 orbit: sample 128 lies on T/2
-    (1500.0, 0.3, 256),     # hard-switched, States I, II and IV only
-    (None, 0.532, 333.7),   # not a whole number of samples per cycle
-], ids=["table2", "no_state_v", "fractional_rate"])
-def test_sampler_matches_per_sample_reference(vp, r_load, duty, per_cycle):
+def orbit_pieces(vp, r_load, duty, n_cycles):
+    """``n_cycles`` pieces run on the orbit of (duty, f_s*t_f = 0.0672),
+    at load ``r_load`` (None: the receiver's own)."""
     p = vp.with_load(r_load) if r_load else vp
     cmd = ModulationCommand(duty, 0.0672 / vp.f_s)
     v0 = steady_state_vo(p.i_ls_amp, p.r_load, duty, 0.0672)
-    pieces = run(p, cmd, 8,
-                 initial=periodic_steady_state(p, cmd, v0).state).pieces
-    wf = sample_waveform(pieces, per_cycle * p.f_s)
-    assert len(wf.t) == round(8 * per_cycle)
+    return run(p, cmd, n_cycles,
+               initial=periodic_steady_state(p, cmd, v0).state).pieces
+
+
+def assert_matches_reference(wf, pieces):
     i_ls, v_cs1, v_cd1, v_o, gate, state = reference_samples(pieces, wf.t)
     assert np.array_equal(wf.state, state)
     assert np.array_equal(wf.gate, gate)
@@ -534,6 +535,19 @@ def test_sampler_matches_per_sample_reference(vp, r_load, duty, per_cycle):
                      (wf.v_o, v_o)):
         np.testing.assert_allclose(got, ref, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("r_load, duty, per_cycle", [
+    (None, 0.532, 256),     # table2 orbit: sample 128 lies on T/2
+    (1500.0, 0.3, 256),     # hard-switched, States I, II and IV only
+    (None, 0.532, 333.7),   # not a whole number of samples per cycle
+], ids=["table2", "no_state_v", "fractional_rate"])
+def test_sampler_matches_per_sample_reference(vp, r_load, duty, per_cycle):
+    pieces = orbit_pieces(vp, r_load, duty, 8)
+    p = pieces[0].params
+    wf = sample_waveform(pieces, per_cycle * p.f_s)
+    assert len(wf.t) == round(8 * per_cycle)
+    assert_matches_reference(wf, pieces)
     if r_load:
         assert set(wf.state.tolist()) == {1, 2, 4}
         assert all(piece.summary.hard_switched for piece in pieces)
@@ -543,10 +557,56 @@ def test_sampler_matches_per_sample_reference(vp, r_load, duty, per_cycle):
         assert wf.state[128] == 3
 
 
+@pytest.mark.parametrize("per_cycle", [256, 333.7])
+@pytest.mark.parametrize("r_load, duty", [(None, 0.532), (1500.0, 0.3)],
+                         ids=["table2", "no_state_v"])
+def test_sampler_block_seams(vp, r_load, duty, per_cycle):
+    # 37 cycles are more than two of the sampler's blocks and not a whole
+    # number of them, so every kind of seam is crossed
+    pieces = orbit_pieces(vp, r_load, duty, 37)
+    ts = pieces[0].params.t_period
+    wf = sample_waveform(pieces, per_cycle * pieces[0].params.f_s)
+    assert len(wf.t) == round(37 * per_cycle)
+    per_block = simulator._BLOCK_SAMPLES * len(pieces) // len(wf.t)
+    assert 2 * per_block < len(pieces) and len(pieces) % per_block != 0
+    assert_matches_reference(wf, pieces)
+    for c in range(per_block, len(pieces), per_block):
+        # the block's first sample is the first of cycle c: past the end of
+        # cycle c - 1 and before the end of cycle c
+        first = np.searchsorted(wf.t, pieces[c - 1].t_start + ts - 1e-18)
+        assert pieces[c].t_start - 1e-18 <= wf.t[first] \
+            < pieces[c].t_start + ts - 1e-18
+        assert wf.state[first] == pieces[c].segments[0].state
+
+
+def test_sampler_memory_beyond_its_result_is_bounded(vp):
+    # the sampler's temporaries are one block long: on the size of
+    # `wptrx simulate` (400 cycles at 256 samples per cycle, a 4.3 MB
+    # result) they stay under 1 MB, where one pass over the whole run
+    # needed about 8 MB more
+    pieces = orbit_pieces(vp, None, 0.532, 400)
+    for piece in pieces:
+        piece.segments  # the pieces' own cache, not the sampler's
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        wf = sample_waveform(pieces, 256 * vp.f_s)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    result = sum(getattr(wf, f).nbytes for f in
+                 ("t", "i_ls", "v_cs1", "v_cd1", "v_o", "gate", "state"))
+    assert peak <= result + 1e6, (peak, result)
+
+
 def test_sampler_rejects_cycles_of_different_receivers(vp):
     cmd = ModulationCommand(0.532, 386e-9)
-    pieces = (run(vp, cmd, 2, v_o0=24.0).pieces
-              + run(vp.with_load(50.0), cmd, 1, v_o0=24.0).pieces)
+    start = SwitchCycleState(24.0)
+    pieces = (run(vp, cmd, 2, initial=start).pieces
+              + run(vp.with_load(50.0), cmd, 1, initial=start).pieces)
     with pytest.raises(NonPeriodicWindow):
         sample_waveform(pieces, 256 * vp.f_s)
 
@@ -566,7 +626,7 @@ def test_spectrum_of_ideal_square_wave(vp):
                   gate=np.zeros_like(t, dtype=np.int8),
                   state=np.ones_like(t, dtype=np.int8),
                   sample_rate=spc * vp.f_s, f_s=vp.f_s)
-    res = spectrum(wf, "v_o", 12)
+    res, = spectrum(wf, ("v_o",), 12)
     expect = 2 * amp / math.pi * math.sin(math.pi * duty_high)
     assert res.fundamental == pytest.approx(expect, abs=0.1)
     assert res.fundamental == pytest.approx(15.2, abs=0.1)
@@ -579,9 +639,25 @@ def test_spectrum_of_ideal_square_wave(vp):
 def test_spectrum_source_current_is_pure(vp):
     res, cmd, op = steady_soft_run(vp, n=4)
     cap = run(vp, cmd, 32, initial=res.final_state)
-    sp = spectrum(sample_waveform(cap.pieces, 256 * vp.f_s), "i_ls", 10)
+    sp, = spectrum(sample_waveform(cap.pieces, 256 * vp.f_s), ("i_ls",), 10)
     assert sp.thd < 1e-12
     assert sp.fundamental == pytest.approx(vp.i_ls_amp, rel=1e-12)
+
+
+def test_spectrum_of_several_channels_is_each_channels_own(vp):
+    res, cmd, op = steady_soft_run(vp, n=4)
+    cap = run(vp, cmd, 32, initial=res.final_state)
+    wf = sample_waveform(cap.pieces, 256 * vp.f_s)
+    channels = ("v_cd1", "i_ls", "v_o")
+    together = spectrum(wf, channels, 40)
+    assert len(together) == len(channels)
+    for channel, got in zip(channels, together):
+        alone, = spectrum(wf, (channel,), 40)
+        assert got.harmonics == alone.harmonics
+        assert got.thd == alone.thd
+    # a bare name is not read as the channels "v", "_", "o"
+    with pytest.raises(TypeError, match="sequence of names"):
+        spectrum(wf, "v_o", 40)
 
 
 def test_spectrum_rejects_bad_windows(vp):
@@ -589,7 +665,7 @@ def test_spectrum_rejects_bad_windows(vp):
     cap = run(vp, cmd, 8, initial=res.final_state)
     with pytest.raises(NonPeriodicWindow):
         # only 8 periods
-        spectrum(sample_waveform(cap.pieces, 256 * vp.f_s), "v_cd1", 10)
+        spectrum(sample_waveform(cap.pieces, 256 * vp.f_s), ("v_cd1",), 10)
     cap32 = run(vp, cmd, 32, initial=res.final_state)
     wf = sample_waveform(cap32.pieces, 256 * vp.f_s)
     clipped = Waveform(t=wf.t[:-7], i_ls=wf.i_ls[:-7], v_cs1=wf.v_cs1[:-7],
@@ -597,7 +673,7 @@ def test_spectrum_rejects_bad_windows(vp):
                        gate=wf.gate[:-7], state=wf.state[:-7],
                        sample_rate=wf.sample_rate, f_s=wf.f_s)
     with pytest.raises(NonPeriodicWindow):
-        spectrum(clipped, "v_cd1", 10)
+        spectrum(clipped, ("v_cd1",), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +686,7 @@ def test_soft_switching_sweep_across_duty_window(vp):
     for duty in np.linspace(lo + 0.01, hi - 0.01, 7):
         op = solve_operating_point(vp, float(duty), exact=True)
         cmd = ModulationCommand(float(duty), fall_time_exact(vp, op.v_o))
-        res = run(vp, cmd, 30, v_o0=op.v_o)
+        res = run(vp, cmd, 30, initial=SwitchCycleState(op.v_o))
         all_diags.extend(res.diagnostics)
     rep = soft_switching_report(all_diags)
     assert rep.zvs_fraction == 1.0
@@ -620,7 +696,7 @@ def test_soft_switching_sweep_across_duty_window(vp):
 
 def test_soft_switching_report_counts_hard_cycles(vp):
     cmd = ModulationCommand(0.532, 0.0)
-    res = run(vp, cmd, 20, v_o0=24.0)
+    res = run(vp, cmd, 20, initial=SwitchCycleState(24.0))
     rep = soft_switching_report(res.diagnostics)
     assert rep.zvs_fraction == 0.0
     assert rep.worst_v_cs1_at_gate > 1.0
@@ -727,7 +803,7 @@ def test_long_run_approaches_the_solved_orbit(vp):
     # solved orbit at the linearized rate
     cmd = fig13_cmd(vp)
     v_star = periodic_steady_state(vp, cmd, 24.0).state.v_o
-    res = run(vp, cmd, 2000, v_o0=24.144)
+    res = run(vp, cmd, 2000, initial=SwitchCycleState(24.144))
     ends = np.array([24.144] + [d.v_o_end for d in res.diagnostics])
     steps = np.diff(ends)
     assert np.all(steps > 0.0) and ends[-1] < v_star

@@ -14,8 +14,10 @@ table2 receiver:
   per solve;
 * ``cycle_diagnostics`` (ledger, ripple extremes, device peaks) of 32
   orbit cycles, in us per cycle;
-* ``sample_waveform`` of those 32 cycles at 256 samples per cycle, in us
-  per sample;
+* ``sample_waveform`` of those 32 cycles, and of 400 orbit cycles (the
+  size of ``wptrx simulate``), at 256 samples per cycle, in us per sample;
+* ``spectrum`` of the 32-cycle waveform, 40 harmonics of v_cd1 and i_ls in
+  one call (fig14's), in ms per call;
 
 and, on the built-in fig7 receiver at its operating point (duty 0.5,
 f_s*t_f = 0.1):
@@ -48,7 +50,7 @@ from wptrx.control import closed_loop_run  # noqa: E402
 from wptrx.params import validate  # noqa: E402
 from wptrx.simulator import (  # noqa: E402
     ModulationCommand, cycle_diagnostics, periodic_steady_state, run,
-    sample_waveform, step_cycle)
+    sample_waveform, spectrum, step_cycle)
 from wptrx.smallsignal import perturb_bode_oracle  # noqa: E402
 
 STEP_CYCLES = 2000
@@ -56,9 +58,12 @@ STEP_REPEATS = 15
 LOOP_REPEATS = 7
 ORBIT_REPEATS = 51
 SAMPLE_CYCLES = 32
+SIMULATE_CYCLES = 400
 DIAG_REPEATS = 51
 SAMPLES_PER_CYCLE = 256
 SAMPLE_REPEATS = 21
+SPECTRUM_HARMONICS = 40
+SPECTRUM_REPEATS = 21
 ORACLE_REPEATS = 21
 AVG_HORIZON = 0.1
 AVG_STEP_AT = 0.01
@@ -101,7 +106,9 @@ def main() -> int:
     n_ramp = len(closed_loop_run(sc_ramp, gains_ramp, p_ramp).t)
     pieces = run(vp, cmd, SAMPLE_CYCLES, initial=orbit.state).pieces
     rate = SAMPLES_PER_CYCLE * vp.f_s
-    n_samples = len(sample_waveform(pieces, rate).t)
+    wave = sample_waveform(pieces, rate)
+    long_pieces = run(vp, cmd, SIMULATE_CYCLES, initial=orbit.state).pieces
+    n_long = len(sample_waveform(long_pieces, rate).t)
 
     rc7 = parse_config(SRC / "wptrx" / "configs" / "fig7.cfg")
     vp7 = validate(rc7.params)
@@ -128,7 +135,14 @@ def main() -> int:
                 SAMPLE_CYCLES / 1e6)),
         (f"sample_waveform, {SAMPLE_CYCLES} cycles", "us/sample",
          _timed(lambda: sample_waveform(pieces, rate), SAMPLE_REPEATS,
-                n_samples / 1e6)),
+                len(wave.t) / 1e6)),
+        (f"sample_waveform, {SIMULATE_CYCLES} cycles", "us/sample",
+         _timed(lambda: sample_waveform(long_pieces, rate), SAMPLE_REPEATS,
+                n_long / 1e6)),
+        (f"spectrum, {SAMPLE_CYCLES} cycles, v_cd1 and i_ls "
+         f"({SPECTRUM_HARMONICS} harmonics)", "ms/call",
+         _timed(lambda: spectrum(wave, ("v_cd1", "i_ls"), SPECTRUM_HARMONICS),
+                SPECTRUM_REPEATS, 1e-3)),
         (f"perturb_bode_oracle, fig7 ({len(cli._BODE_GRID)} frequencies)",
          "ms/call",
          _timed(lambda: perturb_bode_oracle(vp7, op7, cli._BODE_GRID),
