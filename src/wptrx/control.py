@@ -12,7 +12,9 @@ Anti-windup: the integrator only advances when the output is unsaturated,
 or when the error drives the command back toward the admissible duty
 window.  While the duty sits pinned at a bound with the error still pushing
 outward, the integrator is frozen, so recovery starts the moment the error
-reverses.
+reverses.  The law is written once, on floats, in ``_pi_step``: the
+closed-loop run calls it on every cycle, and ``pi_update`` wraps it in a
+``ControllerState`` for its other callers.
 """
 
 from dataclasses import dataclass
@@ -26,8 +28,8 @@ from .analytic import OperatingPoint, duty_for_target_vo
 from .errors import NoConvergence, NonPositiveParameter
 from .params import ValidatedParams, require_positive
 from .simulator import (V_ORBIT_TOL, CycleSummary, ModulationCommand,
-                        SwitchCycleState, _cycle, periodic_steady_state,
-                        step_cycle)
+                        SwitchCycleState, _cycle, _cycle_consts,
+                        periodic_steady_state, step_cycle)
 from .smallsignal import PiGains, cycle_linearization, plant_tf
 
 
@@ -39,26 +41,36 @@ class ControllerState:
     saturated: bool
 
 
-def pi_update(v_o_sample: float, v_ref: float, gains: PiGains,
-              cstate: ControllerState, t_step: float) -> tuple:
-    """One discrete PI update; returns (duty, new ControllerState).
+def _pi_step(e: float, k_p: float, k_i: float, d_min: float, d_max: float,
+             t_step: float, duty: float, integrator: float,
+             saturated: bool) -> tuple:
+    """The PI law on floats: from the sampled error e = v_ref - v_o and the
+    previous (duty, integrator, saturated), the next three.
 
     duty = k_p * e + integrator, clamped to [d_min, d_max].  The integrator
-    advances by k_i * e * t_step unless the previous output was saturated
-    and the increment pushes further out of range.
+    advances by k_i * e * t_step unless the previous duty was saturated and
+    the increment pushes further out of range.
     """
-    e = v_ref - v_o_sample
-    delta = gains.k_i * e * t_step
-    integrate = True
-    if cstate.saturated:
-        outward_high = cstate.last_duty >= gains.d_max and delta > 0.0
-        outward_low = cstate.last_duty <= gains.d_min and delta < 0.0
-        integrate = not (outward_high or outward_low)
-    integrator = cstate.integrator + (delta if integrate else 0.0)
-    unsat = gains.k_p * e + integrator
-    duty = min(max(unsat, gains.d_min), gains.d_max)
+    delta = k_i * e * t_step
+    if saturated and (duty >= d_max and delta > 0.0
+                      or duty <= d_min and delta < 0.0):
+        integrator = integrator + 0.0  # frozen; -0.0 still turns into 0.0
+    else:
+        integrator = integrator + delta
+    unsat = k_p * e + integrator
+    duty = min(max(unsat, d_min), d_max)
+    return duty, integrator, duty != unsat
+
+
+def pi_update(v_o_sample: float, v_ref: float, gains: PiGains,
+              cstate: ControllerState, t_step: float) -> tuple:
+    """One discrete PI update, ``_pi_step`` on a ControllerState; returns
+    (duty, new ControllerState)."""
+    duty, integrator, saturated = _pi_step(
+        v_ref - v_o_sample, gains.k_p, gains.k_i, gains.d_min, gains.d_max,
+        t_step, cstate.last_duty, cstate.integrator, cstate.saturated)
     return duty, ControllerState(integrator=integrator, last_duty=duty,
-                                 saturated=(duty != unsat))
+                                 saturated=saturated)
 
 
 def feedforward_tf(v_ref: float, i_ls_nominal: float,
@@ -314,37 +326,53 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
     if n_cycles < 100:
         raise NonPositiveParameter("scenario duration (>= 100 cycles)",
                                    scenario.duration)
-    cstate = ControllerState(integrator=scenario.initial_integrator,
-                             last_duty=scenario.initial_duty, saturated=False)
+    k_p, k_i, d_min, d_max = gains.k_p, gains.k_i, gains.d_min, gains.d_max
+    duty, integrator, saturated = (scenario.initial_duty,
+                                   scenario.initial_integrator, False)
     v_o, v_cd1 = scenario.v_o0, 0.0
-    # the live load and amplitude, each checked whenever it changes
-    r_n, i_n = params.r_load, params.i_ls_amp
-    v_ref_ff = math.nan  # the reference t_f_cmd was fed forward from
+    # every profile is read and checked at t = 0; a callable one is read
+    # again on every cycle, and what depends on it is rebuilt when it moves
+    r_fn, i_fn, v_ref_fn = (p if callable(p) else None for p in (
+        scenario.r_load, scenario.i_ls_amp, scenario.v_ref))
+    r_n = _eval_profile(scenario.r_load, 0.0)
+    require_positive(r_load=r_n)
+    i_n = _eval_profile(scenario.i_ls_amp, 0.0)
+    require_positive(allow_zero=True, i_ls_amp=i_n)
+    consts = _cycle_consts(params, r_n, i_n)
+    # the reference t_f_cmd was fed forward from
+    v_ref_n = v_ref_ff = _eval_profile(scenario.v_ref, 0.0)
+    t_f_cmd = feedforward_tf(v_ref_n, scenario.i_ls_ff, params)
 
-    t_arr = np.empty(n_cycles)
+    t_arr = np.arange(n_cycles) * ts
     v_samp = np.empty(n_cycles)
     v_mean = np.empty(n_cycles)
     duty_arr = np.empty(n_cycles)
 
     for n in range(n_cycles):
         t_n = n * ts
-        r = _eval_profile(scenario.r_load, t_n)
-        if r != r_n:  # NaN always differs
-            require_positive(r_load=r)
-            r_n = r
-        i = _eval_profile(scenario.i_ls_amp, t_n)
-        if i != i_n:
-            require_positive(allow_zero=True, i_ls_amp=i)
-            i_n = i
-        v_ref_n = _eval_profile(scenario.v_ref, t_n)
-        if v_ref_n != v_ref_ff:  # NaN always differs
-            t_f_cmd = feedforward_tf(v_ref_n, scenario.i_ls_ff, params)
-            v_ref_ff = v_ref_n
-        duty, cstate = pi_update(v_o, v_ref_n, gains, cstate, ts)
-        t_arr[n] = t_n
+        if r_fn is not None:
+            r = r_fn(t_n)
+            if r != r_n:  # NaN always differs
+                require_positive(r_load=r)
+                r_n = r
+                consts = _cycle_consts(params, r_n, i_n)
+        if i_fn is not None:
+            i = i_fn(t_n)
+            if i != i_n:
+                require_positive(allow_zero=True, i_ls_amp=i)
+                i_n = i
+                consts = _cycle_consts(params, r_n, i_n)
+        if v_ref_fn is not None:
+            v_ref_n = v_ref_fn(t_n)
+            if v_ref_n != v_ref_ff:  # NaN always differs
+                t_f_cmd = feedforward_tf(v_ref_n, scenario.i_ls_ff, params)
+                v_ref_ff = v_ref_n
+        duty, integrator, saturated = _pi_step(
+            v_ref_n - v_o, k_p, k_i, d_min, d_max, ts, duty, integrator,
+            saturated)
         v_samp[n] = v_o
-        v_o, v_cd1, v_mean[n] = _cycle(v_o, v_cd1, duty, t_f_cmd, r_n, i_n,
-                                       params)[:3]
+        v_o, v_cd1, v_mean[n] = _cycle(v_o, v_cd1, duty, t_f_cmd,
+                                       consts)[:3]
         duty_arr[n] = duty
 
     return _summarize(scenario, t_arr, v_samp, v_mean, duty_arr)

@@ -24,12 +24,16 @@ steps from the lossless closed form to 1e-13 s.  No step size exists
 anywhere.
 
 All of a cycle's arithmetic lives in one private kernel, ``_cycle``, which
-takes and returns plain floats: the boundary state, the gate command, the
-load and the source amplitude in, the next state, the cycle mean and the
-event times and closed-form coefficients out.  The closed-loop run and the
-orbit solvers (``cycle_residual``) call it directly and build no records.
-``step_cycle`` calls it and builds what other callers read: the next
-state, a ``CycleSummary`` (cycle mean and end voltage, timing,
+takes and returns plain floats: the boundary state, the gate command and a
+tuple of the receiver's constants at one load and source amplitude in,
+the next state, the cycle mean and the event times and closed-form
+coefficients out.  ``_cycle_consts`` builds that tuple (time constant,
+source-driven coefficients, the cos and sin of the fixed phases).
+``step_cycle`` and the orbit solvers (``cycle_residual``) build it on
+every call from the receiver's own load and amplitude; the closed-loop run
+builds it once and again only when the live load or amplitude changes,
+and builds no records.  ``step_cycle`` builds what other callers read: the
+next state, a ``CycleSummary`` (cycle mean and end voltage, timing,
 soft-switching verdicts) and the cycle's ``CyclePiece``, which keeps the
 receiver, the event times and closed-form coefficients and builds the
 segments and the event list the first time they are read.
@@ -308,18 +312,6 @@ def _sincos(th: float, w: float) -> float:
     return -math.cos(2.0 * w * th) / (4.0 * w)
 
 
-def _int_v(t0: float, t1: float, coeff: float, p_s: float, p_c: float,
-           tau: float, w: float) -> float:
-    """Integral of v_o over a segment [t0, t1] whose exponential term is
-    coeff at t0 (V*s)."""
-    em = -math.expm1(-(t1 - t0) / tau)  # 1 - exp(-d/tau)
-    if p_s == 0.0 and p_c == 0.0:  # no source-to-rail flow
-        return tau * coeff * em
-    trig = (-p_s * math.cos(w * t1) + p_c * math.sin(w * t1)
-            + p_s * math.cos(w * t0) - p_c * math.sin(w * t0)) / w
-    return tau * coeff * em + trig
-
-
 def _seg_integrals(seg: _Seg, tau: float, w: float, i_amp: float) -> tuple:
     """(source energy into the rail (J), integral of v_o^2 (V^2*s)) over a
     segment.  The source feeds the rail only on a conduction ("track")
@@ -427,17 +419,43 @@ def _turn_on_time(v0: float, va0: float, amp: float, w: float, tau: float,
                         f"steps: v0={v0!r}, va0={va0!r}, amp={amp!r}")
 
 
-def _cycle(v0: float, va0: float, duty: float, t_f: float, r_load: float,
-           i_amp: float, params: ValidatedParams) -> tuple:
+def _cycle_consts(params: ValidatedParams, r_load: float,
+                  i_amp: float) -> tuple:
+    """What ``_cycle`` reads of the receiver at load r_load and source
+    amplitude i_amp, all fixed while those two are: ts, w, tau, T/2,
+    i_amp, amp, p_s, p_c, whether the source feeds the rail while the
+    switch conducts, cos and sin of w T/2, cos w T, c_d1 and c_o + c_d1."""
+    ts = params.t_period
+    w = params.omega
+    tau = r_load * params.c_o
+    half = 0.5 * ts
+    p_s = i_amp * r_load / (1.0 + (w * tau) ** 2)
+    p_c = -w * tau * p_s
+    return (ts, w, tau, half, i_amp, i_amp / (w * params.c_sum), p_s, p_c,
+            not (p_s == 0.0 and p_c == 0.0),
+            math.cos(w * half), math.sin(w * half), math.cos(w * ts),
+            params.c_d1, params.c_o + params.c_d1)
+
+
+def _cycle(v0: float, va0: float, duty: float, t_f: float,
+           consts: tuple) -> tuple:
     """The arithmetic of one carrier period from the boundary state
-    (v0, va0) under the gate command (duty, t_f), with load r_load and
-    source amplitude i_amp; every other value is read from ``params``.
+    (v0, va0) under the gate command (duty, t_f); the receiver, its load
+    and its source amplitude come in as ``_cycle_consts``.
 
     Returns plain floats: the next v_o and v_cd1 and the cycle mean first,
     then what step_cycle's records need: gate_off, th1, hard, v_cs1_at_gate,
     va_pre_snap, v_at_th1, th_iv, h, p_s, p_c, v_at_iv, th4 (None when the
     node never reaches zero), va_end_iv, reached_v and v_at_th4 (see
     CyclePiece).  Raises as step_cycle does.
+
+    The cycle mean integrates v_o over each segment [t0, t1] in closed
+    form: tau coeff (1 - e^{-(t1 - t0)/tau}) for the exponential whose value
+    at t0 is coeff, plus, while the source feeds the rail,
+    (p_c sin - p_s cos)(w th) / w between the ends.  The segments' areas
+    are added left to right in segment order (``sum()`` of floats rounds
+    differently from Python 3.12 on), and the cos and sin of each event
+    phase are taken once.
     """
     # require_positive keeps the rule and its message; the chain only keeps
     # its two calls off the valid command of every cycle
@@ -445,18 +463,15 @@ def _cycle(v0: float, va0: float, duty: float, t_f: float, r_load: float,
         require_positive(below=1.0, duty=duty)
         require_positive(allow_zero=True, t_f=t_f)
 
-    ts = params.t_period
-    w = params.omega
-    tau = r_load * params.c_o
-    half = 0.5 * ts
+    (ts, w, tau, half, i_amp, amp, p_s, p_c, flow, cos_half, sin_half,
+     cos_ts, c_d1, c_o_d1) = consts
     gate_on = t_f
     gate_off = t_f + duty * ts
     if gate_off >= ts:
         raise GateOverrun(f"duty + f_s*t_f = {duty + t_f / ts:.6g} >= 1")
 
-    amp = i_amp / (w * params.c_sum)
-    # integral of v_o over each segment, in segment order: the cycle mean
-    areas = []
+    # integral of v_o over the cycle, segment by segment: the cycle mean
+    area = 0.0
 
     # ---- State I: natural commutation, or forced at the gate edge ----
     natural = None
@@ -469,33 +484,43 @@ def _cycle(v0: float, va0: float, duty: float, t_f: float, r_load: float,
 
     hard = natural is None
     th1 = gate_on if hard else natural
+    cos_1, sin_1 = math.cos(w * th1), math.sin(w * th1)
     v_at_th1 = v0 * math.exp(-th1 / tau)
     # node value when conduction begins: the clamp pins it to the output
     # voltage on natural completion (the located event time carries the
     # solver tolerance; the clamp value does not)
-    va_pre_snap = va0 + amp * (1.0 - math.cos(w * th1)) if hard else v_at_th1
+    va_pre_snap = va0 + amp * (1.0 - cos_1) if hard else v_at_th1
     v_cs1_at_gate = max(v_at_th1 - va_pre_snap, 0.0) if hard else 0.0
     if th1 > 0.0:
-        areas.append(_int_v(0.0, th1, v0, 0.0, 0.0, tau, w))
+        area += tau * v0 * -math.expm1(-th1 / tau)
 
     if hard:
         # diode capacitance top-up drawn from the output capacitor
-        v_at_th1 -= v_cs1_at_gate * params.c_d1 / (params.c_o + params.c_d1)
+        v_at_th1 -= v_cs1_at_gate * c_d1 / c_o_d1
 
     # ---- conduction: [th1, max(gate_off, half)], one closed form; State II
     # before the current zero crossing at T/2, State III after it ----
     th_iv = max(gate_off, half)
-    p_s = i_amp * r_load / (1.0 + (w * tau) ** 2)
-    p_c = -w * tau * p_s
-    h = (v_at_th1 - p_s * math.sin(w * th1) - p_c * math.cos(w * th1))
+    h = v_at_th1 - p_s * sin_1 - p_c * cos_1
+    cos_iv, sin_iv = math.cos(w * th_iv), math.sin(w * th_iv)
     if th1 < half:
-        areas.append(_int_v(th1, half, h, p_s, p_c, tau, w))
-    t_iii = max(th1, half)
+        seg = tau * h * -math.expm1(-(half - th1) / tau)
+        if flow:
+            seg += (-p_s * cos_half + p_c * sin_half
+                    + p_s * cos_1 - p_c * sin_1) / w
+        area += seg
+        t_iii, cos_iii, sin_iii = half, cos_half, sin_half
+    else:
+        t_iii, cos_iii, sin_iii = th1, cos_1, sin_1
     if th_iv > t_iii:
-        areas.append(_int_v(t_iii, th_iv, h * math.exp(-(t_iii - th1) / tau),
-                            p_s, p_c, tau, w))
-    v_at_iv = (h * math.exp(-(th_iv - th1) / tau) + p_s * math.sin(w * th_iv)
-               + p_c * math.cos(w * th_iv))
+        seg = (tau * (h * math.exp(-(t_iii - th1) / tau))
+               * -math.expm1(-(th_iv - t_iii) / tau))
+        if flow:
+            seg += (-p_s * cos_iv + p_c * sin_iv
+                    + p_s * cos_iii - p_c * sin_iii) / w
+        area += seg
+    v_at_iv = (h * math.exp(-(th_iv - th1) / tau) + p_s * sin_iv
+               + p_c * cos_iv)
 
     # ---- State IV: the node swings down toward the diode along
     # va(th) = v_at_iv + amp (cos w th_iv - cos w th).  On [th_iv, T] the
@@ -505,27 +530,27 @@ def _cycle(v0: float, va0: float, duty: float, t_f: float, r_load: float,
     if v_at_iv <= 0.0:
         th4 = th_iv
     elif i_amp > 0.0:
-        c = math.cos(w * th_iv) + v_at_iv / amp
+        c = cos_iv + v_at_iv / amp
         if c <= 1.0:
             th4 = min(max((TWO_PI - math.acos(c)) / w, th_iv), ts)
 
     th4_eff = th4 if th4 is not None else ts
     if th4_eff > th_iv:
-        areas.append(_int_v(th_iv, th4_eff, v_at_iv, 0.0, 0.0, tau, w))
+        area += tau * v_at_iv * -math.expm1(-(th4_eff - th_iv) / tau)
     va_end_iv = 0.0 if th4 is not None else \
-        v_at_iv + amp * (math.cos(w * th_iv) - math.cos(w * ts))
+        v_at_iv + amp * (cos_iv - cos_ts)
 
     # ---- State V: freewheel; v_o decays from the last segment's start ----
     reached_v = th4 is not None and th4 < ts
     t_last = th4 if reached_v else th_iv
     v_at_th4 = v_at_iv * math.exp(-(t_last - th_iv) / tau)
     if reached_v:
-        areas.append(_int_v(th4, ts, v_at_th4, 0.0, 0.0, tau, w))
+        area += tau * v_at_th4 * -math.expm1(-(ts - th4) / tau)
 
     v_end = v_at_th4 * math.exp(-(ts - t_last) / tau)
     # 0 when State V was reached; on a cycle that never freewheels the
     # switch-path diode caps the carried node voltage at the output rail
-    return (v_end, min(va_end_iv, v_end), sum(areas) / ts,
+    return (v_end, min(va_end_iv, v_end), area / ts,
             gate_off, th1, hard, v_cs1_at_gate, va_pre_snap, v_at_th1, th_iv,
             h, p_s, p_c, v_at_iv, th4, va_end_iv, reached_v, v_at_th4)
 
@@ -545,7 +570,7 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     (v_end, va_cycle_end, v_mean, gate_off, th1, hard, v_cs1_at_gate,
      va_pre_snap, v_at_th1, th_iv, h, p_s, p_c, v_at_iv, th4, va_end_iv,
      reached_v, v_at_th4) = _cycle(state.v_o, state.v_cd1, cmd.duty, cmd.t_f,
-                                   params.r_load, i_amp, params)
+                                   _cycle_consts(params, params.r_load, i_amp))
     ts = params.t_period
     summary = CycleSummary(
         v_o_start=state.v_o, v_o_end=v_end, v_o_mean=v_mean,
@@ -664,8 +689,9 @@ CYCLE_FD_STEP = 1e-4    # state difference step, relative to max(|v_o|, 1 V)
 def cycle_residual(params: ValidatedParams, cmd: ModulationCommand,
                    x: tuple) -> tuple:
     """(P(x) - x, cycle mean) of one cycle from x = (v_o, v_cd1)."""
-    v_o, v_cd1, v_mean = _cycle(x[0], x[1], cmd.duty, cmd.t_f, params.r_load,
-                                params.i_ls_amp, params)[:3]
+    v_o, v_cd1, v_mean = _cycle(
+        x[0], x[1], cmd.duty, cmd.t_f,
+        _cycle_consts(params, params.r_load, params.i_ls_amp))[:3]
     return (v_o - x[0], v_cd1 - x[1], v_mean)
 
 
@@ -906,7 +932,11 @@ def spectrum(waveform: Waveform, channels: Sequence[str],
     results = []
     for rows in harmonics:
         a1 = rows[0][1]
-        rest = math.sqrt(sum(a * a for _, a, _ in rows[1:]))
+        # added left to right: sum() rounds differently from Python 3.12 on
+        rest = 0.0
+        for _, a, _ in rows[1:]:
+            rest += a * a
+        rest = math.sqrt(rest)
         thd = rest / a1 if a1 > 0 else float("inf")
         results.append(SpectrumResult(harmonics=rows, thd=thd))
     return results
@@ -926,9 +956,13 @@ def soft_switching_report(diags: Sequence[CycleSummary]) -> SoftSwitchingSummary
     diagnostics)."""
     n = len(diags)
     require_positive(n_cycles=n)
+    # added left to right: sum() rounds differently from Python 3.12 on
+    e_hard = 0.0
+    for d in diags:
+        e_hard += d.e_hard_switch
     return SoftSwitchingSummary(
         n_cycles=n,
         zvs_fraction=sum(d.zvs_ok for d in diags) / n,
         zcs_fraction=sum(d.zcs_ok for d in diags) / n,
         worst_v_cs1_at_gate=max(d.v_cs1_at_gate for d in diags),
-        total_e_hard_switch=sum(d.e_hard_switch for d in diags))
+        total_e_hard_switch=e_hard)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wptrx import control
+from wptrx import control, scenarios
 from wptrx.analytic import fall_time_exact, phase_angle
 from wptrx.control import (ControllerState, Scenario, closed_loop_run,
                            feedforward_tf, pi_update, step_profile)
@@ -264,6 +264,84 @@ def test_feedforward_recomputed_only_when_the_reference_moves(vp_fast,
         closed_loop_run(dataclasses.replace(sc, v_ref=step_profile(
             24.0, math.nan, 100 * vp_fast.t_period)), GAINS, vp_fast)
     assert err.value.field == "v_ref"
+
+
+def replay(scenario, gains, params):
+    """closed_loop_run's record fields (t, v_o_sample, v_o_mean, duty),
+    stepped through the public pi_update and step_cycle on a receiver copy
+    at each cycle's live load and amplitude."""
+    ts = params.t_period
+    cstate = ControllerState(integrator=scenario.initial_integrator,
+                             last_duty=scenario.initial_duty, saturated=False)
+    state = SwitchCycleState(scenario.v_o0)
+    rows = []
+    for n in range(int(round(scenario.duration / ts))):
+        t_n = n * ts
+        live = params.with_load(control._eval_profile(scenario.r_load, t_n))
+        live = live.with_amplitude(
+            control._eval_profile(scenario.i_ls_amp, t_n))
+        v_ref = control._eval_profile(scenario.v_ref, t_n)
+        duty, cstate = pi_update(state.v_o, v_ref, gains, cstate, ts)
+        t_f = feedforward_tf(v_ref, scenario.i_ls_ff, params)
+        nxt, summary, _ = step_cycle(state, ModulationCommand(duty, t_f),
+                                     live)
+        rows.append((t_n, state.v_o, summary.v_o_mean, duty))
+        state = nxt
+    return [np.array(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("case", ["load_step", "amplitude_ramp", "startup",
+                                  "reference_step_down"])
+def test_closed_loop_run_replays_through_step_cycle_and_pi_update(
+        vp_fast, monkeypatch, case):
+    # the loop keeps its cycle constants between load or amplitude changes
+    # and runs the PI law on floats; its record must equal, bit for bit, a
+    # replay through the public one-cycle calls.  The startup from 0 V holds
+    # the duty at d_min and the reference step down at d_max, each with the
+    # integrator frozen by the anti-windup until the duty comes off the
+    # bound.
+    gains = design_gains(vp_fast, 24.0, 2.35, 1000.0)
+    d0 = equilibrium_op(vp_fast, 24.0, 2.35).duty
+    sc = {
+        "load_step": scenarios.load_step_scenario(
+            vp_fast, 24.0, 2.35, r_low=36.0, t_step=2e-3, duration=5e-3),
+        "amplitude_ramp": scenarios.source_ramp_scenario(
+            vp_fast, 24.0, 2.35, i_stop=2.6, t_ramp_start=1e-3,
+            ramp_len=3e-3, duration=5e-3),
+        "startup": scenarios.startup_scenario(vp_fast, 24.0, 2.35,
+                                              duration=10e-3),
+        "reference_step_down": Scenario(
+            name="down_step", duration=5e-3, r_load=vp_fast.r_load,
+            i_ls_amp=vp_fast.i_ls_amp, v_ref=step_profile(24.0, 20.5, 1e-3),
+            i_ls_ff=2.35, v_o0=24.0, initial_duty=d0, initial_integrator=d0),
+    }[case]
+    built = []
+    cycle_consts = control._cycle_consts
+
+    def counted(params, r_load, i_amp):
+        built.append((r_load, i_amp))
+        return cycle_consts(params, r_load, i_amp)
+
+    monkeypatch.setattr(control, "_cycle_consts", counted)
+    rec = closed_loop_run(sc, gains, vp_fast)
+    monkeypatch.undo()
+    t, v_sample, v_mean, duty = replay(sc, gains, vp_fast)
+    assert np.array_equal(rec.t, t)
+    assert np.array_equal(rec.v_o_sample, v_sample)
+    assert np.array_equal(rec.v_o_mean, v_mean)
+    assert np.array_equal(rec.duty, duty)
+    # one build at the start and one for each change of the live values
+    live = [(control._eval_profile(sc.r_load, t_n),
+             control._eval_profile(sc.i_ls_amp, t_n)) for t_n in t]
+    changes = sum(a != b for a, b in zip(live, live[1:]))
+    assert len(built) == 1 + changes
+    assert {"load_step": changes == 1, "amplitude_ramp": changes >= 500,
+            "startup": changes == 0,
+            "reference_step_down": changes == 0}[case]
+    pinned = {"startup": gains.d_min,
+              "reference_step_down": gains.d_max}.get(case)
+    if pinned is not None:
+        assert np.sum(duty == pinned) >= 50 and duty[-1] != pinned
 
 
 @pytest.mark.parametrize("case,k_settle", [

@@ -207,6 +207,120 @@ def test_events_match_a_bisection_oracle():
     assert min(kinds.values()) >= 50, kinds
 
 
+def _segment_area(t0, t1, coeff, p_s, p_c, tau, w):
+    """Integral of v_o over [t0, t1], with its exponential term coeff at t0,
+    each cos and sin taken afresh: the kernel's formulation before it
+    shared them."""
+    em = -math.expm1(-(t1 - t0) / tau)
+    if p_s == 0.0 and p_c == 0.0:  # no source-to-rail flow
+        return tau * coeff * em
+    trig = (-p_s * math.cos(w * t1) + p_c * math.sin(w * t1)
+            + p_s * math.cos(w * t0) - p_c * math.sin(w * t0)) / w
+    return tau * coeff * em + trig
+
+
+def reference_cycle(v0, va0, duty, t_f, r_load, i_amp, params):
+    """``simulator._cycle`` written segment by segment, every receiver
+    constant derived in place and the areas summed by an explicit loop
+    (``sum()`` of floats rounds differently from Python 3.12 on)."""
+    ts, w = params.t_period, params.omega
+    tau = r_load * params.c_o
+    half = 0.5 * ts
+    gate_off = t_f + duty * ts
+    amp = i_amp / (w * params.c_sum)
+    areas = []
+    natural = None
+    hi = min(t_f, half)
+    if v0 - va0 <= 0.0:
+        natural = 0.0
+    elif (i_amp > 0.0 and hi > 0.0 and v0 * math.exp(-hi / tau)
+          - (va0 + amp * (1.0 - math.cos(w * hi))) <= 0.0):
+        natural = simulator._turn_on_time(v0, va0, amp, w, tau, hi)
+    hard = natural is None
+    th1 = t_f if hard else natural
+    v_at_th1 = v0 * math.exp(-th1 / tau)
+    va_pre_snap = va0 + amp * (1.0 - math.cos(w * th1)) if hard else v_at_th1
+    v_cs1_at_gate = max(v_at_th1 - va_pre_snap, 0.0) if hard else 0.0
+    if th1 > 0.0:
+        areas.append(_segment_area(0.0, th1, v0, 0.0, 0.0, tau, w))
+    if hard:
+        v_at_th1 -= v_cs1_at_gate * params.c_d1 / (params.c_o + params.c_d1)
+    th_iv = max(gate_off, half)
+    p_s = i_amp * r_load / (1.0 + (w * tau) ** 2)
+    p_c = -w * tau * p_s
+    h = v_at_th1 - p_s * math.sin(w * th1) - p_c * math.cos(w * th1)
+    if th1 < half:
+        areas.append(_segment_area(th1, half, h, p_s, p_c, tau, w))
+    t_iii = max(th1, half)
+    if th_iv > t_iii:
+        areas.append(_segment_area(
+            t_iii, th_iv, h * math.exp(-(t_iii - th1) / tau), p_s, p_c, tau,
+            w))
+    v_at_iv = (h * math.exp(-(th_iv - th1) / tau) + p_s * math.sin(w * th_iv)
+               + p_c * math.cos(w * th_iv))
+    th4 = None
+    if v_at_iv <= 0.0:
+        th4 = th_iv
+    elif i_amp > 0.0:
+        c = math.cos(w * th_iv) + v_at_iv / amp
+        if c <= 1.0:
+            th4 = min(max((TWO_PI - math.acos(c)) / w, th_iv), ts)
+    th4_eff = th4 if th4 is not None else ts
+    if th4_eff > th_iv:
+        areas.append(_segment_area(th_iv, th4_eff, v_at_iv, 0.0, 0.0, tau, w))
+    va_end_iv = 0.0 if th4 is not None else \
+        v_at_iv + amp * (math.cos(w * th_iv) - math.cos(w * ts))
+    reached_v = th4 is not None and th4 < ts
+    t_last = th4 if reached_v else th_iv
+    v_at_th4 = v_at_iv * math.exp(-(t_last - th_iv) / tau)
+    if reached_v:
+        areas.append(_segment_area(th4, ts, v_at_th4, 0.0, 0.0, tau, w))
+    v_end = v_at_th4 * math.exp(-(ts - t_last) / tau)
+    area = 0.0
+    for a in areas:
+        area += a
+    return (v_end, min(va_end_iv, v_end), area / ts,
+            gate_off, th1, hard, v_cs1_at_gate, va_pre_snap, v_at_th1, th_iv,
+            h, p_s, p_c, v_at_iv, th4, va_end_iv, reached_v, v_at_th4)
+
+
+def test_cycle_kernel_matches_the_segment_by_segment_reference(vp):
+    # the kernel shares trig values between segments and takes its receiver
+    # constants prebuilt; every value it returns must equal the reference's
+    # exactly, on seeded single cycles from any boundary state
+    rng = random.Random(18)
+    u = rng.uniform
+    ts = vp.t_period
+    kinds = dict.fromkeys(("soft", "hard", "conduction_from_after_half",
+                           "gate_off_before_half", "gate_off_after_half",
+                           "no_state_v", "no_source"), 0)
+    for k in range(600):
+        r_load = math.exp(u(math.log(10.0), math.log(10e3)))
+        i_amp = 0.0 if k % 10 == 0 else u(0.5, 3.0)
+        v0 = 0.0 if k % 25 == 1 else math.exp(u(math.log(0.1),
+                                                math.log(3000.0)))
+        va0 = 0.0 if k % 2 else u(0.0, 1.2) * v0
+        if k % 4 == 3:  # the gate fires after T/2
+            duty = u(0.05, 0.45)
+            t_f = u(0.5, 0.999 - duty) * ts
+        else:
+            duty = u(0.05, 0.9)
+            t_f = u(0.0, 0.999 - duty) * ts
+        got = simulator._cycle(v0, va0, duty, t_f,
+                               simulator._cycle_consts(vp, r_load, i_amp))
+        assert got == reference_cycle(v0, va0, duty, t_f, r_load, i_amp, vp)
+        gate_off, th1, hard, reached_v = got[3], got[4], got[5], got[16]
+        kinds["hard" if hard else "soft"] += 1
+        kinds["conduction_from_after_half"] += th1 >= 0.5 * ts
+        kinds["gate_off_before_half" if gate_off < 0.5 * ts
+              else "gate_off_after_half"] += 1
+        if i_amp == 0.0:
+            kinds["no_source"] += 1
+        elif not reached_v:
+            kinds["no_state_v"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
 def test_invalid_commands(vp):
     st = SwitchCycleState(24.0)
     with pytest.raises(NonPositiveParameter) as err:
