@@ -313,10 +313,10 @@ def cmd_simulate(args, rc, vp) -> int:
                    wave)
     fields = ("t_f_meas,t_r_meas,zvs_ok,zcs_ok,q_f,q_r,e_in,e_load,"
               "e_hard_switch,v_o_mean,v_o_ripple_pp")
+    diags = result.diagnostics
     _write_table(args.out, "diagnostics.csv", "cycle," + fields,
-                 [range(len(result.diagnostics))]
-                 + _fields(result.diagnostics, fields))
-    rep = soft_switching_report(result.diagnostics)
+                 [range(len(diags))] + _fields(diags, fields))
+    rep = soft_switching_report(diags)
     print(f"cycles = {args.cycles}, orbit residual = "
           f"{orbit.residual:.3g} V, zvs = {rep.zvs_fraction:.3f}, "
           f"zcs = {rep.zcs_fraction:.3f}")

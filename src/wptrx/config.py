@@ -80,14 +80,11 @@ def parse_config_text(text: str) -> RunConfig:
     for key, (allow_zero, below) in _RUN_KEY_RANGES.items():
         if key in seen:
             require_positive(allow_zero, below, **{key: seen[key]})
+    # only the keys present: RunConfig holds the defaults of the others
     return RunConfig(
         params=ReceiverParams(**{k: seen[k] for k in _PARAM_KEYS
                                  if k in seen}),
-        v_ref=seen.get("v_ref", 24.0),
-        f_c=seen.get("f_c", 1000.0),
-        i_ls_ff=seen.get("i_ls_ff"),
-        duty=seen.get("duty"),
-        phase_delay_norm=seen.get("phase_delay_norm"))
+        **{k: seen[k] for k in _RUN_KEY_RANGES if k in seen})
 
 
 def parse_config(path) -> RunConfig:

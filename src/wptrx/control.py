@@ -12,9 +12,7 @@ Anti-windup: the integrator only advances when the output is unsaturated,
 or when the error drives the command back toward the admissible duty
 window.  While the duty sits pinned at a bound with the error still pushing
 outward, the integrator is frozen, so recovery starts the moment the error
-reverses.  The law is written once, on floats, in ``_pi_step``: the
-closed-loop run calls it on every cycle, and ``pi_update`` wraps it in a
-``ControllerState`` for its other callers.
+reverses.  The law is written once, on floats, in ``pi_step``.
 """
 
 from dataclasses import dataclass
@@ -33,17 +31,9 @@ from .simulator import (V_ORBIT_TOL, CycleSummary, ModulationCommand,
 from .smallsignal import PiGains, cycle_linearization, plant_tf
 
 
-@dataclass(frozen=True)
-class ControllerState:
-    """PI internal state between cycles."""
-    integrator: float
-    last_duty: float
-    saturated: bool
-
-
-def _pi_step(e: float, k_p: float, k_i: float, d_min: float, d_max: float,
-             t_step: float, duty: float, integrator: float,
-             saturated: bool) -> tuple:
+def pi_step(e: float, k_p: float, k_i: float, d_min: float, d_max: float,
+            t_step: float, duty: float, integrator: float,
+            saturated: bool) -> tuple:
     """The PI law on floats: from the sampled error e = v_ref - v_o and the
     previous (duty, integrator, saturated), the next three.
 
@@ -60,17 +50,6 @@ def _pi_step(e: float, k_p: float, k_i: float, d_min: float, d_max: float,
     unsat = k_p * e + integrator
     duty = min(max(unsat, d_min), d_max)
     return duty, integrator, duty != unsat
-
-
-def pi_update(v_o_sample: float, v_ref: float, gains: PiGains,
-              cstate: ControllerState, t_step: float) -> tuple:
-    """One discrete PI update, ``_pi_step`` on a ControllerState; returns
-    (duty, new ControllerState)."""
-    duty, integrator, saturated = _pi_step(
-        v_ref - v_o_sample, gains.k_p, gains.k_i, gains.d_min, gains.d_max,
-        t_step, cstate.last_duty, cstate.integrator, cstate.saturated)
-    return duty, ControllerState(integrator=integrator, last_duty=duty,
-                                 saturated=saturated)
 
 
 def feedforward_tf(v_ref: float, i_ls_nominal: float,
@@ -224,11 +203,11 @@ def closed_loop_orbit(params: ValidatedParams, v_ref: float, i_ls_ff: float,
             f"{_MAX_DUTY_ITER} duty steps")
 
     x = orbit.state
-    cstate = ControllerState(integrator=d, last_duty=d, saturated=failed)
-    duty, cnext = pi_update(x.v_o, v_ref, gains, cstate, ts)
+    duty, integrator, _ = pi_step(v_ref - x.v_o, gains.k_p, gains.k_i,
+                                  gains.d_min, gains.d_max, ts, d, d, failed)
     nxt, summary, _ = step_cycle(x, ModulationCommand(duty, t_f), params)
     residual = max(abs(nxt.v_o - x.v_o), abs(nxt.v_cd1 - x.v_cd1),
-                   abs(cnext.integrator - d))
+                   abs(integrator - d))
     a, b, _, _, n_lin = cycle_linearization(
         params, ModulationCommand(d, t_f), (x.v_o, x.v_cd1))
     jac = np.zeros((3, 3))  # failed: the clamp holds the duty, J = diag(A, 0)
@@ -367,7 +346,7 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
             if v_ref_n != v_ref_ff:  # NaN always differs
                 t_f_cmd = feedforward_tf(v_ref_n, scenario.i_ls_ff, params)
                 v_ref_ff = v_ref_n
-        duty, integrator, saturated = _pi_step(
+        duty, integrator, saturated = pi_step(
             v_ref_n - v_o, k_p, k_i, d_min, d_max, ts, duty, integrator,
             saturated)
         v_samp[n] = v_o

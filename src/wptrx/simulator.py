@@ -36,10 +36,10 @@ and builds no records.  ``step_cycle`` builds what other callers read: the
 next state, a ``CycleSummary`` (cycle mean and end voltage, timing,
 soft-switching verdicts) and the cycle's ``CyclePiece``, which keeps the
 receiver, the event times and closed-form coefficients and builds the
-segments and the event list the first time they are read.
+segments and the event list from them on every read; nothing is cached.
 ``cycle_diagnostics`` builds the full ``CycleDiagnostics`` (ledger, ripple
 extremes, device peaks) from a piece alone; a ``run``'s result does so for
-every cycle the first time its diagnostics are read.
+every cycle each time its diagnostics are read.
 
 If the commanded gate delay arrives before the switch voltage has fallen to
 zero, turn-on is forced: the residual switch-capacitor energy
@@ -64,9 +64,8 @@ transfer loss of the diode-capacitance top-up.
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
 import math
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -96,6 +95,10 @@ class SwitchingState(IntEnum):
     STATE_III = 3
     STATE_IV = 4
     STATE_V = 5
+
+
+# the conduction states, where the node is clamped to the output rail
+_CLAMPED = (SwitchingState.STATE_II, SwitchingState.STATE_III)
 
 
 @dataclass(frozen=True)
@@ -163,8 +166,7 @@ class CycleDiagnostics(CycleSummary):
     states_visited: tuple
 
 
-@dataclass(frozen=True)
-class _Seg:
+class _Seg(NamedTuple):
     """One analytic segment, times relative to the cycle start.
 
     Output voltage: v_o(th) = h * exp(-(th-t_ref)/tau) + p_s sin(w th)
@@ -173,10 +175,11 @@ class _Seg:
     ``t_ref`` is the exponential's reference instant; it equals t0 except on
     the State-III half of a conduction interval, which keeps the State-II
     reference (the current zero crossing is not a restart).
-    Node voltage (diode capacitance voltage):
-      node "int":   va(th) = va0 + amp * (cos(w t_ref) - cos(w th))
-      node "track": va = v_o(th)      (conduction clamp)
-      node "zero":  va = 0            (diode conducting)
+    The node voltage (diode capacitance voltage) follows from ``state``:
+      I, IV:   va(th) = va0 + amp * (cos(w t_ref) - cos(w th))
+               (both devices off: the coil current integrates on the node)
+      II, III: va = v_o(th)      (conduction clamp)
+      V:       va = 0            (diode conducting)
     """
     t0: float
     t1: float
@@ -185,7 +188,6 @@ class _Seg:
     h: float
     p_s: float
     p_c: float
-    node: str
     va0: float
 
     def v_o(self, th: float, tau: float, w: float) -> float:
@@ -193,11 +195,11 @@ class _Seg:
                 + self.p_s * math.sin(w * th) + self.p_c * math.cos(w * th))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CyclePiece:
     """One carrier period as step_cycle solved it: its receiver, event times
     and closed-form coefficients.  ``segments`` and ``events`` are built
-    from them the first time they are read."""
+    from them on every read; a caller that needs them twice keeps them."""
     params: ValidatedParams
     t_start: float
     gate_on: float   # absolute gate edges
@@ -219,7 +221,7 @@ class CyclePiece:
     p_c: float
     v_at_th4: float
 
-    @cached_property
+    @property
     def segments(self) -> list:
         """The cycle's _Seg of each state it spent time in, in order.
         step_cycle's cycle mean integrates these same segments from its
@@ -232,25 +234,25 @@ class CyclePiece:
         segs = []
         if th1 > 0.0:
             segs.append(_Seg(0.0, th1, 0.0, SwitchingState.STATE_I,
-                             self.summary.v_o_start, 0.0, 0.0, "int",
+                             self.summary.v_o_start, 0.0, 0.0,
                              self.node_v[0]))
         if th1 < half:
             segs.append(_Seg(th1, half, th1, SwitchingState.STATE_II,
-                             h, p_s, p_c, "track", 0.0))
+                             h, p_s, p_c, 0.0))
         t_iii = max(th1, half)
         if th_iv > t_iii:
             segs.append(_Seg(t_iii, th_iv, th1, SwitchingState.STATE_III,
-                             h, p_s, p_c, "track", 0.0))
+                             h, p_s, p_c, 0.0))
         th4_eff = th4 if th4 is not None else ts
         if th4_eff > th_iv:
             segs.append(_Seg(th_iv, th4_eff, th_iv, SwitchingState.STATE_IV,
-                             v_at_iv, 0.0, 0.0, "int", v_at_iv))
+                             v_at_iv, 0.0, 0.0, v_at_iv))
         if self.summary.reached_state_v:
             segs.append(_Seg(th4, ts, th4, SwitchingState.STATE_V,
-                             self.v_at_th4, 0.0, 0.0, "zero", 0.0))
+                             self.v_at_th4, 0.0, 0.0, 0.0))
         return segs
 
-    @cached_property
+    @property
     def events(self) -> list:
         """(absolute time, name) of the cycle's events, in time order."""
         t0, hard = self.t_start, self.summary.hard_switched
@@ -268,15 +270,14 @@ class CyclePiece:
         return events
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunResult:
     """The pieces of a ``run`` and its final state.  ``diagnostics``
-    (``cycle_diagnostics`` of every piece) is built the first time it is
-    read."""
+    (``cycle_diagnostics`` of every piece) is built on every read."""
     pieces: list
     final_state: SwitchCycleState
 
-    @cached_property
+    @property
     def diagnostics(self) -> list:
         return [cycle_diagnostics(p) for p in self.pieces]
 
@@ -314,9 +315,9 @@ def _sincos(th: float, w: float) -> float:
 
 def _seg_integrals(seg: _Seg, tau: float, w: float, i_amp: float) -> tuple:
     """(source energy into the rail (J), integral of v_o^2 (V^2*s)) over a
-    segment.  The source feeds the rail only on a conduction ("track")
-    segment, with i(th) = i_amp sin(w th); elsewhere p_s = p_c = 0 and v_o
-    is a pure decay."""
+    segment.  The source feeds the rail only on a conduction segment (State
+    II or III), with i(th) = i_amp sin(w th); elsewhere p_s = p_c = 0 and
+    v_o is a pure decay."""
     d = seg.t1 - seg.t0
     if d <= 0.0:
         return 0.0, 0.0
@@ -324,7 +325,7 @@ def _seg_integrals(seg: _Seg, tau: float, w: float, i_amp: float) -> tuple:
     coeff = (seg.h if seg.t_ref == seg.t0
              else seg.h * math.exp(-(seg.t0 - seg.t_ref) / tau))
     e_sq = 0.5 * tau * coeff * coeff * -math.expm1(-2.0 * d / tau)
-    if seg.node != "track":
+    if seg.state not in _CLAMPED:
         return 0.0, e_sq
     # int e^{au} sin(wu) du and int e^{au} cos(wu) du over [0, d]
     a = -1.0 / tau
@@ -612,12 +613,13 @@ def cycle_diagnostics(piece: CyclePiece) -> CycleDiagnostics:
     e_load = 0.0
     candidates = [v0, v_end]
     cond_candidates = [va_pre_snap]
-    for seg in piece.segments:
+    segments = piece.segments
+    for seg in segments:
         e_rail, int_v2 = _seg_integrals(seg, tau, w, i_amp)
         e_cond += e_rail
         e_load += int_v2 / r_load
         ends = (seg.v_o(seg.t0, tau, w), seg.v_o(seg.t1, tau, w))
-        if seg.node == "track":
+        if seg.state in _CLAMPED:
             interior = _conduction_extremes(seg, tau, w, i_amp, r_load)
             candidates.extend(interior)
             cond_candidates.extend(interior)
@@ -646,7 +648,7 @@ def cycle_diagnostics(piece: CyclePiece) -> CycleDiagnostics:
         v_o_ripple_pp=v_o_max - v_o_min, v_o_min=v_o_min, v_o_max=v_o_max,
         v_cs1_peak=max(v0 - va0, v_cs1_end),
         v_cd1_peak=max(cond_candidates),
-        states_visited=tuple(sorted({int(g.state) for g in piece.segments})))
+        states_visited=tuple(sorted({int(g.state) for g in segments})))
 
 
 def run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
@@ -786,15 +788,14 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
 # Samples per block of whole cycles that sample_waveform evaluates at once;
 # the block bounds its memory (see its docstring).
 _BLOCK_SAMPLES = 4096
-_NODE_KIND = {"int": 0, "track": 1, "zero": 2}
 
 
 def _segment_table(pieces: Sequence[CyclePiece], w: float) -> tuple:
     """The segments of ``pieces`` as columns with one row per segment: h,
-    t_ref, p_s, p_c, va0, cos(w t_ref), node kind and state; then the
-    cycles as columns with one row per cycle: t_start, gate_on, gate_off,
-    its first segment row and the ends of all its segments but the last
-    (a cycle has at most five; missing ends are inf)."""
+    t_ref, p_s, p_c, va0, cos(w t_ref) and state; then the cycles as
+    columns with one row per cycle: t_start, gate_on, gate_off, its first
+    segment row and the ends of all its segments but the last (a cycle has
+    at most five; missing ends are inf)."""
     rows, cycles = [], []
     for piece in pieces:
         segs = piece.segments
@@ -802,7 +803,7 @@ def _segment_table(pieces: Sequence[CyclePiece], w: float) -> tuple:
         cycles.append((piece.t_start, piece.gate_on, piece.gate_off,
                        len(rows), *cuts, *[math.inf] * (4 - len(cuts))))
         rows.extend((seg.h, seg.t_ref, seg.p_s, seg.p_c, seg.va0,
-                     math.cos(w * seg.t_ref), _NODE_KIND[seg.node], seg.state)
+                     math.cos(w * seg.t_ref), seg.state)
                     for seg in segs)
     return np.array(rows).T, np.array(cycles).T
 
@@ -812,7 +813,8 @@ def sample_waveform(pieces: Sequence[CyclePiece],
     """Evaluate the cycles' segment closed forms on a uniform grid.
     A sample within 1e-18 s of a cycle's end belongs to the next cycle, and
     one exactly on a segment's end to the next segment (the sample at T/2
-    is State III).  The cycles must share one receiver.
+    is State III).  There must be at least one cycle, and the cycles must
+    share one receiver.
 
     The grid is evaluated in blocks of whole cycles of at most about
     ``_BLOCK_SAMPLES`` (4096) samples, 16 cycles at 256 samples per cycle,
@@ -823,7 +825,7 @@ def sample_waveform(pieces: Sequence[CyclePiece],
     sample's segment is its cycle's first segment plus the number of the
     cycle's segment ends at or before it.
     """
-    require_positive(sample_rate=sample_rate)
+    require_positive(n_cycles=len(pieces), sample_rate=sample_rate)
     params = pieces[0].params
     if any(piece.params != params for piece in pieces):
         raise NonPeriodicWindow("cycles stepped on different receivers")
@@ -845,7 +847,7 @@ def sample_waveform(pieces: Sequence[CyclePiece],
     per_block = max(1, _BLOCK_SAMPLES * len(pieces) // max(n, 1))
     lo = 0
     for c0 in range(0, len(pieces), per_block):
-        ((h, t_ref, p_s, p_c, va0, cos_ref, node, seg_state),
+        ((h, t_ref, p_s, p_c, va0, cos_ref, seg_state),
          (t_start, gate_on, gate_off, first_row, *cut_ends)) = \
             _segment_table(pieces[c0:c0 + per_block], w)
         ends = cycle_ends[c0:c0 + per_block]
@@ -863,12 +865,12 @@ def sample_waveform(pieces: Sequence[CyclePiece],
         v = (h[row] * np.exp(-(th - t_ref[row]) / tau)
              + p_s[row] * sin_wt + p_c[row] * cos_wt)
         v_o[lo:hi] = v
-        kind = node[row]
+        st = seg_state[row]
         v_cd1[lo:hi] = np.where(
-            kind == _NODE_KIND["track"], v,
-            np.where(kind == _NODE_KIND["zero"], 0.0,
+            np.isin(st, _CLAMPED), v,
+            np.where(st == SwitchingState.STATE_V, 0.0,
                      va0[row] + amp * (cos_ref[row] - cos_wt)))
-        state_ch[lo:hi] = seg_state[row]
+        state_ch[lo:hi] = st
         lo = hi
     np.subtract(v_o, v_cd1, out=v_cs1)
     return Waveform(t=t, i_ls=i_ls, v_cs1=v_cs1, v_cd1=v_cd1, v_o=v_o,
@@ -893,7 +895,7 @@ class SpectrumResult:
 def spectrum(waveform: Waveform, channels: Sequence[str],
              n_harmonics: int) -> list:
     """Single-bin correlation at k*f_s (the waveform's carrier) for
-    k = 1..n_harmonics, plus THD: one SpectrumResult per name in
+    k = 1..n_harmonics (>= 1), plus THD: one SpectrumResult per name in
     ``channels``, in order.  ``channels`` is a sequence of names; a bare
     string is rejected with a TypeError rather than read letter by letter.
 
@@ -907,6 +909,7 @@ def spectrum(waveform: Waveform, channels: Sequence[str],
     if isinstance(channels, str):
         raise TypeError(f"channels must be a sequence of names, not the "
                         f"string {channels!r}; pass ({channels!r},)")
+    require_positive(n_harmonics=n_harmonics)
     ys = [getattr(waveform, channel) for channel in channels]
     f_s = waveform.f_s
     t = waveform.t

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from wptrx import cli
 from wptrx.cli import _write_table, main
-from wptrx.config import parse_config, parse_config_text, parse_value
+from wptrx.config import (RunConfig, parse_config, parse_config_text,
+                          parse_value)
 from wptrx.errors import ConfigSyntax, MissingKey, UnknownKey
 from wptrx.params import validate
 
@@ -45,6 +46,17 @@ def test_shipped_prototype_config_parses():
     assert rc.v_ref == 24.0
     assert rc.duty == pytest.approx(0.532)
     assert vp.warnings == ()
+
+
+def test_absent_run_keys_take_the_run_config_defaults():
+    # only the receiver keys: every run key is RunConfig's own default
+    text = "".join(line + "\n" for line in Path(TABLE2).read_text()
+                   .splitlines() if line.split("=")[0].strip() not in
+                   ("v_ref", "f_c", "i_ls_ff", "duty", "phase_delay_norm"))
+    rc = parse_config_text(text)
+    assert rc == RunConfig(params=rc.params)
+    assert (rc.v_ref, rc.f_c) == (24.0, 1000.0)
+    assert rc.i_ls_ff is rc.duty is rc.phase_delay_norm is None
 
 
 def test_config_rejects_duplicates_and_unknowns():

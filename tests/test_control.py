@@ -8,8 +8,8 @@ import pytest
 
 from wptrx import control, scenarios
 from wptrx.analytic import fall_time_exact, phase_angle
-from wptrx.control import (ControllerState, Scenario, closed_loop_run,
-                           feedforward_tf, pi_update, step_profile)
+from wptrx.control import (Scenario, closed_loop_run, feedforward_tf,
+                           pi_step, step_profile)
 from wptrx.errors import GateOverrun, NoConvergence, NonPositiveParameter
 from wptrx.params import ReceiverParams, validate
 from wptrx.scenarios import design_gains, equilibrium_op
@@ -38,40 +38,44 @@ GAINS = PiGains(k_p=-4.4, k_i=-116.0, d_min=0.42, d_max=0.85)
 # PI update
 # ---------------------------------------------------------------------------
 
+def pi_at(v_o_sample, v_ref, gains, t_step, duty, integrator, saturated):
+    """pi_step on the output sampled against v_ref: the next (duty,
+    integrator, saturated)."""
+    return pi_step(v_ref - v_o_sample, gains.k_p, gains.k_i, gains.d_min,
+                   gains.d_max, t_step, duty, integrator, saturated)
+
+
 def test_pi_equilibrium_passthrough():
-    st = ControllerState(integrator=0.532, last_duty=0.532, saturated=False)
-    duty, st2 = pi_update(24.0, 24.0, GAINS, st, 5e-6)
+    duty, integrator, saturated = pi_at(24.0, 24.0, GAINS, 5e-6,
+                                        0.532, 0.532, False)
     assert duty == 0.532
-    assert st2.integrator == 0.532
-    assert not st2.saturated
+    assert integrator == 0.532
+    assert not saturated
 
 
 def test_pi_direction_of_action():
     # output too low -> positive error -> with negative gains the duty
     # moves down, which raises the output on the regulable branch
-    st = ControllerState(integrator=0.6, last_duty=0.6, saturated=False)
-    duty, st2 = pi_update(22.0, 24.0, GAINS, st, 5e-6)
+    duty, integrator, _ = pi_at(22.0, 24.0, GAINS, 5e-6, 0.6, 0.6, False)
     assert duty < 0.6
-    assert st2.integrator < 0.6
+    assert integrator < 0.6
 
 
 def test_pi_windup_freeze_at_bound():
     # pinned at the upper bound with the error still pushing outward: the
     # integrator must not move for any number of cycles
-    st = ControllerState(integrator=0.9, last_duty=GAINS.d_max,
-                         saturated=True)
+    st = (GAINS.d_max, 0.9, True)
     for _ in range(100):
-        duty, st = pi_update(25.0, 24.0, GAINS, st, 5e-6)
+        st = pi_at(25.0, 24.0, GAINS, 5e-6, *st)
         # v above ref: e < 0, k_i*e > 0 drives duty further up -> frozen
-        assert duty == GAINS.d_max
-        assert st.integrator == 0.9
+        assert st[0] == GAINS.d_max
+        assert st[1] == 0.9
 
 
 def test_pi_integrates_back_toward_range():
-    st = ControllerState(integrator=0.9, last_duty=GAINS.d_max,
-                         saturated=True)
-    duty, st2 = pi_update(23.0, 24.0, GAINS, st, 5e-6)  # error reverses
-    assert st2.integrator < 0.9
+    # error reverses
+    _, integrator, _ = pi_at(23.0, 24.0, GAINS, 5e-6, GAINS.d_max, 0.9, True)
+    assert integrator < 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +272,10 @@ def test_feedforward_recomputed_only_when_the_reference_moves(vp_fast,
 
 def replay(scenario, gains, params):
     """closed_loop_run's record fields (t, v_o_sample, v_o_mean, duty),
-    stepped through the public pi_update and step_cycle on a receiver copy
+    stepped through the public pi_step and step_cycle on a receiver copy
     at each cycle's live load and amplitude."""
     ts = params.t_period
-    cstate = ControllerState(integrator=scenario.initial_integrator,
-                             last_duty=scenario.initial_duty, saturated=False)
+    pi = (scenario.initial_duty, scenario.initial_integrator, False)
     state = SwitchCycleState(scenario.v_o0)
     rows = []
     for n in range(int(round(scenario.duration / ts))):
@@ -281,7 +284,8 @@ def replay(scenario, gains, params):
         live = live.with_amplitude(
             control._eval_profile(scenario.i_ls_amp, t_n))
         v_ref = control._eval_profile(scenario.v_ref, t_n)
-        duty, cstate = pi_update(state.v_o, v_ref, gains, cstate, ts)
+        pi = pi_at(state.v_o, v_ref, gains, ts, *pi)
+        duty = pi[0]
         t_f = feedforward_tf(v_ref, scenario.i_ls_ff, params)
         nxt, summary, _ = step_cycle(state, ModulationCommand(duty, t_f),
                                      live)
@@ -292,7 +296,7 @@ def replay(scenario, gains, params):
 
 @pytest.mark.parametrize("case", ["load_step", "amplitude_ramp", "startup",
                                   "reference_step_down"])
-def test_closed_loop_run_replays_through_step_cycle_and_pi_update(
+def test_closed_loop_run_replays_through_step_cycle_and_pi_step(
         vp_fast, monkeypatch, case):
     # the loop keeps its cycle constants between load or amplitude changes
     # and runs the PI law on floats; its record must equal, bit for bit, a
@@ -385,14 +389,13 @@ def test_closed_loop_orbit_is_a_fixed_point(vp, i_amp, i_ff):
     assert gains.d_min < orbit.duty < gains.d_max
     x = orbit.state
     assert abs(24.0 - x.v_o) <= V_ORBIT_TOL  # the sampled error
-    duty, cnext = pi_update(x.v_o, 24.0, gains,
-                            ControllerState(orbit.duty, orbit.duty, False),
-                            p.t_period)
+    duty, integrator, _ = pi_at(x.v_o, 24.0, gains, p.t_period,
+                                orbit.duty, orbit.duty, False)
     nxt, summary, _ = step_cycle(
         x, ModulationCommand(duty, feedforward_tf(24.0, i_ff, p)), p)
     assert abs(nxt.v_o - x.v_o) <= V_ORBIT_TOL
     assert abs(nxt.v_cd1 - x.v_cd1) <= V_ORBIT_TOL
-    assert abs(cnext.integrator - orbit.duty) <= V_ORBIT_TOL
+    assert abs(integrator - orbit.duty) <= V_ORBIT_TOL
     assert orbit.residual <= V_ORBIT_TOL
     assert summary.v_o_mean == orbit.summary.v_o_mean
     assert summary.zvs_ok == orbit.summary.zvs_ok == (i_amp > i_ff)

@@ -287,7 +287,10 @@ def reference_cycle(v0, va0, duty, t_f, r_load, i_amp, params):
 def test_cycle_kernel_matches_the_segment_by_segment_reference(vp):
     # the kernel shares trig values between segments and takes its receiver
     # constants prebuilt; every value it returns must equal the reference's
-    # exactly, on seeded single cycles from any boundary state
+    # exactly, on seeded single cycles from any boundary state.  The
+    # segments of step_cycle's piece for the same cycle tile [0, T] with
+    # non-empty pieces in strictly increasing state order, and are the
+    # states its diagnostics report as visited
     rng = random.Random(18)
     u = rng.uniform
     ts = vp.t_period
@@ -309,6 +312,17 @@ def test_cycle_kernel_matches_the_segment_by_segment_reference(vp):
         got = simulator._cycle(v0, va0, duty, t_f,
                                simulator._cycle_consts(vp, r_load, i_amp))
         assert got == reference_cycle(v0, va0, duty, t_f, r_load, i_amp, vp)
+        nxt, _, piece = step_cycle(
+            SwitchCycleState(v0, va0), ModulationCommand(duty, t_f),
+            vp.with_load(r_load).with_amplitude(i_amp))
+        assert (nxt.v_o, nxt.v_cd1) == got[:2]
+        segs = piece.segments
+        assert segs[0].t0 == 0.0 and segs[-1].t1 == ts
+        assert all(a.t1 == b.t0 for a, b in zip(segs, segs[1:]))
+        assert all(seg.t0 < seg.t1 for seg in segs)
+        assert all(a.state < b.state for a, b in zip(segs, segs[1:]))
+        assert (set(cycle_diagnostics(piece).states_visited)
+                == {seg.state for seg in segs})
         gate_off, th1, hard, reached_v = got[3], got[4], got[5], got[16]
         kinds["hard" if hard else "soft"] += 1
         kinds["conduction_from_after_half"] += th1 >= 0.5 * ts
@@ -622,9 +636,11 @@ def reference_samples(pieces, t):
         seg = next(s for s in piece.segments if th < s.t1)
         amp = params.i_ls_amp / (w * params.c_sum)
         vo = seg.v_o(th, tau, w)
-        vn = {"int": seg.va0 + amp * (math.cos(w * seg.t_ref)
-                                      - math.cos(w * th)),
-              "track": vo, "zero": 0.0}[seg.node]
+        # I and IV integrate the coil current on the node, II and III clamp
+        # it to v_o, and V holds it at zero
+        vn = (vo if seg.state in (2, 3) else 0.0 if seg.state == 5
+              else seg.va0 + amp * (math.cos(w * seg.t_ref)
+                                    - math.cos(w * th)))
         rows.append((params.i_ls_amp * math.sin(w * th), vo - vn, vn, vo,
                      int(piece.gate_on <= tk < piece.gate_off),
                      int(seg.state)))
@@ -699,8 +715,6 @@ def test_sampler_memory_beyond_its_result_is_bounded(vp):
     # result) they stay under 1 MB, where one pass over the whole run
     # needed about 8 MB more
     pieces = orbit_pieces(vp, None, 0.532, 400)
-    for piece in pieces:
-        piece.segments  # the pieces' own cache, not the sampler's
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
@@ -723,6 +737,13 @@ def test_sampler_rejects_cycles_of_different_receivers(vp):
               + run(vp.with_load(50.0), cmd, 1, initial=start).pieces)
     with pytest.raises(NonPeriodicWindow):
         sample_waveform(pieces, 256 * vp.f_s)
+
+
+def test_sampler_rejects_no_cycles(vp):
+    # it raised a bare IndexError
+    with pytest.raises(NonPositiveParameter) as err:
+        sample_waveform([], 256 * vp.f_s)
+    assert err.value.field == "n_cycles"
 
 
 def test_spectrum_of_ideal_square_wave(vp):
@@ -788,6 +809,11 @@ def test_spectrum_rejects_bad_windows(vp):
                        sample_rate=wf.sample_rate, f_s=wf.f_s)
     with pytest.raises(NonPeriodicWindow):
         spectrum(clipped, ("v_cd1",), 10)
+    # no harmonic to take: these raised a bare IndexError
+    for n_harmonics in (0, -3):
+        with pytest.raises(NonPositiveParameter) as err:
+            spectrum(wf, ("v_o",), n_harmonics)
+        assert err.value.field == "n_harmonics"
 
 
 # ---------------------------------------------------------------------------

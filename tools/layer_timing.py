@@ -14,8 +14,10 @@ table2 receiver:
   per solve;
 * ``cycle_diagnostics`` (ledger, ripple extremes, device peaks) of 32
   orbit cycles, in us per cycle;
-* ``sample_waveform`` of those 32 cycles, and of 400 orbit cycles (the
-  size of ``wptrx simulate``), at 256 samples per cycle, in us per sample;
+* ``CyclePiece.segments`` of 400 orbit cycles (the size of ``wptrx
+  simulate``), in us per cycle;
+* ``sample_waveform`` of those 32 cycles, and of the 400, at 256 samples
+  per cycle, in us per sample;
 * ``spectrum`` of the 32-cycle waveform, 40 harmonics of v_cd1 and i_ls in
   one call (fig14's), in ms per call;
 
@@ -28,8 +30,13 @@ f_s*t_f = 0.1):
 
 Each figure is the median of several repeats, after one warm-up call, so
 a slow repeat on a shared host moves it little; the lowest and highest
-repeat are printed beside it.  Compare two commits by running the script
-in a checkout of each, on the same machine, one right after the other.
+repeat are printed beside it.  A piece builds its segments on every read,
+so the ``cycle_diagnostics`` and ``sample_waveform`` rows include building
+them on every repeat.  Before pieces stopped caching their segments, those
+rows read the cache after the warm-up call and left that cost out, so they
+do not compare like for like across that change.  Compare two commits by
+running the script in a checkout of each, on the same machine, one right
+after the other.
 Needs numpy; about 3 s on a 2-core x86-64 VM.
 """
 
@@ -60,6 +67,7 @@ ORBIT_REPEATS = 51
 SAMPLE_CYCLES = 32
 SIMULATE_CYCLES = 400
 DIAG_REPEATS = 51
+SEGMENT_REPEATS = 21
 SAMPLES_PER_CYCLE = 256
 SAMPLE_REPEATS = 21
 SPECTRUM_HARMONICS = 40
@@ -133,6 +141,9 @@ def main() -> int:
         (f"cycle_diagnostics, {SAMPLE_CYCLES} orbit cycles", "us/cycle",
          _timed(lambda: [cycle_diagnostics(p) for p in pieces], DIAG_REPEATS,
                 SAMPLE_CYCLES / 1e6)),
+        (f"CyclePiece.segments, {SIMULATE_CYCLES} orbit cycles", "us/cycle",
+         _timed(lambda: [p.segments for p in long_pieces], SEGMENT_REPEATS,
+                SIMULATE_CYCLES / 1e6)),
         (f"sample_waveform, {SAMPLE_CYCLES} cycles", "us/sample",
          _timed(lambda: sample_waveform(pieces, rate), SAMPLE_REPEATS,
                 len(wave.t) / 1e6)),
