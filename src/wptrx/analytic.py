@@ -72,12 +72,36 @@ def input_current(t: float, params: ValidatedParams) -> float:
     return params.i_ls_amp * math.sin(params.omega * t)
 
 
+def _fall_time_approx(v_o: float, c_sum: float, pi_f_s_i: float) -> float:
+    """Square-root fall interval sqrt(C_sum*v_o / (pi*f_s*|I|)) (s), with
+    pi*f_s*|I| passed in as ``pi_f_s_i``.  No checks: callers pass a v_o
+    already known to be finite and >= 0 and a nonzero amplitude."""
+    return math.sqrt(c_sum * v_o / pi_f_s_i)
+
+
+def _fall_time_exact(v_o: float, i_amp: float, w: float,
+                     c_sum: float) -> float:
+    """Exact fall interval 2*asin(sqrt(c/2))/w with c = w*C_sum*v_o/|I| at
+    the amplitude i_amp (s).  Raises CommutationImpossible when c exceeds
+    2; no other checks, as for ``_fall_time_approx``."""
+    c = w * c_sum * v_o / i_amp
+    if c > 2.0:
+        raise CommutationImpossible(
+            f"omega*C_sum*v_o/|I| = {c:.4g} > 2; node swing cannot reach v_o")
+    return 2.0 * math.asin(math.sqrt(0.5 * c)) / w
+
+
 def fall_time_approx(params: ValidatedParams, v_o: float) -> float:
-    """Small-angle estimate of the switch-voltage fall interval (s)."""
+    """Small-angle estimate of the switch-voltage fall interval (s).
+
+    Checks v_o (finite and >= 0; 0 gives 0, also at zero amplitude), then
+    evaluates the unchecked kernel ``_fall_time_approx``.
+    """
     require_positive(allow_zero=True, v_o=v_o)
     if v_o == 0.0:
         return 0.0
-    return math.sqrt(params.c_sum * v_o / (math.pi * params.f_s * params.i_ls_amp))
+    return _fall_time_approx(v_o, params.c_sum,
+                             math.pi * params.f_s * params.i_ls_amp)
 
 
 def fall_time_exact(params: ValidatedParams, v_o: float) -> float:
@@ -90,15 +114,14 @@ def fall_time_exact(params: ValidatedParams, v_o: float) -> float:
     digits.  Raises CommutationImpossible when c exceeds 2 (the current
     cannot swing the node across v_o, so zero-voltage turn-on is
     unreachable at this point).
+
+    Checks v_o (finite and >= 0; 0 gives 0, also at zero amplitude), then
+    evaluates the unchecked kernel ``_fall_time_exact``.
     """
     require_positive(allow_zero=True, v_o=v_o)
     if v_o == 0.0:
         return 0.0
-    c = params.omega * params.c_sum * v_o / params.i_ls_amp
-    if c > 2.0:
-        raise CommutationImpossible(
-            f"omega*C_sum*v_o/|I| = {c:.4g} > 2; node swing cannot reach v_o")
-    return 2.0 * math.asin(math.sqrt(0.5 * c)) / params.omega
+    return _fall_time_exact(v_o, params.i_ls_amp, params.omega, params.c_sum)
 
 
 def duty_bounds(phase_delay_norm: float) -> tuple:
@@ -197,22 +220,31 @@ def solve_operating_point(params: ValidatedParams, duty: float,
     what the feedforward path of the controller computes; ``exact=True``
     switches to the cosine-equation root for oracle comparisons.
 
+    The duty is checked once, here; the loop keeps v_o >= 0 itself, so it
+    iterates on the unchecked kernel ``_fall_time_approx`` or
+    ``_fall_time_exact`` with ``steady_state_vo``'s arithmetic inline, and
+    gives the same bits as ``fall_time_approx``/``fall_time_exact`` and
+    ``steady_state_vo`` would.
+
     Raises NonPositiveParameter for a duty outside (0, 1), NoConvergence
     after 100 iterations, and propagates CommutationImpossible from the
     exact solver.
     """
     require_positive(below=1.0, duty=duty)
-    if params.i_ls_amp == 0.0:
+    i_amp = params.i_ls_amp
+    if i_amp == 0.0:
         return OperatingPoint(duty=duty, t_f=0.0, v_o=0.0,
                               phase_delay_norm=0.0, regulable=False)
-    fall = fall_time_exact if exact else fall_time_approx
-    v = steady_state_vo(params.i_ls_amp, params.r_load, duty, 0.0)
-    v = max(v, 0.0)
-    t_f = 0.0
+    f_s, w, c_sum = params.f_s, params.omega, params.c_sum
+    scale = i_amp * params.r_load / TWO_PI
+    two_pi_duty = TWO_PI * duty
+    pi_f_s_i = math.pi * f_s * i_amp
+    v = max(steady_state_vo(i_amp, params.r_load, duty, 0.0), 0.0)
     for _ in range(_MAX_FIXED_POINT_ITER):
-        t_f = fall(params, v)
-        fst = params.f_s * t_f
-        v_new = steady_state_vo(params.i_ls_amp, params.r_load, duty, fst)
+        t_f = (_fall_time_exact(v, i_amp, w, c_sum) if exact
+               else _fall_time_approx(v, c_sum, pi_f_s_i))
+        phi = TWO_PI * (f_s * t_f)
+        v_new = scale * (math.cos(phi) - math.cos(two_pi_duty + phi))
         if abs(v_new - v) < V_FIXED_POINT_TOL:
             v = v_new
             break
@@ -224,8 +256,10 @@ def solve_operating_point(params: ValidatedParams, duty: float,
         raise NoConvergence(
             f"operating point at D={duty} did not settle within "
             f"{_MAX_FIXED_POINT_ITER} iterations")
-    t_f = fall(params, max(v, 0.0))
-    fst = params.f_s * t_f
+    v_f = max(v, 0.0)
+    t_f = (_fall_time_exact(v_f, i_amp, w, c_sum) if exact
+           else _fall_time_approx(v_f, c_sum, pi_f_s_i))
+    fst = f_s * t_f
     try:
         lo, hi = duty_bounds(fst)
         regulable = lo <= duty <= hi

@@ -29,11 +29,13 @@ tuple of the receiver's constants at one load and source amplitude in,
 the next state, the cycle mean and the event times and closed-form
 coefficients out.  ``_cycle_consts`` builds that tuple (time constant,
 source-driven coefficients, the cos and sin of the fixed phases).
-``step_cycle`` and the orbit solvers (``cycle_residual``) build it on
-every call from the receiver's own load and amplitude; the closed-loop run
-builds it once and again only when the live load or amplitude changes,
-and builds no records.  ``step_cycle`` builds what other callers read: the
-next state, a ``CycleSummary`` (cycle mean and end voltage, timing,
+``step_cycle`` and ``cycle_residual`` build it on every call from the
+receiver's own load and amplitude; ``run`` and ``periodic_steady_state``
+build it once per call and step the private ``_step_cycle`` and
+``_cycle_residual``, which take it; the closed-loop run builds it once and
+again only when the live load or amplitude changes, and builds no
+records.  ``step_cycle`` builds what other callers read: the next state,
+a ``CycleSummary`` (cycle mean and end voltage, timing,
 soft-switching verdicts) and the cycle's ``CyclePiece``, which keeps the
 receiver, the event times and closed-form coefficients and builds the
 segments and the event list from them on every read; nothing is cached.
@@ -567,11 +569,20 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     the end of the period.  The arithmetic is ``_cycle``'s, at
     ``params.r_load`` and ``params.i_ls_amp``; this builds the records.
     """
+    return _step_cycle(state, cmd, params, t_start,
+                       _cycle_consts(params, params.r_load, params.i_ls_amp))
+
+
+def _step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
+                params: ValidatedParams, t_start: float,
+                consts: tuple) -> tuple:
+    """``step_cycle`` with the receiver's ``_cycle_consts`` at its own load
+    and amplitude passed in, so a run of one receiver builds them once."""
     i_amp = params.i_ls_amp
     (v_end, va_cycle_end, v_mean, gate_off, th1, hard, v_cs1_at_gate,
      va_pre_snap, v_at_th1, th_iv, h, p_s, p_c, v_at_iv, th4, va_end_iv,
      reached_v, v_at_th4) = _cycle(state.v_o, state.v_cd1, cmd.duty, cmd.t_f,
-                                   _cycle_consts(params, params.r_load, i_amp))
+                                   consts)
     ts = params.t_period
     summary = CycleSummary(
         v_o_start=state.v_o, v_o_end=v_end, v_o_mean=v_mean,
@@ -664,9 +675,10 @@ def run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
     require_positive(allow_zero=True, v_o=initial.v_o, v_cd1=initial.v_cd1)
     state = initial
     pieces = []
+    consts = _cycle_consts(params, params.r_load, params.i_ls_amp)
     for n in range(n_cycles):
-        state, _, piece = step_cycle(state, cmd, params,
-                                     t_start=n * params.t_period)
+        state, _, piece = _step_cycle(state, cmd, params, n * params.t_period,
+                                      consts)
         pieces.append(piece)
     return RunResult(pieces=pieces, final_state=state)
 
@@ -691,9 +703,13 @@ CYCLE_FD_STEP = 1e-4    # state difference step, relative to max(|v_o|, 1 V)
 def cycle_residual(params: ValidatedParams, cmd: ModulationCommand,
                    x: tuple) -> tuple:
     """(P(x) - x, cycle mean) of one cycle from x = (v_o, v_cd1)."""
-    v_o, v_cd1, v_mean = _cycle(
-        x[0], x[1], cmd.duty, cmd.t_f,
-        _cycle_consts(params, params.r_load, params.i_ls_amp))[:3]
+    return _cycle_residual(
+        cmd, x, _cycle_consts(params, params.r_load, params.i_ls_amp))
+
+
+def _cycle_residual(cmd: ModulationCommand, x: tuple, consts: tuple) -> tuple:
+    """``cycle_residual`` with the receiver's ``_cycle_consts`` passed in."""
+    v_o, v_cd1, v_mean = _cycle(x[0], x[1], cmd.duty, cmd.t_f, consts)[:3]
     return (v_o - x[0], v_cd1 - x[1], v_mean)
 
 
@@ -728,12 +744,13 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
     """
     require_positive(allow_zero=True, v_o0=v_o0)
     calls = 0
+    consts = _cycle_consts(params, params.r_load, params.i_ls_amp)
 
     def residual(x):
         """(cycle_residual, the max-norm of its P(x) - x)."""
         nonlocal calls
         calls += 1
-        r = cycle_residual(params, cmd, x)
+        r = _cycle_residual(cmd, x, consts)
         return r, max(abs(r[0]), abs(r[1]))
 
     def newton_descent(x, r, size, h):

@@ -1,24 +1,29 @@
 """Closed-form operations against independent numerical oracles."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
-from wptrx.analytic import (OperatingPoint, duty_bounds, duty_for_target_vo,
-                            fall_time_approx, fall_time_exact, input_current,
-                            optimal_duty, phase_angle,
-                            resonant_cap_voltage_drop, rise_time,
-                            solve_operating_point, steady_state_vo)
+from wptrx.analytic import (V_FIXED_POINT_TOL, OperatingPoint, duty_bounds,
+                            duty_for_target_vo, fall_time_approx,
+                            fall_time_exact, input_current, optimal_duty,
+                            phase_angle, resonant_cap_voltage_drop,
+                            rise_time, solve_operating_point,
+                            steady_state_vo)
+from wptrx.config import parse_config
 from wptrx.errors import (ArccosDomain, CommutationImpossible,
-                          DutyOutOfBounds, EmptyDutyRange)
+                          DutyOutOfBounds, EmptyDutyRange, NoConvergence,
+                          NonPositiveParameter)
 from wptrx.params import ReceiverParams, validate
 from wptrx.rootfind import bisect_root
 from wptrx.simulator import T_EVENT_TOL
 
 TWO_PI = 2 * math.pi
+CONFIGS = Path(__file__).resolve().parent.parent / "src" / "wptrx" / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +120,17 @@ def test_fall_time_exact_matches_bisected_root(vp):
         root = bisect_root(lambda t: (1.0 - math.cos(w * t)) - c, 0.0,
                            math.pi / w, xtol=T_EVENT_TOL)
         assert abs(fall_time_exact(vp, v_o) - root) <= T_EVENT_TOL
+
+
+@pytest.mark.parametrize("fall", [fall_time_approx, fall_time_exact])
+def test_fall_times_check_v_o_at_entry(vp, fall):
+    # the public fall times check v_o before their unchecked kernels run
+    for bad in (-1e-9, math.nan, math.inf, -math.inf):
+        with pytest.raises(NonPositiveParameter) as err:
+            fall(vp, bad)
+        assert err.value.field == "v_o"
+    assert fall(vp, 0.0) == 0.0
+    assert fall(vp.with_amplitude(0.0), 0.0) == 0.0
 
 
 @pytest.mark.parametrize("duty", [0.545, 0.555, 0.73])
@@ -321,6 +337,72 @@ def test_solve_operating_point_prototype(vp):
 def test_solve_operating_point_zero_source(vp):
     op = solve_operating_point(vp.with_amplitude(0.0), 0.532)
     assert op.v_o == 0.0 and op.t_f == 0.0
+
+
+def reference_operating_point(vp, duty, exact):
+    """The damped fixed-point loop on the public, checked fall times and
+    steady_state_vo, as solve_operating_point ran it before it iterated on
+    the unchecked kernels."""
+    if vp.i_ls_amp == 0.0:
+        return OperatingPoint(duty=duty, t_f=0.0, v_o=0.0,
+                              phase_delay_norm=0.0, regulable=False)
+    fall = fall_time_exact if exact else fall_time_approx
+    v = max(steady_state_vo(vp.i_ls_amp, vp.r_load, duty, 0.0), 0.0)
+    for _ in range(100):
+        t_f = fall(vp, v)
+        v_new = steady_state_vo(vp.i_ls_amp, vp.r_load, duty, vp.f_s * t_f)
+        if abs(v_new - v) < V_FIXED_POINT_TOL:
+            v = v_new
+            break
+        v = 0.5 * (v + v_new)
+        if v < 0.0:
+            v = 0.0
+    else:
+        raise NoConvergence(f"operating point at D={duty} did not settle "
+                            "within 100 iterations")
+    t_f = fall(vp, max(v, 0.0))
+    fst = vp.f_s * t_f
+    try:
+        lo, hi = duty_bounds(fst)
+        regulable = lo <= duty <= hi
+    except EmptyDutyRange:
+        regulable = False
+    return OperatingPoint(duty=duty, t_f=t_f, v_o=v, phase_delay_norm=fst,
+                          regulable=regulable)
+
+
+def _outcome(solve, *args):
+    """The operating point, or the (type, message) of what was raised."""
+    try:
+        return solve(*args)
+    except (CommutationImpossible, NoConvergence) as exc:
+        return type(exc), str(exc)
+
+
+def test_solve_operating_point_matches_the_checked_loop_bit_for_bit():
+    # the loop iterates on the unchecked fall-time kernels with
+    # steady_state_vo inline; every point and every raised error must be
+    # what the loop on the public functions gives, bit for bit
+    duties = [0.001, 0.999] + [k / 40 for k in range(1, 40)]
+    raised = set()
+    for name in ("table2", "fig7"):
+        base = validate(parse_config(CONFIGS / f"{name}.cfg").params)
+        # at 7.3x table2's load, i*R/(2*pi) rounds differently from
+        # i*(R/(2*pi)); at 20x the exact fall time cannot commutate at mid
+        # duties and the loop does not settle at high duties
+        receivers = [base.with_load(k * base.r_load)
+                     for k in (0.5, 1, 3, 7.3, 20)]
+        receivers.append(base.with_amplitude(0.0))
+        for p in receivers:
+            for duty in duties:
+                for exact in (False, True):
+                    got = _outcome(solve_operating_point, p, duty, exact)
+                    want = _outcome(reference_operating_point, p, duty, exact)
+                    assert got == want and repr(got) == repr(want), (
+                        name, p.r_load, p.i_ls_amp, duty, exact)
+                    if isinstance(want, tuple):
+                        raised.add(want[0])
+    assert raised == {CommutationImpossible, NoConvergence}
 
 
 def test_solve_operating_point_definition_consistency(vp):

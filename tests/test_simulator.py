@@ -24,7 +24,8 @@ from wptrx.rootfind import bisect_root
 from wptrx.scenarios import NO_LOAD_RESISTANCE
 from wptrx.simulator import (T_EVENT_TOL, V_ORBIT_TOL, ModulationCommand,
                              SwitchCycleState, Waveform,
-                             cycle_diagnostics, periodic_steady_state, run,
+                             cycle_diagnostics, cycle_residual,
+                             periodic_steady_state, run,
                              sample_waveform, soft_switching_report,
                              spectrum, step_cycle)
 
@@ -876,6 +877,33 @@ def test_periodic_steady_state_soft_and_hard(vp):
         assert d.hard_switched == is_hard and d.reached_state_v
     with pytest.raises(NonPositiveParameter):
         periodic_steady_state(vp, hard, math.nan)
+
+
+def test_run_and_orbit_solve_build_their_cycle_constants_once(
+        vp, monkeypatch):
+    # run and periodic_steady_state build the receiver's cycle constants
+    # once per call, not once per cycle, and step the same bits as
+    # step_cycle and cycle_residual, which build them on every call
+    cmd = fig13_cmd(vp)
+    built = []
+    cycle_consts = simulator._cycle_consts
+
+    def counted(params, r_load, i_amp):
+        built.append((r_load, i_amp))
+        return cycle_consts(params, r_load, i_amp)
+
+    monkeypatch.setattr(simulator, "_cycle_consts", counted)
+    res = run(vp, cmd, 40, initial=SwitchCycleState(24.0))
+    orbit = periodic_steady_state(vp, cmd, 24.0)
+    assert built == [(vp.r_load, vp.i_ls_amp)] * 2 and orbit.cycles > 2
+    monkeypatch.undo()
+    state = SwitchCycleState(24.0)
+    for n, piece in enumerate(res.pieces):
+        state, _, ref = step_cycle(state, cmd, vp, n * vp.t_period)
+        assert repr(piece) == repr(ref)  # t_f_meas is NaN on hard cycles
+    assert res.final_state == state
+    r = cycle_residual(vp, cmd, (orbit.state.v_o, orbit.state.v_cd1))
+    assert orbit.residual == max(abs(r[0]), abs(r[1]))
 
 
 def test_periodic_steady_state_at_the_soft_hard_kink(vp):

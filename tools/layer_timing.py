@@ -5,6 +5,9 @@
 Imports the ``src`` tree next to this script and times, on the built-in
 table2 receiver:
 
+* ``solve_operating_point``, approximate and exact fall time, over the 24
+  cell midpoints of the regulable duty window at the config's f_s*t_f
+  (``duty_bounds``), in us per call;
 * ``step_cycle`` on the periodic orbit of the config's command (duty 0.532,
   f_s*t_f = 0.0672, the fig13 operating point), in us per cycle;
 * ``closed_loop_run`` on fig19's load step (6000 cycles), in us per cycle;
@@ -49,7 +52,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from wptrx import cli, scenarios  # noqa: E402
-from wptrx.analytic import steady_state_vo  # noqa: E402
+from wptrx.analytic import (  # noqa: E402
+    duty_bounds, solve_operating_point, steady_state_vo)
 from wptrx.averaged import (  # noqa: E402
     AveragedState, DutySchedule, integrate_averaged)
 from wptrx.config import parse_config  # noqa: E402
@@ -60,6 +64,8 @@ from wptrx.simulator import (  # noqa: E402
     sample_waveform, spectrum, step_cycle)
 from wptrx.smallsignal import perturb_bode_oracle  # noqa: E402
 
+OP_DUTIES = 24
+OP_REPEATS = 51
 STEP_CYCLES = 2000
 STEP_REPEATS = 15
 LOOP_REPEATS = 7
@@ -98,6 +104,13 @@ def main() -> int:
     v_guess = steady_state_vo(vp.i_ls_amp, vp.r_load, rc.duty,
                               rc.phase_delay_norm)
     orbit = periodic_steady_state(vp, cmd, v_guess)
+    lo, hi = duty_bounds(rc.phase_delay_norm)
+    op_duties = [lo + (hi - lo) * (k + 0.5) / OP_DUTIES
+                 for k in range(OP_DUTIES)]
+
+    def operating_points(exact):
+        for d in op_duties:
+            solve_operating_point(vp, d, exact)
 
     def cycles():
         state = orbit.state
@@ -126,6 +139,12 @@ def main() -> int:
     start = AveragedState(v_o=op7.v_o, t=0.0)
 
     rows = (
+        (f"solve_operating_point approx, table2 ({OP_DUTIES} duties)",
+         "us/call",
+         _timed(lambda: operating_points(False), OP_REPEATS, OP_DUTIES / 1e6)),
+        (f"solve_operating_point exact, table2 ({OP_DUTIES} duties)",
+         "us/call",
+         _timed(lambda: operating_points(True), OP_REPEATS, OP_DUTIES / 1e6)),
         ("step_cycle, table2 orbit", "us/cycle",
          _timed(cycles, STEP_REPEATS, STEP_CYCLES / 1e6)),
         (f"closed_loop_run, fig19 load step ({n_loop} cycles)", "us/cycle",
