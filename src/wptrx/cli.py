@@ -308,9 +308,9 @@ def cmd_simulate(args, rc, vp) -> int:
     cmd = ModulationCommand(duty, fall_time_exact(vp, op.v_o))
     rate = args.sample_rate if args.sample_rate else \
         _WAVE_RATE_PER_CYCLE * vp.f_s
-    orbit, result, wave = _orbit_capture(vp, cmd, op.v_o, args.cycles, rate)
+    orbit, result = _orbit_run(vp, cmd, op.v_o, args.cycles)
     _write_capture(args.out, "waveform.csv", "events.csv", result.pieces,
-                   wave)
+                   rate)
     fields = ("t_f_meas,t_r_meas,zvs_ok,zcs_ok,q_f,q_r,e_in,e_load,"
               "e_hard_switch,v_o_mean,v_o_ripple_pp")
     diags = result.diagnostics
@@ -323,15 +323,17 @@ def cmd_simulate(args, rc, vp) -> int:
     return 0
 
 
-def _orbit_capture(vp, cmd, v_o_guess: float, n_cycles: int, rate: float):
-    """(PeriodicOrbit, RunResult, Waveform) of ``n_cycles`` run on the orbit
-    of ``cmd`` solved from ``v_o_guess``, sampled at ``rate``."""
+def _orbit_run(vp, cmd, v_o_guess: float, n_cycles: int):
+    """(PeriodicOrbit, RunResult of ``n_cycles`` run on it) of ``cmd``,
+    the orbit solved from ``v_o_guess``."""
     orbit = periodic_steady_state(vp, cmd, v_o_guess)
-    result = run(vp, cmd, n_cycles, initial=orbit.state)
-    return orbit, result, sample_waveform(result.pieces, rate)
+    return orbit, run(vp, cmd, n_cycles, initial=orbit.state)
 
 
-def _write_capture(out, wave_name: str, events_name: str, pieces, w) -> None:
+def _write_capture(out, wave_name: str, events_name: str, pieces,
+                   rate: float) -> None:
+    """The waveform of ``pieces`` sampled at ``rate`` and their events."""
+    w = sample_waveform(pieces, rate)
     header = "t,i_ls,v_cs1,v_cd1,v_o,gate,state"
     _write_table(out, wave_name, header,
                  [getattr(w, f) for f in header.split(",")])
@@ -427,28 +429,28 @@ def _fig9(out, rc, vp):
 def _steady_va_run(rc, vp, n_capture: int):
     """Run on the periodic steady state at the prototype operating point
     (measured delay), seeded at the averaged output at the commanded delay:
-    (RunResult, its sampled Waveform)."""
+    the pieces of its ``n_capture`` cycles."""
     duty = rc.duty if rc.duty is not None else _PROTOTYPE_DUTY
     fst = _MEASURED_FST if rc.phase_delay_norm is None else rc.phase_delay_norm
-    _, cap, wave = _orbit_capture(
-        vp, ModulationCommand(duty, fst / vp.f_s),
-        steady_state_vo(vp.i_ls_amp, vp.r_load, duty, fst), n_capture,
-        _WAVE_RATE_PER_CYCLE * vp.f_s)
-    return cap, wave
+    return _orbit_run(vp, ModulationCommand(duty, fst / vp.f_s),
+                      steady_state_vo(vp.i_ls_amp, vp.r_load, duty, fst),
+                      n_capture)[1].pieces
 
 
 def _fig13(out, rc, vp):
-    cap, wave = _steady_va_run(rc, vp, 4)
-    _write_capture(out, "fig13.csv", "fig13_events.csv", cap.pieces, wave)
+    _write_capture(out, "fig13.csv", "fig13_events.csv",
+                   _steady_va_run(rc, vp, 4), _WAVE_RATE_PER_CYCLE * vp.f_s)
     return ["fig13.csv", "fig13_events.csv"]
 
 
 def _fig14(out, rc, vp):
-    _, wave = _steady_va_run(rc, vp, 32)
+    # every orbit cycle is the same, so one cycle's closed forms give the
+    # exact harmonics
+    pieces = _steady_va_run(rc, vp, 1)
     files = []
     summary = []
     channels = ("v_cd1", "i_ls")
-    for channel, spec_res in zip(channels, spectrum(wave, channels, 40)):
+    for channel, spec_res in zip(channels, spectrum(pieces, channels, 40)):
         name = f"fig14_{channel}.csv"
         ks, amps, phases = zip(*spec_res.harmonics)
         _write_table(out, name, "harmonic,f_hz,amplitude,phase_rad",

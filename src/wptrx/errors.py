@@ -51,7 +51,8 @@ class GateOverrun(WptrxError):
 
 
 class NonPeriodicWindow(WptrxError):
-    """Sampled window is not a whole number of periods of one carrier."""
+    """Cycles sampled or transformed together were stepped on different
+    receivers, so no one carrier spans them."""
 
 
 class ConfigError(WptrxError):

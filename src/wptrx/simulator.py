@@ -286,7 +286,7 @@ class RunResult:
 
 @dataclass
 class Waveform:
-    """Uniformly sampled channels of cycles at carrier frequency ``f_s``."""
+    """Uniformly sampled channels of cycles."""
     t: np.ndarray
     i_ls: np.ndarray
     v_cs1: np.ndarray
@@ -294,8 +294,6 @@ class Waveform:
     v_o: np.ndarray
     gate: np.ndarray
     state: np.ndarray
-    sample_rate: float
-    f_s: float
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +800,16 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
                          residual=size, cycles=calls)
 
 
+def _require_one_receiver(pieces: Sequence[CyclePiece]) -> ValidatedParams:
+    """The receiver of ``pieces``, which must be at least one cycle, all
+    stepped on it."""
+    require_positive(n_cycles=len(pieces))
+    params = pieces[0].params
+    if any(piece.params != params for piece in pieces):
+        raise NonPeriodicWindow("cycles stepped on different receivers")
+    return params
+
+
 # Samples per block of whole cycles that sample_waveform evaluates at once;
 # the block bounds its memory (see its docstring).
 _BLOCK_SAMPLES = 4096
@@ -842,10 +850,8 @@ def sample_waveform(pieces: Sequence[CyclePiece],
     sample's segment is its cycle's first segment plus the number of the
     cycle's segment ends at or before it.
     """
-    require_positive(n_cycles=len(pieces), sample_rate=sample_rate)
-    params = pieces[0].params
-    if any(piece.params != params for piece in pieces):
-        raise NonPeriodicWindow("cycles stepped on different receivers")
+    params = _require_one_receiver(pieces)
+    require_positive(sample_rate=sample_rate)
     ts = params.t_period
     w = params.omega
     tau = params.r_load * params.c_o
@@ -891,8 +897,7 @@ def sample_waveform(pieces: Sequence[CyclePiece],
         lo = hi
     np.subtract(v_o, v_cd1, out=v_cs1)
     return Waveform(t=t, i_ls=i_ls, v_cs1=v_cs1, v_cd1=v_cd1, v_o=v_o,
-                    gate=gate, state=state_ch, sample_rate=sample_rate,
-                    f_s=params.f_s)
+                    gate=gate, state=state_ch)
 
 
 # ---------------------------------------------------------------------------
@@ -909,48 +914,83 @@ class SpectrumResult:
         return self.harmonics[0][1]
 
 
-def spectrum(waveform: Waveform, channels: Sequence[str],
-             n_harmonics: int) -> list:
-    """Single-bin correlation at k*f_s (the waveform's carrier) for
-    k = 1..n_harmonics (>= 1), plus THD: one SpectrumResult per name in
-    ``channels``, in order.  ``channels`` is a sequence of names; a bare
-    string is rejected with a TypeError rather than read letter by letter.
+# the channels spectrum() takes, as sample_waveform names them
+_SPECTRUM_CHANNELS = ("i_ls", "v_cs1", "v_cd1", "v_o")
 
-    Each harmonic's phasor exp(-j 2 pi k f_s t) is computed once and
-    correlated with every channel, so a channel's result is the same as
-    from a call for it alone.  The waveform must cover an integer number
-    of carrier periods (>= 16); the correlation over such a window is exact
-    for band-limited content and rejects all other harmonics on the
-    uniform grid.
+
+def spectrum(pieces: Sequence[CyclePiece], channels: Sequence[str],
+             n_harmonics: int) -> list:
+    """Fourier coefficients at k*f_s, k = 1..n_harmonics (>= 1), plus THD
+    of channels of whole cycles: one SpectrumResult per name in
+    ``channels`` (``i_ls``, ``v_cs1``, ``v_cd1`` or ``v_o``), in order, each
+    the same as from a call for it alone.  ``channels`` is a sequence of
+    names; a bare string is rejected with a TypeError rather than read
+    letter by letter.  There must be at least one cycle, and the cycles
+    must share one receiver.
+
+    A cycle's coefficient is c_k = (2/T) int_0^T y(th) e^{-jkw th} dth,
+    with its phase referenced to the cycle's own start; the result is the
+    mean over the cycles, which on cycles of one orbit equals the
+    correlation over the whole window, since f_s*T = 1.  Nothing is
+    sampled.  The output and node voltages of every segment are sums of
+    terms C e^{s th}, s in {-1/tau, +-jw, 0} (see _Seg), and each term is
+    integrated against e^{-jkw th} in closed form.  With
+    Z_m = int_t0^t1 e^{-jmw th} dth for m = 0..n_harmonics+1 (Z_0 = t1 -
+    t0, the k = 1 sinusoid taken exactly), sin w th and cos w th contribute
+    (Z_{k-1} - Z_{k+1})/2j and (Z_{k-1} + Z_{k+1})/2, a constant 1
+    contributes Z_k, and the decay e^{-(th-t0)/tau}, written from the segment start so nothing
+    overflows, (e^{-(t1-t0)/tau} e^{-jkw t1} - e^{-jkw t0})/(-1/tau - jkw).
+    i_ls is one sinusoid over the whole cycle: exactly c_1 = -j i_ls_amp
+    and no other harmonic.  Segments and cycles are added left to right
+    (``sum()`` of floats rounds differently from Python 3.12 on).
     """
     if isinstance(channels, str):
         raise TypeError(f"channels must be a sequence of names, not the "
                         f"string {channels!r}; pass ({channels!r},)")
+    unknown = [c for c in channels if c not in _SPECTRUM_CHANNELS]
+    if unknown:
+        raise ValueError(f"no spectrum of channel(s) {unknown}; take "
+                         f"{_SPECTRUM_CHANNELS}")
     require_positive(n_harmonics=n_harmonics)
-    ys = [getattr(waveform, channel) for channel in channels]
-    f_s = waveform.f_s
-    t = waveform.t
-    n = len(t)
-    dt = 1.0 / waveform.sample_rate
-    periods = n * dt * f_s
-    m = round(periods)
-    if m < 16 or abs(periods - m) > 1e-6 * max(m, 1):
-        raise NonPeriodicWindow(
-            f"window covers {periods:.6g} carrier periods; need an integer "
-            ">= 16")
-    max_k = int(0.5 * waveform.sample_rate / f_s)
-    if n_harmonics > max_k:
-        raise NonPeriodicWindow(
-            f"harmonic {n_harmonics} above Nyquist for sample rate "
-            f"{waveform.sample_rate:.3g}")
-    harmonics = [[] for _ in ys]
-    for k in range(1, n_harmonics + 1):
-        phasor = np.exp(-1j * TWO_PI * k * f_s * t)
-        for y, rows in zip(ys, harmonics):
-            c = 2.0 / n * np.sum(y * phasor)
-            rows.append((k, float(np.abs(c)), float(np.angle(c))))
+    params = _require_one_receiver(pieces)
+    w = params.omega
+    tau = params.r_load * params.c_o
+    amp = params.i_ls_amp / (w * params.c_sum)
+    m = np.arange(n_harmonics + 2)
+    neg_jmw = -1j * w * m
+    neg_jmw[0] = 1.0     # Z_0 is set apart; keeps the division finite
+    decay_den = -1.0 / tau + neg_jmw[1:-1]
+    v_o = np.zeros(n_harmonics, dtype=complex)
+    v_cd1 = np.zeros(n_harmonics, dtype=complex)
+    for piece in pieces:
+        segs = piece.segments
+        phasor = np.exp(np.multiply.outer(
+            [g.t0 for g in segs] + [segs[-1].t1], neg_jmw))
+        for seg, e0, e1 in zip(segs, phasor, phasor[1:]):
+            z = (e1 - e0) / neg_jmw
+            z[0] = seg.t1 - seg.t0
+            cos_k = 0.5 * (z[:-2] + z[2:])
+            coeff = seg.h * math.exp(-(seg.t0 - seg.t_ref) / tau)
+            vo_k = coeff * (math.exp(-(seg.t1 - seg.t0) / tau) * e1[1:-1]
+                            - e0[1:-1]) / decay_den
+            if seg.p_s or seg.p_c:
+                vo_k += seg.p_s * (0.5j * (z[2:] - z[:-2])) + seg.p_c * cos_k
+            v_o += vo_k
+            if seg.state in _CLAMPED:
+                v_cd1 += vo_k
+            elif seg.state != SwitchingState.STATE_V:
+                v_cd1 += ((seg.va0 + amp * math.cos(w * seg.t_ref)) * z[1:-1]
+                          - amp * cos_k)
+    scale = 2.0 / (params.t_period * len(pieces))
+    coeffs = {"v_o": v_o * scale, "v_cd1": v_cd1 * scale,
+              "v_cs1": (v_o - v_cd1) * scale,
+              "i_ls": np.zeros(n_harmonics, dtype=complex)}
+    coeffs["i_ls"][0] = -1j * params.i_ls_amp
     results = []
-    for rows in harmonics:
+    for channel in channels:
+        c = coeffs[channel]
+        rows = [(k, float(a), float(p)) for k, a, p in
+                zip(range(1, n_harmonics + 1), np.abs(c), np.angle(c))]
         a1 = rows[0][1]
         # added left to right: sum() rounds differently from Python 3.12 on
         rest = 0.0

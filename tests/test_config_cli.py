@@ -363,7 +363,11 @@ def test_design_figure_tables_are_pinned(figure, tmp_path):
 # and Newton and V_ORBIT_TOL went from 1e-9 to 1e-11 V; fig14_i_ls.csv did
 # not move.  fig13's and fig14's re-taken when their orbit seed became the
 # averaged output at the commanded delay, which moves them by <= 9.3e-9 V
-# (CPython 3.11, numpy 2.4, x86-64 Linux).
+# (CPython 3.11, numpy 2.4, x86-64 Linux).  fig14's re-taken when its
+# spectrum became the closed-form integral of one orbit cycle instead of a
+# correlation of 32 cycles at 256 samples each: the sampled v_cd1 aliased
+# (17 % off at k = 29, THD 0.44509 for the exact 0.44638), and i_ls now has
+# exactly one harmonic (THD 0, where sampling left 1.7e-14).
 SIMULATOR_TABLE_SHA256 = {
     "fig13": (["reproduce", "fig13"], {
         "fig13.csv": "1840dde857e99086684b06483bc8a539"
@@ -371,12 +375,12 @@ SIMULATOR_TABLE_SHA256 = {
         "fig13_events.csv": "1f1d314b85404204a69fe8f3e5f733f7"
                             "524fd889069f306b8f4b7a8cf1bbe8a5"}),
     "fig14": (["reproduce", "fig14"], {
-        "fig14_i_ls.csv": "f0e88528e3909d028c2cf2f987fdf999"
-                          "f55223f30d7e4baa68068e21929350e8",
-        "fig14_summary.csv": "14140ac4f60b0ef4c00122d431359465"
-                             "5bf70d91fbe91088e01dafa436757095",
-        "fig14_v_cd1.csv": "5dd1e8570ab861ed94f4ea2138b28271"
-                           "ecc37ad74a088c5a892c00d7c6fb7c73"}),
+        "fig14_i_ls.csv": "06a4e49a95e70eed03a7cfa384aee1d9"
+                          "a93a10b162e473b0d575bf9cdf4e6ca1",
+        "fig14_summary.csv": "6e77cfa68233999cb2ce900277904b69"
+                             "c02ae55471ad608b227c37397c5e9372",
+        "fig14_v_cd1.csv": "5a00f60d7ed00dd623dcc0101a7ce6fd"
+                           "2d8fe193015f9d1af9f34267fe836c54"}),
     "simulate": (["simulate", "--config", TABLE2, "--cycles", "20"], {
         "diagnostics.csv": "7fd337b54dd9c100283a0c7399092b85"
                            "cce2c2ff5b2983d9cb8347a6c05976b7",

@@ -23,7 +23,7 @@ from wptrx.params import ReceiverParams, ripple_estimate, validate
 from wptrx.rootfind import bisect_root
 from wptrx.scenarios import NO_LOAD_RESISTANCE
 from wptrx.simulator import (T_EVENT_TOL, V_ORBIT_TOL, ModulationCommand,
-                             SwitchCycleState, Waveform,
+                             SwitchCycleState,
                              cycle_diagnostics, cycle_residual,
                              periodic_steady_state, run,
                              sample_waveform, soft_switching_report,
@@ -609,8 +609,9 @@ def test_event_log_monotone_and_vocabulary(vp):
 def test_conduction_samples_satisfy_ode(vp):
     res, cmd, op = steady_soft_run(vp, n=4)
     cap = run(vp, cmd, 2, initial=res.final_state)
-    wf = sample_waveform(cap.pieces, 4096 * vp.f_s)
-    dt = 1.0 / wf.sample_rate
+    rate = 4096 * vp.f_s
+    wf = sample_waveform(cap.pieces, rate)
+    dt = 1.0 / rate
     mid = slice(1, -1)
     dv = (wf.v_o[2:] - wf.v_o[:-2]) / (2 * dt)
     cond = ((wf.state == 2) | (wf.state == 3))[mid]
@@ -747,74 +748,186 @@ def test_sampler_rejects_no_cycles(vp):
     assert err.value.field == "n_cycles"
 
 
-def test_spectrum_of_ideal_square_wave(vp):
-    # inject a synthetic square channel; the fundamental follows
-    # (2A/pi) sin(pi d) and every sampled harmonic follows the discrete
-    # Dirichlet coefficient exactly
-    duty_high = 0.468
-    amp = 24.0
-    n_per = 32
-    spc = 256
-    n_on = round(duty_high * spc)  # 120 samples high per period
-    t = np.arange(n_per * spc) / (spc * vp.f_s)
-    y = amp * ((np.arange(n_per * spc) % spc) < n_on)
-    wf = Waveform(t=t, i_ls=y, v_cs1=y, v_cd1=y, v_o=y,
-                  gate=np.zeros_like(t, dtype=np.int8),
-                  state=np.ones_like(t, dtype=np.int8),
-                  sample_rate=spc * vp.f_s, f_s=vp.f_s)
-    res, = spectrum(wf, ("v_o",), 12)
-    expect = 2 * amp / math.pi * math.sin(math.pi * duty_high)
-    assert res.fundamental == pytest.approx(expect, abs=0.1)
-    assert res.fundamental == pytest.approx(15.2, abs=0.1)
-    for k, a, _ in res.harmonics:
-        exact_k = (2 * amp / spc) * abs(math.sin(math.pi * k * n_on / spc)
-                                        / math.sin(math.pi * k / spc))
-        assert a == pytest.approx(exact_k, abs=1e-9)
+def coefficients(res):
+    """The complex coefficients of a SpectrumResult, k = 1, 2, ..."""
+    return np.array([a * np.exp(1j * phase) for _, a, phase in res.harmonics])
 
 
-def test_spectrum_source_current_is_pure(vp):
+def sampled_coefficients(pieces, channel, per_cycle, n_harmonics):
+    """The correlation of ``channel`` sampled at ``per_cycle`` samples per
+    carrier period with e^{-jkwt}, k = 1..n_harmonics: the rectangle rule
+    the exact spectrum replaces."""
+    p = pieces[0].params
+    wf = sample_waveform(pieces, per_cycle * p.f_s)
+    y = getattr(wf, channel)
+    return np.array([2.0 / len(y) * np.sum(y * np.exp(-1j * p.omega * k
+                                                        * wf.t))
+                     for k in range(1, n_harmonics + 1)])
+
+
+@pytest.mark.parametrize("r_load, duty", [(None, 0.532), (1500.0, 0.3)],
+                         ids=["table2", "no_state_v"])
+def test_sampled_correlation_converges_to_exact_spectrum(vp, r_load, duty):
+    # both orbits hard-switch, so v_cd1 jumps at the gate edge and the
+    # sampled correlation's error falls only as 1/N: 17 % at k = 29 at
+    # fig14's old 256 samples per cycle on table2
+    pieces = orbit_pieces(vp, r_load, duty, 1)
+    assert pieces[0].summary.hard_switched
+    exact = coefficients(spectrum(pieces, ("v_cd1",), 40)[0])
+    worst, first = [], []
+    for per_cycle in (256, 4096, 32768):
+        rel = np.abs(np.abs(sampled_coefficients(pieces, "v_cd1", per_cycle,
+                                                 40)) - np.abs(exact)) \
+            / np.abs(exact)
+        worst.append(rel.max())
+        first.append(rel[0])
+    assert worst[0] > worst[1] > worst[2]
+    assert worst[2] < 5e-3
+    # k = 1 converges as 1/N or faster; the light load's gate-edge jump is
+    # 397 V, which leaves the 32,768-sample rule 2.8e-5 off at k = 1
+    assert first[0] > 3.0 * first[1] > 9.0 * first[2]
+    if r_load is None:
+        assert first[2] < 2e-6
+
+
+def quadrature_coefficients(piece, channel, n_harmonics):
+    """c_k = (2/T) int_0^T y e^{-jkw th} dth of ``channel`` (v_o, v_cd1 or
+    v_cs1), k = 1..n_harmonics, by adaptive quadrature of each segment's
+    closed form: an independent reference for the exact spectrum."""
+    p = piece.params
+    w, tau = p.omega, p.r_load * p.c_o
+    amp = p.i_ls_amp / (w * p.c_sum)
+
+    def value(seg, th):
+        vo = seg.v_o(th, tau, w)
+        vn = (vo if seg.state in (2, 3) else 0.0 if seg.state == 5
+              else seg.va0 + amp * (math.cos(w * seg.t_ref)
+                                    - math.cos(w * th)))
+        return {"v_o": vo, "v_cd1": vn, "v_cs1": vo - vn}[channel]
+
+    out = []
+    for k in range(1, n_harmonics + 1):
+        c = 0j
+        for seg in piece.segments:
+            for part, f in ((1.0, math.cos), (-1j, math.sin)):
+                c += part * quad(lambda th: value(seg, th) * f(k * w * th),
+                                 seg.t0, seg.t1, epsabs=1e-18,
+                                 epsrel=1e-11)[0]
+        out.append(2.0 * c / p.t_period)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("c_o", [1000e-6, 1e-6], ids=["table2", "small_c_o"])
+def test_spectrum_matches_quadrature_of_the_segments(vp, c_o):
+    # at 1 uF the source-driven sin and cos terms of the conduction form
+    # are 0.039 V and 1.9 V, where table2's sin term is 4e-8 V
+    p = dataclasses.replace(vp, c_o=c_o)
+    piece, = orbit_pieces(p, None, 0.532, 1)
+    channels = ("v_o", "v_cd1", "v_cs1")
+    for channel, res in zip(channels, spectrum([piece], channels, 10)):
+        # rounding is of the order of the voltages, not of each harmonic
+        np.testing.assert_allclose(
+            coefficients(res), quadrature_coefficients(piece, channel, 10),
+            rtol=1e-9, atol=1e-13 * piece.summary.v_o_start)
+
+
+def test_spectrum_source_current_is_exactly_one_harmonic(vp):
     res, cmd, op = steady_soft_run(vp, n=4)
-    cap = run(vp, cmd, 32, initial=res.final_state)
-    sp, = spectrum(sample_waveform(cap.pieces, 256 * vp.f_s), ("i_ls",), 10)
-    assert sp.thd < 1e-12
-    assert sp.fundamental == pytest.approx(vp.i_ls_amp, rel=1e-12)
+    cap = run(vp, cmd, 3, initial=res.final_state)
+    sp, = spectrum(cap.pieces, ("i_ls",), 10)
+    assert sp.fundamental == vp.i_ls_amp
+    assert sp.harmonics[0][2] == -0.5 * math.pi
+    assert all(a == 0.0 for _, a, _ in sp.harmonics[1:])
+    assert sp.thd == 0.0
+
+
+def test_spectrum_mean_over_orbit_cycles_is_one_cycles(vp):
+    # every cycle of the orbit is the same, and each is referenced to its
+    # own start
+    pieces = orbit_pieces(vp, None, 0.532, 8)
+    channels = ("v_cd1", "v_cs1", "v_o")
+    for channel, one, mean in zip(channels, spectrum(pieces[:1], channels, 40),
+                                  spectrum(pieces, channels, 40)):
+        c, d = coefficients(one), coefficients(mean) - coefficients(one)
+        if channel == "v_o":
+            # its harmonics are the ripple, mV and below: against the
+            # output voltage, as its rounding is
+            assert np.max(np.abs(d)) < 1e-12 * pieces[0].summary.v_o_start
+        else:
+            assert np.max(np.abs(d) / np.abs(c)) < 1e-12
+            assert mean.thd == pytest.approx(one.thd, rel=1e-12)
 
 
 def test_spectrum_of_several_channels_is_each_channels_own(vp):
     res, cmd, op = steady_soft_run(vp, n=4)
-    cap = run(vp, cmd, 32, initial=res.final_state)
-    wf = sample_waveform(cap.pieces, 256 * vp.f_s)
-    channels = ("v_cd1", "i_ls", "v_o")
-    together = spectrum(wf, channels, 40)
+    cap = run(vp, cmd, 3, initial=res.final_state)
+    channels = ("v_cd1", "i_ls", "v_o", "v_cs1")
+    together = spectrum(cap.pieces, channels, 40)
     assert len(together) == len(channels)
     for channel, got in zip(channels, together):
-        alone, = spectrum(wf, (channel,), 40)
+        alone, = spectrum(cap.pieces, (channel,), 40)
         assert got.harmonics == alone.harmonics
         assert got.thd == alone.thd
+    # the switch voltage is the output less the node voltage
+    v_cd1, _, v_o, v_cs1 = (coefficients(r) for r in together)
+    np.testing.assert_allclose(v_cs1, v_o - v_cd1, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(v_cd1)))
+
+
+def test_spectrum_rejects_bad_arguments(vp):
+    pieces = orbit_pieces(vp, None, 0.532, 2)
     # a bare name is not read as the channels "v", "_", "o"
     with pytest.raises(TypeError, match="sequence of names"):
-        spectrum(wf, "v_o", 40)
-
-
-def test_spectrum_rejects_bad_windows(vp):
-    res, cmd, op = steady_soft_run(vp, n=4)
-    cap = run(vp, cmd, 8, initial=res.final_state)
-    with pytest.raises(NonPeriodicWindow):
-        # only 8 periods
-        spectrum(sample_waveform(cap.pieces, 256 * vp.f_s), ("v_cd1",), 10)
-    cap32 = run(vp, cmd, 32, initial=res.final_state)
-    wf = sample_waveform(cap32.pieces, 256 * vp.f_s)
-    clipped = Waveform(t=wf.t[:-7], i_ls=wf.i_ls[:-7], v_cs1=wf.v_cs1[:-7],
-                       v_cd1=wf.v_cd1[:-7], v_o=wf.v_o[:-7],
-                       gate=wf.gate[:-7], state=wf.state[:-7],
-                       sample_rate=wf.sample_rate, f_s=wf.f_s)
-    with pytest.raises(NonPeriodicWindow):
-        spectrum(clipped, ("v_cd1",), 10)
-    # no harmonic to take: these raised a bare IndexError
+        spectrum(pieces, "v_o", 40)
+    with pytest.raises(ValueError, match="gate"):
+        spectrum(pieces, ("v_o", "gate"), 40)
+    # no harmonic to take, or no cycle to take it of
     for n_harmonics in (0, -3):
         with pytest.raises(NonPositiveParameter) as err:
-            spectrum(wf, ("v_o",), n_harmonics)
+            spectrum(pieces, ("v_o",), n_harmonics)
         assert err.value.field == "n_harmonics"
+    with pytest.raises(NonPositiveParameter) as err:
+        spectrum([], ("v_o",), 40)
+    assert err.value.field == "n_cycles"
+    other = run(vp.with_load(50.0), ModulationCommand(0.532, 386e-9), 1,
+                initial=SwitchCycleState(24.0)).pieces
+    with pytest.raises(NonPeriodicWindow):
+        spectrum(pieces + other, ("v_cd1",), 10)
+
+
+def test_hard_switched_node_harmonics_fall_as_its_jump_over_pi_k(vp):
+    # v_cd1 jumps by J at the gate edge of fig14's hard-switched orbit (the
+    # top-up from va_pre_snap to v_at_th1), so k a_k tends to |J|/pi: the
+    # high harmonics the paper's soft switching removes
+    piece, = orbit_pieces(vp, None, 0.532, 1)
+    jump = piece.node_v[2] - piece.node_v[1]
+    assert jump > 6.0
+    sp, = spectrum([piece], ("v_cd1",), 400)
+    k = np.arange(1, 401)
+    ka = k * np.array([a for _, a, _ in sp.harmonics]) / (abs(jump) / math.pi)
+    assert np.mean(ka[199:]) == pytest.approx(1.0, abs=0.02)
+    assert np.all(np.abs(ka[199:] - 1.0) < 0.25)
+    # the spread about |J|/pi narrows as k grows
+    assert np.ptp(ka[199:]) < 0.7 * np.ptp(ka[99:199])
+    # so k^2 a_k grows without bound
+    k2a = k * ka
+    assert np.max(k2a[199:]) > 3.0 * np.max(k2a[49:99])
+
+
+def test_soft_switched_node_harmonics_fall_as_one_over_k_squared(vp):
+    # gated at the exact fall time the node reaches zero switch voltage
+    # before the gate edge: v_cd1 is continuous and only its slope jumps,
+    # so k^2 a_k stays bounded
+    op = solve_operating_point(vp, 0.532, exact=True)
+    cmd = exact_cmd(vp, 0.532, op.v_o)
+    orbit = periodic_steady_state(vp, cmd, op.v_o)
+    pieces = run(vp, cmd, 1, initial=orbit.state).pieces
+    assert pieces[0].summary.zvs_ok and not pieces[0].summary.hard_switched
+    sp, = spectrum(pieces, ("v_cd1",), 400)
+    k = np.arange(1, 401)
+    k2a = k * k * np.array([a for _, a, _ in sp.harmonics])
+    assert np.max(k2a[199:]) < 1.1 * np.max(k2a[49:99])
+    assert np.max(k2a) < 150.0
 
 
 # ---------------------------------------------------------------------------
@@ -983,10 +1096,10 @@ def test_long_run_approaches_the_solved_orbit(vp):
 
 def test_fig13_capture_is_steady():
     rc = cli._builtin_config("table2")
-    cap, _ = cli._steady_va_run(rc, validate(rc.params), 4)
-    means = [d.v_o_mean for d in cap.diagnostics]
+    pieces = cli._steady_va_run(rc, validate(rc.params), 4)
+    means = [p.summary.v_o_mean for p in pieces]
     assert max(means) - min(means) <= 1e-9
-    assert cap.diagnostics[0].v_o_start == pytest.approx(24.352, abs=1e-3)
+    assert pieces[0].summary.v_o_start == pytest.approx(24.352, abs=1e-3)
 
 
 def test_simulate_reports_the_orbit_it_starts_on(tmp_path, capsys):

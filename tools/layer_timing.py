@@ -21,8 +21,8 @@ table2 receiver:
   simulate``), in us per cycle;
 * ``sample_waveform`` of those 32 cycles, and of the 400, at 256 samples
   per cycle, in us per sample;
-* ``spectrum`` of the 32-cycle waveform, 40 harmonics of v_cd1 and i_ls in
-  one call (fig14's), in ms per call;
+* ``spectrum`` of one orbit cycle, 40 harmonics of v_cd1 and i_ls in one
+  call (fig14's), in ms per call;
 
 and, on the built-in fig7 receiver at its operating point (duty 0.5,
 f_s*t_f = 0.1):
@@ -169,9 +169,10 @@ def main() -> int:
         (f"sample_waveform, {SIMULATE_CYCLES} cycles", "us/sample",
          _timed(lambda: sample_waveform(long_pieces, rate), SAMPLE_REPEATS,
                 n_long / 1e6)),
-        (f"spectrum, {SAMPLE_CYCLES} cycles, v_cd1 and i_ls "
+        (f"spectrum, 1 orbit cycle, v_cd1 and i_ls "
          f"({SPECTRUM_HARMONICS} harmonics)", "ms/call",
-         _timed(lambda: spectrum(wave, ("v_cd1", "i_ls"), SPECTRUM_HARMONICS),
+         _timed(lambda: spectrum(pieces[:1], ("v_cd1", "i_ls"),
+                                 SPECTRUM_HARMONICS),
                 SPECTRUM_REPEATS, 1e-3)),
         (f"perturb_bode_oracle, fig7 ({len(cli._BODE_GRID)} frequencies)",
          "ms/call",
