@@ -23,13 +23,17 @@ Derivation notes
   it against the load yields
   v_o = |I|*R/(2*pi) * (cos(2*pi*f_s*t_f) - cos(2*pi*D + 2*pi*f_s*t_f)),
   maximized at D = 1/2 - f_s*t_f.
+* Operating point: with t_f taken at v_o itself, the relation above becomes
+  an equation in v_o alone.  It has a root with f_s*t_f <= 1/2 at every
+  duty, bracketed in closed form, which solve_operating_point finds by a
+  safeguarded Newton iteration.
 """
 
 from dataclasses import dataclass
 import math
 
 from .errors import (ArccosDomain, CommutationImpossible, DutyOutOfBounds,
-                     EmptyDutyRange, NoConvergence)
+                     EmptyDutyRange)
 from .params import ValidatedParams, require_positive
 
 TWO_PI = 2.0 * math.pi
@@ -37,9 +41,9 @@ TWO_PI = 2.0 * math.pi
 # From f_s*t_f = 1/4 on, the duty window of duty_bounds is empty.
 PHASE_DELAY_MAX = 0.25
 
-# solve_operating_point convergence threshold on successive v_o values (V).
+# solve_operating_point brackets the root of its self-consistency equation
+# within this distance in v_o (V).
 V_FIXED_POINT_TOL = 1e-6
-_MAX_FIXED_POINT_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -212,23 +216,47 @@ def solve_operating_point(params: ValidatedParams, duty: float,
     """Self-consistent operating point at a given duty.
 
     The fall time depends on v_o and v_o depends (through the conduction
-    window) on the fall time, so the pair is iterated to a fixed point:
-    t_f <- fall-time(v_o), v_o <- steady-state(D, f_s*t_f), until v_o moves
-    by less than V_FIXED_POINT_TOL.
+    window) on the fall time, so the operating point is the root of
 
-    By default the approximate (square-root) fall time is used, matching
-    what the feedforward path of the controller computes; ``exact=True``
-    switches to the cosine-equation root for oracle comparisons.
+        g(v) = G(v) - v,  G(v) = |I|*R/(2*pi) * (cos(phi) - cos(2*pi*D + phi)),
 
-    The duty is checked once, here; the loop keeps v_o >= 0 itself, so it
-    iterates on the unchecked kernel ``_fall_time_approx`` or
-    ``_fall_time_exact`` with ``steady_state_vo``'s arithmetic inline, and
-    gives the same bits as ``fall_time_approx``/``fall_time_exact`` and
-    ``steady_state_vo`` would.
+    with phi = 2*pi*f_s*t_f(v).  By default t_f is the approximate
+    (square-root) fall time, matching what the feedforward path of the
+    controller computes; ``exact=True`` switches to the cosine-equation
+    root for oracle comparisons.
 
-    Raises NonPositiveParameter for a duty outside (0, 1), NoConvergence
-    after 100 iterations, and propagates CommutationImpossible from the
-    exact solver.
+    Bracket.  g(0) = G(0) = |I|*R/(2*pi) * (1 - cos(2*pi*D)) > 0 for every
+    D in (0, 1).  The fall time reaches half a period, phi = pi, at
+    v_cap = 2*|I|/(omega*C_sum) (exact: c = omega*C_sum*v/|I| = 2) or
+    v_cap = pi*|I|/(4*f_s*C_sum) (approx), and there
+    G(v_cap) = |I|*R/(2*pi) * (cos(2*pi*D) - 1) <= 0, so g(v_cap) < 0.  A
+    root therefore lies in (0, min(|I|*R/pi, v_cap)) at every duty (G never
+    exceeds |I|*R/pi), and this function returns the one with
+    f_s*t_f <= 1/2.  It raises neither NoConvergence nor
+    CommutationImpossible: the exact fall time is never taken beyond the
+    commutation limit c = 2, since the root lies below it.  (Above v_cap the
+    approximate relation has further roots, with falls longer than half a
+    period.)
+
+    Step.  The unknown is the fall angle phi = omega*t_f on [0, pi], where
+    v(phi) is closed form: K*(1 - cos(phi)) exact, K*phi**2/2 approx (its
+    small-angle expansion), with K = |I|/(omega*C_sum).  So
+    g = A*cos(phi) + B*sin(phi) - v(phi), A = G(0),
+    B = |I|*R/(2*pi) * sin(2*pi*D), and each step costs one cos and one
+    sin.  In v itself dt_f/dv is infinite at both ends of the bracket
+    (t_f/(2*v) at 0, C_sum/(|I|*sin(phi)) at the cap), where a Newton step
+    reads falsely small; in phi the slope stays finite.  Newton starts from
+    the root of g's quadratic expansion in phi and is safeguarded as
+    ``rtsafe`` (Press et al., Numerical Recipes, sec. 9.4): a step that
+    leaves the bracket, or fails to halve the step before last, bisects
+    instead.  It stops once the root is bracketed within V_FIXED_POINT_TOL
+    in v: the bracket is at most 2*V_FIXED_POINT_TOL wide (its midpoint is
+    returned), or an accepted Newton step moves v by less than it.
+
+    The duty is checked once, here.  t_f is recomputed at the returned v_o
+    with the unchecked kernel ``_fall_time_approx`` or ``_fall_time_exact``,
+    so it is bit for bit what ``fall_time_approx``/``fall_time_exact``
+    give there.  Raises NonPositiveParameter for a duty outside (0, 1).
     """
     require_positive(below=1.0, duty=duty)
     i_amp = params.i_ls_amp
@@ -237,28 +265,46 @@ def solve_operating_point(params: ValidatedParams, duty: float,
                               phase_delay_norm=0.0, regulable=False)
     f_s, w, c_sum = params.f_s, params.omega, params.c_sum
     scale = i_amp * params.r_load / TWO_PI
-    two_pi_duty = TWO_PI * duty
-    pi_f_s_i = math.pi * f_s * i_amp
-    v = max(steady_state_vo(i_amp, params.r_load, duty, 0.0), 0.0)
-    for _ in range(_MAX_FIXED_POINT_ITER):
-        t_f = (_fall_time_exact(v, i_amp, w, c_sum) if exact
-               else _fall_time_approx(v, c_sum, pi_f_s_i))
-        phi = TWO_PI * (f_s * t_f)
-        v_new = scale * (math.cos(phi) - math.cos(two_pi_duty + phi))
-        if abs(v_new - v) < V_FIXED_POINT_TOL:
-            v = v_new
+    a = scale * (1.0 - math.cos(TWO_PI * duty))
+    b = scale * math.sin(TWO_PI * duty)
+    k = i_amp / (w * c_sum)
+    # g(phi) = a*cos(phi) + b*sin(phi) - v(phi); g(lo) > 0 > g(hi)
+    lo, hi = 0.0, math.pi
+    v_lo, v_hi = 0.0, (2.0 if exact else 0.5 * math.pi * math.pi) * k
+    # root of a + b*phi - (a + k)*phi**2/2, the expansion at phi = 0
+    x = (b + math.sqrt(b * b + 2.0 * (a + k) * a)) / (a + k)
+    if not x < hi:
+        x = 0.5 * hi
+    step = step_old = hi - lo
+    while True:
+        c, s = math.cos(x), math.sin(x)
+        if exact:
+            v, dv = k * (1.0 - c), k * s
+        else:
+            v, dv = 0.5 * k * x * x, k * x
+        g = a * c + b * s - v
+        dg = b * c - a * s - dv
+        if g > 0.0:
+            lo, v_lo = x, v
+        elif g < 0.0:
+            hi, v_hi = x, v
+        else:
             break
-        # half-step damping keeps the iteration contracting
-        v = 0.5 * (v + v_new)
-        if v < 0.0:
-            v = 0.0
-    else:
-        raise NoConvergence(
-            f"operating point at D={duty} did not settle within "
-            f"{_MAX_FIXED_POINT_ITER} iterations")
-    v_f = max(v, 0.0)
-    t_f = (_fall_time_exact(v_f, i_amp, w, c_sum) if exact
-           else _fall_time_approx(v_f, c_sum, pi_f_s_i))
+        if ((x - hi) * dg - g) * ((x - lo) * dg - g) <= 0.0 \
+                and abs(2.0 * g) <= abs(step_old * dg):
+            step_old, step = step, g / dg
+            x -= step
+            if abs(step) * dv < V_FIXED_POINT_TOL:
+                v = k * (1.0 - math.cos(x)) if exact else 0.5 * k * x * x
+                break
+        elif v_hi - v_lo <= 2.0 * V_FIXED_POINT_TOL:
+            v = 0.5 * (v_lo + v_hi)
+            break
+        else:
+            step_old, step = step, 0.5 * (hi - lo)
+            x = lo + step
+    t_f = (_fall_time_exact(v, i_amp, w, c_sum) if exact
+           else _fall_time_approx(v, c_sum, math.pi * f_s * i_amp))
     fst = f_s * t_f
     try:
         lo, hi = duty_bounds(fst)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
@@ -20,7 +22,8 @@ from wptrx.errors import (ArccosDomain, CommutationImpossible,
                           NonPositiveParameter)
 from wptrx.params import ReceiverParams, validate
 from wptrx.rootfind import bisect_root
-from wptrx.simulator import T_EVENT_TOL
+from wptrx.simulator import (T_EVENT_TOL, ModulationCommand,
+                             periodic_steady_state)
 
 TWO_PI = 2 * math.pi
 CONFIGS = Path(__file__).resolve().parent.parent / "src" / "wptrx" / "configs"
@@ -135,8 +138,8 @@ def test_fall_times_check_v_o_at_entry(vp, fall):
 
 @pytest.mark.parametrize("duty", [0.545, 0.555, 0.73])
 def test_exact_operating_point_converges(vp, duty):
-    # the damped fixed-point iteration used to cycle on the quantized
-    # bisected fall time at these duties and raise NoConvergence
+    # the damped fixed-point iteration that preceded the bracketed root
+    # once cycled on a quantized bisected fall time at these duties
     op = solve_operating_point(vp, duty, exact=True)
     assert op.t_f == fall_time_exact(vp, op.v_o)
     assert op.v_o == pytest.approx(
@@ -340,9 +343,10 @@ def test_solve_operating_point_zero_source(vp):
 
 
 def reference_operating_point(vp, duty, exact):
-    """The damped fixed-point loop on the public, checked fall times and
-    steady_state_vo, as solve_operating_point ran it before it iterated on
-    the unchecked kernels."""
+    """The damped fixed-point loop v <- (v + G(v))/2 on the public, checked
+    fall times and steady_state_vo, which solve_operating_point ran before
+    it became a bracketed root.  It raises NoConvergence or
+    CommutationImpossible at light load."""
     if vp.i_ls_amp == 0.0:
         return OperatingPoint(duty=duty, t_f=0.0, v_o=0.0,
                               phase_delay_norm=0.0, regulable=False)
@@ -372,37 +376,95 @@ def reference_operating_point(vp, duty, exact):
 
 
 def _outcome(solve, *args):
-    """The operating point, or the (type, message) of what was raised."""
+    """The operating point, or the type of what was raised."""
     try:
         return solve(*args)
     except (CommutationImpossible, NoConvergence) as exc:
-        return type(exc), str(exc)
+        return type(exc)
 
 
-def test_solve_operating_point_matches_the_checked_loop_bit_for_bit():
-    # the loop iterates on the unchecked fall-time kernels with
-    # steady_state_vo inline; every point and every raised error must be
-    # what the loop on the public functions gives, bit for bit
-    duties = [0.001, 0.999] + [k / 40 for k in range(1, 40)]
+def _fall_angle_cap(p, exact):
+    """The v_o at which the fall time reaches half a period (V)."""
+    if exact:
+        return 2.0 * p.i_ls_amp / (p.omega * p.c_sum)
+    return math.pi * p.i_ls_amp / (4.0 * p.f_s * p.c_sum)
+
+
+def _assert_bracketed_root(p, duty, exact, op):
+    """g(v) = steady_state_vo(f_s*t_f(v)) - v changes sign within
+    V_FIXED_POINT_TOL of op.v_o, below the half-period cap."""
+    fall = fall_time_exact if exact else fall_time_approx
+
+    def g(v):
+        return steady_state_vo(p.i_ls_amp, p.r_load, duty,
+                               p.f_s * fall(p, v)) - v
+
+    assert op.v_o + V_FIXED_POINT_TOL < _fall_angle_cap(p, exact)
+    assert op.phase_delay_norm <= 0.5
+    assert op.t_f == fall(p, op.v_o)
+    assert g(max(op.v_o - V_FIXED_POINT_TOL, 0.0)) >= 0.0
+    assert g(op.v_o + V_FIXED_POINT_TOL) <= 0.0
+
+
+def test_solve_operating_point_brackets_a_root_up_to_light_load():
+    # the damped loop this solver replaced raised NoConvergence or
+    # CommutationImpossible on light loads, although a root exists at every
+    # duty; where that loop converged below the cap, it agrees
     raised = set()
     for name in ("table2", "fig7"):
         base = validate(parse_config(CONFIGS / f"{name}.cfg").params)
-        # at 7.3x table2's load, i*R/(2*pi) rounds differently from
-        # i*(R/(2*pi)); at 20x the exact fall time cannot commutate at mid
-        # duties and the loop does not settle at high duties
         receivers = [base.with_load(k * base.r_load)
-                     for k in (0.5, 1, 3, 7.3, 20)]
-        receivers.append(base.with_amplitude(0.0))
+                     for k in (0.5, 1, 3, 7.3)]
+        receivers += [base.with_load(r) for r in (762.0, 2e3, 10e3)]
         for p in receivers:
-            for duty in duties:
+            for duty in [k / 40 for k in range(1, 40)]:
                 for exact in (False, True):
-                    got = _outcome(solve_operating_point, p, duty, exact)
+                    op = solve_operating_point(p, duty, exact)
+                    _assert_bracketed_root(p, duty, exact, op)
                     want = _outcome(reference_operating_point, p, duty, exact)
-                    assert got == want and repr(got) == repr(want), (
-                        name, p.r_load, p.i_ls_amp, duty, exact)
-                    if isinstance(want, tuple):
-                        raised.add(want[0])
+                    if not isinstance(want, OperatingPoint):
+                        raised.add(want)
+                    elif want.phase_delay_norm <= 0.5:
+                        assert abs(op.v_o - want.v_o) <= \
+                            2.0 * V_FIXED_POINT_TOL, (name, p.r_load, duty)
     assert raised == {CommutationImpossible, NoConvergence}
+
+
+def test_solve_operating_point_does_not_stop_at_the_cap(vp):
+    # at the cap the fall time's slope in v_o is infinite, so a Newton step
+    # in v_o there is tiny however far the root is; a solver that stopped
+    # on such a step returned the cap, 415.57 V, here
+    p = vp.with_load(762.0)
+    op = solve_operating_point(p, 0.326, exact=True)
+    assert op.v_o == pytest.approx(222.66987, abs=1e-5)
+    _assert_bracketed_root(p, 0.326, True, op)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(c_s1=st.floats(3.8e-9, 5.2e-9), c_d1=st.floats(3.8e-9, 5.2e-9),
+       r_load=st.floats(25.0, 10e3), i_amp=st.floats(0.85, 2.65),
+       duty=st.floats(1e-3, 0.999), exact=st.booleans())
+def test_solve_operating_point_brackets_a_root_over_the_receiver_box(
+        c_s1, c_d1, r_load, i_amp, duty, exact):
+    p = validate(ReceiverParams(l_s=172e-6, c_s=3.63e-9, c_s1=c_s1,
+                                c_d1=c_d1, c_o=1000e-6, r_load=r_load,
+                                f_s=200e3, i_ls_amp=i_amp))
+    _assert_bracketed_root(p, duty, exact,
+                           solve_operating_point(p, duty, exact))
+
+
+@pytest.mark.parametrize("duty", [0.66, 0.70, 0.75])
+def test_light_load_operating_point_matches_the_switched_orbit(vp, duty):
+    # at 20x table2's load the damped loop failed at these duties; the
+    # switched orbit gated 1 % after the solved fall time lands within
+    # 1.5 % of the solved v_o (about -1.3 %: each commutation takes its
+    # charge from the output)
+    p = vp.with_load(762.0)
+    op = solve_operating_point(p, duty, exact=True)
+    assert op.regulable
+    orbit = periodic_steady_state(
+        p, ModulationCommand(duty, 1.01 * op.t_f), op.v_o)
+    assert orbit.state.v_o == pytest.approx(op.v_o, rel=0.015)
 
 
 def test_solve_operating_point_definition_consistency(vp):

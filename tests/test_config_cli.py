@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wptrx import cli
+from wptrx import cli, simulator
 from wptrx.cli import _write_table, main
 from wptrx.config import (RunConfig, parse_config, parse_config_text,
                           parse_value)
@@ -178,15 +178,52 @@ def test_cli_simulate_rejects_bad_sample_rate(rate, tmp_path, capsys):
     assert not (out / "waveform.csv").exists()
 
 
-def test_cli_exit_code_numerical_failure(tmp_path, capsys):
-    # a heavy load pushes the exact commutation past reach: the node swing
-    # cannot cover the output voltage
-    cfg = tmp_path / "hard.cfg"
+def test_cli_exit_code_numerical_failure(tmp_path, capsys, monkeypatch):
+    # an orbit solve allowed no Newton step cannot settle
+    monkeypatch.setattr(simulator, "_MAX_ORBIT_ITER", 0)
+    assert main(["simulate", "--config", TABLE2, "--cycles", "5",
+                 "--out", str(tmp_path)]) == 3
+    assert "NoConvergence" in capsys.readouterr().err
+
+
+def test_cli_steady_exact_solves_at_light_load(tmp_path, capsys):
+    # the exact operating point exists at every duty: at this light load the
+    # fall takes a fifth of a period, well below the commutation limit
+    cfg = tmp_path / "light.cfg"
     cfg.write_text(
         "l_s = 172u\nc_s = 3.68n\nc_s1 = 4.5n\nc_d1 = 4.5n\nc_o = 100u\n"
         "r_load = 3000\nf_s = 200k\ni_ls_amp = 1\n")
     assert main(["steady", "--config", str(cfg), "--duty", "0.55",
-                 "--exact"]) == 3
+                 "--exact", "--out", str(tmp_path)]) == 0
+    row = (tmp_path / "steady.csv").read_text().splitlines()[1].split(",")
+    duty, t_f, fst, v_o, regulable = map(float, row)
+    assert v_o == pytest.approx(68.2998, abs=1e-4)
+    assert fst == pytest.approx(0.2135, abs=1e-4)
+    assert regulable == 1
+
+
+def test_cli_simulate_runs_where_the_delay_leaves_the_window(tmp_path,
+                                                            capsys):
+    # table2 at a tenth of its load: the exact operating point at D = 0.3
+    # has f_s*t_f = 0.32, beyond the duty window but below half a period,
+    # and simulate settles its orbit there
+    changes = {"r_load": "3k", "duty": "0.3", "phase_delay_norm": "0.02"}
+    lines = [line for line in Path(TABLE2).read_text().splitlines()
+             if line.split("=", 1)[0].strip() not in changes]
+    cfg = tmp_path / "lighter.cfg"
+    cfg.write_text("".join(f"{line}\n" for line in lines)
+                   + "".join(f"{k} = {v}\n" for k, v in changes.items()))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--cycles", "5",
+                 "--out", str(out)]) == 0
+    residual = float(re.search(r"orbit residual = (\S+) V",
+                               capsys.readouterr().out).group(1))
+    assert residual <= simulator.V_ORBIT_TOL
+    head, *rows = (out / "diagnostics.csv").read_text().splitlines()
+    v_o_mean = [float(r.split(",")[head.split(",").index("v_o_mean")])
+                for r in rows]
+    assert len(v_o_mean) == 5
+    assert v_o_mean == pytest.approx([300.42] * 5, abs=0.01)
 
 
 def test_cli_exit_code_unknown(capsys):
@@ -332,14 +369,18 @@ def test_cli_reproduce_deterministic(tmp_path):
 # averaged and small-signal layers only, so a change to the switched
 # simulator must leave them byte-identical.  Digests taken before the
 # closed-form fall time and the periodic-steady-state solve were introduced
-# (CPython 3.11, numpy 2.4, x86-64 Linux).
+# (CPython 3.11, numpy 2.4, x86-64 Linux).  fig4a's and fig5's re-taken when
+# the operating point became a bracketed Newton root instead of a damped
+# fixed-point loop: v_o moved by <= 2.5e-7 V in fig4a.csv and fig5.csv and
+# peak_reduction_v by 2e-9 V in fig5_summary.csv, within the old loop's own
+# 1e-6 V stopping error.
 DESIGN_TABLE_SHA256 = {
-    "fig4a": {"fig4a.csv": "13b608d5e8a2545c5ce6043dc46a0fe1"
-                           "cdb46670c2b1dd910021f5c8daee9e82"},
-    "fig5": {"fig5.csv": "c44a501ae7191cc53259b220d2687074"
-                         "1ba6eb87fc097167cd65a3104d2abc78",
-             "fig5_summary.csv": "68bbe385cab0ee5893524885fe99ef65"
-                                 "fd7159b3e56bfc7c534360eab1dad1ef"},
+    "fig4a": {"fig4a.csv": "77927eb3489bb54d8f596d12741809ea"
+                           "49d356b3fe6023b68082016d6572abfc"},
+    "fig5": {"fig5.csv": "7e6264124cfbef793549e6e88e9bcf10"
+                         "4351a8c5b728780c9e02953f7f959f26",
+             "fig5_summary.csv": "e60e5320a0cc2e437b3f15e9afc0399c"
+                                 "54a6615392ec6fd1fdf9a6639b213e22"},
     "fig7": {"fig7_analytic.csv": "0b53cd48755d29c8b283f5d62e772eff"
                                   "d334037b438873bb218d5f8e06c2f801",
              "fig7_oracle.csv": "38f309c5f7ae12ba906c2d637530e409"
@@ -367,7 +408,10 @@ def test_design_figure_tables_are_pinned(figure, tmp_path):
 # spectrum became the closed-form integral of one orbit cycle instead of a
 # correlation of 32 cycles at 256 samples each: the sampled v_cd1 aliased
 # (17 % off at k = 29, THD 0.44509 for the exact 0.44638), and i_ls now has
-# exactly one harmonic (THD 0, where sampling left 1.7e-14).
+# exactly one harmonic (THD 0, where sampling left 1.7e-14).  simulate's
+# re-taken when the operating point became a bracketed Newton root: its gate
+# delay is the exact fall time at the solved v_o, which moved by 1e-8 V, so
+# v_cs1 moved by <= 1.6e-7 V, v_o by <= 1e-8 V and the events by 1e-15 s.
 SIMULATOR_TABLE_SHA256 = {
     "fig13": (["reproduce", "fig13"], {
         "fig13.csv": "1840dde857e99086684b06483bc8a539"
@@ -382,12 +426,12 @@ SIMULATOR_TABLE_SHA256 = {
         "fig14_v_cd1.csv": "5a00f60d7ed00dd623dcc0101a7ce6fd"
                            "2d8fe193015f9d1af9f34267fe836c54"}),
     "simulate": (["simulate", "--config", TABLE2, "--cycles", "20"], {
-        "diagnostics.csv": "7fd337b54dd9c100283a0c7399092b85"
-                           "cce2c2ff5b2983d9cb8347a6c05976b7",
-        "events.csv": "ac0b2cd138c176cc802314ae776eeb0b"
-                      "e10b09548cf34d988baeb09c7acedcbb",
-        "waveform.csv": "9a27f2b0d0deb72d2c0e5664296bc736"
-                        "e3f9ee4603a965719ce0ee3912a49d2f"}),
+        "diagnostics.csv": "2e292f0d4b5fefa561ae1c17a3ff495d"
+                           "6460fb368ef46e922b46d502a46352ef",
+        "events.csv": "0d75ffd40ff43d1b1b7fb9d172391826"
+                      "622e9ed3dd99cea0c24ab9778d4f7c69",
+        "waveform.csv": "82664884e8dd73ef1785b2db4e8997a4"
+                        "135a4de23071a2d38fb93412db646cc3"}),
     "load_step": (["transient", "--config", TABLE2,
                    "--scenario", "load_step"], {
         "load_step.csv": "b9807a72c878910d764a3ad1efb9840b"
@@ -399,7 +443,10 @@ SIMULATOR_TABLE_SHA256 = {
 # and design tables at the table2 point.  Digests taken before every table
 # was routed through the one table writer; fig20's re-taken with the
 # simulator ones above; fig17's taken when its rows became closed-loop
-# orbits (CPython 3.11, numpy 2.4, x86-64 Linux).
+# orbits (CPython 3.11, numpy 2.4, x86-64 Linux).  steady's re-taken when
+# the operating point became a bracketed Newton root: v_o moved by
+# <= 1.9e-7 V and phase_delay_norm by <= 4.1e-10, within the old loop's own
+# 1e-6 V stopping error.
 COMMAND_TABLE_SHA256 = {
     "fig17": (["reproduce", "fig17"], {
         "fig17.csv": "6b4523ef9923ef878ac9628a98acbc0f"
@@ -408,8 +455,8 @@ COMMAND_TABLE_SHA256 = {
         "fig20.csv": "3ae074ab2cc07f910077e341d315779a"
                      "1f4db7d6582b3d6b8e4be43010d68172"}),
     "steady": (["steady", "--config", TABLE2, "--sweep", "0.5:0.7:0.05"], {
-        "steady.csv": "ec9a51c4e03a9e837cf55a789aca3264"
-                      "e01845132b20e210376224265aab5a51"}),
+        "steady.csv": "35cbadde89278f5f5197aff928ed907e"
+                      "06e35089b389bb3924478ae295b98d5f"}),
     "bode": (["bode", "--config", TABLE2], {
         "bode.csv": "d1545019f321e01cf63a117aa31b704d"
                     "fb7c928130579071e81ceb5dd6017f24"}),

@@ -8,6 +8,8 @@ table2 receiver:
 * ``solve_operating_point``, approximate and exact fall time, over the 24
   cell midpoints of the regulable duty window at the config's f_s*t_f
   (``duty_bounds``), in us per call;
+* ``vo_vs_duty_curve`` on fig4a's grid (4 loads x 499 duties), the
+  heaviest caller of ``solve_operating_point``, in ms per call;
 * ``step_cycle`` on the periodic orbit of the config's command (duty 0.532,
   f_s*t_f = 0.0672, the fig13 operating point), in us per cycle;
 * ``closed_loop_run`` on fig19's load step (6000 cycles), in us per cycle;
@@ -51,7 +53,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from wptrx import cli, scenarios  # noqa: E402
+from wptrx import averaged, cli, scenarios  # noqa: E402
 from wptrx.analytic import (  # noqa: E402
     duty_bounds, solve_operating_point, steady_state_vo)
 from wptrx.averaged import (  # noqa: E402
@@ -66,6 +68,7 @@ from wptrx.smallsignal import perturb_bode_oracle  # noqa: E402
 
 OP_DUTIES = 24
 OP_REPEATS = 51
+CURVE_REPEATS = 11
 STEP_CYCLES = 2000
 STEP_REPEATS = 15
 LOOP_REPEATS = 7
@@ -108,6 +111,8 @@ def main() -> int:
     op_duties = [lo + (hi - lo) * (k + 0.5) / OP_DUTIES
                  for k in range(OP_DUTIES)]
 
+    curve_duties = cli._duty_grid()
+
     def operating_points(exact):
         for d in op_duties:
             solve_operating_point(vp, d, exact)
@@ -145,6 +150,11 @@ def main() -> int:
         (f"solve_operating_point exact, table2 ({OP_DUTIES} duties)",
          "us/call",
          _timed(lambda: operating_points(True), OP_REPEATS, OP_DUTIES / 1e6)),
+        (f"vo_vs_duty_curve, fig4a ({len(cli._FIG4A_LOADS)} loads x "
+         f"{len(curve_duties)} duties)", "ms/call",
+         _timed(lambda: averaged.vo_vs_duty_curve(vp, cli._FIG4A_LOADS,
+                                                  curve_duties),
+                CURVE_REPEATS, 1e-3)),
         ("step_cycle, table2 orbit", "us/cycle",
          _timed(cycles, STEP_REPEATS, STEP_CYCLES / 1e6)),
         (f"closed_loop_run, fig19 load step ({n_loop} cycles)", "us/cycle",

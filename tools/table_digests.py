@@ -13,8 +13,9 @@ its ``duty`` and ``phase_delay_norm`` keys, so the fallbacks the CLI takes
 when a config gives neither are checked too, and ``reproduce fig13`` and
 ``fig14`` on a copy at ``r_load = 1.5k`` and ``duty = 0.3``, whose orbit
 hard-switches and never reaches State V, and on a copy at ``r_load = 3k``,
-``duty = 0.3`` and ``phase_delay_norm = 0.02``, where the averaged
-operating point with the delay left free has no solution.  A refactor
+``duty = 0.3`` and ``phase_delay_norm = 0.02``, whose operating point
+with the delay left free has f_s*t_f = 0.32, beyond the duty window;
+``simulate --cycles 5`` runs on that copy too.  A refactor
 that must keep the outputs byte-identical is checked by diffing two runs:
 
     python3 tools/table_digests.py > before.txt   # on the parent commit
@@ -106,6 +107,8 @@ RUNS = (
                                      "--config", LIGHTER], True),
         ("lighter_reproduce_fig14", ["reproduce", "fig14",
                                      "--config", LIGHTER], True),
+        ("lighter_simulate_5", ["simulate", "--config", LIGHTER,
+                                "--cycles", "5"], True),
     ])
 
 
