@@ -4,9 +4,10 @@ transient scenarios, and the figure-reproduction harness.
 All outputs are comma-separated tables with a header row and LF line
 endings, written by ``_write_table`` column by column, by a rule taken from
 each column's element type: strings as is, booleans and integers as
-``%d``, every other number as ``%.11e`` (12 significant digits).  The
-numpy kernels reproduce ``%`` exactly; a float cell whose rounding the
-``%.11e`` kernel cannot settle (see ``_float_cells``) is formatted by
+``%d``, every other number as ``%.11e`` (12 significant digits).  An
+integer column is formatted by ``%d`` once per distinct value.  Only
+``%.11e`` has a numpy kernel, which reproduces ``%`` exactly; a float cell
+whose rounding it cannot settle (see ``_float_cells``) is formatted by
 ``%`` itself.  Identical config + command always produces byte-identical
 files.
 
@@ -89,11 +90,6 @@ _PAIRS = _words([b"%02d" % i for i in range(100)], "u2")
 _FLOAT_CELL = np.dtype([("lead", "u4")]
                        + [(f"pair{j}", "u2") for j in range(1, 6)]
                        + [("exp", "u4"), ("pad", "u1")])
-# the pair of an integer's digits, indexed by pair + 100 when no digit
-# precedes it (no leading zero) + 100 more when it is a leading zero pair
-_INT_PAIRS = np.concatenate([_PAIRS, _words([b"%d" % i for i in range(100)],
-                                            "u2"), np.zeros(100, "u2")])
-_MINUS = _words([b"-"], "u2")[0]
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
@@ -137,20 +133,10 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
 
 
 def _int_cells(v: np.ndarray) -> np.ndarray:
-    """``"%d" % i`` of each int64 ``i`` of ``v``, as NUL-padded bytes."""
-    mag = np.abs(v).view(np.uint64)  # |int64 min| = 2**63 too
-    n_pairs = (len(str(mag.max(initial=0))) + 1) // 2
-    cells = np.empty((len(v), 1 + n_pairs), "u2")
-    cells[:, 0] = np.where(v < 0, _MINUS, 0)
-    hundred, head = np.uint64(100), np.zeros_like(mag)
-    for j in range(1, n_pairs + 1):
-        digits = mag // np.uint64(100 ** (n_pairs - j))  # the first j pairs
-        index = digits - hundred * head + hundred * (head == 0)
-        if j < n_pairs:
-            index += hundred * (digits == 0)
-        cells[:, j] = _INT_PAIRS[index]
-        head = digits
-    return cells.view(f"S{2 + 2 * n_pairs}").ravel()
+    """``b"%d" % i`` of each int64 ``i`` of ``v``: each distinct value is
+    formatted once, and the cells are gathered from those."""
+    values, index = np.unique(v, return_inverse=True)
+    return np.array([b"%d" % i for i in values.tolist()], "S")[index]
 
 
 def _table_rows(columns: list) -> np.ndarray:
@@ -220,15 +206,15 @@ def _duty_grid():
 def _nominal_op(vp, rc: RunConfig) -> OperatingPoint:
     """Operating point implied by a config: pinned delay from feedforward
     (or an explicit phase_delay_norm), duty from the config or from the
-    reference voltage."""
+    reference voltage.  Its v_o stays NaN: the plant, the PI design and the
+    oracle read only the duty and the delay."""
     if rc.phase_delay_norm is not None:
         fst = rc.phase_delay_norm
     else:
         fst = vp.f_s * feedforward_tf(rc.v_ref, rc.feedforward_amp, vp)
     duty = rc.duty if rc.duty is not None else \
         duty_for_target_vo(vp.i_ls_amp, vp.r_load, rc.v_ref, fst)
-    v_o = steady_state_vo(vp.i_ls_amp, vp.r_load, duty, fst)
-    return OperatingPoint.pinned(duty, fst, vp.f_s, v_o=v_o)
+    return OperatingPoint.pinned(duty, fst, vp.f_s)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,14 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .analytic import OperatingPoint, duty_for_target_vo
+from .analytic import OperatingPoint, _fall_time_approx, duty_for_target_vo
 from .errors import NoConvergence, NonPositiveParameter
 from .params import ValidatedParams, require_positive
 from .simulator import (V_ORBIT_TOL, CycleSummary, ModulationCommand,
                         SwitchCycleState, _cycle, _cycle_consts,
-                        periodic_steady_state, step_cycle)
-from .smallsignal import PiGains, cycle_linearization, plant_tf
+                        cycle_linearization, periodic_steady_state,
+                        step_cycle)
+from .smallsignal import PiGains, plant_tf
 
 
 def pi_step(e: float, k_p: float, k_i: float, d_min: float, d_max: float,
@@ -64,8 +65,8 @@ def feedforward_tf(v_ref: float, i_ls_nominal: float,
     if v_ref == 0.0:
         return 0.0
     require_positive(i_ls_nominal=i_ls_nominal)
-    return math.sqrt(params.c_sum * v_ref
-                     / (math.pi * params.f_s * i_ls_nominal))
+    return _fall_time_approx(v_ref, params.c_sum,
+                             math.pi * params.f_s * i_ls_nominal)
 
 
 def equilibrium_op(params: ValidatedParams, v_ref: float,
@@ -209,7 +210,7 @@ def closed_loop_orbit(params: ValidatedParams, v_ref: float, i_ls_ff: float,
     residual = max(abs(nxt.v_o - x.v_o), abs(nxt.v_cd1 - x.v_cd1),
                    abs(integrator - d))
     a, b, _, _, n_lin = cycle_linearization(
-        params, ModulationCommand(d, t_f), (x.v_o, x.v_cd1))
+        params, ModulationCommand(d, t_f), x)
     jac = np.zeros((3, 3))  # failed: the clamp holds the duty, J = diag(A, 0)
     jac[:2, :2] = a
     if not failed:
@@ -254,7 +255,10 @@ class Scenario:
     absolute time.  ``i_ls_ff`` is the feedforward amplitude constant;
     choose it below the smallest live amplitude by more than the
     square-root estimate's undershoot of the exact commutation time (2 %
-    on table2; at the live amplitude the turn-on is hard).
+    on table2; at the live amplitude the turn-on is hard).  The run starts
+    from the output voltage ``v_o0`` and the PI integrator
+    ``initial_integrator``; no start duty is needed, for the first cycle's
+    duty is the PI law's output at the first sample.
     """
     name: str
     duration: float
@@ -263,13 +267,11 @@ class Scenario:
     v_ref: Profile
     i_ls_ff: float
     v_o0: float
-    initial_duty: float
     initial_integrator: float
 
     def __post_init__(self):
         require_positive(duration=self.duration, i_ls_ff=self.i_ls_ff)
         require_positive(allow_zero=True, v_o0=self.v_o0)
-        require_positive(below=1.0, initial_duty=self.initial_duty)
         if not math.isfinite(self.initial_integrator):
             raise NonPositiveParameter("initial_integrator",
                                        self.initial_integrator, "finite")
@@ -306,8 +308,10 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
         raise NonPositiveParameter("scenario duration (>= 100 cycles)",
                                    scenario.duration)
     k_p, k_i, d_min, d_max = gains.k_p, gains.k_i, gains.d_min, gains.d_max
-    duty, integrator, saturated = (scenario.initial_duty,
-                                   scenario.initial_integrator, False)
+    # pi_step reads the previous duty only when saturated, so the first
+    # cycle's is never read: the integrator stands in for it
+    integrator = duty = scenario.initial_integrator
+    saturated = False
     v_o, v_cd1 = scenario.v_o0, 0.0
     # every profile is read and checked at t = 0; a callable one is read
     # again on every cycle, and what depends on it is rebuilt when it moves

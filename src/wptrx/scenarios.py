@@ -6,6 +6,10 @@ each run cycle by cycle under PI control, and the coupling sweep (source
 amplitude standing in for coil separation), whose points are steady states
 solved directly as closed-loop periodic orbits rather than simulated.
 
+Each scenario starts from an output voltage and a PI integrator value:
+startup from a discharged output and an empty integrator, the load step
+and the source ramp from v_ref with the integrator at the equilibrium duty.
+
 Two conventions matter here:
 
 * "No load" is 10 kOhm, not infinity: regulation still needs a bleed path
@@ -37,11 +41,12 @@ def design_gains(params: ValidatedParams, v_ref: float, i_ls_ff: float,
 
 def startup_scenario(params: ValidatedParams, v_ref: float, i_ls_ff: float,
                      duration: float = 0.12) -> Scenario:
-    """Regulated start from a discharged output, synchronization on at 0."""
+    """Regulated start from a discharged output and an empty integrator,
+    synchronization on at 0."""
     return Scenario(name="startup", duration=duration,
                     r_load=params.r_load, i_ls_amp=params.i_ls_amp,
                     v_ref=v_ref, i_ls_ff=i_ls_ff, v_o0=0.0,
-                    initial_integrator=0.0, initial_duty=0.5)
+                    initial_integrator=0.0)
 
 
 def load_step_scenario(params: ValidatedParams, v_ref: float, i_ls_ff: float,
@@ -57,7 +62,7 @@ def load_step_scenario(params: ValidatedParams, v_ref: float, i_ls_ff: float,
     return Scenario(name="load_step", duration=duration,
                     r_load=step_profile(NO_LOAD_RESISTANCE, r_low, t_step),
                     i_ls_amp=params.i_ls_amp, v_ref=v_ref, i_ls_ff=i_ls_ff,
-                    v_o0=v_ref, initial_duty=d0, initial_integrator=d0)
+                    v_o0=v_ref, initial_integrator=d0)
 
 
 def source_ramp_scenario(params: ValidatedParams, v_ref: float,
@@ -73,7 +78,7 @@ def source_ramp_scenario(params: ValidatedParams, v_ref: float,
                                           t_ramp_start,
                                           t_ramp_start + ramp_len),
                     v_ref=v_ref, i_ls_ff=i_ls_ff, v_o0=v_ref,
-                    initial_duty=d0, initial_integrator=d0)
+                    initial_integrator=d0)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ tuple of the receiver's constants at one load and source amplitude in,
 the next state, the cycle mean and the event times and closed-form
 coefficients out.  ``_cycle_consts`` builds that tuple (time constant,
 source-driven coefficients, the cos and sin of the fixed phases).
-``step_cycle`` and ``cycle_residual`` build it on every call from the
-receiver's own load and amplitude; ``run`` and ``periodic_steady_state``
+``step_cycle`` builds it on every call from the receiver's own load and
+amplitude; ``run``, ``periodic_steady_state`` and ``cycle_linearization``
 build it once per call and step the private ``_step_cycle`` and
 ``_cycle_residual``, which take it; the closed-loop run builds it once and
 again only when the live load or amplitude changes, and builds no
@@ -72,7 +72,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .analytic import TWO_PI
-from .errors import GateOverrun, NoConvergence, NonPeriodicWindow
+from .errors import (GateOverrun, NoConvergence, NonPeriodicWindow,
+                     ZeroGainOperatingPoint)
 from .params import ValidatedParams, require_positive
 from .rootfind import bisect_root
 
@@ -87,9 +88,9 @@ _MAX_EVENT_ITER = 100
 # found to 1e-12 V and some fail at 1e-13 V; this keeps a decade of margin.
 V_ORBIT_TOL = 1e-11
 
-# Soft-switching verdict thresholds; small against the 24 V / 2.35 A scales.
-V_ZVS_TOL = 10e-3   # residual switch voltage at the gate edge (V)
-I_ZCS_TOL = 1e-3    # diode current at turn-off (A)
+# ZVS verdict threshold, small against the 24 V scale: residual switch
+# voltage at the gate edge (V)
+V_ZVS_TOL = 10e-3
 
 class SwitchingState(IntEnum):
     STATE_I = 1
@@ -112,12 +113,12 @@ class ModulationCommand:
     t_f: float
 
 
-@dataclass(frozen=True)
-class SwitchCycleState:
+class SwitchCycleState(NamedTuple):
     """Continuous state at a cycle boundary (the positive-going current zero
     crossing, where State I begins): the output voltage and the diode
     capacitance voltage, which is zero after a cycle that reached State V.
-    The switch voltage is v_o - v_cd1."""
+    The switch voltage is v_o - v_cd1.  It is the x = (v_o, v_cd1) that
+    the orbit solve and ``cycle_linearization`` take."""
     v_o: float
     v_cd1: float = 0.0
 
@@ -130,6 +131,8 @@ class CycleSummary:
 
     ``t_f_meas``/``t_r_meas`` are the natural commutation intervals and are
     NaN when the corresponding transition never completed naturally.
+    ``zcs_ok`` is ``reached_state_v``: the cycle ends at a current zero, so
+    a diode that conducted turns off at zero current.
     """
     v_o_start: float
     v_o_end: float
@@ -576,19 +579,16 @@ def _step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
                 consts: tuple) -> tuple:
     """``step_cycle`` with the receiver's ``_cycle_consts`` at its own load
     and amplitude passed in, so a run of one receiver builds them once."""
-    i_amp = params.i_ls_amp
     (v_end, va_cycle_end, v_mean, gate_off, th1, hard, v_cs1_at_gate,
      va_pre_snap, v_at_th1, th_iv, h, p_s, p_c, v_at_iv, th4, va_end_iv,
      reached_v, v_at_th4) = _cycle(state.v_o, state.v_cd1, cmd.duty, cmd.t_f,
                                    consts)
-    ts = params.t_period
     summary = CycleSummary(
         v_o_start=state.v_o, v_o_end=v_end, v_o_mean=v_mean,
         t_f_meas=th1 if not hard else float("nan"),
         t_r_meas=(th4 - th_iv) if th4 is not None else float("nan"),
         zvs_ok=v_cs1_at_gate <= V_ZVS_TOL,
-        zcs_ok=(reached_v
-                and abs(i_amp * math.sin(params.omega * ts)) <= I_ZCS_TOL),
+        zcs_ok=reached_v,
         v_cs1_at_gate=v_cs1_at_gate, hard_switched=hard,
         reached_state_v=reached_v,
         e_hard_switch=(0.5 * params.c_s1 * v_cs1_at_gate * v_cs1_at_gate
@@ -695,24 +695,21 @@ class PeriodicOrbit:
 
 _MAX_ORBIT_ITER = 30
 _MIN_ORBIT_DAMPING = 1.0 / 1024.0
-CYCLE_FD_STEP = 1e-4    # state difference step, relative to max(|v_o|, 1 V)
-
-
-def cycle_residual(params: ValidatedParams, cmd: ModulationCommand,
-                   x: tuple) -> tuple:
-    """(P(x) - x, cycle mean) of one cycle from x = (v_o, v_cd1)."""
-    return _cycle_residual(
-        cmd, x, _cycle_consts(params, params.r_load, params.i_ls_amp))
+_CYCLE_FD_STEP = 1e-4   # state difference step, relative to max(|v_o|, 1 V)
+# cycle_linearization's duty step: it moves only the gate-off edge, never a
+# located event, so it can be small.
+_DUTY_FD_STEP = 1e-5
 
 
 def _cycle_residual(cmd: ModulationCommand, x: tuple, consts: tuple) -> tuple:
-    """``cycle_residual`` with the receiver's ``_cycle_consts`` passed in."""
+    """(P(x) - x, cycle mean) of one cycle from x = (v_o, v_cd1), with the
+    receiver's ``_cycle_consts`` passed in."""
     v_o, v_cd1, v_mean = _cycle(x[0], x[1], cmd.duty, cmd.t_f, consts)[:3]
     return (v_o - x[0], v_cd1 - x[1], v_mean)
 
 
-def cycle_jacobian(residual, x: tuple, r: tuple, h: float) -> tuple:
-    """Columns d/dv_o and d/dv_cd1 of ``residual`` (cycle_residual as a
+def _cycle_jacobian(residual, x: tuple, r: tuple, h: float) -> tuple:
+    """Columns d/dv_o and d/dv_cd1 of ``residual`` (_cycle_residual as a
     map of x) at x, where its value is r, by one-sided differences of
     step h."""
     rv = residual((x[0] + h, x[1]))
@@ -745,7 +742,7 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
     consts = _cycle_consts(params, params.r_load, params.i_ls_amp)
 
     def residual(x):
-        """(cycle_residual, the max-norm of its P(x) - x)."""
+        """(_cycle_residual, the max-norm of its P(x) - x)."""
         nonlocal calls
         calls += 1
         r = _cycle_residual(cmd, x, consts)
@@ -757,7 +754,7 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
         that fails is retried with v_cd1 replaced by its one-cycle image,
         which is what a step across the State-V boundary needs: there
         v_cd1' turns from identically zero to following v_o."""
-        (j11, j21, _), (j12, j22, _) = cycle_jacobian(
+        (j11, j21, _), (j12, j22, _) = _cycle_jacobian(
             lambda y: residual(y)[0], x, r, h)
         det = j11 * j22 - j12 * j21
         if det == 0.0:
@@ -789,7 +786,7 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
             raise failure(f"not within {V_ORBIT_TOL:g} V after "
                           f"{_MAX_ORBIT_ITER} Newton steps", size)
         newton_steps += 1
-        h = CYCLE_FD_STEP * max(abs(x[0]), 1.0)
+        h = _CYCLE_FD_STEP * max(abs(x[0]), 1.0)
         # x may sit on a kink of P; the Jacobian from its other side then
         # gives the descent
         step = newton_descent(x, r, size, h) or newton_descent(x, r, size, -h)
@@ -798,6 +795,34 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
         x, r, size = step
     return PeriodicOrbit(state=SwitchCycleState(*x),
                          residual=size, cycles=calls)
+
+
+def cycle_linearization(params: ValidatedParams, cmd: ModulationCommand,
+                        x: SwitchCycleState) -> tuple:
+    """The one-cycle map linearized at the boundary state x under ``cmd``
+    (Verghese, Elbuluk & Kassakian, IEEE Trans. Power Electron. 1986):
+    x_{n+1} = A x_n + B d_n and y_n = C x_n + D d_n, with d_n the duty held
+    over cycle n and y_n the mean of cycle n, by one-sided differences
+    (state step _CYCLE_FD_STEP relative, duty step _DUTY_FD_STEP).  Returns
+    (A, B, C, D, cycles stepped).  Raises ZeroGainOperatingPoint where the
+    duty does not move the map."""
+    calls = 0
+    consts = _cycle_consts(params, params.r_load, params.i_ls_amp)
+
+    def residual(y, duty=cmd.duty):
+        nonlocal calls
+        calls += 1
+        return _cycle_residual(ModulationCommand(duty, cmd.t_f), y, consts)
+
+    r = residual(x)
+    h_v = _CYCLE_FD_STEP * max(abs(x[0]), 1.0)
+    jac = np.array(_cycle_jacobian(residual, x, r, h_v)).T  # rows: A - I, C
+    r_d = residual(x, cmd.duty + _DUTY_FD_STEP)
+    col_d = np.array([(p - q) / _DUTY_FD_STEP for p, q in zip(r_d, r)])
+    if not col_d.any():
+        raise ZeroGainOperatingPoint(
+            f"the duty does not move the cycle map at D = {cmd.duty}")
+    return jac[:2] + np.eye(2), col_d[:2], jac[2], col_d[2], calls
 
 
 def _require_one_receiver(pieces: Sequence[CyclePiece]) -> ValidatedParams:

@@ -21,9 +21,10 @@ closed-form Fourier integrals.  It evaluates the whole grid at once, one
 perturbation period at a time, with its complex arithmetic written on
 real and imaginary float arrays: numpy's complex * and /, np.exp and
 np.sum round differently from the scalar evaluation, and the tables are
-kept byte-identical to it.  The switched check linearizes the simulator's
-one-cycle map at its periodic orbit into a sampled-data model.  Every
-Bode entry point checks its grid with one helper.
+kept byte-identical to it.  The switched check evaluates the simulator's
+one-cycle map, linearized at its periodic orbit by the simulator's own
+``cycle_linearization``, as a sampled-data model.  Every Bode entry point
+checks its grid with one helper.
 """
 
 from dataclasses import dataclass
@@ -36,8 +37,8 @@ import numpy as np
 from .analytic import TWO_PI, duty_bounds, steady_state_vo
 from .errors import NoCrossover, NonPositiveParameter, ZeroGainOperatingPoint
 from .params import ValidatedParams, require_positive
-from .simulator import (CYCLE_FD_STEP, ModulationCommand, cycle_jacobian,
-                        cycle_residual, periodic_steady_state)
+from .simulator import (ModulationCommand, cycle_linearization,
+                        periodic_steady_state)
 
 # |sin| below this means the operating point sits at the voltage maximum
 # where the first-order control gain vanishes.
@@ -47,10 +48,6 @@ _ZERO_GAIN_TOL = 1e-9
 # zero-order-hold duty segments.
 _ORACLE_PERIODS = 2
 _ORACLE_SEGMENTS = 64
-
-# switched_bode's duty step: it moves only the gate-off edge, never a
-# located event, so it can be small.
-_DUTY_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -330,38 +327,11 @@ def perturb_bode_oracle(params: ValidatedParams, op, f_grid: Sequence[float],
     return bode_points(f, np.array(h))
 
 
-def cycle_linearization(params: ValidatedParams, cmd: ModulationCommand,
-                        x: tuple) -> tuple:
-    """The one-cycle map linearized at the boundary state x = (v_o, v_cd1)
-    under ``cmd``: x_{n+1} = A x_n + B d_n and y_n = C x_n + D d_n, with
-    d_n the duty held over cycle n and y_n the mean of cycle n, by one-sided
-    differences (state step CYCLE_FD_STEP relative, duty step
-    _DUTY_FD_STEP).  Returns (A, B, C, D, cycles stepped).  Raises
-    ZeroGainOperatingPoint where the duty does not move the map."""
-    calls = 0
-
-    def residual(y, duty=cmd.duty):
-        nonlocal calls
-        calls += 1
-        return cycle_residual(params, ModulationCommand(duty, cmd.t_f), y)
-
-    r = residual(x)
-    h_v = CYCLE_FD_STEP * max(abs(x[0]), 1.0)
-    jac = np.array(cycle_jacobian(residual, x, r, h_v)).T  # rows: A - I, C
-    r_d = residual(x, cmd.duty + _DUTY_FD_STEP)
-    col_d = np.array([(p - q) / _DUTY_FD_STEP for p, q in zip(r_d, r)])
-    if not col_d.any():
-        raise ZeroGainOperatingPoint(
-            f"the duty does not move the cycle map at D = {cmd.duty}")
-    return jac[:2] + np.eye(2), col_d[:2], jac[2], col_d[2], calls
-
-
 def switched_bode(params: ValidatedParams, op,
                   f_grid: Sequence[float]) -> list:
     """Frequency response of the switched simulator from its one-cycle map
-    linearized at the periodic orbit of (op.duty, op.t_f),
-    ``cycle_linearization`` (Verghese, Elbuluk & Kassakian, IEEE Trans.
-    Power Electron. 1986), evaluated as C (zI - A)^-1 B + D at
+    linearized at the periodic orbit of (op.duty, op.t_f) by
+    ``simulator.cycle_linearization``, evaluated as C (zI - A)^-1 B + D at
     z = exp(j*2*pi*f*T_s).  Raises ZeroGainOperatingPoint where the duty
     does not move the map.  Raises NonPositiveParameter for a grid that is
     empty, non-finite, not > 0 or not ascending."""
@@ -369,8 +339,7 @@ def switched_bode(params: ValidatedParams, op,
     cmd = ModulationCommand(op.duty, op.t_f)
     orbit = periodic_steady_state(params, cmd, steady_state_vo(
         params.i_ls_amp, params.r_load, op.duty, op.phase_delay_norm))
-    a, b, c, d, _ = cycle_linearization(
-        params, cmd, (orbit.state.v_o, orbit.state.v_cd1))
+    a, b, c, d, _ = cycle_linearization(params, cmd, orbit.state)
     z = np.exp(1j * TWO_PI * params.t_period * f)
     h = [c @ np.linalg.solve(zk * np.eye(2) - a, b) + d for zk in z]
     return bode_points(f, np.array(h))

@@ -9,6 +9,7 @@ from wptrx import averaged
 from wptrx.analytic import optimal_duty, solve_operating_point, steady_state_vo
 from wptrx.averaged import (AveragedState, DutySchedule, averaged_rhs,
                             integrate_averaged, vo_vs_duty_curve)
+from wptrx.errors import NonPositiveParameter
 from wptrx.params import ReceiverParams, validate
 from wptrx.simulator import ModulationCommand, run
 
@@ -131,14 +132,19 @@ def test_duty_curve_rows_consistent():
             abs=1e-5)
 
 
-def test_duty_curve_records_solver_errors_per_row():
+def test_duty_curve_rejects_out_of_range_duties():
+    # an out-of-range duty used to come back as a NaN row with
+    # error = "NonPositiveParameter"; it is now rejected before any point
+    # is solved, and every row of a valid grid has an empty error
     vp2 = validate(ReceiverParams(l_s=172e-6, c_s=3.63e-9, c_s1=4.5e-9,
                                   c_d1=4.5e-9, c_o=1000e-6, r_load=38.09,
                                   f_s=200e3, i_ls_amp=2.35))
-    rows = vo_vs_duty_curve(vp2, [38.09], [0.55, 1.0, 1.2])
-    assert [r.error for r in rows] == ["", "NonPositiveParameter",
-                                     "NonPositiveParameter"]
-    assert math.isnan(rows[1].v_o) and not rows[1].regulable
+    for bad in (1.0, 1.5, math.nan, -0.1, 0.0):
+        with pytest.raises(NonPositiveParameter) as err:
+            vo_vs_duty_curve(vp2, [38.09], [0.5, bad, 0.55])
+        assert err.value.field == "duty"
+    rows = vo_vs_duty_curve(vp2, [38.09], [0.5, 0.55])
+    assert [r.error for r in rows] == ["", ""]
 
 
 def test_duty_curve_lets_programming_errors_through(vp, monkeypatch):

@@ -118,8 +118,8 @@ def test_cli_rejects_non_finite_controller_keys(key, tmp_path, capsys):
     ["transient", "--scenario", "load_step"]])
 def test_cli_rejects_zero_v_ref(argv, tmp_path, capsys):
     # no loop regulates to 0 V: its equilibrium duty is 1, outside (0, 1).
-    # These exited 3 (ZeroGainOperatingPoint) or 2 naming initial_duty or
-    # v_o, never the key at fault
+    # These once exited 3 (ZeroGainOperatingPoint) or 2 naming a derived
+    # start value, never the key at fault
     cfg = _table2_with(tmp_path, "v_ref", "0")
     out = tmp_path / "out"
     assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
@@ -293,6 +293,17 @@ def test_table_writer_cell_formats(tmp_path):
     assert (tmp_path / "empty.csv").read_bytes() == b"x,y\n"
     _write_table(str(tmp_path), "no_float.csv", "s,i", [["a"], [3]])
     assert (tmp_path / "no_float.csv").read_bytes() == b"s,i\na,3\n"
+    # integer cells are b"%d" of each value: the int64 extremes, a column of
+    # repeated values (each formatted once and gathered) and a bool column
+    info = np.iinfo(np.int64)
+    ints = np.array([info.min, info.max, -1, 0, 7, -1, 0, info.min],
+                    np.int64)
+    repeated = np.full(len(ints), -42, np.int64)
+    flags = np.array([True, False, False, True, True, False, True, False])
+    _write_table(str(tmp_path), "ints.csv", "i,r,b", [ints, repeated, flags])
+    assert (tmp_path / "ints.csv").read_bytes() == b"i,r,b\n" + b"".join(
+        b"%d,%d,%d\n" % row
+        for row in zip(ints.tolist(), repeated.tolist(), flags.tolist()))
 
 
 BLOCK = cli._TABLE_BLOCK_ROWS

@@ -142,7 +142,6 @@ def test_duty_stays_admissible_everywhere(vp_fast):
                   i_ls_amp=vp_fast.i_ls_amp,
                   v_ref=step_profile(24.0, 21.0, 14e-3), i_ls_ff=2.35,
                   v_o0=24.0,
-                  initial_duty=equilibrium_op(vp_fast, 24.0, 2.35).duty,
                   initial_integrator=equilibrium_op(vp_fast, 24.0, 2.35).duty)
     rec = closed_loop_run(sc, gains, vp_fast)
     assert not rec.regulation_failed
@@ -162,7 +161,7 @@ def test_antiwindup_recovery_is_prompt(vp_fast):
     sc = Scenario(name="down_step", duration=30e-3,
                   r_load=vp_fast.r_load, i_ls_amp=vp_fast.i_ls_amp,
                   v_ref=step_profile(24.0, 20.5, 2e-3), i_ls_ff=2.35,
-                  v_o0=24.0, initial_duty=d0, initial_integrator=d0)
+                  v_o0=24.0, initial_integrator=d0)
     rec = closed_loop_run(sc, gains, vp_fast)
     at_bound = rec.duty >= gains.d_max - 1e-12
     assert np.sum(at_bound) >= 50
@@ -190,7 +189,7 @@ def test_zero_steady_state_error(vp_fast):
     sc = Scenario(name="const", duration=2e-3 + tail,
                   r_load=vp_fast.r_load, i_ls_amp=vp_fast.i_ls_amp,
                   v_ref=24.0, i_ls_ff=2.35, v_o0=22.0,
-                  initial_duty=0.6, initial_integrator=0.6)
+                  initial_integrator=0.6)
     rec = closed_loop_run(sc, gains, vp_fast)
     n_tail = len(rec.v_o_mean) // 10
     assert abs(float(np.mean(rec.v_o_mean[-n_tail:])) - 24.0) < 0.001 * 24.0
@@ -208,7 +207,7 @@ def test_discretization_matches_continuous_design(vp):
     sc = Scenario(name="small_step", duration=6e-3,
                   r_load=vp.r_load, i_ls_amp=vp.i_ls_amp,
                   v_ref=step_profile(24.0, 24.0 + dv, t_step), i_ls_ff=2.35,
-                  v_o0=24.0, initial_duty=d0, initial_integrator=d0)
+                  v_o0=24.0, initial_integrator=d0)
     rec = closed_loop_run(sc, gains, vp)
     # settle residue of the pre-step equilibrium
     pre = rec.t < t_step
@@ -224,7 +223,7 @@ def test_scenario_requires_minimum_duration(vp):
     with pytest.raises(Exception):
         sc = Scenario(name="tiny", duration=10 * vp.t_period,
                       r_load=38.09, i_ls_amp=2.35, v_ref=24.0, i_ls_ff=2.35,
-                      v_o0=24.0, initial_duty=0.6, initial_integrator=0.6)
+                      v_o0=24.0, initial_integrator=0.6)
         closed_loop_run(sc, GAINS, vp)
 
 
@@ -240,7 +239,7 @@ def test_non_finite_profile_value_is_rejected(vp_fast, field, bad):
                                    100 * vp_fast.t_period)
     sc = Scenario(name="bad_profile", duration=200 * vp_fast.t_period,
                   v_ref=24.0, i_ls_ff=2.35, v_o0=24.0,
-                  initial_duty=0.6, initial_integrator=0.6, **profiles)
+                  initial_integrator=0.6, **profiles)
     with pytest.raises(NonPositiveParameter) as err:
         closed_loop_run(sc, GAINS, vp_fast)
     assert err.value.field == field
@@ -260,8 +259,7 @@ def test_feedforward_recomputed_only_when_the_reference_moves(vp_fast,
     sc = Scenario(name="ref_step", duration=200 * vp_fast.t_period,
                   r_load=38.09, i_ls_amp=2.35,
                   v_ref=step_profile(24.0, 23.0, 100 * vp_fast.t_period),
-                  i_ls_ff=2.35, v_o0=24.0, initial_duty=0.6,
-                  initial_integrator=0.6)
+                  i_ls_ff=2.35, v_o0=24.0, initial_integrator=0.6)
     closed_loop_run(sc, GAINS, vp_fast)
     assert calls == [24.0, 23.0]
     with pytest.raises(NonPositiveParameter) as err:
@@ -275,7 +273,7 @@ def replay(scenario, gains, params):
     stepped through the public pi_step and step_cycle on a receiver copy
     at each cycle's live load and amplitude."""
     ts = params.t_period
-    pi = (scenario.initial_duty, scenario.initial_integrator, False)
+    pi = (scenario.initial_integrator, scenario.initial_integrator, False)
     state = SwitchCycleState(scenario.v_o0)
     rows = []
     for n in range(int(round(scenario.duration / ts))):
@@ -317,7 +315,7 @@ def test_closed_loop_run_replays_through_step_cycle_and_pi_step(
         "reference_step_down": Scenario(
             name="down_step", duration=5e-3, r_load=vp_fast.r_load,
             i_ls_amp=vp_fast.i_ls_amp, v_ref=step_profile(24.0, 20.5, 1e-3),
-            i_ls_ff=2.35, v_o0=24.0, initial_duty=d0, initial_integrator=d0),
+            i_ls_ff=2.35, v_o0=24.0, initial_integrator=d0),
     }[case]
     built = []
     cycle_consts = control._cycle_consts
@@ -358,8 +356,7 @@ def test_settling_time_is_the_cycle_after_the_last_out_of_band(case,
               "late": np.append(np.full(30, 5.0), np.ones(70))}[case]
     t = np.arange(100) * 1e-3
     sc = Scenario(name=case, duration=0.1, r_load=38.09, i_ls_amp=2.35,
-                  v_ref=1.0, i_ls_ff=2.35, v_o0=1.0, initial_duty=0.6,
-                  initial_integrator=0.6)
+                  v_ref=1.0, i_ls_ff=2.35, v_o0=1.0, initial_integrator=0.6)
     rec = control._summarize(sc, t, v_mean, v_mean, np.full(100, 0.6))
     if k_settle is None:
         assert math.isnan(rec.settling_time)
@@ -413,8 +410,7 @@ def test_spectral_radius_is_the_measured_decay(vp, i_amp):
     orbit = control.closed_loop_orbit(p, 24.0, 1.40, gains)
     sc = Scenario(name="off_orbit", duration=3001 * p.t_period,
                   r_load=p.r_load, i_ls_amp=i_amp, v_ref=24.0, i_ls_ff=1.40,
-                  v_o0=orbit.state.v_o, initial_duty=orbit.duty,
-                  initial_integrator=orbit.duty + 1e-3)
+                  v_o0=orbit.state.v_o, initial_integrator=orbit.duty + 1e-3)
     e = closed_loop_run(sc, gains, p).v_o_sample - 24.0
     rate = (e[3000] / e[1000]) ** (1.0 / 2000)
     rho = orbit.spectral_radius

@@ -8,7 +8,8 @@ import pytest
 from wptrx.analytic import (OperatingPoint, fall_time_approx,
                             fall_time_exact, resonant_cap_voltage_drop,
                             solve_operating_point)
-from wptrx.averaged import AveragedState, DutySchedule, integrate_averaged
+from wptrx.averaged import (AveragedState, DutySchedule, integrate_averaged,
+                            vo_vs_duty_curve)
 from wptrx.config import parse_config_text
 from wptrx.control import Scenario, feedforward_tf
 from wptrx.errors import NonPositiveParameter
@@ -68,8 +69,7 @@ def test_copies_reject_non_finite_values(value):
 
 def table2_scenario(**overrides) -> Scenario:
     base = dict(name="bad", duration=0.1, r_load=38.09, i_ls_amp=2.35,
-                v_ref=24.0, i_ls_ff=2.35, v_o0=24.0, initial_duty=0.532,
-                initial_integrator=0.532)
+                v_ref=24.0, i_ls_ff=2.35, v_o0=24.0, initial_integrator=0.532)
     base.update(overrides)
     return Scenario(**base)
 
@@ -89,8 +89,7 @@ ENTRY_POINTS = {
         vp, OperatingPoint.pinned(0.532, 0.0672, vp.f_s, v_o=24.0), x)),
     "scenario": ("duration", lambda vp, x: Scenario(
         name="bad", duration=x, r_load=38.09, i_ls_amp=2.35, v_ref=24.0,
-        i_ls_ff=2.35, v_o0=24.0, initial_duty=0.532,
-        initial_integrator=0.532)),
+        i_ls_ff=2.35, v_o0=24.0, initial_integrator=0.532)),
     "scenario_start": ("v_o0", lambda vp, x: table2_scenario(v_o0=x)),
     "scenario_integrator": ("initial_integrator", lambda vp, x:
                             table2_scenario(initial_integrator=x)),
@@ -140,8 +139,8 @@ _TABLE2_RECEIVER = ("l_s = 172u\nc_s = 3.63n\nc_s1 = 4.5n\nc_d1 = 4.5n\n"
                     "c_o = 1000u\nr_load = 38.09\nf_s = 200k\n"
                     "i_ls_amp = 2.35\n")
 
-# every place a duty enters, Scenario.initial_duty included: (field named
-# in the error, call with duty d)
+# every place a duty enters, a sweep's grid included: (field named in the
+# error, call with duty d)
 DUTY_ENTRY_POINTS = {
     # a config spells inf as an overflowing literal
     "config": ("duty", lambda vp, d: parse_config_text(
@@ -151,8 +150,8 @@ DUTY_ENTRY_POINTS = {
         SwitchCycleState(24.0), ModulationCommand(d, 386e-9), vp)),
     "solve_operating_point": ("duty", lambda vp, d:
                               solve_operating_point(vp, d)),
-    "scenario": ("initial_duty", lambda vp, d:
-                 table2_scenario(initial_duty=d)),
+    "vo_vs_duty_curve": ("duty", lambda vp, d:
+                         vo_vs_duty_curve(vp, [38.09], [0.5, d])),
 }
 
 

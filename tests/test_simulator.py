@@ -24,7 +24,7 @@ from wptrx.rootfind import bisect_root
 from wptrx.scenarios import NO_LOAD_RESISTANCE
 from wptrx.simulator import (T_EVENT_TOL, V_ORBIT_TOL, ModulationCommand,
                              SwitchCycleState,
-                             cycle_diagnostics, cycle_residual,
+                             cycle_diagnostics, cycle_linearization,
                              periodic_steady_state, run,
                              sample_waveform, soft_switching_report,
                              spectrum, step_cycle)
@@ -313,10 +313,13 @@ def test_cycle_kernel_matches_the_segment_by_segment_reference(vp):
         got = simulator._cycle(v0, va0, duty, t_f,
                                simulator._cycle_consts(vp, r_load, i_amp))
         assert got == reference_cycle(v0, va0, duty, t_f, r_load, i_amp, vp)
-        nxt, _, piece = step_cycle(
+        nxt, summary, piece = step_cycle(
             SwitchCycleState(v0, va0), ModulationCommand(duty, t_f),
             vp.with_load(r_load).with_amplitude(i_amp))
         assert (nxt.v_o, nxt.v_cd1) == got[:2]
+        # the diode turns off at the cycle's end, a current zero, so ZCS is
+        # reaching State V
+        assert summary.zcs_ok == summary.reached_state_v == got[16]
         segs = piece.segments
         assert segs[0].t0 == 0.0 and segs[-1].t1 == ts
         assert all(a.t1 == b.t0 for a, b in zip(segs, segs[1:]))
@@ -994,9 +997,9 @@ def test_periodic_steady_state_soft_and_hard(vp):
 
 def test_run_and_orbit_solve_build_their_cycle_constants_once(
         vp, monkeypatch):
-    # run and periodic_steady_state build the receiver's cycle constants
-    # once per call, not once per cycle, and step the same bits as
-    # step_cycle and cycle_residual, which build them on every call
+    # run, periodic_steady_state and cycle_linearization build the
+    # receiver's cycle constants once per call, not once per cycle, and
+    # step the same bits as step_cycle, which builds them on every call
     cmd = fig13_cmd(vp)
     built = []
     cycle_consts = simulator._cycle_consts
@@ -1008,15 +1011,16 @@ def test_run_and_orbit_solve_build_their_cycle_constants_once(
     monkeypatch.setattr(simulator, "_cycle_consts", counted)
     res = run(vp, cmd, 40, initial=SwitchCycleState(24.0))
     orbit = periodic_steady_state(vp, cmd, 24.0)
-    assert built == [(vp.r_load, vp.i_ls_amp)] * 2 and orbit.cycles > 2
+    n_lin = cycle_linearization(vp, cmd, orbit.state)[4]
+    assert built == [(vp.r_load, vp.i_ls_amp)] * 3
+    assert orbit.cycles > 2 and n_lin >= 3
     monkeypatch.undo()
     state = SwitchCycleState(24.0)
     for n, piece in enumerate(res.pieces):
         state, _, ref = step_cycle(state, cmd, vp, n * vp.t_period)
         assert repr(piece) == repr(ref)  # t_f_meas is NaN on hard cycles
     assert res.final_state == state
-    r = cycle_residual(vp, cmd, (orbit.state.v_o, orbit.state.v_cd1))
-    assert orbit.residual == max(abs(r[0]), abs(r[1]))
+    assert orbit.residual == one_cycle_change(vp, cmd, orbit.state)
 
 
 def test_periodic_steady_state_at_the_soft_hard_kink(vp):

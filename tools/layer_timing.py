@@ -25,6 +25,9 @@ table2 receiver:
   per cycle, in us per sample;
 * ``spectrum`` of one orbit cycle, 40 harmonics of v_cd1 and i_ls in one
   call (fig14's), in ms per call;
+* ``cli._write_table`` of the 400 cycles' waveform (the ``waveform.csv``
+  of ``wptrx simulate --cycles 400``, 102,400 rows) into a temporary
+  directory, in ms per call;
 
 and, on the built-in fig7 receiver at its operating point (duty 0.5,
 f_s*t_f = 0.1):
@@ -42,11 +45,12 @@ rows read the cache after the warm-up call and left that cost out, so they
 do not compare like for like across that change.  Compare two commits by
 running the script in a checkout of each, on the same machine, one right
 after the other.
-Needs numpy; about 3 s on a 2-core x86-64 VM.
+Needs numpy; about 4 s on a 2-core x86-64 VM.
 """
 
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -81,6 +85,7 @@ SAMPLES_PER_CYCLE = 256
 SAMPLE_REPEATS = 21
 SPECTRUM_HARMONICS = 40
 SPECTRUM_REPEATS = 21
+TABLE_REPEATS = 11
 ORACLE_REPEATS = 21
 AVG_HORIZON = 0.1
 AVG_STEP_AT = 0.01
@@ -134,14 +139,22 @@ def main() -> int:
     rate = SAMPLES_PER_CYCLE * vp.f_s
     wave = sample_waveform(pieces, rate)
     long_pieces = run(vp, cmd, SIMULATE_CYCLES, initial=orbit.state).pieces
-    n_long = len(sample_waveform(long_pieces, rate).t)
+    long_wave = sample_waveform(long_pieces, rate)
+    n_long = len(long_wave.t)
+    wave_header = "t,i_ls,v_cs1,v_cd1,v_o,gate,state"
+    wave_columns = [getattr(long_wave, f) for f in wave_header.split(",")]
+    with tempfile.TemporaryDirectory() as table_dir:
+        table_time = _timed(lambda: cli._write_table(
+            table_dir, "waveform.csv", wave_header, wave_columns),
+            TABLE_REPEATS, 1e-3)
 
     rc7 = parse_config(SRC / "wptrx" / "configs" / "fig7.cfg")
     vp7 = validate(rc7.params)
     op7 = cli._nominal_op(vp7, rc7)
     sched = DutySchedule((0.0, AVG_STEP_AT), (op7.duty, op7.duty + AVG_STEP),
                          (op7.phase_delay_norm,) * 2)
-    start = AveragedState(v_o=op7.v_o, t=0.0)
+    start = AveragedState(v_o=steady_state_vo(
+        vp7.i_ls_amp, vp7.r_load, op7.duty, op7.phase_delay_norm), t=0.0)
 
     rows = (
         (f"solve_operating_point approx, table2 ({OP_DUTIES} duties)",
@@ -184,6 +197,8 @@ def main() -> int:
          _timed(lambda: spectrum(pieces[:1], ("v_cd1", "i_ls"),
                                  SPECTRUM_HARMONICS),
                 SPECTRUM_REPEATS, 1e-3)),
+        (f"_write_table, {SIMULATE_CYCLES}-cycle waveform ({n_long} rows)",
+         "ms/call", table_time),
         (f"perturb_bode_oracle, fig7 ({len(cli._BODE_GRID)} frequencies)",
          "ms/call",
          _timed(lambda: perturb_bode_oracle(vp7, op7, cli._BODE_GRID),
