@@ -49,7 +49,11 @@ def pi_step(e: float, k_p: float, k_i: float, d_min: float, d_max: float,
     else:
         integrator = integrator + delta
     unsat = k_p * e + integrator
-    duty = min(max(unsat, d_min), d_max)
+    # min(max(unsat, d_min), d_max), without the builtins' call cost on
+    # every closed-loop cycle and in their operand order (see
+    # simulator._turn_on_time)
+    duty = d_min if d_min > unsat else unsat
+    duty = d_max if d_max < duty else duty
     return duty, integrator, duty != unsat
 
 
@@ -298,9 +302,11 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
 
     Each cycle: sample v_o at the cycle start (the current zero crossing),
     update the PI, derive the gate delay by feedforward, step one carrier
-    period with the live load and source amplitude.  Simulator errors
-    propagate; regulation failure (the loop unable to hold the reference)
-    is recorded on the returned record, never raised.
+    period with the live load and source amplitude.  The cycle constants
+    are rebuilt only when the load, the amplitude or the reference (and so
+    the fed-forward delay) moves.  Simulator errors propagate; regulation
+    failure (the loop unable to hold the reference) is recorded on the
+    returned record, never raised.
     """
     ts = params.t_period
     n_cycles = int(round(scenario.duration / ts))
@@ -321,10 +327,10 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
     require_positive(r_load=r_n)
     i_n = _eval_profile(scenario.i_ls_amp, 0.0)
     require_positive(allow_zero=True, i_ls_amp=i_n)
-    consts = _cycle_consts(params, r_n, i_n)
     # the reference t_f_cmd was fed forward from
     v_ref_n = v_ref_ff = _eval_profile(scenario.v_ref, 0.0)
     t_f_cmd = feedforward_tf(v_ref_n, scenario.i_ls_ff, params)
+    consts = _cycle_consts(params, r_n, i_n, t_f_cmd)
 
     t_arr = np.arange(n_cycles) * ts
     v_samp = np.empty(n_cycles)
@@ -333,29 +339,33 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
 
     for n in range(n_cycles):
         t_n = n * ts
+        # the range checks, as in simulator._cycle, call require_positive
+        # only on a value that fails them
         if r_fn is not None:
             r = r_fn(t_n)
             if r != r_n:  # NaN always differs
-                require_positive(r_load=r)
+                if not 0.0 < r < math.inf:
+                    require_positive(r_load=r)
                 r_n = r
-                consts = _cycle_consts(params, r_n, i_n)
+                consts = _cycle_consts(params, r_n, i_n, t_f_cmd)
         if i_fn is not None:
             i = i_fn(t_n)
             if i != i_n:
-                require_positive(allow_zero=True, i_ls_amp=i)
+                if not 0.0 <= i < math.inf:
+                    require_positive(allow_zero=True, i_ls_amp=i)
                 i_n = i
-                consts = _cycle_consts(params, r_n, i_n)
+                consts = _cycle_consts(params, r_n, i_n, t_f_cmd)
         if v_ref_fn is not None:
             v_ref_n = v_ref_fn(t_n)
             if v_ref_n != v_ref_ff:  # NaN always differs
                 t_f_cmd = feedforward_tf(v_ref_n, scenario.i_ls_ff, params)
                 v_ref_ff = v_ref_n
+                consts = _cycle_consts(params, r_n, i_n, t_f_cmd)
         duty, integrator, saturated = pi_step(
             v_ref_n - v_o, k_p, k_i, d_min, d_max, ts, duty, integrator,
             saturated)
         v_samp[n] = v_o
-        v_o, v_cd1, v_mean[n] = _cycle(v_o, v_cd1, duty, t_f_cmd,
-                                       consts)[:3]
+        v_o, v_cd1, v_mean[n] = _cycle(v_o, v_cd1, duty, consts)[:3]
         duty_arr[n] = duty
 
     return _summarize(scenario, t_arr, v_samp, v_mean, duty_arr)

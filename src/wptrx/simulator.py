@@ -24,16 +24,18 @@ steps from the lossless closed form to 1e-13 s.  No step size exists
 anywhere.
 
 All of a cycle's arithmetic lives in one private kernel, ``_cycle``, which
-takes and returns plain floats: the boundary state, the gate command and a
-tuple of the receiver's constants at one load and source amplitude in,
-the next state, the cycle mean and the event times and closed-form
+takes and returns plain floats: the boundary state, the duty and a tuple
+of the receiver's constants at one load, source amplitude and gate delay
+in, the next state, the cycle mean and the event times and closed-form
 coefficients out.  ``_cycle_consts`` builds that tuple (time constant,
-source-driven coefficients, the cos and sin of the fixed phases).
-``step_cycle`` builds it on every call from the receiver's own load and
-amplitude; ``run``, ``periodic_steady_state`` and ``cycle_linearization``
-build it once per call and step the private ``_step_cycle`` and
-``_cycle_residual``, which take it; the closed-loop run builds it once and
-again only when the live load or amplitude changes, and builds no
+source-driven coefficients, the cos and sin of the fixed phases, and the
+gate delay's decay and phase terms) and checks the gate delay, once per
+build.  ``step_cycle`` builds it on every call from the receiver's own
+load and amplitude and the command's delay; ``run``,
+``periodic_steady_state`` and ``cycle_linearization`` build it once per
+call and step the private ``_step_cycle`` and ``_cycle_residual``, which
+take it; the closed-loop run builds it once and again only when the live
+load, the amplitude or the fed-forward delay changes, and builds no
 records.  ``step_cycle`` builds what other callers read: the next state,
 a ``CycleSummary`` (cycle mean and end voltage, timing,
 soft-switching verdicts) and the cycle's ``CyclePiece``, which keeps the
@@ -400,7 +402,16 @@ def _turn_on_time(v0: float, va0: float, amp: float, w: float, tau: float,
     """
     lo = 0.0
     s = (v0 - va0) / (2.0 * amp)
-    th = min(2.0 * math.asin(math.sqrt(s)) / w, hi) if s < 1.0 else hi
+    if s < 1.0:
+        # th = min(th, hi).  Every cycle runs this and _cycle, so neither
+        # calls the builtin min or max (a call costs several times a
+        # comparison); each conditional keeps the builtin's operand order,
+        # min(a, b) as ``b if b < a else a``, so NaN, -0.0 and ties give
+        # the same float
+        th = 2.0 * math.asin(math.sqrt(s)) / w
+        th = hi if hi < th else th
+    else:
+        th = hi
     for _ in range(_MAX_EVENT_ITER):
         decay = v0 * math.exp(-th / tau)
         g = decay - (va0 + amp * (1.0 - math.cos(w * th)))
@@ -423,29 +434,41 @@ def _turn_on_time(v0: float, va0: float, amp: float, w: float, tau: float,
                         f"steps: v0={v0!r}, va0={va0!r}, amp={amp!r}")
 
 
-def _cycle_consts(params: ValidatedParams, r_load: float,
-                  i_amp: float) -> tuple:
+def _cycle_consts(params: ValidatedParams, r_load: float, i_amp: float,
+                  t_f: float) -> tuple:
     """What ``_cycle`` reads of the receiver at load r_load and source
-    amplitude i_amp, all fixed while those two are: ts, w, tau, T/2,
-    i_amp, amp, p_s, p_c, whether the source feeds the rail while the
-    switch conducts, cos and sin of w T/2, cos w T, c_d1 and c_o + c_d1."""
+    amplitude i_amp under the gate delay t_f, all fixed while those three
+    are: ts, w, tau, T/2, i_amp, amp, p_s, p_c, whether the source feeds
+    the rail while the switch conducts, cos and sin of w T/2, cos w T, c_d1,
+    c_o + c_d1; then t_f, hi = min(t_f, T/2), e^{-hi/tau},
+    amp (1 - cos w hi), cos and sin of w t_f, e^{-t_f/tau} and
+    1 - e^{-t_f/tau}.  Raises NonPositiveParameter for a negative or
+    non-finite t_f: the delay is checked here, once per build, not on every
+    cycle."""
+    if not 0.0 <= t_f < math.inf:
+        require_positive(allow_zero=True, t_f=t_f)
     ts = params.t_period
     w = params.omega
     tau = r_load * params.c_o
     half = 0.5 * ts
+    amp = i_amp / (w * params.c_sum)
     p_s = i_amp * r_load / (1.0 + (w * tau) ** 2)
     p_c = -w * tau * p_s
-    return (ts, w, tau, half, i_amp, i_amp / (w * params.c_sum), p_s, p_c,
+    hi = min(t_f, half)
+    return (ts, w, tau, half, i_amp, amp, p_s, p_c,
             not (p_s == 0.0 and p_c == 0.0),
             math.cos(w * half), math.sin(w * half), math.cos(w * ts),
-            params.c_d1, params.c_o + params.c_d1)
+            params.c_d1, params.c_o + params.c_d1,
+            t_f, hi, math.exp(-hi / tau), amp * (1.0 - math.cos(w * hi)),
+            math.cos(w * t_f), math.sin(w * t_f), math.exp(-t_f / tau),
+            -math.expm1(-t_f / tau))
 
 
-def _cycle(v0: float, va0: float, duty: float, t_f: float,
-           consts: tuple) -> tuple:
+def _cycle(v0: float, va0: float, duty: float, consts: tuple) -> tuple:
     """The arithmetic of one carrier period from the boundary state
-    (v0, va0) under the gate command (duty, t_f); the receiver, its load
-    and its source amplitude come in as ``_cycle_consts``.
+    (v0, va0) under the duty; the receiver, its load, its source amplitude
+    and the gate delay t_f come in as ``_cycle_consts``, which has checked
+    t_f.
 
     Returns plain floats: the next v_o and v_cd1 and the cycle mean first,
     then what step_cycle's records need: gate_off, th1, hard, v_cs1_at_gate,
@@ -459,17 +482,17 @@ def _cycle(v0: float, va0: float, duty: float, t_f: float,
     (p_c sin - p_s cos)(w th) / w between the ends.  The segments' areas
     are added left to right in segment order (``sum()`` of floats rounds
     differently from Python 3.12 on), and the cos and sin of each event
-    phase are taken once.
+    phase are taken once.  A hard cycle's State I ends at t_f, so it reads
+    every State-I term from the constants.
     """
     # require_positive keeps the rule and its message; the chain only keeps
-    # its two calls off the valid command of every cycle
-    if not (0.0 < duty < 1.0 and 0.0 <= t_f < math.inf):
+    # its call off the valid duty of every cycle
+    if not 0.0 < duty < 1.0:
         require_positive(below=1.0, duty=duty)
-        require_positive(allow_zero=True, t_f=t_f)
 
     (ts, w, tau, half, i_amp, amp, p_s, p_c, flow, cos_half, sin_half,
-     cos_ts, c_d1, c_o_d1) = consts
-    gate_on = t_f
+     cos_ts, c_d1, c_o_d1, t_f, hi, decay_hi, rise_hi, cos_f, sin_f,
+     decay_f, fill_f) = consts
     gate_off = t_f + duty * ts
     if gate_off >= ts:
         raise GateOverrun(f"duty + f_s*t_f = {duty + t_f / ts:.6g} >= 1")
@@ -479,32 +502,37 @@ def _cycle(v0: float, va0: float, duty: float, t_f: float,
 
     # ---- State I: natural commutation, or forced at the gate edge ----
     natural = None
-    hi = min(gate_on, half)
     if v0 - va0 <= 0.0:
         natural = 0.0
-    elif (i_amp > 0.0 and hi > 0.0 and v0 * math.exp(-hi / tau)
-          - (va0 + amp * (1.0 - math.cos(w * hi))) <= 0.0):
+    elif (i_amp > 0.0 and hi > 0.0
+          and v0 * decay_hi - (va0 + rise_hi) <= 0.0):
         natural = _turn_on_time(v0, va0, amp, w, tau, hi)
 
     hard = natural is None
-    th1 = gate_on if hard else natural
-    cos_1, sin_1 = math.cos(w * th1), math.sin(w * th1)
-    v_at_th1 = v0 * math.exp(-th1 / tau)
-    # node value when conduction begins: the clamp pins it to the output
-    # voltage on natural completion (the located event time carries the
-    # solver tolerance; the clamp value does not)
-    va_pre_snap = va0 + amp * (1.0 - cos_1) if hard else v_at_th1
-    v_cs1_at_gate = max(v_at_th1 - va_pre_snap, 0.0) if hard else 0.0
-    if th1 > 0.0:
-        area += tau * v0 * -math.expm1(-th1 / tau)
-
     if hard:
+        th1, cos_1, sin_1 = t_f, cos_f, sin_f
+        v_at_th1 = v0 * decay_f
+        va_pre_snap = va0 + amp * (1.0 - cos_1)
+        v_cs1_at_gate = v_at_th1 - va_pre_snap
+        v_cs1_at_gate = 0.0 if 0.0 > v_cs1_at_gate else v_cs1_at_gate
+        if th1 > 0.0:
+            area += tau * v0 * fill_f
         # diode capacitance top-up drawn from the output capacitor
         v_at_th1 -= v_cs1_at_gate * c_d1 / c_o_d1
+    else:
+        th1 = natural
+        cos_1, sin_1 = math.cos(w * th1), math.sin(w * th1)
+        # node value when conduction begins: the clamp pins it to the
+        # output voltage on natural completion (the located event time
+        # carries the solver tolerance; the clamp value does not)
+        v_at_th1 = va_pre_snap = v0 * math.exp(-th1 / tau)
+        v_cs1_at_gate = 0.0
+        if th1 > 0.0:
+            area += tau * v0 * -math.expm1(-th1 / tau)
 
     # ---- conduction: [th1, max(gate_off, half)], one closed form; State II
     # before the current zero crossing at T/2, State III after it ----
-    th_iv = max(gate_off, half)
+    th_iv = half if half > gate_off else gate_off
     h = v_at_th1 - p_s * sin_1 - p_c * cos_1
     cos_iv, sin_iv = math.cos(w * th_iv), math.sin(w * th_iv)
     if th1 < half:
@@ -536,7 +564,9 @@ def _cycle(v0: float, va0: float, duty: float, t_f: float,
     elif i_amp > 0.0:
         c = cos_iv + v_at_iv / amp
         if c <= 1.0:
-            th4 = min(max((TWO_PI - math.acos(c)) / w, th_iv), ts)
+            th4 = (TWO_PI - math.acos(c)) / w
+            th4 = th_iv if th_iv > th4 else th4
+            th4 = ts if ts < th4 else th4
 
     th4_eff = th4 if th4 is not None else ts
     if th4_eff > th_iv:
@@ -554,7 +584,7 @@ def _cycle(v0: float, va0: float, duty: float, t_f: float,
     v_end = v_at_th4 * math.exp(-(ts - t_last) / tau)
     # 0 when State V was reached; on a cycle that never freewheels the
     # switch-path diode caps the carried node voltage at the output rail
-    return (v_end, min(va_end_iv, v_end), area / ts,
+    return (v_end, v_end if v_end < va_end_iv else va_end_iv, area / ts,
             gate_off, th1, hard, v_cs1_at_gate, va_pre_snap, v_at_th1, th_iv,
             h, p_s, p_c, v_at_iv, th4, va_end_iv, reached_v, v_at_th4)
 
@@ -571,18 +601,19 @@ def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
     ``params.r_load`` and ``params.i_ls_amp``; this builds the records.
     """
     return _step_cycle(state, cmd, params, t_start,
-                       _cycle_consts(params, params.r_load, params.i_ls_amp))
+                       _cycle_consts(params, params.r_load, params.i_ls_amp,
+                                     cmd.t_f))
 
 
 def _step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
                 params: ValidatedParams, t_start: float,
                 consts: tuple) -> tuple:
     """``step_cycle`` with the receiver's ``_cycle_consts`` at its own load
-    and amplitude passed in, so a run of one receiver builds them once."""
+    and amplitude and the command's gate delay passed in, so a run of one
+    receiver and delay builds them once."""
     (v_end, va_cycle_end, v_mean, gate_off, th1, hard, v_cs1_at_gate,
      va_pre_snap, v_at_th1, th_iv, h, p_s, p_c, v_at_iv, th4, va_end_iv,
-     reached_v, v_at_th4) = _cycle(state.v_o, state.v_cd1, cmd.duty, cmd.t_f,
-                                   consts)
+     reached_v, v_at_th4) = _cycle(state.v_o, state.v_cd1, cmd.duty, consts)
     summary = CycleSummary(
         v_o_start=state.v_o, v_o_end=v_end, v_o_mean=v_mean,
         t_f_meas=th1 if not hard else float("nan"),
@@ -673,7 +704,7 @@ def run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
     require_positive(allow_zero=True, v_o=initial.v_o, v_cd1=initial.v_cd1)
     state = initial
     pieces = []
-    consts = _cycle_consts(params, params.r_load, params.i_ls_amp)
+    consts = _cycle_consts(params, params.r_load, params.i_ls_amp, cmd.t_f)
     for n in range(n_cycles):
         state, _, piece = _step_cycle(state, cmd, params, n * params.t_period,
                                       consts)
@@ -701,10 +732,11 @@ _CYCLE_FD_STEP = 1e-4   # state difference step, relative to max(|v_o|, 1 V)
 _DUTY_FD_STEP = 1e-5
 
 
-def _cycle_residual(cmd: ModulationCommand, x: tuple, consts: tuple) -> tuple:
-    """(P(x) - x, cycle mean) of one cycle from x = (v_o, v_cd1), with the
-    receiver's ``_cycle_consts`` passed in."""
-    v_o, v_cd1, v_mean = _cycle(x[0], x[1], cmd.duty, cmd.t_f, consts)[:3]
+def _cycle_residual(duty: float, x: tuple, consts: tuple) -> tuple:
+    """(P(x) - x, cycle mean) of one cycle at ``duty`` from
+    x = (v_o, v_cd1), with the receiver's ``_cycle_consts`` (the gate delay
+    among them) passed in."""
+    v_o, v_cd1, v_mean = _cycle(x[0], x[1], duty, consts)[:3]
     return (v_o - x[0], v_cd1 - x[1], v_mean)
 
 
@@ -739,13 +771,13 @@ def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
     """
     require_positive(allow_zero=True, v_o0=v_o0)
     calls = 0
-    consts = _cycle_consts(params, params.r_load, params.i_ls_amp)
+    consts = _cycle_consts(params, params.r_load, params.i_ls_amp, cmd.t_f)
 
     def residual(x):
         """(_cycle_residual, the max-norm of its P(x) - x)."""
         nonlocal calls
         calls += 1
-        r = _cycle_residual(cmd, x, consts)
+        r = _cycle_residual(cmd.duty, x, consts)
         return r, max(abs(r[0]), abs(r[1]))
 
     def newton_descent(x, r, size, h):
@@ -807,12 +839,12 @@ def cycle_linearization(params: ValidatedParams, cmd: ModulationCommand,
     (A, B, C, D, cycles stepped).  Raises ZeroGainOperatingPoint where the
     duty does not move the map."""
     calls = 0
-    consts = _cycle_consts(params, params.r_load, params.i_ls_amp)
+    consts = _cycle_consts(params, params.r_load, params.i_ls_amp, cmd.t_f)
 
     def residual(y, duty=cmd.duty):
         nonlocal calls
         calls += 1
-        return _cycle_residual(ModulationCommand(duty, cmd.t_f), y, consts)
+        return _cycle_residual(duty, y, consts)
 
     r = residual(x)
     h_v = _CYCLE_FD_STEP * max(abs(x[0]), 1.0)

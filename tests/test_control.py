@@ -1,7 +1,9 @@
 """PI regulation mechanics, feedforward timing, and closed-loop behavior."""
 
 import dataclasses
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -76,6 +78,66 @@ def test_pi_integrates_back_toward_range():
     # error reverses
     _, integrator, _ = pi_at(23.0, 24.0, GAINS, 5e-6, GAINS.d_max, 0.9, True)
     assert integrator < 0.9
+
+
+def reference_pi_step(e, k_p, k_i, d_min, d_max, t_step, duty, integrator,
+                      saturated):
+    """``pi_step`` with its clamp written with the builtin min and max."""
+    delta = k_i * e * t_step
+    if saturated and (duty >= d_max and delta > 0.0
+                      or duty <= d_min and delta < 0.0):
+        integrator = integrator + 0.0
+    else:
+        integrator = integrator + delta
+    unsat = k_p * e + integrator
+    duty = min(max(unsat, d_min), d_max)
+    return duty, integrator, duty != unsat
+
+
+def same_float(a, b):
+    """a == b with the same sign of zero, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_pi_step_clamp_matches_the_builtin_min_max_reference():
+    # pi_step clamps with conditional expressions; on a seeded grid and on
+    # the edge cases of the clamp (unsat exactly at a bound, +-0.0 errors
+    # and bounds, unsat far out on either side, NaN, frozen and unfrozen
+    # integrators) it must return the reference's floats to the sign of
+    # zero
+    k_p, k_i, t_step = GAINS.k_p, GAINS.k_i, 5e-6
+    rng = random.Random(24)
+    cases = [(rng.uniform(-3.0, 3.0), GAINS.d_min, GAINS.d_max,
+              rng.uniform(0.3, 0.95), rng.uniform(0.2, 1.0),
+              rng.random() < 0.5) for _ in range(2000)]
+    # with e = +-0.0 the integrator stays put, so unsat lands on a bound
+    # or on a signed zero exactly
+    for (d_min, d_max), e, integrator, saturated in itertools.product(
+            ((GAINS.d_min, GAINS.d_max), (0.0, 1.0), (-0.0, 0.0),
+             (0.0, -0.0)),
+            (0.0, -0.0, 1e3, -1e3, math.nan),
+            (GAINS.d_min, GAINS.d_max, 0.0, -0.0, 0.6),
+            (False, True)):
+        for duty in (d_min, d_max, 0.6):
+            cases.append((e, d_min, d_max, duty, integrator, saturated))
+    seen = set()
+    for e, d_min, d_max, duty, integrator, saturated in cases:
+        args = (e, k_p, k_i, d_min, d_max, t_step, duty, integrator,
+                saturated)
+        got, want = pi_step(*args), reference_pi_step(*args)
+        assert same_float(got[0], want[0]) and same_float(got[1], want[1])
+        assert got[2] is want[2]
+        unsat = k_p * e + want[1]
+        delta = k_i * e * t_step
+        seen.add("frozen" if delta != 0.0 and want[1] == integrator
+                 else "unfrozen")
+        seen.add("at_d_min" if unsat == d_min else "at_d_max"
+                 if unsat == d_max else "below" if unsat < d_min
+                 else "above" if unsat > d_max else "inside")
+    assert seen >= {"frozen", "unfrozen", "at_d_min", "at_d_max", "below",
+                    "above", "inside"}
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +291,9 @@ def test_scenario_requires_minimum_duration(vp):
 
 @pytest.mark.parametrize("field,bad", [
     ("r_load", math.nan), ("r_load", 0.0), ("i_ls_amp", math.nan),
-    ("i_ls_amp", -1.0)],
-    ids=["r_load_nan", "r_load_zero", "i_ls_amp_nan", "i_ls_amp_negative"])
+    ("i_ls_amp", -1.0), ("r_load", math.inf), ("i_ls_amp", math.inf)],
+    ids=["r_load_nan", "r_load_zero", "i_ls_amp_nan", "i_ls_amp_negative",
+         "r_load_inf", "i_ls_amp_inf"])
 def test_non_finite_profile_value_is_rejected(vp_fast, field, bad):
     # a load or source profile that yields a bad value stops the run where
     # the value enters instead of producing a bad trajectory
@@ -320,9 +383,9 @@ def test_closed_loop_run_replays_through_step_cycle_and_pi_step(
     built = []
     cycle_consts = control._cycle_consts
 
-    def counted(params, r_load, i_amp):
-        built.append((r_load, i_amp))
-        return cycle_consts(params, r_load, i_amp)
+    def counted(params, r_load, i_amp, t_f):
+        built.append((r_load, i_amp, t_f))
+        return cycle_consts(params, r_load, i_amp, t_f)
 
     monkeypatch.setattr(control, "_cycle_consts", counted)
     rec = closed_loop_run(sc, gains, vp_fast)
@@ -333,13 +396,17 @@ def test_closed_loop_run_replays_through_step_cycle_and_pi_step(
     assert np.array_equal(rec.v_o_mean, v_mean)
     assert np.array_equal(rec.duty, duty)
     # one build at the start and one for each change of the live values
+    # or of the fed-forward gate delay
     live = [(control._eval_profile(sc.r_load, t_n),
-             control._eval_profile(sc.i_ls_amp, t_n)) for t_n in t]
+             control._eval_profile(sc.i_ls_amp, t_n),
+             feedforward_tf(control._eval_profile(sc.v_ref, t_n), sc.i_ls_ff,
+                            vp_fast)) for t_n in t]
     changes = sum(a != b for a, b in zip(live, live[1:]))
     assert len(built) == 1 + changes
+    assert built[0] == live[0]
     assert {"load_step": changes == 1, "amplitude_ramp": changes >= 500,
             "startup": changes == 0,
-            "reference_step_down": changes == 0}[case]
+            "reference_step_down": changes == 1}[case]
     pinned = {"startup": gains.d_min,
               "reference_step_down": gains.d_max}.get(case)
     if pinned is not None:

@@ -310,8 +310,8 @@ def test_cycle_kernel_matches_the_segment_by_segment_reference(vp):
         else:
             duty = u(0.05, 0.9)
             t_f = u(0.0, 0.999 - duty) * ts
-        got = simulator._cycle(v0, va0, duty, t_f,
-                               simulator._cycle_consts(vp, r_load, i_amp))
+        got = simulator._cycle(v0, va0, duty,
+                               simulator._cycle_consts(vp, r_load, i_amp, t_f))
         assert got == reference_cycle(v0, va0, duty, t_f, r_load, i_amp, vp)
         nxt, summary, piece = step_cycle(
             SwitchCycleState(v0, va0), ModulationCommand(duty, t_f),
@@ -346,10 +346,19 @@ def test_invalid_commands(vp):
     assert err.value.field == "duty"
     with pytest.raises(GateOverrun):
         step_cycle(st, ModulationCommand(0.95, 0.3e-6), vp)
-    # a NaN gate delay used to run through and return v_o = NaN
-    for t_f in (math.nan, -1e-9):
-        with pytest.raises(NonPositiveParameter):
+    # a NaN gate delay used to run through and return v_o = NaN; the delay
+    # is checked once, where the cycle constants are built, so a run and an
+    # orbit solve reject it too
+    for t_f in (math.nan, -1e-9, math.inf):
+        with pytest.raises(NonPositiveParameter) as err:
             step_cycle(st, ModulationCommand(0.532, t_f), vp)
+        assert err.value.field == "t_f"
+    nan_delay = ModulationCommand(0.532, math.nan)
+    for call in (lambda: run(vp, nan_delay, 3, initial=st),
+                 lambda: periodic_steady_state(vp, nan_delay, 24.0)):
+        with pytest.raises(NonPositiveParameter) as err:
+            call()
+        assert err.value.field == "t_f"
 
 
 def test_run_rejects_bad_start_voltage(vp):
@@ -1004,15 +1013,15 @@ def test_run_and_orbit_solve_build_their_cycle_constants_once(
     built = []
     cycle_consts = simulator._cycle_consts
 
-    def counted(params, r_load, i_amp):
-        built.append((r_load, i_amp))
-        return cycle_consts(params, r_load, i_amp)
+    def counted(params, r_load, i_amp, t_f):
+        built.append((r_load, i_amp, t_f))
+        return cycle_consts(params, r_load, i_amp, t_f)
 
     monkeypatch.setattr(simulator, "_cycle_consts", counted)
     res = run(vp, cmd, 40, initial=SwitchCycleState(24.0))
     orbit = periodic_steady_state(vp, cmd, 24.0)
     n_lin = cycle_linearization(vp, cmd, orbit.state)[4]
-    assert built == [(vp.r_load, vp.i_ls_amp)] * 3
+    assert built == [(vp.r_load, vp.i_ls_amp, cmd.t_f)] * 3
     assert orbit.cycles > 2 and n_lin >= 3
     monkeypatch.undo()
     state = SwitchCycleState(24.0)

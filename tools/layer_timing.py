@@ -13,8 +13,12 @@ table2 receiver:
 * ``step_cycle`` on the periodic orbit of the config's command (duty 0.532,
   f_s*t_f = 0.0672, the fig13 operating point), in us per cycle;
 * ``closed_loop_run`` on fig19's load step (6000 cycles), in us per cycle;
+  every one of its cycles is hard-switched, so State I ends at the gate
+  edge and reads its terms from the cycle constants;
 * ``closed_loop_run`` on fig20's source ramp (6000 cycles, the amplitude
-  changing on 2000 of them), in us per cycle;
+  changing on 2000 of them), in us per cycle; its first ~1100 cycles are
+  hard-switched and the rest soft, where State I's end is located by
+  Newton steps, so the two rows time the two State-I branches;
 * ``periodic_steady_state`` of that command from the averaged output, in ms
   per solve;
 * ``cycle_diagnostics`` (ledger, ripple extremes, device peaks) of 32
@@ -43,8 +47,11 @@ so the ``cycle_diagnostics`` and ``sample_waveform`` rows include building
 them on every repeat.  Before pieces stopped caching their segments, those
 rows read the cache after the warm-up call and left that cost out, so they
 do not compare like for like across that change.  Compare two commits by
-running the script in a checkout of each, on the same machine, one right
-after the other.
+running the script in a checkout of each, on the same machine, back to
+back and several times in alternating order: rows taken in separate
+processes drift with the host's load (on a shared 2-core VM, the same
+commit's ``step_cycle`` row has read 8.9 and 15.7 us per cycle minutes
+apart), so one run of each side can show a change that is not there.
 Needs numpy; about 4 s on a 2-core x86-64 VM.
 """
 
