@@ -76,20 +76,23 @@ def _words(cells, dtype) -> np.ndarray:
 
 
 # Tables of the %.11e kernel.  A cell is the sign, the first digit, the
-# point and the second digit; five pairs of digits; the exponent; one NUL
-# pad byte.  A positive cell's sign byte is NUL.  The scale 10**k and the
-# exponent e = 11 - k are indexed by k + 22, k in [-22, 22]; 10**|k| is
-# exact in float64, and each cell multiplies by one table and divides by
-# the other, one of them 1.0.
+# point and the second digit; two words of four digits and one pair of
+# digits; the exponent; one NUL pad byte.  A positive cell's sign byte is
+# NUL.  The scale 10**k and the exponent e = 11 - k are indexed by k + 22,
+# k in [-22, 22]; 10**|k| is exact in float64, and each cell multiplies by
+# one table and divides by the other, one of them 1.0.
 _SCALE_UP = np.array([1.0] * 22 + [float(10 ** k) for k in range(23)])
 _SCALE_DOWN = np.array([float(10 ** -k) for k in range(-22, 0)] + [1.0] * 23)
 _EXPONENTS = _words([b"e%+03d" % (11 - k) for k in range(-22, 23)], "u4")
 _LEADS = _words([sign + b"%d.%d" % divmod(i, 10)
                  for sign in (b"", b"-") for i in range(100)], "u4")
 _PAIRS = _words([b"%02d" % i for i in range(100)], "u2")
-_FLOAT_CELL = np.dtype([("lead", "u4")]
-                       + [(f"pair{j}", "u2") for j in range(1, 6)]
-                       + [("exp", "u4"), ("pad", "u1")])
+# the word of i in [0, 10**4) is the pair of i // 100 then the pair of
+# i % 100, side by side in memory
+_QUADS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS),
+                  axis=-1).reshape(-1).view("u4")
+_FLOAT_CELL = np.dtype([("lead", "u4"), ("quad1", "u4"), ("quad2", "u4"),
+                        ("pair", "u2"), ("exp", "u4"), ("pad", "u1")])
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
@@ -118,12 +121,12 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     m[guard] = 0.0
     m = m.astype(np.int64)
     cells = np.zeros(len(x), _FLOAT_CELL)
-    head = m // 10 ** 10  # the first two of the 12 digits
+    # the first 2, 6 and 10 of the 12 digits
+    head, first6, first10 = m // 10 ** 10, m // 10 ** 6, m // 100
     cells["lead"] = _LEADS[head + 100 * np.signbit(x)]
-    for j in range(1, 6):
-        digits = m // 10 ** (10 - 2 * j)  # the first 2 + 2j digits
-        cells[f"pair{j}"] = _PAIRS[digits - 100 * head]
-        head = digits
+    cells["quad1"] = _QUADS[first6 - 10 ** 4 * head]
+    cells["quad2"] = _QUADS[first10 - 10 ** 4 * first6]
+    cells["pair"] = _PAIRS[m - 100 * first10]
     cells["exp"] = _EXPONENTS[i]
     text = cells.view("S19")
     where = np.flatnonzero(guard)

@@ -303,10 +303,10 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
     Each cycle: sample v_o at the cycle start (the current zero crossing),
     update the PI, derive the gate delay by feedforward, step one carrier
     period with the live load and source amplitude.  The cycle constants
-    are rebuilt only when the load, the amplitude or the reference (and so
-    the fed-forward delay) moves.  Simulator errors propagate; regulation
-    failure (the loop unable to hold the reference) is recorded on the
-    returned record, never raised.
+    are rebuilt once on each cycle on which the load, the amplitude or the
+    reference (and so the fed-forward delay) moves, and on no other.
+    Simulator errors propagate; regulation failure (the loop unable to
+    hold the reference) is recorded on the returned record, never raised.
     """
     ts = params.t_period
     n_cycles = int(round(scenario.duration / ts))
@@ -339,6 +339,7 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
 
     for n in range(n_cycles):
         t_n = n * ts
+        moved = False
         # the range checks, as in simulator._cycle, call require_positive
         # only on a value that fails them
         if r_fn is not None:
@@ -347,20 +348,22 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
                 if not 0.0 < r < math.inf:
                     require_positive(r_load=r)
                 r_n = r
-                consts = _cycle_consts(params, r_n, i_n, t_f_cmd)
+                moved = True
         if i_fn is not None:
             i = i_fn(t_n)
             if i != i_n:
                 if not 0.0 <= i < math.inf:
                     require_positive(allow_zero=True, i_ls_amp=i)
                 i_n = i
-                consts = _cycle_consts(params, r_n, i_n, t_f_cmd)
+                moved = True
         if v_ref_fn is not None:
             v_ref_n = v_ref_fn(t_n)
             if v_ref_n != v_ref_ff:  # NaN always differs
                 t_f_cmd = feedforward_tf(v_ref_n, scenario.i_ls_ff, params)
                 v_ref_ff = v_ref_n
-                consts = _cycle_consts(params, r_n, i_n, t_f_cmd)
+                moved = True
+        if moved:
+            consts = _cycle_consts(params, r_n, i_n, t_f_cmd)
         duty, integrator, saturated = pi_step(
             v_ref_n - v_o, k_p, k_i, d_min, d_max, ts, duty, integrator,
             saturated)

@@ -1,9 +1,10 @@
 """Bracketed bisection for the output-ripple extremes.
 
-Its one caller is ``simulator._conduction_extremes``, which scans each
-conduction segment for the stationary points of v_o and bisects each
-bracketed sign change.  The commutation events no longer use it: the
-simulator locates them in closed form and by safeguarded Newton.
+Its one caller is ``simulator._conduction_extremes``, which brackets each
+stationary point of v_o in closed form and hands the bracket here to be
+checked and, where it is still wider than the tolerance, bisected.  The
+commutation events no longer use it: the simulator locates them in closed
+form and by safeguarded Newton.
 """
 
 from typing import Callable

@@ -20,8 +20,9 @@ Every interval is analytically integrable (RC exponentials and
 sinusoid-driven RC forms), so the simulator composes closed forms.  The
 State IV end (the diode capacitance reaching zero) is closed-form; the
 State I end (the switch voltage reaching zero) takes safeguarded Newton
-steps from the lossless closed form to 1e-13 s.  No step size exists
-anywhere.
+steps from the lossless closed form to 1e-13 s.  Each output ripple
+extreme (a zero of dv_o/dt on a conduction segment) is bracketed in closed
+form and the bracket bisected to 1e-13 s.  No step size exists anywhere.
 
 All of a cycle's arithmetic lives in one private kernel, ``_cycle``, which
 takes and returns plain floats: the boundary state, the duty and a tuple
@@ -355,31 +356,74 @@ def _seg_integrals(seg: _Seg, tau: float, w: float, i_amp: float) -> tuple:
 
 def _conduction_extremes(seg: _Seg, tau: float, w: float, i_amp: float,
                          r_load: float) -> list:
-    """Interior stationary values of v_o on a conduction segment.
+    """The candidates for v_o's extremes on a conduction segment: v_o at
+    each root of g(th) = i(th) - v_o(th)/R, which is C_o dv_o/dt, inside
+    it, then at its start and at its end.
 
-    dv/dt = 0 where i(th) = v(th)/R; located by sign-change scan plus
-    bisection (v is nearly constant, so at most a few roots exist).
+    With e = h exp(-(th - t_ref)/tau), the load's exponential share of v_o,
+    g = S - e/R, where S = a sin(w th) + b cos(w th), a = i_amp - p_s/R and
+    b = -p_c/R.  The segment is cut where S turns (w th = atan2(a, b) +
+    k pi), and a piece is searched where g changes sign across it.  As S
+    and e are both monotone on a piece, its root lies between the instants
+    where S meets the values of e/R at the piece's two ends (acos on the
+    piece's half wave).  That map, applied twice, leaves a bracket below
+    2e-14 s on the built-in receivers across loads and duties, as each
+    round shrinks it by a factor of order w tau.  Widened by T_EVENT_TOL/4
+    each side against rounding, it goes to ``bisect_root``, which checks
+    the sign change and halves it to T_EVENT_TOL where it is still wider
+    (near a turn, where S is flat); on those receivers g is evaluated only
+    at the bracket's two ends.  A g of exactly zero at a piece's start is
+    a root there.
     """
-    out = []
-    d = seg.t1 - seg.t0
-    if d <= 0.0:
-        return out
+    t0, t1 = seg.t0, seg.t1
+    h, t_ref, p_s, p_c = seg.h, seg.t_ref, seg.p_s, seg.p_c
+    a, b = i_amp - p_s / r_load, -p_c / r_load
+    half = math.pi / w
+    turn = math.atan2(a, b) / w
+    cuts = [t0]
+    th = turn + half * math.ceil((t0 - turn) / half)  # first turn >= t0
+    while th < t1:
+        if th > t0:
+            cuts.append(th)
+        th += half
+    cuts.append(t1)
+    # g and v_o at the cuts, v_o as _Seg.v_o computes it
+    gs, vs = [], []
+    for th in cuts:
+        s = math.sin(w * th)
+        v = (h * math.exp(-(th - t_ref) / tau) + p_s * s
+             + p_c * math.cos(w * th))
+        gs.append(i_amp * s - v / r_load)
+        vs.append(v)
 
     def g(th):
-        return i_amp * math.sin(w * th) - seg.v_o(th, tau, w) / r_load
+        s = math.sin(w * th)
+        return i_amp * s - (h * math.exp(-(th - t_ref) / tau) + p_s * s
+                            + p_c * math.cos(w * th)) / r_load
 
-    n_scan = 8
-    prev_th = seg.t0
-    prev_g = g(prev_th)
-    for k in range(1, n_scan + 1):
-        th = seg.t0 + d * k / n_scan
-        cur = g(th)
-        if prev_g == 0.0:
-            out.append(seg.v_o(prev_th, tau, w))
-        elif prev_g * cur < 0.0:
-            root = bisect_root(g, prev_th, th, xtol=T_EVENT_TOL)
+    out = []
+    for k in range(len(cuts) - 1):
+        if gs[k] == 0.0:
+            out.append(vs[k])
+        elif gs[k] * gs[k + 1] < 0.0:
+            lo, hi = cuts[k], cuts[k + 1]
+            # on this half wave S = (-1)**j hypot(a, b) cos(w (th - start)),
+            # and x <- the instant where S = e(x)/R maps each end inward
+            j = math.floor((0.5 * (lo + hi) - turn) / half)
+            start = turn + j * half
+            scale = (-h if j & 1 else h) / (math.hypot(a, b) * r_load)
+            ends = []
+            for x in (lo, hi):
+                for _ in range(2):
+                    c = scale * math.exp(-(x - t_ref) / tau)
+                    x = start + math.acos(-1.0 if c < -1.0 else
+                                          1.0 if c > 1.0 else c) / w
+                ends.append(x)
+            x0, x1 = sorted(ends)
+            root = bisect_root(g, max(lo, x0 - 0.25 * T_EVENT_TOL),
+                               min(hi, x1 + 0.25 * T_EVENT_TOL), T_EVENT_TOL)
             out.append(seg.v_o(root, tau, w))
-        prev_th, prev_g = th, cur
+    out += (vs[0], vs[-1])
     return out
 
 
@@ -658,13 +702,13 @@ def cycle_diagnostics(piece: CyclePiece) -> CycleDiagnostics:
         e_rail, int_v2 = _seg_integrals(seg, tau, w, i_amp)
         e_cond += e_rail
         e_load += int_v2 / r_load
-        ends = (seg.v_o(seg.t0, tau, w), seg.v_o(seg.t1, tau, w))
         if seg.state in _CLAMPED:
-            interior = _conduction_extremes(seg, tau, w, i_amp, r_load)
-            candidates.extend(interior)
-            cond_candidates.extend(interior)
-            cond_candidates.extend(ends)
-        candidates.extend(ends)
+            seg_candidates = _conduction_extremes(seg, tau, w, i_amp, r_load)
+            cond_candidates.extend(seg_candidates)
+        else:
+            seg_candidates = (seg.v_o(seg.t0, tau, w),
+                              seg.v_o(seg.t1, tau, w))
+        candidates.extend(seg_candidates)
 
     # node energy of the State I and State IV swings
     e_in_node = (0.5 * c_sum * (va_pre_snap ** 2 - va0 ** 2)

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -350,21 +351,49 @@ _SCALE_EDGES = st.builds(lambda m, e: m * 10.0 ** e,
 # signed zeros, non-finite values, subnormals, the |k| = 22/23 edges
 # (1e-11 and 1e34), values whose 12 digits round up to the next power of
 # ten and exact ties, which % rounds half to even
-_EDGES = [0.0, math.nan, math.inf, 5e-324, 2.2250738585072e-308, 1e-11,
+_EDGES = [0.0, math.nan, math.inf, 5e-324, 2.5e-320, 1e-310,
+          math.nextafter(2.2250738585072014e-308, 0.0),
+          2.2250738585072e-308, 1e-11,
           math.nextafter(1e-11, 0.0), 1e-12, 1e33, 1e34,
           math.nextafter(1e34, 0.0), 9.999999999995, 9.999999999995e5,
           9.9999999999996, 9.9999999999996e-7, 9.99999999999951e15,
           9.9999999999999e33, 100000000000.5, 100000000001.5]
 
 
+def _scale_cases() -> list:
+    """For every scale k = 11 - e in [-22, 22] the kernel formats itself:
+    a plain value; values whose 12 digits end in a run of nines before a
+    5, so that rounding carries out of the last pair, out of each 4-digit
+    word, out of the lead's second digit and to the next power of ten; the
+    power of ten and the float below it; and ties (n + 1/2) / 10**k, exact
+    where float64 holds them (k <= 17) and nearest to one elsewhere."""
+    out = []
+    for k in range(-22, 23):
+        e = 11 - k
+        out.append(float(f"1.23456789012e{e}"))
+        for nines in (2, 6, 10, 11, 12):
+            digits = "123456789012"[:12 - nines] + "9" * nines
+            out.append(float(f"{digits[0]}.{digits[1:]}5e{e}"))
+        power = float(f"1e{e}")
+        out += [power, math.nextafter(power, 0.0)]
+        out += [float(Fraction(2 * n + 1, 2) / Fraction(10) ** k)
+                for n in (10 ** 11, 123456789999, 129999999999,
+                          10 ** 12 - 1)]
+    return out
+
+
+_SCALES = _scale_cases()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.one_of(st.floats(), _NEAR_TIES, _SCALE_EDGES),
                 max_size=40))
 @example(_EDGES + [-v for v in _EDGES])
+@example(_SCALES + [-v for v in _SCALES])
 def test_float_kernel_matches_percent_format(values):
     cells = cli._float_cells(np.array(values, dtype=np.float64))
     assert [c.replace(b"\0", b"") for c in cells.tolist()] == \
-        [("%.11e" % v).encode() for v in values]
+        [b"%.11e" % v for v in values]
 
 
 def test_cli_reproduce_deterministic(tmp_path):

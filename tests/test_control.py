@@ -356,7 +356,7 @@ def replay(scenario, gains, params):
 
 
 @pytest.mark.parametrize("case", ["load_step", "amplitude_ramp", "startup",
-                                  "reference_step_down"])
+                                  "reference_step_down", "all_three_step"])
 def test_closed_loop_run_replays_through_step_cycle_and_pi_step(
         vp_fast, monkeypatch, case):
     # the loop keeps its cycle constants between load or amplitude changes
@@ -364,9 +364,11 @@ def test_closed_loop_run_replays_through_step_cycle_and_pi_step(
     # replay through the public one-cycle calls.  The startup from 0 V holds
     # the duty at d_min and the reference step down at d_max, each with the
     # integrator frozen by the anti-windup until the duty comes off the
-    # bound.
+    # bound.  The load, the amplitude and the reference all stepping on
+    # one cycle is one change, so one build.
     gains = design_gains(vp_fast, 24.0, 2.35, 1000.0)
     d0 = equilibrium_op(vp_fast, 24.0, 2.35).duty
+    t_100 = 100 * vp_fast.t_period
     sc = {
         "load_step": scenarios.load_step_scenario(
             vp_fast, 24.0, 2.35, r_low=36.0, t_step=2e-3, duration=5e-3),
@@ -379,6 +381,12 @@ def test_closed_loop_run_replays_through_step_cycle_and_pi_step(
             name="down_step", duration=5e-3, r_load=vp_fast.r_load,
             i_ls_amp=vp_fast.i_ls_amp, v_ref=step_profile(24.0, 20.5, 1e-3),
             i_ls_ff=2.35, v_o0=24.0, initial_integrator=d0),
+        "all_three_step": Scenario(
+            name="all_three_step", duration=200 * vp_fast.t_period,
+            r_load=step_profile(vp_fast.r_load, 36.0, t_100),
+            i_ls_amp=step_profile(vp_fast.i_ls_amp, 2.4, t_100),
+            v_ref=step_profile(24.0, 23.0, t_100), i_ls_ff=2.35, v_o0=24.0,
+            initial_integrator=d0),
     }[case]
     built = []
     cycle_consts = control._cycle_consts
@@ -406,7 +414,8 @@ def test_closed_loop_run_replays_through_step_cycle_and_pi_step(
     assert built[0] == live[0]
     assert {"load_step": changes == 1, "amplitude_ramp": changes >= 500,
             "startup": changes == 0,
-            "reference_step_down": changes == 1}[case]
+            "reference_step_down": changes == 1,
+            "all_three_step": len(built) == 2}[case]
     pinned = {"startup": gains.d_min,
               "reference_step_down": gains.d_max}.get(case)
     if pinned is not None:

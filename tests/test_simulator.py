@@ -460,6 +460,92 @@ def test_ripple_within_10pct_of_estimate(vp):
     assert d.v_o_ripple_pp == pytest.approx(bound, rel=0.10)
 
 
+def scan_extremes(seg, tau, w, i_amp, r_load):
+    """The ripple extremes as the simulator located them before it
+    bracketed them in closed form: g = i - v_o/R sampled at 9 points across
+    the segment, each sign change bisected to T_EVENT_TOL, v_o at each root
+    (and where g is exactly zero at a sample but the last)."""
+    out = []
+    d = seg.t1 - seg.t0
+    if d <= 0.0:
+        return out
+
+    def g(th):
+        return i_amp * math.sin(w * th) - seg.v_o(th, tau, w) / r_load
+
+    prev_th = seg.t0
+    prev_g = g(prev_th)
+    for k in range(1, 9):
+        th = seg.t0 + d * k / 8
+        cur = g(th)
+        if prev_g == 0.0:
+            out.append(seg.v_o(prev_th, tau, w))
+        elif prev_g * cur < 0.0:
+            out.append(seg.v_o(bisect_root(g, prev_th, th, xtol=T_EVENT_TOL),
+                               tau, w))
+        prev_th, prev_g = th, cur
+    return out
+
+
+def cli_orbit_pieces(config, changes, n_cycles):
+    """``n_cycles`` pieces on the orbit that ``wptrx simulate`` (``fst``
+    None: the gate at the exact fall time of the operating point) or
+    ``reproduce fig13`` (``fst`` given) runs for a built-in config with
+    ``changes`` (r_load, duty, fst) applied."""
+    rc = cli._builtin_config(config)
+    r_load, duty, fst = changes
+    p = validate(rc.params)
+    p = p.with_load(r_load) if r_load else p
+    if fst is None:
+        op = solve_operating_point(p, duty, exact=True)
+        cmd, v0 = ModulationCommand(duty, fall_time_exact(p, op.v_o)), op.v_o
+    else:
+        cmd = ModulationCommand(duty, fst / p.f_s)
+        v0 = steady_state_vo(p.i_ls_amp, p.r_load, duty, fst)
+    return cli._orbit_run(p, cmd, v0, n_cycles)[1].pieces
+
+
+# (config, (r_load, duty, f_s*t_f), (hard-switched, reaches State V))
+@pytest.mark.parametrize("config, changes, kind", [
+    ("table2", (None, 0.532, None), (False, True)),
+    ("table2", (None, 0.532, 0.0672), (True, True)),
+    ("table2", (None, 0.7, None), (False, True)),
+    ("fig7", (None, 0.5, None), (False, True)),
+    ("table2", (1500.0, 0.3, 0.0672), (True, False)),   # the digests' light
+    ("table2", (3000.0, 0.3, 0.02), (True, False)),     # and lighter copies
+], ids=["table2_simulate", "table2_fig13", "table2_d0.7", "fig7_simulate",
+        "light", "lighter"])
+def test_ripple_extremes_match_the_scan_and_bisection_reference(
+        config, changes, kind):
+    # the closed-form brackets find the roots the old scan found, per
+    # segment, at v_o within 4 ulp of the cycle's maximum, followed by the
+    # segment's two end values, and nothing on a dense sample of a segment
+    # rises above them
+    n_roots = 0
+    for piece in cli_orbit_pieces(config, changes, 3):
+        s = piece.summary
+        assert (s.hard_switched, s.reached_state_v) == kind
+        p = piece.params
+        w, tau = p.omega, p.r_load * p.c_o
+        tol = 4 * math.ulp(cycle_diagnostics(piece).v_o_max)
+        for seg in piece.segments:
+            if seg.state not in (2, 3):
+                continue
+            want = scan_extremes(seg, tau, w, p.i_ls_amp, p.r_load)
+            got = simulator._conduction_extremes(seg, tau, w, p.i_ls_amp,
+                                                 p.r_load)
+            assert got[-2:] == [seg.v_o(seg.t0, tau, w),
+                                seg.v_o(seg.t1, tau, w)]
+            assert len(got) - 2 == len(want)
+            assert all(abs(a - b) <= tol for a, b in zip(got, want))
+            n_roots += len(want)
+            th = np.linspace(seg.t0, seg.t1, 2049)
+            dense = (seg.h * np.exp(-(th - seg.t_ref) / tau)
+                     + seg.p_s * np.sin(w * th) + seg.p_c * np.cos(w * th))
+            assert dense.max() <= max(got) + 1e-12
+    assert n_roots > 0
+
+
 def test_averaged_parity_during_slow_transient(vp):
     # the gate delay tracks the commutation need while the output climbs,
     # so the conduction window matches the averaged model's cycle by cycle

@@ -25,6 +25,11 @@ table2 receiver:
   orbit cycles, in us per cycle;
 * ``CyclePiece.segments`` of 400 orbit cycles (the size of ``wptrx
   simulate``), in us per cycle;
+* the ripple extremes (``simulator._conduction_extremes``) of every
+  conduction segment of those 400 cycles, in us per segment.  With the
+  ``step_cycle`` row (event location) and the ``cycle_diagnostics`` row
+  (ledger integrals, ripple extremes and segments), this splits a
+  switched cycle's cost into its three parts;
 * ``sample_waveform`` of those 32 cycles, and of the 400, at 256 samples
   per cycle, in us per sample;
 * ``spectrum`` of one orbit cycle, 40 harmonics of v_cd1 and i_ls in one
@@ -73,8 +78,8 @@ from wptrx.config import parse_config  # noqa: E402
 from wptrx.control import closed_loop_run  # noqa: E402
 from wptrx.params import validate  # noqa: E402
 from wptrx.simulator import (  # noqa: E402
-    ModulationCommand, cycle_diagnostics, periodic_steady_state, run,
-    sample_waveform, spectrum, step_cycle)
+    _CLAMPED, ModulationCommand, _conduction_extremes, cycle_diagnostics,
+    periodic_steady_state, run, sample_waveform, spectrum, step_cycle)
 from wptrx.smallsignal import perturb_bode_oracle  # noqa: E402
 
 OP_DUTIES = 24
@@ -88,6 +93,7 @@ SAMPLE_CYCLES = 32
 SIMULATE_CYCLES = 400
 DIAG_REPEATS = 51
 SEGMENT_REPEATS = 21
+EXTREME_REPEATS = 21
 SAMPLES_PER_CYCLE = 256
 SAMPLE_REPEATS = 21
 SPECTRUM_HARMONICS = 40
@@ -147,6 +153,9 @@ def main() -> int:
     wave = sample_waveform(pieces, rate)
     long_pieces = run(vp, cmd, SIMULATE_CYCLES, initial=orbit.state).pieces
     long_wave = sample_waveform(long_pieces, rate)
+    conducting = [seg for p in long_pieces for seg in p.segments
+                  if seg.state in _CLAMPED]
+    tau = vp.r_load * vp.c_o
     n_long = len(long_wave.t)
     wave_header = "t,i_ls,v_cs1,v_cd1,v_o,gate,state"
     wave_columns = [getattr(long_wave, f) for f in wave_header.split(",")]
@@ -193,6 +202,12 @@ def main() -> int:
         (f"CyclePiece.segments, {SIMULATE_CYCLES} orbit cycles", "us/cycle",
          _timed(lambda: [p.segments for p in long_pieces], SEGMENT_REPEATS,
                 SIMULATE_CYCLES / 1e6)),
+        (f"ripple extremes, {len(conducting)} conduction segments of "
+         f"{SIMULATE_CYCLES} orbit cycles", "us/segment",
+         _timed(lambda: [_conduction_extremes(seg, tau, vp.omega,
+                                              vp.i_ls_amp, vp.r_load)
+                         for seg in conducting],
+                EXTREME_REPEATS, len(conducting) / 1e6)),
         (f"sample_waveform, {SAMPLE_CYCLES} cycles", "us/sample",
          _timed(lambda: sample_waveform(pieces, rate), SAMPLE_REPEATS,
                 len(wave.t) / 1e6)),
