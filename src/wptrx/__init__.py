@@ -14,11 +14,11 @@ from .control import (ClosedLoopOrbit, Scenario, TransientRecord,
 from .params import (ReceiverParams, ValidatedParams, min_output_cap,
                      ripple_estimate, size_inductor, size_series_cap,
                      validate)
-from .simulator import (CycleDiagnostics, CycleSummary, ModulationCommand,
-                        PeriodicOrbit, RunResult, SoftSwitchingSummary,
-                        SpectrumResult, SwitchCycleState, SwitchingState,
-                        Waveform, cycle_diagnostics, periodic_steady_state,
-                        run, sample_waveform, soft_switching_report,
+from .simulator import (CycleColumns, CycleSummary, DiagnosticColumns,
+                        ModulationCommand, PeriodicOrbit, RunResult,
+                        SegmentTable, SpectrumResult, SwitchCycleState,
+                        SwitchingState, Waveform, cycle_diagnostics,
+                        periodic_steady_state, run, sample_waveform,
                         spectrum, step_cycle)
 from .smallsignal import (BodePoint, PiGains, TransferFunction1P, bode,
                           bode_points, design_pi, loop_margins,

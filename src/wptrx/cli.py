@@ -30,18 +30,18 @@ from .config import RunConfig, parse_config, parse_config_text
 from .control import closed_loop_run, feedforward_tf
 from .errors import (ArccosDomain, CommutationImpossible, ConfigError,
                      EmptyDutyRange, GateOverrun, NoConvergence, NoCrossover,
-                     NonPeriodicWindow, NonPositiveParameter, UnknownFigure,
+                     NonPositiveParameter, UnknownFigure,
                      ZeroGainOperatingPoint)
 from .params import (min_output_cap, ripple_estimate, size_inductor,
                      size_series_cap, validate)
-from .simulator import (ModulationCommand, periodic_steady_state, run,
-                        sample_waveform, soft_switching_report, spectrum)
+from .simulator import (ModulationCommand, cycle_diagnostics,
+                        periodic_steady_state, run, sample_waveform, spectrum)
 from .smallsignal import bode, bode_points, design_pi, loop_margins, \
     loop_response, perturb_bode_oracle, plant_tf
 
 _NUMERIC_ERRORS = (NoConvergence, CommutationImpossible, ArccosDomain,
                    EmptyDutyRange, NoCrossover, ZeroGainOperatingPoint,
-                   GateOverrun, NonPeriodicWindow)
+                   GateOverrun)
 
 # Figure-table grids are frozen so outputs stay byte-stable.
 _BODE_GRID = tuple(10.0 * 10.0 ** (k / 30.0) for k in range(91))
@@ -298,17 +298,18 @@ def cmd_simulate(args, rc, vp) -> int:
     rate = args.sample_rate if args.sample_rate else \
         _WAVE_RATE_PER_CYCLE * vp.f_s
     orbit, result = _orbit_run(vp, cmd, op.v_o, args.cycles)
-    _write_capture(args.out, "waveform.csv", "events.csv", result.pieces,
-                   rate)
-    fields = ("t_f_meas,t_r_meas,zvs_ok,zcs_ok,q_f,q_r,e_in,e_load,"
-              "e_hard_switch,v_o_mean,v_o_ripple_pp")
-    diags = result.diagnostics
-    _write_table(args.out, "diagnostics.csv", "cycle," + fields,
-                 [range(len(diags))] + _fields(diags, fields))
-    rep = soft_switching_report(diags)
+    _write_capture(args.out, "waveform.csv", "events.csv", result, rate)
+    c, d = result.columns, cycle_diagnostics(result)
+    _write_table(args.out, "diagnostics.csv",
+                 "cycle,t_f_meas,t_r_meas,zvs_ok,zcs_ok,q_f,q_r,e_in,e_load,"
+                 "e_hard_switch,v_o_mean,v_o_ripple_pp",
+                 (np.arange(args.cycles), c.t_f_meas, c.t_r_meas, c.zvs_ok,
+                  c.zcs_ok, d.q_f, d.q_r, d.e_in, d.e_load, c.e_hard_switch,
+                  c.v_o_mean, d.v_o_ripple_pp))
     print(f"cycles = {args.cycles}, orbit residual = "
-          f"{orbit.residual:.3g} V, zvs = {rep.zvs_fraction:.3f}, "
-          f"zcs = {rep.zcs_fraction:.3f}")
+          f"{orbit.residual:.3g} V, "
+          f"zvs = {np.count_nonzero(c.zvs_ok) / args.cycles:.3f}, "
+          f"zcs = {np.count_nonzero(c.zcs_ok) / args.cycles:.3f}")
     return 0
 
 
@@ -319,16 +320,15 @@ def _orbit_run(vp, cmd, v_o_guess: float, n_cycles: int):
     return orbit, run(vp, cmd, n_cycles, initial=orbit.state)
 
 
-def _write_capture(out, wave_name: str, events_name: str, pieces,
+def _write_capture(out, wave_name: str, events_name: str, result,
                    rate: float) -> None:
-    """The waveform of ``pieces`` sampled at ``rate`` and their events."""
-    w = sample_waveform(pieces, rate)
+    """The waveform of the run ``result`` sampled at ``rate`` and its
+    events."""
+    w = sample_waveform(result, rate)
     header = "t,i_ls,v_cs1,v_cd1,v_o,gate,state"
     _write_table(out, wave_name, header,
                  [getattr(w, f) for f in header.split(",")])
-    events = [e for piece in pieces for e in piece.events]
-    _write_table(out, events_name, "t,event",
-                 ([t for t, _ in events], [name for _, name in events]))
+    _write_table(out, events_name, "t,event", zip(*result.events))
 
 
 def _source_ramp(vp, rc: RunConfig):
@@ -418,12 +418,12 @@ def _fig9(out, rc, vp):
 def _steady_va_run(rc, vp, n_capture: int):
     """Run on the periodic steady state at the prototype operating point
     (measured delay), seeded at the averaged output at the commanded delay:
-    the pieces of its ``n_capture`` cycles."""
+    the RunResult of its ``n_capture`` cycles."""
     duty = rc.duty if rc.duty is not None else _PROTOTYPE_DUTY
     fst = _MEASURED_FST if rc.phase_delay_norm is None else rc.phase_delay_norm
     return _orbit_run(vp, ModulationCommand(duty, fst / vp.f_s),
                       steady_state_vo(vp.i_ls_amp, vp.r_load, duty, fst),
-                      n_capture)[1].pieces
+                      n_capture)[1]
 
 
 def _fig13(out, rc, vp):
@@ -435,11 +435,11 @@ def _fig13(out, rc, vp):
 def _fig14(out, rc, vp):
     # every orbit cycle is the same, so one cycle's closed forms give the
     # exact harmonics
-    pieces = _steady_va_run(rc, vp, 1)
+    result = _steady_va_run(rc, vp, 1)
     files = []
     summary = []
     channels = ("v_cd1", "i_ls")
-    for channel, spec_res in zip(channels, spectrum(pieces, channels, 40)):
+    for channel, spec_res in zip(channels, spectrum(result, channels, 40)):
         name = f"fig14_{channel}.csv"
         ks, amps, phases = zip(*spec_res.harmonics)
         _write_table(out, name, "harmonic,f_hz,amplitude,phase_rad",

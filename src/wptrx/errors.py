@@ -50,11 +50,6 @@ class GateOverrun(WptrxError):
     """Gate-off edge would land beyond the end of the carrier period."""
 
 
-class NonPeriodicWindow(WptrxError):
-    """Cycles sampled or transformed together were stepped on different
-    receivers, so no one carrier spans them."""
-
-
 class ConfigError(WptrxError):
     """Base class for configuration-file problems."""
 

@@ -31,20 +31,20 @@ in, the next state, the cycle mean and the event times and closed-form
 coefficients out.  ``_cycle_consts`` builds that tuple (time constant,
 source-driven coefficients, the cos and sin of the fixed phases, and the
 gate delay's decay and phase terms) and checks the gate delay, once per
-build.  ``step_cycle`` builds it on every call from the receiver's own
-load and amplitude and the command's delay; ``run``,
-``periodic_steady_state`` and ``cycle_linearization`` build it once per
-call and step the private ``_step_cycle`` and ``_cycle_residual``, which
-take it; the closed-loop run builds it once and again only when the live
-load, the amplitude or the fed-forward delay changes, and builds no
-records.  ``step_cycle`` builds what other callers read: the next state,
-a ``CycleSummary`` (cycle mean and end voltage, timing,
-soft-switching verdicts) and the cycle's ``CyclePiece``, which keeps the
-receiver, the event times and closed-form coefficients and builds the
-segments and the event list from them on every read; nothing is cached.
-``cycle_diagnostics`` builds the full ``CycleDiagnostics`` (ledger, ripple
-extremes, device peaks) from a piece alone; a ``run``'s result does so for
-every cycle each time its diagnostics are read.
+build.  ``run``, ``periodic_steady_state`` and ``cycle_linearization``
+build it once per call; the closed-loop run builds it once and again only
+when the live load, the amplitude or the fed-forward delay changes.
+
+Only ``run`` keeps what its cycles did, in one record per run: a
+``RunResult`` holding the receiver, the command, ``_cycle``'s outputs as
+``CycleColumns`` (one numpy array per output, one row per cycle; ``th4`` is
+NaN where the node never reaches zero) and a ``SegmentTable`` built once
+from those columns, one row per state a cycle spent time in.  The sampler,
+the spectrum, the event list and ``cycle_diagnostics`` (the ledger, ripple
+extremes and device peaks, as ``DiagnosticColumns``) all read that table.
+``step_cycle`` is a one-cycle run that also returns the cycle's
+``CycleSummary``.  The closed-loop run, the orbit solve and the
+linearization step ``_cycle`` itself and build no records.
 
 If the commanded gate delay arrives before the switch voltage has fallen to
 zero, turn-on is forced: the residual switch-capacitor energy
@@ -67,16 +67,16 @@ the residual of a hard-switched cycle equals the (unlogged) two-capacitor
 transfer loss of the diode-capacitance top-up.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
+from functools import cached_property
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .analytic import TWO_PI
-from .errors import (GateOverrun, NoConvergence, NonPeriodicWindow,
-                     ZeroGainOperatingPoint)
+from .errors import GateOverrun, NoConvergence, ZeroGainOperatingPoint
 from .params import ValidatedParams, require_positive
 from .rootfind import bisect_root
 
@@ -85,10 +85,13 @@ T_EVENT_TOL = 1e-13
 _MAX_EVENT_ITER = 100
 
 # Periodic steady state: largest one-cycle change |P(x) - x| of the boundary
-# state accepted as "on the orbit" (V).  The event times are smooth in the
-# state, so the attainable floor is float resolution: on a seeded sweep of
-# receivers with loads up to 10 kOhm (outputs up to ~8 kV) every orbit is
-# found to 1e-12 V and some fail at 1e-13 V; this keeps a decade of margin.
+# state accepted as "on the orbit" (V).  Away from the soft/hard kink the
+# event times are smooth in the state, so the attainable floor is float
+# resolution: on a seeded sweep of receivers with loads up to 10 kOhm
+# (outputs up to ~8 kV) the orbits are found to 1e-12 V and some fail at
+# 1e-13 V; this keeps a decade of margin.  It does not hold on the kink: an
+# orbit gated at exactly its fall time can stall above it (fig7's receiver
+# at 5 kOhm, duty 0.22 or 0.3: about 2e-11 V after 61 cycles).
 V_ORBIT_TOL = 1e-11
 
 # ZVS verdict threshold, small against the 24 V scale: residual switch
@@ -128,9 +131,9 @@ class SwitchCycleState(NamedTuple):
 
 @dataclass(frozen=True)
 class CycleSummary:
-    """What step_cycle reports of every cycle: the output voltage at both
-    boundaries and its cycle mean, the measured timing and the
-    soft-switching verdicts.
+    """What step_cycle reports of its cycle, and the first columns of a
+    run's ``CycleColumns``: the output voltage at both boundaries and its
+    cycle mean, the measured timing and the soft-switching verdicts.
 
     ``t_f_meas``/``t_r_meas`` are the natural commutation intervals and are
     NaN when the corresponding transition never completed naturally.
@@ -148,30 +151,6 @@ class CycleSummary:
     hard_switched: bool
     reached_state_v: bool
     e_hard_switch: float
-
-
-@dataclass(frozen=True)
-class CycleDiagnostics(CycleSummary):
-    """The summary plus the charge/energy ledger, the output ripple
-    extremes and the device peaks of one cycle; built by
-    ``cycle_diagnostics``.
-
-    ``de_stored`` uses the node-referenced convention described in the
-    module docstring, so ``e_in + e_node_tracking - e_load - de_stored -
-    e_hard_switch`` is zero (to roundoff) for every soft-switched cycle.
-    """
-    q_f: float
-    q_r: float
-    e_in: float
-    e_load: float
-    e_node_tracking: float
-    de_stored: float
-    v_o_ripple_pp: float
-    v_o_min: float
-    v_o_max: float
-    v_cs1_peak: float
-    v_cd1_peak: float
-    states_visited: tuple
 
 
 class _Seg(NamedTuple):
@@ -203,91 +182,108 @@ class _Seg(NamedTuple):
                 + self.p_s * math.sin(w * th) + self.p_c * math.cos(w * th))
 
 
-@dataclass(frozen=True)
-class CyclePiece:
-    """One carrier period as step_cycle solved it: its receiver, event times
-    and closed-form coefficients.  ``segments`` and ``events`` are built
-    from them on every read; a caller that needs them twice keeps them."""
-    params: ValidatedParams
-    t_start: float
-    gate_on: float   # absolute gate edges
-    gate_off: float
-    summary: CycleSummary
-    # node voltage v_cd1 at the cycle start, at the end of State I, at the
-    # start and the end of the conduction clamp, at the end of State IV and
-    # at the cycle end; cycle_diagnostics reads it for the ledger
-    node_v: tuple
-    # after t_start: the end of State I, the start of State IV and its end
-    # (None when the node never reaches zero)
-    th1: float
-    th_iv: float
-    th4: Optional[float]
-    # the conduction closed form (see _Seg), and v_o where State V starts
-    # (v_o at th_iv on a cycle that never reaches State V)
-    h: float
-    p_s: float
-    p_c: float
-    v_at_th4: float
-
-    @property
-    def segments(self) -> list:
-        """The cycle's _Seg of each state it spent time in, in order.
-        step_cycle's cycle mean integrates these same segments from its
-        scalars, so the two must skip the same empty states."""
-        ts, th1, th_iv, th4 = self.params.t_period, self.th1, self.th_iv, \
-            self.th4
-        half = 0.5 * ts
-        h, p_s, p_c = self.h, self.p_s, self.p_c
-        v_at_iv = self.node_v[3]
-        segs = []
-        if th1 > 0.0:
-            segs.append(_Seg(0.0, th1, 0.0, SwitchingState.STATE_I,
-                             self.summary.v_o_start, 0.0, 0.0,
-                             self.node_v[0]))
-        if th1 < half:
-            segs.append(_Seg(th1, half, th1, SwitchingState.STATE_II,
-                             h, p_s, p_c, 0.0))
-        t_iii = max(th1, half)
-        if th_iv > t_iii:
-            segs.append(_Seg(t_iii, th_iv, th1, SwitchingState.STATE_III,
-                             h, p_s, p_c, 0.0))
-        th4_eff = th4 if th4 is not None else ts
-        if th4_eff > th_iv:
-            segs.append(_Seg(th_iv, th4_eff, th_iv, SwitchingState.STATE_IV,
-                             v_at_iv, 0.0, 0.0, v_at_iv))
-        if self.summary.reached_state_v:
-            segs.append(_Seg(th4, ts, th4, SwitchingState.STATE_V,
-                             self.v_at_th4, 0.0, 0.0, 0.0))
-        return segs
-
-    @property
-    def events(self) -> list:
-        """(absolute time, name) of the cycle's events, in time order."""
-        t0, hard = self.t_start, self.summary.hard_switched
-        events = [(t0, "cycle_start")]
-        if not hard:
-            events.append((t0 + self.th1, "cs1_zero"))
-        events.append((self.gate_on, "gate_on"))
-        if hard:
-            events.append((t0 + self.th1, "hard_switch"))
-        events.append((t0 + 0.5 * self.params.t_period, "ils_zero"))
-        events.append((self.gate_off, "gate_off"))
-        if self.th4 is not None:
-            events.append((t0 + self.th4, "cd1_zero"))
-        events.sort(key=lambda e: e[0])
-        return events
+class CycleColumns(NamedTuple):
+    """A run's cycles as columns, one numpy array each, one row per cycle:
+    first a ``CycleSummary``'s fields, then the boundary node voltage at
+    both ends and the rest of ``_cycle``'s outputs.  The times are relative
+    to the cycle's start; ``th4`` is NaN where the node never reaches zero.
+    """
+    v_o_start: np.ndarray
+    v_o_end: np.ndarray
+    v_o_mean: np.ndarray
+    t_f_meas: np.ndarray
+    t_r_meas: np.ndarray
+    zvs_ok: np.ndarray
+    zcs_ok: np.ndarray
+    v_cs1_at_gate: np.ndarray
+    hard_switched: np.ndarray
+    reached_state_v: np.ndarray
+    e_hard_switch: np.ndarray
+    v_cd1_start: np.ndarray
+    v_cd1_end: np.ndarray
+    gate_off: np.ndarray
+    th1: np.ndarray      # the end of State I
+    th_iv: np.ndarray    # the start of State IV
+    th4: np.ndarray      # the end of State IV
+    va_pre_snap: np.ndarray   # the node where State I ends, before a top-up
+    v_at_th1: np.ndarray      # v_o where conduction starts
+    v_at_iv: np.ndarray       # v_o where State IV starts
+    v_at_th4: np.ndarray      # v_o where State V starts (see _cycle)
+    h: np.ndarray             # the conduction closed form (see _Seg)
+    va_end_iv: np.ndarray     # the node where State IV ends
 
 
-@dataclass(frozen=True)
+class SegmentTable(NamedTuple):
+    """A run's segments as columns with one row per segment, cycle by cycle
+    in time order; a row's first eight fields are a ``_Seg``'s.  ``first``
+    holds each cycle's first row and, last, the number of rows."""
+    t0: np.ndarray
+    t1: np.ndarray
+    t_ref: np.ndarray
+    state: np.ndarray
+    h: np.ndarray
+    p_s: np.ndarray
+    p_c: np.ndarray
+    va0: np.ndarray
+    first: np.ndarray
+
+
+class DiagnosticColumns(NamedTuple):
+    """The charge/energy ledger, the output ripple extremes and the device
+    peaks of a run's cycles, one array each, one row per cycle; built by
+    ``cycle_diagnostics``.
+
+    ``de_stored`` uses the node-referenced convention described in the
+    module docstring, so ``e_in + e_node_tracking - e_load - de_stored -
+    e_hard_switch`` is zero (to roundoff) for every soft-switched cycle.
+    """
+    q_f: np.ndarray
+    q_r: np.ndarray
+    e_in: np.ndarray
+    e_load: np.ndarray
+    e_node_tracking: np.ndarray
+    de_stored: np.ndarray
+    v_o_ripple_pp: np.ndarray
+    v_o_min: np.ndarray
+    v_o_max: np.ndarray
+    v_cs1_peak: np.ndarray
+    v_cd1_peak: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class RunResult:
-    """The pieces of a ``run`` and its final state.  ``diagnostics``
-    (``cycle_diagnostics`` of every piece) is built on every read."""
-    pieces: list
+    """``n_cycles`` cycles of one command on one receiver, starting at
+    t = 0: the receiver, the command, ``_cycle``'s outputs as columns, the
+    segment table built from them and the state after the last cycle."""
+    params: ValidatedParams
+    cmd: ModulationCommand
+    columns: CycleColumns
+    segments: SegmentTable
     final_state: SwitchCycleState
 
-    @property
-    def diagnostics(self) -> list:
-        return [cycle_diagnostics(p) for p in self.pieces]
+    @cached_property
+    def events(self) -> list:
+        """(absolute time, name) of the run's events in time order, each
+        cycle's sorted by time: its start, the switch's natural turn-on
+        (cs1_zero) or forced one (hard_switch), the gate edges, the current
+        zero at T/2 and, where the node reaches zero, cd1_zero."""
+        c = self.columns
+        ts, t_f = self.params.t_period, self.cmd.t_f
+        events = []
+        for k, (th1, hard, gate_off, th4) in enumerate(zip(
+                c.th1.tolist(), c.hard_switched.tolist(),
+                c.gate_off.tolist(), c.th4.tolist())):
+            t0 = k * ts
+            gate_on = (t0 + t_f, "gate_on")
+            cycle = ([(t0, "cycle_start"), gate_on, (t0 + th1, "hard_switch")]
+                     if hard else
+                     [(t0, "cycle_start"), (t0 + th1, "cs1_zero"), gate_on])
+            cycle += [(t0 + 0.5 * ts, "ils_zero"), (t0 + gate_off, "gate_off")]
+            if not math.isnan(th4):
+                cycle.append((t0 + th4, "cd1_zero"))
+            cycle.sort(key=lambda e: e[0])
+            events += cycle
+        return events
 
 
 @dataclass
@@ -515,10 +511,10 @@ def _cycle(v0: float, va0: float, duty: float, consts: tuple) -> tuple:
     t_f.
 
     Returns plain floats: the next v_o and v_cd1 and the cycle mean first,
-    then what step_cycle's records need: gate_off, th1, hard, v_cs1_at_gate,
-    va_pre_snap, v_at_th1, th_iv, h, p_s, p_c, v_at_iv, th4 (None when the
-    node never reaches zero), va_end_iv, reached_v and v_at_th4 (see
-    CyclePiece).  Raises as step_cycle does.
+    then what ``run`` keeps: gate_off, th1, hard, v_cs1_at_gate,
+    va_pre_snap, v_at_th1, th_iv, h, v_at_iv, th4 (None when the node never
+    reaches zero), va_end_iv, reached_v and v_at_th4 (see CycleColumns).
+    Raises as step_cycle does.
 
     The cycle mean integrates v_o over each segment [t0, t1] in closed
     form: tau coeff (1 - e^{-(t1 - t0)/tau}) for the exponential whose value
@@ -630,130 +626,166 @@ def _cycle(v0: float, va0: float, duty: float, consts: tuple) -> tuple:
     # switch-path diode caps the carried node voltage at the output rail
     return (v_end, v_end if v_end < va_end_iv else va_end_iv, area / ts,
             gate_off, th1, hard, v_cs1_at_gate, va_pre_snap, v_at_th1, th_iv,
-            h, p_s, p_c, v_at_iv, th4, va_end_iv, reached_v, v_at_th4)
+            h, v_at_iv, th4, va_end_iv, reached_v, v_at_th4)
 
 
 def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
-               params: ValidatedParams, t_start: float = 0.0) -> tuple:
+               params: ValidatedParams) -> tuple:
     """Advance exactly one carrier period.
 
-    Returns (next_state, CycleSummary, CyclePiece);
-    ``cycle_diagnostics(piece)`` builds the full record.  Raises
+    Returns (next_state, CycleSummary, RunResult of the one cycle);
+    ``cycle_diagnostics`` of the result gives the ledger.  Raises
     NonPositiveParameter for a duty outside (0, 1) or a negative or
     non-finite gate delay, and GateOverrun when the gate-off edge would pass
     the end of the period.  The arithmetic is ``_cycle``'s, at
-    ``params.r_load`` and ``params.i_ls_amp``; this builds the records.
+    ``params.r_load`` and ``params.i_ls_amp``.
     """
-    return _step_cycle(state, cmd, params, t_start,
-                       _cycle_consts(params, params.r_load, params.i_ls_amp,
-                                     cmd.t_f))
-
-
-def _step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
-                params: ValidatedParams, t_start: float,
-                consts: tuple) -> tuple:
-    """``step_cycle`` with the receiver's ``_cycle_consts`` at its own load
-    and amplitude and the command's gate delay passed in, so a run of one
-    receiver and delay builds them once."""
-    (v_end, va_cycle_end, v_mean, gate_off, th1, hard, v_cs1_at_gate,
-     va_pre_snap, v_at_th1, th_iv, h, p_s, p_c, v_at_iv, th4, va_end_iv,
-     reached_v, v_at_th4) = _cycle(state.v_o, state.v_cd1, cmd.duty, consts)
-    summary = CycleSummary(
-        v_o_start=state.v_o, v_o_end=v_end, v_o_mean=v_mean,
-        t_f_meas=th1 if not hard else float("nan"),
-        t_r_meas=(th4 - th_iv) if th4 is not None else float("nan"),
-        zvs_ok=v_cs1_at_gate <= V_ZVS_TOL,
-        zcs_ok=reached_v,
-        v_cs1_at_gate=v_cs1_at_gate, hard_switched=hard,
-        reached_state_v=reached_v,
-        e_hard_switch=(0.5 * params.c_s1 * v_cs1_at_gate * v_cs1_at_gate
-                       if hard else 0.0))
-
-    piece = CyclePiece(params=params, t_start=t_start,
-                       gate_on=t_start + cmd.t_f, gate_off=t_start + gate_off,
-                       summary=summary,
-                       node_v=(state.v_cd1, va_pre_snap, v_at_th1, v_at_iv,
-                               va_end_iv, va_cycle_end),
-                       th1=th1, th_iv=th_iv, th4=th4, h=h, p_s=p_s, p_c=p_c,
-                       v_at_th4=v_at_th4)
-    return SwitchCycleState(v_end, va_cycle_end), summary, piece
-
-
-def cycle_diagnostics(piece: CyclePiece) -> CycleDiagnostics:
-    """The full record of one cycle, built from its piece: the summary plus
-    the charge/energy ledger, the output ripple extremes and the device
-    peaks."""
-    s = piece.summary
-    params = piece.params
-    w = params.omega
-    r_load, i_amp = params.r_load, params.i_ls_amp
-    tau = r_load * params.c_o
-    c_sum = params.c_sum
-    va0, va_pre_snap, va_clamp_start, v_at_iv, va_end_iv, va_cycle_end = \
-        piece.node_v
-    v0, v_end = s.v_o_start, s.v_o_end
-
-    e_cond = 0.0
-    e_load = 0.0
-    candidates = [v0, v_end]
-    cond_candidates = [va_pre_snap]
-    segments = piece.segments
-    for seg in segments:
-        e_rail, int_v2 = _seg_integrals(seg, tau, w, i_amp)
-        e_cond += e_rail
-        e_load += int_v2 / r_load
-        if seg.state in _CLAMPED:
-            seg_candidates = _conduction_extremes(seg, tau, w, i_amp, r_load)
-            cond_candidates.extend(seg_candidates)
-        else:
-            seg_candidates = (seg.v_o(seg.t0, tau, w),
-                              seg.v_o(seg.t1, tau, w))
-        candidates.extend(seg_candidates)
-
-    # node energy of the State I and State IV swings
-    e_in_node = (0.5 * c_sum * (va_pre_snap ** 2 - va0 ** 2)
-                 + 0.5 * c_sum * (va_end_iv ** 2 - v_at_iv ** 2))
-    v_o_min = min(candidates)
-    v_o_max = max(candidates)
-    # device peaks: the diode sees the output rail during conduction, the
-    # switch sees it while the diode freewheels (from State V's start)
-    v_cs1_end = (piece.v_at_th4 if s.reached_state_v
-                 else v_end - va_cycle_end)
-    return CycleDiagnostics(
-        **vars(s),
-        q_f=c_sum * (va_pre_snap - va0),
-        q_r=c_sum * (v_at_iv - va_end_iv),
-        e_in=e_in_node + e_cond, e_load=e_load,
-        # node energy acquired while clamped to the rail (model supplies no
-        # rail current for it; see module docstring)
-        e_node_tracking=0.5 * c_sum * (v_at_iv ** 2 - va_clamp_start ** 2),
-        de_stored=(0.5 * params.c_o * (v_end ** 2 - v0 ** 2)
-                   + 0.5 * c_sum * (va_cycle_end ** 2 - va0 ** 2)),
-        v_o_ripple_pp=v_o_max - v_o_min, v_o_min=v_o_min, v_o_max=v_o_max,
-        v_cs1_peak=max(v0 - va0, v_cs1_end),
-        v_cd1_peak=max(cond_candidates),
-        states_visited=tuple(sorted({int(g.state) for g in segments})))
+    result = _run(params, cmd, 1, state)
+    c = result.columns
+    return result.final_state, CycleSummary(
+        **{f.name: getattr(c, f.name)[0].item() for f in fields(CycleSummary)}
+    ), result
 
 
 def run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
         initial: SwitchCycleState = SwitchCycleState(0.0)) -> RunResult:
     """Run ``n_cycles`` (>= 1) carrier periods of the constant command
     ``cmd`` from the boundary state ``initial`` (by default an empty output
-    capacitor), whose voltages must be finite and >= 0.  Its diagnostics
-    are the full ``cycle_diagnostics`` of every cycle, built when first
-    read; ``sample_waveform(pieces, ...)`` samples the result;
-    ``periodic_steady_state`` gives a start on the orbit.
+    capacitor), whose voltages must be finite and >= 0.
+    ``cycle_diagnostics``, ``sample_waveform`` and ``spectrum`` read the
+    result; ``periodic_steady_state`` gives a start on the orbit.
     """
     require_positive(n_cycles=n_cycles)
     require_positive(allow_zero=True, v_o=initial.v_o, v_cd1=initial.v_cd1)
-    state = initial
-    pieces = []
+    return _run(params, cmd, n_cycles, initial)
+
+
+def _run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
+         initial: SwitchCycleState) -> RunResult:
+    """``run`` without its checks on the cycle count and the start state."""
     consts = _cycle_consts(params, params.r_load, params.i_ls_amp, cmd.t_f)
-    for n in range(n_cycles):
-        state, _, piece = _step_cycle(state, cmd, params, n * params.t_period,
-                                      consts)
-        pieces.append(piece)
-    return RunResult(pieces=pieces, final_state=state)
+    v_o, v_cd1 = initial
+    outputs = []
+    for _ in range(n_cycles):
+        out = _cycle(v_o, v_cd1, cmd.duty, consts)
+        outputs.append(out)
+        v_o, v_cd1 = out[0], out[1]
+    # one row per output, th4's None as NaN
+    (v_end, va_end, v_mean, gate_off, th1, hard, v_cs1_at_gate, va_pre_snap,
+     v_at_th1, th_iv, h, v_at_iv, th4, va_end_iv, reached_v,
+     v_at_th4) = np.array(outputs, dtype=float).T.copy()
+    hard, reached_v = hard != 0.0, reached_v != 0.0
+    columns = CycleColumns(
+        v_o_start=np.concatenate(([initial.v_o], v_end[:-1])),
+        v_o_end=v_end, v_o_mean=v_mean,
+        t_f_meas=np.where(hard, np.nan, th1), t_r_meas=th4 - th_iv,
+        zvs_ok=v_cs1_at_gate <= V_ZVS_TOL, zcs_ok=reached_v,
+        v_cs1_at_gate=v_cs1_at_gate, hard_switched=hard,
+        reached_state_v=reached_v,
+        e_hard_switch=np.where(
+            hard, 0.5 * params.c_s1 * v_cs1_at_gate * v_cs1_at_gate, 0.0),
+        v_cd1_start=np.concatenate(([initial.v_cd1], va_end[:-1])),
+        v_cd1_end=va_end, gate_off=gate_off, th1=th1, th_iv=th_iv, th4=th4,
+        va_pre_snap=va_pre_snap, v_at_th1=v_at_th1, v_at_iv=v_at_iv,
+        v_at_th4=v_at_th4, h=h, va_end_iv=va_end_iv)
+    return RunResult(params=params, cmd=cmd, columns=columns,
+                     segments=_segment_table(columns, consts),
+                     final_state=SwitchCycleState(v_o, v_cd1))
+
+
+def _segment_table(c: CycleColumns, consts: tuple) -> SegmentTable:
+    """The segment table of the cycles ``c`` stepped under
+    ``_cycle_consts`` ``consts``: one row per state each cycle spent time
+    in, in order.  ``_cycle``'s cycle mean integrates these same segments
+    from its scalars, so the two must skip the same empty states.  A loop,
+    not array expressions: fig13 and fig14 run 4 and 1 cycles, where the
+    fixed cost of some 30 numpy calls outweighed the loop's."""
+    ts, half, p_s, p_c = consts[0], consts[3], consts[6], consts[7]
+    rows, first = [], [0]
+    for th1, th_iv, th4, h, v0, va0, v_at_iv, v_at_th4, reached_v in zip(*(
+            col.tolist() for col in (
+                c.th1, c.th_iv, c.th4, c.h, c.v_o_start, c.v_cd1_start,
+                c.v_at_iv, c.v_at_th4, c.reached_state_v))):
+        if th1 > 0.0:
+            rows.append((0.0, th1, 0.0, 1, v0, 0.0, 0.0, va0))
+        if th1 < half:
+            rows.append((th1, half, th1, 2, h, p_s, p_c, 0.0))
+        t_iii = half if half > th1 else th1
+        if th_iv > t_iii:
+            rows.append((t_iii, th_iv, th1, 3, h, p_s, p_c, 0.0))
+        th4_eff = ts if math.isnan(th4) else th4
+        if th4_eff > th_iv:
+            rows.append((th_iv, th4_eff, th_iv, 4, v_at_iv, 0.0, 0.0,
+                         v_at_iv))
+        if reached_v:
+            rows.append((th4, ts, th4, 5, v_at_th4, 0.0, 0.0, 0.0))
+        first.append(len(rows))
+    t0, t1, t_ref, state, h, p_s, p_c, va0 = np.array(rows).T.copy()
+    return SegmentTable(t0=t0, t1=t1, t_ref=t_ref, state=state.astype(np.int8),
+                        h=h, p_s=p_s, p_c=p_c, va0=va0, first=np.array(first))
+
+
+def _seg_rows(table: SegmentTable) -> list:
+    """The rows of ``table`` as _Seg, in order."""
+    return list(map(_Seg._make, zip(*(col.tolist() for col in table[:8]))))
+
+
+def cycle_diagnostics(result: RunResult) -> DiagnosticColumns:
+    """The charge/energy ledger, the output ripple extremes and the device
+    peaks of every cycle of ``result``, from its columns and segment rows
+    with the scalar arithmetic of ``_seg_integrals`` and
+    ``_conduction_extremes``."""
+    params = result.params
+    w = params.omega
+    r_load, i_amp = params.r_load, params.i_ls_amp
+    tau = r_load * params.c_o
+    c_sum, c_o = params.c_sum, params.c_o
+    c = result.columns
+    segs = _seg_rows(result.segments)
+    first = result.segments.first.tolist()
+    out = np.empty((len(DiagnosticColumns._fields), len(c.th1)))
+    cycles = zip(*(col.tolist() for col in (
+        c.v_o_start, c.v_cd1_start, c.v_o_end, c.v_cd1_end, c.va_pre_snap,
+        c.v_at_th1, c.v_at_iv, c.va_end_iv, c.reached_state_v, c.v_at_th4)))
+    for k, (v0, va0, v_end, va_cycle_end, va_pre_snap, va_clamp_start,
+            v_at_iv, va_end_iv, reached_v, v_at_th4) in enumerate(cycles):
+        e_cond = 0.0
+        e_load = 0.0
+        candidates = [v0, v_end]
+        cond_candidates = [va_pre_snap]
+        for seg in segs[first[k]:first[k + 1]]:
+            e_rail, int_v2 = _seg_integrals(seg, tau, w, i_amp)
+            e_cond += e_rail
+            e_load += int_v2 / r_load
+            if seg.state in _CLAMPED:
+                seg_candidates = _conduction_extremes(seg, tau, w, i_amp,
+                                                      r_load)
+                cond_candidates.extend(seg_candidates)
+            else:
+                seg_candidates = (seg.v_o(seg.t0, tau, w),
+                                  seg.v_o(seg.t1, tau, w))
+            candidates.extend(seg_candidates)
+
+        # node energy of the State I and State IV swings
+        e_in_node = (0.5 * c_sum * (va_pre_snap ** 2 - va0 ** 2)
+                     + 0.5 * c_sum * (va_end_iv ** 2 - v_at_iv ** 2))
+        v_o_min = min(candidates)
+        v_o_max = max(candidates)
+        # device peaks: the diode sees the output rail during conduction,
+        # the switch sees it while the diode freewheels (from State V's
+        # start)
+        v_cs1_end = v_at_th4 if reached_v else v_end - va_cycle_end
+        out[:, k] = (
+            c_sum * (va_pre_snap - va0), c_sum * (v_at_iv - va_end_iv),
+            e_in_node + e_cond, e_load,
+            # node energy acquired while clamped to the rail (model
+            # supplies no rail current for it; see module docstring)
+            0.5 * c_sum * (v_at_iv ** 2 - va_clamp_start ** 2),
+            (0.5 * c_o * (v_end ** 2 - v0 ** 2)
+             + 0.5 * c_sum * (va_cycle_end ** 2 - va0 ** 2)),
+            v_o_max - v_o_min, v_o_min, v_o_max, max(v0 - va0, v_cs1_end),
+            max(cond_candidates))
+    return DiagnosticColumns(*out)
 
 
 @dataclass(frozen=True)
@@ -901,99 +933,78 @@ def cycle_linearization(params: ValidatedParams, cmd: ModulationCommand,
     return jac[:2] + np.eye(2), col_d[:2], jac[2], col_d[2], calls
 
 
-def _require_one_receiver(pieces: Sequence[CyclePiece]) -> ValidatedParams:
-    """The receiver of ``pieces``, which must be at least one cycle, all
-    stepped on it."""
-    require_positive(n_cycles=len(pieces))
-    params = pieces[0].params
-    if any(piece.params != params for piece in pieces):
-        raise NonPeriodicWindow("cycles stepped on different receivers")
-    return params
-
-
 # Samples per block of whole cycles that sample_waveform evaluates at once;
 # the block bounds its memory (see its docstring).
 _BLOCK_SAMPLES = 4096
 
 
-def _segment_table(pieces: Sequence[CyclePiece], w: float) -> tuple:
-    """The segments of ``pieces`` as columns with one row per segment: h,
-    t_ref, p_s, p_c, va0, cos(w t_ref) and state; then the cycles as
-    columns with one row per cycle: t_start, gate_on, gate_off, its first
-    segment row and the ends of all its segments but the last (a cycle has
-    at most five; missing ends are inf)."""
-    rows, cycles = [], []
-    for piece in pieces:
-        segs = piece.segments
-        cuts = [seg.t1 for seg in segs[:-1]]
-        cycles.append((piece.t_start, piece.gate_on, piece.gate_off,
-                       len(rows), *cuts, *[math.inf] * (4 - len(cuts))))
-        rows.extend((seg.h, seg.t_ref, seg.p_s, seg.p_c, seg.va0,
-                     math.cos(w * seg.t_ref), seg.state)
-                    for seg in segs)
-    return np.array(rows).T, np.array(cycles).T
-
-
-def sample_waveform(pieces: Sequence[CyclePiece],
-                    sample_rate: float) -> Waveform:
-    """Evaluate the cycles' segment closed forms on a uniform grid.
+def sample_waveform(result: RunResult, sample_rate: float) -> Waveform:
+    """Evaluate the run's segment closed forms on a uniform grid.
     A sample within 1e-18 s of a cycle's end belongs to the next cycle, and
     one exactly on a segment's end to the next segment (the sample at T/2
-    is State III).  There must be at least one cycle, and the cycles must
-    share one receiver.
+    is State III).
 
     The grid is evaluated in blocks of whole cycles of at most about
     ``_BLOCK_SAMPLES`` (4096) samples, 16 cycles at 256 samples per cycle,
     written into preallocated channels.  The block size is bounded because
-    every temporary, the segment table included, is one block long: on
-    400 cycles at 256 samples per cycle (a 4.3 MB result) they need about
-    0.4 MB, where one pass over the whole run needed about 8 MB.  A
-    sample's segment is its cycle's first segment plus the number of the
-    cycle's segment ends at or before it.
+    every per-sample temporary is one block long: on 400 cycles at 256
+    samples per cycle (a 4.3 MB result) they need about 0.4 MB, where one
+    pass over the whole run needed about 8 MB.  A sample's segment is its
+    cycle's first segment row plus the number of the cycle's other
+    segments that start at or before it.
     """
-    params = _require_one_receiver(pieces)
     require_positive(sample_rate=sample_rate)
+    params = result.params
     ts = params.t_period
     w = params.omega
     tau = params.r_load * params.c_o
     amp = params.i_ls_amp / (w * params.c_sum)
-    t_end = pieces[-1].t_start + ts
-    n = int(round((t_end - pieces[0].t_start) * sample_rate))
-    t = pieces[0].t_start + np.arange(n) / sample_rate
+    seg = result.segments
+    n_cycles = len(seg.first) - 1
+    t_start = np.arange(n_cycles) * ts
+    gate_on = t_start + result.cmd.t_f
+    gate_off = t_start + result.columns.gate_off
+    first = seg.first[:-1]
+    # the starts of each cycle's segments after its first, inf-padded to 4
+    cycle_of_row = np.repeat(np.arange(n_cycles), np.diff(seg.first))
+    cuts = np.full((n_cycles, 5), np.inf)
+    cuts[cycle_of_row, np.arange(len(seg.t0)) - first[cycle_of_row]] = seg.t0
+    cuts = cuts[:, 1:]
+    # by math.cos, as the segments' scalar arithmetic takes it (np.cos may
+    # round differently)
+    cos_ref = np.array([math.cos(w * t) for t in seg.t_ref.tolist()])
+    n = int(round((t_start[-1].item() + ts) * sample_rate))
+    t = np.arange(n) / sample_rate
     i_ls = np.empty(n)
     v_cs1 = np.empty(n)
     v_cd1 = np.empty(n)
     v_o = np.empty(n)
     gate = np.empty(n, dtype=np.int8)
     state_ch = np.empty(n, dtype=np.int8)
-    cycle_ends = np.searchsorted(
-        t, np.array([piece.t_start for piece in pieces]) + ts - 1e-18)
-    per_block = max(1, _BLOCK_SAMPLES * len(pieces) // max(n, 1))
+    cycle_ends = np.searchsorted(t, t_start + ts - 1e-18)
+    per_block = max(1, _BLOCK_SAMPLES * n_cycles // max(n, 1))
     lo = 0
-    for c0 in range(0, len(pieces), per_block):
-        ((h, t_ref, p_s, p_c, va0, cos_ref, seg_state),
-         (t_start, gate_on, gate_off, first_row, *cut_ends)) = \
-            _segment_table(pieces[c0:c0 + per_block], w)
+    for c0 in range(0, n_cycles, per_block):
         ends = cycle_ends[c0:c0 + per_block]
         hi = ends[-1]
-        cyc = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=lo))
+        cyc = c0 + np.repeat(np.arange(len(ends)), np.diff(ends, prepend=lo))
         tk = t[lo:hi]
         th = tk - t_start[cyc]
-        row = first_row.astype(np.intp)[cyc]
-        for cut in cut_ends:
+        row = first[cyc]
+        for cut in cuts.T:
             row += th >= cut[cyc]
         sin_wt = np.sin(w * th)
         cos_wt = np.cos(w * th)
         i_ls[lo:hi] = params.i_ls_amp * sin_wt
         gate[lo:hi] = (gate_on[cyc] <= tk) & (tk < gate_off[cyc])
-        v = (h[row] * np.exp(-(th - t_ref[row]) / tau)
-             + p_s[row] * sin_wt + p_c[row] * cos_wt)
+        v = (seg.h[row] * np.exp(-(th - seg.t_ref[row]) / tau)
+             + seg.p_s[row] * sin_wt + seg.p_c[row] * cos_wt)
         v_o[lo:hi] = v
-        st = seg_state[row]
+        st = seg.state[row]
         v_cd1[lo:hi] = np.where(
             np.isin(st, _CLAMPED), v,
             np.where(st == SwitchingState.STATE_V, 0.0,
-                     va0[row] + amp * (cos_ref[row] - cos_wt)))
+                     seg.va0[row] + amp * (cos_ref[row] - cos_wt)))
         state_ch[lo:hi] = st
         lo = hi
     np.subtract(v_o, v_cd1, out=v_cs1)
@@ -1002,7 +1013,7 @@ def sample_waveform(pieces: Sequence[CyclePiece],
 
 
 # ---------------------------------------------------------------------------
-# spectrum and soft-switching summaries
+# spectrum
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -1019,15 +1030,14 @@ class SpectrumResult:
 _SPECTRUM_CHANNELS = ("i_ls", "v_cs1", "v_cd1", "v_o")
 
 
-def spectrum(pieces: Sequence[CyclePiece], channels: Sequence[str],
+def spectrum(result: RunResult, channels: Sequence[str],
              n_harmonics: int) -> list:
     """Fourier coefficients at k*f_s, k = 1..n_harmonics (>= 1), plus THD
-    of channels of whole cycles: one SpectrumResult per name in
+    of channels of a run's cycles: one SpectrumResult per name in
     ``channels`` (``i_ls``, ``v_cs1``, ``v_cd1`` or ``v_o``), in order, each
     the same as from a call for it alone.  ``channels`` is a sequence of
     names; a bare string is rejected with a TypeError rather than read
-    letter by letter.  There must be at least one cycle, and the cycles
-    must share one receiver.
+    letter by letter.
 
     A cycle's coefficient is c_k = (2/T) int_0^T y(th) e^{-jkw th} dth,
     with its phase referenced to the cycle's own start; the result is the
@@ -1039,8 +1049,9 @@ def spectrum(pieces: Sequence[CyclePiece], channels: Sequence[str],
     Z_m = int_t0^t1 e^{-jmw th} dth for m = 0..n_harmonics+1 (Z_0 = t1 -
     t0, the k = 1 sinusoid taken exactly), sin w th and cos w th contribute
     (Z_{k-1} - Z_{k+1})/2j and (Z_{k-1} + Z_{k+1})/2, a constant 1
-    contributes Z_k, and the decay e^{-(th-t0)/tau}, written from the segment start so nothing
-    overflows, (e^{-(t1-t0)/tau} e^{-jkw t1} - e^{-jkw t0})/(-1/tau - jkw).
+    contributes Z_k, and the decay e^{-(th-t0)/tau}, written from the
+    segment start so nothing overflows,
+    (e^{-(t1-t0)/tau} e^{-jkw t1} - e^{-jkw t0})/(-1/tau - jkw).
     i_ls is one sinusoid over the whole cycle: exactly c_1 = -j i_ls_amp
     and no other harmonic.  Segments and cycles are added left to right
     (``sum()`` of floats rounds differently from Python 3.12 on).
@@ -1053,7 +1064,7 @@ def spectrum(pieces: Sequence[CyclePiece], channels: Sequence[str],
         raise ValueError(f"no spectrum of channel(s) {unknown}; take "
                          f"{_SPECTRUM_CHANNELS}")
     require_positive(n_harmonics=n_harmonics)
-    params = _require_one_receiver(pieces)
+    params = result.params
     w = params.omega
     tau = params.r_load * params.c_o
     amp = params.i_ls_amp / (w * params.c_sum)
@@ -1063,8 +1074,10 @@ def spectrum(pieces: Sequence[CyclePiece], channels: Sequence[str],
     decay_den = -1.0 / tau + neg_jmw[1:-1]
     v_o = np.zeros(n_harmonics, dtype=complex)
     v_cd1 = np.zeros(n_harmonics, dtype=complex)
-    for piece in pieces:
-        segs = piece.segments
+    rows = _seg_rows(result.segments)
+    first = result.segments.first.tolist()
+    for k in range(len(first) - 1):
+        segs = rows[first[k]:first[k + 1]]
         phasor = np.exp(np.multiply.outer(
             [g.t0 for g in segs] + [segs[-1].t1], neg_jmw))
         for seg, e0, e1 in zip(segs, phasor, phasor[1:]):
@@ -1082,7 +1095,7 @@ def spectrum(pieces: Sequence[CyclePiece], channels: Sequence[str],
             elif seg.state != SwitchingState.STATE_V:
                 v_cd1 += ((seg.va0 + amp * math.cos(w * seg.t_ref)) * z[1:-1]
                           - amp * cos_k)
-    scale = 2.0 / (params.t_period * len(pieces))
+    scale = 2.0 / (params.t_period * (len(first) - 1))
     coeffs = {"v_o": v_o * scale, "v_cd1": v_cd1 * scale,
               "v_cs1": (v_o - v_cd1) * scale,
               "i_ls": np.zeros(n_harmonics, dtype=complex)}
@@ -1101,29 +1114,3 @@ def spectrum(pieces: Sequence[CyclePiece], channels: Sequence[str],
         thd = rest / a1 if a1 > 0 else float("inf")
         results.append(SpectrumResult(harmonics=rows, thd=thd))
     return results
-
-
-@dataclass(frozen=True)
-class SoftSwitchingSummary:
-    n_cycles: int
-    zvs_fraction: float
-    zcs_fraction: float
-    worst_v_cs1_at_gate: float
-    total_e_hard_switch: float
-
-
-def soft_switching_report(diags: Sequence[CycleSummary]) -> SoftSwitchingSummary:
-    """Aggregate soft-switching verdicts over a run (summaries or full
-    diagnostics)."""
-    n = len(diags)
-    require_positive(n_cycles=n)
-    # added left to right: sum() rounds differently from Python 3.12 on
-    e_hard = 0.0
-    for d in diags:
-        e_hard += d.e_hard_switch
-    return SoftSwitchingSummary(
-        n_cycles=n,
-        zvs_fraction=sum(d.zvs_ok for d in diags) / n,
-        zcs_fraction=sum(d.zcs_ok for d in diags) / n,
-        worst_v_cs1_at_gate=max(d.v_cs1_at_gate for d in diags),
-        total_e_hard_switch=e_hard)

@@ -131,8 +131,7 @@ def test_c2_steady_state_output():
 
 def test_c3_switched_averaged_parity_mean(vp, va_run):
     target = steady_state_vo(I_NOM, R_VA, DUTY_VA, FST_VA)
-    tail = va_run.diagnostics[-2000:]
-    v_mean = float(np.mean([d.v_o_mean for d in tail]))
+    v_mean = float(np.mean(va_run.columns.v_o_mean[-2000:]))
     ok = abs(v_mean - target) <= 0.01 * target
     report("criterion 3 (cycle-mean parity)", ok,
            f"switched mean {v_mean:.3f} V vs {target:.3f} V +- 1%")
@@ -148,8 +147,7 @@ def test_c3_switched_averaged_parity_mean(vp, va_run):
     "instead"))
 def test_c3_ripple_parity(vp, va_run):
     bound = ripple_estimate(I_NOM, vp.f_s, vp.c_o)
-    tail = va_run.diagnostics[-2000:]
-    pp = float(np.mean([d.v_o_ripple_pp for d in tail]))
+    pp = float(np.mean(cycle_diagnostics(va_run).v_o_ripple_pp[-2000:]))
     ok = abs(pp - bound) <= 0.10 * bound
     report("criterion 3 (ripple parity)", ok,
            f"switched pp {pp * 1e3:.3f} mV vs bound {bound * 1e3:.2f} mV "
@@ -195,7 +193,7 @@ def test_c6_bode_parity(vp_fig7, op_fig7):
 
 
 def test_c7_harmonics(vp, va_run):
-    sp, = spectrum(va_run.pieces, ("v_cd1",), 40)
+    sp, = spectrum(va_run, ("v_cd1",), 40)
     fund_ok = abs(sp.fundamental - 15.0) <= 0.05 * 15.0
     thd_ok = abs(sp.thd - 0.46) <= 0.05
     report("criterion 7 (harmonics)", fund_ok and thd_ok,
@@ -225,11 +223,10 @@ def test_c9a_energy_audit(vp):
     op = solve_operating_point(vp, DUTY_VA, exact=True)
     cmd = ModulationCommand(DUTY_VA, fall_time_exact(vp, op.v_o) + 5e-9)
     res = run(vp, cmd, 300, initial=SwitchCycleState(0.85 * op.v_o))
-    worst = 0.0
-    for d in res.diagnostics:
-        residual = abs(d.e_in + d.e_node_tracking - d.e_load - d.de_stored
-                       - d.e_hard_switch)
-        worst = max(worst, residual / d.e_in)
+    d = cycle_diagnostics(res)
+    worst = float(np.max(np.abs(d.e_in + d.e_node_tracking - d.e_load
+                                - d.de_stored - res.columns.e_hard_switch)
+                         / d.e_in))
     ok = worst <= 1e-9
     report("criterion 9a (lossless energy audit)", ok,
            f"worst per-cycle residual {worst:.2e} relative "
@@ -293,8 +290,7 @@ def test_c10_invariant_suite(vp, loadstep_rec, startup_rec, ramp_rec):
     op = solve_operating_point(vp, DUTY_VA, exact=True)
     cmd = ModulationCommand(DUTY_VA, fall_time_exact(vp, op.v_o))
     res = run(vp, cmd, 30, initial=SwitchCycleState(op.v_o))
-    if not all(d.states_visited == (1, 2, 3, 4, 5)
-               for d in res.diagnostics):
+    if res.segments.state.tolist() != [1, 2, 3, 4, 5] * 30:
         failures.append("state sequence")
 
     # charge balance at 1e-9 on a stiff output rail
@@ -304,16 +300,15 @@ def test_c10_invariant_suite(vp, loadstep_rec, startup_rec, ramp_rec):
         ModulationCommand(DUTY_VA, fall_time_exact(stiff, 24.0) + 1e-12),
         stiff)[2])
     q_ref = stiff.c_sum * 24.0
-    if not (abs(d.q_f - q_ref) <= 1e-9 * q_ref
-            and abs(d.q_r - q_ref) <= 1e-9 * q_ref):
+    if not (abs(d.q_f[0] - q_ref) <= 1e-9 * q_ref
+            and abs(d.q_r[0] - q_ref) <= 1e-9 * q_ref):
         failures.append("charge balance")
 
     # device stress bounded by the output voltage
-    for dd in res.diagnostics:
-        if dd.v_cs1_peak > dd.v_o_max + 1e-6 or \
-           dd.v_cd1_peak > dd.v_o_max + 1e-6:
-            failures.append("device stress")
-            break
+    dd = cycle_diagnostics(res)
+    if np.any((dd.v_cs1_peak > dd.v_o_max + 1e-6)
+              | (dd.v_cd1_peak > dd.v_o_max + 1e-6)):
+        failures.append("device stress")
 
     # closed-form rise time vs charge-balance quadrature, 1e-10 s
     t_f = fall_time_exact(vp, 24.0)

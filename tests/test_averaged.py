@@ -190,7 +190,7 @@ def test_switched_mean_converges_to_averaged_steady(vp):
     cmd = ModulationCommand(duty, op.t_f)
     n = int(10 * vp.r_load * vp.c_o / vp.t_period) + 50
     res = run(vp, cmd, n)
-    mean_tail = res.diagnostics[-1].v_o_mean
+    mean_tail = res.columns.v_o_mean[-1]
     assert mean_tail == pytest.approx(op.v_o, rel=0.01)
 
 

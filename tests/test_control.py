@@ -16,7 +16,7 @@ from wptrx.errors import GateOverrun, NoConvergence, NonPositiveParameter
 from wptrx.params import ReceiverParams, validate
 from wptrx.scenarios import design_gains, equilibrium_op
 from wptrx.simulator import (V_ORBIT_TOL, ModulationCommand, SwitchCycleState,
-                             step_cycle)
+                             run, step_cycle)
 from wptrx.smallsignal import PiGains
 
 
@@ -173,13 +173,15 @@ def test_gate_edges_follow_the_command(vp):
     # gate_off one duty interval later
     st = SwitchCycleState(24.0)
     cmd = ModulationCommand(0.5, 0.0)
-    piece = step_cycle(st, cmd, vp)[2]
-    assert piece.gate_on == 0.0
-    assert piece.gate_off == pytest.approx(2.5e-6, rel=1e-12)
+    edges = {name: t for t, name in step_cycle(st, cmd, vp)[2].events}
+    assert edges["gate_on"] == 0.0
+    assert edges["gate_off"] == pytest.approx(2.5e-6, rel=1e-12)
+    # the third cycle of a run starts at 10 us
     cmd2 = ModulationCommand(0.532, 382e-9)
-    piece2 = step_cycle(st, cmd2, vp, t_start=10e-6)[2]
-    assert piece2.gate_on == pytest.approx(10e-6 + 382e-9, rel=1e-12)
-    assert piece2.gate_off == pytest.approx(10e-6 + 3.042e-6, rel=1e-9)
+    gate_on, gate_off = [t for t, name in run(vp, cmd2, 3, initial=st).events
+                         if name in ("gate_on", "gate_off")][4:]
+    assert gate_on == pytest.approx(10e-6 + 382e-9, rel=1e-12)
+    assert gate_off == pytest.approx(10e-6 + 3.042e-6, rel=1e-9)
     with pytest.raises(GateOverrun):
         step_cycle(st, ModulationCommand(0.9, 0.15 / vp.f_s), vp)
 
@@ -187,8 +189,9 @@ def test_gate_edges_follow_the_command(vp):
 def test_gate_phase_matches_command(vp):
     # the centre of the on-pulse sits at the paper's phase angle
     cmd = ModulationCommand(0.532, 382e-9)
-    piece = step_cycle(SwitchCycleState(24.0), cmd, vp)[2]
-    centre = 0.5 * (piece.gate_on + piece.gate_off)
+    edges = {name: t for t, name in
+             step_cycle(SwitchCycleState(24.0), cmd, vp)[2].events}
+    centre = 0.5 * (edges["gate_on"] + edges["gate_off"])
     assert vp.omega * centre == pytest.approx(
         phase_angle(cmd.duty, vp.f_s * cmd.t_f), rel=1e-12)
 

@@ -18,7 +18,7 @@ from wptrx.analytic import (OperatingPoint, duty_bounds, fall_time_exact,
 from wptrx.averaged import averaged_rhs
 from wptrx.control import equilibrium_op, feedforward_tf
 from wptrx.errors import (CommutationImpossible, GateOverrun, NoConvergence,
-                          NonPeriodicWindow, NonPositiveParameter)
+                          NonPositiveParameter)
 from wptrx.params import ReceiverParams, ripple_estimate, validate
 from wptrx.rootfind import bisect_root
 from wptrx.scenarios import NO_LOAD_RESISTANCE
@@ -26,8 +26,7 @@ from wptrx.simulator import (T_EVENT_TOL, V_ORBIT_TOL, ModulationCommand,
                              SwitchCycleState,
                              cycle_diagnostics, cycle_linearization,
                              periodic_steady_state, run,
-                             sample_waveform, soft_switching_report,
-                             spectrum, step_cycle)
+                             sample_waveform, spectrum, step_cycle)
 
 TWO_PI = 2 * math.pi
 
@@ -115,21 +114,21 @@ def test_prototype_cycle_soft_switching(vp):
     # at the self-consistent operating point the measured fall time matches
     # the exact prediction for the entry voltage
     res, cmd, op = steady_soft_run(vp, n=50)
-    d = res.diagnostics[-1]
-    assert d.zvs_ok and d.zcs_ok and not d.hard_switched
-    assert d.t_f_meas == pytest.approx(
-        fall_time_exact(vp, d.v_o_start), abs=1e-10)
+    c = res.columns
+    assert c.zvs_ok[-1] and c.zcs_ok[-1] and not c.hard_switched[-1]
+    assert c.t_f_meas[-1] == pytest.approx(
+        fall_time_exact(vp, c.v_o_start[-1]), abs=1e-10)
 
 
 def test_zero_source_cycle(vp):
     p0 = vp.with_amplitude(0.0)
     st = SwitchCycleState(24.0)
     cmd = ModulationCommand(0.5, 382e-9)
-    st2, d, piece = step_cycle(st, cmd, p0)
+    st2, d, one = step_cycle(st, cmd, p0)
     assert math.isnan(d.t_f_meas) and math.isnan(d.t_r_meas)
     assert not d.zcs_ok
     # no natural commutation events in the log
-    names = {name for _, name in piece.events}
+    names = {name for _, name in one.events}
     assert "cs1_zero" not in names and "cd1_zero" not in names
     # output follows its RC discharge (plus the forced-turn-on top-up drawn
     # from the output capacitor)
@@ -143,11 +142,11 @@ def test_zero_source_cycle(vp):
 
 def test_forced_turn_on_energy(vp):
     st = SwitchCycleState(24.0)
-    st2, d, piece = step_cycle(st, ModulationCommand(0.532, 0.0), vp)
+    st2, d, one = step_cycle(st, ModulationCommand(0.532, 0.0), vp)
     assert not d.zvs_ok and d.hard_switched
     assert d.e_hard_switch == pytest.approx(0.5 * vp.c_s1 * 24.0 ** 2,
                                             rel=1e-12)
-    assert ("hard_switch" in {n for _, n in piece.events})
+    assert ("hard_switch" in {n for _, n in one.events})
     assert math.isnan(d.t_f_meas)
 
 
@@ -166,7 +165,7 @@ def test_events_match_a_bisection_oracle():
         if rng.random() < 0.2:  # gate-off late: State V may not be reached
             cmd = ModulationCommand(
                 rng.uniform(cmd.duty, 0.999 - p.f_s * cmd.t_f), cmd.t_f)
-        _, s, piece = step_cycle(SwitchCycleState(v0, va0), cmd, p)
+        _, s, one = step_cycle(SwitchCycleState(v0, va0), cmd, p)
 
         def gap(th):
             return v0 * math.exp(-th / tau) - (va0 + amp * (1.0 - math.cos(
@@ -183,7 +182,7 @@ def test_events_match_a_bisection_oracle():
         assert not abs(s.t_f_meas - t_f) > T_EVENT_TOL
 
         th_iv = max(cmd.t_f + cmd.duty * ts, half)
-        v_at_iv = piece.node_v[3]
+        v_at_iv = one.columns.v_at_iv[0]
 
         def va_iv(th):
             return v_at_iv + amp * (math.cos(w * th_iv) - math.cos(w * th))
@@ -198,11 +197,8 @@ def test_events_match_a_bisection_oracle():
         assert math.isnan(s.t_r_meas) == math.isnan(t_r)
         assert not abs(s.t_r_meas - t_r) > T_EVENT_TOL
 
-        d = cycle_diagnostics(piece)
-        assert (d.v_o_mean, d.v_o_end, d.hard_switched, d.reached_state_v,
-                d.zvs_ok, d.zcs_ok) == (s.v_o_mean, s.v_o_end,
-                                        s.hard_switched, s.reached_state_v,
-                                        s.zvs_ok, s.zcs_ok)
+        # the ledger of every kind of cycle is finite
+        assert all(np.isfinite(col).all() for col in cycle_diagnostics(one))
         kinds["hard" if s.hard_switched else "soft"] += 1
         kinds["no_state_v"] += not s.reached_state_v
     assert min(kinds.values()) >= 50, kinds
@@ -282,16 +278,15 @@ def reference_cycle(v0, va0, duty, t_f, r_load, i_amp, params):
         area += a
     return (v_end, min(va_end_iv, v_end), area / ts,
             gate_off, th1, hard, v_cs1_at_gate, va_pre_snap, v_at_th1, th_iv,
-            h, p_s, p_c, v_at_iv, th4, va_end_iv, reached_v, v_at_th4)
+            h, v_at_iv, th4, va_end_iv, reached_v, v_at_th4)
 
 
 def test_cycle_kernel_matches_the_segment_by_segment_reference(vp):
     # the kernel shares trig values between segments and takes its receiver
     # constants prebuilt; every value it returns must equal the reference's
     # exactly, on seeded single cycles from any boundary state.  The
-    # segments of step_cycle's piece for the same cycle tile [0, T] with
-    # non-empty pieces in strictly increasing state order, and are the
-    # states its diagnostics report as visited
+    # segment rows of step_cycle's run of the same cycle tile [0, T] with
+    # non-empty segments in strictly increasing state order
     rng = random.Random(18)
     u = rng.uniform
     ts = vp.t_period
@@ -313,21 +308,20 @@ def test_cycle_kernel_matches_the_segment_by_segment_reference(vp):
         got = simulator._cycle(v0, va0, duty,
                                simulator._cycle_consts(vp, r_load, i_amp, t_f))
         assert got == reference_cycle(v0, va0, duty, t_f, r_load, i_amp, vp)
-        nxt, summary, piece = step_cycle(
+        nxt, summary, one = step_cycle(
             SwitchCycleState(v0, va0), ModulationCommand(duty, t_f),
             vp.with_load(r_load).with_amplitude(i_amp))
         assert (nxt.v_o, nxt.v_cd1) == got[:2]
         # the diode turns off at the cycle's end, a current zero, so ZCS is
         # reaching State V
-        assert summary.zcs_ok == summary.reached_state_v == got[16]
-        segs = piece.segments
-        assert segs[0].t0 == 0.0 and segs[-1].t1 == ts
-        assert all(a.t1 == b.t0 for a, b in zip(segs, segs[1:]))
-        assert all(seg.t0 < seg.t1 for seg in segs)
-        assert all(a.state < b.state for a, b in zip(segs, segs[1:]))
-        assert (set(cycle_diagnostics(piece).states_visited)
-                == {seg.state for seg in segs})
-        gate_off, th1, hard, reached_v = got[3], got[4], got[5], got[16]
+        assert summary.zcs_ok == summary.reached_state_v == got[14]
+        segs = one.segments
+        assert segs.t0[0] == 0.0 and segs.t1[-1] == ts
+        assert np.array_equal(segs.t1[:-1], segs.t0[1:])
+        assert np.all(segs.t0 < segs.t1)
+        assert np.all(np.diff(segs.state) > 0)
+        assert segs.first.tolist() == [0, len(segs.t0)]
+        gate_off, th1, hard, reached_v = got[3], got[4], got[5], got[14]
         kinds["hard" if hard else "soft"] += 1
         kinds["conduction_from_after_half"] += th1 >= 0.5 * ts
         kinds["gate_off_before_half" if gate_off < 0.5 * ts
@@ -336,6 +330,76 @@ def test_cycle_kernel_matches_the_segment_by_segment_reference(vp):
             kinds["no_source"] += 1
         elif not reached_v:
             kinds["no_state_v"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def reference_cycle_rows(v0, va0, out, t_f, t_start, params, p_s, p_c):
+    """The segment rows (t0, t1, t_ref, state, h, p_s, p_c, va0) and the
+    events (t, name) of one cycle from its start state and ``_cycle``'s
+    outputs ``out``, built one cycle at a time as records, the way the
+    simulator built them before it kept a run as columns."""
+    (_, _, _, gate_off, th1, hard, _, _, _, th_iv, h, v_at_iv, th4, _,
+     reached_v, v_at_th4) = out
+    ts = params.t_period
+    half = 0.5 * ts
+    segs = []
+    if th1 > 0.0:
+        segs.append((0.0, th1, 0.0, 1, v0, 0.0, 0.0, va0))
+    if th1 < half:
+        segs.append((th1, half, th1, 2, h, p_s, p_c, 0.0))
+    t_iii = max(th1, half)
+    if th_iv > t_iii:
+        segs.append((t_iii, th_iv, th1, 3, h, p_s, p_c, 0.0))
+    th4_eff = th4 if th4 is not None else ts
+    if th4_eff > th_iv:
+        segs.append((th_iv, th4_eff, th_iv, 4, v_at_iv, 0.0, 0.0, v_at_iv))
+    if reached_v:
+        segs.append((th4, ts, th4, 5, v_at_th4, 0.0, 0.0, 0.0))
+    events = [(t_start, "cycle_start")]
+    if not hard:
+        events.append((t_start + th1, "cs1_zero"))
+    events.append((t_start + t_f, "gate_on"))
+    if hard:
+        events.append((t_start + th1, "hard_switch"))
+    events.append((t_start + half, "ils_zero"))
+    events.append((t_start + gate_off, "gate_off"))
+    if th4 is not None:
+        events.append((t_start + th4, "cd1_zero"))
+    events.sort(key=lambda e: e[0])
+    return segs, events
+
+
+def test_run_tables_match_the_per_cycle_reference():
+    # the segment table and the event list of a run, built from its
+    # columns at once, hold the rows and events a cycle-by-cycle build of
+    # the same cycles gives, bit for bit, on soft, hard, no-State-V and
+    # no-source cycles from random start states
+    rng = random.Random(26)
+    kinds = dict.fromkeys(("soft", "hard", "no_state_v", "no_source"), 0)
+    for k, (p, cmd, v_avg) in enumerate(random_receivers(27, 120)):
+        if k % 10 == 0:
+            p = p.with_amplitude(0.0)
+        start = SwitchCycleState(v_avg * rng.uniform(0.5, 1.5),
+                                 v_avg * rng.uniform(0.0, 1.0)
+                                 if rng.random() < 0.3 else 0.0)
+        res = run(p, cmd, 4, initial=start)
+        consts = simulator._cycle_consts(p, p.r_load, p.i_ls_amp, cmd.t_f)
+        v0, va0 = start
+        want_rows, want_events = [], []
+        for n in range(4):
+            out = simulator._cycle(v0, va0, cmd.duty, consts)
+            segs, events = reference_cycle_rows(
+                v0, va0, out, cmd.t_f, n * p.t_period, p, consts[6],
+                consts[7])
+            want_rows += segs
+            want_events += events
+            kinds["no_source" if p.i_ls_amp == 0.0 else "hard" if out[5]
+                  else "soft"] += 1
+            kinds["no_state_v"] += not out[14]
+            v0, va0 = out[:2]
+        assert list(zip(*(col.tolist() for col in res.segments[:8]))) \
+            == want_rows
+        assert res.events == want_events
     assert min(kinds.values()) >= 20, kinds
 
 
@@ -377,15 +441,15 @@ def test_run_rejects_bad_start_voltage(vp):
     # beside a start state and dropped without notice
     with pytest.raises(TypeError):
         run(vp, cmd, 3, v_o0=5.0, initial=SwitchCycleState(24.0))
-    assert run(vp, cmd, 1).pieces[0].summary.v_o_start == 0.0
+    assert run(vp, cmd, 1).columns.v_o_start[0] == 0.0
 
 
 def test_single_cycle_from_zero_monotone_conduction(vp):
     st = SwitchCycleState(0.0)
     cmd = ModulationCommand(0.532, 386e-9)
-    st2, d, piece = step_cycle(st, cmd, vp)
+    st2, d, _ = step_cycle(st, cmd, vp)
     res = run(vp, cmd, 1)
-    wf = sample_waveform(res.pieces, 256 * vp.f_s)
+    wf = sample_waveform(res, 256 * vp.f_s)
     cond = (wf.state == 2) | (wf.state == 3)
     v_cond = wf.v_o[cond]
     t_cond = wf.t[cond]
@@ -403,7 +467,7 @@ def test_run_mean_matches_operating_point(vp):
     op = solve_operating_point(vp, 0.532)
     cmd = ModulationCommand(0.532, op.t_f)
     res = run(vp, cmd, 4000, initial=SwitchCycleState(op.v_o))
-    assert res.diagnostics[-1].v_o_mean == pytest.approx(op.v_o, rel=0.01)
+    assert res.columns.v_o_mean[-1] == pytest.approx(op.v_o, rel=0.01)
 
 
 @pytest.mark.parametrize("r_load, command, hard, state_v", [
@@ -417,17 +481,17 @@ def test_run_mean_matches_operating_point(vp):
 ], ids=["table2", "no_state_v", "no_load", "soft"])
 def test_cycle_mean_matches_quadrature_of_its_segments(vp, r_load, command,
                                                        hard, state_v):
-    # step_cycle sums the segment integrals from its scalars; the segments
-    # its piece builds when read must integrate to the same mean
+    # step_cycle sums the segment integrals from its scalars; the segment
+    # rows its run builds from the columns must integrate to the same mean
     p = vp.with_load(r_load) if r_load else vp
     cmd = command(p)
     orbit = periodic_steady_state(p, cmd, 24.0)
-    _, s, piece = step_cycle(orbit.state, cmd, p)
+    _, s, one = step_cycle(orbit.state, cmd, p)
     assert (s.hard_switched, s.reached_state_v) == (hard, state_v)
     tau = p.r_load * p.c_o
     area = sum(quad(lambda th, seg=seg: seg.v_o(th, tau, p.omega), seg.t0,
                     seg.t1, epsabs=0.0, epsrel=1e-13)[0]
-               for seg in piece.segments)
+               for seg in simulator._seg_rows(one.segments))
     assert s.v_o_mean == pytest.approx(area / p.t_period, rel=1e-12)
 
 
@@ -443,9 +507,10 @@ def ripple_oracle(vp, v_bar, theta_on):
 
 def test_ripple_matches_charge_balance_oracle(vp):
     res, cmd, op = steady_soft_run(vp, n=400)
-    d = res.diagnostics[-1]
-    pp_oracle = ripple_oracle(vp, d.v_o_mean, vp.omega * d.t_f_meas)
-    assert d.v_o_ripple_pp == pytest.approx(pp_oracle, rel=0.02)
+    c = res.columns
+    pp_oracle = ripple_oracle(vp, c.v_o_mean[-1], vp.omega * c.t_f_meas[-1])
+    assert cycle_diagnostics(res).v_o_ripple_pp[-1] == pytest.approx(
+        pp_oracle, rel=0.02)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -455,9 +520,9 @@ def test_ripple_matches_charge_balance_oracle(vp):
     "hold; the charge-balance oracle test above carries the real check"))
 def test_ripple_within_10pct_of_estimate(vp):
     res, cmd, op = steady_soft_run(vp, n=400)
-    d = res.diagnostics[-1]
     bound = ripple_estimate(vp.i_ls_amp, vp.f_s, vp.c_o)
-    assert d.v_o_ripple_pp == pytest.approx(bound, rel=0.10)
+    assert cycle_diagnostics(res).v_o_ripple_pp[-1] == pytest.approx(
+        bound, rel=0.10)
 
 
 def scan_extremes(seg, tau, w, i_amp, r_load):
@@ -487,8 +552,8 @@ def scan_extremes(seg, tau, w, i_amp, r_load):
     return out
 
 
-def cli_orbit_pieces(config, changes, n_cycles):
-    """``n_cycles`` pieces on the orbit that ``wptrx simulate`` (``fst``
+def cli_orbit_run(config, changes, n_cycles):
+    """A run of ``n_cycles`` on the orbit that ``wptrx simulate`` (``fst``
     None: the gate at the exact fall time of the operating point) or
     ``reproduce fig13`` (``fst`` given) runs for a built-in config with
     ``changes`` (r_load, duty, fst) applied."""
@@ -502,7 +567,7 @@ def cli_orbit_pieces(config, changes, n_cycles):
     else:
         cmd = ModulationCommand(duty, fst / p.f_s)
         v0 = steady_state_vo(p.i_ls_amp, p.r_load, duty, fst)
-    return cli._orbit_run(p, cmd, v0, n_cycles)[1].pieces
+    return cli._orbit_run(p, cmd, v0, n_cycles)[1]
 
 
 # (config, (r_load, duty, f_s*t_f), (hard-switched, reaches State V))
@@ -522,13 +587,17 @@ def test_ripple_extremes_match_the_scan_and_bisection_reference(
     # segment's two end values, and nothing on a dense sample of a segment
     # rises above them
     n_roots = 0
-    for piece in cli_orbit_pieces(config, changes, 3):
-        s = piece.summary
-        assert (s.hard_switched, s.reached_state_v) == kind
-        p = piece.params
-        w, tau = p.omega, p.r_load * p.c_o
-        tol = 4 * math.ulp(cycle_diagnostics(piece).v_o_max)
-        for seg in piece.segments:
+    res = cli_orbit_run(config, changes, 3)
+    c = res.columns
+    assert all((hard, state_v) == kind for hard, state_v in
+               zip(c.hard_switched.tolist(), c.reached_state_v.tolist()))
+    p = res.params
+    w, tau = p.omega, p.r_load * p.c_o
+    segs = simulator._seg_rows(res.segments)
+    first = res.segments.first.tolist()
+    for k, v_o_max in enumerate(cycle_diagnostics(res).v_o_max.tolist()):
+        tol = 4 * math.ulp(v_o_max)
+        for seg in segs[first[k]:first[k + 1]]:
             if seg.state not in (2, 3):
                 continue
             want = scan_extremes(seg, tau, w, p.i_ls_amp, p.r_load)
@@ -575,11 +644,13 @@ def test_averaged_parity_during_slow_transient(vp):
 
 def test_state_sequence_legality(vp):
     res, cmd, op = steady_soft_run(vp, n=40)
-    for d in res.diagnostics:
-        assert d.states_visited == (1, 2, 3, 4, 5)
+    assert res.segments.state.tolist() == [1, 2, 3, 4, 5] * 40
     # event order within a cycle
-    for piece in res.pieces[1:]:
-        order = [n for _, n in sorted(piece.events, key=lambda e: e[0])]
+    names = [n for _, n in res.events]
+    starts = [k for k, n in enumerate(names) if n == "cycle_start"]
+    assert len(starts) == 40
+    for a, b in zip(starts[1:], starts[2:] + [len(names)]):
+        order = names[a:b]
         assert order.index("cycle_start") < order.index("cs1_zero")
         assert order.index("cs1_zero") <= order.index("gate_on")
         assert order.index("gate_on") < order.index("ils_zero")
@@ -591,12 +662,11 @@ def test_charge_balance(vp_stiff):
     v_o = 24.0
     st = SwitchCycleState(v_o)
     cmd = exact_cmd(vp_stiff, 0.532, v_o)
-    piece = step_cycle(st, cmd, vp_stiff)[2]
-    d = cycle_diagnostics(piece)
+    d = cycle_diagnostics(step_cycle(st, cmd, vp_stiff)[2])
     q_expect = vp_stiff.c_sum * v_o
-    assert d.q_f == pytest.approx(q_expect, rel=1e-9)
-    assert d.q_r == pytest.approx(q_expect, rel=1e-9)
-    assert d.q_f == pytest.approx(d.q_r, rel=1e-9)
+    assert d.q_f[0] == pytest.approx(q_expect, rel=1e-9)
+    assert d.q_r[0] == pytest.approx(q_expect, rel=1e-9)
+    assert d.q_f[0] == pytest.approx(d.q_r[0], rel=1e-9)
 
 
 def test_energy_audit_closes(vp):
@@ -604,45 +674,48 @@ def test_energy_audit_closes(vp):
     op = solve_operating_point(vp, 0.532, exact=True)
     cmd = ModulationCommand(0.532, fall_time_exact(vp, op.v_o) + 5e-9)
     res = run(vp, cmd, 200, initial=SwitchCycleState(0.8 * op.v_o))
-    for d in res.diagnostics:
-        assert not d.hard_switched
-        residual = (d.e_in + d.e_node_tracking - d.e_load - d.de_stored
-                    - d.e_hard_switch)
-        assert abs(residual) <= 1e-9 * max(d.e_in, 1e-12)
-        # the clamp-convention artifact flow stays tiny
-        assert abs(d.e_node_tracking) <= 1e-4 * max(d.e_in, 1e-12)
+    c, d = res.columns, cycle_diagnostics(res)
+    assert not c.hard_switched.any()
+    residual = (d.e_in + d.e_node_tracking - d.e_load - d.de_stored
+                - c.e_hard_switch)
+    assert np.all(np.abs(residual) <= 1e-9 * np.maximum(d.e_in, 1e-12))
+    # the clamp-convention artifact flow stays tiny
+    assert np.all(np.abs(d.e_node_tracking)
+                  <= 1e-4 * np.maximum(d.e_in, 1e-12))
 
 
 def test_steady_state_efficiency_is_unity(vp):
     res, cmd, op = steady_soft_run(vp, n=400)
-    d = res.diagnostics[-1]
-    assert d.e_load / d.e_in == pytest.approx(1.0, abs=1e-4)
-    assert d.e_hard_switch == 0.0
+    d = cycle_diagnostics(res)
+    assert d.e_load[-1] / d.e_in[-1] == pytest.approx(1.0, abs=1e-4)
+    assert res.columns.e_hard_switch[-1] == 0.0
 
 
 def test_hard_cycle_residual_equals_merge_loss(vp):
     st = SwitchCycleState(24.0)
-    d = cycle_diagnostics(step_cycle(st, ModulationCommand(0.532, 0.0), vp)[2])
-    residual = (d.e_in + d.e_node_tracking - d.e_load - d.de_stored
-                - d.e_hard_switch)
-    w = d.v_cs1_at_gate
+    _, s, one = step_cycle(st, ModulationCommand(0.532, 0.0), vp)
+    d = cycle_diagnostics(one)
+    residual = (d.e_in[0] + d.e_node_tracking[0] - d.e_load[0]
+                - d.de_stored[0] - s.e_hard_switch)
+    w = s.v_cs1_at_gate
     merge = 0.5 * (vp.c_d1 * vp.c_o / (vp.c_d1 + vp.c_o)) * w * w
     assert -residual == pytest.approx(merge, rel=1e-9)
 
 
 def test_device_stress_bounded_by_output(vp):
     res, cmd, op = steady_soft_run(vp, n=100)
-    for d in res.diagnostics:
-        # exact bound: neither device ever sees more than the instantaneous
-        # output voltage
-        assert d.v_cs1_peak <= d.v_o_max + 1e-6
-        assert d.v_cd1_peak <= d.v_o_max + 1e-6
-        # mean + pp/2 summary: the ripple is slightly asymmetric about its
-        # time-average (the decay phase dwells near the minimum), so the
-        # cycle mean sits a percent-of-ripple below the midpoint
-        cap = d.v_o_mean + 0.5 * d.v_o_ripple_pp + 0.02 * d.v_o_ripple_pp
-        assert d.v_cs1_peak <= cap
-        assert d.v_cd1_peak <= cap
+    d = cycle_diagnostics(res)
+    # exact bound: neither device ever sees more than the instantaneous
+    # output voltage
+    assert np.all(d.v_cs1_peak <= d.v_o_max + 1e-6)
+    assert np.all(d.v_cd1_peak <= d.v_o_max + 1e-6)
+    # mean + pp/2 summary: the ripple is slightly asymmetric about its
+    # time-average (the decay phase dwells near the minimum), so the cycle
+    # mean sits a percent-of-ripple below the midpoint
+    cap = (res.columns.v_o_mean + 0.5 * d.v_o_ripple_pp
+           + 0.02 * d.v_o_ripple_pp)
+    assert np.all(d.v_cs1_peak <= cap)
+    assert np.all(d.v_cd1_peak <= cap)
 
 
 def test_commutation_time_parity(vp_stiff):
@@ -663,7 +736,7 @@ def test_diode_turns_off_on_the_zero_crossing(vp):
     # coil current is zero by construction
     i_end = vp.i_ls_amp * math.sin(vp.omega * vp.t_period)
     assert abs(i_end) < 1e-9
-    assert all(d.zcs_ok for d in res.diagnostics)
+    assert res.columns.zcs_ok.all()
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +746,7 @@ def test_diode_turns_off_on_the_zero_crossing(vp):
 def test_waveform_channel_invariants(vp):
     res, cmd, op = steady_soft_run(vp, n=8)
     cap = run(vp, cmd, 8, initial=res.final_state)
-    wf = sample_waveform(cap.pieces, 512 * vp.f_s)
+    wf = sample_waveform(cap, 512 * vp.f_s)
     eps = 1e-6
     assert np.all(wf.v_cs1 >= -eps) and np.all(wf.v_cd1 >= -eps)
     assert np.all(wf.v_cs1 <= wf.v_o + eps)
@@ -696,7 +769,7 @@ def test_waveform_channel_invariants(vp):
 
 def test_event_log_monotone_and_vocabulary(vp):
     res, cmd, op = steady_soft_run(vp, n=12)
-    events = [e for piece in res.pieces for e in piece.events]
+    events = res.events
     times = [t for t, _ in events]
     assert all(b > a for a, b in zip(times, times[1:]))
     allowed = {"gate_on", "gate_off", "cs1_zero", "cd1_zero", "ils_zero",
@@ -708,7 +781,7 @@ def test_conduction_samples_satisfy_ode(vp):
     res, cmd, op = steady_soft_run(vp, n=4)
     cap = run(vp, cmd, 2, initial=res.final_state)
     rate = 4096 * vp.f_s
-    wf = sample_waveform(cap.pieces, rate)
+    wf = sample_waveform(cap, rate)
     dt = 1.0 / rate
     mid = slice(1, -1)
     dv = (wf.v_o[2:] - wf.v_o[:-2]) / (2 * dt)
@@ -720,21 +793,25 @@ def test_conduction_samples_satisfy_ode(vp):
     assert np.max(err) / np.max(np.abs(rhs[ok])) < 1e-3
 
 
-def reference_samples(pieces, t):
-    """(i_ls, v_cs1, v_cd1, v_o, gate, state) on the grid ``t``, one sample
-    at a time: a sample belongs to the first cycle with
-    t < t_start + T - 1e-18 and, in it, to the first segment with th < t1."""
-    cycles = iter(pieces)
-    piece = next(cycles)
+def reference_samples(result, t):
+    """(i_ls, v_cs1, v_cd1, v_o, gate, state) of the run ``result`` on the
+    grid ``t``, one sample at a time from its segment rows: a sample
+    belongs to the first cycle k with t < k T + T - 1e-18 and, in it, to
+    the first segment row with th < t1."""
+    params = result.params
+    ts, w, tau = params.t_period, params.omega, params.r_load * params.c_o
+    amp = params.i_ls_amp / (w * params.c_sum)
+    segs = simulator._seg_rows(result.segments)
+    first = result.segments.first.tolist()
+    gate_off = result.columns.gate_off.tolist()
+    k = 0
     rows = []
-    for tk in t:
-        while not tk < piece.t_start + piece.params.t_period - 1e-18:
-            piece = next(cycles)
-        params = piece.params
-        w, tau = params.omega, params.r_load * params.c_o
-        th = tk - piece.t_start
-        seg = next(s for s in piece.segments if th < s.t1)
-        amp = params.i_ls_amp / (w * params.c_sum)
+    for tk in t.tolist():
+        while not tk < k * ts + ts - 1e-18:
+            k += 1
+        t_start = k * ts
+        th = tk - t_start
+        seg = next(s for s in segs[first[k]:first[k + 1]] if th < s.t1)
         vo = seg.v_o(th, tau, w)
         # I and IV integrate the coil current on the node, II and III clamp
         # it to v_o, and V holds it at zero
@@ -742,23 +819,24 @@ def reference_samples(pieces, t):
               else seg.va0 + amp * (math.cos(w * seg.t_ref)
                                     - math.cos(w * th)))
         rows.append((params.i_ls_amp * math.sin(w * th), vo - vn, vn, vo,
-                     int(piece.gate_on <= tk < piece.gate_off),
+                     int(t_start + result.cmd.t_f <= tk
+                         < t_start + gate_off[k]),
                      int(seg.state)))
     return [np.array(col) for col in zip(*rows)]
 
 
-def orbit_pieces(vp, r_load, duty, n_cycles):
-    """``n_cycles`` pieces run on the orbit of (duty, f_s*t_f = 0.0672),
-    at load ``r_load`` (None: the receiver's own)."""
+def orbit_run(vp, r_load, duty, n_cycles):
+    """A run of ``n_cycles`` on the orbit of (duty, f_s*t_f = 0.0672), at
+    load ``r_load`` (None: the receiver's own)."""
     p = vp.with_load(r_load) if r_load else vp
     cmd = ModulationCommand(duty, 0.0672 / vp.f_s)
     v0 = steady_state_vo(p.i_ls_amp, p.r_load, duty, 0.0672)
     return run(p, cmd, n_cycles,
-               initial=periodic_steady_state(p, cmd, v0).state).pieces
+               initial=periodic_steady_state(p, cmd, v0).state)
 
 
-def assert_matches_reference(wf, pieces):
-    i_ls, v_cs1, v_cd1, v_o, gate, state = reference_samples(pieces, wf.t)
+def assert_matches_reference(wf, result):
+    i_ls, v_cs1, v_cd1, v_o, gate, state = reference_samples(result, wf.t)
     assert np.array_equal(wf.state, state)
     assert np.array_equal(wf.gate, gate)
     for got, ref in ((wf.i_ls, i_ls), (wf.v_cs1, v_cs1), (wf.v_cd1, v_cd1),
@@ -773,17 +851,17 @@ def assert_matches_reference(wf, pieces):
     (None, 0.532, 333.7),   # not a whole number of samples per cycle
 ], ids=["table2", "no_state_v", "fractional_rate"])
 def test_sampler_matches_per_sample_reference(vp, r_load, duty, per_cycle):
-    pieces = orbit_pieces(vp, r_load, duty, 8)
-    p = pieces[0].params
-    wf = sample_waveform(pieces, per_cycle * p.f_s)
+    res = orbit_run(vp, r_load, duty, 8)
+    p = res.params
+    wf = sample_waveform(res, per_cycle * p.f_s)
     assert len(wf.t) == round(8 * per_cycle)
-    assert_matches_reference(wf, pieces)
+    assert_matches_reference(wf, res)
     if r_load:
         assert set(wf.state.tolist()) == {1, 2, 4}
-        assert all(piece.summary.hard_switched for piece in pieces)
+        assert res.columns.hard_switched.all()
     elif per_cycle == 256:
         # a sample exactly on a segment end belongs to the next segment
-        assert wf.t[128] - pieces[0].t_start == 0.5 * p.t_period
+        assert wf.t[128] == 0.5 * p.t_period
         assert wf.state[128] == 3
 
 
@@ -793,20 +871,19 @@ def test_sampler_matches_per_sample_reference(vp, r_load, duty, per_cycle):
 def test_sampler_block_seams(vp, r_load, duty, per_cycle):
     # 37 cycles are more than two of the sampler's blocks and not a whole
     # number of them, so every kind of seam is crossed
-    pieces = orbit_pieces(vp, r_load, duty, 37)
-    ts = pieces[0].params.t_period
-    wf = sample_waveform(pieces, per_cycle * pieces[0].params.f_s)
+    res = orbit_run(vp, r_load, duty, 37)
+    ts = res.params.t_period
+    wf = sample_waveform(res, per_cycle * res.params.f_s)
     assert len(wf.t) == round(37 * per_cycle)
-    per_block = simulator._BLOCK_SAMPLES * len(pieces) // len(wf.t)
-    assert 2 * per_block < len(pieces) and len(pieces) % per_block != 0
-    assert_matches_reference(wf, pieces)
-    for c in range(per_block, len(pieces), per_block):
+    per_block = simulator._BLOCK_SAMPLES * 37 // len(wf.t)
+    assert 2 * per_block < 37 and 37 % per_block != 0
+    assert_matches_reference(wf, res)
+    for c in range(per_block, 37, per_block):
         # the block's first sample is the first of cycle c: past the end of
         # cycle c - 1 and before the end of cycle c
-        first = np.searchsorted(wf.t, pieces[c - 1].t_start + ts - 1e-18)
-        assert pieces[c].t_start - 1e-18 <= wf.t[first] \
-            < pieces[c].t_start + ts - 1e-18
-        assert wf.state[first] == pieces[c].segments[0].state
+        first = np.searchsorted(wf.t, (c - 1) * ts + ts - 1e-18)
+        assert c * ts - 1e-18 <= wf.t[first] < c * ts + ts - 1e-18
+        assert wf.state[first] == res.segments.state[res.segments.first[c]]
 
 
 def test_sampler_memory_beyond_its_result_is_bounded(vp):
@@ -814,13 +891,13 @@ def test_sampler_memory_beyond_its_result_is_bounded(vp):
     # `wptrx simulate` (400 cycles at 256 samples per cycle, a 4.3 MB
     # result) they stay under 1 MB, where one pass over the whole run
     # needed about 8 MB more
-    pieces = orbit_pieces(vp, None, 0.532, 400)
+    res = orbit_run(vp, None, 0.532, 400)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        wf = sample_waveform(pieces, 256 * vp.f_s)
+        wf = sample_waveform(res, 256 * vp.f_s)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
@@ -830,33 +907,17 @@ def test_sampler_memory_beyond_its_result_is_bounded(vp):
     assert peak <= result + 1e6, (peak, result)
 
 
-def test_sampler_rejects_cycles_of_different_receivers(vp):
-    cmd = ModulationCommand(0.532, 386e-9)
-    start = SwitchCycleState(24.0)
-    pieces = (run(vp, cmd, 2, initial=start).pieces
-              + run(vp.with_load(50.0), cmd, 1, initial=start).pieces)
-    with pytest.raises(NonPeriodicWindow):
-        sample_waveform(pieces, 256 * vp.f_s)
-
-
-def test_sampler_rejects_no_cycles(vp):
-    # it raised a bare IndexError
-    with pytest.raises(NonPositiveParameter) as err:
-        sample_waveform([], 256 * vp.f_s)
-    assert err.value.field == "n_cycles"
-
-
 def coefficients(res):
     """The complex coefficients of a SpectrumResult, k = 1, 2, ..."""
     return np.array([a * np.exp(1j * phase) for _, a, phase in res.harmonics])
 
 
-def sampled_coefficients(pieces, channel, per_cycle, n_harmonics):
+def sampled_coefficients(result, channel, per_cycle, n_harmonics):
     """The correlation of ``channel`` sampled at ``per_cycle`` samples per
     carrier period with e^{-jkwt}, k = 1..n_harmonics: the rectangle rule
     the exact spectrum replaces."""
-    p = pieces[0].params
-    wf = sample_waveform(pieces, per_cycle * p.f_s)
+    p = result.params
+    wf = sample_waveform(result, per_cycle * p.f_s)
     y = getattr(wf, channel)
     return np.array([2.0 / len(y) * np.sum(y * np.exp(-1j * p.omega * k
                                                         * wf.t))
@@ -869,12 +930,12 @@ def test_sampled_correlation_converges_to_exact_spectrum(vp, r_load, duty):
     # both orbits hard-switch, so v_cd1 jumps at the gate edge and the
     # sampled correlation's error falls only as 1/N: 17 % at k = 29 at
     # fig14's old 256 samples per cycle on table2
-    pieces = orbit_pieces(vp, r_load, duty, 1)
-    assert pieces[0].summary.hard_switched
-    exact = coefficients(spectrum(pieces, ("v_cd1",), 40)[0])
+    res = orbit_run(vp, r_load, duty, 1)
+    assert res.columns.hard_switched[0]
+    exact = coefficients(spectrum(res, ("v_cd1",), 40)[0])
     worst, first = [], []
     for per_cycle in (256, 4096, 32768):
-        rel = np.abs(np.abs(sampled_coefficients(pieces, "v_cd1", per_cycle,
+        rel = np.abs(np.abs(sampled_coefficients(res, "v_cd1", per_cycle,
                                                  40)) - np.abs(exact)) \
             / np.abs(exact)
         worst.append(rel.max())
@@ -888,11 +949,12 @@ def test_sampled_correlation_converges_to_exact_spectrum(vp, r_load, duty):
         assert first[2] < 2e-6
 
 
-def quadrature_coefficients(piece, channel, n_harmonics):
+def quadrature_coefficients(one, channel, n_harmonics):
     """c_k = (2/T) int_0^T y e^{-jkw th} dth of ``channel`` (v_o, v_cd1 or
-    v_cs1), k = 1..n_harmonics, by adaptive quadrature of each segment's
-    closed form: an independent reference for the exact spectrum."""
-    p = piece.params
+    v_cs1) of the one-cycle run ``one``, k = 1..n_harmonics, by adaptive
+    quadrature of each segment's closed form: an independent reference for
+    the exact spectrum."""
+    p = one.params
     w, tau = p.omega, p.r_load * p.c_o
     amp = p.i_ls_amp / (w * p.c_sum)
 
@@ -906,7 +968,7 @@ def quadrature_coefficients(piece, channel, n_harmonics):
     out = []
     for k in range(1, n_harmonics + 1):
         c = 0j
-        for seg in piece.segments:
+        for seg in simulator._seg_rows(one.segments):
             for part, f in ((1.0, math.cos), (-1j, math.sin)):
                 c += part * quad(lambda th: value(seg, th) * f(k * w * th),
                                  seg.t0, seg.t1, epsabs=1e-18,
@@ -920,19 +982,19 @@ def test_spectrum_matches_quadrature_of_the_segments(vp, c_o):
     # at 1 uF the source-driven sin and cos terms of the conduction form
     # are 0.039 V and 1.9 V, where table2's sin term is 4e-8 V
     p = dataclasses.replace(vp, c_o=c_o)
-    piece, = orbit_pieces(p, None, 0.532, 1)
+    one = orbit_run(p, None, 0.532, 1)
     channels = ("v_o", "v_cd1", "v_cs1")
-    for channel, res in zip(channels, spectrum([piece], channels, 10)):
+    for channel, res in zip(channels, spectrum(one, channels, 10)):
         # rounding is of the order of the voltages, not of each harmonic
         np.testing.assert_allclose(
-            coefficients(res), quadrature_coefficients(piece, channel, 10),
-            rtol=1e-9, atol=1e-13 * piece.summary.v_o_start)
+            coefficients(res), quadrature_coefficients(one, channel, 10),
+            rtol=1e-9, atol=1e-13 * one.columns.v_o_start[0])
 
 
 def test_spectrum_source_current_is_exactly_one_harmonic(vp):
     res, cmd, op = steady_soft_run(vp, n=4)
     cap = run(vp, cmd, 3, initial=res.final_state)
-    sp, = spectrum(cap.pieces, ("i_ls",), 10)
+    sp, = spectrum(cap, ("i_ls",), 10)
     assert sp.fundamental == vp.i_ls_amp
     assert sp.harmonics[0][2] == -0.5 * math.pi
     assert all(a == 0.0 for _, a, _ in sp.harmonics[1:])
@@ -942,15 +1004,16 @@ def test_spectrum_source_current_is_exactly_one_harmonic(vp):
 def test_spectrum_mean_over_orbit_cycles_is_one_cycles(vp):
     # every cycle of the orbit is the same, and each is referenced to its
     # own start
-    pieces = orbit_pieces(vp, None, 0.532, 8)
+    eight = orbit_run(vp, None, 0.532, 8)
     channels = ("v_cd1", "v_cs1", "v_o")
-    for channel, one, mean in zip(channels, spectrum(pieces[:1], channels, 40),
-                                  spectrum(pieces, channels, 40)):
+    for channel, one, mean in zip(
+            channels, spectrum(orbit_run(vp, None, 0.532, 1), channels, 40),
+            spectrum(eight, channels, 40)):
         c, d = coefficients(one), coefficients(mean) - coefficients(one)
         if channel == "v_o":
             # its harmonics are the ripple, mV and below: against the
             # output voltage, as its rounding is
-            assert np.max(np.abs(d)) < 1e-12 * pieces[0].summary.v_o_start
+            assert np.max(np.abs(d)) < 1e-12 * eight.columns.v_o_start[0]
         else:
             assert np.max(np.abs(d) / np.abs(c)) < 1e-12
             assert mean.thd == pytest.approx(one.thd, rel=1e-12)
@@ -960,10 +1023,10 @@ def test_spectrum_of_several_channels_is_each_channels_own(vp):
     res, cmd, op = steady_soft_run(vp, n=4)
     cap = run(vp, cmd, 3, initial=res.final_state)
     channels = ("v_cd1", "i_ls", "v_o", "v_cs1")
-    together = spectrum(cap.pieces, channels, 40)
+    together = spectrum(cap, channels, 40)
     assert len(together) == len(channels)
     for channel, got in zip(channels, together):
-        alone, = spectrum(cap.pieces, (channel,), 40)
+        alone, = spectrum(cap, (channel,), 40)
         assert got.harmonics == alone.harmonics
         assert got.thd == alone.thd
     # the switch voltage is the output less the node voltage
@@ -973,34 +1036,27 @@ def test_spectrum_of_several_channels_is_each_channels_own(vp):
 
 
 def test_spectrum_rejects_bad_arguments(vp):
-    pieces = orbit_pieces(vp, None, 0.532, 2)
+    res = orbit_run(vp, None, 0.532, 2)
     # a bare name is not read as the channels "v", "_", "o"
     with pytest.raises(TypeError, match="sequence of names"):
-        spectrum(pieces, "v_o", 40)
+        spectrum(res, "v_o", 40)
     with pytest.raises(ValueError, match="gate"):
-        spectrum(pieces, ("v_o", "gate"), 40)
-    # no harmonic to take, or no cycle to take it of
+        spectrum(res, ("v_o", "gate"), 40)
+    # no harmonic to take
     for n_harmonics in (0, -3):
         with pytest.raises(NonPositiveParameter) as err:
-            spectrum(pieces, ("v_o",), n_harmonics)
+            spectrum(res, ("v_o",), n_harmonics)
         assert err.value.field == "n_harmonics"
-    with pytest.raises(NonPositiveParameter) as err:
-        spectrum([], ("v_o",), 40)
-    assert err.value.field == "n_cycles"
-    other = run(vp.with_load(50.0), ModulationCommand(0.532, 386e-9), 1,
-                initial=SwitchCycleState(24.0)).pieces
-    with pytest.raises(NonPeriodicWindow):
-        spectrum(pieces + other, ("v_cd1",), 10)
 
 
 def test_hard_switched_node_harmonics_fall_as_its_jump_over_pi_k(vp):
     # v_cd1 jumps by J at the gate edge of fig14's hard-switched orbit (the
     # top-up from va_pre_snap to v_at_th1), so k a_k tends to |J|/pi: the
     # high harmonics the paper's soft switching removes
-    piece, = orbit_pieces(vp, None, 0.532, 1)
-    jump = piece.node_v[2] - piece.node_v[1]
+    one = orbit_run(vp, None, 0.532, 1)
+    jump = one.columns.v_at_th1[0] - one.columns.va_pre_snap[0]
     assert jump > 6.0
-    sp, = spectrum([piece], ("v_cd1",), 400)
+    sp, = spectrum(one, ("v_cd1",), 400)
     k = np.arange(1, 401)
     ka = k * np.array([a for _, a, _ in sp.harmonics]) / (abs(jump) / math.pi)
     assert np.mean(ka[199:]) == pytest.approx(1.0, abs=0.02)
@@ -1019,9 +1075,9 @@ def test_soft_switched_node_harmonics_fall_as_one_over_k_squared(vp):
     op = solve_operating_point(vp, 0.532, exact=True)
     cmd = exact_cmd(vp, 0.532, op.v_o)
     orbit = periodic_steady_state(vp, cmd, op.v_o)
-    pieces = run(vp, cmd, 1, initial=orbit.state).pieces
-    assert pieces[0].summary.zvs_ok and not pieces[0].summary.hard_switched
-    sp, = spectrum(pieces, ("v_cd1",), 400)
+    one = run(vp, cmd, 1, initial=orbit.state)
+    assert one.columns.zvs_ok[0] and not one.columns.hard_switched[0]
+    sp, = spectrum(one, ("v_cd1",), 400)
     k = np.arange(1, 401)
     k2a = k * k * np.array([a for _, a, _ in sp.harmonics])
     assert np.max(k2a[199:]) < 1.1 * np.max(k2a[49:99])
@@ -1034,32 +1090,21 @@ def test_soft_switched_node_harmonics_fall_as_one_over_k_squared(vp):
 
 def test_soft_switching_sweep_across_duty_window(vp):
     lo, hi = duty_bounds(0.078)
-    all_diags = []
     for duty in np.linspace(lo + 0.01, hi - 0.01, 7):
         op = solve_operating_point(vp, float(duty), exact=True)
         cmd = ModulationCommand(float(duty), fall_time_exact(vp, op.v_o))
-        res = run(vp, cmd, 30, initial=SwitchCycleState(op.v_o))
-        all_diags.extend(res.diagnostics)
-    rep = soft_switching_report(all_diags)
-    assert rep.zvs_fraction == 1.0
-    assert rep.zcs_fraction == 1.0
-    assert rep.total_e_hard_switch == 0.0
+        c = run(vp, cmd, 30, initial=SwitchCycleState(op.v_o)).columns
+        assert c.zvs_ok.all() and c.zcs_ok.all()
+        assert not c.e_hard_switch.any()
 
 
 def test_soft_switching_report_counts_hard_cycles(vp):
+    # the columns simulate reduces to its zvs and zcs fractions
     cmd = ModulationCommand(0.532, 0.0)
-    res = run(vp, cmd, 20, initial=SwitchCycleState(24.0))
-    rep = soft_switching_report(res.diagnostics)
-    assert rep.zvs_fraction == 0.0
-    assert rep.worst_v_cs1_at_gate > 1.0
-    assert rep.total_e_hard_switch > 0.0
-
-
-def test_soft_switching_report_rejects_empty_run():
-    # the cycle-count error of run, not a duty error
-    with pytest.raises(NonPositiveParameter) as exc:
-        soft_switching_report([])
-    assert exc.value.field == "n_cycles"
+    c = run(vp, cmd, 20, initial=SwitchCycleState(24.0)).columns
+    assert not c.zvs_ok.any()
+    assert c.v_cs1_at_gate.max() > 1.0
+    assert c.e_hard_switch.sum() > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1111,9 +1156,14 @@ def test_run_and_orbit_solve_build_their_cycle_constants_once(
     assert orbit.cycles > 2 and n_lin >= 3
     monkeypatch.undo()
     state = SwitchCycleState(24.0)
-    for n, piece in enumerate(res.pieces):
-        state, _, ref = step_cycle(state, cmd, vp, n * vp.t_period)
-        assert repr(piece) == repr(ref)  # t_f_meas is NaN on hard cycles
+    first = res.segments.first
+    for n in range(40):
+        state, _, ref = step_cycle(state, cmd, vp)
+        # repr, as t_f_meas is NaN on hard cycles
+        assert repr([col[n] for col in res.columns]) == repr(
+            [col[0] for col in ref.columns])
+        assert repr([col[first[n]:first[n + 1]] for col in res.segments[:8]]
+                    ) == repr(list(ref.segments[:8]))
     assert res.final_state == state
     assert orbit.residual == one_cycle_change(vp, cmd, orbit.state)
 
@@ -1184,7 +1234,7 @@ def test_long_run_approaches_the_solved_orbit(vp):
     cmd = fig13_cmd(vp)
     v_star = periodic_steady_state(vp, cmd, 24.0).state.v_o
     res = run(vp, cmd, 2000, initial=SwitchCycleState(24.144))
-    ends = np.array([24.144] + [d.v_o_end for d in res.diagnostics])
+    ends = np.concatenate(([24.144], res.columns.v_o_end))
     steps = np.diff(ends)
     assert np.all(steps > 0.0) and ends[-1] < v_star
     # geometric decay: extrapolating the remaining steps lands on v_star
@@ -1195,10 +1245,9 @@ def test_long_run_approaches_the_solved_orbit(vp):
 
 def test_fig13_capture_is_steady():
     rc = cli._builtin_config("table2")
-    pieces = cli._steady_va_run(rc, validate(rc.params), 4)
-    means = [p.summary.v_o_mean for p in pieces]
-    assert max(means) - min(means) <= 1e-9
-    assert pieces[0].summary.v_o_start == pytest.approx(24.352, abs=1e-3)
+    c = cli._steady_va_run(rc, validate(rc.params), 4).columns
+    assert np.ptp(c.v_o_mean) <= 1e-9
+    assert c.v_o_start[0] == pytest.approx(24.352, abs=1e-3)
 
 
 def test_simulate_reports_the_orbit_it_starts_on(tmp_path, capsys):
@@ -1212,12 +1261,43 @@ def test_simulate_reports_the_orbit_it_starts_on(tmp_path, capsys):
     assert 0.0 <= residual <= V_ORBIT_TOL
 
 
+def test_simulate_builds_its_segment_table_once(tmp_path, monkeypatch):
+    # the sampler, the event list and the diagnostics all read the table
+    # run builds; each cycle's segments used to be built by the sampler
+    # and again by the diagnostics
+    built = []
+    segment_table = simulator._segment_table
+
+    def counted(columns, consts):
+        built.append(len(columns.th1))
+        return segment_table(columns, consts)
+
+    monkeypatch.setattr(simulator, "_segment_table", counted)
+    table2 = Path(cli.__file__).parent / "configs" / "table2.cfg"
+    assert cli.main(["simulate", "--config", str(table2), "--cycles", "40",
+                     "--out", str(tmp_path)]) == 0
+    assert built == [40]
+
+
 def test_orbits_converge_across_the_receiver_box():
     # the orbit solve reaches V_ORBIT_TOL only where the one-cycle map is
     # smooth to float resolution: a turn-on time quantized to T_EVENT_TOL
     # makes it a staircase that stalls the solve near 1e-10 V
     for p, cmd, v_avg in random_receivers(11, 2000):
         assert periodic_steady_state(p, cmd, v_avg).residual <= V_ORBIT_TOL
+
+
+@pytest.mark.xfail(strict=True, raises=NoConvergence, reason=(
+    "gated at exactly the exact fall time, the orbit sits on the soft/hard "
+    "kink of the cycle map; the Jacobian's difference step crosses it and "
+    "the damped Newton stalls near 2e-11 V, above V_ORBIT_TOL"))
+@pytest.mark.parametrize("duty", [0.22, 0.3])
+def test_orbit_gated_at_the_exact_fall_time_converges(duty):
+    # fig7's receiver at 5 kohm; at duty 0.5 the same solve converges
+    p = validate(cli._builtin_config("fig7").params).with_load(5000.0)
+    op = solve_operating_point(p, duty, exact=True)
+    orbit = periodic_steady_state(p, ModulationCommand(duty, op.t_f), op.v_o)
+    assert orbit.residual <= V_ORBIT_TOL
 
 
 def test_failed_orbit_solve_names_its_command(vp, monkeypatch):

@@ -10,8 +10,9 @@ table2 receiver:
   (``duty_bounds``), in us per call;
 * ``vo_vs_duty_curve`` on fig4a's grid (4 loads x 499 duties), the
   heaviest caller of ``solve_operating_point``, in ms per call;
-* ``step_cycle`` on the periodic orbit of the config's command (duty 0.532,
-  f_s*t_f = 0.0672, the fig13 operating point), in us per cycle;
+* ``run`` of 2000 cycles on the periodic orbit of the config's command
+  (duty 0.532, f_s*t_f = 0.0672, the fig13 operating point), its columns
+  and segment table included, in us per cycle;
 * ``closed_loop_run`` on fig19's load step (6000 cycles), in us per cycle;
   every one of its cycles is hard-switched, so State I ends at the gate
   edge and reads its terms from the cycle constants;
@@ -21,15 +22,15 @@ table2 receiver:
   Newton steps, so the two rows time the two State-I branches;
 * ``periodic_steady_state`` of that command from the averaged output, in ms
   per solve;
-* ``cycle_diagnostics`` (ledger, ripple extremes, device peaks) of 32
-  orbit cycles, in us per cycle;
-* ``CyclePiece.segments`` of 400 orbit cycles (the size of ``wptrx
-  simulate``), in us per cycle;
+* ``cycle_diagnostics`` (ledger, ripple extremes, device peaks) of a run
+  of 32 orbit cycles, in us per cycle;
+* the segment table build (``simulator._segment_table``) of a run of 400
+  orbit cycles (the size of ``wptrx simulate``), in us per cycle;
 * the ripple extremes (``simulator._conduction_extremes``) of every
   conduction segment of those 400 cycles, in us per segment.  With the
-  ``step_cycle`` row (event location) and the ``cycle_diagnostics`` row
-  (ledger integrals, ripple extremes and segments), this splits a
-  switched cycle's cost into its three parts;
+  ``run`` row (event location, columns and segment table) and the
+  ``cycle_diagnostics`` row (ledger integrals and ripple extremes), this
+  splits a switched cycle's cost into its parts;
 * ``sample_waveform`` of those 32 cycles, and of the 400, at 256 samples
   per cycle, in us per sample;
 * ``spectrum`` of one orbit cycle, 40 harmonics of v_cd1 and i_ls in one
@@ -47,15 +48,15 @@ f_s*t_f = 0.1):
 
 Each figure is the median of several repeats, after one warm-up call, so
 a slow repeat on a shared host moves it little; the lowest and highest
-repeat are printed beside it.  A piece builds its segments on every read,
-so the ``cycle_diagnostics`` and ``sample_waveform`` rows include building
-them on every repeat.  Before pieces stopped caching their segments, those
-rows read the cache after the warm-up call and left that cost out, so they
-do not compare like for like across that change.  Compare two commits by
+repeat are printed beside it.  A run builds its segment table once, in
+``run``, so the ``cycle_diagnostics`` and ``sample_waveform`` rows read it
+and leave its build out; when a run kept one record per cycle and built
+its segments on every read, those rows included that build, so they do
+not compare like for like across that change.  Compare two commits by
 running the script in a checkout of each, on the same machine, back to
 back and several times in alternating order: rows taken in separate
 processes drift with the host's load (on a shared 2-core VM, the same
-commit's ``step_cycle`` row has read 8.9 and 15.7 us per cycle minutes
+commit's per-cycle stepping row has read 8.9 and 15.7 us per cycle minutes
 apart), so one run of each side can show a change that is not there.
 Needs numpy; about 4 s on a 2-core x86-64 VM.
 """
@@ -78,8 +79,9 @@ from wptrx.config import parse_config  # noqa: E402
 from wptrx.control import closed_loop_run  # noqa: E402
 from wptrx.params import validate  # noqa: E402
 from wptrx.simulator import (  # noqa: E402
-    _CLAMPED, ModulationCommand, _conduction_extremes, cycle_diagnostics,
-    periodic_steady_state, run, sample_waveform, spectrum, step_cycle)
+    _CLAMPED, ModulationCommand, _conduction_extremes, _cycle_consts,
+    _seg_rows, _segment_table, cycle_diagnostics, periodic_steady_state, run,
+    sample_waveform, spectrum)
 from wptrx.smallsignal import perturb_bode_oracle  # noqa: E402
 
 OP_DUTIES = 24
@@ -135,11 +137,6 @@ def main() -> int:
         for d in op_duties:
             solve_operating_point(vp, d, exact)
 
-    def cycles():
-        state = orbit.state
-        for _ in range(STEP_CYCLES):
-            state = step_cycle(state, cmd, vp)[0]
-
     sc = scenarios.load_step_scenario(vp, rc.v_ref, rc.feedforward_amp,
                                       r_low=36.0)
     gains = scenarios.design_gains(vp, rc.v_ref, sc.i_ls_ff, rc.f_c)
@@ -148,13 +145,15 @@ def main() -> int:
     gains_ramp = scenarios.design_gains(p_ramp, rc.v_ref, sc_ramp.i_ls_ff,
                                         rc.f_c)
     n_ramp = len(closed_loop_run(sc_ramp, gains_ramp, p_ramp).t)
-    pieces = run(vp, cmd, SAMPLE_CYCLES, initial=orbit.state).pieces
+    short = run(vp, cmd, SAMPLE_CYCLES, initial=orbit.state)
     rate = SAMPLES_PER_CYCLE * vp.f_s
-    wave = sample_waveform(pieces, rate)
-    long_pieces = run(vp, cmd, SIMULATE_CYCLES, initial=orbit.state).pieces
-    long_wave = sample_waveform(long_pieces, rate)
-    conducting = [seg for p in long_pieces for seg in p.segments
+    wave = sample_waveform(short, rate)
+    long = run(vp, cmd, SIMULATE_CYCLES, initial=orbit.state)
+    long_wave = sample_waveform(long, rate)
+    consts = _cycle_consts(vp, vp.r_load, vp.i_ls_amp, cmd.t_f)
+    conducting = [seg for seg in _seg_rows(long.segments)
                   if seg.state in _CLAMPED]
+    one = run(vp, cmd, 1, initial=orbit.state)
     tau = vp.r_load * vp.c_o
     n_long = len(long_wave.t)
     wave_header = "t,i_ls,v_cs1,v_cd1,v_o,gate,state"
@@ -184,8 +183,9 @@ def main() -> int:
          _timed(lambda: averaged.vo_vs_duty_curve(vp, cli._FIG4A_LOADS,
                                                   curve_duties),
                 CURVE_REPEATS, 1e-3)),
-        ("step_cycle, table2 orbit", "us/cycle",
-         _timed(cycles, STEP_REPEATS, STEP_CYCLES / 1e6)),
+        (f"run, table2 orbit ({STEP_CYCLES} cycles)", "us/cycle",
+         _timed(lambda: run(vp, cmd, STEP_CYCLES, initial=orbit.state),
+                STEP_REPEATS, STEP_CYCLES / 1e6)),
         (f"closed_loop_run, fig19 load step ({n_loop} cycles)", "us/cycle",
          _timed(lambda: closed_loop_run(sc, gains, vp), LOOP_REPEATS,
                 n_loop / 1e6)),
@@ -197,11 +197,11 @@ def main() -> int:
          _timed(lambda: periodic_steady_state(vp, cmd, v_guess),
                 ORBIT_REPEATS, 1e-3)),
         (f"cycle_diagnostics, {SAMPLE_CYCLES} orbit cycles", "us/cycle",
-         _timed(lambda: [cycle_diagnostics(p) for p in pieces], DIAG_REPEATS,
+         _timed(lambda: cycle_diagnostics(short), DIAG_REPEATS,
                 SAMPLE_CYCLES / 1e6)),
-        (f"CyclePiece.segments, {SIMULATE_CYCLES} orbit cycles", "us/cycle",
-         _timed(lambda: [p.segments for p in long_pieces], SEGMENT_REPEATS,
-                SIMULATE_CYCLES / 1e6)),
+        (f"_segment_table, {SIMULATE_CYCLES} orbit cycles", "us/cycle",
+         _timed(lambda: _segment_table(long.columns, consts),
+                SEGMENT_REPEATS, SIMULATE_CYCLES / 1e6)),
         (f"ripple extremes, {len(conducting)} conduction segments of "
          f"{SIMULATE_CYCLES} orbit cycles", "us/segment",
          _timed(lambda: [_conduction_extremes(seg, tau, vp.omega,
@@ -209,14 +209,14 @@ def main() -> int:
                          for seg in conducting],
                 EXTREME_REPEATS, len(conducting) / 1e6)),
         (f"sample_waveform, {SAMPLE_CYCLES} cycles", "us/sample",
-         _timed(lambda: sample_waveform(pieces, rate), SAMPLE_REPEATS,
+         _timed(lambda: sample_waveform(short, rate), SAMPLE_REPEATS,
                 len(wave.t) / 1e6)),
         (f"sample_waveform, {SIMULATE_CYCLES} cycles", "us/sample",
-         _timed(lambda: sample_waveform(long_pieces, rate), SAMPLE_REPEATS,
+         _timed(lambda: sample_waveform(long, rate), SAMPLE_REPEATS,
                 n_long / 1e6)),
         (f"spectrum, 1 orbit cycle, v_cd1 and i_ls "
          f"({SPECTRUM_HARMONICS} harmonics)", "ms/call",
-         _timed(lambda: spectrum(pieces[:1], ("v_cd1", "i_ls"),
+         _timed(lambda: spectrum(one, ("v_cd1", "i_ls"),
                                  SPECTRUM_HARMONICS),
                 SPECTRUM_REPEATS, 1e-3)),
         (f"_write_table, {SIMULATE_CYCLES}-cycle waveform ({n_long} rows)",
