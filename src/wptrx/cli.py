@@ -4,8 +4,7 @@ transient scenarios, and the figure-reproduction harness.
 All outputs are comma-separated tables with a header row and LF line
 endings, written by ``_write_table`` column by column, by a rule taken from
 each column's element type: strings as is, booleans and integers as
-``%d``, every other number as ``%.11e`` (12 significant digits).  An
-integer column is formatted by ``%d`` once per distinct value.  Only
+``%d``, every other number as ``%.11e`` (12 significant digits).  Only
 ``%.11e`` has a numpy kernel, which reproduces ``%`` exactly; a float cell
 whose rounding it cannot settle (see ``_float_cells``) is formatted by
 ``%`` itself.  Identical config + command always produces byte-identical
@@ -63,9 +62,9 @@ _MEASURED_FST = 0.0672
 _FIG5_FST = 0.0761
 
 
-# Rows formatted per pass of _write_table.  A block of the waveform table
-# peaks at about 0.5 MB of working memory; larger blocks take more memory
-# and save no time.
+# Rows formatted per pass of _write_table.  Writing the waveform table
+# peaks at about 0.78 MB of working memory, 0.1 MB of it the records kept
+# across blocks; larger blocks take more memory and save little time.
 _TABLE_BLOCK_ROWS = 1024
 
 
@@ -136,45 +135,55 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
 
 
 def _int_cells(v: np.ndarray) -> np.ndarray:
-    """``b"%d" % i`` of each int64 ``i`` of ``v``: each distinct value is
-    formatted once, and the cells are gathered from those."""
-    values, index = np.unique(v, return_inverse=True)
-    return np.array([b"%d" % i for i in values.tolist()], "S")[index]
+    """``b"%d" % i`` of each boolean or integer ``i`` of ``v``, from the
+    table of least..greatest at ``v - least``, read as unsigned of ``v``'s
+    width so no value is cast; value by value if the span exceeds len(v)."""
+    v = v.view(np.uint8) if v.dtype.kind == "b" else v
+    least, most = int(v.min()), int(v.max())
+    if most - least >= len(v):
+        return np.array([b"%d" % i for i in v.tolist()], "S")
+    values = np.array([b"%d" % i for i in range(least, most + 1)], "S")
+    return values[(v - least).view(f"u{v.itemsize}")]
 
 
-def _table_rows(columns: list) -> np.ndarray:
-    """Rows of equal-length ``columns`` as records of NUL-padded cells,
-    each followed by its separator byte: ASCII strings as is, booleans and
-    integers as ``%d``, anything else as ``%.11e``.  The float columns
-    share one ``_float_cells`` call."""
+def _table_cells(columns: list) -> list:
+    """NUL-padded bytes cells of equal-length ``columns``: ASCII strings as
+    is, booleans and integers as ``%d``, anything else as ``%.11e``, the
+    float columns in one ``_float_cells`` call."""
     floats = [c for c in columns if c.dtype.kind not in "USbiu"]
     float_cells = iter(_float_cells(np.array(floats, np.float64).ravel())
                        .reshape(len(floats), len(columns[0])))
-    cells = [c.astype("S") if c.dtype.kind in "US"
-             else _int_cells(c.astype(np.int64)) if c.dtype.kind in "biu"
-             else next(float_cells) for c in columns]
-    rows = np.empty(len(columns[0]), [
-        field for i, c in enumerate(cells)
-        for field in ((f"c{i}", c.dtype), (f"s{i}", "S1"))])
-    for i, c in enumerate(cells):
-        rows[f"c{i}"] = c
-        rows[f"s{i}"] = b"," if i < len(cells) - 1 else b"\n"
-    return rows
+    return [c.astype("S") if c.dtype.kind in "US"
+            else _int_cells(c) if c.dtype.kind in "biu"
+            else next(float_cells) for c in columns]
 
 
 def _table_bytes(header: str, columns: list, n_rows: int):
-    """The CSV text of a table, as bytes, block by block."""
+    """The CSV text of a table, as bytes, block by block: rows are records
+    of NUL-padded cells, each followed by its separator byte, made again
+    only when a block's row count or cell widths change."""
     yield header.encode() + b"\n"
+    rows, widths = None, None
     for lo in range(0, n_rows, _TABLE_BLOCK_ROWS):
-        # one expression, so each intermediate is freed as the next is made
-        yield _table_rows([c[lo:lo + _TABLE_BLOCK_ROWS] for c in columns]
-                          ).tobytes().translate(None, b"\0")
+        cells = _table_cells([c[lo:lo + _TABLE_BLOCK_ROWS] for c in columns])
+        shape = (len(cells[0]), *(c.itemsize for c in cells))
+        if shape != widths:
+            widths = shape
+            rows = np.empty(len(cells[0]), [
+                field for i, c in enumerate(cells)
+                for field in ((f"c{i}", c.dtype), (f"s{i}", "S1"))])
+            for i in range(len(cells)):
+                rows[f"s{i}"] = b"," if i < len(cells) - 1 else b"\n"
+        for i, c in enumerate(cells):
+            rows[f"c{i}"] = c
+        del cells  # freed before the next block's are made
+        yield rows.tobytes().translate(None, b"\0")
 
 
 def _write_table(out, name: str, header: str, columns) -> None:
     """The one table writer: ``header`` and the equal-length ``columns``
     as CSV into ``out/name`` (creating ``out``), or to stdout when ``out``
-    is None.  Each column keeps one cell type (see ``_table_rows``)."""
+    is None.  Each column keeps one cell type (see ``_table_cells``)."""
     columns = [np.asarray(c) for c in columns]
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:

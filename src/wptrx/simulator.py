@@ -1001,9 +1001,10 @@ def sample_waveform(result: RunResult, sample_rate: float) -> Waveform:
              + seg.p_s[row] * sin_wt + seg.p_c[row] * cos_wt)
         v_o[lo:hi] = v
         st = seg.state[row]
+        # the clamped states are adjacent; ints compare faster than members
         v_cd1[lo:hi] = np.where(
-            np.isin(st, _CLAMPED), v,
-            np.where(st == SwitchingState.STATE_V, 0.0,
+            (st >= _CLAMPED[0].value) & (st <= _CLAMPED[-1].value), v,
+            np.where(st == SwitchingState.STATE_V.value, 0.0,
                      seg.va0[row] + amp * (cos_ref[row] - cos_wt)))
         state_ch[lo:hi] = st
         lo = hi

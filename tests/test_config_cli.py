@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -281,51 +282,93 @@ def test_cli_prints_the_bytes_it_writes(tmp_path, capsys):
 def test_table_writer_cell_formats(tmp_path):
     # one format per column, chosen from the column's element type
     columns = [("a", "bc"), (True, False), (np.True_, np.False_), (7, -12),
-               (np.int8(-3), np.int8(4)), (1.5, -0.0),
+               (np.int8(-3), np.int8(4)),
+               np.array([2 ** 64 - 1, 2 ** 63], np.uint64),
+               np.array([255, 0], np.uint8), (1.5, -0.0),
                (np.float64(-0.25), np.float64(1e300)), (math.nan, -math.inf),
                (math.inf, 2.0)]
-    _write_table(str(tmp_path), "t.csv", "s,b,nb,i,ni,f,nf,nan,inf", columns)
+    _write_table(str(tmp_path), "t.csv", "s,b,nb,i,ni,u64,u8,f,nf,nan,inf",
+                 columns)
     assert (tmp_path / "t.csv").read_bytes() == (
-        b"s,b,nb,i,ni,f,nf,nan,inf\n"
-        b"a,1,1,7,-3,1.50000000000e+00,-2.50000000000e-01,nan,inf\n"
-        b"bc,0,0,-12,4,-0.00000000000e+00,1.00000000000e+300,-inf,"
-        b"2.00000000000e+00\n")
+        b"s,b,nb,i,ni,u64,u8,f,nf,nan,inf\n"
+        b"a,1,1,7,-3,18446744073709551615,255,1.50000000000e+00,"
+        b"-2.50000000000e-01,nan,inf\n"
+        b"bc,0,0,-12,4,9223372036854775808,0,-0.00000000000e+00,"
+        b"1.00000000000e+300,-inf,2.00000000000e+00\n")
     _write_table(str(tmp_path), "empty.csv", "x,y", [[], []])
     assert (tmp_path / "empty.csv").read_bytes() == b"x,y\n"
     _write_table(str(tmp_path), "no_float.csv", "s,i", [["a"], [3]])
     assert (tmp_path / "no_float.csv").read_bytes() == b"s,i\na,3\n"
     # integer cells are b"%d" of each value: the int64 extremes, a column of
-    # repeated values (each formatted once and gathered) and a bool column
+    # repeated values (each formatted once and gathered), a bool column and
+    # unsigned values above 2**63 gathered from their value table
     info = np.iinfo(np.int64)
     ints = np.array([info.min, info.max, -1, 0, 7, -1, 0, info.min],
                     np.int64)
     repeated = np.full(len(ints), -42, np.int64)
     flags = np.array([True, False, False, True, True, False, True, False])
-    _write_table(str(tmp_path), "ints.csv", "i,r,b", [ints, repeated, flags])
-    assert (tmp_path / "ints.csv").read_bytes() == b"i,r,b\n" + b"".join(
-        b"%d,%d,%d\n" % row
-        for row in zip(ints.tolist(), repeated.tolist(), flags.tolist()))
+    high = np.array([2 ** 64 - 1 - k % 3 for k in range(len(ints))],
+                    np.uint64)
+    _write_table(str(tmp_path), "ints.csv", "i,r,b,u",
+                 [ints, repeated, flags, high])
+    assert (tmp_path / "ints.csv").read_bytes() == b"i,r,b,u\n" + b"".join(
+        b"%d,%d,%d,%d\n" % row for row in zip(
+            ints.tolist(), repeated.tolist(), flags.tolist(), high.tolist()))
+
+
+_INFO64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("column", [
+    np.array([0, 10 ** 12, 5], np.int64),
+    np.array([0, 5000, 2], np.int64),
+    np.array([_INFO64.min, _INFO64.max], np.int64),
+    np.array([_INFO64.max, _INFO64.min, _INFO64.max], np.int64),
+    np.array([2 ** 64 - 1, 0, 2 ** 63], np.uint64),
+    np.array([True, False, True]),
+    np.array([-128, 127, -1, 0] * 70, np.int8),
+    np.array([-7, -3, -5, -3, -7], np.int64),
+    np.full(5, -42, np.int16),
+], ids=["wide", "span-5000", "int64-extremes", "int64-extremes-3", "uint64",
+        "bool", "int8-full-span", "negative", "constant"])
+def test_int_cells_build_no_table_wider_than_the_column(column):
+    # a column whose span exceeds its length is formatted value by value; a
+    # table from its least to its greatest value would take the span's size
+    tracemalloc.start()
+    try:
+        cells = cli._int_cells(column)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cells.tolist() == [b"%d" % v for v in column.tolist()]
+    assert peak < 64_000
 
 
 BLOCK = cli._TABLE_BLOCK_ROWS
 
 
 @pytest.mark.parametrize(
-    "n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    "n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 2 * BLOCK + 3])
 def test_table_writer_blocks_match_per_row_format(tmp_path, capsys, n):
     rng = np.random.default_rng(n)
     bits = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
     scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-14, 14, n)
     floats = np.where(np.arange(n) % 3 == 0, bits, scaled)
+    # cells that widen after the first block: 1-digit then 7-digit ints, so
+    # the record is remade, and strings one and then five and ten bytes
+    # long, NUL-padded to the column's width in every block
+    widening = np.array([k % 10 if k < BLOCK else 10 ** 6 + k % 7
+                         for k in range(n)], np.int64)
+    words = ["x" if k < BLOCK else "wider" * (k // BLOCK) for k in range(n)]
     columns = [["ab"[: k % 3] + "event" * (k % 2) for k in range(n)],
                [bool(k % 2) for k in range(n)],
                rng.integers(0, 2, n).astype(np.bool_),
                [int(v) for v in rng.integers(-10 ** 15, 10 ** 15, n)],
                rng.integers(-128, 128, n).astype(np.int8),
-               floats]
-    header = "s,b,nb,i,ni,f"
+               floats, widening, words]
+    header = "s,b,nb,i,ni,f,wi,ws"
     # the reference: the per-row rule, one %-format per column
-    row_format = "%s,%d,%d,%d,%d,%.11e\n"
+    row_format = "%s,%d,%d,%d,%d,%.11e,%d,%s\n"
     expected = (header + "\n" + "".join(
         row_format % row for row in zip(*columns))).encode()
     _write_table(str(tmp_path), "t.csv", header, columns)

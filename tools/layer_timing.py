@@ -38,6 +38,10 @@ table2 receiver:
 * ``cli._write_table`` of the 400 cycles' waveform (the ``waveform.csv``
   of ``wptrx simulate --cycles 400``, 102,400 rows) into a temporary
   directory, in ms per call;
+* ``wptrx simulate --config table2 --cycles 400`` in process
+  (``cli.main``), writing its three tables into a temporary directory, in
+  ms per call: the end-to-end time of the rows above with the orbit solve
+  and the small tables;
 
 and, on the built-in fig7 receiver at its operating point (duty 0.5,
 f_s*t_f = 0.1):
@@ -58,9 +62,11 @@ back and several times in alternating order: rows taken in separate
 processes drift with the host's load (on a shared 2-core VM, the same
 commit's per-cycle stepping row has read 8.9 and 15.7 us per cycle minutes
 apart), so one run of each side can show a change that is not there.
-Needs numpy; about 4 s on a 2-core x86-64 VM.
+Needs numpy; about 2 s on a 2-core x86-64 VM.
 """
 
+import contextlib
+import io
 import statistics
 import sys
 import tempfile
@@ -69,6 +75,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
+TABLE2 = SRC / "wptrx" / "configs" / "table2.cfg"
 
 from wptrx import averaged, cli, scenarios  # noqa: E402
 from wptrx.analytic import (  # noqa: E402
@@ -101,6 +108,7 @@ SAMPLE_REPEATS = 21
 SPECTRUM_HARMONICS = 40
 SPECTRUM_REPEATS = 21
 TABLE_REPEATS = 11
+SIMULATE_REPEATS = 11
 ORACLE_REPEATS = 21
 AVG_HORIZON = 0.1
 AVG_STEP_AT = 0.01
@@ -121,7 +129,7 @@ def _timed(fn, repeats: int, per: float) -> tuple:
 
 
 def main() -> int:
-    rc = parse_config(SRC / "wptrx" / "configs" / "table2.cfg")
+    rc = parse_config(TABLE2)
     vp = validate(rc.params)
     cmd = ModulationCommand(rc.duty, rc.phase_delay_norm / vp.f_s)
     v_guess = steady_state_vo(vp.i_ls_amp, vp.r_load, rc.duty,
@@ -162,6 +170,11 @@ def main() -> int:
         table_time = _timed(lambda: cli._write_table(
             table_dir, "waveform.csv", wave_header, wave_columns),
             TABLE_REPEATS, 1e-3)
+        simulate_argv = ["simulate", "--config", str(TABLE2), "--cycles",
+                         str(SIMULATE_CYCLES), "--out", table_dir]
+        with contextlib.redirect_stdout(io.StringIO()):
+            simulate_time = _timed(lambda: cli.main(simulate_argv),
+                                   SIMULATE_REPEATS, 1e-3)
 
     rc7 = parse_config(SRC / "wptrx" / "configs" / "fig7.cfg")
     vp7 = validate(rc7.params)
@@ -221,6 +234,8 @@ def main() -> int:
                 SPECTRUM_REPEATS, 1e-3)),
         (f"_write_table, {SIMULATE_CYCLES}-cycle waveform ({n_long} rows)",
          "ms/call", table_time),
+        (f"wptrx simulate, table2, {SIMULATE_CYCLES} cycles (in process)",
+         "ms/call", simulate_time),
         (f"perturb_bode_oracle, fig7 ({len(cli._BODE_GRID)} frequencies)",
          "ms/call",
          _timed(lambda: perturb_bode_oracle(vp7, op7, cli._BODE_GRID),
