@@ -12,31 +12,36 @@ files.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 unknown command or figure id.
+
+A command imports the layers it runs, when it runs.  At module level this
+file imports only what ``main`` needs to parse arguments, read and validate
+a config and map errors to exit codes (``argparse``, ``config``,
+``params``, ``analytic``, ``errors``), and numpy for the table writer's
+kernel tables.  Each handler imports ``simulator``, ``control``,
+``scenarios``, ``smallsignal`` and ``averaged`` in the function that calls
+them, so ``validate``, ``steady`` and fig5 load none of them, ``design``,
+``bode``, fig7 and fig9 only ``smallsignal`` (and ``control`` for the
+feedforward delay where the config gives no ``phase_delay_norm``), and
+``simulate``, fig13 and fig14 only ``simulator``.
 """
 
 import argparse
 import math
 import os
 import sys
-from importlib import resources
 
 import numpy as np
 
-from . import analytic, averaged, scenarios
+from . import analytic
 from .analytic import (OperatingPoint, duty_for_target_vo, fall_time_exact,
                        solve_operating_point, steady_state_vo)
 from .config import RunConfig, parse_config, parse_config_text
-from .control import closed_loop_run, feedforward_tf
 from .errors import (ArccosDomain, CommutationImpossible, ConfigError,
                      EmptyDutyRange, GateOverrun, NoConvergence, NoCrossover,
                      NonPositiveParameter, UnknownFigure,
                      ZeroGainOperatingPoint)
 from .params import (min_output_cap, ripple_estimate, size_inductor,
                      size_series_cap, validate)
-from .simulator import (ModulationCommand, cycle_diagnostics,
-                        periodic_steady_state, run, sample_waveform, spectrum)
-from .smallsignal import bode, bode_points, design_pi, loop_margins, \
-    loop_response, perturb_bode_oracle, plant_tf
 
 _NUMERIC_ERRORS = (NoConvergence, CommutationImpossible, ArccosDomain,
                    EmptyDutyRange, NoCrossover, ZeroGainOperatingPoint,
@@ -206,6 +211,7 @@ def _fields(records, names: str) -> list:
 
 
 def _builtin_config(name: str) -> RunConfig:
+    from importlib import resources
     text = resources.files("wptrx").joinpath(f"configs/{name}.cfg").read_text()
     return parse_config_text(text)
 
@@ -223,6 +229,7 @@ def _nominal_op(vp, rc: RunConfig) -> OperatingPoint:
     if rc.phase_delay_norm is not None:
         fst = rc.phase_delay_norm
     else:
+        from .control import feedforward_tf
         fst = vp.f_s * feedforward_tf(rc.v_ref, rc.feedforward_amp, vp)
     duty = rc.duty if rc.duty is not None else \
         duty_for_target_vo(vp.i_ls_amp, vp.r_load, rc.v_ref, fst)
@@ -245,6 +252,7 @@ def cmd_validate(args, rc, vp) -> int:
 
 
 def cmd_design(args, rc, vp) -> int:
+    from .smallsignal import design_pi, loop_margins, plant_tf
     rows = []
     if vp.r_ls_esr > 0:
         ls_min = size_inductor(args.q, vp.r_ls_esr, vp.f_s)
@@ -289,6 +297,7 @@ def cmd_steady(args, rc, vp) -> int:
 
 
 def cmd_bode(args, rc, vp) -> int:
+    from .smallsignal import bode, plant_tf
     _write_bode(args.out or None, "bode.csv",
                 bode(plant_tf(vp, _nominal_op(vp, rc)), _BODE_GRID))
     return 0
@@ -300,6 +309,7 @@ def _write_bode(out, name: str, pts) -> None:
 
 
 def cmd_simulate(args, rc, vp) -> int:
+    from .simulator import ModulationCommand, cycle_diagnostics
     duty = args.duty if args.duty is not None else \
         (rc.duty if rc.duty is not None else _PROTOTYPE_DUTY)
     op = solve_operating_point(vp, duty, exact=True)
@@ -325,6 +335,7 @@ def cmd_simulate(args, rc, vp) -> int:
 def _orbit_run(vp, cmd, v_o_guess: float, n_cycles: int):
     """(PeriodicOrbit, RunResult of ``n_cycles`` run on it) of ``cmd``,
     the orbit solved from ``v_o_guess``."""
+    from .simulator import periodic_steady_state, run
     orbit = periodic_steady_state(vp, cmd, v_o_guess)
     return orbit, run(vp, cmd, n_cycles, initial=orbit.state)
 
@@ -333,6 +344,7 @@ def _write_capture(out, wave_name: str, events_name: str, result,
                    rate: float) -> None:
     """The waveform of the run ``result`` sampled at ``rate`` and its
     events."""
+    from .simulator import sample_waveform
     w = sample_waveform(result, rate)
     header = "t,i_ls,v_cs1,v_cd1,v_o,gate,state"
     _write_table(out, wave_name, header,
@@ -341,24 +353,33 @@ def _write_capture(out, wave_name: str, events_name: str, result,
 
 
 def _source_ramp(vp, rc: RunConfig):
+    from . import scenarios
     p = vp.with_load(_FIG20_LOAD).with_amplitude(_FIG20_AMPS[0])
     return scenarios.source_ramp_scenario(
         p, rc.v_ref, _FIG20_AMPS[0], _FIG20_AMPS[1]), p
 
 
+def _startup(vp, rc: RunConfig):
+    from . import scenarios
+    return scenarios.startup_scenario(vp, rc.v_ref, rc.feedforward_amp), vp
+
+
+def _load_step(vp, rc: RunConfig):
+    from . import scenarios
+    return scenarios.load_step_scenario(vp, rc.v_ref, rc.feedforward_amp,
+                                        r_low=vp.r_load), vp
+
+
 # transient --scenario: name -> (vp, rc) -> (Scenario, receiver it runs on)
-_SCENARIOS = {
-    "startup": lambda vp, rc: (scenarios.startup_scenario(
-        vp, rc.v_ref, rc.feedforward_amp), vp),
-    "load_step": lambda vp, rc: (scenarios.load_step_scenario(
-        vp, rc.v_ref, rc.feedforward_amp, r_low=vp.r_load), vp),
-    "source_ramp": _source_ramp,
-}
+_SCENARIOS = {"startup": _startup, "load_step": _load_step,
+              "source_ramp": _source_ramp}
 
 
 def _closed_loop_table(out, name: str, sc, p, rc: RunConfig):
     """Design the PI gains for scenario ``sc`` on receiver ``p``, run it
     closed-loop and write the transient table ``out/name``."""
+    from . import scenarios
+    from .control import closed_loop_run
     gains = scenarios.design_gains(p, rc.v_ref, sc.i_ls_ff, rc.f_c)
     rec = closed_loop_run(sc, gains, p)
     _write_table(out, name, "t,v_o_sample,v_o_mean,duty",
@@ -380,9 +401,10 @@ def cmd_transient(args, rc, vp) -> int:
 # ---------------------------------------------------------------------------
 
 def _fig4a(out, rc, vp):
+    from .averaged import vo_vs_duty_curve
     header = "r_load,duty,v_o,regulable"
     _write_table(out, "fig4a.csv", header, _fields(
-        averaged.vo_vs_duty_curve(vp, _FIG4A_LOADS, _duty_grid()), header))
+        vo_vs_duty_curve(vp, _FIG4A_LOADS, _duty_grid()), header))
     return ["fig4a.csv"]
 
 
@@ -403,6 +425,7 @@ def _fig5(out, rc, vp):
 
 
 def _fig7(out, rc, vp):
+    from .smallsignal import bode, perturb_bode_oracle, plant_tf
     op = _nominal_op(vp, rc)
     _write_bode(out, "fig7_analytic.csv", bode(plant_tf(vp, op), _BODE_GRID))
     _write_bode(out, "fig7_oracle.csv",
@@ -411,6 +434,7 @@ def _fig7(out, rc, vp):
 
 
 def _fig9(out, rc, vp):
+    from .smallsignal import bode_points, design_pi, loop_response, plant_tf
     op = _nominal_op(vp, rc)
     plant = plant_tf(vp, op)
     gains = design_pi(vp, op, rc.f_c)
@@ -428,6 +452,7 @@ def _steady_va_run(rc, vp, n_capture: int):
     """Run on the periodic steady state at the prototype operating point
     (measured delay), seeded at the averaged output at the commanded delay:
     the RunResult of its ``n_capture`` cycles."""
+    from .simulator import ModulationCommand
     duty = rc.duty if rc.duty is not None else _PROTOTYPE_DUTY
     fst = _MEASURED_FST if rc.phase_delay_norm is None else rc.phase_delay_norm
     return _orbit_run(vp, ModulationCommand(duty, fst / vp.f_s),
@@ -442,6 +467,7 @@ def _fig13(out, rc, vp):
 
 
 def _fig14(out, rc, vp):
+    from .simulator import spectrum
     # every orbit cycle is the same, so one cycle's closed forms give the
     # exact harmonics
     result = _steady_va_run(rc, vp, 1)
@@ -461,6 +487,7 @@ def _fig14(out, rc, vp):
 
 
 def _fig17(out, rc, vp):
+    from . import scenarios
     rows = scenarios.coupling_sweep(vp.with_load(_FIG17_LOAD), rc.v_ref,
                                     _FIG17_FF_AMP, _FIG17_AMPS, f_c=rc.f_c)
     header = ("i_ls_amp,v_o_steady,reg_error,duty,zvs_fraction,"
@@ -471,6 +498,7 @@ def _fig17(out, rc, vp):
 
 
 def _fig19(out, rc, vp):
+    from . import scenarios
     sc = scenarios.load_step_scenario(vp, rc.v_ref, rc.feedforward_amp,
                                       r_low=36.0)
     _closed_loop_table(out, "fig19.csv", sc, vp, rc)

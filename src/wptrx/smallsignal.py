@@ -23,8 +23,10 @@ real and imaginary float arrays: numpy's complex * and /, np.exp and
 np.sum round differently from the scalar evaluation, and the tables are
 kept byte-identical to it.  The switched check evaluates the simulator's
 one-cycle map, linearized at its periodic orbit by the simulator's own
-``cycle_linearization``, as a sampled-data model.  Every Bode entry point
-checks its grid with one helper.
+``cycle_linearization``, as a sampled-data model; it is the one function
+here that needs the simulator, and imports it when called, so the design
+and Bode commands never load the simulator.  Every Bode entry point checks
+its grid with one helper.
 """
 
 from dataclasses import dataclass
@@ -37,8 +39,6 @@ import numpy as np
 from .analytic import TWO_PI, duty_bounds, steady_state_vo
 from .errors import NoCrossover, NonPositiveParameter, ZeroGainOperatingPoint
 from .params import ValidatedParams, require_positive
-from .simulator import (ModulationCommand, cycle_linearization,
-                        periodic_steady_state)
 
 # |sin| below this means the operating point sits at the voltage maximum
 # where the first-order control gain vanishes.
@@ -335,6 +335,8 @@ def switched_bode(params: ValidatedParams, op,
     z = exp(j*2*pi*f*T_s).  Raises ZeroGainOperatingPoint where the duty
     does not move the map.  Raises NonPositiveParameter for a grid that is
     empty, non-finite, not > 0 or not ascending."""
+    from .simulator import (ModulationCommand, cycle_linearization,
+                            periodic_steady_state)
     f = _check_grid(f_grid)
     cmd = ModulationCommand(op.duty, op.t_f)
     orbit = periodic_steady_state(params, cmd, steady_state_vo(

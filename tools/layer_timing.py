@@ -48,7 +48,20 @@ f_s*t_f = 0.1):
 
 * ``perturb_bode_oracle`` on the 91-point fig7 grid, in ms per call;
 * ``integrate_averaged`` over 0.1 s at 10 us samples, with the duty
-  stepped up by 0.02 at 10 ms, in ms per call.
+  stepped up by 0.02 at 10 ms, in ms per call;
+
+and, in fresh interpreters run on a copy of the package without its
+``__pycache__`` and under ``PYTHONDONTWRITEBYTECODE=1``, so every process
+compiles ``wptrx`` from source as one in a fresh checkout does:
+
+* ``import wptrx, wptrx.cli``, timed inside the process, in ms;
+* the wall time of ``python -m wptrx validate --config table2``,
+  ``python -m wptrx reproduce fig7`` (on its built-in fig7 config) and
+  ``python -m wptrx simulate --config table2 --cycles 400``, interpreter
+  start-up included, in ms per process.  ``validate`` loads no layer past
+  config validation, fig7 only the small-signal layer and ``simulate``
+  only the simulator, so these rows show what each command's imports
+  cost.
 
 Each figure is the median of several repeats, after one warm-up call, so
 a slow repeat on a shared host moves it little; the lowest and highest
@@ -62,12 +75,16 @@ back and several times in alternating order: rows taken in separate
 processes drift with the host's load (on a shared 2-core VM, the same
 commit's per-cycle stepping row has read 8.9 and 15.7 us per cycle minutes
 apart), so one run of each side can show a change that is not there.
-Needs numpy; about 2 s on a 2-core x86-64 VM.
+Needs numpy; about 5 s on a 2-core x86-64 VM, 3 of them in the
+fresh-interpreter rows.
 """
 
 import contextlib
 import io
+import os
+import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -114,6 +131,13 @@ AVG_HORIZON = 0.1
 AVG_STEP_AT = 0.01
 AVG_STEP = 0.02
 AVG_REPEATS = 21
+FRESH_REPEATS = 7
+IMPORT_CODE = ("import time; t0 = time.perf_counter(); "
+               "import wptrx, wptrx.cli; print(time.perf_counter() - t0)")
+
+
+def _spread(values: list) -> tuple:
+    return statistics.median(values), min(values), max(values)
 
 
 def _timed(fn, repeats: int, per: float) -> tuple:
@@ -125,7 +149,39 @@ def _timed(fn, repeats: int, per: float) -> tuple:
         t0 = time.perf_counter()
         fn()
         times.append((time.perf_counter() - t0) / per)
-    return statistics.median(times), min(times), max(times)
+    return _spread(times)
+
+
+def _fresh_rows() -> tuple:
+    """The fresh-interpreter rows: ``FRESH_REPEATS`` processes each, after
+    one untimed process, on a copy of ``src/wptrx`` without bytecode."""
+    with tempfile.TemporaryDirectory() as root:
+        shutil.copytree(SRC / "wptrx", Path(root) / "wptrx",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=root)
+
+        def python(*args) -> str:
+            return subprocess.run([sys.executable, *args], env=env,
+                                  check=True, capture_output=True,
+                                  text=True).stdout
+
+        python("-c", IMPORT_CODE)
+        rows = [("import wptrx, wptrx.cli (fresh interpreter)", "ms",
+                 _spread([float(python("-c", IMPORT_CODE)) * 1e3
+                          for _ in range(FRESH_REPEATS)]))]
+        out = str(Path(root) / "out")
+        for label, argv in (
+                ("validate --config table2", ("validate", "--config",
+                                              str(TABLE2))),
+                ("reproduce fig7", ("reproduce", "fig7", "--out", out)),
+                (f"simulate --config table2 --cycles {SIMULATE_CYCLES}",
+                 ("simulate", "--config", str(TABLE2), "--cycles",
+                  str(SIMULATE_CYCLES), "--out", out))):
+            rows.append((f"python -m wptrx {label} (fresh interpreter)",
+                         "ms/process",
+                         _timed(lambda: python("-m", "wptrx", *argv),
+                                FRESH_REPEATS, 1e-3)))
+    return tuple(rows)
 
 
 def main() -> int:
@@ -243,7 +299,7 @@ def main() -> int:
         (f"integrate_averaged, fig7 ({AVG_HORIZON:g} s at 10 us)", "ms/call",
          _timed(lambda: integrate_averaged(start, sched, AVG_HORIZON, vp7),
                 AVG_REPEATS, 1e-3)),
-    )
+    ) + _fresh_rows()
     for name, unit, (med, lo, hi) in rows:
         print(f"{name}: {med:.3g} {unit} (min {lo:.3g}, max {hi:.3g})")
     return 0
