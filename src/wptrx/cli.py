@@ -20,9 +20,10 @@ a config and map errors to exit codes (``argparse``, ``config``,
 kernel tables.  Each handler imports ``simulator``, ``control``,
 ``scenarios``, ``smallsignal`` and ``averaged`` in the function that calls
 them, so ``validate``, ``steady`` and fig5 load none of them, ``design``,
-``bode``, fig7 and fig9 only ``smallsignal`` (and ``control`` for the
-feedforward delay where the config gives no ``phase_delay_norm``), and
-``simulate``, fig13 and fig14 only ``simulator``.
+``bode``, fig7 and fig9 only ``smallsignal`` (and ``control``, and with it
+``simulator``, for the feedforward delay where the config gives no
+``phase_delay_norm``), and ``simulate``, fig13 and fig14 only
+``simulator``.
 """
 
 import argparse
