@@ -1,10 +1,11 @@
 """Bracketed bisection for the output-ripple extremes.
 
-Its one caller is ``simulator._conduction_extremes``, which brackets each
-stationary point of v_o in closed form and hands the bracket here to be
-checked and, where it is still wider than the tolerance, bisected.  The
-commutation events no longer use it: the simulator locates them in closed
-form and by safeguarded Newton.
+Its one caller is ``simulator._conduction_extremes``, which brackets the
+stationary points of v_o of all conduction segments at once, as array
+expressions in closed form, then hands each bracket here, one call per
+root, to be checked and, where it is still wider than the tolerance,
+bisected.  The commutation events no longer use it: the simulator locates
+them in closed form and by safeguarded Newton.
 """
 
 from typing import Callable

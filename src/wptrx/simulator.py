@@ -39,9 +39,14 @@ Only ``run`` keeps what its cycles did, in one record per run: a
 ``RunResult`` holding the receiver, the command, ``_cycle``'s outputs as
 ``CycleColumns`` (one numpy array per output, one row per cycle; ``th4`` is
 NaN where the node never reaches zero) and a ``SegmentTable`` built once
-from those columns, one row per state a cycle spent time in.  The sampler,
-the spectrum, the event list and ``cycle_diagnostics`` (the ledger, ripple
-extremes and device peaks, as ``DiagnosticColumns``) all read that table.
+from those columns, one row per state a cycle spent time in.  The sampler
+and ``cycle_diagnostics`` (the ledger, ripple extremes and device peaks, as
+``DiagnosticColumns``) evaluate that table's closed forms as array
+expressions over all its rows at once, and reduce each cycle's rows over a
+(cycles, 5) matrix of slots; ``cycle_diagnostics`` keeps every bit of the
+scalar arithmetic by taking its transcendentals from ``math``.  The
+spectrum reads the table as ``_Seg`` rows, and the event list reads the
+columns.
 ``step_cycle`` is a one-cycle run that also returns the cycle's
 ``CycleSummary``.  The closed-loop run, the orbit solve and the
 linearization step ``_cycle`` itself and build no records.
@@ -70,6 +75,7 @@ transfer loss of the diode-capacitance top-up.
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from functools import cached_property
+from itertools import repeat
 import math
 from typing import NamedTuple, Sequence
 
@@ -299,127 +305,123 @@ class Waveform:
 
 
 # ---------------------------------------------------------------------------
-# closed-form segment integrals
+# the ledger and the ripple extremes, as columns over the segment table
 # ---------------------------------------------------------------------------
 
-# antiderivatives of sin^2(w th), cos^2(w th) and sin(w th) cos(w th)
-def _sin2(th: float, w: float) -> float:
-    return th / 2.0 - math.sin(2.0 * w * th) / (4.0 * w)
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn``, a ``math`` function of one float, of each element of ``x``.
+    numpy's exp, expm1 and arccos differ from libm's in the last place on
+    about 5 %, 9 % and 10 % of uniform arguments in [-1, 1] (x86-64,
+    glibc, numpy 2.4), and the diagnostics keep every bit of the scalar
+    arithmetic, so they take each transcendental from ``math``."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
 
 
-def _cos2(th: float, w: float) -> float:
-    return th / 2.0 + math.sin(2.0 * w * th) / (4.0 * w)
+def _squares(x: np.ndarray) -> np.ndarray:
+    """``v ** 2`` of each element of ``x`` as Python takes it, by libm's
+    pow, which differs from numpy's v * v on about 1 in 1200 arguments."""
+    return np.fromiter(map(pow, x.tolist(), repeat(2)), float, len(x))
 
 
-def _sincos(th: float, w: float) -> float:
-    return -math.cos(2.0 * w * th) / (4.0 * w)
+def _terms_at(th: np.ndarray, h: np.ndarray, t_ref: np.ndarray, tau: float,
+              w: float) -> tuple:
+    """sin(w th), cos(w th) and h e^{-(th - t_ref)/tau} elementwise, the
+    three terms of v_o(th) on segments with those h and t_ref (see _Seg):
+    v_o = he + p_s s + p_c c."""
+    x = w * th
+    return (_libm(math.sin, x), _libm(math.cos, x),
+            h * _libm(math.exp, -(th - t_ref) / tau))
 
 
-def _seg_integrals(seg: _Seg, tau: float, w: float, i_amp: float) -> tuple:
-    """(source energy into the rail (J), integral of v_o^2 (V^2*s)) over a
-    segment.  The source feeds the rail only on a conduction segment (State
-    II or III), with i(th) = i_amp sin(w th); elsewhere p_s = p_c = 0 and
-    v_o is a pure decay."""
-    d = seg.t1 - seg.t0
-    if d <= 0.0:
-        return 0.0, 0.0
-    # the exponential term's coefficient at the segment start
-    coeff = (seg.h if seg.t_ref == seg.t0
-             else seg.h * math.exp(-(seg.t0 - seg.t_ref) / tau))
-    e_sq = 0.5 * tau * coeff * coeff * -math.expm1(-2.0 * d / tau)
-    if seg.state not in _CLAMPED:
-        return 0.0, e_sq
-    # int e^{au} sin(wu) du and int e^{au} cos(wu) du over [0, d]
-    a = -1.0 / tau
-    e, den = math.exp(a * d), a * a + w * w
-    i_s = (e * (a * math.sin(w * d) - w * math.cos(w * d)) + w) / den
-    i_c = (e * (a * math.cos(w * d) + w * math.sin(w * d)) - a) / den
-    c0, s0 = math.cos(w * seg.t0), math.sin(w * seg.t0)
-    # exp * sin(w th) and exp * cos(w th), by sin(w th) = sin(wu)cos(wt0)
-    # + cos(wu)sin(wt0), u = th - t0
-    int_e_sin = c0 * i_s + s0 * i_c
-    int_e_cos = c0 * i_c - s0 * i_s
-    t0, t1 = seg.t0, seg.t1
-    sin2 = _sin2(t1, w) - _sin2(t0, w)
-    sincos = _sincos(t1, w) - _sincos(t0, w)
-    e_rail = i_amp * (coeff * int_e_sin + (seg.p_s * sin2 + seg.p_c * sincos))
-    return e_rail, (e_sq
-                    + 2.0 * coeff * (seg.p_s * int_e_sin + seg.p_c * int_e_cos)
-                    + seg.p_s ** 2 * sin2
-                    + seg.p_c ** 2 * (_cos2(t1, w) - _cos2(t0, w))
-                    + 2.0 * seg.p_s * seg.p_c * sincos)
-
-
-def _conduction_extremes(seg: _Seg, tau: float, w: float, i_amp: float,
-                         r_load: float) -> list:
-    """The candidates for v_o's extremes on a conduction segment: v_o at
-    each root of g(th) = i(th) - v_o(th)/R, which is C_o dv_o/dt, inside
-    it, then at its start and at its end.
+def _conduction_extremes(seg: SegmentTable, rows: np.ndarray, ends: tuple,
+                         consts: tuple, r_load: float) -> np.ndarray:
+    """v_o at each root of g(th) = i(th) - v_o(th)/R, which is C_o dv_o/dt,
+    inside the conduction rows ``rows`` of ``seg``, stepped under
+    ``_cycle_consts`` ``consts`` at load r_load: one row per segment row,
+    the roots of its first and second piece, NaN where a piece has none.
+    ``ends`` holds sin(w th) and v_o at the rows' starts, then at their
+    ends.
 
     With e = h exp(-(th - t_ref)/tau), the load's exponential share of v_o,
     g = S - e/R, where S = a sin(w th) + b cos(w th), a = i_amp - p_s/R and
-    b = -p_c/R.  The segment is cut where S turns (w th = atan2(a, b) +
-    k pi), and a piece is searched where g changes sign across it.  As S
-    and e are both monotone on a piece, its root lies between the instants
-    where S meets the values of e/R at the piece's two ends (acos on the
-    piece's half wave).  That map, applied twice, leaves a bracket below
-    2e-14 s on the built-in receivers across loads and duties, as each
-    round shrinks it by a factor of order w tau.  Widened by T_EVENT_TOL/4
-    each side against rounding, it goes to ``bisect_root``, which checks
-    the sign change and halves it to T_EVENT_TOL where it is still wider
-    (near a turn, where S is flat); on those receivers g is evaluated only
-    at the bracket's two ends.  A g of exactly zero at a piece's start is
-    a root there.
+    b = -p_c/R.  A row is cut where S turns (w th = atan2(a, b) + k pi);
+    turns are T/2 apart and no conduction row is longer than T/2, so a row
+    has at most one.  A piece is searched where g changes sign across it.
+    As S and e are both monotone on a piece, its root lies between the
+    instants where S meets the values of e/R at the piece's two ends (acos
+    on the piece's half wave).  That map, applied twice, leaves a bracket
+    below 2e-14 s on the built-in receivers across loads and duties, as
+    each round shrinks it by a factor of order w tau.  Widened by
+    T_EVENT_TOL/4 each side against rounding, it goes to ``bisect_root``,
+    one call per root, which checks the sign change and halves it to
+    T_EVENT_TOL where it is still wider (near a turn, where S is flat); on
+    those receivers g is evaluated only at the bracket's two ends.  A g of
+    exactly zero at a piece's start is a root there.
+
+    Every step is a column over the rows, pieces or brackets, with the
+    arithmetic and operation order of a search of one segment at a time
+    (the tests keep one as the reference); min(a, b), max(a, b) and
+    sorted() are comparisons in the builtins' operand order, so ties give
+    the same float.
     """
-    t0, t1 = seg.t0, seg.t1
-    h, t_ref, p_s, p_c = seg.h, seg.t_ref, seg.p_s, seg.p_c
+    w, tau, i_amp, p_s, p_c = consts[1], consts[2], consts[4], consts[6], \
+        consts[7]
+    t0, t1, t_ref, h = seg.t0[rows], seg.t1[rows], seg.t_ref[rows], \
+        seg.h[rows]
+    s0, v0, s1, v1 = ends
     a, b = i_amp - p_s / r_load, -p_c / r_load
     half = math.pi / w
     turn = math.atan2(a, b) / w
-    cuts = [t0]
-    th = turn + half * math.ceil((t0 - turn) / half)  # first turn >= t0
-    while th < t1:
-        if th > t0:
-            cuts.append(th)
-        th += half
-    cuts.append(t1)
-    # g and v_o at the cuts, v_o as _Seg.v_o computes it
-    gs, vs = [], []
-    for th in cuts:
-        s = math.sin(w * th)
-        v = (h * math.exp(-(th - t_ref) / tau) + p_s * s
-             + p_c * math.cos(w * th))
-        gs.append(i_amp * s - v / r_load)
-        vs.append(v)
-
-    def g(th):
-        s = math.sin(w * th)
-        return i_amp * s - (h * math.exp(-(th - t_ref) / tau) + p_s * s
-                            + p_c * math.cos(w * th)) / r_load
-
-    out = []
-    for k in range(len(cuts) - 1):
-        if gs[k] == 0.0:
-            out.append(vs[k])
-        elif gs[k] * gs[k + 1] < 0.0:
-            lo, hi = cuts[k], cuts[k + 1]
-            # on this half wave S = (-1)**j hypot(a, b) cos(w (th - start)),
-            # and x <- the instant where S = e(x)/R maps each end inward
-            j = math.floor((0.5 * (lo + hi) - turn) / half)
-            start = turn + j * half
-            scale = (-h if j & 1 else h) / (math.hypot(a, b) * r_load)
-            ends = []
-            for x in (lo, hi):
-                for _ in range(2):
-                    c = scale * math.exp(-(x - t_ref) / tau)
-                    x = start + math.acos(-1.0 if c < -1.0 else
-                                          1.0 if c > 1.0 else c) / w
-                ends.append(x)
-            x0, x1 = sorted(ends)
-            root = bisect_root(g, max(lo, x0 - 0.25 * T_EVENT_TOL),
-                               min(hi, x1 + 0.25 * T_EVENT_TOL), T_EVENT_TOL)
-            out.append(seg.v_o(root, tau, w))
-    out += (vs[0], vs[-1])
+    # the first turn at or after t0, stepped past t0 if it rounds onto it
+    th = turn + half * np.ceil((t0 - turn) / half)
+    th = np.where(th > t0, th, th + half)
+    assert (th + half >= t1).all(), "a conduction row spans two turns of S"
+    has_cut = th < t1
+    # g and v_o at the cut, or at t1 where there is none
+    g1 = i_amp * s1 - v1 / r_load
+    g_cut, v_cut = g1.copy(), v1.copy()
+    s, c, e = _terms_at(th[has_cut], h[has_cut], t_ref[has_cut], tau, w)
+    v_cut[has_cut] = e + p_s * s + p_c * c
+    g_cut[has_cut] = i_amp * s - v_cut[has_cut] / r_load
+    # a row's pieces, [t0, cut] and [cut, t1], or [t0, t1] alone
+    cut = np.where(has_cut, th, t1)
+    lo, hi = np.column_stack((t0, cut)), np.column_stack((cut, t1))
+    g_lo = np.column_stack((i_amp * s0 - v0 / r_load, g_cut))
+    g_hi = np.column_stack((g_cut, g1))
+    piece = np.column_stack((np.ones(len(t0), bool), has_cut))
+    at_lo = piece & (g_lo == 0.0)
+    out = np.where(at_lo, np.column_stack((v0, v_cut)), np.nan)
+    sign_change = piece & ~at_lo & (g_lo * g_hi < 0.0)
+    lo, hi = lo[sign_change], hi[sign_change]
+    k = np.nonzero(sign_change)[0]
+    h_k, tr_k = h[k], t_ref[k]
+    # on its half wave S = (-1)**j hypot(a, b) cos(w (th - start)), and
+    # x <- the instant where S = e(x)/R maps each end inward
+    j = np.floor((0.5 * (lo + hi) - turn) / half)
+    start = (turn + j * half)[:, None]
+    scale = (np.where(j % 2 == 1, -h_k, h_k)
+             / (math.hypot(a, b) * r_load))[:, None]
+    x = np.column_stack((lo, hi))
+    for _ in range(2):
+        ratio = scale * _libm(math.exp, -(x - tr_k[:, None]) / tau)
+        x = start + _libm(math.acos, np.clip(ratio, -1.0, 1.0)) / w
+    # sorted, then max(lo, x0 - tol/4) and min(hi, x1 + tol/4)
+    swap = x[:, 1] < x[:, 0]
+    x0 = np.where(swap, x[:, 1], x[:, 0]) - 0.25 * T_EVENT_TOL
+    x1 = np.where(swap, x[:, 0], x[:, 1]) + 0.25 * T_EVENT_TOL
+    lo = np.where(x0 > lo, x0, lo)
+    hi = np.where(x1 < hi, x1, hi)
+    roots = []
+    for lo_k, hi_k, h_r, t_r in zip(lo.tolist(), hi.tolist(), h_k.tolist(),
+                                    tr_k.tolist()):
+        def g(th, h=h_r, t_ref=t_r):
+            s = math.sin(w * th)
+            return i_amp * s - (h * math.exp(-(th - t_ref) / tau) + p_s * s
+                                + p_c * math.cos(w * th)) / r_load
+        roots.append(bisect_root(g, lo_k, hi_k, T_EVENT_TOL))
+    s, c, e = _terms_at(np.array(roots), h_k, tr_k, tau, w)
+    out[sign_change] = e + p_s * s + p_c * c
     return out
 
 
@@ -696,10 +698,12 @@ def _run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
 def _segment_table(c: CycleColumns, consts: tuple) -> SegmentTable:
     """The segment table of the cycles ``c`` stepped under
     ``_cycle_consts`` ``consts``: one row per state each cycle spent time
-    in, in order.  ``_cycle``'s cycle mean integrates these same segments
-    from its scalars, so the two must skip the same empty states.  A loop,
-    not array expressions: fig13 and fig14 run 4 and 1 cycles, where the
-    fixed cost of some 30 numpy calls outweighed the loop's."""
+    in, in order, so a row ends where the next starts and a cycle has at
+    most five, each with t1 > t0: the slots of ``sample_waveform`` and
+    ``cycle_diagnostics``.  ``_cycle``'s cycle mean integrates these same
+    segments from its scalars, so the two must skip the same empty states.
+    A loop, not array expressions: fig13 and fig14 run 4 and 1 cycles,
+    where the fixed cost of some 30 numpy calls outweighed the loop's."""
     ts, half, p_s, p_c = consts[0], consts[3], consts[6], consts[7]
     rows, first = [], [0]
     for th1, th_iv, th4, h, v0, va0, v_at_iv, v_at_th4, reached_v in zip(*(
@@ -732,60 +736,126 @@ def _seg_rows(table: SegmentTable) -> list:
 
 def cycle_diagnostics(result: RunResult) -> DiagnosticColumns:
     """The charge/energy ledger, the output ripple extremes and the device
-    peaks of every cycle of ``result``, from its columns and segment rows
-    with the scalar arithmetic of ``_seg_integrals`` and
-    ``_conduction_extremes``."""
-    params = result.params
-    w = params.omega
-    r_load, i_amp = params.r_load, params.i_ls_amp
-    tau = r_load * params.c_o
-    c_sum, c_o = params.c_sum, params.c_o
-    c = result.columns
-    segs = _seg_rows(result.segments)
-    first = result.segments.first.tolist()
-    out = np.empty((len(DiagnosticColumns._fields), len(c.th1)))
-    cycles = zip(*(col.tolist() for col in (
-        c.v_o_start, c.v_cd1_start, c.v_o_end, c.v_cd1_end, c.va_pre_snap,
-        c.v_at_th1, c.v_at_iv, c.va_end_iv, c.reached_state_v, c.v_at_th4)))
-    for k, (v0, va0, v_end, va_cycle_end, va_pre_snap, va_clamp_start,
-            v_at_iv, va_end_iv, reached_v, v_at_th4) in enumerate(cycles):
-        e_cond = 0.0
-        e_load = 0.0
-        candidates = [v0, v_end]
-        cond_candidates = [va_pre_snap]
-        for seg in segs[first[k]:first[k + 1]]:
-            e_rail, int_v2 = _seg_integrals(seg, tau, w, i_amp)
-            e_cond += e_rail
-            e_load += int_v2 / r_load
-            if seg.state in _CLAMPED:
-                seg_candidates = _conduction_extremes(seg, tau, w, i_amp,
-                                                      r_load)
-                cond_candidates.extend(seg_candidates)
-            else:
-                seg_candidates = (seg.v_o(seg.t0, tau, w),
-                                  seg.v_o(seg.t1, tau, w))
-            candidates.extend(seg_candidates)
+    peaks of every cycle of ``result``, from its columns and segment table.
 
-        # node energy of the State I and State IV swings
-        e_in_node = (0.5 * c_sum * (va_pre_snap ** 2 - va0 ** 2)
-                     + 0.5 * c_sum * (va_end_iv ** 2 - v_at_iv ** 2))
-        v_o_min = min(candidates)
-        v_o_max = max(candidates)
-        # device peaks: the diode sees the output rail during conduction,
-        # the switch sees it while the diode freewheels (from State V's
-        # start)
-        v_cs1_end = v_at_th4 if reached_v else v_end - va_cycle_end
-        out[:, k] = (
-            c_sum * (va_pre_snap - va0), c_sum * (v_at_iv - va_end_iv),
-            e_in_node + e_cond, e_load,
-            # node energy acquired while clamped to the rail (model
-            # supplies no rail current for it; see module docstring)
-            0.5 * c_sum * (v_at_iv ** 2 - va_clamp_start ** 2),
-            (0.5 * c_o * (v_end ** 2 - v0 ** 2)
-             + 0.5 * c_sum * (va_cycle_end ** 2 - va0 ** 2)),
-            v_o_max - v_o_min, v_o_min, v_o_max, max(v0 - va0, v_cs1_end),
-            max(cond_candidates))
-    return DiagnosticColumns(*out)
+    Each formula runs once over all rows of the table as array
+    expressions: the rail energy and the integral of v_o^2 of each segment
+    in closed form, v_o at each segment's ends and the ripple extremes of
+    the conduction segments (``_conduction_extremes``).  Each cycle's rows
+    are then placed in order in its row of a (cycles, 5) slot matrix and
+    added slot by slot from 0.0, or reduced by min and max over slots
+    padded with +-inf.  The arithmetic and its order are those of a loop
+    over the rows one segment at a time, bit for bit: the transcendentals
+    and squares come from libm (see ``_libm``), never from numpy, and no
+    sum is left to ``np.sum``'s pairwise order.  (The min and max may pick
+    another of several equal candidates than Python's would, which only a
+    -0.0 beside a 0.0 could show.)
+    """
+    params = result.params
+    r_load, c_sum, c_o = params.r_load, params.c_sum, params.c_o
+    consts = _cycle_consts(params, r_load, params.i_ls_amp, result.cmd.t_f)
+    w, tau, i_amp, p_s, p_c = consts[1], consts[2], consts[4], consts[6], \
+        consts[7]
+    seg = result.segments
+    t0, t1 = seg.t0, seg.t1
+    s0, c0, coeff = _terms_at(t0, seg.h, seg.t_ref, tau, w)
+    s1, c1, e1 = _terms_at(t1, seg.h, seg.t_ref, tau, w)
+    v_t0 = coeff + seg.p_s * s0 + seg.p_c * c0
+    v_t1 = e1 + seg.p_s * s1 + seg.p_c * c1
+
+    # the source energy into the rail (J) and the integral of v_o^2
+    # (V^2*s) of each segment; coeff is the exponential term at its start
+    # (h itself where t_ref = t0, as exp(-0.0) is 1.0).
+    # The source feeds the rail only on a conduction segment, with
+    # i(th) = i_amp sin(w th); elsewhere p_s = p_c = 0 and v_o is a decay
+    d = t1 - t0
+    int_v2 = 0.5 * tau * coeff * coeff * -_libm(math.expm1, -2.0 * d / tau)
+    e_rail = np.zeros(len(d))
+    clamped = ((seg.state >= _CLAMPED[0].value)
+               & (seg.state <= _CLAMPED[-1].value))
+    cr = np.flatnonzero(clamped)
+    d, tc0, tc1, coeff_c = d[cr], t0[cr], t1[cr], coeff[cr]
+    # int e^{au} sin(wu) du and int e^{au} cos(wu) du over [0, d]
+    a = -1.0 / tau
+    e, den = _libm(math.exp, a * d), a * a + w * w
+    sin_d, cos_d = _libm(math.sin, w * d), _libm(math.cos, w * d)
+    i_s = (e * (a * sin_d - w * cos_d) + w) / den
+    i_c = (e * (a * cos_d + w * sin_d) - a) / den
+    # exp * sin(w th) and exp * cos(w th), by sin(w th) = sin(wu)cos(wt0)
+    # + cos(wu)sin(wt0), u = th - t0
+    int_e_sin = c0[cr] * i_s + s0[cr] * i_c
+    int_e_cos = c0[cr] * i_c - s0[cr] * i_s
+    # sin^2(w th), cos^2(w th) and sin(w th) cos(w th) over [t0, t1], by
+    # their antiderivatives th/2 -+ sin(2 w th)/(4 w) and -cos(2 w th)/(4 w)
+    sin_0, sin_1 = _libm(math.sin, 2.0 * w * tc0), _libm(math.sin,
+                                                          2.0 * w * tc1)
+    cos_0, cos_1 = _libm(math.cos, 2.0 * w * tc0), _libm(math.cos,
+                                                          2.0 * w * tc1)
+    w4 = 4.0 * w
+    sin2 = (tc1 / 2.0 - sin_1 / w4) - (tc0 / 2.0 - sin_0 / w4)
+    cos2 = (tc1 / 2.0 + sin_1 / w4) - (tc0 / 2.0 + sin_0 / w4)
+    sincos = -cos_1 / w4 - -cos_0 / w4
+    e_rail[cr] = i_amp * (coeff_c * int_e_sin + (p_s * sin2 + p_c * sincos))
+    int_v2[cr] = (int_v2[cr]
+                  + 2.0 * coeff_c * (p_s * int_e_sin + p_c * int_e_cos)
+                  + p_s ** 2 * sin2 + p_c ** 2 * cos2
+                  + 2.0 * p_s * p_c * sincos)
+    roots = np.full((len(t0), 2), np.nan)
+    roots[cr] = _conduction_extremes(
+        seg, cr, (s0[cr], v_t0[cr], s1[cr], v_t1[cr]), consts, r_load)
+
+    # each cycle's rows, in order, in its row of a (cycles, 5) matrix
+    first = seg.first
+    n = len(first) - 1
+    cyc = np.repeat(np.arange(n), np.diff(first))
+    slot = (cyc, np.arange(len(t0)) - first[cyc])
+
+    def per_cycle(values, pad):
+        m = np.full((n, 5) + values.shape[1:], pad)
+        m[slot] = values
+        return m.reshape(n, -1)
+
+    e_cond = np.zeros(n)
+    e_load = np.zeros(n)
+    for rail, load in zip(per_cycle(e_rail, 0.0).T,
+                          per_cycle(int_v2 / r_load, 0.0).T):
+        e_cond += rail
+        e_load += load
+    # v_o's candidate extremes: each row's two end values and its roots
+    cand = np.column_stack((v_t0, v_t1, roots))
+    found = ~np.isnan(cand)
+    c = result.columns
+    v_o_min = np.column_stack((c.v_o_start, c.v_o_end, per_cycle(
+        np.where(found, cand, np.inf), np.inf))).min(axis=1)
+    v_o_max = np.column_stack((c.v_o_start, c.v_o_end, per_cycle(
+        np.where(found, cand, -np.inf), -np.inf))).max(axis=1)
+    # the diode sees the output rail during conduction, the switch sees it
+    # while the diode freewheels (from State V's start)
+    v_cd1_peak = np.column_stack((c.va_pre_snap, per_cycle(
+        np.where(found & clamped[:, None], cand, -np.inf),
+        -np.inf))).max(axis=1)
+    v0, va0, v_end, va_end = c.v_o_start, c.v_cd1_start, c.v_o_end, \
+        c.v_cd1_end
+    v_cs1_end = np.where(c.reached_state_v, c.v_at_th4, v_end - va_end)
+    v_cs1_start = v0 - va0
+    pre2, va02, end_iv2, iv2, th1_2, end2, v02, va_end2 = _squares(
+        np.concatenate((c.va_pre_snap, va0, c.va_end_iv, c.v_at_iv,
+                        c.v_at_th1, v_end, v0, va_end))).reshape(8, n)
+    # node energy of the State I and State IV swings
+    e_in_node = (0.5 * c_sum * (pre2 - va02)
+                 + 0.5 * c_sum * (end_iv2 - iv2))
+    return DiagnosticColumns(
+        q_f=c_sum * (c.va_pre_snap - va0),
+        q_r=c_sum * (c.v_at_iv - c.va_end_iv),
+        e_in=e_in_node + e_cond, e_load=e_load,
+        # node energy acquired while clamped to the rail (model supplies
+        # no rail current for it; see module docstring)
+        e_node_tracking=0.5 * c_sum * (iv2 - th1_2),
+        de_stored=0.5 * c_o * (end2 - v02) + 0.5 * c_sum * (va_end2 - va02),
+        v_o_ripple_pp=v_o_max - v_o_min, v_o_min=v_o_min, v_o_max=v_o_max,
+        v_cs1_peak=np.where(v_cs1_end > v_cs1_start, v_cs1_end,
+                            v_cs1_start),
+        v_cd1_peak=v_cd1_peak)
 
 
 @dataclass(frozen=True)

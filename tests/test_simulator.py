@@ -571,21 +571,45 @@ def cli_orbit_run(config, changes, n_cycles):
 
 
 # (config, (r_load, duty, f_s*t_f), (hard-switched, reaches State V))
-@pytest.mark.parametrize("config, changes, kind", [
+EXTREME_ORBITS = [
     ("table2", (None, 0.532, None), (False, True)),
     ("table2", (None, 0.532, 0.0672), (True, True)),
     ("table2", (None, 0.7, None), (False, True)),
     ("fig7", (None, 0.5, None), (False, True)),
     ("table2", (1500.0, 0.3, 0.0672), (True, False)),   # the digests' light
     ("table2", (3000.0, 0.3, 0.02), (True, False)),     # and lighter copies
-], ids=["table2_simulate", "table2_fig13", "table2_d0.7", "fig7_simulate",
-        "light", "lighter"])
+]
+EXTREME_ORBIT_IDS = ["table2_simulate", "table2_fig13", "table2_d0.7",
+                     "fig7_simulate", "light", "lighter"]
+
+
+def conduction_roots(res):
+    """The conduction rows of the run ``res``, as _Seg, each with the v_o
+    values ``simulator._conduction_extremes`` finds inside it; the row ends
+    handed to it are taken by _Seg.v_o."""
+    p = res.params
+    w, tau = p.omega, p.r_load * p.c_o
+    segs = simulator._seg_rows(res.segments)
+    rows = np.flatnonzero((res.segments.state == 2)
+                          | (res.segments.state == 3))
+    ends = [np.array(col) for col in zip(*(
+        (math.sin(w * segs[r].t0), segs[r].v_o(segs[r].t0, tau, w),
+         math.sin(w * segs[r].t1), segs[r].v_o(segs[r].t1, tau, w))
+        for r in rows.tolist()))]
+    consts = simulator._cycle_consts(p, p.r_load, p.i_ls_amp, res.cmd.t_f)
+    found = simulator._conduction_extremes(res.segments, rows, ends, consts,
+                                           p.r_load)
+    return [(r, segs[r], [v for v in pair if not math.isnan(v)])
+            for r, pair in zip(rows.tolist(), found.tolist())]
+
+
+@pytest.mark.parametrize("config, changes, kind", EXTREME_ORBITS,
+                         ids=EXTREME_ORBIT_IDS)
 def test_ripple_extremes_match_the_scan_and_bisection_reference(
         config, changes, kind):
     # the closed-form brackets find the roots the old scan found, per
-    # segment, at v_o within 4 ulp of the cycle's maximum, followed by the
-    # segment's two end values, and nothing on a dense sample of a segment
-    # rises above them
+    # segment, at v_o within 4 ulp of the cycle's maximum, and nothing on a
+    # dense sample of a segment rises above them and its two end values
     n_roots = 0
     res = cli_orbit_run(config, changes, 3)
     c = res.columns
@@ -593,26 +617,183 @@ def test_ripple_extremes_match_the_scan_and_bisection_reference(
                zip(c.hard_switched.tolist(), c.reached_state_v.tolist()))
     p = res.params
     w, tau = p.omega, p.r_load * p.c_o
-    segs = simulator._seg_rows(res.segments)
     first = res.segments.first.tolist()
-    for k, v_o_max in enumerate(cycle_diagnostics(res).v_o_max.tolist()):
-        tol = 4 * math.ulp(v_o_max)
-        for seg in segs[first[k]:first[k + 1]]:
-            if seg.state not in (2, 3):
-                continue
-            want = scan_extremes(seg, tau, w, p.i_ls_amp, p.r_load)
-            got = simulator._conduction_extremes(seg, tau, w, p.i_ls_amp,
-                                                 p.r_load)
-            assert got[-2:] == [seg.v_o(seg.t0, tau, w),
-                                seg.v_o(seg.t1, tau, w)]
-            assert len(got) - 2 == len(want)
-            assert all(abs(a - b) <= tol for a, b in zip(got, want))
-            n_roots += len(want)
-            th = np.linspace(seg.t0, seg.t1, 2049)
-            dense = (seg.h * np.exp(-(th - seg.t_ref) / tau)
-                     + seg.p_s * np.sin(w * th) + seg.p_c * np.cos(w * th))
-            assert dense.max() <= max(got) + 1e-12
+    v_o_max = cycle_diagnostics(res).v_o_max.tolist()
+    for row, seg, got in conduction_roots(res):
+        k = next(k for k in range(len(v_o_max)) if row < first[k + 1])
+        tol = 4 * math.ulp(v_o_max[k])
+        want = scan_extremes(seg, tau, w, p.i_ls_amp, p.r_load)
+        assert len(got) == len(want)
+        assert all(abs(a - b) <= tol for a, b in zip(got, want))
+        n_roots += len(want)
+        th = np.linspace(seg.t0, seg.t1, 2049)
+        dense = (seg.h * np.exp(-(th - seg.t_ref) / tau)
+                 + seg.p_s * np.sin(w * th) + seg.p_c * np.cos(w * th))
+        assert dense.max() <= max(got + [seg.v_o(seg.t0, tau, w),
+                                         seg.v_o(seg.t1, tau, w)]) + 1e-12
     assert n_roots > 0
+
+
+def reference_seg_integrals(seg, tau, w, i_amp):
+    """(source energy into the rail (J), integral of v_o^2 (V^2*s)) over a
+    segment, as the simulator took them one segment at a time.  The source
+    feeds the rail only on a conduction segment (State II or III), with
+    i(th) = i_amp sin(w th); elsewhere p_s = p_c = 0 and v_o is a pure
+    decay."""
+    def sin2(th):
+        return th / 2.0 - math.sin(2.0 * w * th) / (4.0 * w)
+
+    def cos2(th):
+        return th / 2.0 + math.sin(2.0 * w * th) / (4.0 * w)
+
+    def sincos(th):
+        return -math.cos(2.0 * w * th) / (4.0 * w)
+
+    d = seg.t1 - seg.t0
+    if d <= 0.0:
+        return 0.0, 0.0
+    coeff = (seg.h if seg.t_ref == seg.t0
+             else seg.h * math.exp(-(seg.t0 - seg.t_ref) / tau))
+    e_sq = 0.5 * tau * coeff * coeff * -math.expm1(-2.0 * d / tau)
+    if seg.state not in (2, 3):
+        return 0.0, e_sq
+    a = -1.0 / tau
+    e, den = math.exp(a * d), a * a + w * w
+    i_s = (e * (a * math.sin(w * d) - w * math.cos(w * d)) + w) / den
+    i_c = (e * (a * math.cos(w * d) + w * math.sin(w * d)) - a) / den
+    c0, s0 = math.cos(w * seg.t0), math.sin(w * seg.t0)
+    int_e_sin = c0 * i_s + s0 * i_c
+    int_e_cos = c0 * i_c - s0 * i_s
+    t0, t1 = seg.t0, seg.t1
+    s2 = sin2(t1) - sin2(t0)
+    sc = sincos(t1) - sincos(t0)
+    e_rail = i_amp * (coeff * int_e_sin + (seg.p_s * s2 + seg.p_c * sc))
+    return e_rail, (e_sq
+                    + 2.0 * coeff * (seg.p_s * int_e_sin + seg.p_c * int_e_cos)
+                    + seg.p_s ** 2 * s2
+                    + seg.p_c ** 2 * (cos2(t1) - cos2(t0))
+                    + 2.0 * seg.p_s * seg.p_c * sc)
+
+
+def reference_conduction_extremes(seg, tau, w, i_amp, r_load):
+    """v_o at each root of g = i - v_o/R inside a conduction segment, then
+    at its start and end, as the simulator located them one segment at a
+    time (see ``simulator._conduction_extremes``)."""
+    t0, t1 = seg.t0, seg.t1
+    h, t_ref, p_s, p_c = seg.h, seg.t_ref, seg.p_s, seg.p_c
+    a, b = i_amp - p_s / r_load, -p_c / r_load
+    half = math.pi / w
+    turn = math.atan2(a, b) / w
+    cuts = [t0]
+    th = turn + half * math.ceil((t0 - turn) / half)  # first turn >= t0
+    while th < t1:
+        if th > t0:
+            cuts.append(th)
+        th += half
+    cuts.append(t1)
+    gs, vs = [], []
+    for th in cuts:
+        s = math.sin(w * th)
+        v = (h * math.exp(-(th - t_ref) / tau) + p_s * s
+             + p_c * math.cos(w * th))
+        gs.append(i_amp * s - v / r_load)
+        vs.append(v)
+
+    def g(th):
+        s = math.sin(w * th)
+        return i_amp * s - (h * math.exp(-(th - t_ref) / tau) + p_s * s
+                            + p_c * math.cos(w * th)) / r_load
+
+    out = []
+    for k in range(len(cuts) - 1):
+        if gs[k] == 0.0:
+            out.append(vs[k])
+        elif gs[k] * gs[k + 1] < 0.0:
+            lo, hi = cuts[k], cuts[k + 1]
+            j = math.floor((0.5 * (lo + hi) - turn) / half)
+            start = turn + j * half
+            scale = (-h if j & 1 else h) / (math.hypot(a, b) * r_load)
+            ends = []
+            for x in (lo, hi):
+                for _ in range(2):
+                    c = scale * math.exp(-(x - t_ref) / tau)
+                    x = start + math.acos(-1.0 if c < -1.0 else
+                                          1.0 if c > 1.0 else c) / w
+                ends.append(x)
+            x0, x1 = sorted(ends)
+            root = bisect_root(g, max(lo, x0 - 0.25 * T_EVENT_TOL),
+                               min(hi, x1 + 0.25 * T_EVENT_TOL), T_EVENT_TOL)
+            out.append(seg.v_o(root, tau, w))
+    out += (vs[0], vs[-1])
+    return out
+
+
+def reference_diagnostics(result):
+    """``cycle_diagnostics`` of ``result`` one cycle and one segment row at
+    a time, with the scalar arithmetic the columns must reproduce."""
+    params = result.params
+    w = params.omega
+    r_load, i_amp = params.r_load, params.i_ls_amp
+    tau = r_load * params.c_o
+    c_sum, c_o = params.c_sum, params.c_o
+    c = result.columns
+    segs = simulator._seg_rows(result.segments)
+    first = result.segments.first.tolist()
+    out = []
+    cycles = zip(*(col.tolist() for col in (
+        c.v_o_start, c.v_cd1_start, c.v_o_end, c.v_cd1_end, c.va_pre_snap,
+        c.v_at_th1, c.v_at_iv, c.va_end_iv, c.reached_state_v, c.v_at_th4)))
+    for k, (v0, va0, v_end, va_cycle_end, va_pre_snap, va_clamp_start,
+            v_at_iv, va_end_iv, reached_v, v_at_th4) in enumerate(cycles):
+        e_cond = 0.0
+        e_load = 0.0
+        candidates = [v0, v_end]
+        cond_candidates = [va_pre_snap]
+        for seg in segs[first[k]:first[k + 1]]:
+            e_rail, int_v2 = reference_seg_integrals(seg, tau, w, i_amp)
+            e_cond += e_rail
+            e_load += int_v2 / r_load
+            if seg.state in (2, 3):
+                seg_candidates = reference_conduction_extremes(
+                    seg, tau, w, i_amp, r_load)
+                cond_candidates.extend(seg_candidates)
+            else:
+                seg_candidates = (seg.v_o(seg.t0, tau, w),
+                                  seg.v_o(seg.t1, tau, w))
+            candidates.extend(seg_candidates)
+        e_in_node = (0.5 * c_sum * (va_pre_snap ** 2 - va0 ** 2)
+                     + 0.5 * c_sum * (va_end_iv ** 2 - v_at_iv ** 2))
+        v_o_min = min(candidates)
+        v_o_max = max(candidates)
+        v_cs1_end = v_at_th4 if reached_v else v_end - va_cycle_end
+        out.append((
+            c_sum * (va_pre_snap - va0), c_sum * (v_at_iv - va_end_iv),
+            e_in_node + e_cond, e_load,
+            0.5 * c_sum * (v_at_iv ** 2 - va_clamp_start ** 2),
+            (0.5 * c_o * (v_end ** 2 - v0 ** 2)
+             + 0.5 * c_sum * (va_cycle_end ** 2 - va0 ** 2)),
+            v_o_max - v_o_min, v_o_min, v_o_max, max(v0 - va0, v_cs1_end),
+            max(cond_candidates)))
+    return [np.array(col) for col in zip(*out)]
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda vp, orbit=orbit: cli_orbit_run(*orbit[:2], 3)
+      for orbit in EXTREME_ORBITS),
+    # 400 cycles (simulate's size) of the climb from an empty output, whose
+    # first cycle has no State I: enough distinct values that numpy's
+    # v * v in place of libm's pow shows
+    lambda vp: run(vp, ModulationCommand(0.532, 0.0672 / vp.f_s), 400),
+    lambda vp: step_cycle(SwitchCycleState(24.0),
+                          ModulationCommand(0.532, 0.0672 / vp.f_s), vp)[2],
+], ids=EXTREME_ORBIT_IDS + ["from_empty_output", "step_cycle"])
+def test_diagnostics_equal_the_per_segment_reference_bit_for_bit(vp, make):
+    # the columns reproduce the scalar ledger and extremes exactly: compared
+    # as integers, so a -0.0 or a last-place difference shows
+    res = make(vp)
+    got = cycle_diagnostics(res)
+    for name, a, b in zip(got._fields, got, reference_diagnostics(res)):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
 
 
 def test_averaged_parity_during_slow_transient(vp):

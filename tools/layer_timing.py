@@ -23,13 +23,15 @@ table2 receiver:
 * ``periodic_steady_state`` of that command from the averaged output, in ms
   per solve;
 * ``cycle_diagnostics`` (ledger, ripple extremes, device peaks) of a run
-  of 32 orbit cycles, in us per cycle;
-* the segment table build (``simulator._segment_table``) of a run of 400
-  orbit cycles (the size of ``wptrx simulate``), in us per cycle;
-* the ripple extremes (``simulator._conduction_extremes``) of every
-  conduction segment of those 400 cycles, in us per segment.  With the
+  of 32 orbit cycles, in us per cycle, and of a run of 400 (the size of
+  ``wptrx simulate``), in ms per call;
+* the segment table build (``simulator._segment_table``) of those 400
+  orbit cycles, in us per cycle;
+* the ripple extremes (``simulator._conduction_extremes``, one call over
+  the columns of every conduction segment of those 400 cycles, given
+  sin(w th) and v_o at the segments' ends), in us per segment.  With the
   ``run`` row (event location, columns and segment table) and the
-  ``cycle_diagnostics`` row (ledger integrals and ripple extremes), this
+  ``cycle_diagnostics`` rows (ledger integrals and ripple extremes), this
   splits a switched cycle's cost into its parts;
 * ``sample_waveform`` of those 32 cycles, and of the 400, at 256 samples
   per cycle, in us per sample;
@@ -90,6 +92,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 TABLE2 = SRC / "wptrx" / "configs" / "table2.cfg"
@@ -104,7 +108,7 @@ from wptrx.control import closed_loop_run  # noqa: E402
 from wptrx.params import validate  # noqa: E402
 from wptrx.simulator import (  # noqa: E402
     _CLAMPED, ModulationCommand, _conduction_extremes, _cycle_consts,
-    _seg_rows, _segment_table, cycle_diagnostics, periodic_steady_state, run,
+    _segment_table, _terms_at, cycle_diagnostics, periodic_steady_state, run,
     sample_waveform, spectrum)
 from wptrx.smallsignal import perturb_bode_oracle  # noqa: E402
 
@@ -215,10 +219,14 @@ def main() -> int:
     long = run(vp, cmd, SIMULATE_CYCLES, initial=orbit.state)
     long_wave = sample_waveform(long, rate)
     consts = _cycle_consts(vp, vp.r_load, vp.i_ls_amp, cmd.t_f)
-    conducting = [seg for seg in _seg_rows(long.segments)
-                  if seg.state in _CLAMPED]
+    seg = long.segments
+    conducting = np.flatnonzero(np.isin(seg.state, _CLAMPED))
+    ends = []
+    for th in (seg.t0[conducting], seg.t1[conducting]):
+        s, c, e = _terms_at(th, seg.h[conducting], seg.t_ref[conducting],
+                            vp.r_load * vp.c_o, vp.omega)
+        ends += [s, e + seg.p_s[conducting] * s + seg.p_c[conducting] * c]
     one = run(vp, cmd, 1, initial=orbit.state)
-    tau = vp.r_load * vp.c_o
     n_long = len(long_wave.t)
     wave_header = "t,i_ls,v_cs1,v_cd1,v_o,gate,state"
     wave_columns = [getattr(long_wave, f) for f in wave_header.split(",")]
@@ -268,14 +276,15 @@ def main() -> int:
         (f"cycle_diagnostics, {SAMPLE_CYCLES} orbit cycles", "us/cycle",
          _timed(lambda: cycle_diagnostics(short), DIAG_REPEATS,
                 SAMPLE_CYCLES / 1e6)),
+        (f"cycle_diagnostics, {SIMULATE_CYCLES} orbit cycles", "ms/call",
+         _timed(lambda: cycle_diagnostics(long), DIAG_REPEATS, 1e-3)),
         (f"_segment_table, {SIMULATE_CYCLES} orbit cycles", "us/cycle",
          _timed(lambda: _segment_table(long.columns, consts),
                 SEGMENT_REPEATS, SIMULATE_CYCLES / 1e6)),
         (f"ripple extremes, {len(conducting)} conduction segments of "
-         f"{SIMULATE_CYCLES} orbit cycles", "us/segment",
-         _timed(lambda: [_conduction_extremes(seg, tau, vp.omega,
-                                              vp.i_ls_amp, vp.r_load)
-                         for seg in conducting],
+         f"{SIMULATE_CYCLES} orbit cycles (columns)", "us/segment",
+         _timed(lambda: _conduction_extremes(seg, conducting, ends, consts,
+                                             vp.r_load),
                 EXTREME_REPEATS, len(conducting) / 1e6)),
         (f"sample_waveform, {SAMPLE_CYCLES} cycles", "us/sample",
          _timed(lambda: sample_waveform(short, rate), SAMPLE_REPEATS,
