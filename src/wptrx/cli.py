@@ -324,12 +324,12 @@ def cmd_simulate(args, rc, vp) -> int:
                  "cycle,t_f_meas,t_r_meas,zvs_ok,zcs_ok,q_f,q_r,e_in,e_load,"
                  "e_hard_switch,v_o_mean,v_o_ripple_pp",
                  (np.arange(args.cycles), c.t_f_meas, c.t_r_meas, c.zvs_ok,
-                  c.zcs_ok, d.q_f, d.q_r, d.e_in, d.e_load, c.e_hard_switch,
-                  c.v_o_mean, d.v_o_ripple_pp))
+                  c.reached_state_v, d.q_f, d.q_r, d.e_in, d.e_load,
+                  c.e_hard_switch, c.v_o_mean, d.v_o_ripple_pp))
     print(f"cycles = {args.cycles}, orbit residual = "
           f"{orbit.residual:.3g} V, "
           f"zvs = {np.count_nonzero(c.zvs_ok) / args.cycles:.3f}, "
-          f"zcs = {np.count_nonzero(c.zcs_ok) / args.cycles:.3f}")
+          f"zcs = {np.count_nonzero(c.reached_state_v) / args.cycles:.3f}")
     return 0
 
 
@@ -627,7 +627,8 @@ def main(argv=None) -> int:
             rc = parse_config(args.config)
         return _HANDLERS[command](args, rc, validate(rc.params))
     except (ConfigError, NonPositiveParameter, FileNotFoundError,
-            IsADirectoryError, PermissionError) as exc:
+            FileExistsError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnknownFigure as exc:

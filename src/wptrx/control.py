@@ -25,10 +25,9 @@ import numpy as np
 from .analytic import OperatingPoint, _fall_time_approx, duty_for_target_vo
 from .errors import NoConvergence, NonPositiveParameter
 from .params import ValidatedParams, require_positive
-from .simulator import (V_ORBIT_TOL, CycleSummary, ModulationCommand,
+from .simulator import (V_ORBIT_TOL, ModulationCommand, RunResult,
                         SwitchCycleState, _cycle, _cycle_consts,
-                        cycle_linearization, periodic_steady_state,
-                        step_cycle)
+                        cycle_linearization, periodic_steady_state, run)
 from .smallsignal import PiGains, plant_tf
 
 
@@ -88,9 +87,9 @@ class ClosedLoopOrbit:
     load and source.
 
     ``state`` is the boundary state on the orbit and ``duty`` the PI
-    integrator there, which is also the duty it commands; ``summary`` is
-    the orbit's cycle.  ``residual`` is the largest change of v_o, v_cd1
-    (V) and the integrator over one closed-loop cycle started on the orbit.
+    integrator there, which is also the duty it commands; ``cycle`` is the
+    ``run`` of one closed-loop cycle started there.  ``residual`` is the
+    largest change of v_o, v_cd1 (V) and the integrator over that cycle.
     ``spectral_radius`` is the largest eigenvalue modulus of the
     closed-loop map linearized there: below 1 the orbit is stable.
     ``regulation_failed`` means v_ref is out of reach inside the gains'
@@ -101,7 +100,7 @@ class ClosedLoopOrbit:
     """
     state: SwitchCycleState
     duty: float
-    summary: CycleSummary
+    cycle: RunResult
     residual: float
     spectral_radius: float
     regulation_failed: bool
@@ -210,7 +209,8 @@ def closed_loop_orbit(params: ValidatedParams, v_ref: float, i_ls_ff: float,
     x = orbit.state
     duty, integrator, _ = pi_step(v_ref - x.v_o, gains.k_p, gains.k_i,
                                   gains.d_min, gains.d_max, ts, d, d, failed)
-    nxt, summary, _ = step_cycle(x, ModulationCommand(duty, t_f), params)
+    cycle = run(params, ModulationCommand(duty, t_f), 1, x)
+    nxt = cycle.final_state
     residual = max(abs(nxt.v_o - x.v_o), abs(nxt.v_cd1 - x.v_cd1),
                    abs(integrator - d))
     a, b, _, _, n_lin = cycle_linearization(
@@ -223,7 +223,7 @@ def closed_loop_orbit(params: ValidatedParams, v_ref: float, i_ls_ff: float,
         jac[:2, 2] = b
         jac[2] = (-k_t, 0.0, 1.0)
     return ClosedLoopOrbit(
-        state=x, duty=d, summary=summary, residual=residual,
+        state=x, duty=d, cycle=cycle, residual=residual,
         spectral_radius=_spectral_radius(jac),
         regulation_failed=failed, cycles=cycles + 1 + n_lin)
 

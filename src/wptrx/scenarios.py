@@ -109,10 +109,11 @@ def coupling_sweep(params: ValidatedParams, v_ref: float, i_ls_ff: float,
         p_i = params.with_amplitude(i_amp)
         orbit = closed_loop_orbit(p_i, v_ref, i_ls_ff,
                                   design_gains(p_i, v_ref, i_ls_ff, f_c))
-        v_mean = orbit.summary.v_o_mean
+        c = orbit.cycle.columns
+        v_mean = c.v_o_mean[0].item()
         rows.append(SweepRow(i_ls_amp=i_amp, v_o_steady=v_mean,
                              reg_error=abs(v_mean - v_ref), duty=orbit.duty,
-                             zvs_fraction=float(orbit.summary.zvs_ok),
-                             zcs_fraction=float(orbit.summary.zcs_ok),
+                             zvs_fraction=float(c.zvs_ok[0]),
+                             zcs_fraction=float(c.reached_state_v[0]),
                              spectral_radius=orbit.spectral_radius))
     return rows

@@ -47,9 +47,9 @@ expressions over all its rows at once, and reduce each cycle's rows over a
 scalar arithmetic by taking its transcendentals from ``math``.  The
 spectrum reads the table as ``_Seg`` rows, and the event list reads the
 columns.
-``step_cycle`` is a one-cycle run that also returns the cycle's
-``CycleSummary``.  The closed-loop run, the orbit solve and the
-linearization step ``_cycle`` itself and build no records.
+The closed-loop run, the orbit solve and the linearization step
+``_cycle`` itself and build no records; ``run`` is the one public way to
+step the simulator.
 
 If the commanded gate delay arrives before the switch voltage has fallen to
 zero, turn-on is forced: the residual switch-capacitor energy
@@ -72,7 +72,7 @@ the residual of a hard-switched cycle equals the (unlogged) two-capacitor
 transfer loss of the diode-capacitance top-up.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import repeat
@@ -135,30 +135,6 @@ class SwitchCycleState(NamedTuple):
     v_cd1: float = 0.0
 
 
-@dataclass(frozen=True)
-class CycleSummary:
-    """What step_cycle reports of its cycle, and the first columns of a
-    run's ``CycleColumns``: the output voltage at both boundaries and its
-    cycle mean, the measured timing and the soft-switching verdicts.
-
-    ``t_f_meas``/``t_r_meas`` are the natural commutation intervals and are
-    NaN when the corresponding transition never completed naturally.
-    ``zcs_ok`` is ``reached_state_v``: the cycle ends at a current zero, so
-    a diode that conducted turns off at zero current.
-    """
-    v_o_start: float
-    v_o_end: float
-    v_o_mean: float
-    t_f_meas: float
-    t_r_meas: float
-    zvs_ok: bool
-    zcs_ok: bool
-    v_cs1_at_gate: float
-    hard_switched: bool
-    reached_state_v: bool
-    e_hard_switch: float
-
-
 class _Seg(NamedTuple):
     """One analytic segment, times relative to the cycle start.
 
@@ -190,9 +166,12 @@ class _Seg(NamedTuple):
 
 class CycleColumns(NamedTuple):
     """A run's cycles as columns, one numpy array each, one row per cycle:
-    first a ``CycleSummary``'s fields, then the boundary node voltage at
-    both ends and the rest of ``_cycle``'s outputs.  The times are relative
-    to the cycle's start; ``th4`` is NaN where the node never reaches zero.
+    v_o at both boundaries and its cycle mean, the natural commutation
+    intervals (NaN where one never completed), the soft-switching verdicts,
+    the boundary node voltage and the rest of ``_cycle``'s outputs.  ZCS is
+    ``reached_state_v``: the cycle ends at the current zero in State V, so
+    the diode turns off at zero current.  The times are relative to the
+    cycle's start; ``th4`` is NaN where the node never reaches zero.
     """
     v_o_start: np.ndarray
     v_o_end: np.ndarray
@@ -200,7 +179,6 @@ class CycleColumns(NamedTuple):
     t_f_meas: np.ndarray
     t_r_meas: np.ndarray
     zvs_ok: np.ndarray
-    zcs_ok: np.ndarray
     v_cs1_at_gate: np.ndarray
     hard_switched: np.ndarray
     reached_state_v: np.ndarray
@@ -516,7 +494,8 @@ def _cycle(v0: float, va0: float, duty: float, consts: tuple) -> tuple:
     then what ``run`` keeps: gate_off, th1, hard, v_cs1_at_gate,
     va_pre_snap, v_at_th1, th_iv, h, v_at_iv, th4 (None when the node never
     reaches zero), va_end_iv, reached_v and v_at_th4 (see CycleColumns).
-    Raises as step_cycle does.
+    Raises NonPositiveParameter for a duty outside (0, 1) and GateOverrun
+    when the gate-off edge would pass the end of the period.
 
     The cycle mean integrates v_o over each segment [t0, t1] in closed
     form: tau coeff (1 - e^{-(t1 - t0)/tau}) for the exponential whose value
@@ -631,40 +610,18 @@ def _cycle(v0: float, va0: float, duty: float, consts: tuple) -> tuple:
             h, v_at_iv, th4, va_end_iv, reached_v, v_at_th4)
 
 
-def step_cycle(state: SwitchCycleState, cmd: ModulationCommand,
-               params: ValidatedParams) -> tuple:
-    """Advance exactly one carrier period.
-
-    Returns (next_state, CycleSummary, RunResult of the one cycle);
-    ``cycle_diagnostics`` of the result gives the ledger.  Raises
-    NonPositiveParameter for a duty outside (0, 1) or a negative or
-    non-finite gate delay, and GateOverrun when the gate-off edge would pass
-    the end of the period.  The arithmetic is ``_cycle``'s, at
-    ``params.r_load`` and ``params.i_ls_amp``.
-    """
-    result = _run(params, cmd, 1, state)
-    c = result.columns
-    return result.final_state, CycleSummary(
-        **{f.name: getattr(c, f.name)[0].item() for f in fields(CycleSummary)}
-    ), result
-
-
 def run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
         initial: SwitchCycleState = SwitchCycleState(0.0)) -> RunResult:
     """Run ``n_cycles`` (>= 1) carrier periods of the constant command
     ``cmd`` from the boundary state ``initial`` (by default an empty output
     capacitor), whose voltages must be finite and >= 0.
     ``cycle_diagnostics``, ``sample_waveform`` and ``spectrum`` read the
-    result; ``periodic_steady_state`` gives a start on the orbit.
+    result; ``periodic_steady_state`` gives a start on the orbit.  Raises
+    NonPositiveParameter for a bad count, start, duty or gate delay, and
+    GateOverrun when the gate-off edge would pass the end of the period.
     """
     require_positive(n_cycles=n_cycles)
     require_positive(allow_zero=True, v_o=initial.v_o, v_cd1=initial.v_cd1)
-    return _run(params, cmd, n_cycles, initial)
-
-
-def _run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
-         initial: SwitchCycleState) -> RunResult:
-    """``run`` without its checks on the cycle count and the start state."""
     consts = _cycle_consts(params, params.r_load, params.i_ls_amp, cmd.t_f)
     v_o, v_cd1 = initial
     outputs = []
@@ -681,7 +638,7 @@ def _run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
         v_o_start=np.concatenate(([initial.v_o], v_end[:-1])),
         v_o_end=v_end, v_o_mean=v_mean,
         t_f_meas=np.where(hard, np.nan, th1), t_r_meas=th4 - th_iv,
-        zvs_ok=v_cs1_at_gate <= V_ZVS_TOL, zcs_ok=reached_v,
+        zvs_ok=v_cs1_at_gate <= V_ZVS_TOL,
         v_cs1_at_gate=v_cs1_at_gate, hard_switched=hard,
         reached_state_v=reached_v,
         e_hard_switch=np.where(

@@ -26,7 +26,7 @@ from wptrx.scenarios import (coupling_sweep, design_gains,
                              startup_scenario)
 from wptrx.simulator import (ModulationCommand, SwitchCycleState,
                              cycle_diagnostics, periodic_steady_state, run,
-                             spectrum, step_cycle)
+                             spectrum)
 from wptrx.smallsignal import (bode, design_pi, loop_margins,
                                perturb_bode_oracle, plant_tf)
 
@@ -295,10 +295,10 @@ def test_c10_invariant_suite(vp, loadstep_rec, startup_rec, ramp_rec):
 
     # charge balance at 1e-9 on a stiff output rail
     stiff = dataclasses.replace(vp, c_o=1000.0)
-    d = cycle_diagnostics(step_cycle(
-        SwitchCycleState(24.0),
-        ModulationCommand(DUTY_VA, fall_time_exact(stiff, 24.0) + 1e-12),
-        stiff)[2])
+    d = cycle_diagnostics(run(
+        stiff,
+        ModulationCommand(DUTY_VA, fall_time_exact(stiff, 24.0) + 1e-12), 1,
+        SwitchCycleState(24.0)))
     q_ref = stiff.c_sum * 24.0
     if not (abs(d.q_f[0] - q_ref) <= 1e-9 * q_ref
             and abs(d.q_r[0] - q_ref) <= 1e-9 * q_ref):

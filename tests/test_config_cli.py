@@ -92,6 +92,15 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
         "l_s = 172u\nc_s = 3.63n\nc_s1 = 4.5n\nc_d1 = 4.5n\nc_o = 1000u\n"
         "r_load = 38.09\nf_s = 200k\ni_ls_amp = 0\n")
     assert main(["validate", "--config", str(zero)]) == 2
+    capsys.readouterr()
+    # an --out that is a file, or lies under one, is an error line and 2,
+    # not a traceback
+    for argv in (["reproduce", "fig5", "--out", str(bad)],
+                 ["steady", "--config", TABLE2, "--duty", "0.5",
+                  "--out", str(bad / "x")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _table2_with(tmp_path, key, value):

@@ -16,7 +16,7 @@ from wptrx.errors import GateOverrun, NoConvergence, NonPositiveParameter
 from wptrx.params import ReceiverParams, validate
 from wptrx.scenarios import design_gains, equilibrium_op
 from wptrx.simulator import (V_ORBIT_TOL, ModulationCommand, SwitchCycleState,
-                             run, step_cycle)
+                             cycle_diagnostics, run)
 from wptrx.smallsignal import PiGains
 
 
@@ -156,16 +156,16 @@ def test_feedforward_mismatch_directions(vp):
     t_cmd = feedforward_tf(24.0, 1.45, vp)
     assert t_cmd > fall_time_exact(vp, 24.0)
     st = SwitchCycleState(24.0)
-    _, d_ok, _ = step_cycle(st, ModulationCommand(0.532, t_cmd), vp)
-    assert d_ok.zvs_ok and not d_ok.hard_switched
+    d_ok = run(vp, ModulationCommand(0.532, t_cmd), 1, st).columns
+    assert d_ok.zvs_ok[0] and not d_ok.hard_switched[0]
 
     # the reverse mismatch fires the gate before the node has swung
     p_weak = vp.with_amplitude(1.45)
     t_cmd2 = feedforward_tf(24.0, 2.35, p_weak)
     st = SwitchCycleState(24.0)
-    _, d_bad, _ = step_cycle(st, ModulationCommand(0.532, t_cmd2), p_weak)
-    assert not d_bad.zvs_ok and d_bad.hard_switched
-    assert d_bad.e_hard_switch > 0.0
+    d_bad = run(p_weak, ModulationCommand(0.532, t_cmd2), 1, st).columns
+    assert not d_bad.zvs_ok[0] and d_bad.hard_switched[0]
+    assert d_bad.e_hard_switch[0] > 0.0
 
 
 def test_gate_edges_follow_the_command(vp):
@@ -173,7 +173,7 @@ def test_gate_edges_follow_the_command(vp):
     # gate_off one duty interval later
     st = SwitchCycleState(24.0)
     cmd = ModulationCommand(0.5, 0.0)
-    edges = {name: t for t, name in step_cycle(st, cmd, vp)[2].events}
+    edges = {name: t for t, name in run(vp, cmd, 1, st).events}
     assert edges["gate_on"] == 0.0
     assert edges["gate_off"] == pytest.approx(2.5e-6, rel=1e-12)
     # the third cycle of a run starts at 10 us
@@ -183,14 +183,14 @@ def test_gate_edges_follow_the_command(vp):
     assert gate_on == pytest.approx(10e-6 + 382e-9, rel=1e-12)
     assert gate_off == pytest.approx(10e-6 + 3.042e-6, rel=1e-9)
     with pytest.raises(GateOverrun):
-        step_cycle(st, ModulationCommand(0.9, 0.15 / vp.f_s), vp)
+        run(vp, ModulationCommand(0.9, 0.15 / vp.f_s), 1, st)
 
 
 def test_gate_phase_matches_command(vp):
     # the centre of the on-pulse sits at the paper's phase angle
     cmd = ModulationCommand(0.532, 382e-9)
     edges = {name: t for t, name in
-             step_cycle(SwitchCycleState(24.0), cmd, vp)[2].events}
+             run(vp, cmd, 1, SwitchCycleState(24.0)).events}
     centre = 0.5 * (edges["gate_on"] + edges["gate_off"])
     assert vp.omega * centre == pytest.approx(
         phase_angle(cmd.duty, vp.f_s * cmd.t_f), rel=1e-12)
@@ -336,8 +336,8 @@ def test_feedforward_recomputed_only_when_the_reference_moves(vp_fast,
 
 def replay(scenario, gains, params):
     """closed_loop_run's record fields (t, v_o_sample, v_o_mean, duty),
-    stepped through the public pi_step and step_cycle on a receiver copy
-    at each cycle's live load and amplitude."""
+    stepped through the public pi_step and one-cycle runs on a receiver
+    copy at each cycle's live load and amplitude."""
     ts = params.t_period
     pi = (scenario.initial_integrator, scenario.initial_integrator, False)
     state = SwitchCycleState(scenario.v_o0)
@@ -351,16 +351,15 @@ def replay(scenario, gains, params):
         pi = pi_at(state.v_o, v_ref, gains, ts, *pi)
         duty = pi[0]
         t_f = feedforward_tf(v_ref, scenario.i_ls_ff, params)
-        nxt, summary, _ = step_cycle(state, ModulationCommand(duty, t_f),
-                                     live)
-        rows.append((t_n, state.v_o, summary.v_o_mean, duty))
-        state = nxt
+        one = run(live, ModulationCommand(duty, t_f), 1, state)
+        rows.append((t_n, state.v_o, one.columns.v_o_mean[0], duty))
+        state = one.final_state
     return [np.array(col) for col in zip(*rows)]
 
 
 @pytest.mark.parametrize("case", ["load_step", "amplitude_ramp", "startup",
                                   "reference_step_down", "all_three_step"])
-def test_closed_loop_run_replays_through_step_cycle_and_pi_step(
+def test_closed_loop_run_replays_through_one_cycle_runs_and_pi_step(
         vp_fast, monkeypatch, case):
     # the loop keeps its cycle constants between load or amplitude changes
     # and runs the PI law on floats; its record must equal, bit for bit, a
@@ -458,7 +457,8 @@ def _sweep_point(vp, i_amp, i_ff=1.40):
                                         (2.0, 2.2)])
 def test_closed_loop_orbit_is_a_fixed_point(vp, i_amp, i_ff):
     # one PI update and one cycle from the orbit, with the integrator at
-    # the orbit's duty, land back on it
+    # the orbit's duty, land back on it; the orbit's own one-cycle run is
+    # that cycle
     p, gains = _sweep_point(vp, i_amp, i_ff)
     orbit = control.closed_loop_orbit(p, 24.0, i_ff, gains)
     assert not orbit.regulation_failed
@@ -467,14 +467,23 @@ def test_closed_loop_orbit_is_a_fixed_point(vp, i_amp, i_ff):
     assert abs(24.0 - x.v_o) <= V_ORBIT_TOL  # the sampled error
     duty, integrator, _ = pi_at(x.v_o, 24.0, gains, p.t_period,
                                 orbit.duty, orbit.duty, False)
-    nxt, summary, _ = step_cycle(
-        x, ModulationCommand(duty, feedforward_tf(24.0, i_ff, p)), p)
+    one = run(p, ModulationCommand(duty, feedforward_tf(24.0, i_ff, p)), 1,
+              x)
+    nxt, replayed = one.final_state, one.columns
     assert abs(nxt.v_o - x.v_o) <= V_ORBIT_TOL
     assert abs(nxt.v_cd1 - x.v_cd1) <= V_ORBIT_TOL
     assert abs(integrator - orbit.duty) <= V_ORBIT_TOL
     assert orbit.residual <= V_ORBIT_TOL
-    assert summary.v_o_mean == orbit.summary.v_o_mean
-    assert summary.zvs_ok == orbit.summary.zvs_ok == (i_amp > i_ff)
+    c = orbit.cycle.columns
+    assert abs(orbit.cycle.final_state.v_o - x.v_o) <= V_ORBIT_TOL
+    assert abs(orbit.cycle.final_state.v_cd1 - x.v_cd1) <= V_ORBIT_TOL
+    assert replayed.v_o_mean[0] == c.v_o_mean[0]
+    assert replayed.zvs_ok[0] == c.zvs_ok[0] == (i_amp > i_ff)
+    if i_amp > i_ff:  # soft-switched: the cycle's ledger closes
+        d = cycle_diagnostics(orbit.cycle)
+        residual = (d.e_in + d.e_node_tracking - d.e_load - d.de_stored
+                    - c.e_hard_switch)
+        assert abs(residual[0]) <= 1e-9 * max(d.e_in[0], 1e-12)
     assert 0.0 < orbit.spectral_radius < 1.0
     assert orbit.cycles < 30  # 14 to 17 cycles measured
 

@@ -31,12 +31,11 @@ EXPORTS = {
     "params": ["ReceiverParams", "ValidatedParams", "min_output_cap",
                "ripple_estimate", "size_inductor", "size_series_cap",
                "validate"],
-    "simulator": ["CycleColumns", "CycleSummary", "DiagnosticColumns",
-                  "ModulationCommand", "PeriodicOrbit", "RunResult",
-                  "SegmentTable", "SpectrumResult", "SwitchCycleState",
-                  "SwitchingState", "Waveform", "cycle_diagnostics",
-                  "periodic_steady_state", "run", "sample_waveform",
-                  "spectrum", "step_cycle"],
+    "simulator": ["CycleColumns", "DiagnosticColumns", "ModulationCommand",
+                  "PeriodicOrbit", "RunResult", "SegmentTable",
+                  "SpectrumResult", "SwitchCycleState", "SwitchingState",
+                  "Waveform", "cycle_diagnostics", "periodic_steady_state",
+                  "run", "sample_waveform", "spectrum"],
     "smallsignal": ["BodePoint", "PiGains", "TransferFunction1P", "bode",
                     "bode_points", "design_pi", "loop_margins",
                     "loop_response", "perturb_bode_oracle", "plant_tf"],
@@ -45,6 +44,11 @@ EXPORTS = {
 
 def test_package_exports_resolve_to_their_defining_modules():
     assert wptrx.__all__ == [n for names in EXPORTS.values() for n in names]
+    # run is the one way to step the simulator and RunResult the one record
+    # of a cycle: the one-cycle call and its summary record are gone
+    for gone in ("step_cycle", "CycleSummary"):
+        with pytest.raises(AttributeError, match=gone):
+            getattr(wptrx, gone)
     listed = dir(wptrx)
     for module, names in EXPORTS.items():
         home = importlib.import_module(f"wptrx.{module}")

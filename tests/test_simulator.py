@@ -26,7 +26,7 @@ from wptrx.simulator import (T_EVENT_TOL, V_ORBIT_TOL, ModulationCommand,
                              SwitchCycleState,
                              cycle_diagnostics, cycle_linearization,
                              periodic_steady_state, run,
-                             sample_waveform, spectrum, step_cycle)
+                             sample_waveform, spectrum)
 
 TWO_PI = 2 * math.pi
 
@@ -101,21 +101,21 @@ def random_receivers(seed, n):
 
 
 # ---------------------------------------------------------------------------
-# step_cycle basics
+# single-cycle basics
 # ---------------------------------------------------------------------------
 
 def test_prototype_cycle_soft_switching(vp):
     # at the nominal 24 V output the natural commutation takes ~386 ns
     st = SwitchCycleState(24.0)
-    st2, d24, _ = step_cycle(st, exact_cmd(vp, 0.532, 24.0, margin=1e-10),
-                             vp)
-    assert d24.zvs_ok and d24.zcs_ok and not d24.hard_switched
-    assert d24.t_f_meas == pytest.approx(386e-9, abs=1e-9)
+    d24 = run(vp, exact_cmd(vp, 0.532, 24.0, margin=1e-10), 1, st).columns
+    assert (d24.zvs_ok[0] and d24.reached_state_v[0]
+            and not d24.hard_switched[0])
+    assert d24.t_f_meas[0] == pytest.approx(386e-9, abs=1e-9)
     # at the self-consistent operating point the measured fall time matches
     # the exact prediction for the entry voltage
     res, cmd, op = steady_soft_run(vp, n=50)
     c = res.columns
-    assert c.zvs_ok[-1] and c.zcs_ok[-1] and not c.hard_switched[-1]
+    assert c.zvs_ok[-1] and c.reached_state_v[-1] and not c.hard_switched[-1]
     assert c.t_f_meas[-1] == pytest.approx(
         fall_time_exact(vp, c.v_o_start[-1]), abs=1e-10)
 
@@ -124,9 +124,10 @@ def test_zero_source_cycle(vp):
     p0 = vp.with_amplitude(0.0)
     st = SwitchCycleState(24.0)
     cmd = ModulationCommand(0.5, 382e-9)
-    st2, d, one = step_cycle(st, cmd, p0)
-    assert math.isnan(d.t_f_meas) and math.isnan(d.t_r_meas)
-    assert not d.zcs_ok
+    one = run(p0, cmd, 1, st)
+    st2, d = one.final_state, one.columns
+    assert math.isnan(d.t_f_meas[0]) and math.isnan(d.t_r_meas[0])
+    assert not d.reached_state_v[0]
     # no natural commutation events in the log
     names = {name for _, name in one.events}
     assert "cs1_zero" not in names and "cd1_zero" not in names
@@ -142,12 +143,13 @@ def test_zero_source_cycle(vp):
 
 def test_forced_turn_on_energy(vp):
     st = SwitchCycleState(24.0)
-    st2, d, one = step_cycle(st, ModulationCommand(0.532, 0.0), vp)
-    assert not d.zvs_ok and d.hard_switched
-    assert d.e_hard_switch == pytest.approx(0.5 * vp.c_s1 * 24.0 ** 2,
-                                            rel=1e-12)
+    one = run(vp, ModulationCommand(0.532, 0.0), 1, st)
+    d = one.columns
+    assert not d.zvs_ok[0] and d.hard_switched[0]
+    assert d.e_hard_switch[0] == pytest.approx(0.5 * vp.c_s1 * 24.0 ** 2,
+                                               rel=1e-12)
     assert ("hard_switch" in {n for _, n in one.events})
-    assert math.isnan(d.t_f_meas)
+    assert math.isnan(d.t_f_meas[0])
 
 
 def test_events_match_a_bisection_oracle():
@@ -165,7 +167,8 @@ def test_events_match_a_bisection_oracle():
         if rng.random() < 0.2:  # gate-off late: State V may not be reached
             cmd = ModulationCommand(
                 rng.uniform(cmd.duty, 0.999 - p.f_s * cmd.t_f), cmd.t_f)
-        _, s, one = step_cycle(SwitchCycleState(v0, va0), cmd, p)
+        one = run(p, cmd, 1, SwitchCycleState(v0, va0))
+        s = one.columns
 
         def gap(th):
             return v0 * math.exp(-th / tau) - (va0 + amp * (1.0 - math.cos(
@@ -178,8 +181,8 @@ def test_events_match_a_bisection_oracle():
             t_f = bisect_root(gap, 0.0, hi, xtol=T_EVENT_TOL)
         else:
             t_f = math.nan
-        assert s.hard_switched == math.isnan(t_f)
-        assert not abs(s.t_f_meas - t_f) > T_EVENT_TOL
+        assert s.hard_switched[0] == math.isnan(t_f)
+        assert not abs(s.t_f_meas[0] - t_f) > T_EVENT_TOL
 
         th_iv = max(cmd.t_f + cmd.duty * ts, half)
         v_at_iv = one.columns.v_at_iv[0]
@@ -193,14 +196,14 @@ def test_events_match_a_bisection_oracle():
             t_r = bisect_root(va_iv, th_iv, ts, xtol=T_EVENT_TOL) - th_iv
         else:
             t_r = math.nan
-        assert s.reached_state_v == (t_r < ts - th_iv)
-        assert math.isnan(s.t_r_meas) == math.isnan(t_r)
-        assert not abs(s.t_r_meas - t_r) > T_EVENT_TOL
+        assert s.reached_state_v[0] == (t_r < ts - th_iv)
+        assert math.isnan(s.t_r_meas[0]) == math.isnan(t_r)
+        assert not abs(s.t_r_meas[0] - t_r) > T_EVENT_TOL
 
         # the ledger of every kind of cycle is finite
         assert all(np.isfinite(col).all() for col in cycle_diagnostics(one))
-        kinds["hard" if s.hard_switched else "soft"] += 1
-        kinds["no_state_v"] += not s.reached_state_v
+        kinds["hard" if s.hard_switched[0] else "soft"] += 1
+        kinds["no_state_v"] += not s.reached_state_v[0]
     assert min(kinds.values()) >= 50, kinds
 
 
@@ -285,7 +288,7 @@ def test_cycle_kernel_matches_the_segment_by_segment_reference(vp):
     # the kernel shares trig values between segments and takes its receiver
     # constants prebuilt; every value it returns must equal the reference's
     # exactly, on seeded single cycles from any boundary state.  The
-    # segment rows of step_cycle's run of the same cycle tile [0, T] with
+    # segment rows of a one-cycle run of the same cycle tile [0, T] with
     # non-empty segments in strictly increasing state order
     rng = random.Random(18)
     u = rng.uniform
@@ -308,13 +311,13 @@ def test_cycle_kernel_matches_the_segment_by_segment_reference(vp):
         got = simulator._cycle(v0, va0, duty,
                                simulator._cycle_consts(vp, r_load, i_amp, t_f))
         assert got == reference_cycle(v0, va0, duty, t_f, r_load, i_amp, vp)
-        nxt, summary, one = step_cycle(
-            SwitchCycleState(v0, va0), ModulationCommand(duty, t_f),
-            vp.with_load(r_load).with_amplitude(i_amp))
+        one = run(vp.with_load(r_load).with_amplitude(i_amp),
+                  ModulationCommand(duty, t_f), 1, SwitchCycleState(v0, va0))
+        nxt = one.final_state
         assert (nxt.v_o, nxt.v_cd1) == got[:2]
         # the diode turns off at the cycle's end, a current zero, so ZCS is
         # reaching State V
-        assert summary.zcs_ok == summary.reached_state_v == got[14]
+        assert one.columns.reached_state_v[0] == got[14]
         segs = one.segments
         assert segs.t0[0] == 0.0 and segs.t1[-1] == ts
         assert np.array_equal(segs.t1[:-1], segs.t0[1:])
@@ -406,16 +409,16 @@ def test_run_tables_match_the_per_cycle_reference():
 def test_invalid_commands(vp):
     st = SwitchCycleState(24.0)
     with pytest.raises(NonPositiveParameter) as err:
-        step_cycle(st, ModulationCommand(1.2, 0.0), vp)
+        run(vp, ModulationCommand(1.2, 0.0), 1, st)
     assert err.value.field == "duty"
     with pytest.raises(GateOverrun):
-        step_cycle(st, ModulationCommand(0.95, 0.3e-6), vp)
+        run(vp, ModulationCommand(0.95, 0.3e-6), 1, st)
     # a NaN gate delay used to run through and return v_o = NaN; the delay
     # is checked once, where the cycle constants are built, so a run and an
     # orbit solve reject it too
     for t_f in (math.nan, -1e-9, math.inf):
         with pytest.raises(NonPositiveParameter) as err:
-            step_cycle(st, ModulationCommand(0.532, t_f), vp)
+            run(vp, ModulationCommand(0.532, t_f), 1, st)
         assert err.value.field == "t_f"
     nan_delay = ModulationCommand(0.532, math.nan)
     for call in (lambda: run(vp, nan_delay, 3, initial=st),
@@ -447,7 +450,7 @@ def test_run_rejects_bad_start_voltage(vp):
 def test_single_cycle_from_zero_monotone_conduction(vp):
     st = SwitchCycleState(0.0)
     cmd = ModulationCommand(0.532, 386e-9)
-    st2, d, _ = step_cycle(st, cmd, vp)
+    st2 = run(vp, cmd, 1, st).final_state
     res = run(vp, cmd, 1)
     wf = sample_waveform(res, 256 * vp.f_s)
     cond = (wf.state == 2) | (wf.state == 3)
@@ -481,18 +484,19 @@ def test_run_mean_matches_operating_point(vp):
 ], ids=["table2", "no_state_v", "no_load", "soft"])
 def test_cycle_mean_matches_quadrature_of_its_segments(vp, r_load, command,
                                                        hard, state_v):
-    # step_cycle sums the segment integrals from its scalars; the segment
-    # rows its run builds from the columns must integrate to the same mean
+    # _cycle sums the segment integrals from its scalars; the segment rows
+    # the run builds from the columns must integrate to the same mean
     p = vp.with_load(r_load) if r_load else vp
     cmd = command(p)
     orbit = periodic_steady_state(p, cmd, 24.0)
-    _, s, one = step_cycle(orbit.state, cmd, p)
-    assert (s.hard_switched, s.reached_state_v) == (hard, state_v)
+    one = run(p, cmd, 1, orbit.state)
+    s = one.columns
+    assert (s.hard_switched[0], s.reached_state_v[0]) == (hard, state_v)
     tau = p.r_load * p.c_o
     area = sum(quad(lambda th, seg=seg: seg.v_o(th, tau, p.omega), seg.t0,
                     seg.t1, epsabs=0.0, epsrel=1e-13)[0]
                for seg in simulator._seg_rows(one.segments))
-    assert s.v_o_mean == pytest.approx(area / p.t_period, rel=1e-12)
+    assert s.v_o_mean[0] == pytest.approx(area / p.t_period, rel=1e-12)
 
 
 def ripple_oracle(vp, v_bar, theta_on):
@@ -784,8 +788,10 @@ def reference_diagnostics(result):
     # first cycle has no State I: enough distinct values that numpy's
     # v * v in place of libm's pow shows
     lambda vp: run(vp, ModulationCommand(0.532, 0.0672 / vp.f_s), 400),
-    lambda vp: step_cycle(SwitchCycleState(24.0),
-                          ModulationCommand(0.532, 0.0672 / vp.f_s), vp)[2],
+    # one cycle from 24 V (the id keeps the name of the one-cycle call
+    # this run replaced)
+    lambda vp: run(vp, ModulationCommand(0.532, 0.0672 / vp.f_s), 1,
+                   SwitchCycleState(24.0)),
 ], ids=EXTREME_ORBIT_IDS + ["from_empty_output", "step_cycle"])
 def test_diagnostics_equal_the_per_segment_reference_bit_for_bit(vp, make):
     # the columns reproduce the scalar ledger and extremes exactly: compared
@@ -805,15 +811,17 @@ def test_averaged_parity_during_slow_transient(vp):
     diags = []
     for _ in range(400):
         cmd = ModulationCommand(0.55, fall_time_exact(p, state.v_o) + 1e-12)
-        state, d, _ = step_cycle(state, cmd, p)
-        diags.append(d)
+        one = run(p, cmd, 1, state)
+        state = one.final_state
+        diags.append(one.columns)
     checked = 0
     for a, b in zip(diags[50:-1], diags[51:]):
-        dv = b.v_o_mean - a.v_o_mean
-        if abs(dv) > 1e-3 * a.v_o_mean or abs(dv) < 1e-7:
+        dv = b.v_o_mean[0] - a.v_o_mean[0]
+        if abs(dv) > 1e-3 * a.v_o_mean[0] or abs(dv) < 1e-7:
             continue
         rate_sim = dv / p.t_period
-        rate_avg = averaged_rhs(a.v_o_mean, 0.55, p.f_s * a.t_f_meas, p)
+        rate_avg = averaged_rhs(a.v_o_mean[0], 0.55, p.f_s * a.t_f_meas[0],
+                                p)
         assert rate_sim == pytest.approx(rate_avg, rel=0.02)
         checked += 1
     assert checked > 20
@@ -843,7 +851,7 @@ def test_charge_balance(vp_stiff):
     v_o = 24.0
     st = SwitchCycleState(v_o)
     cmd = exact_cmd(vp_stiff, 0.532, v_o)
-    d = cycle_diagnostics(step_cycle(st, cmd, vp_stiff)[2])
+    d = cycle_diagnostics(run(vp_stiff, cmd, 1, st))
     q_expect = vp_stiff.c_sum * v_o
     assert d.q_f[0] == pytest.approx(q_expect, rel=1e-9)
     assert d.q_r[0] == pytest.approx(q_expect, rel=1e-9)
@@ -874,11 +882,11 @@ def test_steady_state_efficiency_is_unity(vp):
 
 def test_hard_cycle_residual_equals_merge_loss(vp):
     st = SwitchCycleState(24.0)
-    _, s, one = step_cycle(st, ModulationCommand(0.532, 0.0), vp)
-    d = cycle_diagnostics(one)
+    one = run(vp, ModulationCommand(0.532, 0.0), 1, st)
+    s, d = one.columns, cycle_diagnostics(one)
     residual = (d.e_in[0] + d.e_node_tracking[0] - d.e_load[0]
-                - d.de_stored[0] - s.e_hard_switch)
-    w = s.v_cs1_at_gate
+                - d.de_stored[0] - s.e_hard_switch[0])
+    w = s.v_cs1_at_gate[0]
     merge = 0.5 * (vp.c_d1 * vp.c_o / (vp.c_d1 + vp.c_o)) * w * w
     assert -residual == pytest.approx(merge, rel=1e-9)
 
@@ -903,12 +911,12 @@ def test_commutation_time_parity(vp_stiff):
     v_o = 24.0
     cmd = exact_cmd(vp_stiff, 0.532, v_o, margin=1e-12)
     st = SwitchCycleState(v_o)
-    st2, d, _ = step_cycle(st, cmd, vp_stiff)
+    d = run(vp_stiff, cmd, 1, st).columns
     t_f_pred = fall_time_exact(vp_stiff, v_o)
-    assert abs(d.t_f_meas - t_f_pred) <= 1e-10
+    assert abs(d.t_f_meas[0] - t_f_pred) <= 1e-10
     op = OperatingPoint(duty=0.532, t_f=t_f_pred, v_o=v_o,
                         phase_delay_norm=vp_stiff.f_s * t_f_pred)
-    assert abs(d.t_r_meas - rise_time(vp_stiff, op)) <= 1e-10
+    assert abs(d.t_r_meas[0] - rise_time(vp_stiff, op)) <= 1e-10
 
 
 def test_diode_turns_off_on_the_zero_crossing(vp):
@@ -917,7 +925,7 @@ def test_diode_turns_off_on_the_zero_crossing(vp):
     # coil current is zero by construction
     i_end = vp.i_ls_amp * math.sin(vp.omega * vp.t_period)
     assert abs(i_end) < 1e-9
-    assert res.columns.zcs_ok.all()
+    assert res.columns.reached_state_v.all()
 
 
 # ---------------------------------------------------------------------------
@@ -1275,7 +1283,7 @@ def test_soft_switching_sweep_across_duty_window(vp):
         op = solve_operating_point(vp, float(duty), exact=True)
         cmd = ModulationCommand(float(duty), fall_time_exact(vp, op.v_o))
         c = run(vp, cmd, 30, initial=SwitchCycleState(op.v_o)).columns
-        assert c.zvs_ok.all() and c.zcs_ok.all()
+        assert c.zvs_ok.all() and c.reached_state_v.all()
         assert not c.e_hard_switch.any()
 
 
@@ -1298,7 +1306,7 @@ def fig13_cmd(vp):
 
 
 def one_cycle_change(vp, cmd, state):
-    nxt = step_cycle(state, cmd, vp)[0]
+    nxt = run(vp, cmd, 1, state).final_state
     return max(abs(nxt.v_o - state.v_o), abs(nxt.v_cd1 - state.v_cd1))
 
 
@@ -1310,8 +1318,8 @@ def test_periodic_steady_state_soft_and_hard(vp):
         assert orbit.residual <= V_ORBIT_TOL
         assert one_cycle_change(vp, cmd, orbit.state) == orbit.residual
         assert orbit.cycles <= 12
-        d = step_cycle(orbit.state, cmd, vp)[1]
-        assert d.hard_switched == is_hard and d.reached_state_v
+        d = run(vp, cmd, 1, orbit.state).columns
+        assert d.hard_switched[0] == is_hard and d.reached_state_v[0]
     with pytest.raises(NonPositiveParameter):
         periodic_steady_state(vp, hard, math.nan)
 
@@ -1320,7 +1328,7 @@ def test_run_and_orbit_solve_build_their_cycle_constants_once(
         vp, monkeypatch):
     # run, periodic_steady_state and cycle_linearization build the
     # receiver's cycle constants once per call, not once per cycle, and
-    # step the same bits as step_cycle, which builds them on every call
+    # step the same bits as one-cycle runs, which build them on every call
     cmd = fig13_cmd(vp)
     built = []
     cycle_consts = simulator._cycle_consts
@@ -1339,7 +1347,8 @@ def test_run_and_orbit_solve_build_their_cycle_constants_once(
     state = SwitchCycleState(24.0)
     first = res.segments.first
     for n in range(40):
-        state, _, ref = step_cycle(state, cmd, vp)
+        ref = run(vp, cmd, 1, state)
+        state = ref.final_state
         # repr, as t_f_meas is NaN on hard cycles
         assert repr([col[n] for col in res.columns]) == repr(
             [col[0] for col in ref.columns])
@@ -1356,21 +1365,21 @@ def test_periodic_steady_state_at_the_soft_hard_kink(vp):
         cmd = ModulationCommand(0.532, t_f)
         orbit = periodic_steady_state(vp, cmd, 24.0)
         assert orbit.residual <= V_ORBIT_TOL
-        return orbit.state.v_o, step_cycle(orbit.state, cmd, vp)[1]
+        return orbit.state.v_o, run(vp, cmd, 1, orbit.state).columns
 
     t_gate = fall_time_exact(vp, 24.0)
     lo, hi = 0.98 * t_gate, 1.02 * t_gate
-    assert orbit_at(lo)[1].hard_switched
-    assert not orbit_at(hi)[1].hard_switched
+    assert orbit_at(lo)[1].hard_switched[0]
+    assert not orbit_at(hi)[1].hard_switched[0]
     while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
-        if orbit_at(mid)[1].hard_switched:
+        if orbit_at(mid)[1].hard_switched[0]:
             lo = mid
         else:
             hi = mid
     # the orbit is continuous across the kink
     (v_lo, d_lo), (v_hi, _) = orbit_at(lo), orbit_at(hi)
-    assert d_lo.v_cs1_at_gate < 1e-6
+    assert d_lo.v_cs1_at_gate[0] < 1e-6
     assert v_hi == pytest.approx(v_lo, abs=1e-6)
 
 
@@ -1378,8 +1387,9 @@ def test_periodic_steady_state_from_cycles_without_state_v(vp):
     # D + f_s*t_f = 0.99: from 24 V the node never swings back to zero, so
     # v_cd1 carries over between cycles; the orbit itself sits near 0 V
     cmd = ModulationCommand(0.96, 0.03 / vp.f_s)
-    first = step_cycle(SwitchCycleState(24.0), cmd, vp)
-    assert not first[1].reached_state_v and first[0].v_cd1 > 0.0
+    first = run(vp, cmd, 1, SwitchCycleState(24.0))
+    assert (not first.columns.reached_state_v[0]
+            and first.final_state.v_cd1 > 0.0)
     orbit = periodic_steady_state(vp, cmd, 24.0)
     assert orbit.residual <= V_ORBIT_TOL
     assert 0.0 < orbit.state.v_o < 0.1
@@ -1389,12 +1399,12 @@ def test_periodic_steady_state_from_cycles_without_state_v(vp):
     cmd_h = ModulationCommand(0.3, 0.02 / vp.f_s)
     orbit_h = periodic_steady_state(high, cmd_h, 400.0)
     assert orbit_h.residual <= V_ORBIT_TOL
-    d = step_cycle(orbit_h.state, cmd_h, high)[1]
-    assert not d.reached_state_v and orbit_h.state.v_cd1 > 0.0
+    d = run(high, cmd_h, 1, orbit_h.state).columns
+    assert not d.reached_state_v[0] and orbit_h.state.v_cd1 > 0.0
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "CHANGES.md FOUND: step_cycle lets v_o go below zero; the conduction "
+    "CHANGES.md FOUND: the simulator lets v_o go below zero; the conduction "
     "segment has no output clamp, so a command whose averaged output is "
     "negative has an orbit at v_o = -1.44 mV"))
 def test_orbit_output_is_not_negative(vp):

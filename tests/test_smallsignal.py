@@ -11,8 +11,7 @@ from wptrx.averaged import averaged_rhs
 from wptrx.errors import (NoCrossover, NonPositiveParameter,
                           ZeroGainOperatingPoint)
 from wptrx.params import ReceiverParams, validate
-from wptrx.simulator import (ModulationCommand, periodic_steady_state,
-                             step_cycle)
+from wptrx.simulator import ModulationCommand, periodic_steady_state, run
 from wptrx.smallsignal import (_ORACLE_PERIODS, _ORACLE_SEGMENTS, PiGains,
                                bode, bode_points, design_pi, loop_margins,
                                loop_response, perturb_bode_oracle, plant_tf,
@@ -303,7 +302,7 @@ def test_switched_model_dc_limit_is_the_orbit_slope(vp, op):
     def orbit_mean(duty):
         cmd = ModulationCommand(duty, op.t_f)
         orbit = periodic_steady_state(vp, cmd, v0)
-        return step_cycle(orbit.state, cmd, vp)[1].v_o_mean
+        return run(vp, cmd, 1, orbit.state).columns.v_o_mean[0]
 
     slope = (orbit_mean(op.duty + 1e-4) - orbit_mean(op.duty - 1e-4)) / 2e-4
     pt = switched_bode(vp, op, [0.1])[0]

@@ -20,6 +20,9 @@ table2 receiver:
   changing on 2000 of them), in us per cycle; its first ~1100 cycles are
   hard-switched and the rest soft, where State I's end is located by
   Newton steps, so the two rows time the two State-I branches;
+* ``coupling_sweep`` on fig17's grid (12 amplitudes at its 57.6 Ohm load,
+  each point a PI design and a closed-loop orbit solve closed by one
+  ``run`` cycle), in ms per point;
 * ``periodic_steady_state`` of that command from the averaged output, in ms
   per solve;
 * ``cycle_diagnostics`` (ledger, ripple extremes, device peaks) of a run
@@ -118,6 +121,7 @@ CURVE_REPEATS = 11
 STEP_CYCLES = 2000
 STEP_REPEATS = 15
 LOOP_REPEATS = 7
+SWEEP_REPEATS = 21
 ORBIT_REPEATS = 51
 SAMPLE_CYCLES = 32
 SIMULATE_CYCLES = 400
@@ -213,6 +217,11 @@ def main() -> int:
     gains_ramp = scenarios.design_gains(p_ramp, rc.v_ref, sc_ramp.i_ls_ff,
                                         rc.f_c)
     n_ramp = len(closed_loop_run(sc_ramp, gains_ramp, p_ramp).t)
+    p_sweep = vp.with_load(cli._FIG17_LOAD)
+
+    def sweep():
+        return scenarios.coupling_sweep(p_sweep, rc.v_ref, cli._FIG17_FF_AMP,
+                                        cli._FIG17_AMPS, f_c=rc.f_c)
     short = run(vp, cmd, SAMPLE_CYCLES, initial=orbit.state)
     rate = SAMPLES_PER_CYCLE * vp.f_s
     wave = sample_waveform(short, rate)
@@ -269,6 +278,9 @@ def main() -> int:
         (f"closed_loop_run, fig20 source ramp ({n_ramp} cycles)", "us/cycle",
          _timed(lambda: closed_loop_run(sc_ramp, gains_ramp, p_ramp),
                 LOOP_REPEATS, n_ramp / 1e6)),
+        (f"coupling_sweep, fig17 ({len(cli._FIG17_AMPS)} amplitudes)",
+         "ms/point",
+         _timed(sweep, SWEEP_REPEATS, len(cli._FIG17_AMPS) / 1e3)),
         (f"periodic_steady_state, table2 ({orbit.cycles} cycles)",
          "ms/solve",
          _timed(lambda: periodic_steady_state(vp, cmd, v_guess),
