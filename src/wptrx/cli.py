@@ -2,13 +2,9 @@
 transient scenarios, and the figure-reproduction harness.
 
 All outputs are comma-separated tables with a header row and LF line
-endings, written by ``_write_table`` column by column, by a rule taken from
-each column's element type: strings as is, booleans and integers as
-``%d``, every other number as ``%.11e`` (12 significant digits).  Only
-``%.11e`` has a numpy kernel, which reproduces ``%`` exactly; a float cell
-whose rounding it cannot settle (see ``_float_cells``) is formatted by
-``%`` itself.  Identical config + command always produces byte-identical
-files.
+endings, written by the one table writer, ``table.write_table`` (strings
+as is, booleans and integers as ``%d``, every other number as ``%.11e``).
+Identical config + command always produces byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 unknown command or figure id.
@@ -16,22 +12,21 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 A command imports the layers it runs, when it runs.  At module level this
 file imports only what ``main`` needs to parse arguments, read and validate
 a config and map errors to exit codes (``argparse``, ``config``,
-``params``, ``analytic``, ``errors``), and numpy for the table writer's
-kernel tables.  Each handler imports ``simulator``, ``control``,
-``scenarios``, ``smallsignal`` and ``averaged`` in the function that calls
-them, so ``validate``, ``steady`` and fig5 load none of them, ``design``,
-``bode``, fig7 and fig9 only ``smallsignal`` (and ``control``, and with it
+``params``, ``analytic``, ``errors``), and no numpy.  Each function that
+writes a table imports ``table.write_table`` where it writes, so
+``wptrx.table`` and numpy load with the first table; ``validate`` loads
+neither.  Each handler imports ``simulator``, ``control``, ``scenarios``,
+``smallsignal`` and ``averaged`` in the function that calls them, so
+``validate``, ``steady`` and fig5 load none of them, ``design``, ``bode``,
+fig7 and fig9 only ``smallsignal`` (and ``control``, and with it
 ``simulator``, for the feedforward delay where the config gives no
 ``phase_delay_norm``), and ``simulate``, fig13 and fig14 only
 ``simulator``.
 """
-
 import argparse
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import analytic
 from .analytic import (OperatingPoint, duty_for_target_vo, fall_time_exact,
@@ -52,7 +47,9 @@ _NUMERIC_ERRORS = (NoConvergence, CommutationImpossible, ArccosDomain,
 _BODE_GRID = tuple(10.0 * 10.0 ** (k / 30.0) for k in range(91))
 _DUTY_STEP = 0.002
 _FIG4A_LOADS = (10.0, 20.0, 30.0, 38.09)
-_FIG17_AMPS = tuple(np.linspace(1.45, 2.6, 12))
+# np.linspace(1.45, 2.6, 12), bit for bit
+_FIG17_AMPS = tuple(1.45 + k * ((2.6 - 1.45) / 11)
+                    for k in range(11)) + (2.6,)
 _FIG17_LOAD = 57.6          # 10 W at 24 V
 _FIG17_FF_AMP = 1.40        # margin below the weakest coupling amplitude
 _FIG20_LOAD = 120.0
@@ -66,143 +63,6 @@ _MEASURED_FST = 0.0672
 # 0.4239, near the peak of table2's with-caps curve (D ~ 0.4195), and
 # reports the capacitor voltage drop at that point's own delay
 _FIG5_FST = 0.0761
-
-
-# Rows formatted per pass of _write_table.  Writing the waveform table
-# peaks at about 0.78 MB of working memory, 0.1 MB of it the records kept
-# across blocks; larger blocks take more memory and save little time.
-_TABLE_BLOCK_ROWS = 1024
-
-
-def _words(cells, dtype) -> np.ndarray:
-    """Byte strings ``cells``, NUL-padded to the size of ``dtype``, viewed
-    as that unsigned integer type, so lookups copy machine words."""
-    return np.array(cells, dtype=f"S{np.dtype(dtype).itemsize}").view(dtype)
-
-
-# Tables of the %.11e kernel.  A cell is the sign, the first digit, the
-# point and the second digit; two words of four digits and one pair of
-# digits; the exponent; one NUL pad byte.  A positive cell's sign byte is
-# NUL.  The scale 10**k and the exponent e = 11 - k are indexed by k + 22,
-# k in [-22, 22]; 10**|k| is exact in float64, and each cell multiplies by
-# one table and divides by the other, one of them 1.0.
-_SCALE_UP = np.array([1.0] * 22 + [float(10 ** k) for k in range(23)])
-_SCALE_DOWN = np.array([float(10 ** -k) for k in range(-22, 0)] + [1.0] * 23)
-_EXPONENTS = _words([b"e%+03d" % (11 - k) for k in range(-22, 23)], "u4")
-_LEADS = _words([sign + b"%d.%d" % divmod(i, 10)
-                 for sign in (b"", b"-") for i in range(100)], "u4")
-_PAIRS = _words([b"%02d" % i for i in range(100)], "u2")
-# the word of i in [0, 10**4) is the pair of i // 100 then the pair of
-# i % 100, side by side in memory
-_QUADS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS),
-                  axis=-1).reshape(-1).view("u4")
-_FLOAT_CELL = np.dtype([("lead", "u4"), ("quad1", "u4"), ("quad2", "u4"),
-                        ("pair", "u2"), ("exp", "u4"), ("pad", "u1")])
-
-
-def _float_cells(x: np.ndarray) -> np.ndarray:
-    """``"%.11e" % v`` of each float64 ``v`` of ``x``, as NUL-padded S19.
-
-    With e = floor(log10|v|) and k = 11 - e, s = |v| * 10**k is the exact
-    product correctly rounded, for 10**|k| is exact when |k| <= 22.  The
-    12 digits are floor(s + 1/2) unless s is exactly a half-integer: a
-    half-integer below 2**40 is a float64, so s and the exact product lie
-    on the same side of every rounding tie.  Those cells, cells with
-    |k| > 22, cells whose digits fall outside [1e11, 1e12) (log10 off by
-    one, or rounding up to the next power of ten) and non-finite cells are
-    formatted by ``%`` itself."""
-    a = np.abs(x)
-    zero = a == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = 11.0 - np.floor(np.log10(a))
-        k[zero] = 11.0  # e = 0, so a zero prints as 0.00000000000e+00
-        ok = np.abs(k) <= 22.0
-        k[~ok] = 0.0
-        i = k.astype(np.intp) + 22
-        s = a * _SCALE_UP[i] / _SCALE_DOWN[i]
-        m = np.floor(s + 0.5)
-        guard = ~(ok & (m - s != 0.5)
-                  & ((m >= 1e11) & (m < 1e12) | zero))
-    m[guard] = 0.0
-    m = m.astype(np.int64)
-    cells = np.zeros(len(x), _FLOAT_CELL)
-    # the first 2, 6 and 10 of the 12 digits
-    head, first6, first10 = m // 10 ** 10, m // 10 ** 6, m // 100
-    cells["lead"] = _LEADS[head + 100 * np.signbit(x)]
-    cells["quad1"] = _QUADS[first6 - 10 ** 4 * head]
-    cells["quad2"] = _QUADS[first10 - 10 ** 4 * first6]
-    cells["pair"] = _PAIRS[m - 100 * first10]
-    cells["exp"] = _EXPONENTS[i]
-    text = cells.view("S19")
-    where = np.flatnonzero(guard)
-    if where.size:
-        text[where] = [b"%.11e" % v for v in x[where].tolist()]
-    return text
-
-
-def _int_cells(v: np.ndarray) -> np.ndarray:
-    """``b"%d" % i`` of each boolean or integer ``i`` of ``v``, from the
-    table of least..greatest at ``v - least``, read as unsigned of ``v``'s
-    width so no value is cast; value by value if the span exceeds len(v)."""
-    v = v.view(np.uint8) if v.dtype.kind == "b" else v
-    least, most = int(v.min()), int(v.max())
-    if most - least >= len(v):
-        return np.array([b"%d" % i for i in v.tolist()], "S")
-    values = np.array([b"%d" % i for i in range(least, most + 1)], "S")
-    return values[(v - least).view(f"u{v.itemsize}")]
-
-
-def _table_cells(columns: list) -> list:
-    """NUL-padded bytes cells of equal-length ``columns``: ASCII strings as
-    is, booleans and integers as ``%d``, anything else as ``%.11e``, the
-    float columns in one ``_float_cells`` call."""
-    floats = [c for c in columns if c.dtype.kind not in "USbiu"]
-    float_cells = iter(_float_cells(np.array(floats, np.float64).ravel())
-                       .reshape(len(floats), len(columns[0])))
-    return [c.astype("S") if c.dtype.kind in "US"
-            else _int_cells(c) if c.dtype.kind in "biu"
-            else next(float_cells) for c in columns]
-
-
-def _table_bytes(header: str, columns: list, n_rows: int):
-    """The CSV text of a table, as bytes, block by block: rows are records
-    of NUL-padded cells, each followed by its separator byte, made again
-    only when a block's row count or cell widths change."""
-    yield header.encode() + b"\n"
-    rows, widths = None, None
-    for lo in range(0, n_rows, _TABLE_BLOCK_ROWS):
-        cells = _table_cells([c[lo:lo + _TABLE_BLOCK_ROWS] for c in columns])
-        shape = (len(cells[0]), *(c.itemsize for c in cells))
-        if shape != widths:
-            widths = shape
-            rows = np.empty(len(cells[0]), [
-                field for i, c in enumerate(cells)
-                for field in ((f"c{i}", c.dtype), (f"s{i}", "S1"))])
-            for i in range(len(cells)):
-                rows[f"s{i}"] = b"," if i < len(cells) - 1 else b"\n"
-        for i, c in enumerate(cells):
-            rows[f"c{i}"] = c
-        del cells  # freed before the next block's are made
-        yield rows.tobytes().translate(None, b"\0")
-
-
-def _write_table(out, name: str, header: str, columns) -> None:
-    """The one table writer: ``header`` and the equal-length ``columns``
-    as CSV into ``out/name`` (creating ``out``), or to stdout when ``out``
-    is None.  Each column keeps one cell type (see ``_table_cells``)."""
-    columns = [np.asarray(c) for c in columns]
-    lengths = [len(c) for c in columns]
-    if len(set(lengths)) > 1:
-        raise ValueError(f"table {name}: columns differ in length: "
-                         f"{lengths}")
-    blocks = _table_bytes(header, columns, lengths[0] if lengths else 0)
-    if out is None:
-        for block in blocks:
-            sys.stdout.write(block.decode())
-    else:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, name), "wb") as fh:
-            fh.writelines(blocks)
 
 
 def _fields(records, names: str) -> list:
@@ -254,6 +114,7 @@ def cmd_validate(args, rc, vp) -> int:
 
 def cmd_design(args, rc, vp) -> int:
     from .smallsignal import design_pi, loop_margins, plant_tf
+    from .table import write_table
     rows = []
     if vp.r_ls_esr > 0:
         ls_min = size_inductor(args.q, vp.r_ls_esr, vp.f_s)
@@ -276,11 +137,12 @@ def cmd_design(args, rc, vp) -> int:
     for name, value in rows:
         print(f"{name:18s} = {value:.6g}")
     if args.out:
-        _write_table(args.out, "design.csv", "name,value", zip(*rows))
+        write_table(args.out, "design.csv", "name,value", zip(*rows))
     return 0
 
 
 def cmd_steady(args, rc, vp) -> int:
+    from .table import write_table
     if args.sweep:
         duties = args.sweep
     elif args.duty is not None:
@@ -291,9 +153,9 @@ def cmd_steady(args, rc, vp) -> int:
         raise ConfigError("no duty given: use --duty or --sweep, or set "
                           "the config key 'duty'")
     ops = [solve_operating_point(vp, d, exact=args.exact) for d in duties]
-    _write_table(args.out or None, "steady.csv",
-                 "duty,t_f,phase_delay_norm,v_o,regulable",
-                 [duties] + _fields(ops, "t_f,phase_delay_norm,v_o,regulable"))
+    write_table(args.out or None, "steady.csv",
+                "duty,t_f,phase_delay_norm,v_o,regulable",
+                [duties] + _fields(ops, "t_f,phase_delay_norm,v_o,regulable"))
     return 0
 
 
@@ -305,12 +167,15 @@ def cmd_bode(args, rc, vp) -> int:
 
 
 def _write_bode(out, name: str, pts) -> None:
+    from .table import write_table
     header = "f_hz,mag_db,phase_deg"
-    _write_table(out, name, header, _fields(pts, header))
+    write_table(out, name, header, _fields(pts, header))
 
 
 def cmd_simulate(args, rc, vp) -> int:
+    import numpy as np
     from .simulator import ModulationCommand, cycle_diagnostics
+    from .table import write_table
     duty = args.duty if args.duty is not None else \
         (rc.duty if rc.duty is not None else _PROTOTYPE_DUTY)
     op = solve_operating_point(vp, duty, exact=True)
@@ -320,12 +185,12 @@ def cmd_simulate(args, rc, vp) -> int:
     orbit, result = _orbit_run(vp, cmd, op.v_o, args.cycles)
     _write_capture(args.out, "waveform.csv", "events.csv", result, rate)
     c, d = result.columns, cycle_diagnostics(result)
-    _write_table(args.out, "diagnostics.csv",
-                 "cycle,t_f_meas,t_r_meas,zvs_ok,zcs_ok,q_f,q_r,e_in,e_load,"
-                 "e_hard_switch,v_o_mean,v_o_ripple_pp",
-                 (np.arange(args.cycles), c.t_f_meas, c.t_r_meas, c.zvs_ok,
-                  c.reached_state_v, d.q_f, d.q_r, d.e_in, d.e_load,
-                  c.e_hard_switch, c.v_o_mean, d.v_o_ripple_pp))
+    write_table(args.out, "diagnostics.csv",
+                "cycle,t_f_meas,t_r_meas,zvs_ok,zcs_ok,q_f,q_r,e_in,e_load,"
+                "e_hard_switch,v_o_mean,v_o_ripple_pp",
+                (np.arange(args.cycles), c.t_f_meas, c.t_r_meas, c.zvs_ok,
+                 c.reached_state_v, d.q_f, d.q_r, d.e_in, d.e_load,
+                 c.e_hard_switch, c.v_o_mean, d.v_o_ripple_pp))
     print(f"cycles = {args.cycles}, orbit residual = "
           f"{orbit.residual:.3g} V, "
           f"zvs = {np.count_nonzero(c.zvs_ok) / args.cycles:.3f}, "
@@ -346,11 +211,12 @@ def _write_capture(out, wave_name: str, events_name: str, result,
     """The waveform of the run ``result`` sampled at ``rate`` and its
     events."""
     from .simulator import sample_waveform
+    from .table import write_table
     w = sample_waveform(result, rate)
     header = "t,i_ls,v_cs1,v_cd1,v_o,gate,state"
-    _write_table(out, wave_name, header,
-                 [getattr(w, f) for f in header.split(",")])
-    _write_table(out, events_name, "t,event", zip(*result.events))
+    write_table(out, wave_name, header,
+                [getattr(w, f) for f in header.split(",")])
+    write_table(out, events_name, "t,event", zip(*result.events))
 
 
 def _source_ramp(vp, rc: RunConfig):
@@ -381,10 +247,11 @@ def _closed_loop_table(out, name: str, sc, p, rc: RunConfig):
     closed-loop and write the transient table ``out/name``."""
     from . import scenarios
     from .control import closed_loop_run
+    from .table import write_table
     gains = scenarios.design_gains(p, rc.v_ref, sc.i_ls_ff, rc.f_c)
     rec = closed_loop_run(sc, gains, p)
-    _write_table(out, name, "t,v_o_sample,v_o_mean,duty",
-                 (rec.t, rec.v_o_sample, rec.v_o_mean, rec.duty))
+    write_table(out, name, "t,v_o_sample,v_o_mean,duty",
+                (rec.t, rec.v_o_sample, rec.v_o_mean, rec.duty))
     return rec
 
 
@@ -403,25 +270,27 @@ def cmd_transient(args, rc, vp) -> int:
 
 def _fig4a(out, rc, vp):
     from .averaged import vo_vs_duty_curve
+    from .table import write_table
     header = "r_load,duty,v_o,regulable"
-    _write_table(out, "fig4a.csv", header, _fields(
-        vo_vs_duty_curve(vp, _FIG4A_LOADS, _duty_grid()), header))
+    write_table(out, "fig4a.csv", header, _fields(
+       vo_vs_duty_curve(vp, _FIG4A_LOADS, _duty_grid()), header))
     return ["fig4a.csv"]
 
 
 def _fig5(out, rc, vp):
+    from .table import write_table
     duties = _duty_grid()
-    _write_table(out, "fig5.csv", "duty,v_o_ideal,v_o_with_caps",
-                 (duties,
-                  [steady_state_vo(vp.i_ls_amp, vp.r_load, d, 0.0)
-                   for d in duties],
-                  [solve_operating_point(vp, d).v_o for d in duties]))
+    write_table(out, "fig5.csv", "duty,v_o_ideal,v_o_with_caps",
+                (duties,
+                 [steady_state_vo(vp.i_ls_amp, vp.r_load, d, 0.0)
+                  for d in duties],
+                 [solve_operating_point(vp, d).v_o for d in duties]))
     op_pk = solve_operating_point(vp, analytic.optimal_duty(_FIG5_FST))
     drop = analytic.resonant_cap_voltage_drop(vp.i_ls_amp, vp.r_load,
                                               op_pk.phase_delay_norm)
-    _write_table(out, "fig5_summary.csv",
-                 "phase_delay_norm,peak_reduction_v",
-                 ([op_pk.phase_delay_norm], [drop]))
+    write_table(out, "fig5_summary.csv",
+                "phase_delay_norm,peak_reduction_v",
+                ([op_pk.phase_delay_norm], [drop]))
     return ["fig5.csv", "fig5_summary.csv"]
 
 
@@ -436,16 +305,17 @@ def _fig7(out, rc, vp):
 
 def _fig9(out, rc, vp):
     from .smallsignal import bode_points, design_pi, loop_response, plant_tf
+    from .table import write_table
     op = _nominal_op(vp, rc)
     plant = plant_tf(vp, op)
     gains = design_pi(vp, op, rc.f_c)
     ol, cl = loop_response(plant, gains, _BODE_GRID)
     ol_pts = bode_points(_BODE_GRID, ol)
     cl_pts = bode_points(_BODE_GRID, cl)
-    _write_table(out, "fig9.csv",
-                 "f_hz,ol_mag_db,ol_phase_deg,cl_mag_db,cl_phase_deg",
-                 _fields(ol_pts, "f_hz,mag_db,phase_deg")
-                 + _fields(cl_pts, "mag_db,phase_deg"))
+    write_table(out, "fig9.csv",
+                "f_hz,ol_mag_db,ol_phase_deg,cl_mag_db,cl_phase_deg",
+                _fields(ol_pts, "f_hz,mag_db,phase_deg")
+                + _fields(cl_pts, "mag_db,phase_deg"))
     return ["fig9.csv"]
 
 
@@ -469,6 +339,7 @@ def _fig13(out, rc, vp):
 
 def _fig14(out, rc, vp):
     from .simulator import spectrum
+    from .table import write_table
     # every orbit cycle is the same, so one cycle's closed forms give the
     # exact harmonics
     result = _steady_va_run(rc, vp, 1)
@@ -478,22 +349,23 @@ def _fig14(out, rc, vp):
     for channel, spec_res in zip(channels, spectrum(result, channels, 40)):
         name = f"fig14_{channel}.csv"
         ks, amps, phases = zip(*spec_res.harmonics)
-        _write_table(out, name, "harmonic,f_hz,amplitude,phase_rad",
-                     (ks, [k * vp.f_s for k in ks], amps, phases))
+        write_table(out, name, "harmonic,f_hz,amplitude,phase_rad",
+                    (ks, [k * vp.f_s for k in ks], amps, phases))
         summary.append((channel, spec_res.fundamental, spec_res.thd))
         files.append(name)
-    _write_table(out, "fig14_summary.csv",
-                 "channel,fundamental,thd", zip(*summary))
+    write_table(out, "fig14_summary.csv",
+                "channel,fundamental,thd", zip(*summary))
     return files + ["fig14_summary.csv"]
 
 
 def _fig17(out, rc, vp):
     from . import scenarios
+    from .table import write_table
     rows = scenarios.coupling_sweep(vp.with_load(_FIG17_LOAD), rc.v_ref,
                                     _FIG17_FF_AMP, _FIG17_AMPS, f_c=rc.f_c)
     header = ("i_ls_amp,v_o_steady,reg_error,duty,zvs_fraction,"
               "zcs_fraction,spectral_radius")
-    _write_table(out, "fig17.csv", header, _fields(rows, header))
+    write_table(out, "fig17.csv", header, _fields(rows, header))
     print(f"max regulation error = {max(r.reg_error for r in rows):.4g} V")
     return ["fig17.csv"]
 

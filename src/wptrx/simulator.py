@@ -82,7 +82,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .analytic import TWO_PI
-from .errors import GateOverrun, NoConvergence, ZeroGainOperatingPoint
+from .errors import (GateOverrun, NoConvergence, NonPositiveParameter,
+                     ZeroGainOperatingPoint)
 from .params import ValidatedParams, require_positive
 from .rootfind import bisect_root
 
@@ -979,6 +980,9 @@ def sample_waveform(result: RunResult, sample_rate: float) -> Waveform:
     pass over the whole run needed about 8 MB.  A sample's segment is its
     cycle's first segment row plus the number of the cycle's other
     segments that start at or before it.
+
+    Raises NonPositiveParameter naming ``sample_rate`` for a rate that is
+    not finite and > 0, or so low that the grid holds no sample.
     """
     require_positive(sample_rate=sample_rate)
     params = result.params
@@ -1000,7 +1004,12 @@ def sample_waveform(result: RunResult, sample_rate: float) -> Waveform:
     # by math.cos, as the segments' scalar arithmetic takes it (np.cos may
     # round differently)
     cos_ref = np.array([math.cos(w * t) for t in seg.t_ref.tolist()])
-    n = int(round((t_start[-1].item() + ts) * sample_rate))
+    t_end = t_start[-1].item() + ts
+    n = int(round(t_end * sample_rate))
+    if n == 0:
+        raise NonPositiveParameter(
+            "sample_rate", sample_rate,
+            f"> {0.5 / t_end:g} to sample {n_cycles} cycles")
     t = np.arange(n) / sample_rate
     i_ls = np.empty(n)
     v_cs1 = np.empty(n)

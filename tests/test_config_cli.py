@@ -14,11 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wptrx import cli, simulator
-from wptrx.cli import _write_table, main
+from wptrx.cli import main
 from wptrx.config import (RunConfig, parse_config, parse_config_text,
                           parse_value)
 from wptrx.errors import ConfigSyntax, MissingKey, UnknownKey
 from wptrx.params import validate
+from wptrx.table import (_TABLE_BLOCK_ROWS, _float_cells, _int_cells,
+                         write_table)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "src" / "wptrx" / "configs"
 TABLE2 = str(CONFIGS / "table2.cfg")
@@ -101,6 +103,14 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    # a --sample-rate whose grid holds no sample on the run is rejected
+    # before any table is written, not written as a header-only waveform
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", TABLE2, "--cycles", "2",
+                 "--sample-rate", "1e3", "--out", str(sim_out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sample_rate ") and err.count("\n") == 1
+    assert not sim_out.exists()
 
 
 def _table2_with(tmp_path, key, value):
@@ -296,17 +306,17 @@ def test_table_writer_cell_formats(tmp_path):
                np.array([255, 0], np.uint8), (1.5, -0.0),
                (np.float64(-0.25), np.float64(1e300)), (math.nan, -math.inf),
                (math.inf, 2.0)]
-    _write_table(str(tmp_path), "t.csv", "s,b,nb,i,ni,u64,u8,f,nf,nan,inf",
-                 columns)
+    write_table(str(tmp_path), "t.csv", "s,b,nb,i,ni,u64,u8,f,nf,nan,inf",
+                columns)
     assert (tmp_path / "t.csv").read_bytes() == (
         b"s,b,nb,i,ni,u64,u8,f,nf,nan,inf\n"
         b"a,1,1,7,-3,18446744073709551615,255,1.50000000000e+00,"
         b"-2.50000000000e-01,nan,inf\n"
         b"bc,0,0,-12,4,9223372036854775808,0,-0.00000000000e+00,"
         b"1.00000000000e+300,-inf,2.00000000000e+00\n")
-    _write_table(str(tmp_path), "empty.csv", "x,y", [[], []])
+    write_table(str(tmp_path), "empty.csv", "x,y", [[], []])
     assert (tmp_path / "empty.csv").read_bytes() == b"x,y\n"
-    _write_table(str(tmp_path), "no_float.csv", "s,i", [["a"], [3]])
+    write_table(str(tmp_path), "no_float.csv", "s,i", [["a"], [3]])
     assert (tmp_path / "no_float.csv").read_bytes() == b"s,i\na,3\n"
     # integer cells are b"%d" of each value: the int64 extremes, a column of
     # repeated values (each formatted once and gathered), a bool column and
@@ -318,8 +328,8 @@ def test_table_writer_cell_formats(tmp_path):
     flags = np.array([True, False, False, True, True, False, True, False])
     high = np.array([2 ** 64 - 1 - k % 3 for k in range(len(ints))],
                     np.uint64)
-    _write_table(str(tmp_path), "ints.csv", "i,r,b,u",
-                 [ints, repeated, flags, high])
+    write_table(str(tmp_path), "ints.csv", "i,r,b,u",
+                [ints, repeated, flags, high])
     assert (tmp_path / "ints.csv").read_bytes() == b"i,r,b,u\n" + b"".join(
         b"%d,%d,%d,%d\n" % row for row in zip(
             ints.tolist(), repeated.tolist(), flags.tolist(), high.tolist()))
@@ -345,7 +355,7 @@ def test_int_cells_build_no_table_wider_than_the_column(column):
     # table from its least to its greatest value would take the span's size
     tracemalloc.start()
     try:
-        cells = cli._int_cells(column)
+        cells = _int_cells(column)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -353,7 +363,7 @@ def test_int_cells_build_no_table_wider_than_the_column(column):
     assert peak < 64_000
 
 
-BLOCK = cli._TABLE_BLOCK_ROWS
+BLOCK = _TABLE_BLOCK_ROWS
 
 
 @pytest.mark.parametrize(
@@ -380,15 +390,15 @@ def test_table_writer_blocks_match_per_row_format(tmp_path, capsys, n):
     row_format = "%s,%d,%d,%d,%d,%.11e,%d,%s\n"
     expected = (header + "\n" + "".join(
         row_format % row for row in zip(*columns))).encode()
-    _write_table(str(tmp_path), "t.csv", header, columns)
+    write_table(str(tmp_path), "t.csv", header, columns)
     assert (tmp_path / "t.csv").read_bytes() == expected
-    _write_table(None, "t.csv", header, columns)
+    write_table(None, "t.csv", header, columns)
     assert capsys.readouterr().out.encode() == expected
 
 
 def test_table_writer_rejects_unequal_columns(tmp_path):
     with pytest.raises(ValueError, match=r"table t\.csv.*\[3, 2\]"):
-        _write_table(str(tmp_path), "t.csv", "x,y", [[1.0, 2.0, 3.0], [1, 2]])
+        write_table(str(tmp_path), "t.csv", "x,y", [[1.0, 2.0, 3.0], [1, 2]])
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -443,7 +453,7 @@ _SCALES = _scale_cases()
 @example(_EDGES + [-v for v in _EDGES])
 @example(_SCALES + [-v for v in _SCALES])
 def test_float_kernel_matches_percent_format(values):
-    cells = cli._float_cells(np.array(values, dtype=np.float64))
+    cells = _float_cells(np.array(values, dtype=np.float64))
     assert [c.replace(b"\0", b"") for c in cells.tolist()] == \
         [b"%.11e" % v for v in values]
 

@@ -73,13 +73,18 @@ def test_unknown_package_name_raises_attribute_error_naming_it():
         wptrx.no_such_layer_function
 
 
-# (statements run after ``import wptrx, wptrx.cli``, layers that must stay
-# unloaded): set-up parses and validates a config; fig7 designs from the
-# small-signal layer alone; simulate runs the switched simulator alone
+# (statements run after ``import wptrx, wptrx.cli``, modules that must stay
+# unloaded: layers of ``wptrx``, and numpy): set-up parses and validates a
+# config and ``validate`` prints it, neither loading numpy or the table
+# writer; fig7 designs from the small-signal layer alone; simulate runs the
+# switched simulator alone
 LOAD_CASES = {
     "setup": ("wptrx.validate(wptrx.parse_config({table2!r}).params)",
               ("simulator", "control", "smallsignal", "averaged",
-               "scenarios", "rootfind")),
+               "scenarios", "rootfind", "table", "numpy")),
+    "validate": ("wptrx.cli.main(['validate', '--config', {table2!r}])",
+                 ("simulator", "control", "smallsignal", "averaged",
+                  "scenarios", "rootfind", "table", "numpy")),
     "fig7": ("wptrx.cli.main(['reproduce', 'fig7', '--out', {out!r}])",
              ("simulator", "control", "averaged", "scenarios")),
     "simulate": ("wptrx.cli.main(['simulate', '--config', {table2!r}, "
@@ -102,7 +107,7 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    {statement}\n"
                 "print(' '.join(m for m in sys.modules "
-                "if m.startswith('wptrx.')))\n")
+                "if m.startswith('wptrx.') or m == 'numpy'))\n")
         procs[case] = subprocess.Popen([sys.executable, "-c", code], env=env,
                                        stdout=subprocess.PIPE,
                                        stderr=subprocess.PIPE, text=True)
@@ -110,6 +115,7 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         out, err = proc.communicate(timeout=60)
         assert proc.returncode == 0, err
         loaded = set(out.split())
-        unloaded = {f"wptrx.{m}" for m in LOAD_CASES[case][1]}
+        unloaded = {m if m == "numpy" else f"wptrx.{m}"
+                    for m in LOAD_CASES[case][1]}
         assert "wptrx.cli" in loaded
         assert not loaded & unloaded, (case, sorted(loaded & unloaded))

@@ -1096,6 +1096,20 @@ def test_sampler_memory_beyond_its_result_is_bounded(vp):
     assert peak <= result + 1e6, (peak, result)
 
 
+def test_sampler_rejects_a_rate_that_gives_no_sample(vp):
+    # 2 cycles last 10 us: the grid holds round(10 us * rate) samples, none
+    # below 50 kHz, and a rate that gives none is rejected, not returned as
+    # an empty waveform
+    res = orbit_run(vp, None, 0.532, 2)
+    for rate in (1e3, 5e4):
+        with pytest.raises(NonPositiveParameter, match="> 50000") as err:
+            sample_waveform(res, rate)
+        assert err.value.field == "sample_rate"
+    wf = sample_waveform(res, 1e5)
+    assert wf.t.tolist() == [0.0]
+    assert wf.state.tolist() == [res.segments.state[0]]
+
+
 def coefficients(res):
     """The complex coefficients of a SpectrumResult, k = 1, 2, ..."""
     return np.array([a * np.exp(1j * phase) for _, a, phase in res.harmonics])

@@ -1,6 +1,10 @@
 """Print the wall time of the toolkit's layers, one line per layer.
 
-    python3 tools/layer_timing.py
+    python3 tools/layer_timing.py [--json PATH]
+
+``--json PATH`` also writes every row (label, unit, median, min, max) to
+``PATH``, with the commit of the checkout (``+dirty`` when ``src`` or
+``tools`` has uncommitted changes) and the Python and numpy versions.
 
 Imports the ``src`` tree next to this script and times, on the built-in
 table2 receiver:
@@ -40,9 +44,11 @@ table2 receiver:
   per cycle, in us per sample;
 * ``spectrum`` of one orbit cycle, 40 harmonics of v_cd1 and i_ls in one
   call (fig14's), in ms per call;
-* ``cli._write_table`` of the 400 cycles' waveform (the ``waveform.csv``
-  of ``wptrx simulate --cycles 400``, 102,400 rows) into a temporary
-  directory, in ms per call;
+* ``table.write_table``, the one table writer, of the 400 cycles'
+  waveform (the ``waveform.csv`` of ``wptrx simulate --cycles 400``,
+  102,400 rows) into a temporary directory, in ms per call; the module
+  is imported before the timing, so its kernel tables are built once,
+  outside the row;
 * ``wptrx simulate --config table2 --cycles 400`` in process
   (``cli.main``), writing its three tables into a temporary directory, in
   ms per call: the end-to-end time of the rows above with the orbit solve
@@ -66,7 +72,9 @@ compiles ``wptrx`` from source as one in a fresh checkout does:
   start-up included, in ms per process.  ``validate`` loads no layer past
   config validation, fig7 only the small-signal layer and ``simulate``
   only the simulator, so these rows show what each command's imports
-  cost.
+  cost.  ``import wptrx, wptrx.cli`` and ``validate`` load no numpy; every
+  command that writes or prints a table loads it, with ``wptrx.table``, at
+  its first table.
 
 Each figure is the median of several repeats, after one warm-up call, so
 a slow repeat on a shared host moves it little; the lowest and highest
@@ -84,8 +92,11 @@ Needs numpy; about 5 s on a 2-core x86-64 VM, 3 of them in the
 fresh-interpreter rows.
 """
 
+import argparse
 import contextlib
 import io
+import json
+import platform
 import os
 import shutil
 import statistics
@@ -101,7 +112,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 TABLE2 = SRC / "wptrx" / "configs" / "table2.cfg"
 
-from wptrx import averaged, cli, scenarios  # noqa: E402
+from wptrx import averaged, cli, scenarios, table  # noqa: E402
 from wptrx.analytic import (  # noqa: E402
     duty_bounds, solve_operating_point, steady_state_vo)
 from wptrx.averaged import (  # noqa: E402
@@ -192,7 +203,25 @@ def _fresh_rows() -> tuple:
     return tuple(rows)
 
 
-def main() -> int:
+def _commit() -> str:
+    """HEAD of the checkout this script sits in, ``+dirty`` when ``src`` or
+    ``tools`` differ from it; ``unknown`` outside a git checkout."""
+    def git(*args) -> str:
+        return subprocess.run(["git", *args], cwd=SRC.parent, check=True,
+                              capture_output=True, text=True).stdout.strip()
+    try:
+        head = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--", "src", "tools")
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return head + ("+dirty" if dirty else "")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Time the toolkit's layers.")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the rows and the versions to PATH")
+    args = parser.parse_args(argv)
     rc = parse_config(TABLE2)
     vp = validate(rc.params)
     cmd = ModulationCommand(rc.duty, rc.phase_delay_norm / vp.f_s)
@@ -240,7 +269,7 @@ def main() -> int:
     wave_header = "t,i_ls,v_cs1,v_cd1,v_o,gate,state"
     wave_columns = [getattr(long_wave, f) for f in wave_header.split(",")]
     with tempfile.TemporaryDirectory() as table_dir:
-        table_time = _timed(lambda: cli._write_table(
+        table_time = _timed(lambda: table.write_table(
             table_dir, "waveform.csv", wave_header, wave_columns),
             TABLE_REPEATS, 1e-3)
         simulate_argv = ["simulate", "--config", str(TABLE2), "--cycles",
@@ -309,7 +338,7 @@ def main() -> int:
          _timed(lambda: spectrum(one, ("v_cd1", "i_ls"),
                                  SPECTRUM_HARMONICS),
                 SPECTRUM_REPEATS, 1e-3)),
-        (f"_write_table, {SIMULATE_CYCLES}-cycle waveform ({n_long} rows)",
+        (f"write_table, {SIMULATE_CYCLES}-cycle waveform ({n_long} rows)",
          "ms/call", table_time),
         (f"wptrx simulate, table2, {SIMULATE_CYCLES} cycles (in process)",
          "ms/call", simulate_time),
@@ -323,6 +352,16 @@ def main() -> int:
     ) + _fresh_rows()
     for name, unit, (med, lo, hi) in rows:
         print(f"{name}: {med:.3g} {unit} (min {lo:.3g}, max {hi:.3g})")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump({"commit": _commit(),
+                       "python": platform.python_version(),
+                       "numpy": np.__version__,
+                       "rows": [{"label": name, "unit": unit, "median": med,
+                                 "min": lo, "max": hi}
+                                for name, unit, (med, lo, hi) in rows]},
+                      fh, indent=1)
+            fh.write("\n")
     return 0
 
 
