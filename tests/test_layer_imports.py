@@ -78,13 +78,13 @@ def test_unknown_package_name_raises_attribute_error_naming_it():
 # config and ``validate`` prints it, neither loading numpy or the table
 # writer; fig7 designs from the small-signal layer alone; simulate runs the
 # switched simulator alone
+SETUP_UNLOADED = ("simulator", "control", "smallsignal", "averaged",
+                  "scenarios", "rootfind", "table", "numpy")
 LOAD_CASES = {
     "setup": ("wptrx.validate(wptrx.parse_config({table2!r}).params)",
-              ("simulator", "control", "smallsignal", "averaged",
-               "scenarios", "rootfind", "table", "numpy")),
+              SETUP_UNLOADED),
     "validate": ("wptrx.cli.main(['validate', '--config', {table2!r}])",
-                 ("simulator", "control", "smallsignal", "averaged",
-                  "scenarios", "rootfind", "table", "numpy")),
+                 SETUP_UNLOADED),
     "fig7": ("wptrx.cli.main(['reproduce', 'fig7', '--out', {out!r}])",
              ("simulator", "control", "averaged", "scenarios")),
     "simulate": ("wptrx.cli.main(['simulate', '--config', {table2!r}, "
