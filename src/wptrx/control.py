@@ -16,6 +16,7 @@ reverses.  The law is written once, on floats, in ``pi_step``.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 import sys
 from typing import Callable, Union
@@ -25,10 +26,11 @@ import numpy as np
 from .analytic import OperatingPoint, _fall_time_approx, duty_for_target_vo
 from .errors import NoConvergence, NonPositiveParameter
 from .params import ValidatedParams, require_positive
-from .simulator import (V_ORBIT_TOL, ModulationCommand, RunResult,
-                        SwitchCycleState, _cycle, _cycle_consts,
+from .rootfind import bisect_root
+from .simulator import (_MAX_ORBIT_ITER, V_ORBIT_TOL, ModulationCommand,
+                        RunResult, SwitchCycleState, _cycle, _cycle_consts,
                         cycle_linearization, periodic_steady_state, run)
-from .smallsignal import PiGains, plant_tf
+from .smallsignal import PiGains
 
 
 def pi_step(e: float, k_p: float, k_i: float, d_min: float, d_max: float,
@@ -93,10 +95,10 @@ class ClosedLoopOrbit:
     ``spectral_radius`` is the largest eigenvalue modulus of the
     closed-loop map linearized there: below 1 the orbit is stable.
     ``regulation_failed`` means v_ref is out of reach inside the gains'
-    duty window; the orbit is then the open-loop one at the nearer bound,
-    where the clamp holds the duty and the anti-windup freezes the
-    integrator, and the radius is that of the open-loop map.  ``cycles``
-    counts the cycles the solve stepped.
+    duty window; the orbit is then the open-loop one at the bound where a
+    cycle from v_ref misses it by less, where the clamp holds the duty and
+    the anti-windup freezes the integrator, and the radius is that of the
+    open-loop map.  ``cycles`` counts the cycles the solve stepped.
     """
     state: SwitchCycleState
     duty: float
@@ -107,29 +109,20 @@ class ClosedLoopOrbit:
     cycles: int
 
 
-_MAX_DUTY_ITER = 60
-
-
 def _spectral_radius(m: np.ndarray) -> float:
     """Largest eigenvalue modulus of a real 3x3 matrix, from the roots of
     its characteristic polynomial.  (np.linalg.eigvals would page in about
-    1 MB of LAPACK for it.)  The cubic's real root is bisected inside the
-    largest absolute row sum, which bounds every eigenvalue, and divided
-    out."""
+    1 MB of LAPACK for it.)  The cubic's real root is found within twice
+    the largest absolute row sum, which bounds every eigenvalue (the cubic
+    is bound**3 from zero there, beyond rounding), and divided out."""
     (a, b, c), (d, e, f), (g, h, i) = m.tolist()
     c2 = -(a + e + i)
     c1 = a * e - b * d + a * i - c * g + e * i - f * h
     c0 = -(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
     bound = max(abs(a) + abs(b) + abs(c), abs(d) + abs(e) + abs(f),
                 abs(g) + abs(h) + abs(i))
-    lo, hi = -bound, bound
-    while hi - lo > 4.0 * sys.float_info.epsilon * bound:
-        mid = 0.5 * (lo + hi)
-        if ((mid + c2) * mid + c1) * mid + c0 < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
+    root = bisect_root(lambda x: ((x + c2) * x + c1) * x + c0, -2.0 * bound,
+                       2.0 * bound, 4.0 * sys.float_info.epsilon * bound)
     p, q = c2 + root, c1 + root * (c2 + root)  # quotient x^2 + p x + q
     disc = 0.25 * p * p - q
     pair = 0.5 * abs(p) + math.sqrt(disc) if disc >= 0.0 else math.sqrt(q)
@@ -139,30 +132,51 @@ def _spectral_radius(m: np.ndarray) -> float:
 def closed_loop_orbit(params: ValidatedParams, v_ref: float, i_ls_ff: float,
                       gains: PiGains) -> ClosedLoopOrbit:
     """The closed-loop periodic orbit under ``gains`` with the gate delay
-    fed forward from (v_ref, i_ls_ff).
+    fed forward from (v_ref, i_ls_ff); fig17's ``coupling_sweep`` solves it.
 
-    On the orbit the sampled error is zero, so v_o at the cycle start is
-    v_ref and the duty is the integrator: the orbit is the open-loop orbit
-    (``periodic_steady_state``) of the duty d* whose orbit starts at v_ref.
-    d* is found by secant steps in the duty from ``equilibrium_op``'s, the
-    first along the averaged model's slope, bisecting once a sign change
-    brackets it, until |v_o - v_ref| <= V_ORBIT_TOL.  The stability verdict
+    On the orbit the sampled error is zero, so the cycle starts at
+    v_o = v_ref and the duty is the integrator: d* is the root of
+    g(d) = P_d(v_ref, a*)[v_o] - v_ref on [gains.d_min, gains.d_max], to
+    adjacent floats (``rootfind.bisect_root``), P_d one ``_cycle``.  a* is
+    v_cd1's start: 0 where State V is reached, as one cycle shows; else
+    a <- P_d(v_ref, a)[v_cd1] from 0 until a moves by V_ORBIT_TOL or less
+    (3 to 4 cycles at fig7.cfg's light loads).  Without a sign change v_ref
+    is out of reach: the orbit is the open-loop one at the bound with the
+    smaller |g| (``periodic_steady_state``).  The stability verdict
     linearizes the cycle map once (``cycle_linearization``) and closes the
     PI loop around it: with de = -dv_o, du = dI + (k_p + k_i*T) de and
     dI' = dI + k_i*T de,
 
         J = [[A - B (k_p + k_i*T) e1^T, B], [-k_i*T e1^T, 1]].
 
-    Raises NoConvergence, naming the amplitude and the duty, when no d* is
-    found in _MAX_DUTY_ITER steps.
+    Raises NoConvergence, naming the amplitude and the duty, when a* is not
+    found in _MAX_ORBIT_ITER cycles or the orbit at the bound is not found.
     """
     ts = params.t_period
     t_f = feedforward_tf(v_ref, i_ls_ff, params)
-    op = equilibrium_op(params, v_ref, i_ls_ff)
+    consts = _cycle_consts(params, params.r_load, params.i_ls_amp, t_f)
     cycles = 0
 
-    def orbit_at(d):
+    # the bounds are evaluated again by bisect_root, and d* for its a*
+    @functools.cache
+    def start(d):
+        """(a*, g(d)) at the duty d."""
         nonlocal cycles
+        a = 0.0
+        for _ in range(_MAX_ORBIT_ITER):
+            cycles += 1
+            v_o, a_next = _cycle(v_ref, a, d, consts)[:2]
+            if abs(a_next - a) <= V_ORBIT_TOL:
+                return a, v_o - v_ref
+            a = a_next
+        raise NoConvergence(f"closed-loop orbit at i_ls_amp = "
+                            f"{params.i_ls_amp!r} A: v_cd1's start unsettled "
+                            f"after {_MAX_ORBIT_ITER} cycles at duty {d!r}")
+
+    g_min, g_max = start(gains.d_min)[1], start(gains.d_max)[1]
+    failed = g_min * g_max > 0.0
+    if failed:
+        d = gains.d_min if abs(g_min) < abs(g_max) else gains.d_max
         try:
             orbit = periodic_steady_state(params, ModulationCommand(d, t_f),
                                           v_ref)
@@ -170,43 +184,11 @@ def closed_loop_orbit(params: ValidatedParams, v_ref: float, i_ls_ff: float,
             raise NoConvergence(f"closed-loop orbit at i_ls_amp = "
                                 f"{params.i_ls_amp!r} A: {exc}") from exc
         cycles += orbit.cycles
-        return orbit, orbit.state.v_o - v_ref
-
-    d = min(max(op.duty, gains.d_min), gains.d_max)
-    orbit, g = orbit_at(d)
-    slope = plant_tf(params, op).dc_gain
-    low = high = None  # latest duties whose orbit ends below / above v_ref
-    failed = False
-    for _ in range(_MAX_DUTY_ITER):
-        if abs(g) <= V_ORBIT_TOL:
-            break
-        if g < 0.0:
-            low = d
-        else:
-            high = d
-        # a step that left g unchanged gives no direction: NaN bisects, or
-        # moves to a bound
-        d_new = d - g / slope if slope else math.nan
-        if low is not None and high is not None:
-            lo, hi = sorted((low, high))
-            if not lo < d_new < hi:  # NaN too
-                d_new = 0.5 * (lo + hi)
-        elif not gains.d_min <= d_new <= gains.d_max:
-            bound = gains.d_min if d_new < gains.d_min else gains.d_max
-            if d == bound:  # no sign change between here and the bound
-                failed = True
-                break
-            d_new = bound
-        orbit, g_new = orbit_at(d_new)
-        slope = (g_new - g) / (d_new - d)
-        d, g = d_new, g_new
+        x = orbit.state
     else:
-        raise NoConvergence(
-            f"closed-loop orbit at i_ls_amp = {params.i_ls_amp!r} A: "
-            f"|v_o - v_ref| = {abs(g):.3g} V at duty {d!r} after "
-            f"{_MAX_DUTY_ITER} duty steps")
+        d = bisect_root(lambda d: start(d)[1], gains.d_min, gains.d_max, 0.0)
+        x = SwitchCycleState(v_ref, start(d)[0])
 
-    x = orbit.state
     duty, integrator, _ = pi_step(v_ref - x.v_o, gains.k_p, gains.k_i,
                                   gains.d_min, gains.d_max, ts, d, d, failed)
     cycle = run(params, ModulationCommand(duty, t_f), 1, x)

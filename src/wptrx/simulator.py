@@ -22,7 +22,7 @@ State IV end (the diode capacitance reaching zero) is closed-form; the
 State I end (the switch voltage reaching zero) takes safeguarded Newton
 steps from the lossless closed form to 1e-13 s.  Each output ripple
 extreme (a zero of dv_o/dt on a conduction segment) is bracketed in closed
-form and the bracket bisected to 1e-13 s.  No step size exists anywhere.
+form and the bracket narrowed to 1e-13 s.  No step size exists anywhere.
 
 All of a cycle's arithmetic lives in one private kernel, ``_cycle``, which
 takes and returns plain floats: the boundary state, the duty and a tuple
@@ -333,7 +333,7 @@ def _conduction_extremes(seg: SegmentTable, rows: np.ndarray, ends: tuple,
     below 2e-14 s on the built-in receivers across loads and duties, as
     each round shrinks it by a factor of order w tau.  Widened by
     T_EVENT_TOL/4 each side against rounding, it goes to ``bisect_root``,
-    one call per root, which checks the sign change and halves it to
+    one call per root, which checks the sign change and narrows it to
     T_EVENT_TOL where it is still wider (near a turn, where S is flat); on
     those receivers g is evaluated only at the bracket's two ends.  A g of
     exactly zero at a piece's start is a root there.

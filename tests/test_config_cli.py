@@ -548,11 +548,13 @@ SIMULATOR_TABLE_SHA256 = {
 # orbits (CPython 3.11, numpy 2.4, x86-64 Linux).  steady's re-taken when
 # the operating point became a bracketed Newton root: v_o moved by
 # <= 1.9e-7 V and phase_delay_norm by <= 4.1e-10, within the old loop's own
-# 1e-6 V stopping error.
+# 1e-6 V stopping error.  fig17's re-taken when the orbit's duty became
+# one bracketed root, solved to adjacent floats: duty moved by <= 1e-9 and
+# reg_error by <= 4.4e-13 V, within the old duty secant's 1e-11 V stop.
 COMMAND_TABLE_SHA256 = {
     "fig17": (["reproduce", "fig17"], {
-        "fig17.csv": "6b4523ef9923ef878ac9628a98acbc0f"
-                     "f4a11404ce4d73e13a406bf7550b0e97"}),
+        "fig17.csv": "ed07189967ac5fd3f8f7e30cac321a27"
+                     "37a6245da427802f5d4185fa8840b4d5"}),
     "fig20": (["reproduce", "fig20"], {
         "fig20.csv": "3ae074ab2cc07f910077e341d315779a"
                      "1f4db7d6582b3d6b8e4be43010d68172"}),

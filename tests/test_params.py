@@ -67,6 +67,14 @@ def test_copies_reject_non_finite_values(value):
     assert vp.with_amplitude(0.0).i_ls_amp == 0.0
 
 
+def test_copies_store_python_floats():
+    # np.linspace yields numpy scalars, which the scalar cycle arithmetic
+    # carries about 1.5x slower
+    vp = validate(table2_raw())
+    assert type(vp.with_amplitude(np.float64(2.0)).i_ls_amp) is float
+    assert type(vp.with_load(np.float64(57.6)).r_load) is float
+
+
 def table2_scenario(**overrides) -> Scenario:
     base = dict(name="bad", duration=0.1, r_load=38.09, i_ls_amp=2.35,
                 v_ref=24.0, i_ls_ff=2.35, v_o0=24.0, initial_integrator=0.532)
