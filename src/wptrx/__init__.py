@@ -27,11 +27,12 @@ _LAZY = {
     "control": ("ClosedLoopOrbit", "Scenario", "TransientRecord",
                 "closed_loop_orbit", "closed_loop_run", "feedforward_tf",
                 "pi_step", "ramp_profile", "step_profile"),
-    "simulator": ("CycleColumns", "DiagnosticColumns", "ModulationCommand",
-                  "PeriodicOrbit", "RunResult", "SegmentTable",
-                  "SpectrumResult", "SwitchCycleState", "SwitchingState",
-                  "Waveform", "cycle_diagnostics", "periodic_steady_state",
-                  "run", "sample_waveform", "spectrum"),
+    "simulator": ("CycleColumns", "DiagnosticColumns", "EventColumns",
+                  "ModulationCommand", "PeriodicOrbit", "RunResult",
+                  "SegmentTable", "SpectrumResult", "SwitchCycleState",
+                  "SwitchingState", "Waveform", "cycle_diagnostics",
+                  "periodic_steady_state", "run", "sample_waveform",
+                  "spectrum"),
     "smallsignal": ("BodePoint", "PiGains", "TransferFunction1P", "bode",
                     "bode_points", "design_pi", "loop_margins",
                     "loop_response", "perturb_bode_oracle", "plant_tf"),

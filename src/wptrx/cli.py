@@ -209,14 +209,17 @@ def _orbit_run(vp, cmd, v_o_guess: float, n_cycles: int):
 def _write_capture(out, wave_name: str, events_name: str, result,
                    rate: float) -> None:
     """The waveform of the run ``result`` sampled at ``rate`` and its
-    events."""
+    events.  The run keeps its event columns: made before the waveform,
+    they do not sit in the heap above the waveform's blocks, which would
+    then stay resident after they are freed."""
     from .simulator import sample_waveform
     from .table import write_table
+    events = result.events
     w = sample_waveform(result, rate)
     header = "t,i_ls,v_cs1,v_cd1,v_o,gate,state"
     write_table(out, wave_name, header,
                 [getattr(w, f) for f in header.split(",")])
-    write_table(out, events_name, "t,event", zip(*result.events))
+    write_table(out, events_name, "t,event", events)
 
 
 def _source_ramp(vp, rc: RunConfig):

@@ -45,8 +45,8 @@ and ``cycle_diagnostics`` (the ledger, ripple extremes and device peaks, as
 expressions over all its rows at once, and reduce each cycle's rows over a
 (cycles, 5) matrix of slots; ``cycle_diagnostics`` keeps every bit of the
 scalar arithmetic by taking its transcendentals from ``math``.  The
-spectrum reads the table as ``_Seg`` rows, and the event list reads the
-columns.
+spectrum reads the table as ``_Seg`` rows, and the event columns are
+array expressions over the cycle columns.
 The closed-loop run, the orbit solve and the linearization step
 ``_cycle`` itself and build no records; ``run`` is the one public way to
 step the simulator.
@@ -235,6 +235,25 @@ class DiagnosticColumns(NamedTuple):
     v_cd1_peak: np.ndarray
 
 
+class EventColumns(NamedTuple):
+    """A run's events in time order (see ``RunResult.events``): absolute
+    times and names, the names as ASCII bytes (``b"gate_on"``)."""
+    t: np.ndarray
+    name: np.ndarray
+
+
+# the six event slots of a soft (row 0) and a hard-switched (row 1)
+# cycle, and _EARLIER[j, l]: slot l precedes slot j in a row (both made
+# flat and reshaped: numpy reads a nested list through code that nothing
+# else in a capture runs, and that would stay paged in for these alone)
+_EVENT_NAMES = np.array(
+    [b"cycle_start", b"cs1_zero", b"gate_on", b"ils_zero", b"gate_off",
+     b"cd1_zero", b"cycle_start", b"gate_on", b"hard_switch", b"ils_zero",
+     b"gate_off", b"cd1_zero"]).reshape(2, 6)
+_EARLIER = np.array([l < j for j in range(6)
+                     for l in range(6)]).reshape(6, 6)
+
+
 @dataclass(frozen=True, eq=False)
 class RunResult:
     """``n_cycles`` cycles of one command on one receiver, starting at
@@ -247,28 +266,41 @@ class RunResult:
     final_state: SwitchCycleState
 
     @cached_property
-    def events(self) -> list:
-        """(absolute time, name) of the run's events in time order, each
-        cycle's sorted by time: its start, the switch's natural turn-on
-        (cs1_zero) or forced one (hard_switch), the gate edges, the current
-        zero at T/2 and, where the node reaches zero, cd1_zero."""
+    def events(self) -> EventColumns:
+        """The run's events in time order, as columns, each cycle's sorted
+        by time (stably: tied events keep the order below): its start, the
+        switch's natural turn-on (cs1_zero) before the gate edge or the
+        forced one (hard_switch) after it, the current zero at T/2, gate
+        off and, where the node reaches zero, cd1_zero."""
         c = self.columns
-        ts, t_f = self.params.t_period, self.cmd.t_f
-        events = []
-        for k, (th1, hard, gate_off, th4) in enumerate(zip(
-                c.th1.tolist(), c.hard_switched.tolist(),
-                c.gate_off.tolist(), c.th4.tolist())):
-            t0 = k * ts
-            gate_on = (t0 + t_f, "gate_on")
-            cycle = ([(t0, "cycle_start"), gate_on, (t0 + th1, "hard_switch")]
-                     if hard else
-                     [(t0, "cycle_start"), (t0 + th1, "cs1_zero"), gate_on])
-            cycle += [(t0 + 0.5 * ts, "ils_zero"), (t0 + gate_off, "gate_off")]
-            if not math.isnan(th4):
-                cycle.append((t0 + th4, "cd1_zero"))
-            cycle.sort(key=lambda e: e[0])
-            events += cycle
-        return events
+        ts = self.params.t_period
+        hard = c.hard_switched
+        # one row of six slots per cycle, in that order; th4 is NaN where
+        # the node never reaches zero
+        t = np.empty((len(hard), 6))
+        t[:, 0] = 0.0
+        t[:, 1] = np.where(hard, self.cmd.t_f, c.th1)
+        t[:, 2] = np.where(hard, c.th1, self.cmd.t_f)
+        t[:, 3] = 0.5 * ts
+        t[:, 4] = c.gate_off
+        t[:, 5] = c.th4
+        t += np.arange(len(hard))[:, None] * ts
+        # each slot's place in the run: where its cycle's row starts, plus
+        # the slots of the row that come before it in time, or tie with it
+        # in time and come before it in the row (a NaN counts as +inf, so
+        # it comes last); 36 comparisons a row cost less than sorting six
+        # values, and run no sort code (argsort's first call pages in
+        # 128 kB of it)
+        key = np.where(np.isnan(t), np.inf, t)
+        place = ((key[:, None, :] < key[:, :, None])
+                 | (key[:, None, :] == key[:, :, None]) & _EARLIER
+                 ).sum(axis=2)
+        place += 6 * np.arange(len(hard))[:, None]
+        times, names = np.empty(t.size), np.empty(t.size, _EVENT_NAMES.dtype)
+        times[place] = t
+        names[place] = _EVENT_NAMES[hard.view(np.uint8)]
+        kept = ~np.isnan(times)
+        return EventColumns(times[kept], names[kept])
 
 
 @dataclass

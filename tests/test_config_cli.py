@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wptrx import cli, simulator
+from wptrx import cli, simulator, table
 from wptrx.cli import main
 from wptrx.config import (RunConfig, parse_config, parse_config_text,
                           parse_value)
@@ -364,6 +364,7 @@ def test_int_cells_build_no_table_wider_than_the_column(column):
 
 
 BLOCK = _TABLE_BLOCK_ROWS
+_VALUE_TABLE = table._value_table
 
 
 @pytest.mark.parametrize(
@@ -394,6 +395,41 @@ def test_table_writer_blocks_match_per_row_format(tmp_path, capsys, n):
     assert (tmp_path / "t.csv").read_bytes() == expected
     write_table(None, "t.csv", header, columns)
     assert capsys.readouterr().out.encode() == expected
+
+
+def test_table_writer_prepares_columns_once_per_table(tmp_path, monkeypatch):
+    # over four blocks: int, bool and string columns whose values change
+    # from block to block, so each block's range is narrower than the
+    # column's, share one value table or encoding per table; an int column
+    # spanning more values than a block has rows, and one spanning more
+    # than the whole column has, are formatted block by block (the latter
+    # value by value), and every cell matches the per-row rule
+    n = 3 * BLOCK + 5
+    k = np.arange(n)
+    block = k // BLOCK
+    narrow = (100 + 50 * block + k % 7).astype(np.int16)
+    flags = np.where(block == 2, k % 2 == 0, block % 2 == 1)
+    words = np.array(["a", "bbb", "cc", "dddd"])[block]
+    blockwise = block * 10 ** 9 + k % 5
+    wide = k * 10 ** 6 - 7
+    tried = []  # (rows, whether a value table was built) per attempt
+
+    def value_table(v, size):
+        built = _VALUE_TABLE(v, size)
+        tried.append((len(v), built is not None))
+        return built
+    monkeypatch.setattr(table, "_value_table", value_table)
+    header = "narrow,flags,words,blockwise,wide,x"
+    columns = [narrow, flags, words, blockwise, wide, k * 0.5]
+    write_table(str(tmp_path), "t.csv", header, columns)
+    # one table each for narrow and flags, none for the whole of blockwise
+    # and wide; then, block by block, one for blockwise and none for wide
+    assert tried == [(n, True)] * 2 + [(n, False)] * 2 + [
+        (BLOCK, True), (BLOCK, False)] * 3 + [(5, True), (5, False)]
+    assert (tmp_path / "t.csv").read_bytes() == (header + "\n" + "".join(
+        "%d,%d,%s,%d,%d,%.11e\n" % row for row in zip(
+            narrow.tolist(), flags.tolist(), words.tolist(),
+            blockwise.tolist(), wide.tolist(), (k * 0.5).tolist()))).encode()
 
 
 def test_table_writer_rejects_unequal_columns(tmp_path):

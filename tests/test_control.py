@@ -181,13 +181,14 @@ def test_gate_edges_follow_the_command(vp):
     # gate_off one duty interval later
     st = SwitchCycleState(24.0)
     cmd = ModulationCommand(0.5, 0.0)
-    edges = {name: t for t, name in run(vp, cmd, 1, st).events}
-    assert edges["gate_on"] == 0.0
-    assert edges["gate_off"] == pytest.approx(2.5e-6, rel=1e-12)
+    ev = run(vp, cmd, 1, st).events
+    edges = dict(zip(ev.name.tolist(), ev.t.tolist()))
+    assert edges[b"gate_on"] == 0.0
+    assert edges[b"gate_off"] == pytest.approx(2.5e-6, rel=1e-12)
     # the third cycle of a run starts at 10 us
     cmd2 = ModulationCommand(0.532, 382e-9)
-    gate_on, gate_off = [t for t, name in run(vp, cmd2, 3, initial=st).events
-                         if name in ("gate_on", "gate_off")][4:]
+    ev = run(vp, cmd2, 3, initial=st).events
+    gate_on, gate_off = ev.t[np.isin(ev.name, [b"gate_on", b"gate_off"])][4:]
     assert gate_on == pytest.approx(10e-6 + 382e-9, rel=1e-12)
     assert gate_off == pytest.approx(10e-6 + 3.042e-6, rel=1e-9)
     with pytest.raises(GateOverrun):
@@ -197,9 +198,9 @@ def test_gate_edges_follow_the_command(vp):
 def test_gate_phase_matches_command(vp):
     # the centre of the on-pulse sits at the paper's phase angle
     cmd = ModulationCommand(0.532, 382e-9)
-    edges = {name: t for t, name in
-             run(vp, cmd, 1, SwitchCycleState(24.0)).events}
-    centre = 0.5 * (edges["gate_on"] + edges["gate_off"])
+    ev = run(vp, cmd, 1, SwitchCycleState(24.0)).events
+    edges = dict(zip(ev.name.tolist(), ev.t.tolist()))
+    centre = 0.5 * (edges[b"gate_on"] + edges[b"gate_off"])
     assert vp.omega * centre == pytest.approx(
         phase_angle(cmd.duty, vp.f_s * cmd.t_f), rel=1e-12)
 

@@ -31,11 +31,12 @@ EXPORTS = {
     "params": ["ReceiverParams", "ValidatedParams", "min_output_cap",
                "ripple_estimate", "size_inductor", "size_series_cap",
                "validate"],
-    "simulator": ["CycleColumns", "DiagnosticColumns", "ModulationCommand",
-                  "PeriodicOrbit", "RunResult", "SegmentTable",
-                  "SpectrumResult", "SwitchCycleState", "SwitchingState",
-                  "Waveform", "cycle_diagnostics", "periodic_steady_state",
-                  "run", "sample_waveform", "spectrum"],
+    "simulator": ["CycleColumns", "DiagnosticColumns", "EventColumns",
+                  "ModulationCommand", "PeriodicOrbit", "RunResult",
+                  "SegmentTable", "SpectrumResult", "SwitchCycleState",
+                  "SwitchingState", "Waveform", "cycle_diagnostics",
+                  "periodic_steady_state", "run", "sample_waveform",
+                  "spectrum"],
     "smallsignal": ["BodePoint", "PiGains", "TransferFunction1P", "bode",
                     "bode_points", "design_pi", "loop_margins",
                     "loop_response", "perturb_bode_oracle", "plant_tf"],

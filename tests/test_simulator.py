@@ -129,8 +129,8 @@ def test_zero_source_cycle(vp):
     assert math.isnan(d.t_f_meas[0]) and math.isnan(d.t_r_meas[0])
     assert not d.reached_state_v[0]
     # no natural commutation events in the log
-    names = {name for _, name in one.events}
-    assert "cs1_zero" not in names and "cd1_zero" not in names
+    names = set(one.events.name.tolist())
+    assert b"cs1_zero" not in names and b"cd1_zero" not in names
     # output follows its RC discharge (plus the forced-turn-on top-up drawn
     # from the output capacitor)
     decay = math.exp(-vp.t_period / (vp.r_load * vp.c_o))
@@ -148,7 +148,7 @@ def test_forced_turn_on_energy(vp):
     assert not d.zvs_ok[0] and d.hard_switched[0]
     assert d.e_hard_switch[0] == pytest.approx(0.5 * vp.c_s1 * 24.0 ** 2,
                                                rel=1e-12)
-    assert ("hard_switch" in {n for _, n in one.events})
+    assert b"hard_switch" in one.events.name.tolist()
     assert math.isnan(d.t_f_meas[0])
 
 
@@ -358,16 +358,16 @@ def reference_cycle_rows(v0, va0, out, t_f, t_start, params, p_s, p_c):
         segs.append((th_iv, th4_eff, th_iv, 4, v_at_iv, 0.0, 0.0, v_at_iv))
     if reached_v:
         segs.append((th4, ts, th4, 5, v_at_th4, 0.0, 0.0, 0.0))
-    events = [(t_start, "cycle_start")]
+    events = [(t_start, b"cycle_start")]
     if not hard:
-        events.append((t_start + th1, "cs1_zero"))
-    events.append((t_start + t_f, "gate_on"))
+        events.append((t_start + th1, b"cs1_zero"))
+    events.append((t_start + t_f, b"gate_on"))
     if hard:
-        events.append((t_start + th1, "hard_switch"))
-    events.append((t_start + half, "ils_zero"))
-    events.append((t_start + gate_off, "gate_off"))
+        events.append((t_start + th1, b"hard_switch"))
+    events.append((t_start + half, b"ils_zero"))
+    events.append((t_start + gate_off, b"gate_off"))
     if th4 is not None:
-        events.append((t_start + th4, "cd1_zero"))
+        events.append((t_start + th4, b"cd1_zero"))
     events.sort(key=lambda e: e[0])
     return segs, events
 
@@ -402,8 +402,65 @@ def test_run_tables_match_the_per_cycle_reference():
             v0, va0 = out[:2]
         assert list(zip(*(col.tolist() for col in res.segments[:8]))) \
             == want_rows
-        assert res.events == want_events
+        assert list(zip(res.events.t.tolist(),
+                        res.events.name.tolist())) == want_events
     assert min(kinds.values()) >= 20, kinds
+
+
+def reference_events(res) -> list:
+    """(t, name) of every event of the run ``res``, each cycle's listed in
+    slot order and sorted with Python's stable ``list.sort``, from the
+    cycle columns alone."""
+    c, ts, t_f = res.columns, res.params.t_period, res.cmd.t_f
+    events = []
+    for k, (th1, hard, gate_off, th4) in enumerate(zip(
+            c.th1.tolist(), c.hard_switched.tolist(), c.gate_off.tolist(),
+            c.th4.tolist())):
+        t0 = k * ts
+        cycle = [(t0, b"cycle_start")]
+        cycle += ([(t0 + t_f, b"gate_on"), (t0 + th1, b"hard_switch")]
+                  if hard else
+                  [(t0 + th1, b"cs1_zero"), (t0 + t_f, b"gate_on")])
+        cycle += [(t0 + 0.5 * ts, b"ils_zero"), (t0 + gate_off, b"gate_off")]
+        if not math.isnan(th4):
+            cycle.append((t0 + th4, b"cd1_zero"))
+        cycle.sort(key=lambda e: e[0])
+        events += cycle
+    return events
+
+
+def test_event_columns_match_a_stable_sort_per_cycle():
+    # the event columns against a cycle-by-cycle build with Python's sort,
+    # on soft, hard and no-State-V cycles, and on copies of those columns
+    # with ties forced between every pair of slots that can meet and with
+    # th4 set to NaN, where the tied events keep their slot order
+    kinds = dict.fromkeys(("soft", "hard", "no_state_v"), 0)
+    ties = 0
+    for p, cmd, v_avg in random_receivers(33, 60):
+        res = run(p, cmd, 6, initial=SwitchCycleState(v_avg))
+        c = res.columns
+        kinds["hard"] += int(np.count_nonzero(c.hard_switched))
+        kinds["soft"] += int(np.count_nonzero(~c.hard_switched))
+        kinds["no_state_v"] += int(np.count_nonzero(np.isnan(c.th4)))
+        half = 0.5 * p.t_period
+        th1, gate_off, th4 = c.th1.copy(), c.gate_off.copy(), c.th4.copy()
+        th1[0] = cmd.t_f            # cs1_zero or hard_switch on gate_on
+        gate_off[1] = half          # gate_off on ils_zero
+        th4[2] = gate_off[2]        # cd1_zero on gate_off
+        th4[3] = half               # cd1_zero on ils_zero
+        th1[4] = 0.0                # State I's end on the cycle start
+        th4[5] = math.nan           # the node never reaches zero
+        tied = dataclasses.replace(res, columns=c._replace(
+            th1=th1, gate_off=gate_off, th4=th4))
+        for r in (res, tied):
+            want = reference_events(r)
+            got = r.events
+            assert got.name.dtype.kind == "S"
+            assert list(zip(got.t.tolist(), got.name.tolist())) == want
+        t = tied.events.t
+        ties += int(np.count_nonzero(t[1:] == t[:-1]))
+    assert min(kinds.values()) >= 20, kinds
+    assert ties >= 5 * 60
 
 
 def test_invalid_commands(vp):
@@ -835,7 +892,7 @@ def test_state_sequence_legality(vp):
     res, cmd, op = steady_soft_run(vp, n=40)
     assert res.segments.state.tolist() == [1, 2, 3, 4, 5] * 40
     # event order within a cycle
-    names = [n for _, n in res.events]
+    names = [n.decode() for n in res.events.name.tolist()]
     starts = [k for k, n in enumerate(names) if n == "cycle_start"]
     assert len(starts) == 40
     for a, b in zip(starts[1:], starts[2:] + [len(names)]):
@@ -958,12 +1015,11 @@ def test_waveform_channel_invariants(vp):
 
 def test_event_log_monotone_and_vocabulary(vp):
     res, cmd, op = steady_soft_run(vp, n=12)
-    events = res.events
-    times = [t for t, _ in events]
+    times = res.events.t.tolist()
     assert all(b > a for a, b in zip(times, times[1:]))
-    allowed = {"gate_on", "gate_off", "cs1_zero", "cd1_zero", "ils_zero",
-               "cycle_start", "hard_switch"}
-    assert {n for _, n in events} <= allowed
+    allowed = {b"gate_on", b"gate_off", b"cs1_zero", b"cd1_zero", b"ils_zero",
+               b"cycle_start", b"hard_switch"}
+    assert set(res.events.name.tolist()) <= allowed
 
 
 def test_conduction_samples_satisfy_ode(vp):

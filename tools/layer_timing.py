@@ -46,13 +46,17 @@ table2 receiver:
   call (fig14's), in ms per call;
 * ``table.write_table``, the one table writer, of the 400 cycles'
   waveform (the ``waveform.csv`` of ``wptrx simulate --cycles 400``,
-  102,400 rows) into a temporary directory, in ms per call; the module
-  is imported before the timing, so its kernel tables are built once,
-  outside the row;
+  102,400 rows), in ms per call; the module is imported before the
+  timing, so its kernel tables are built once, outside the row;
+* the event table of those 400 cycles, ``RunResult.events`` built on a
+  copy of the run that has not cached it and written by ``write_table``
+  (``events.csv``, 2,400 rows), in ms per call;
+* fig14's three small tables (two 40-harmonic spectra and the two-row
+  summary) written by ``write_table`` from a precomputed spectrum, in ms
+  per call: the writer's fixed cost per table;
 * ``wptrx simulate --config table2 --cycles 400`` in process
-  (``cli.main``), writing its three tables into a temporary directory, in
-  ms per call: the end-to-end time of the rows above with the orbit solve
-  and the small tables;
+  (``cli.main``), writing its three tables, in ms per call: the end-to-end
+  time of the rows above with the orbit solve and the diagnostics table;
 
 and, on the built-in fig7 receiver at its operating point (duty 0.5,
 f_s*t_f = 0.1):
@@ -76,6 +80,20 @@ compiles ``wptrx`` from source as one in a fresh checkout does:
   command that writes or prints a table loads it, with ``wptrx.table``, at
   its first table.
 
+The rows that write tables, the fresh-interpreter ones included, write
+each repeat into a new, empty directory, as a benchmark op does; making
+and removing it is not timed.  Writing over the previous repeat's files
+instead costs what no op pays: on a 2-core x86-64 VM's ext4 volume mounted
+with ``discard``, the waveform row read 34.7-38.3 ms that way against
+29.4-30.0 ms into new directories (medians of 11, two runs each).
+
+Two reference rows time fixed work that calls nothing of the toolkit, in
+the same run as the rows above, so two runs (two commits, or two
+sessions on one host) can be scaled to the same host speed: the
+pure-Python chunk of the benchmark's host-speed calibration
+(``perfbench/hostspeed.py``'s ``chunk()``, loaded read-only from its
+file), and a fixed loop of numpy array arithmetic on 4096 elements.
+
 Each figure is the median of several repeats, after one warm-up call, so
 a slow repeat on a shared host moves it little; the lowest and highest
 repeat are printed beside it.  A run builds its segment table once, in
@@ -88,12 +106,14 @@ back and several times in alternating order: rows taken in separate
 processes drift with the host's load (on a shared 2-core VM, the same
 commit's per-cycle stepping row has read 8.9 and 15.7 us per cycle minutes
 apart), so one run of each side can show a change that is not there.
-Needs numpy; about 5 s on a 2-core x86-64 VM, 3 of them in the
+Needs numpy; about 8 s on a 2-core x86-64 VM, 3 of them in the
 fresh-interpreter rows.
 """
 
 import argparse
 import contextlib
+import dataclasses
+import importlib.util
 import io
 import json
 import platform
@@ -111,6 +131,7 @@ import numpy as np
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 TABLE2 = SRC / "wptrx" / "configs" / "table2.cfg"
+HOSTSPEED = SRC.parent / "perfbench" / "hostspeed.py"
 
 from wptrx import averaged, cli, scenarios, table  # noqa: E402
 from wptrx.analytic import (  # noqa: E402
@@ -144,7 +165,11 @@ SAMPLE_REPEATS = 21
 SPECTRUM_HARMONICS = 40
 SPECTRUM_REPEATS = 21
 TABLE_REPEATS = 11
+EVENTS_REPEATS = 21
+SMALL_TABLE_REPEATS = 51
 SIMULATE_REPEATS = 11
+HOST_REPEATS = 21
+NUMPY_LOOP_ITERS = 200
 ORACLE_REPEATS = 21
 AVG_HORIZON = 0.1
 AVG_STEP_AT = 0.01
@@ -171,6 +196,46 @@ def _timed(fn, repeats: int, per: float) -> tuple:
     return _spread(times)
 
 
+def _timed_into(write, repeats: int, per: float) -> tuple:
+    """``_timed`` of ``write(out)``, each call (the warm-up included) into
+    a new, empty directory ``out``, made and removed outside the timing."""
+    times = []
+    with tempfile.TemporaryDirectory() as root:
+        for k in range(repeats + 1):
+            out = os.path.join(root, str(k))
+            os.makedirs(out)
+            t0 = time.perf_counter()
+            write(out)
+            dt = time.perf_counter() - t0
+            shutil.rmtree(out)
+            if k:
+                times.append(dt / per)
+    return _spread(times)
+
+
+def _numpy_loop() -> None:
+    """Fixed numpy work: ``NUMPY_LOOP_ITERS`` rounds of elementwise
+    arithmetic, a transcendental, a gather and a reduction on 4096
+    elements."""
+    x = np.linspace(0.0, 1.0, 4096)
+    index = np.arange(4096)[::-1].copy()
+    for _ in range(NUMPY_LOOP_ITERS):
+        x = np.sin(x * 3.0 + 0.5)[index]
+        x -= x.mean()
+
+
+def _host_rows() -> tuple:
+    """The reference rows: fixed work that calls nothing of the toolkit."""
+    spec = importlib.util.spec_from_file_location("hostspeed", HOSTSPEED)
+    hostspeed = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hostspeed)
+    return (("host reference: perfbench hostspeed.chunk() (pure Python)",
+             "ms/call", _timed(hostspeed.chunk, HOST_REPEATS, 1e-3)),
+            (f"host reference: numpy loop ({NUMPY_LOOP_ITERS} x 4096 "
+             f"elements)", "ms/call",
+             _timed(_numpy_loop, HOST_REPEATS, 1e-3)))
+
+
 def _fresh_rows() -> tuple:
     """The fresh-interpreter rows: ``FRESH_REPEATS`` processes each, after
     one untimed process, on a copy of ``src/wptrx`` without bytecode."""
@@ -188,18 +253,21 @@ def _fresh_rows() -> tuple:
         rows = [("import wptrx, wptrx.cli (fresh interpreter)", "ms",
                  _spread([float(python("-c", IMPORT_CODE)) * 1e3
                           for _ in range(FRESH_REPEATS)]))]
-        out = str(Path(root) / "out")
+        rows.append(("python -m wptrx validate --config table2 (fresh "
+                     "interpreter)", "ms/process",
+                     _timed(lambda: python("-m", "wptrx", "validate",
+                                           "--config", str(TABLE2)),
+                            FRESH_REPEATS, 1e-3)))
         for label, argv in (
-                ("validate --config table2", ("validate", "--config",
-                                              str(TABLE2))),
-                ("reproduce fig7", ("reproduce", "fig7", "--out", out)),
+                ("reproduce fig7", ("reproduce", "fig7")),
                 (f"simulate --config table2 --cycles {SIMULATE_CYCLES}",
                  ("simulate", "--config", str(TABLE2), "--cycles",
-                  str(SIMULATE_CYCLES), "--out", out))):
+                  str(SIMULATE_CYCLES)))):
             rows.append((f"python -m wptrx {label} (fresh interpreter)",
                          "ms/process",
-                         _timed(lambda: python("-m", "wptrx", *argv),
-                                FRESH_REPEATS, 1e-3)))
+                         _timed_into(lambda out: python(
+                             "-m", "wptrx", *argv, "--out", out),
+                             FRESH_REPEATS, 1e-3)))
     return tuple(rows)
 
 
@@ -268,15 +336,35 @@ def main(argv=None) -> int:
     n_long = len(long_wave.t)
     wave_header = "t,i_ls,v_cs1,v_cd1,v_o,gate,state"
     wave_columns = [getattr(long_wave, f) for f in wave_header.split(",")]
-    with tempfile.TemporaryDirectory() as table_dir:
-        table_time = _timed(lambda: table.write_table(
-            table_dir, "waveform.csv", wave_header, wave_columns),
-            TABLE_REPEATS, 1e-3)
-        simulate_argv = ["simulate", "--config", str(TABLE2), "--cycles",
-                         str(SIMULATE_CYCLES), "--out", table_dir]
-        with contextlib.redirect_stdout(io.StringIO()):
-            simulate_time = _timed(lambda: cli.main(simulate_argv),
-                                   SIMULATE_REPEATS, 1e-3)
+    n_events = len(long.events.t)
+
+    def events_table(out):
+        # a copy of the run, without its cached events
+        table.write_table(out, "events.csv", "t,event",
+                          dataclasses.replace(long).events)
+    spectra = spectrum(one, ("v_cd1", "i_ls"), SPECTRUM_HARMONICS)
+
+    def fig14_tables(out):
+        # the three tables cli's fig14 writes, from the same columns
+        for channel, spec in zip(("v_cd1", "i_ls"), spectra):
+            ks, amps, phases = zip(*spec.harmonics)
+            table.write_table(out, f"fig14_{channel}.csv",
+                              "harmonic,f_hz,amplitude,phase_rad",
+                              (ks, [k * vp.f_s for k in ks], amps, phases))
+        table.write_table(out, "fig14_summary.csv", "channel,fundamental,thd",
+                          (("v_cd1", "i_ls"),
+                           [s.fundamental for s in spectra],
+                           [s.thd for s in spectra]))
+    table_time = _timed_into(lambda out: table.write_table(
+        out, "waveform.csv", wave_header, wave_columns), TABLE_REPEATS, 1e-3)
+    events_time = _timed_into(events_table, EVENTS_REPEATS, 1e-3)
+    fig14_time = _timed_into(fig14_tables, SMALL_TABLE_REPEATS, 1e-3)
+    simulate_argv = ["simulate", "--config", str(TABLE2), "--cycles",
+                     str(SIMULATE_CYCLES), "--out"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        simulate_time = _timed_into(
+            lambda out: cli.main(simulate_argv + [out]), SIMULATE_REPEATS,
+            1e-3)
 
     rc7 = parse_config(SRC / "wptrx" / "configs" / "fig7.cfg")
     vp7 = validate(rc7.params)
@@ -340,6 +428,10 @@ def main(argv=None) -> int:
                 SPECTRUM_REPEATS, 1e-3)),
         (f"write_table, {SIMULATE_CYCLES}-cycle waveform ({n_long} rows)",
          "ms/call", table_time),
+        (f"events build + write_table, {SIMULATE_CYCLES} cycles "
+         f"({n_events} rows)", "ms/call", events_time),
+        ("write_table, fig14's three tables (40, 40 and 2 rows)", "ms/call",
+         fig14_time),
         (f"wptrx simulate, table2, {SIMULATE_CYCLES} cycles (in process)",
          "ms/call", simulate_time),
         (f"perturb_bode_oracle, fig7 ({len(cli._BODE_GRID)} frequencies)",
@@ -349,7 +441,7 @@ def main(argv=None) -> int:
         (f"integrate_averaged, fig7 ({AVG_HORIZON:g} s at 10 us)", "ms/call",
          _timed(lambda: integrate_averaged(start, sched, AVG_HORIZON, vp7),
                 AVG_REPEATS, 1e-3)),
-    ) + _fresh_rows()
+    ) + _fresh_rows() + _host_rows()
     for name, unit, (med, lo, hi) in rows:
         print(f"{name}: {med:.3g} {unit} (min {lo:.3g}, max {hi:.3g})")
     if args.json:
