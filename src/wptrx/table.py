@@ -79,7 +79,7 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
         np.floor(i, out=i)
         np.subtract(33.0, i, out=i)
         i[zero] = 33.0
-        big = np.flatnonzero(i < 22.0)  # |v| >= 1e12: divide by 10**-k
+        big = (i < 22.0).nonzero()[0]  # |v| >= 1e12: divide by 10**-k
         i = i.astype(np.intp)  # a NaN or infinite index is clipped below
         np.minimum(np.maximum(i, 0, out=i), 44, out=i)
         s = a * _SCALE_UP[i]
@@ -94,7 +94,7 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
         keep &= m != half_up
         digits = m.astype(np.int64)
     del a, s, m, half_up
-    where = np.flatnonzero(~keep)
+    where = (~keep).nonzero()[0]
     digits[where] = 0
     cells = np.empty(len(x), _FLOAT_CELL)
     cells["sign"] = np.signbit(x).view(np.uint8) * ord("-")
@@ -215,6 +215,7 @@ def write_table(out, name: str, header: str, columns) -> None:
         for block in blocks:
             sys.stdout.write(block.decode())
     else:
-        os.makedirs(out, exist_ok=True)
+        if not os.path.isdir(out):  # one stat where makedirs tries mkdir
+            os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, name), "wb") as fh:
             fh.writelines(blocks)
