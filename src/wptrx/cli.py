@@ -24,6 +24,7 @@ fig7 and fig9 only ``smallsignal`` (and ``control``, and with it
 ``simulator``.
 """
 import argparse
+import functools
 import math
 import os
 import sys
@@ -209,16 +210,19 @@ def _orbit_run(vp, cmd, v_o_guess: float, n_cycles: int):
 def _write_capture(out, wave_name: str, events_name: str, result,
                    rate: float) -> None:
     """The waveform of the run ``result`` sampled at ``rate`` and its
-    events.  The run keeps its event columns: made before the waveform,
-    they do not sit in the heap above the waveform's blocks, which would
-    then stay resident after they are freed."""
-    from .simulator import sample_waveform
-    from .table import write_table
+    events.  The waveform goes from the sampler to the table writer one
+    block of whole cycles at a time, so no channel of the whole run is
+    held.  The run keeps its event columns: made before the waveform, they
+    do not sit in the heap above the waveform's blocks, which would then
+    stay resident after they are freed."""
+    from .simulator import _waveform_blocks
+    from .table import write_table, write_table_blocks
     events = result.events
-    w = sample_waveform(result, rate)
     header = "t,i_ls,v_cs1,v_cd1,v_o,gate,state"
-    write_table(out, wave_name, header,
-                [getattr(w, f) for f in header.split(",")])
+    names = header.split(",")
+    blocks = _waveform_blocks(result, rate)[1]
+    write_table_blocks(out, wave_name, header,
+                       ([getattr(w, f) for f in names] for w in blocks))
     write_table(out, events_name, "t,event", events)
 
 
@@ -443,7 +447,11 @@ def _sweep_duties(text: str) -> list:
     return [lo + k * step for k in range(n)]
 
 
+@functools.cache
 def _build_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of ``command``, built on its first call and kept: a
+    parse reads it and leaves it as it was, and each parse makes a new
+    namespace."""
     p = argparse.ArgumentParser(prog=f"wptrx {command}")
     if command != "reproduce":
         p.add_argument("--config", required=True)

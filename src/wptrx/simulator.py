@@ -993,29 +993,29 @@ def cycle_linearization(params: ValidatedParams, cmd: ModulationCommand,
     return jac[:2] + np.eye(2), col_d[:2], jac[2], col_d[2], calls
 
 
-# Samples per block of whole cycles that sample_waveform evaluates at once;
-# the block bounds its memory (see its docstring).
+# Samples per block of whole cycles that the sampler evaluates at once.
+# Every per-sample temporary is one block long, so on 400 cycles at 256
+# samples per cycle (16 cycles a block) the sampler holds about 0.4 MB
+# beside its output; one pass over the whole run took about 8 MB.  A
+# capture writes each block as it is made (``_waveform_blocks``), so no
+# channel of the whole run is held; ``sample_waveform`` copies the blocks
+# into channels of the whole run.
 _BLOCK_SAMPLES = 4096
 
 
-def sample_waveform(result: RunResult, sample_rate: float) -> Waveform:
-    """Evaluate the run's segment closed forms on a uniform grid.
-    A sample within 1e-18 s of a cycle's end belongs to the next cycle, and
-    one exactly on a segment's end to the next segment (the sample at T/2
-    is State III).
+def _waveform_blocks(result: RunResult, sample_rate: float) -> tuple:
+    """(n, blocks): the number of samples of the run's uniform grid at
+    ``sample_rate``, and an iterator of ``Waveform`` blocks of whole cycles,
+    each of at most about ``_BLOCK_SAMPLES`` samples (see there), whose
+    times are the grid's, k / ``sample_rate``.  The rate is checked before
+    this returns (see ``sample_waveform``); a block is evaluated when it is
+    asked for, and holds the only copy of its samples.
 
-    The grid is evaluated in blocks of whole cycles of at most about
-    ``_BLOCK_SAMPLES`` (4096) samples, 16 cycles at 256 samples per cycle,
-    written into preallocated channels.  The block size is bounded because
-    every per-sample temporary is one block long: on 400 cycles at 256
-    samples per cycle (a 4.3 MB result) they need about 0.4 MB, where one
-    pass over the whole run needed about 8 MB.  A sample's segment is its
-    cycle's first segment row plus the number of the cycle's other
-    segments that start at or before it.
-
-    Raises NonPositiveParameter naming ``sample_rate`` for a rate that is
-    not finite and > 0, or so low that the grid holds no sample.
-    """
+    Cycle c's samples are the grid times below its end less 1e-18 s, found
+    by ``searchsorted`` in its block's times: those run from the block's
+    first sample to the first past the end of its last cycle, or to the
+    grid's end (k / rate is below x for k < ceil(x * rate) - 1 and not for
+    k > ceil(x * rate) + 1 while x * rate < 2**51)."""
     require_positive(sample_rate=sample_rate)
     params = result.params
     ts = params.t_period
@@ -1025,6 +1025,12 @@ def sample_waveform(result: RunResult, sample_rate: float) -> Waveform:
     seg = result.segments
     n_cycles = len(seg.first) - 1
     t_start = np.arange(n_cycles) * ts
+    t_end = t_start[-1].item() + ts
+    n = int(round(t_end * sample_rate))
+    if n == 0:
+        raise NonPositiveParameter(
+            "sample_rate", sample_rate,
+            f"> {0.5 / t_end:g} to sample {n_cycles} cycles")
     gate_on = t_start + result.cmd.t_f
     gate_off = t_start + result.columns.gate_off
     first = seg.first[:-1]
@@ -1036,49 +1042,70 @@ def sample_waveform(result: RunResult, sample_rate: float) -> Waveform:
     # by math.cos, as the segments' scalar arithmetic takes it (np.cos may
     # round differently)
     cos_ref = np.array([math.cos(w * t) for t in seg.t_ref.tolist()])
-    t_end = t_start[-1].item() + ts
-    n = int(round(t_end * sample_rate))
-    if n == 0:
-        raise NonPositiveParameter(
-            "sample_rate", sample_rate,
-            f"> {0.5 / t_end:g} to sample {n_cycles} cycles")
-    t = np.arange(n) / sample_rate
-    i_ls = np.empty(n)
-    v_cs1 = np.empty(n)
-    v_cd1 = np.empty(n)
-    v_o = np.empty(n)
-    gate = np.empty(n, dtype=np.int8)
-    state_ch = np.empty(n, dtype=np.int8)
-    cycle_ends = np.searchsorted(t, t_start + ts - 1e-18)
-    per_block = max(1, _BLOCK_SAMPLES * n_cycles // max(n, 1))
-    lo = 0
-    for c0 in range(0, n_cycles, per_block):
-        ends = cycle_ends[c0:c0 + per_block]
-        hi = ends[-1]
-        cyc = c0 + np.repeat(np.arange(len(ends)), np.diff(ends, prepend=lo))
-        tk = t[lo:hi]
-        th = tk - t_start[cyc]
-        row = first[cyc]
-        for cut in cuts.T:
-            row += th >= cut[cyc]
-        sin_wt = np.sin(w * th)
-        cos_wt = np.cos(w * th)
-        i_ls[lo:hi] = params.i_ls_amp * sin_wt
-        gate[lo:hi] = (gate_on[cyc] <= tk) & (tk < gate_off[cyc])
-        v = (seg.h[row] * np.exp(-(th - seg.t_ref[row]) / tau)
-             + seg.p_s[row] * sin_wt + seg.p_c[row] * cos_wt)
-        v_o[lo:hi] = v
-        st = seg.state[row]
-        # the clamped states are adjacent; ints compare faster than members
-        v_cd1[lo:hi] = np.where(
-            (st >= _CLAMPED[0].value) & (st <= _CLAMPED[-1].value), v,
-            np.where(st == SwitchingState.STATE_V.value, 0.0,
-                     seg.va0[row] + amp * (cos_ref[row] - cos_wt)))
-        state_ch[lo:hi] = st
-        lo = hi
-    np.subtract(v_o, v_cd1, out=v_cs1)
-    return Waveform(t=t, i_ls=i_ls, v_cs1=v_cs1, v_cd1=v_cd1, v_o=v_o,
-                    gate=gate, state=state_ch)
+    cycle_ends = t_start + ts - 1e-18
+    per_block = max(1, _BLOCK_SAMPLES * n_cycles // n)
+
+    def blocks():
+        lo = 0
+        for c0 in range(0, n_cycles, per_block):
+            x = cycle_ends[c0:c0 + per_block]
+            tk = np.arange(lo, min(n, math.ceil(x[-1] * sample_rate) + 2)
+                           ) / sample_rate
+            ends = lo + np.searchsorted(tk, x)
+            hi = ends[-1]
+            tk = tk[:hi - lo]
+            cyc = c0 + np.repeat(np.arange(len(ends)),
+                                 np.diff(ends, prepend=lo))
+            th = tk - t_start[cyc]
+            row = first[cyc]
+            for cut in cuts.T:
+                row += th >= cut[cyc]
+            sin_wt = np.sin(w * th)
+            cos_wt = np.cos(w * th)
+            v_o = (seg.h[row] * np.exp(-(th - seg.t_ref[row]) / tau)
+                   + seg.p_s[row] * sin_wt + seg.p_c[row] * cos_wt)
+            st = seg.state[row]
+            # the clamped states are adjacent; ints compare faster than
+            # members
+            v_cd1 = np.where(
+                (st >= _CLAMPED[0].value) & (st <= _CLAMPED[-1].value), v_o,
+                np.where(st == SwitchingState.STATE_V.value, 0.0,
+                         seg.va0[row] + amp * (cos_ref[row] - cos_wt)))
+            gate = (gate_on[cyc] <= tk) & (tk < gate_off[cyc])
+            yield Waveform(t=tk, i_ls=params.i_ls_amp * sin_wt,
+                           v_cs1=v_o - v_cd1, v_cd1=v_cd1, v_o=v_o,
+                           gate=gate.view(np.int8), state=st)
+            lo = hi
+    return n, blocks()
+
+
+def sample_waveform(result: RunResult, sample_rate: float) -> Waveform:
+    """Evaluate the run's segment closed forms on a uniform grid.
+    A sample within 1e-18 s of a cycle's end belongs to the next cycle, and
+    one exactly on a segment's end to the next segment (the sample at T/2
+    is State III).
+
+    The grid is evaluated in blocks of whole cycles of at most about
+    ``_BLOCK_SAMPLES`` (4096) samples, 16 cycles at 256 samples per cycle
+    (``_waveform_blocks``), each copied into channels of the whole run as
+    it is made.  So what is held at once is the returned channels (4.3 MB
+    on 400 cycles at 256 samples per cycle) and one block's temporaries
+    (about 0.4 MB there).  A sample's segment is its cycle's first segment
+    row plus the number of the cycle's other segments that start at or
+    before it.
+
+    Raises NonPositiveParameter naming ``sample_rate`` for a rate that is
+    not finite and > 0, or so low that the grid holds no sample.
+    """
+    n, blocks = _waveform_blocks(result, sample_rate)
+    whole, lo = None, 0
+    for block in blocks:
+        block = vars(block).values()  # its channels, in field order
+        whole = whole or [np.empty(n, c.dtype) for c in block]
+        for c, part in zip(whole, block):
+            c[lo:lo + len(part)] = part
+        lo += len(part)
+    return Waveform(*whole)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,15 @@ whose rounding it cannot settle (see ``_float_cells``) is formatted by
 ``%`` itself.  The kernel's tables (the largest, the 10**4 four-digit
 words, takes 40 kB) are built when this module is imported, so numpy and
 they load with the first table a command writes.
+
+``write_table_blocks`` writes a table that comes as a stream of blocks of
+rows, through the same loop, with the same bytes as ``write_table`` of the
+whole columns.  It asks for a block only when the one before is written,
+so what it holds at once is one given block and the writer's working
+memory, never the whole table: the waveform tables stream from the
+sampler this way.  The value tables and the row record are still made
+once per table, the value tables from the first block; a string column is
+encoded block by block as its blocks arrive.
 """
 
 import os
@@ -25,8 +34,8 @@ import numpy as np
 # about 0.63 MB of working memory, 0.1 MB of it the record kept across
 # blocks; larger blocks take more memory and save little time.  What the
 # blocks of a table share is prepared once, before the first (see
-# ``_column_cells``): no more than a block's worth of value cells per
-# integer column, and each string column's bytes.
+# ``_shared_cells``): no more than a block's worth of value cells per
+# integer column.
 _TABLE_BLOCK_ROWS = 1024
 
 
@@ -137,7 +146,8 @@ def _value_table(v: np.ndarray, size: int):
     such integers, gathered from the table of least..greatest at
     ``w - least`` read as unsigned of ``w``'s width, so no value is cast,
     then as the index type numpy gathers fastest by; None if that table
-    would hold ``size`` cells or more."""
+    would hold ``size`` cells or more.  A value outside the range reads
+    past the table's end, so the gather raises IndexError."""
     least, most = int(v.min()), int(v.max())
     if most - least >= size:
         return None
@@ -146,13 +156,24 @@ def _value_table(v: np.ndarray, size: int):
                             .astype(np.intp)]
 
 
-def _column_cells(c: np.ndarray):
-    """The cells of rows lo:hi of column ``c`` as a function of (lo, hi),
-    with what its blocks share made once: a string column encoded, an
-    integer or boolean column's value table built from the whole column
-    where it spans fewer values than a block has rows (``_int_cells``
-    formats each block of any other).  None for a float column, whose
-    cells ``_table_bytes`` makes with the block's other float columns."""
+def _shared_cells(c: np.ndarray):
+    """What the blocks of a table share of the column whose first block is
+    ``c``: for an integer or boolean column that spans fewer values than a
+    block has rows, the table of its values' cells (``_value_table``);
+    None for any other column."""
+    if c.dtype.kind not in "biu":
+        return None
+    v = _as_int(c)
+    return _value_table(v, min(len(v), _TABLE_BLOCK_ROWS))
+
+
+def _column_cells(c: np.ndarray, cells_of):
+    """The cells of rows lo:hi of ``c``, a block of a column, as a function
+    of (lo, hi): a string block encoded once, an integer or boolean one
+    gathered from ``cells_of``, its column's value table, or where there is
+    none, or a value lies outside it, formatted by ``_int_cells``.  None
+    for a float column, whose cells ``_table_bytes`` makes with the
+    block's other float columns."""
     kind = c.dtype.kind
     if kind in "US":
         cells = c if kind == "S" else c.astype("S")
@@ -160,57 +181,88 @@ def _column_cells(c: np.ndarray):
     if kind not in "biu":
         return None
     v = _as_int(c)
-    cells_of = _value_table(v, min(len(v), _TABLE_BLOCK_ROWS))
     if cells_of is None:
         return lambda lo, hi: _int_cells(v[lo:hi])
-    return lambda lo, hi: cells_of(v[lo:hi])
+
+    def cells(lo, hi):
+        try:
+            return cells_of(v[lo:hi])
+        except IndexError:  # a value beyond the first block's range
+            return _int_cells(v[lo:hi])
+    return cells
 
 
-def _table_bytes(header: str, columns: list, n_rows: int):
-    """The CSV text of a table, as bytes, block by block: ASCII strings as
-    is, booleans and integers as ``%d``, anything else as ``%.11e``, a
-    block's float columns in one ``_float_cells`` call.  Rows are records
-    of NUL-padded cells, each followed by its separator byte, made again
-    only when a block's row count or cell widths change."""
+def _table_bytes(header: str, blocks):
+    """The CSV text of a table, as bytes, block by block: the header, then
+    the rows of each block of equal-length columns in ``blocks``, in
+    ``_TABLE_BLOCK_ROWS``-row parts: ASCII strings as is, booleans and
+    integers as ``%d``, anything else as ``%.11e``, a part's float columns
+    in one ``_float_cells`` call.  Each column's value table is made from
+    its first block (``_shared_cells``).  Rows are records of NUL-padded
+    cells, each followed by its separator byte; the record is made again
+    only when a part's cell widths change or it has more rows than the
+    record, and a part with fewer rows writes its first rows."""
     yield header.encode() + b"\n"
-    if not n_rows:
-        return
-    makers = [_column_cells(c) for c in columns]
-    floats = [c for c, make in zip(columns, makers) if make is None]
-    rows = fields = widths = None
-    for lo in range(0, n_rows, _TABLE_BLOCK_ROWS):
-        hi = min(lo + _TABLE_BLOCK_ROWS, n_rows)
-        if floats:
-            float_cells = iter(_float_cells(
-                np.array([c[lo:hi] for c in floats], np.float64).ravel())
-                .reshape(len(floats), hi - lo))
-        cells = [next(float_cells) if make is None else make(lo, hi)
-                 for make in makers]
-        shape = (hi - lo, *(c.itemsize for c in cells))
-        if shape != widths:
-            widths = shape
-            rows = np.empty(hi - lo, [
-                field for i, c in enumerate(cells)
-                for field in ((f"c{i}", c.dtype), (f"s{i}", "S1"))])
-            for i in range(len(cells)):
-                rows[f"s{i}"] = b"," if i < len(cells) - 1 else b"\n"
-            fields = [rows[f"c{i}"] for i in range(len(cells))]
-        for field, c in zip(fields, cells):
-            field[...] = c
-        del cells  # freed before the next block's are made
-        yield rows.tobytes().translate(None, b"\0")
+    shared = rows = fields = widths = None
+    for columns in blocks:
+        n_rows = len(columns[0]) if columns else 0
+        if not n_rows:
+            continue
+        if shared is None:
+            shared = [_shared_cells(c) for c in columns]
+        makers = [_column_cells(c, s) for c, s in zip(columns, shared)]
+        floats = [c for c, make in zip(columns, makers) if make is None]
+        for lo in range(0, n_rows, _TABLE_BLOCK_ROWS):
+            hi = min(lo + _TABLE_BLOCK_ROWS, n_rows)
+            if floats:
+                float_cells = iter(_float_cells(
+                    np.array([c[lo:hi] for c in floats], np.float64).ravel())
+                    .reshape(len(floats), hi - lo))
+            cells = [next(float_cells) if make is None else make(lo, hi)
+                     for make in makers]
+            shape = tuple(c.itemsize for c in cells)
+            if shape != widths or hi - lo > len(rows):
+                widths = shape
+                rows = np.empty(hi - lo, [
+                    field for i, c in enumerate(cells)
+                    for field in ((f"c{i}", c.dtype), (f"s{i}", "S1"))])
+                for i in range(len(cells)):
+                    rows[f"s{i}"] = b"," if i < len(cells) - 1 else b"\n"
+                fields = [rows[f"c{i}"] for i in range(len(cells))]
+            for field, c in zip(fields, cells):
+                field[:len(c)] = c
+            del cells  # freed before the next part's are made
+            # NULs are few (a positive float cell's sign), and replace
+            # copies the runs between them faster than translate deletes
+            # byte by byte
+            yield rows[:hi - lo].tobytes().replace(b"\0", b"")
+
+
+def _checked(name: str, columns) -> list:
+    """``columns`` as arrays; ValueError naming the table ``name`` if they
+    differ in length."""
+    columns = [np.asarray(c) for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"table {name}: columns differ in length: "
+                         f"{lengths}")
+    return columns
 
 
 def write_table(out, name: str, header: str, columns) -> None:
     """The one table writer: ``header`` and the equal-length ``columns``
     as CSV into ``out/name`` (creating ``out``), or to stdout when ``out``
     is None.  Each column keeps one cell type (see ``_table_bytes``)."""
-    columns = [np.asarray(c) for c in columns]
-    lengths = [len(c) for c in columns]
-    if len(set(lengths)) > 1:
-        raise ValueError(f"table {name}: columns differ in length: "
-                         f"{lengths}")
-    blocks = _table_bytes(header, columns, lengths[0] if lengths else 0)
+    write_table_blocks(out, name, header, [_checked(name, columns)])
+
+
+def write_table_blocks(out, name: str, header: str, blocks) -> None:
+    """``write_table`` of a table given as ``blocks``, an iterable of
+    blocks of its rows, each a list of equal-length columns, one per
+    header field, in order.  Each block is formatted and written before the
+    next is asked for, so only one block of the table is held at once.
+    Each column keeps one dtype from block to block."""
+    blocks = _table_bytes(header, (_checked(name, b) for b in blocks))
     if out is None:
         for block in blocks:
             sys.stdout.write(block.decode())

@@ -247,6 +247,52 @@ def test_cli_simulate_runs_where_the_delay_leaves_the_window(tmp_path,
     assert v_o_mean == pytest.approx([300.42] * 5, abs=0.01)
 
 
+def test_cli_parser_is_built_once_and_keeps_no_values(monkeypatch,
+                                                      capsys):
+    # one parser per command serves every call: a value given to one call
+    # is not seen by the next, and a call that exits on a bad option
+    # leaves the parser as it was
+    seen = []
+    monkeypatch.setitem(cli._HANDLERS, "simulate",
+                        lambda args, rc, vp: seen.append(args) or 0)
+    base = ["simulate", "--config", TABLE2, "--cycles", "3"]
+    assert main(base + ["--duty", "0.5", "--sample-rate", "1e6",
+                        "--out", "elsewhere"]) == 0
+    assert main(["simulate", "--config", TABLE2, "--cycles", "many"]) == 2
+    assert main(base + ["--bogus", "1"]) == 2
+    assert "--bogus" in capsys.readouterr().err
+    assert main(base) == 0
+    first, last = seen
+    assert (first.duty, first.sample_rate, first.out) == (0.5, 1e6,
+                                                          "elsewhere")
+    assert (last.cycles, last.duty, last.sample_rate, last.out) == (
+        3, None, 0.0, "out")
+    assert cli._build_parser("simulate") is cli._build_parser("simulate")
+
+
+def test_cli_simulate_memory_is_bounded(tmp_path, capsys):
+    # simulate streams its waveform (400 cycles at 256 samples per cycle,
+    # 102,400 rows, 4.3 MB as whole channels) from the sampler into the
+    # table writer one block of whole cycles at a time: traced memory
+    # peaks at about 1.2 MB, where sampling the whole waveform before
+    # writing it peaked at 5.1 MB
+    argv = ["simulate", "--config", TABLE2, "--cycles", "400", "--out"]
+    assert main(argv + [str(tmp_path / "warm")]) == 0  # imports, caches
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(argv + [str(tmp_path / "run")]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (tmp_path / "run" / "waveform.csv").read_bytes() == (
+        tmp_path / "warm" / "waveform.csv").read_bytes()
+    assert peak < 1.5e6, peak
+
+
 def test_cli_exit_code_unknown(capsys):
     assert main(["frobnicate"]) == 4
     assert main(["reproduce", "fig99"]) == 4
@@ -430,6 +476,36 @@ def test_table_writer_prepares_columns_once_per_table(tmp_path, monkeypatch):
         "%d,%d,%s,%d,%d,%.11e\n" % row for row in zip(
             narrow.tolist(), flags.tolist(), words.tolist(),
             blockwise.tolist(), wide.tolist(), (k * 0.5).tolist()))).encode()
+
+
+@pytest.mark.parametrize("seams", [[], [0, 3, 3, BLOCK + 7],
+                                   [1, BLOCK, 2 * BLOCK + 1],
+                                   [5, 2 * BLOCK - 2]])
+def test_table_writer_blocks_match_the_whole_table(tmp_path, seams):
+    # a table written block by block has the bytes of the whole table:
+    # empty blocks write nothing, an integer column whose later blocks
+    # leave the range of its first (above and below it) is still %d of
+    # each value, and strings are encoded block by block
+    n = 2 * BLOCK + 3
+    k = np.arange(n)
+    small = np.where(k < 5, 3, k % 11 - 5).astype(np.int8)
+    columns = [k * 0.25 - 7.0, small, k % 3 == 0,
+               np.where(k < BLOCK, 10 ** 12 + k, -k), k * 1e-300,
+               np.array(["a", "bb", "ccc"])[k % 3]]
+    header = "x,small,flag,wide,tiny,s"
+    write_table(str(tmp_path), "whole.csv", header, columns)
+    bounds = [0, *seams, n]
+    table.write_table_blocks(str(tmp_path), "blocks.csv", header, (
+        [c[lo:hi] for c in columns] for lo, hi in zip(bounds, bounds[1:])))
+    whole = (tmp_path / "whole.csv").read_bytes()
+    assert whole.count(b"\n") == n + 1
+    assert (tmp_path / "blocks.csv").read_bytes() == whole
+
+
+def test_table_writer_rejects_a_block_of_unequal_columns(tmp_path):
+    blocks = [[[1.0, 2.0], [1, 2]], [[3.0], [3, 4]]]
+    with pytest.raises(ValueError, match=r"table t\.csv.*\[1, 2\]"):
+        table.write_table_blocks(str(tmp_path), "t.csv", "x,y", blocks)
 
 
 def test_table_writer_rejects_unequal_columns(tmp_path):

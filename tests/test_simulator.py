@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wptrx import cli, simulator
+from wptrx import cli, simulator, table
 from wptrx.analytic import (OperatingPoint, duty_bounds, fall_time_exact,
                             rise_time, solve_operating_point,
                             steady_state_vo)
@@ -1129,6 +1129,41 @@ def test_sampler_block_seams(vp, r_load, duty, per_cycle):
         first = np.searchsorted(wf.t, (c - 1) * ts + ts - 1e-18)
         assert c * ts - 1e-18 <= wf.t[first] < c * ts + ts - 1e-18
         assert wf.state[first] == res.segments.state[res.segments.first[c]]
+
+
+WAVE_HEADER = "t,i_ls,v_cs1,v_cd1,v_o,gate,state"
+
+
+@pytest.mark.parametrize("n_cycles, per_cycle", [
+    (37, 256), (37, 333.7), (1, 256)],
+    ids=["block_seams", "fractional_seams", "one_cycle"])
+@pytest.mark.parametrize("r_load, duty", [(None, 0.532), (1500.0, 0.3)],
+                         ids=["table2", "no_state_v"])
+def test_streamed_capture_matches_the_sampled_table(vp, tmp_path, r_load,
+                                                    duty, n_cycles,
+                                                    per_cycle):
+    # a capture streams the sampler's blocks into the table writer; its
+    # bytes are those of the whole sampled waveform written at once.  37
+    # cycles cross the sampler's block seams (test_sampler_block_seams),
+    # some of them inside the writer's 1024-row parts, and one cycle is
+    # shorter than one part
+    res = orbit_run(vp, r_load, duty, n_cycles)
+    rate = per_cycle * res.params.f_s
+    n, blocks = simulator._waveform_blocks(res, rate)
+    sizes = [len(b.t) for b in blocks]
+    assert sum(sizes) == n == round(n_cycles * per_cycle)
+    rows = table._TABLE_BLOCK_ROWS
+    if n_cycles == 1:
+        assert sizes == [n] and n < rows
+    else:
+        assert len(sizes) > 2 and any(k % rows for k in sizes)
+    cli._write_capture(str(tmp_path), "stream.csv", "events.csv", res, rate)
+    wf = sample_waveform(res, rate)
+    table.write_table(str(tmp_path), "whole.csv", WAVE_HEADER,
+                      [getattr(wf, f) for f in WAVE_HEADER.split(",")])
+    streamed = (tmp_path / "stream.csv").read_bytes()
+    assert streamed.count(b"\n") == n + 1
+    assert streamed == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_sampler_memory_beyond_its_result_is_bounded(vp):

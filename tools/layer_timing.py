@@ -51,6 +51,13 @@ table2 receiver:
 * the event table of those 400 cycles, ``RunResult.events`` built on a
   copy of the run that has not cached it and written by ``write_table``
   (``events.csv``, 2,400 rows), in ms per call;
+* the capture stage of ``wptrx simulate`` on those 400 cycles
+  (``cli._write_capture``, which fig13 runs too): the events built on a
+  copy of the run that has not cached them, the waveform sampled and
+  written (``waveform.csv``; the sampler's blocks streamed into the
+  writer) and the event table written, in ms per call.  It is what a
+  capture pays for the work of the 400-cycle ``sample_waveform``, waveform
+  and event rows above;
 * fig14's three small tables (two 40-harmonic spectra and the two-row
   summary) written by ``write_table`` from a precomputed spectrum, in ms
   per call: the writer's fixed cost per table;
@@ -342,6 +349,11 @@ def main(argv=None) -> int:
         # a copy of the run, without its cached events
         table.write_table(out, "events.csv", "t,event",
                           dataclasses.replace(long).events)
+
+    def capture(out):
+        # a copy of the run, without its cached events
+        cli._write_capture(out, "waveform.csv", "events.csv",
+                           dataclasses.replace(long), rate)
     spectra = spectrum(one, ("v_cd1", "i_ls"), SPECTRUM_HARMONICS)
 
     def fig14_tables(out):
@@ -358,6 +370,7 @@ def main(argv=None) -> int:
     table_time = _timed_into(lambda out: table.write_table(
         out, "waveform.csv", wave_header, wave_columns), TABLE_REPEATS, 1e-3)
     events_time = _timed_into(events_table, EVENTS_REPEATS, 1e-3)
+    capture_time = _timed_into(capture, TABLE_REPEATS, 1e-3)
     fig14_time = _timed_into(fig14_tables, SMALL_TABLE_REPEATS, 1e-3)
     simulate_argv = ["simulate", "--config", str(TABLE2), "--cycles",
                      str(SIMULATE_CYCLES), "--out"]
@@ -430,6 +443,9 @@ def main(argv=None) -> int:
          "ms/call", table_time),
         (f"events build + write_table, {SIMULATE_CYCLES} cycles "
          f"({n_events} rows)", "ms/call", events_time),
+        (f"capture (cli._write_capture): events, sampling and writing, "
+         f"{SIMULATE_CYCLES} cycles ({n_long} + {n_events} rows)", "ms/call",
+         capture_time),
         ("write_table, fig14's three tables (40, 40 and 2 rows)", "ms/call",
          fig14_time),
         (f"wptrx simulate, table2, {SIMULATE_CYCLES} cycles (in process)",
