@@ -253,7 +253,7 @@ def write_table(out, name: str, header: str, columns) -> None:
     """The one table writer: ``header`` and the equal-length ``columns``
     as CSV into ``out/name`` (creating ``out``), or to stdout when ``out``
     is None.  Each column keeps one cell type (see ``_table_bytes``)."""
-    write_table_blocks(out, name, header, [_checked(name, columns)])
+    write_table_blocks(out, name, header, [columns])
 
 
 def write_table_blocks(out, name: str, header: str, blocks) -> None:
