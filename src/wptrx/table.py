@@ -253,7 +253,8 @@ def write_table(out, name: str, header: str, columns) -> None:
     """The one table writer: ``header`` and the equal-length ``columns``
     as CSV into ``out/name`` (creating ``out``), or to stdout when ``out``
     is None.  Each column keeps one cell type (see ``_table_bytes``)."""
-    write_table_blocks(out, name, header, [columns])
+    # checked before the file is made, so unequal columns leave no file
+    write_table_blocks(out, name, header, [_checked(name, columns)])
 
 
 def write_table_blocks(out, name: str, header: str, blocks) -> None:
@@ -261,7 +262,8 @@ def write_table_blocks(out, name: str, header: str, blocks) -> None:
     blocks of its rows, each a list of equal-length columns, one per
     header field, in order.  Each block is formatted and written before the
     next is asked for, so only one block of the table is held at once.
-    Each column keeps one dtype from block to block."""
+    Each column keeps one dtype from block to block.  A block of unequal
+    columns raises ValueError once the blocks before it are written."""
     blocks = _table_bytes(header, (_checked(name, b) for b in blocks))
     if out is None:
         for block in blocks:
