@@ -183,7 +183,7 @@ def cmd_simulate(args, rc, vp) -> int:
     cmd = ModulationCommand(duty, fall_time_exact(vp, op.v_o))
     rate = args.sample_rate if args.sample_rate else \
         _WAVE_RATE_PER_CYCLE * vp.f_s
-    orbit, result = _orbit_run(vp, cmd, op.v_o, args.cycles)
+    orbit, result = _orbit_run(vp, cmd, args.cycles)
     _write_capture(args.out, "waveform.csv", "events.csv", result, rate)
     c, d = result.columns, cycle_diagnostics(result)
     write_table(args.out, "diagnostics.csv",
@@ -199,11 +199,10 @@ def cmd_simulate(args, rc, vp) -> int:
     return 0
 
 
-def _orbit_run(vp, cmd, v_o_guess: float, n_cycles: int):
-    """(PeriodicOrbit, RunResult of ``n_cycles`` run on it) of ``cmd``,
-    the orbit solved from ``v_o_guess``."""
+def _orbit_run(vp, cmd, n_cycles: int):
+    """(PeriodicOrbit, RunResult of ``n_cycles`` run on it) of ``cmd``."""
     from .simulator import periodic_steady_state, run
-    orbit = periodic_steady_state(vp, cmd, v_o_guess)
+    orbit = periodic_steady_state(vp, cmd)
     return orbit, run(vp, cmd, n_cycles, initial=orbit.state)
 
 
@@ -328,13 +327,11 @@ def _fig9(out, rc, vp):
 
 def _steady_va_run(rc, vp, n_capture: int):
     """Run on the periodic steady state at the prototype operating point
-    (measured delay), seeded at the averaged output at the commanded delay:
-    the RunResult of its ``n_capture`` cycles."""
+    (measured delay): the RunResult of its ``n_capture`` cycles."""
     from .simulator import ModulationCommand
     duty = rc.duty if rc.duty is not None else _PROTOTYPE_DUTY
     fst = _MEASURED_FST if rc.phase_delay_norm is None else rc.phase_delay_norm
     return _orbit_run(vp, ModulationCommand(duty, fst / vp.f_s),
-                      steady_state_vo(vp.i_ls_amp, vp.r_load, duty, fst),
                       n_capture)[1]
 
 

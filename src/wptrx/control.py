@@ -27,8 +27,8 @@ from .analytic import OperatingPoint, _fall_time_approx, duty_for_target_vo
 from .errors import NoConvergence, NonPositiveParameter
 from .params import ValidatedParams, require_positive
 from .rootfind import bisect_root
-from .simulator import (_MAX_ORBIT_ITER, V_ORBIT_TOL, ModulationCommand,
-                        RunResult, SwitchCycleState, _cycle, _cycle_consts,
+from .simulator import (_MAX_ORBIT_ITER, ModulationCommand, RunResult,
+                        SwitchCycleState, _cycle, _cycle_consts, _orbit_start,
                         cycle_linearization, periodic_steady_state, run)
 from .smallsignal import PiGains
 
@@ -137,15 +137,14 @@ def closed_loop_orbit(params: ValidatedParams, v_ref: float, i_ls_ff: float,
     On the orbit the sampled error is zero, so the cycle starts at
     v_o = v_ref and the duty is the integrator: d* is the root of
     g(d) = P_d(v_ref, a*)[v_o] - v_ref on [gains.d_min, gains.d_max], to
-    adjacent floats (``rootfind.bisect_root``), P_d one ``_cycle``.  a* is
-    v_cd1's start: 0 where State V is reached, as one cycle shows; else
-    a <- P_d(v_ref, a)[v_cd1] from 0 until a moves by V_ORBIT_TOL or less
-    (3 to 4 cycles at fig7.cfg's light loads).  Without a sign change v_ref
-    is out of reach: the orbit is the open-loop one at the bound with the
-    smaller |g| (``periodic_steady_state``).  The stability verdict
-    linearizes the cycle map once (``cycle_linearization``) and closes the
-    PI loop around it: with de = -dv_o, du = dI + (k_p + k_i*T) de and
-    dI' = dI + k_i*T de,
+    adjacent floats (``rootfind.bisect_root``), P_d one ``_cycle``, and a*
+    v_cd1's start (``simulator._orbit_start``, shared with the open-loop
+    ``periodic_steady_state``; 3 to 4 cycles at fig7.cfg's light loads,
+    where State V is not reached).  Without a sign change v_ref is out of
+    reach: the orbit is the open-loop one at the bound with the smaller
+    |g|.  The stability verdict linearizes the cycle map once
+    (``cycle_linearization``) and closes the PI loop around it: with
+    de = -dv_o, du = dI + (k_p + k_i*T) de and dI' = dI + k_i*T de,
 
         J = [[A - B (k_p + k_i*T) e1^T, B], [-k_i*T e1^T, 1]].
 
@@ -162,24 +161,21 @@ def closed_loop_orbit(params: ValidatedParams, v_ref: float, i_ls_ff: float,
     def start(d):
         """(a*, g(d)) at the duty d."""
         nonlocal cycles
-        a = 0.0
-        for _ in range(_MAX_ORBIT_ITER):
-            cycles += 1
-            v_o, a_next = _cycle(v_ref, a, d, consts)[:2]
-            if abs(a_next - a) <= V_ORBIT_TOL:
-                return a, v_o - v_ref
-            a = a_next
-        raise NoConvergence(f"closed-loop orbit at i_ls_amp = "
-                            f"{params.i_ls_amp!r} A: v_cd1's start unsettled "
-                            f"after {_MAX_ORBIT_ITER} cycles at duty {d!r}")
+        found = _orbit_start(v_ref, d, consts)
+        if found is None:
+            raise NoConvergence(f"closed-loop orbit at i_ls_amp = "
+                                f"{params.i_ls_amp!r} A: v_cd1's start "
+                                f"unsettled after {_MAX_ORBIT_ITER} cycles "
+                                f"at duty {d!r}")
+        cycles += found[3]
+        return found[0], found[1] - v_ref
 
     g_min, g_max = start(gains.d_min)[1], start(gains.d_max)[1]
     failed = g_min * g_max > 0.0
     if failed:
         d = gains.d_min if abs(g_min) < abs(g_max) else gains.d_max
         try:
-            orbit = periodic_steady_state(params, ModulationCommand(d, t_f),
-                                          v_ref)
+            orbit = periodic_steady_state(params, ModulationCommand(d, t_f))
         except NoConvergence as exc:
             raise NoConvergence(f"closed-loop orbit at i_ls_amp = "
                                 f"{params.i_ls_amp!r} A: {exc}") from exc
@@ -293,8 +289,8 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
     ts = params.t_period
     n_cycles = int(round(scenario.duration / ts))
     if n_cycles < 100:
-        raise NonPositiveParameter("scenario duration (>= 100 cycles)",
-                                   scenario.duration)
+        raise NonPositiveParameter("scenario duration", scenario.duration,
+                                   f">= 100 periods ({100 * ts:g} s)")
     k_p, k_i, d_min, d_max = gains.k_p, gains.k_i, gains.d_min, gains.d_max
     # pi_step reads the previous duty only when saturated, so the first
     # cycle's is never read: the integrator stands in for it

@@ -19,6 +19,7 @@ configuration layer, never here.
 
 from dataclasses import asdict, dataclass, replace
 import math
+from numbers import Integral
 
 from .errors import NonPositiveParameter
 
@@ -113,15 +114,17 @@ def validate(raw: ReceiverParams) -> ValidatedParams:
 
 
 def require_positive(allow_zero: bool = False, below: float = math.inf,
-                     **values: float) -> None:
+                     integer: bool = False, **values: float) -> None:
     """The one range check for values entering the toolkit: raise
     NonPositiveParameter naming the first value that is not finite and > 0
-    (>= 0 with ``allow_zero``) and < ``below``.  NaN and +-inf are always
-    rejected."""
+    (>= 0 with ``allow_zero``) and < ``below`` (and, with ``integer``, an
+    int or numpy integer).  NaN and +-inf are always rejected."""
     for name, value in values.items():
         if not (math.isfinite(value) and value < below and
-                (value > 0.0 or allow_zero and value == 0.0)):
-            lower = ">= 0" if allow_zero else "> 0"
+                (value > 0.0 or allow_zero and value == 0.0)
+                and (not integer or isinstance(value, Integral))):
+            lower = ("an integer " if integer else "") + (
+                ">= 0" if allow_zero else "> 0")
             raise NonPositiveParameter(name, value, lower if below == math.inf
                                        else f"{lower} and < {below:g}")
 

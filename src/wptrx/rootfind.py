@@ -1,9 +1,10 @@
 """The package's bracketed root solver, ``bisect_root``.
 
 Callers: ``simulator._conduction_extremes`` (the output-ripple extremes,
-one call per bracket it builds in closed form), ``control.closed_loop_orbit``
-(the orbit's duty on the PI duty window) and ``control._spectral_radius``
-(the real root of a characteristic cubic).  The name is from when it only
+one call per bracket it builds in closed form), the orbit solves
+``simulator.periodic_steady_state`` (v_o) and ``control.closed_loop_orbit``
+(the duty on the PI duty window), and ``control._spectral_radius`` (the
+real root of a characteristic cubic).  The name is from when it only
 bisected; perfbench labels its per-layer metrics by it.
 """
 

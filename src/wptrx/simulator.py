@@ -47,9 +47,10 @@ expressions over all its rows at once, and reduce each cycle's rows over a
 scalar arithmetic by taking its transcendentals from ``math``.  The
 spectrum reads the table as ``_Seg`` rows, and the event columns are
 array expressions over the cycle columns.
-The closed-loop run, the orbit solve and the linearization step
-``_cycle`` itself and build no records; ``run`` is the one public way to
-step the simulator.
+The closed-loop run, the orbit solve (one bracketed root in v_o, as the
+closed-loop orbit is one in the duty) and the linearization step ``_cycle``
+itself and build no records; ``run`` is the one public way to step the
+simulator.
 
 If the commanded gate delay arrives before the switch voltage has fallen to
 zero, turn-on is forced: the residual switch-capacitor energy
@@ -74,7 +75,7 @@ transfer loss of the diode-capacitance top-up.
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 import math
 from typing import NamedTuple, Sequence
@@ -92,13 +93,13 @@ T_EVENT_TOL = 1e-13
 _MAX_EVENT_ITER = 100
 
 # Periodic steady state: largest one-cycle change |P(x) - x| of the boundary
-# state accepted as "on the orbit" (V).  Away from the soft/hard kink the
-# event times are smooth in the state, so the attainable floor is float
-# resolution: on a seeded sweep of receivers with loads up to 10 kOhm
-# (outputs up to ~8 kV) the orbits are found to 1e-12 V and some fail at
-# 1e-13 V; this keeps a decade of margin.  It does not hold on the kink: an
-# orbit gated at exactly its fall time can stall above it (fig7's receiver
-# at 5 kOhm, duty 0.22 or 0.3: about 2e-11 V after 61 cycles).
+# state accepted as "on the orbit" (V), and the step at which v_cd1's start
+# on an orbit without State V counts as settled.  v_o is a bracketed root,
+# found with no derivative, so the soft/hard kink cannot stall it: on a
+# seeded sweep of 2000 receivers with loads up to 10 kOhm (outputs up to
+# 3.7 kV), and on table2 and fig7.cfg at 5 Ohm - 10 kOhm gated at 0.99, 1
+# and 1.01 x the exact fall time, a cycle brought v_o back exactly; what is
+# left is v_cd1's settling step, up to 9.5e-12 V on that sweep.
 V_ORBIT_TOL = 1e-11
 
 # ZVS verdict threshold, small against the 24 V scale: residual switch
@@ -645,15 +646,15 @@ def _cycle(v0: float, va0: float, duty: float, consts: tuple) -> tuple:
 
 def run(params: ValidatedParams, cmd: ModulationCommand, n_cycles: int,
         initial: SwitchCycleState = SwitchCycleState(0.0)) -> RunResult:
-    """Run ``n_cycles`` (>= 1) carrier periods of the constant command
-    ``cmd`` from the boundary state ``initial`` (by default an empty output
-    capacitor), whose voltages must be finite and >= 0.
+    """Run ``n_cycles`` (an integer >= 1) carrier periods of the constant
+    command ``cmd`` from the boundary state ``initial`` (by default an empty
+    output capacitor), whose voltages must be finite and >= 0.
     ``cycle_diagnostics``, ``sample_waveform`` and ``spectrum`` read the
     result; ``periodic_steady_state`` gives a start on the orbit.  Raises
     NonPositiveParameter for a bad count, start, duty or gate delay, and
     GateOverrun when the gate-off edge would pass the end of the period.
     """
-    require_positive(n_cycles=n_cycles)
+    require_positive(integer=True, n_cycles=n_cycles)
     require_positive(allow_zero=True, v_o=initial.v_o, v_cd1=initial.v_cd1)
     consts = _cycle_consts(params, params.r_load, params.i_ls_amp, cmd.t_f)
     v_o, v_cd1 = initial
@@ -861,7 +862,6 @@ class PeriodicOrbit:
 
 
 _MAX_ORBIT_ITER = 30
-_MIN_ORBIT_DAMPING = 1.0 / 1024.0
 _CYCLE_FD_STEP = 1e-4   # state difference step, relative to max(|v_o|, 1 V)
 # cycle_linearization's duty step: it moves only the gate-off edge, never a
 # located event, so it can be small.
@@ -889,80 +889,80 @@ def _cycle_jacobian(residual, x: tuple, r: tuple, h: float) -> tuple:
     return tuple(tuple((p - q) / h for p, q in zip(f, r)) for f in (rv, ra))
 
 
-def periodic_steady_state(params: ValidatedParams, cmd: ModulationCommand,
-                          v_o0: float) -> PeriodicOrbit:
-    """Periodic steady state of a constant command, found by shooting.
+def _orbit_start(v_o: float, duty: float, consts: tuple):
+    """(a*, the next v_o and v_cd1 of the cycle from (v_o, a*), cycles
+    stepped) at ``duty`` under ``consts``, or None if a* is unsettled after
+    _MAX_ORBIT_ITER cycles.  a* is v_cd1's start on the orbit through v_o:
+    0 where the cycle from (v_o, 0) reaches State V, else a <- P(v_o,
+    a)[v_cd1] from 0 until a moves by V_ORBIT_TOL or less.  Both orbit
+    solves, open- and closed-loop, start their cycles here."""
+    a = 0.0
+    for n in range(1, _MAX_ORBIT_ITER + 1):
+        v_next, a_next = _cycle(v_o, a, duty, consts)[:2]
+        if abs(a_next - a) <= V_ORBIT_TOL:
+            return a, v_next, a_next, n
+        a = a_next
+    return None
 
-    Solves P(x) = x, where P is the one-cycle map of the boundary state
-    x = (v_o, v_cd1) over one carrier period (Aprille & Trick, Proc. IEEE
-    1972), starting from x = (v_o0, 0).  Newton steps use a one-sided
-    difference Jacobian and are halved until they reduce max|P(x) - x|, so
-    the solve also converges where P has a kink: at the soft/hard boundary
-    (the gate edge meets the natural commutation) and where cycles start or
-    stop reaching State V.  On cycles that reach State V, v_cd1 restarts
-    from zero and the solve is one-dimensional in v_o.
 
-    Raises NoConvergence, naming the command and the residual, when no
-    state within V_ORBIT_TOL is found.
+def periodic_steady_state(params: ValidatedParams,
+                          cmd: ModulationCommand) -> PeriodicOrbit:
+    """Periodic steady state of a constant command, as one bracketed root
+    in v_o (the open-loop twin of ``control.closed_loop_orbit``): v* is the
+    root of r(v) = P(v, a*)[v_o] - v on [0, v_hi], P one ``_cycle`` and a*
+    v_cd1's start (``_orbit_start``), to adjacent floats
+    (``rootfind.bisect_root``).  No derivative is taken, so the kinks of P
+    (the soft/hard boundary, the start or end of State V) cannot stall it.
+
+    Bracket.  C_o dv_o/dt = s I sin(w t) - v_o/R, s = 1 while the switch
+    conducts and 0 otherwise, and v_o jumps only down (a hard turn-on tops
+    C_D1 up from C_o).  The weighted input int e^{-(T-t)/tau} s I sin(w t)
+    dt is at most the positive half-wave's charge Q = 2 I/w, so for any a
+    r(v) <= Q/C_o - v (1 - e^{-T/tau}), below 0 above
+    v_bar = Q/(C_o (1 - e^{-T/tau})).  v_hi = 2 v_bar leaves r(v_hi) at
+    most -Q/C_o, a cycle's charge clear of rounding.  r(0) > 0 wherever a
+    cycle from rest charges the output; r(0) < 0 is the negative orbit,
+    which is named, not bracketed past; at I = 0 r(0) = 0 and v* = 0.
+
+    Raises NoConvergence, naming the command, where a* does not settle, at
+    a negative orbit or an unbracketed end, and where the orbit found moves
+    by more than V_ORBIT_TOL over a cycle.
     """
-    require_positive(allow_zero=True, v_o0=v_o0)
-    calls = 0
     consts = _cycle_consts(params, params.r_load, params.i_ls_amp, cmd.t_f)
+    cycles = 0
 
-    def residual(x):
-        """(_cycle_residual, the max-norm of its P(x) - x)."""
-        nonlocal calls
-        calls += 1
-        r = _cycle_residual(cmd.duty, x, consts)
-        return r, max(abs(r[0]), abs(r[1]))
+    def failure(why):
+        return NoConvergence(f"periodic steady state at duty={cmd.duty!r}, "
+                             f"t_f={cmd.t_f!r} s after {cycles} cycles: {why}")
 
-    def newton_descent(x, r, size, h):
-        """Damped Newton step with a one-sided difference Jacobian (step h);
-        None when no damping of it reduces the residual.  A damped point
-        that fails is retried with v_cd1 replaced by its one-cycle image,
-        which is what a step across the State-V boundary needs: there
-        v_cd1' turns from identically zero to following v_o."""
-        (j11, j21, _), (j12, j22, _) = _cycle_jacobian(
-            lambda y: residual(y)[0], x, r, h)
-        det = j11 * j22 - j12 * j21
-        if det == 0.0:
-            return None
-        dv = (j12 * r[1] - j22 * r[0]) / det
-        da = (j21 * r[0] - j11 * r[1]) / det
-        lam = 1.0
-        while lam >= _MIN_ORBIT_DAMPING:
-            trial = (x[0] + lam * dv, x[1] + lam * da)
-            r_trial, size_trial = residual(trial)
-            if size_trial >= size and r_trial[1] != 0.0:
-                trial = (trial[0], trial[1] + r_trial[1])
-                r_trial, size_trial = residual(trial)
-            if size_trial < size:
-                return trial, r_trial, size_trial
-            lam *= 0.5
-        return None
+    # the ends are evaluated again by bisect_root, and v* for its a*
+    @cache
+    def start(v):
+        """(a*, r(v), the change of v_cd1) at v_o = v."""
+        nonlocal cycles
+        found = _orbit_start(v, cmd.duty, consts)
+        if found is None:
+            cycles += _MAX_ORBIT_ITER
+            raise failure(f"v_cd1's start unsettled at v_o = {v!r} V")
+        a, v_next, a_next, n = found
+        cycles += n
+        return a, v_next - v, a_next - a
 
-    def failure(why, size):
-        return NoConvergence(
-            f"periodic steady state at duty={cmd.duty!r}, t_f={cmd.t_f!r} "
-            f"s: {why}; residual {size:.3g} V after {calls} cycles")
-
-    x = (v_o0, 0.0)
-    r, size = residual(x)
-    newton_steps = 0
-    while size > V_ORBIT_TOL:
-        if newton_steps == _MAX_ORBIT_ITER:
-            raise failure(f"not within {V_ORBIT_TOL:g} V after "
-                          f"{_MAX_ORBIT_ITER} Newton steps", size)
-        newton_steps += 1
-        h = _CYCLE_FD_STEP * max(abs(x[0]), 1.0)
-        # x may sit on a kink of P; the Jacobian from its other side then
-        # gives the descent
-        step = newton_descent(x, r, size, h) or newton_descent(x, r, size, -h)
-        if step is None:
-            raise failure("no Newton step reduces the residual", size)
-        x, r, size = step
-    return PeriodicOrbit(state=SwitchCycleState(*x),
-                         residual=size, cycles=calls)
+    ts, w, tau = consts[:3]
+    v_hi = 4.0 * params.i_ls_amp / (w * params.c_o * -math.expm1(-ts / tau))
+    r_lo = start(0.0)[1]
+    if r_lo < 0.0:
+        raise failure(f"a cycle from 0 V discharges the output (by "
+                      f"{-r_lo:.3g} V): the orbit lies below 0 V")
+    if r_lo > 0.0 and not start(v_hi)[1] < 0.0:
+        raise failure(f"r = {start(v_hi)[1]!r} V at the upper end {v_hi!r} V")
+    v = bisect_root(lambda v: start(v)[1], 0.0, v_hi, 0.0)
+    a, r_v, da = start(v)
+    residual = max(abs(r_v), abs(da))
+    if residual > V_ORBIT_TOL:
+        raise failure(f"residual {residual:.3g} V above {V_ORBIT_TOL:g} V")
+    return PeriodicOrbit(state=SwitchCycleState(v, a), residual=residual,
+                         cycles=cycles)
 
 
 def cycle_linearization(params: ValidatedParams, cmd: ModulationCommand,
@@ -1128,8 +1128,8 @@ _SPECTRUM_CHANNELS = ("i_ls", "v_cs1", "v_cd1", "v_o")
 
 def spectrum(result: RunResult, channels: Sequence[str],
              n_harmonics: int) -> list:
-    """Fourier coefficients at k*f_s, k = 1..n_harmonics (>= 1), plus THD
-    of channels of a run's cycles: one SpectrumResult per name in
+    """Fourier coefficients at k*f_s, k = 1..n_harmonics (an integer >= 1),
+    plus THD of channels of a run's cycles: one SpectrumResult per name in
     ``channels`` (``i_ls``, ``v_cs1``, ``v_cd1`` or ``v_o``), in order, each
     the same as from a call for it alone.  ``channels`` is a sequence of
     names; a bare string is rejected with a TypeError rather than read
@@ -1159,7 +1159,7 @@ def spectrum(result: RunResult, channels: Sequence[str],
     if unknown:
         raise ValueError(f"no spectrum of channel(s) {unknown}; take "
                          f"{_SPECTRUM_CHANNELS}")
-    require_positive(n_harmonics=n_harmonics)
+    require_positive(integer=True, n_harmonics=n_harmonics)
     params = result.params
     w = params.omega
     tau = params.r_load * params.c_o

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import TWO_PI, duty_bounds, steady_state_vo
+from .analytic import TWO_PI, duty_bounds
 from .errors import NoCrossover, NonPositiveParameter, ZeroGainOperatingPoint
 from .params import ValidatedParams, require_positive
 
@@ -339,8 +339,7 @@ def switched_bode(params: ValidatedParams, op,
                             periodic_steady_state)
     f = _check_grid(f_grid)
     cmd = ModulationCommand(op.duty, op.t_f)
-    orbit = periodic_steady_state(params, cmd, steady_state_vo(
-        params.i_ls_amp, params.r_load, op.duty, op.phase_delay_norm))
+    orbit = periodic_steady_state(params, cmd)
     a, b, c, d, _ = cycle_linearization(params, cmd, orbit.state)
     z = np.exp(1j * TWO_PI * params.t_period * f)
     h = [c @ np.linalg.solve(zk * np.eye(2) - a, b) + d for zk in z]

@@ -198,7 +198,8 @@ def _table_bytes(header: str, blocks):
     ``_TABLE_BLOCK_ROWS``-row parts: ASCII strings as is, booleans and
     integers as ``%d``, anything else as ``%.11e``, a part's float columns
     in one ``_float_cells`` call.  Each column's value table is made from
-    its first block (``_shared_cells``).  Rows are records of NUL-padded
+    its first block (``_shared_cells``) and serves blocks of its dtype only
+    (in another, w - least can wrap).  Rows are records of NUL-padded
     cells, each followed by its separator byte; the record is made again
     only when a part's cell widths change or it has more rows than the
     record, and a part with fewer rows writes its first rows."""
@@ -209,8 +210,9 @@ def _table_bytes(header: str, blocks):
         if not n_rows:
             continue
         if shared is None:
-            shared = [_shared_cells(c) for c in columns]
-        makers = [_column_cells(c, s) for c, s in zip(columns, shared)]
+            shared = [(c.dtype, _shared_cells(c)) for c in columns]
+        makers = [_column_cells(c, cells_of if c.dtype == dtype else None)
+                  for c, (dtype, cells_of) in zip(columns, shared)]
         floats = [c for c, make in zip(columns, makers) if make is None]
         for lo in range(0, n_rows, _TABLE_BLOCK_ROWS):
             hi = min(lo + _TABLE_BLOCK_ROWS, n_rows)
@@ -262,8 +264,8 @@ def write_table_blocks(out, name: str, header: str, blocks) -> None:
     blocks of its rows, each a list of equal-length columns, one per
     header field, in order.  Each block is formatted and written before the
     next is asked for, so only one block of the table is held at once.
-    Each column keeps one dtype from block to block.  A block of unequal
-    columns raises ValueError once the blocks before it are written."""
+    A block of unequal columns raises ValueError once the blocks before it
+    are written."""
     blocks = _table_bytes(header, (_checked(name, b) for b in blocks))
     if out is None:
         for block in blocks:

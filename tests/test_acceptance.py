@@ -66,9 +66,8 @@ def op_fig7(vp_fig7):
 def va_run(vp):
     """32 switched cycles on the periodic orbit of the prototype operating
     point."""
-    v0 = steady_state_vo(I_NOM, R_VA, DUTY_VA, FST_VA)
     cmd = ModulationCommand(DUTY_VA, FST_VA / vp.f_s)
-    orbit = periodic_steady_state(vp, cmd, v0)
+    orbit = periodic_steady_state(vp, cmd)
     return run(vp, cmd, 32, initial=orbit.state)
 
 

@@ -462,8 +462,7 @@ def test_light_load_operating_point_matches_the_switched_orbit(vp, duty):
     p = vp.with_load(762.0)
     op = solve_operating_point(p, duty, exact=True)
     assert op.regulable
-    orbit = periodic_steady_state(
-        p, ModulationCommand(duty, 1.01 * op.t_f), op.v_o)
+    orbit = periodic_steady_state(p, ModulationCommand(duty, 1.01 * op.t_f))
     assert orbit.state.v_o == pytest.approx(op.v_o, rel=0.015)
 
 

@@ -200,7 +200,7 @@ def test_cli_simulate_rejects_bad_sample_rate(rate, tmp_path, capsys):
 
 
 def test_cli_exit_code_numerical_failure(tmp_path, capsys, monkeypatch):
-    # an orbit solve allowed no Newton step cannot settle
+    # an orbit solve whose v_cd1 start may step no cycle cannot settle
     monkeypatch.setattr(simulator, "_MAX_ORBIT_ITER", 0)
     assert main(["simulate", "--config", TABLE2, "--cycles", "5",
                  "--out", str(tmp_path)]) == 3
@@ -478,25 +478,38 @@ def test_table_writer_prepares_columns_once_per_table(tmp_path, monkeypatch):
             blockwise.tolist(), wide.tolist(), (k * 0.5).tolist()))).encode()
 
 
-@pytest.mark.parametrize("seams", [[], [0, 3, 3, BLOCK + 7],
-                                   [1, BLOCK, 2 * BLOCK + 1],
-                                   [5, 2 * BLOCK - 2]])
-def test_table_writer_blocks_match_the_whole_table(tmp_path, seams):
+@pytest.mark.parametrize("seams, head, tail", [
+    ([], 0, None), ([0, 3, 3, BLOCK + 7], 0, None),
+    ([1, BLOCK, 2 * BLOCK + 1], 0, None), ([5, 2 * BLOCK - 2], 0, None),
+    ([201], -100, np.uint8), ([201, BLOCK + 7], 100, np.int8),
+    ([6, 201], 1000, np.int8)], ids=[
+    "seams0", "seams1", "seams2", "seams3", "uint8_below_the_first_block",
+    "int8_wrapping_onto_the_first_block", "int8_above_the_first_block"])
+def test_table_writer_blocks_match_the_whole_table(tmp_path, seams, head,
+                                                   tail):
     # a table written block by block has the bytes of the whole table:
     # empty blocks write nothing, an integer column whose later blocks
     # leave the range of its first (above and below it) is still %d of
-    # each value, and strings are encoded block by block
+    # each value, and strings are encoded block by block.  ``mixed`` comes
+    # as ``tail`` from row 201 on: its first block's least value lies
+    # outside that type (-100 for uint8, 1000 for int8, which raised
+    # OverflowError), or inside it with the block's range reaching past it
+    # (100 to 300 for int8, onto whose cells 256..300 its 0..44 wrapped)
     n = 2 * BLOCK + 3
     k = np.arange(n)
     small = np.where(k < 5, 3, k % 11 - 5).astype(np.int8)
+    mixed = np.where(k < 201, k + head, k % 45)
     columns = [k * 0.25 - 7.0, small, k % 3 == 0,
                np.where(k < BLOCK, 10 ** 12 + k, -k), k * 1e-300,
-               np.array(["a", "bb", "ccc"])[k % 3]]
-    header = "x,small,flag,wide,tiny,s"
+               np.array(["a", "bb", "ccc"])[k % 3], mixed]
+    header = "x,small,flag,wide,tiny,s,mixed"
     write_table(str(tmp_path), "whole.csv", header, columns)
     bounds = [0, *seams, n]
     table.write_table_blocks(str(tmp_path), "blocks.csv", header, (
-        [c[lo:hi] for c in columns] for lo, hi in zip(bounds, bounds[1:])))
+        [c[lo:hi] for c in columns[:-1]]
+        + [mixed[lo:hi] if tail is None or lo < 201
+           else mixed[lo:hi].astype(tail)]
+        for lo, hi in zip(bounds, bounds[1:])))
     whole = (tmp_path / "whole.csv").read_bytes()
     assert whole.count(b"\n") == n + 1
     assert (tmp_path / "blocks.csv").read_bytes() == whole
@@ -626,26 +639,31 @@ def test_design_figure_tables_are_pinned(figure, tmp_path):
 # re-taken when the operating point became a bracketed Newton root: its gate
 # delay is the exact fall time at the solved v_o, which moved by 1e-8 V, so
 # v_cs1 moved by <= 1.6e-7 V, v_o by <= 1e-8 V and the events by 1e-15 s.
+# fig13's, fig14's and simulate's re-taken when the orbit solve became one
+# bracketed root in v_o in place of the damped Newton: the orbit moved by
+# 1.3e-9 V (fig13, fig14) and 7.9e-9 V (simulate), inside the Newton's
+# slack (its residual, 1.7e-13 and 1.1e-12 V, over 1 - dP/dv = 1.3e-4),
+# and the events by <= 1e-16 s; fig14_i_ls.csv did not move.
 SIMULATOR_TABLE_SHA256 = {
     "fig13": (["reproduce", "fig13"], {
-        "fig13.csv": "1840dde857e99086684b06483bc8a539"
-                     "84d35e62db1964f82ccc17b51e6c5f0f",
-        "fig13_events.csv": "1f1d314b85404204a69fe8f3e5f733f7"
-                            "524fd889069f306b8f4b7a8cf1bbe8a5"}),
+        "fig13.csv": "b6c42b5691cb470051464c98188d6b8b"
+                     "577969972363e19bb44320d9b1d883ba",
+        "fig13_events.csv": "58a068019178cf60aa0d4da62f06e94d"
+                            "5d20fb1c80f3aea6f8503a6cc7573dcc"}),
     "fig14": (["reproduce", "fig14"], {
         "fig14_i_ls.csv": "06a4e49a95e70eed03a7cfa384aee1d9"
                           "a93a10b162e473b0d575bf9cdf4e6ca1",
-        "fig14_summary.csv": "6e77cfa68233999cb2ce900277904b69"
-                             "c02ae55471ad608b227c37397c5e9372",
-        "fig14_v_cd1.csv": "5a00f60d7ed00dd623dcc0101a7ce6fd"
-                           "2d8fe193015f9d1af9f34267fe836c54"}),
+        "fig14_summary.csv": "1baf8721c8861199c3bad5d1831836f3"
+                             "4a17f7ad4a26044898b285398a289098",
+        "fig14_v_cd1.csv": "90eb161e9ed88ec00907d1606baede69"
+                           "49652e553a898dd722bf518d99f6a1d2"}),
     "simulate": (["simulate", "--config", TABLE2, "--cycles", "20"], {
-        "diagnostics.csv": "2e292f0d4b5fefa561ae1c17a3ff495d"
-                           "6460fb368ef46e922b46d502a46352ef",
-        "events.csv": "0d75ffd40ff43d1b1b7fb9d172391826"
-                      "622e9ed3dd99cea0c24ab9778d4f7c69",
-        "waveform.csv": "82664884e8dd73ef1785b2db4e8997a4"
-                        "135a4de23071a2d38fb93412db646cc3"}),
+        "diagnostics.csv": "f14115c70f9013acfa9dedb9308a7234"
+                           "bc77ee64d49184e7870146607105dae8",
+        "events.csv": "058dc6132e47e02a2adad2b576ef2387"
+                      "c31105bbfe57698d669153092eca1591",
+        "waveform.csv": "e5b0f71edff514aee430d6831b29b5f5"
+                        "63a3d3f889d8580e52ee8320b24f4c14"}),
     "load_step": (["transient", "--config", TABLE2,
                    "--scenario", "load_step"], {
         "load_step.csv": "b9807a72c878910d764a3ad1efb9840b"

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wptrx import control, scenarios
+from wptrx import control, scenarios, simulator
 from wptrx.analytic import fall_time_exact, phase_angle
 from wptrx.config import parse_config
 from wptrx.control import (Scenario, closed_loop_run, feedforward_tf,
@@ -294,11 +294,15 @@ def test_discretization_matches_continuous_design(vp):
 
 
 def test_scenario_requires_minimum_duration(vp):
-    with pytest.raises(Exception):
-        sc = Scenario(name="tiny", duration=10 * vp.t_period,
-                      r_load=38.09, i_ls_amp=2.35, v_ref=24.0, i_ls_ff=2.35,
-                      v_o0=24.0, initial_integrator=0.6)
+    # the message used to read "(>= 100 cycles) must be > 0, got 5e-05"
+    sc = Scenario(name="tiny", duration=10 * vp.t_period,
+                  r_load=38.09, i_ls_amp=2.35, v_ref=24.0, i_ls_ff=2.35,
+                  v_o0=24.0, initial_integrator=0.6)
+    with pytest.raises(NonPositiveParameter) as err:
         closed_loop_run(sc, GAINS, vp)
+    assert err.value.field == "scenario duration"
+    assert str(err.value) == ("scenario duration must be >= 100 periods "
+                              "(0.0005 s), got 5e-05")
 
 
 @pytest.mark.parametrize("field,bad", [
@@ -560,7 +564,7 @@ def test_closed_loop_orbit_failure_names_amplitude_and_duty(vp_fig7,
     # v_cd1's start settles in 3 to 4 cycles here, where State V is not
     # reached; capped at 2 it stops at the window's upper bound, the first
     # such duty tried (the lower bound reaches State V)
-    monkeypatch.setattr(control, "_MAX_ORBIT_ITER", 2)
+    monkeypatch.setattr(simulator, "_MAX_ORBIT_ITER", 2)
     p, gains = _light_load_point(vp_fig7)
     with pytest.raises(NoConvergence, match=r"i_ls_amp = 0\.5 A") as exc:
         control.closed_loop_orbit(p, 24.0, 1.0, gains)

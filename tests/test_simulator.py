@@ -468,6 +468,13 @@ def test_invalid_commands(vp):
     with pytest.raises(NonPositiveParameter) as err:
         run(vp, ModulationCommand(1.2, 0.0), 1, st)
     assert err.value.field == "duty"
+    # no cycle to run, or a count that is not an integer (range() raised a
+    # bare TypeError on 2.5); numpy's integers are counts too
+    for n_cycles in (0, -1, 2.5, 2.0):
+        with pytest.raises(NonPositiveParameter, match="an integer > 0"):
+            run(vp, ModulationCommand(0.532, 0.0), n_cycles, st)
+    assert len(run(vp, ModulationCommand(0.532, 0.0), np.int64(2),
+                   st).columns.th1) == 2
     with pytest.raises(GateOverrun):
         run(vp, ModulationCommand(0.95, 0.3e-6), 1, st)
     # a NaN gate delay used to run through and return v_o = NaN; the delay
@@ -479,7 +486,7 @@ def test_invalid_commands(vp):
         assert err.value.field == "t_f"
     nan_delay = ModulationCommand(0.532, math.nan)
     for call in (lambda: run(vp, nan_delay, 3, initial=st),
-                 lambda: periodic_steady_state(vp, nan_delay, 24.0)):
+                 lambda: periodic_steady_state(vp, nan_delay)):
         with pytest.raises(NonPositiveParameter) as err:
             call()
         assert err.value.field == "t_f"
@@ -545,7 +552,7 @@ def test_cycle_mean_matches_quadrature_of_its_segments(vp, r_load, command,
     # the run builds from the columns must integrate to the same mean
     p = vp.with_load(r_load) if r_load else vp
     cmd = command(p)
-    orbit = periodic_steady_state(p, cmd, 24.0)
+    orbit = periodic_steady_state(p, cmd)
     one = run(p, cmd, 1, orbit.state)
     s = one.columns
     assert (s.hard_switched[0], s.reached_state_v[0]) == (hard, state_v)
@@ -624,11 +631,10 @@ def cli_orbit_run(config, changes, n_cycles):
     p = p.with_load(r_load) if r_load else p
     if fst is None:
         op = solve_operating_point(p, duty, exact=True)
-        cmd, v0 = ModulationCommand(duty, fall_time_exact(p, op.v_o)), op.v_o
+        cmd = ModulationCommand(duty, fall_time_exact(p, op.v_o))
     else:
         cmd = ModulationCommand(duty, fst / p.f_s)
-        v0 = steady_state_vo(p.i_ls_amp, p.r_load, duty, fst)
-    return cli._orbit_run(p, cmd, v0, n_cycles)[1]
+    return cli._orbit_run(p, cmd, n_cycles)[1]
 
 
 # (config, (r_load, duty, f_s*t_f), (hard-switched, reaches State V))
@@ -1075,9 +1081,8 @@ def orbit_run(vp, r_load, duty, n_cycles):
     load ``r_load`` (None: the receiver's own)."""
     p = vp.with_load(r_load) if r_load else vp
     cmd = ModulationCommand(duty, 0.0672 / vp.f_s)
-    v0 = steady_state_vo(p.i_ls_amp, p.r_load, duty, 0.0672)
     return run(p, cmd, n_cycles,
-               initial=periodic_steady_state(p, cmd, v0).state)
+               initial=periodic_steady_state(p, cmd).state)
 
 
 def assert_matches_reference(wf, result):
@@ -1336,11 +1341,13 @@ def test_spectrum_rejects_bad_arguments(vp):
         spectrum(res, "v_o", 40)
     with pytest.raises(ValueError, match="gate"):
         spectrum(res, ("v_o", "gate"), 40)
-    # no harmonic to take
-    for n_harmonics in (0, -3):
+    # no harmonic to take, or a count that is not an integer (numpy's
+    # raised a bare TypeError on 2.5)
+    for n_harmonics in (0, -3, 2.5, 2.0):
         with pytest.raises(NonPositiveParameter) as err:
             spectrum(res, ("v_o",), n_harmonics)
         assert err.value.field == "n_harmonics"
+    assert len(spectrum(res, ("v_o",), np.int64(3))[0].harmonics) == 3
 
 
 def test_hard_switched_node_harmonics_fall_as_its_jump_over_pi_k(vp):
@@ -1368,7 +1375,7 @@ def test_soft_switched_node_harmonics_fall_as_one_over_k_squared(vp):
     # so k^2 a_k stays bounded
     op = solve_operating_point(vp, 0.532, exact=True)
     cmd = exact_cmd(vp, 0.532, op.v_o)
-    orbit = periodic_steady_state(vp, cmd, op.v_o)
+    orbit = periodic_steady_state(vp, cmd)
     one = run(vp, cmd, 1, initial=orbit.state)
     assert one.columns.zvs_ok[0] and not one.columns.hard_switched[0]
     sp, = spectrum(one, ("v_cd1",), 400)
@@ -1419,14 +1426,12 @@ def test_periodic_steady_state_soft_and_hard(vp):
     hard = fig13_cmd(vp)
     soft = exact_cmd(vp, 0.532, 24.6, margin=20e-9)
     for cmd, is_hard in ((hard, True), (soft, False)):
-        orbit = periodic_steady_state(vp, cmd, 24.0)
+        orbit = periodic_steady_state(vp, cmd)
         assert orbit.residual <= V_ORBIT_TOL
         assert one_cycle_change(vp, cmd, orbit.state) == orbit.residual
         assert orbit.cycles <= 12
         d = run(vp, cmd, 1, orbit.state).columns
         assert d.hard_switched[0] == is_hard and d.reached_state_v[0]
-    with pytest.raises(NonPositiveParameter):
-        periodic_steady_state(vp, hard, math.nan)
 
 
 def test_run_and_orbit_solve_build_their_cycle_constants_once(
@@ -1444,7 +1449,7 @@ def test_run_and_orbit_solve_build_their_cycle_constants_once(
 
     monkeypatch.setattr(simulator, "_cycle_consts", counted)
     res = run(vp, cmd, 40, initial=SwitchCycleState(24.0))
-    orbit = periodic_steady_state(vp, cmd, 24.0)
+    orbit = periodic_steady_state(vp, cmd)
     n_lin = cycle_linearization(vp, cmd, orbit.state)[4]
     assert built == [(vp.r_load, vp.i_ls_amp, cmd.t_f)] * 3
     assert orbit.cycles > 2 and n_lin >= 3
@@ -1468,7 +1473,7 @@ def test_periodic_steady_state_at_the_soft_hard_kink(vp):
     # the gate edge: P has a kink there (w_resid -> 0 from the hard side)
     def orbit_at(t_f):
         cmd = ModulationCommand(0.532, t_f)
-        orbit = periodic_steady_state(vp, cmd, 24.0)
+        orbit = periodic_steady_state(vp, cmd)
         assert orbit.residual <= V_ORBIT_TOL
         return orbit.state.v_o, run(vp, cmd, 1, orbit.state).columns
 
@@ -1495,30 +1500,31 @@ def test_periodic_steady_state_from_cycles_without_state_v(vp):
     first = run(vp, cmd, 1, SwitchCycleState(24.0))
     assert (not first.columns.reached_state_v[0]
             and first.final_state.v_cd1 > 0.0)
-    orbit = periodic_steady_state(vp, cmd, 24.0)
+    orbit = periodic_steady_state(vp, cmd)
     assert orbit.residual <= V_ORBIT_TOL
     assert 0.0 < orbit.state.v_o < 0.1
     # an orbit that never reaches State V: the load keeps v_o beyond the
     # node swing 2|I|/(omega*C_sum), so v_cd1 is a true second coordinate
     high = vp.with_load(3000.0)
     cmd_h = ModulationCommand(0.3, 0.02 / vp.f_s)
-    orbit_h = periodic_steady_state(high, cmd_h, 400.0)
+    orbit_h = periodic_steady_state(high, cmd_h)
     assert orbit_h.residual <= V_ORBIT_TOL
     d = run(high, cmd_h, 1, orbit_h.state).columns
     assert not d.reached_state_v[0] and orbit_h.state.v_cd1 > 0.0
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=NoConvergence, reason=(
     "CHANGES.md FOUND: the simulator lets v_o go below zero; the conduction "
     "segment has no output clamp, so a command whose averaged output is "
-    "negative has an orbit at v_o = -1.44 mV"))
+    "negative has an orbit at v_o = -1.44 mV, which the orbit solve names "
+    "instead of bracketing past 0 V"))
 def test_orbit_output_is_not_negative(vp):
     # the averaged output of this command is -2.42 V: its duty lies above
     # the window's top of 0.8
     p = dataclasses.replace(vp, c_o=864e-6, r_load=43.5, i_ls_amp=1.83)
     cmd = ModulationCommand(0.899, 0.1 / p.f_s)
     assert steady_state_vo(1.83, 43.5, 0.899, 0.1) < 0.0
-    orbit = periodic_steady_state(p, cmd, 0.0)
+    orbit = periodic_steady_state(p, cmd)
     assert orbit.residual <= V_ORBIT_TOL
     assert orbit.state.v_o >= 0.0
 
@@ -1528,7 +1534,7 @@ def test_long_run_approaches_the_solved_orbit(vp):
     # at 24.144 V; continuing from there creeps monotonically toward the
     # solved orbit at the linearized rate
     cmd = fig13_cmd(vp)
-    v_star = periodic_steady_state(vp, cmd, 24.0).state.v_o
+    v_star = periodic_steady_state(vp, cmd).state.v_o
     res = run(vp, cmd, 2000, initial=SwitchCycleState(24.144))
     ends = np.concatenate(([24.144], res.columns.v_o_end))
     steps = np.diff(ends)
@@ -1579,31 +1585,65 @@ def test_orbits_converge_across_the_receiver_box():
     # the orbit solve reaches V_ORBIT_TOL only where the one-cycle map is
     # smooth to float resolution: a turn-on time quantized to T_EVENT_TOL
     # makes it a staircase that stalls the solve near 1e-10 V
-    for p, cmd, v_avg in random_receivers(11, 2000):
-        assert periodic_steady_state(p, cmd, v_avg).residual <= V_ORBIT_TOL
+    for p, cmd, _ in random_receivers(11, 2000):
+        assert periodic_steady_state(p, cmd).residual <= V_ORBIT_TOL
 
 
-@pytest.mark.xfail(strict=True, raises=NoConvergence, reason=(
-    "gated at exactly the exact fall time, the orbit sits on the soft/hard "
-    "kink of the cycle map; the Jacobian's difference step crosses it and "
-    "the damped Newton stalls near 2e-11 V, above V_ORBIT_TOL"))
 @pytest.mark.parametrize("duty", [0.22, 0.3])
 def test_orbit_gated_at_the_exact_fall_time_converges(duty):
-    # fig7's receiver at 5 kohm; at duty 0.5 the same solve converges
+    # fig7's receiver at 5 kohm, gated at exactly the exact fall time: the
+    # orbit sits on the soft/hard kink of the cycle map, where the damped
+    # Newton this solve replaced stalled near 2e-11 V
     p = validate(cli._builtin_config("fig7").params).with_load(5000.0)
     op = solve_operating_point(p, duty, exact=True)
-    orbit = periodic_steady_state(p, ModulationCommand(duty, op.t_f), op.v_o)
+    orbit = periodic_steady_state(p, ModulationCommand(duty, op.t_f))
     assert orbit.residual <= V_ORBIT_TOL
 
 
+@pytest.mark.parametrize("config", ["table2", "fig7"])
+def test_orbits_gated_about_the_exact_fall_time_converge(config):
+    # loads of 5 ohm to 10 kohm, gated at 0.99, 1 and 1.01 times the exact
+    # fall time, so across the soft/hard kink of the cycle map: the damped
+    # Newton this solve replaced stalled on 11 of these commands, all gated
+    # at exactly the fall time
+    base = validate(cli._builtin_config(config).params)
+    for r_load in (5.0, 20.0, 38.09, 100.0, 300.0, 1e3, 3e3, 5e3, 10e3):
+        p = base.with_load(r_load)
+        for duty in (0.2, 0.22, 0.3, 0.4, 0.5, 0.6):
+            t_f = solve_operating_point(p, duty, exact=True).t_f
+            for cmd in (ModulationCommand(duty, k * t_f)
+                        for k in (0.99, 1.0, 1.01)):
+                orbit = periodic_steady_state(p, cmd)
+                assert one_cycle_change(p, cmd, orbit.state) \
+                    == orbit.residual <= V_ORBIT_TOL
+                # v* is a zero of r, or r changes sign across one float
+                consts = simulator._cycle_consts(p, r_load, p.i_ls_amp,
+                                                 cmd.t_f)
+
+                def r(v):
+                    return simulator._orbit_start(v, duty, consts)[1] - v
+                v = orbit.state.v_o
+                assert r(v) == 0.0 or any(
+                    (r(math.nextafter(v, w)) < 0.0) != (r(v) < 0.0)
+                    for w in (-math.inf, math.inf))
+
+
 def test_failed_orbit_solve_names_its_command(vp, monkeypatch):
+    # v_cd1's start allowed no cycle to settle in
     monkeypatch.setattr(simulator, "_MAX_ORBIT_ITER", 0)
     cmd = ModulationCommand(0.532, 336e-9)
     with pytest.raises(NoConvergence) as err:
-        periodic_steady_state(vp, cmd, 24.0)
+        periodic_steady_state(vp, cmd)
     msg = str(err.value)
     assert "duty=0.532" in msg and "t_f=3.36e-07" in msg
-    assert "residual" in msg
+    assert "v_cd1's start unsettled" in msg
+    # a point that is not a root of r (as a jump of r would leave) fails
+    # the residual check
+    monkeypatch.undo()
+    monkeypatch.setattr(simulator, "bisect_root",
+                        lambda f, lo, hi, xtol: 0.5 * (lo + hi))
+    with pytest.raises(NoConvergence, match=r"duty=0\.532.*: residual"):
+        periodic_steady_state(vp, cmd)
 
 
 def test_readme_quick_tour_soft_switches(capsys):

@@ -296,12 +296,9 @@ def test_switched_model_matches_plant_on_bode_grid(point, vp, op, vp_table2):
 def test_switched_model_dc_limit_is_the_orbit_slope(vp, op):
     # at 0.1 Hz the model's gain is the orbit-to-orbit slope of the cycle
     # mean with respect to the duty
-    v0 = steady_state_vo(vp.i_ls_amp, vp.r_load, op.duty,
-                         op.phase_delay_norm)
-
     def orbit_mean(duty):
         cmd = ModulationCommand(duty, op.t_f)
-        orbit = periodic_steady_state(vp, cmd, v0)
+        orbit = periodic_steady_state(vp, cmd)
         return run(vp, cmd, 1, orbit.state).columns.v_o_mean[0]
 
     slope = (orbit_mean(op.duty + 1e-4) - orbit_mean(op.duty - 1e-4)) / 2e-4

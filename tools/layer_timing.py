@@ -27,8 +27,7 @@ table2 receiver:
 * ``coupling_sweep`` on fig17's grid (12 amplitudes at its 57.6 Ohm load,
   each point a PI design and a closed-loop orbit solve closed by one
   ``run`` cycle), in ms per point;
-* ``periodic_steady_state`` of that command from the averaged output, in ms
-  per solve;
+* ``periodic_steady_state`` of that command, in ms per solve;
 * ``cycle_diagnostics`` (ledger, ripple extremes, device peaks) of a run
   of 32 orbit cycles, in us per cycle, and of a run of 400 (the size of
   ``wptrx simulate``), in ms per call;
@@ -300,9 +299,7 @@ def main(argv=None) -> int:
     rc = parse_config(TABLE2)
     vp = validate(rc.params)
     cmd = ModulationCommand(rc.duty, rc.phase_delay_norm / vp.f_s)
-    v_guess = steady_state_vo(vp.i_ls_amp, vp.r_load, rc.duty,
-                              rc.phase_delay_norm)
-    orbit = periodic_steady_state(vp, cmd, v_guess)
+    orbit = periodic_steady_state(vp, cmd)
     lo, hi = duty_bounds(rc.phase_delay_norm)
     op_duties = [lo + (hi - lo) * (k + 0.5) / OP_DUTIES
                  for k in range(OP_DUTIES)]
@@ -413,7 +410,7 @@ def main(argv=None) -> int:
          _timed(sweep, SWEEP_REPEATS, len(cli._FIG17_AMPS) / 1e3)),
         (f"periodic_steady_state, table2 ({orbit.cycles} cycles)",
          "ms/solve",
-         _timed(lambda: periodic_steady_state(vp, cmd, v_guess),
+         _timed(lambda: periodic_steady_state(vp, cmd),
                 ORBIT_REPEATS, 1e-3)),
         (f"cycle_diagnostics, {SAMPLE_CYCLES} orbit cycles", "us/cycle",
          _timed(lambda: cycle_diagnostics(short), DIAG_REPEATS,
