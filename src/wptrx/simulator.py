@@ -893,9 +893,9 @@ def _orbit_start(v_o: float, duty: float, consts: tuple):
     """(a*, the next v_o and v_cd1 of the cycle from (v_o, a*), cycles
     stepped) at ``duty`` under ``consts``, or None if a* is unsettled after
     _MAX_ORBIT_ITER cycles.  a* is v_cd1's start on the orbit through v_o:
-    0 where the cycle from (v_o, 0) reaches State V, else a <- P(v_o,
-    a)[v_cd1] from 0 until a moves by V_ORBIT_TOL or less.  Both orbit
-    solves, open- and closed-loop, start their cycles here."""
+    0 where the cycle from (v_o, 0) reaches State V, else
+    a <- P(v_o, a)[v_cd1] from 0 until a moves by V_ORBIT_TOL or less.
+    Both orbit solves, open- and closed-loop, start their cycles here."""
     a = 0.0
     for n in range(1, _MAX_ORBIT_ITER + 1):
         v_next, a_next = _cycle(v_o, a, duty, consts)[:2]
@@ -922,7 +922,7 @@ def periodic_steady_state(params: ValidatedParams,
     v_bar = Q/(C_o (1 - e^{-T/tau})).  v_hi = 2 v_bar leaves r(v_hi) at
     most -Q/C_o, a cycle's charge clear of rounding.  r(0) > 0 wherever a
     cycle from rest charges the output; r(0) < 0 is the negative orbit,
-    which is named, not bracketed past; at I = 0 r(0) = 0 and v* = 0.
+    which is named, not bracketed past; at I = 0, r(0) = 0 and v* = 0.
 
     Raises NoConvergence, naming the command, where a* does not settle, at
     a negative orbit or an unbracketed end, and where the orbit found moves
