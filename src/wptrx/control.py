@@ -28,7 +28,8 @@ from .errors import NoConvergence, NonPositiveParameter
 from .params import ValidatedParams, require_positive
 from .rootfind import bisect_root
 from .simulator import (_MAX_ORBIT_ITER, ModulationCommand, RunResult,
-                        SwitchCycleState, _cycle, _cycle_consts, _orbit_start,
+                        SwitchCycleState, _amplitude_consts, _cycle,
+                        _cycle_consts, _gate_terms, _orbit_start,
                         cycle_linearization, periodic_steady_state, run)
 from .smallsignal import PiGains
 
@@ -52,7 +53,7 @@ def pi_step(e: float, k_p: float, k_i: float, d_min: float, d_max: float,
     unsat = k_p * e + integrator
     # min(max(unsat, d_min), d_max), without the builtins' call cost on
     # every closed-loop cycle and in their operand order (see
-    # simulator._turn_on_time)
+    # simulator._cycle)
     duty = d_min if d_min > unsat else unsat
     duty = d_max if d_max < duty else duty
     return duty, integrator, duty != unsat
@@ -281,8 +282,10 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
     Each cycle: sample v_o at the cycle start (the current zero crossing),
     update the PI, derive the gate delay by feedforward, step one carrier
     period with the live load and source amplitude.  The cycle constants
-    are rebuilt once on each cycle on which the load, the amplitude or the
-    reference (and so the fed-forward delay) moves, and on no other.
+    are built in two parts (see ``simulator._cycle_consts``): the gate
+    terms again only on a cycle on which the load or the reference (and so
+    the fed-forward delay) moves, and the amplitude terms, which take no
+    libm call, again on a cycle on which any of the three moves.
     Simulator errors propagate; regulation failure (the loop unable to
     hold the reference) is recorded on the returned record, never raised.
     """
@@ -308,7 +311,8 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
     # the reference t_f_cmd was fed forward from
     v_ref_n = v_ref_ff = _eval_profile(scenario.v_ref, 0.0)
     t_f_cmd = feedforward_tf(v_ref_n, scenario.i_ls_ff, params)
-    consts = _cycle_consts(params, r_n, i_n, t_f_cmd)
+    gate = _gate_terms(params, r_n, t_f_cmd)
+    consts = _amplitude_consts(gate, i_n)
 
     t_arr = np.arange(n_cycles) * ts
     v_samp = np.empty(n_cycles)
@@ -317,7 +321,7 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
 
     for n in range(n_cycles):
         t_n = n * ts
-        moved = False
+        moved = regate = False
         # the range checks, as in simulator._cycle, call require_positive
         # only on a value that fails them
         if r_fn is not None:
@@ -326,7 +330,7 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
                 if not 0.0 < r < math.inf:
                     require_positive(r_load=r)
                 r_n = r
-                moved = True
+                moved = regate = True
         if i_fn is not None:
             i = i_fn(t_n)
             if i != i_n:
@@ -339,9 +343,11 @@ def closed_loop_run(scenario: Scenario, gains: PiGains,
             if v_ref_n != v_ref_ff:  # NaN always differs
                 t_f_cmd = feedforward_tf(v_ref_n, scenario.i_ls_ff, params)
                 v_ref_ff = v_ref_n
-                moved = True
+                moved = regate = True
         if moved:
-            consts = _cycle_consts(params, r_n, i_n, t_f_cmd)
+            if regate:
+                gate = _gate_terms(params, r_n, t_f_cmd)
+            consts = _amplitude_consts(gate, i_n)
         duty, integrator, saturated = pi_step(
             v_ref_n - v_o, k_p, k_i, d_min, d_max, ts, duty, integrator,
             saturated)

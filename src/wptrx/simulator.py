@@ -19,8 +19,9 @@ positive-going zero crossing of the coil current:
 Every interval is analytically integrable (RC exponentials and
 sinusoid-driven RC forms), so the simulator composes closed forms.  The
 State IV end (the diode capacitance reaching zero) is closed-form; the
-State I end (the switch voltage reaching zero) takes safeguarded Newton
-steps from the lossless closed form to 1e-13 s.  Each output ripple
+State I end (the switch voltage reaching zero) is one Newton step from the
+lossless closed form where an a-priori bound puts it within 1e-16 s of the
+root, and safeguarded Newton steps to 1e-13 s elsewhere.  Each output ripple
 extreme (a zero of dv_o/dt on a conduction segment) is bracketed in closed
 form and the bracket narrowed to 1e-13 s.  No step size exists anywhere.
 
@@ -28,12 +29,14 @@ All of a cycle's arithmetic lives in one private kernel, ``_cycle``, which
 takes and returns plain floats: the boundary state, the duty and a tuple
 of the receiver's constants at one load, source amplitude and gate delay
 in, the next state, the cycle mean and the event times and closed-form
-coefficients out.  ``_cycle_consts`` builds that tuple (time constant,
-source-driven coefficients, the cos and sin of the fixed phases, and the
-gate delay's decay and phase terms) and checks the gate delay, once per
-build.  ``run``, ``periodic_steady_state`` and ``cycle_linearization``
-build it once per call; the closed-loop run builds it once and again only
-when the live load, the amplitude or the fed-forward delay changes.
+coefficients out.  ``_cycle_consts`` builds that tuple in two parts:
+``_gate_terms`` (the time constant, the cos and sin of the fixed phases and
+the gate delay's decay and phase terms), which checks the gate delay, and
+``_amplitude_consts``, which adds the terms the source amplitude scales.
+``run``, ``periodic_steady_state`` and ``cycle_linearization`` build it
+once per call.  The closed-loop run builds both parts once, then the gate
+part again only when the live load or the fed-forward delay moves, and the
+amplitude part again when any of the three does.
 
 Only ``run`` keeps what its cycles did, in one record per run: a
 ``RunResult`` holding the receiver, the command, ``_cycle``'s outputs as
@@ -88,8 +91,10 @@ from .errors import (GateOverrun, NoConvergence, NonPositiveParameter,
 from .params import ValidatedParams, require_positive
 from .rootfind import bisect_root
 
-# Event localization tolerance (s).
+# Event localization tolerance (s), and the distance from the root within
+# which _turn_on_time's bound accepts its one Newton step (s).
 T_EVENT_TOL = 1e-13
+_ONE_STEP_TOL = 1e-3 * T_EVENT_TOL
 _MAX_EVENT_ITER = 100
 
 # Periodic steady state: largest one-cycle change |P(x) - x| of the boundary
@@ -377,8 +382,7 @@ def _conduction_extremes(seg: SegmentTable, rows: np.ndarray, ends: tuple,
     sorted() are comparisons in the builtins' operand order, so ties give
     the same float.
     """
-    w, tau, i_amp, p_s, p_c = consts[1], consts[2], consts[4], consts[6], \
-        consts[7]
+    _, w, tau, _, i_amp, _, p_s, p_c = consts[:8]
     t0, t1, t_ref, h = seg.t0[rows], seg.t1[rows], seg.t_ref[rows], \
         seg.h[rows]
     s0, v0, s1, v1 = ends
@@ -444,28 +448,54 @@ def _conduction_extremes(seg: SegmentTable, rows: np.ndarray, ends: tuple,
 def _turn_on_time(v0: float, va0: float, amp: float, w: float, tau: float,
                   hi: float) -> float:
     """Natural end of State I: the root of the switch voltage
-    gap(th) = v0 e^{-th/tau} - (va0 + amp (1 - cos w th)) on (0, hi], given
-    gap(0) > 0 >= gap(hi).
+    f(th) = v0 e^{-th/tau} - (va0 + amp (1 - cos w th)) on (0, hi], given
+    f(0) > 0 >= f(hi).
 
-    Newton steps on gap with its analytic derivative, seeded with the
-    lossless root (tau -> inf, the ``analytic.fall_time_exact`` form).  The
-    sign bracket [lo, hi] is kept as a safeguard: a step that leaves it is
-    replaced by the bracket midpoint (Brent 1973, ch. 4).  Stops after a
-    step shorter than T_EVENT_TOL; the point it reaches is then off the
-    root by the order of that step squared.
+    The seed is the lossless root th0 (tau -> inf, the
+    ``analytic.fall_time_exact`` form): sin^2(w th0/2) = s =
+    (v0 - va0)/(2 amp), so f(th0) = g0 = v0 expm1(-th0/tau) and
+    sin(w th0) = 2 sqrt(s (1 - s)) come without another trig call.  One
+    Newton step from th0 < hi, th1 = th0 - step with step = g0/d0 and
+    d0 = f'(th0) < 0, is returned without evaluating f where this a-priori
+    bound (Kantorovich's, Ortega & Rheinboldt 1970, 12.6) puts it within
+    _ONE_STEP_TOL of the root.  On J = [th0 - 2 step, th0],
+    |f'(th)| >= amp w sin(w th) >= m = amp w (sin(w th0) - 2 w step) and
+    |f''| <= M = v0/tau^2 + amp w^2.  If 2m >= |d0| then
+    f(th0 - 2 step) >= g0 + 2 m step >= 0, so the root th* lies in J (and
+    J in (0, pi/w), where sin > 0); Taylor's theorem at th0 then gives
+    |th1 - th*| = |f''(xi)| (th* - th0)^2 / (2 |d0|) <= 2 M step^2 / m.
+    The step is taken when that, plus 4 eps th0 + 16 eps s amp/m (eps the
+    float epsilon) for the rounding of th0 (at most 6 eps s/(w sin(w th0))
+    through the asin, and amp/m >= 1/(w sin(w th0))) and of the step, is
+    at most _ONE_STEP_TOL.
+
+    Elsewhere (the bound unmet, s >= 1 or th0 >= hi) Newton steps on f with
+    its analytic derivative continue from min(th0, hi), inside the sign
+    bracket [lo, hi]: a step that leaves it is replaced by the bracket
+    midpoint (Brent 1973, ch. 4).  They stop after a step shorter than
+    T_EVENT_TOL; the point reached is then off the root by the order of
+    that step squared.
     """
     lo = 0.0
     s = (v0 - va0) / (2.0 * amp)
+    th = hi
     if s < 1.0:
-        # th = min(th, hi).  Every cycle runs this and _cycle, so neither
-        # calls the builtin min or max (a call costs several times a
-        # comparison); each conditional keeps the builtin's operand order,
-        # min(a, b) as ``b if b < a else a``, so NaN, -0.0 and ties give
-        # the same float
-        th = 2.0 * math.asin(math.sqrt(s)) / w
-        th = hi if hi < th else th
-    else:
-        th = hi
+        r = math.sqrt(s)
+        th0 = 2.0 * math.asin(r) / w
+        if th0 < hi:
+            th = th0
+            e = math.expm1(-th / tau)
+            sin0 = 2.0 * r * math.sqrt(1.0 - s)
+            aw = amp * w
+            slope = -v0 * (1.0 + e) / tau - aw * sin0
+            step = v0 * e / slope
+            m = aw * (sin0 - 2.0 * w * step)
+            # 2 M step^2 + the rounding slack <= m _ONE_STEP_TOL, times m
+            if 2.0 * m >= -slope and (
+                    2.0 * (v0 / (tau * tau) + aw * w) * step * step
+                    + 2.0 ** -48 * s * amp
+                    <= m * (_ONE_STEP_TOL - 2.0 ** -50 * th)):
+                return th - step
     for _ in range(_MAX_EVENT_ITER):
         decay = v0 * math.exp(-th / tau)
         g = decay - (va0 + amp * (1.0 - math.cos(w * th)))
@@ -488,6 +518,41 @@ def _turn_on_time(v0: float, va0: float, amp: float, w: float, tau: float,
                         f"steps: v0={v0!r}, va0={va0!r}, amp={amp!r}")
 
 
+def _gate_terms(params: ValidatedParams, r_load: float, t_f: float) -> tuple:
+    """The terms of ``_cycle_consts`` fixed while the load r_load and the
+    gate delay t_f are, whatever the source amplitude, in its order, then
+    the factors of its amplitude terms: w c_sum, r_load, 1 + (w tau)^2,
+    -w tau and 1 - cos w hi.  Raises NonPositiveParameter for a negative
+    or non-finite t_f: the delay is checked here, once per build, not on
+    every cycle."""
+    if not 0.0 <= t_f < math.inf:
+        require_positive(allow_zero=True, t_f=t_f)
+    ts = params.t_period
+    w = params.omega
+    tau = r_load * params.c_o
+    half = 0.5 * ts
+    hi = min(t_f, half)
+    return (ts, w, tau, half, math.cos(w * half), math.sin(w * half),
+            math.cos(w * ts), params.c_d1, params.c_o + params.c_d1, t_f, hi,
+            math.exp(-hi / tau), math.cos(w * t_f), math.sin(w * t_f),
+            math.exp(-t_f / tau), -math.expm1(-t_f / tau),
+            w * params.c_sum, r_load, 1.0 + (w * tau) ** 2, -w * tau,
+            1.0 - math.cos(w * hi))
+
+
+def _amplitude_consts(gate: tuple, i_amp: float) -> tuple:
+    """``_cycle_consts`` at the source amplitude i_amp from its
+    ``_gate_terms`` ``gate``, with the same bits: no libm call, so a source
+    ramp with the load and the delay held rebuilds only this part."""
+    w_c_sum, r_load, den, w_tau, swing_hi = gate[16:]
+    amp = i_amp / w_c_sum
+    p_s = i_amp * r_load / den
+    p_c = w_tau * p_s
+    # p_c = 0 where p_s = 0, so p_s alone tells whether the source feeds
+    return (gate[:4] + (i_amp, amp, p_s, p_c, p_s != 0.0) + gate[4:12]
+            + (amp * swing_hi,) + gate[12:16])
+
+
 def _cycle_consts(params: ValidatedParams, r_load: float, i_amp: float,
                   t_f: float) -> tuple:
     """What ``_cycle`` reads of the receiver at load r_load and source
@@ -496,26 +561,11 @@ def _cycle_consts(params: ValidatedParams, r_load: float, i_amp: float,
     the rail while the switch conducts, cos and sin of w T/2, cos w T, c_d1,
     c_o + c_d1; then t_f, hi = min(t_f, T/2), e^{-hi/tau},
     amp (1 - cos w hi), cos and sin of w t_f, e^{-t_f/tau} and
-    1 - e^{-t_f/tau}.  Raises NonPositiveParameter for a negative or
-    non-finite t_f: the delay is checked here, once per build, not on every
-    cycle."""
-    if not 0.0 <= t_f < math.inf:
-        require_positive(allow_zero=True, t_f=t_f)
-    ts = params.t_period
-    w = params.omega
-    tau = r_load * params.c_o
-    half = 0.5 * ts
-    amp = i_amp / (w * params.c_sum)
-    p_s = i_amp * r_load / (1.0 + (w * tau) ** 2)
-    p_c = -w * tau * p_s
-    hi = min(t_f, half)
-    return (ts, w, tau, half, i_amp, amp, p_s, p_c,
-            not (p_s == 0.0 and p_c == 0.0),
-            math.cos(w * half), math.sin(w * half), math.cos(w * ts),
-            params.c_d1, params.c_o + params.c_d1,
-            t_f, hi, math.exp(-hi / tau), amp * (1.0 - math.cos(w * hi)),
-            math.cos(w * t_f), math.sin(w * t_f), math.exp(-t_f / tau),
-            -math.expm1(-t_f / tau))
+    1 - e^{-t_f/tau}.  Built as ``_amplitude_consts`` of ``_gate_terms``,
+    which checks t_f (see there); ``run``, the orbit solves and the
+    linearization build it once per call, and the closed-loop run rebuilds
+    each part only when what it depends on moves."""
+    return _amplitude_consts(_gate_terms(params, r_load, t_f), i_amp)
 
 
 def _cycle(v0: float, va0: float, duty: float, consts: tuple) -> tuple:
@@ -569,6 +619,10 @@ def _cycle(v0: float, va0: float, duty: float, consts: tuple) -> tuple:
         v_at_th1 = v0 * decay_f
         va_pre_snap = va0 + amp * (1.0 - cos_1)
         v_cs1_at_gate = v_at_th1 - va_pre_snap
+        # max(v_cs1_at_gate, 0.0).  Every cycle runs this, so it calls no
+        # builtin min or max (a call costs several times a comparison); each
+        # conditional keeps the builtin's operand order, min(a, b) as
+        # ``b if b < a else a``, so NaN, -0.0 and ties give the same float
         v_cs1_at_gate = 0.0 if 0.0 > v_cs1_at_gate else v_cs1_at_gate
         if th1 > 0.0:
             area += tau * v0 * fill_f
@@ -695,7 +749,7 @@ def _segment_table(c: CycleColumns, consts: tuple) -> SegmentTable:
     segments from its scalars, so the two must skip the same empty states.
     A loop, not array expressions: fig13 and fig14 run 4 and 1 cycles,
     where the fixed cost of some 30 numpy calls outweighed the loop's."""
-    ts, half, p_s, p_c = consts[0], consts[3], consts[6], consts[7]
+    ts, _, _, half, _, _, p_s, p_c = consts[:8]
     rows, first = [], [0]
     for th1, th_iv, th4, h, v0, va0, v_at_iv, v_at_th4, reached_v in zip(*(
             col.tolist() for col in (
@@ -745,8 +799,7 @@ def cycle_diagnostics(result: RunResult) -> DiagnosticColumns:
     params = result.params
     r_load, c_sum, c_o = params.r_load, params.c_sum, params.c_o
     consts = _cycle_consts(params, r_load, params.i_ls_amp, result.cmd.t_f)
-    w, tau, i_amp, p_s, p_c = consts[1], consts[2], consts[4], consts[6], \
-        consts[7]
+    _, w, tau, _, i_amp, _, p_s, p_c = consts[:8]
     seg = result.segments
     t0, t1 = seg.t0, seg.t1
     s0, c0, coeff = _terms_at(t0, seg.h, seg.t_ref, tau, w)
@@ -868,27 +921,6 @@ _CYCLE_FD_STEP = 1e-4   # state difference step, relative to max(|v_o|, 1 V)
 _DUTY_FD_STEP = 1e-5
 
 
-def _cycle_residual(duty: float, x: tuple, consts: tuple) -> tuple:
-    """(P(x) - x, cycle mean) of one cycle at ``duty`` from
-    x = (v_o, v_cd1), with the receiver's ``_cycle_consts`` (the gate delay
-    among them) passed in."""
-    v_o, v_cd1, v_mean = _cycle(x[0], x[1], duty, consts)[:3]
-    return (v_o - x[0], v_cd1 - x[1], v_mean)
-
-
-def _cycle_jacobian(residual, x: tuple, r: tuple, h: float) -> tuple:
-    """Columns d/dv_o and d/dv_cd1 of ``residual`` (_cycle_residual as a
-    map of x) at x, where its value is r, by one-sided differences of
-    step h."""
-    rv = residual((x[0] + h, x[1]))
-    if x[1] == 0.0 and r[1] == 0.0 and rv[1] == 0.0:
-        # State V reached: v_cd1 restarts from zero, so P(x) is unchanged
-        ra = (r[0], r[1] - h, r[2])
-    else:
-        ra = residual((x[0], x[1] + h))
-    return tuple(tuple((p - q) / h for p, q in zip(f, r)) for f in (rv, ra))
-
-
 def _orbit_start(v_o: float, duty: float, consts: tuple):
     """(a*, the next v_o and v_cd1 of the cycle from (v_o, a*), cycles
     stepped) at ``duty`` under ``consts``, or None if a* is unsettled after
@@ -970,26 +1002,29 @@ def cycle_linearization(params: ValidatedParams, cmd: ModulationCommand,
     """The one-cycle map linearized at the boundary state x under ``cmd``
     (Verghese, Elbuluk & Kassakian, IEEE Trans. Power Electron. 1986):
     x_{n+1} = A x_n + B d_n and y_n = C x_n + D d_n, with d_n the duty held
-    over cycle n and y_n the mean of cycle n, by one-sided differences
-    (state step _CYCLE_FD_STEP relative, duty step _DUTY_FD_STEP).  Returns
-    (A, B, C, D, cycles stepped).  Raises ZeroGainOperatingPoint where the
-    duty does not move the map."""
-    calls = 0
+    over cycle n and y_n the mean of cycle n, by one-sided differences of
+    (P(x) - x, cycle mean) (state step h = _CYCLE_FD_STEP max(|v_o|, 1 V),
+    duty step _DUTY_FD_STEP).  Returns (A, B, C, D, cycles stepped).
+    Raises ZeroGainOperatingPoint where the duty does not move the map."""
     consts = _cycle_consts(params, params.r_load, params.i_ls_amp, cmd.t_f)
+    h = _CYCLE_FD_STEP * max(abs(x[0]), 1.0)
 
-    def residual(y, duty=cmd.duty):
-        nonlocal calls
-        calls += 1
-        return _cycle_residual(duty, y, consts)
+    def residual(v_o, v_cd1, duty=cmd.duty):
+        return np.array(_cycle(v_o, v_cd1, duty, consts)[:3]) - (v_o, v_cd1,
+                                                                 0.0)
 
-    r = residual(x)
-    h_v = _CYCLE_FD_STEP * max(abs(x[0]), 1.0)
-    jac = np.array(_cycle_jacobian(residual, x, r, h_v)).T  # rows: A - I, C
-    r_d = residual(x, cmd.duty + _DUTY_FD_STEP)
-    col_d = np.array([(p - q) / _DUTY_FD_STEP for p, q in zip(r_d, r)])
+    r = residual(*x)
+    rv = residual(x[0] + h, x[1])
+    if x[1] == r[1] == rv[1] == 0.0:
+        # State V reached: v_cd1 restarts from zero, so P(x) is unchanged
+        ra, calls = r - (0.0, h, 0.0), 3
+    else:
+        ra, calls = residual(x[0], x[1] + h), 4
+    col_d = (residual(*x, cmd.duty + _DUTY_FD_STEP) - r) / _DUTY_FD_STEP
     if not col_d.any():
         raise ZeroGainOperatingPoint(
             f"the duty does not move the cycle map at D = {cmd.duty}")
+    jac = np.column_stack((rv - r, ra - r)) / h  # rows: A - I, C
     return jac[:2] + np.eye(2), col_d[:2], jac[2], col_d[2], calls
 
 

@@ -643,7 +643,10 @@ def test_design_figure_tables_are_pinned(figure, tmp_path):
 # bracketed root in v_o in place of the damped Newton: the orbit moved by
 # 1.3e-9 V (fig13, fig14) and 7.9e-9 V (simulate), inside the Newton's
 # slack (its residual, 1.7e-13 and 1.1e-12 V, over 1 - dP/dv = 1.3e-4),
-# and the events by <= 1e-16 s; fig14_i_ls.csv did not move.
+# and the events by <= 1e-16 s; fig14_i_ls.csv did not move.  simulate's
+# re-taken when a soft State I turn-on became one bounded Newton step from
+# the lossless root: the events moved by <= 1e-17 s and v_o, v_cs1 and
+# v_cd1 by <= 1e-10 V (one unit in the 12th digit).
 SIMULATOR_TABLE_SHA256 = {
     "fig13": (["reproduce", "fig13"], {
         "fig13.csv": "b6c42b5691cb470051464c98188d6b8b"
@@ -658,12 +661,12 @@ SIMULATOR_TABLE_SHA256 = {
         "fig14_v_cd1.csv": "90eb161e9ed88ec00907d1606baede69"
                            "49652e553a898dd722bf518d99f6a1d2"}),
     "simulate": (["simulate", "--config", TABLE2, "--cycles", "20"], {
-        "diagnostics.csv": "f14115c70f9013acfa9dedb9308a7234"
-                           "bc77ee64d49184e7870146607105dae8",
-        "events.csv": "058dc6132e47e02a2adad2b576ef2387"
-                      "c31105bbfe57698d669153092eca1591",
-        "waveform.csv": "e5b0f71edff514aee430d6831b29b5f5"
-                        "63a3d3f889d8580e52ee8320b24f4c14"}),
+        "diagnostics.csv": "5b3681c5b0342a1fe8fe7d03d82dae6c"
+                           "b638921a68f012c3c01c2fa123611530",
+        "events.csv": "0143ee53322c423bf11e00d2b578efb8"
+                      "9e829c9bf10de84d2182c0aa061098ba",
+        "waveform.csv": "1ae50c26bee146b0e242fbaaeacedef5"
+                        "d8e23871cb5fe49d2a4232ba449701be"}),
     "load_step": (["transient", "--config", TABLE2,
                    "--scenario", "load_step"], {
         "load_step.csv": "b9807a72c878910d764a3ad1efb9840b"
@@ -681,13 +684,16 @@ SIMULATOR_TABLE_SHA256 = {
 # 1e-6 V stopping error.  fig17's re-taken when the orbit's duty became
 # one bracketed root, solved to adjacent floats: duty moved by <= 1e-9 and
 # reg_error by <= 4.4e-13 V, within the old duty secant's 1e-11 V stop.
+# fig17's and fig20's re-taken with simulate's above (one-step State I
+# turn-on): duty moved by <= 4e-12 (fig17) and 1e-12 (fig20), reg_error by
+# <= 1e-14 V and fig20's v_o_mean by <= 1e-10 V.
 COMMAND_TABLE_SHA256 = {
     "fig17": (["reproduce", "fig17"], {
-        "fig17.csv": "ed07189967ac5fd3f8f7e30cac321a27"
-                     "37a6245da427802f5d4185fa8840b4d5"}),
+        "fig17.csv": "bfb4c297622822fe54df453d7be0816d"
+                     "41e7cd190273d970e6adfb62532b75bc"}),
     "fig20": (["reproduce", "fig20"], {
-        "fig20.csv": "3ae074ab2cc07f910077e341d315779a"
-                     "1f4db7d6582b3d6b8e4be43010d68172"}),
+        "fig20.csv": "d2587c4ceefc6565004db6d88b5924c5"
+                     "e1750576bceab51daca2cf1b1507b2da"}),
     "steady": (["steady", "--config", TABLE2, "--sweep", "0.5:0.7:0.05"], {
         "steady.csv": "35cbadde89278f5f5197aff928ed907e"
                       "06e35089b389bb3924478ae295b98d5f"}),

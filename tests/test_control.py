@@ -379,8 +379,10 @@ def test_closed_loop_run_replays_through_one_cycle_runs_and_pi_step(
     # replay through the public one-cycle calls.  The startup from 0 V holds
     # the duty at d_min and the reference step down at d_max, each with the
     # integrator frozen by the anti-windup until the duty comes off the
-    # bound.  The load, the amplitude and the reference all stepping on
-    # one cycle is one change, so one build.
+    # bound.  The cycle constants are built in two parts: the gate terms
+    # (load and fed-forward delay) and the amplitude terms on top of them.
+    # The load, the amplitude and the reference all stepping on one cycle
+    # is one change, so one build of each.
     gains = design_gains(vp_fast, 24.0, 2.35, 1000.0)
     d0 = equilibrium_op(vp_fast, 24.0, 2.35).duty
     t_100 = 100 * vp_fast.t_period
@@ -403,14 +405,20 @@ def test_closed_loop_run_replays_through_one_cycle_runs_and_pi_step(
             v_ref=step_profile(24.0, 23.0, t_100), i_ls_ff=2.35, v_o0=24.0,
             initial_integrator=d0),
     }[case]
-    built = []
-    cycle_consts = control._cycle_consts
+    gate_built, amp_built = [], []
+    gate_terms, amplitude_consts = control._gate_terms, \
+        control._amplitude_consts
 
-    def counted(params, r_load, i_amp, t_f):
-        built.append((r_load, i_amp, t_f))
-        return cycle_consts(params, r_load, i_amp, t_f)
+    def gate_counted(params, r_load, t_f):
+        gate_built.append((r_load, t_f))
+        return gate_terms(params, r_load, t_f)
 
-    monkeypatch.setattr(control, "_cycle_consts", counted)
+    def amp_counted(gate, i_amp):
+        amp_built.append((gate[17], i_amp, gate[9]))
+        return amplitude_consts(gate, i_amp)
+
+    monkeypatch.setattr(control, "_gate_terms", gate_counted)
+    monkeypatch.setattr(control, "_amplitude_consts", amp_counted)
     rec = closed_loop_run(sc, gains, vp_fast)
     monkeypatch.undo()
     t, v_sample, v_mean, duty = replay(sc, gains, vp_fast)
@@ -418,19 +426,26 @@ def test_closed_loop_run_replays_through_one_cycle_runs_and_pi_step(
     assert np.array_equal(rec.v_o_sample, v_sample)
     assert np.array_equal(rec.v_o_mean, v_mean)
     assert np.array_equal(rec.duty, duty)
-    # one build at the start and one for each change of the live values
-    # or of the fed-forward gate delay
+    # the gate terms: one build at the start and one for each change of
+    # the load or of the fed-forward gate delay; the amplitude terms: one
+    # at the start and one for each change of any of the three, each on the
+    # gate terms of its cycle (load and delay read back from them)
     live = [(control._eval_profile(sc.r_load, t_n),
              control._eval_profile(sc.i_ls_amp, t_n),
              feedforward_tf(control._eval_profile(sc.v_ref, t_n), sc.i_ls_ff,
                             vp_fast)) for t_n in t]
-    changes = sum(a != b for a, b in zip(live, live[1:]))
-    assert len(built) == 1 + changes
-    assert built[0] == live[0]
-    assert {"load_step": changes == 1, "amplitude_ramp": changes >= 500,
+    gate_live = [(r, t_f) for r, _, t_f in live]
+    assert amp_built == live[:1] + [b for a, b in zip(live, live[1:])
+                                    if a != b]
+    assert gate_built == gate_live[:1] + [
+        b for a, b in zip(gate_live, gate_live[1:]) if a != b]
+    changes, gate_changes = len(amp_built) - 1, len(gate_built) - 1
+    assert {"load_step": (gate_changes, changes) == (1, 1),
+            "amplitude_ramp": gate_changes == 0 and changes >= 500,
             "startup": changes == 0,
-            "reference_step_down": changes == 1,
-            "all_three_step": len(built) == 2}[case]
+            "reference_step_down": (gate_changes, changes) == (1, 1),
+            "all_three_step": (len(gate_built), len(amp_built)) == (2, 2)
+            }[case]
     pinned = {"startup": gains.d_min,
               "reference_step_down": gains.d_max}.get(case)
     if pinned is not None:

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,83 @@ def test_events_match_a_bisection_oracle():
         kinds["hard" if s.hard_switched[0] else "soft"] += 1
         kinds["no_state_v"] += not s.reached_state_v[0]
     assert min(kinds.values()) >= 50, kinds
+
+
+def test_turn_on_time_one_step_and_fallback_match_bisection(vp,
+                                                           monkeypatch):
+    # the State I turn-on is one Newton step from the lossless root where
+    # its a-priori bound accepts it, and evaluates no gap there, so calls no
+    # cos; elsewhere safeguarded Newton steps, each with one cos.  Against
+    # bisection of the gap to adjacent floats, accepted roots lie within
+    # 1e-3 T_EVENT_TOL and the rest within T_EVENT_TOL
+    cos_calls = [0]
+
+    def cos(x):
+        cos_calls[0] += 1
+        return math.cos(x)
+
+    monkeypatch.setattr(simulator, "math",
+                        types.SimpleNamespace(**{**vars(math), "cos": cos}))
+
+    def one_step(v0, va0, amp, w, tau, hi):
+        """Check _turn_on_time's root; True where the one step was taken."""
+        def gap(th):
+            return v0 * math.exp(-th / tau) - (va0 + amp * (1.0 - math.cos(
+                w * th)))
+        assert gap(0.0) > 0.0 >= gap(hi)
+        cos_calls[0] = 0
+        th = simulator._turn_on_time(v0, va0, amp, w, tau, hi)
+        err = abs(th - bisect_root(gap, 0.0, hi, 0.0))
+        if cos_calls[0]:
+            assert err <= T_EVENT_TOL
+            return False
+        assert 0.0 < th < hi and err <= 1e-3 * T_EVENT_TOL
+        return True
+
+    def receiver_cases():
+        """(v0, va0, amp, w, tau, hi) of the turn-ons _cycle would locate,
+        on seeded receivers and at the corners of the table2 box."""
+        rng = random.Random(3)
+        receivers = [(p, cmd.t_f, v_avg) for p, cmd, v_avg in
+                     random_receivers(11, 3000)]
+        for c_o in (820e-6, 1200e-6):
+            for r_load in (38.0, 50.0):
+                for i_amp in (2.0, 2.65):
+                    for c in (3.8e-9, 5.2e-9):
+                        p = validate(ReceiverParams(
+                            l_s=172e-6, c_s=3.63e-9, c_s1=c, c_d1=c,
+                            c_o=c_o, r_load=r_load, f_s=200e3,
+                            i_ls_amp=i_amp))
+                        v_avg = steady_state_vo(i_amp, r_load, 0.532, 0.0672)
+                        receivers += [(p, fst / p.f_s, v_avg)
+                                      for fst in (0.05, 0.0672, 0.1, 0.15)]
+        for p, t_f, v_avg in receivers:
+            w, tau = p.omega, p.r_load * p.c_o
+            amp = p.i_ls_amp / (w * p.c_sum)
+            hi = min(t_f, 0.5 * p.t_period)
+            v0 = v_avg * rng.uniform(0.5, 1.5)
+            va0 = v0 * rng.uniform(0.0, 1.0) if rng.random() < 0.3 else 0.0
+            if (v0 * math.exp(-hi / tau) - (va0 + amp * (1.0 - math.cos(
+                    w * hi)))) <= 0.0:
+                yield v0, va0, amp, w, tau, hi
+
+    taken = [one_step(*case) for case in receiver_cases()]
+    n_one_step, n_newton = taken.count(True), taken.count(False)
+    assert 0 < n_newton < n_one_step
+
+    # built to fail the bound, on table2: tau of three gate delays; s within
+    # 1e-9 of 1, th0 just below hi = T/2; the root at hi (the largest v0
+    # with f(hi) <= 0 from va0 = 0), beyond which th0 lies
+    w, half = vp.omega, 0.5 * vp.t_period
+    amp = vp.i_ls_amp / (w * vp.c_sum)
+    tau, hi = vp.r_load * vp.c_o, 0.15 * vp.t_period
+    v_at_hi = amp * (1.0 - math.cos(w * hi)) * math.exp(hi / tau)
+    while v_at_hi * math.exp(-hi / tau) > amp * (1.0 - math.cos(w * hi)):
+        v_at_hi = math.nextafter(v_at_hi, 0.0)
+    failing = [(24.0, 0.0, amp, w, 3.0 * hi, hi),
+               (24.0 + 2.0 * amp * (1.0 - 1e-10), 24.0, amp, w, tau, half),
+               (v_at_hi, 0.0, amp, w, tau, hi)]
+    assert not any(one_step(*case) for case in failing)
 
 
 def _segment_area(t0, t1, coeff, p_s, p_c, tau, w):

@@ -2,9 +2,12 @@
 
     python3 tools/layer_timing.py [--json PATH]
 
-``--json PATH`` also writes every row (label, unit, median, min, max) to
-``PATH``, with the commit of the checkout (``+dirty`` when ``src`` or
-``tools`` has uncommitted changes) and the Python and numpy versions.
+``--json PATH`` also writes every row (label, unit, median, min, max, and
+the fields some rows carry besides, named below) to ``PATH``, with the
+commit of the checkout (``+dirty`` when ``src`` or ``tools`` has
+uncommitted changes) and the Python and numpy versions.  A row's label is
+the same on every commit; what a run finds (a solve's cycle count, a
+share) goes into its fields, which the printed line shows after a ``;``.
 
 Imports the ``src`` tree next to this script and times, on the built-in
 table2 receiver:
@@ -22,12 +25,21 @@ table2 receiver:
   edge and reads its terms from the cycle constants;
 * ``closed_loop_run`` on fig20's source ramp (6000 cycles, the amplitude
   changing on 2000 of them), in us per cycle; its first ~1100 cycles are
-  hard-switched and the rest soft, where State I's end is located by
-  Newton steps, so the two rows time the two State-I branches;
+  hard-switched and the rest soft, where State I's end is located from
+  the lossless root, so the two rows time the two State-I branches;
+* the State I turn-on (``simulator._turn_on_time``) of the soft orbit of
+  ``wptrx simulate --config table2`` (duty 0.532, gated at the exact fall
+  time of its operating point), and of every soft cycle of that source
+  ramp, in us per call; field ``accepted``: the share of those calls
+  returned by the one Newton step its bound accepts (the step evaluates
+  no cos, a safeguarded Newton step one each, so the calls are counted
+  through a stand-in for ``math`` in the simulator's namespace, outside
+  the timing), and, on the ramp, ``calls``: their number;
 * ``coupling_sweep`` on fig17's grid (12 amplitudes at its 57.6 Ohm load,
   each point a PI design and a closed-loop orbit solve closed by one
   ``run`` cycle), in ms per point;
-* ``periodic_steady_state`` of that command, in ms per solve;
+* ``periodic_steady_state`` of that command, in ms per solve; field
+  ``cycles``: the cycles one solve stepped;
 * ``cycle_diagnostics`` (ledger, ripple extremes, device peaks) of a run
   of 32 orbit cycles, in us per cycle, and of a run of 400 (the size of
   ``wptrx simulate``), in ms per call;
@@ -122,6 +134,7 @@ import dataclasses
 import importlib.util
 import io
 import json
+import math
 import platform
 import os
 import shutil
@@ -130,6 +143,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -139,9 +153,9 @@ sys.path.insert(0, str(SRC))
 TABLE2 = SRC / "wptrx" / "configs" / "table2.cfg"
 HOSTSPEED = SRC.parent / "perfbench" / "hostspeed.py"
 
-from wptrx import averaged, cli, scenarios, table  # noqa: E402
+from wptrx import averaged, cli, scenarios, simulator, table  # noqa: E402
 from wptrx.analytic import (  # noqa: E402
-    duty_bounds, solve_operating_point, steady_state_vo)
+    duty_bounds, fall_time_exact, solve_operating_point, steady_state_vo)
 from wptrx.averaged import (  # noqa: E402
     AveragedState, DutySchedule, integrate_averaged)
 from wptrx.config import parse_config  # noqa: E402
@@ -161,6 +175,8 @@ STEP_REPEATS = 15
 LOOP_REPEATS = 7
 SWEEP_REPEATS = 21
 ORBIT_REPEATS = 51
+TURN_ON_CALLS = 1000
+TURN_ON_REPEATS = 21
 SAMPLE_CYCLES = 32
 SIMULATE_CYCLES = 400
 DIAG_REPEATS = 51
@@ -217,6 +233,61 @@ def _timed_into(write, repeats: int, per: float) -> tuple:
             if k:
                 times.append(dt / per)
     return _spread(times)
+
+
+def _turn_ons(fn) -> list:
+    """The arguments of every State I turn-on ``fn()`` locates, in order:
+    ``simulator._turn_on_time`` is swapped for a recorder while it runs."""
+    calls = []
+    turn_on = simulator._turn_on_time
+
+    def recorder(*args):
+        calls.append(args)
+        return turn_on(*args)
+    simulator._turn_on_time = recorder
+    try:
+        fn()
+    finally:
+        simulator._turn_on_time = turn_on
+    return calls
+
+
+def _accepted(calls: list) -> float:
+    """The share of the turn-ons ``calls`` that ``_turn_on_time`` returns
+    from its one Newton step, with no cos call: each safeguarded Newton
+    step calls cos once, counted on a stand-in for the simulator's
+    ``math``."""
+    cos_calls = [0]
+
+    def cos(x):
+        cos_calls[0] += 1
+        return math.cos(x)
+    real = simulator.math
+    simulator.math = types.SimpleNamespace(**{**vars(math), "cos": cos})
+    try:
+        one_step = 0
+        for args in calls:
+            before = cos_calls[0]
+            simulator._turn_on_time(*args)
+            one_step += cos_calls[0] == before
+    finally:
+        simulator.math = real
+    return one_step / len(calls)
+
+
+def _turn_on_time_row(label: str, turn_ons: list, repeats: int,
+                      **fields) -> tuple:
+    """A row timing ``_turn_on_time`` over ``turn_ons`` ``repeats`` times
+    each (loop included), in us per call, with its ``accepted`` share and
+    ``fields``."""
+    turn_on = simulator._turn_on_time
+
+    def locate():
+        for args in turn_ons:
+            turn_on(*args)
+    return (label, "us/call",
+            _timed(locate, repeats, len(turn_ons) * 1e-6),
+            {"accepted": _accepted(turn_ons), **fields})
 
 
 def _numpy_loop() -> None:
@@ -318,6 +389,13 @@ def main(argv=None) -> int:
     gains_ramp = scenarios.design_gains(p_ramp, rc.v_ref, sc_ramp.i_ls_ff,
                                         rc.f_c)
     n_ramp = len(closed_loop_run(sc_ramp, gains_ramp, p_ramp).t)
+    ramp_turn_ons = _turn_ons(
+        lambda: closed_loop_run(sc_ramp, gains_ramp, p_ramp))
+    # the soft orbit of wptrx simulate --config table2
+    soft = ModulationCommand(rc.duty, fall_time_exact(
+        vp, solve_operating_point(vp, rc.duty, exact=True).v_o))
+    soft_orbit = periodic_steady_state(vp, soft)
+    orbit_turn_on = _turn_ons(lambda: run(vp, soft, 1, soft_orbit.state))
     p_sweep = vp.with_load(cli._FIG17_LOAD)
 
     def sweep():
@@ -405,13 +483,18 @@ def main(argv=None) -> int:
         (f"closed_loop_run, fig20 source ramp ({n_ramp} cycles)", "us/cycle",
          _timed(lambda: closed_loop_run(sc_ramp, gains_ramp, p_ramp),
                 LOOP_REPEATS, n_ramp / 1e6)),
+        _turn_on_time_row("State I turn-on (_turn_on_time), table2 "
+                          "simulate orbit", orbit_turn_on * TURN_ON_CALLS,
+                          TURN_ON_REPEATS),
+        _turn_on_time_row("State I turn-on (_turn_on_time), fig20 source "
+                          "ramp's soft cycles", ramp_turn_ons,
+                          TURN_ON_REPEATS, calls=len(ramp_turn_ons)),
         (f"coupling_sweep, fig17 ({len(cli._FIG17_AMPS)} amplitudes)",
          "ms/point",
          _timed(sweep, SWEEP_REPEATS, len(cli._FIG17_AMPS) / 1e3)),
-        (f"periodic_steady_state, table2 ({orbit.cycles} cycles)",
-         "ms/solve",
-         _timed(lambda: periodic_steady_state(vp, cmd),
-                ORBIT_REPEATS, 1e-3)),
+        ("periodic_steady_state, table2", "ms/solve",
+         _timed(lambda: periodic_steady_state(vp, cmd), ORBIT_REPEATS, 1e-3),
+         {"cycles": orbit.cycles}),
         (f"cycle_diagnostics, {SAMPLE_CYCLES} orbit cycles", "us/cycle",
          _timed(lambda: cycle_diagnostics(short), DIAG_REPEATS,
                 SAMPLE_CYCLES / 1e6)),
@@ -455,16 +538,22 @@ def main(argv=None) -> int:
          _timed(lambda: integrate_averaged(start, sched, AVG_HORIZON, vp7),
                 AVG_REPEATS, 1e-3)),
     ) + _fresh_rows() + _host_rows()
-    for name, unit, (med, lo, hi) in rows:
-        print(f"{name}: {med:.3g} {unit} (min {lo:.3g}, max {hi:.3g})")
+    # a row's fields besides its timing, a dict after its third item
+    rows = [(name, unit, spread, *(extra or [{}]))
+            for name, unit, spread, *extra in rows]
+    for name, unit, (med, lo, hi), fields in rows:
+        shown = "".join(f"; {k} {v:.4g}" for k, v in fields.items())
+        print(f"{name}: {med:.3g} {unit} (min {lo:.3g}, max {hi:.3g})"
+              f"{shown}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({"commit": _commit(),
                        "python": platform.python_version(),
                        "numpy": np.__version__,
                        "rows": [{"label": name, "unit": unit, "median": med,
-                                 "min": lo, "max": hi}
-                                for name, unit, (med, lo, hi) in rows]},
+                                 "min": lo, "max": hi, **fields}
+                                for name, unit, (med, lo, hi), fields
+                                in rows]},
                       fh, indent=1)
             fh.write("\n")
     return 0
