@@ -490,7 +490,7 @@ def _turn_on_time(v0: float, va0: float, amp: float, w: float, tau: float,
             slope = -v0 * (1.0 + e) / tau - aw * sin0
             step = v0 * e / slope
             m = aw * (sin0 - 2.0 * w * step)
-            # 2 M step^2 + the rounding slack <= m _ONE_STEP_TOL, times m
+            # the bound above, multiplied through by m > 0
             if 2.0 * m >= -slope and (
                     2.0 * (v0 / (tau * tau) + aw * w) * step * step
                     + 2.0 ** -48 * s * amp
