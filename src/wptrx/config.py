@@ -13,7 +13,7 @@ from typing import Optional
 
 from .analytic import PHASE_DELAY_MAX
 from .errors import ConfigSyntax, MissingKey, UnknownKey
-from .params import ReceiverParams, require_positive
+from .params import ReceiverParams, require_crossover, require_positive
 
 _PREFIX = {"n": 1e-9, "u": 1e-6, "m": 1e-3, "k": 1e3, "M": 1e6}
 
@@ -23,7 +23,8 @@ _VALUE_RE = re.compile(
 _PARAM_KEYS = tuple(f.name for f in fields(ReceiverParams))
 _REQUIRED = tuple(f.name for f in fields(ReceiverParams)
                   if f.default is MISSING)
-# the controller and run keys: (zero allowed, exclusive upper bound)
+# the controller and run keys: (zero allowed, exclusive upper bound); f_c's
+# bound, f_s/pi, depends on f_s and is checked by require_crossover
 _RUN_KEY_RANGES = {"v_ref": (False, math.inf), "f_c": (False, math.inf),
                    "i_ls_ff": (False, math.inf), "duty": (False, 1.0),
                    "phase_delay_norm": (True, PHASE_DELAY_MAX)}
@@ -80,6 +81,8 @@ def parse_config_text(text: str) -> RunConfig:
     for key, (allow_zero, below) in _RUN_KEY_RANGES.items():
         if key in seen:
             require_positive(allow_zero, below, **{key: seen[key]})
+    if "f_c" in seen:
+        require_crossover(seen["f_c"], seen["f_s"])
     # only the keys present: RunConfig holds the defaults of the others
     return RunConfig(
         params=ReceiverParams(**{k: seen[k] for k in _PARAM_KEYS

@@ -129,6 +129,18 @@ def require_positive(allow_zero: bool = False, below: float = math.inf,
                                        else f"{lower} and < {below:g}")
 
 
+def require_crossover(f_c: float, f_s: float) -> None:
+    """Raise NonPositiveParameter naming ``f_c`` unless 0 < f_c < f_s/pi,
+    the stability edge of the sampled loop (and naming ``f_s`` unless it
+    is finite and > 0).  The PI acts once per carrier period, on a sample
+    of v_o taken at the cycle start.  With the plant pole cancelled by the
+    PI zero, the loop over one cycle is an integrator of gain
+    K = 2*pi*f_c/f_s, whose closed-loop pole z = 1 - K leaves the unit
+    circle through -1 at f_c = f_s/pi: 63.66 kHz at 200 kHz."""
+    require_positive(f_s=f_s)
+    require_positive(below=f_s / math.pi, f_c=f_c)
+
+
 def size_inductor(q_target: float, r_esr: float, f_s: float) -> float:
     """Minimum coil inductance giving quality factor >= q_target.
 

@@ -127,7 +127,18 @@ _CLAMPED = (SwitchingState.STATE_II, SwitchingState.STATE_III)
 class ModulationCommand:
     """Per-cycle gate command of the hybrid modulation: duty ratio and gate
     delay t_f after the current zero crossing (s).  The equivalent phase
-    angle is ``analytic.phase_angle(duty, f_s * t_f)``."""
+    angle is ``analytic.phase_angle(duty, f_s * t_f)``.
+
+    The command itself checks nothing.  The modulation's range of the
+    delay, f_s*t_f in [0, 1/4) (``analytic.PHASE_DELAY_MAX``), is checked
+    where a delay is set as a design input: by the config's
+    ``phase_delay_norm``, by ``analytic.duty_bounds`` and by
+    ``averaged.DutySchedule``.  The simulator accepts any finite t_f >= 0
+    (``_cycle_consts`` checks that) up to a gate-off edge past the period's
+    end (``GateOverrun``), since a delay derived from a state can land past
+    1/4: ``analytic.solve_operating_point(exact=True)`` gives
+    f_s*t_f = 0.367 at D = 0.22 on fig7.cfg's receiver at 5 kOhm, and that
+    command has a periodic orbit."""
     duty: float
     t_f: float
 
@@ -564,7 +575,11 @@ def _cycle_consts(params: ValidatedParams, r_load: float, i_amp: float,
     1 - e^{-t_f/tau}.  Built as ``_amplitude_consts`` of ``_gate_terms``,
     which checks t_f (see there); ``run``, the orbit solves and the
     linearization build it once per call, and the closed-loop run rebuilds
-    each part only when what it depends on moves."""
+    each part only when what it depends on moves.  Only t_f >= 0 and finite
+    is checked here: a delay with f_s*t_f past the modulation's 1/4 is
+    accepted, and ``_cycle`` raises GateOverrun only when duty + f_s*t_f
+    >= 1.  The 1/4 bound is checked where a delay is set as a design input
+    (see ``ModulationCommand``)."""
     return _amplitude_consts(_gate_terms(params, r_load, t_f), i_amp)
 
 
@@ -1005,7 +1020,18 @@ def cycle_linearization(params: ValidatedParams, cmd: ModulationCommand,
     over cycle n and y_n the mean of cycle n, by one-sided differences of
     (P(x) - x, cycle mean) (state step h = _CYCLE_FD_STEP max(|v_o|, 1 V),
     duty step _DUTY_FD_STEP).  Returns (A, B, C, D, cycles stepped).
-    Raises ZeroGainOperatingPoint where the duty does not move the map."""
+    Raises ZeroGainOperatingPoint where the duty does not move the map.
+
+    The steps are forward (+h), so at the soft/hard kink, where the
+    natural State I turn-on meets the gate edge t_f, each column reads the
+    side its step lands on.  +h in v_o lengthens State I, so the v_o
+    column reads the hard side (turn-on forced at t_f) whenever x lies
+    within h of the kink on the soft side; +h in v_cd1 shortens State I,
+    so that column reads the soft side.  At table2 (D = 0.532) on the
+    orbit gated at its own exact fall time, A[0,0] reads 0.999863788 with
+    the default step and 0.999859742 with state steps of +-1e-6 and -1e-4
+    relative; 1 - lambda differs by 3 %.  Gated at 0.99 and 1.01 times that
+    fall time, all four agree to nine digits."""
     consts = _cycle_consts(params, params.r_load, params.i_ls_amp, cmd.t_f)
     h = _CYCLE_FD_STEP * max(abs(x[0]), 1.0)
 

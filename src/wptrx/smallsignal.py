@@ -17,11 +17,11 @@ Two checks re-derive the frequency response from the nonlinear models.
 The perturbation oracle drives a small sinusoidal duty through the exact
 exponential-segment integrator of the averaged model, from its periodic
 state, and takes the first-harmonic ratio of output to input with
-closed-form Fourier integrals.  It evaluates the whole grid at once, one
-perturbation period at a time, with its complex arithmetic written on
-real and imaginary float arrays: numpy's complex * and /, np.exp and
-np.sum round differently from the scalar evaluation, and the tables are
-kept byte-identical to it.  The switched check evaluates the simulator's
+closed-form Fourier integrals over one period.  It evaluates the whole
+grid at once, with its complex arithmetic written on real and imaginary
+float arrays: numpy's complex * and /, np.exp and np.sum round
+differently from the scalar evaluation, and the tables are kept
+byte-identical to it.  The switched check evaluates the simulator's
 one-cycle map, linearized at its periodic orbit by the simulator's own
 ``cycle_linearization``, as a sampled-data model; it is the one function
 here that needs the simulator, and imports it when called, so the design
@@ -38,15 +38,14 @@ import numpy as np
 
 from .analytic import TWO_PI, duty_bounds
 from .errors import NoCrossover, NonPositiveParameter, ZeroGainOperatingPoint
-from .params import ValidatedParams, require_positive
+from .params import ValidatedParams, require_crossover, require_positive
 
 # |sin| below this means the operating point sits at the voltage maximum
 # where the first-order control gain vanishes.
 _ZERO_GAIN_TOL = 1e-9
 
-# The oracle's record: whole perturbation periods, each held as this many
+# The oracle's record: one perturbation period, held as this many
 # zero-order-hold duty segments.
-_ORACLE_PERIODS = 2
 _ORACLE_SEGMENTS = 64
 
 
@@ -136,9 +135,11 @@ def design_pi(params: ValidatedParams, op, f_c: float) -> PiGains:
     k_p = 2*pi*f_c*C_o / (|I| * sin(2*pi*D + 2*pi*f_s*t_f)),
     k_i = k_p / (R*C_o).  Saturation bounds come from the admissible duty
     window at the operating point's phase delay.  Raises
-    ZeroGainOperatingPoint at the voltage maximum (sin = 0).
+    ZeroGainOperatingPoint at the voltage maximum (sin = 0), and
+    NonPositiveParameter unless 0 < f_c < f_s/pi, the sampled loop's
+    stability edge (``params.require_crossover``).
     """
-    require_positive(f_c=f_c)
+    require_crossover(f_c, params.f_s)
     k_p = TWO_PI * f_c * params.c_o / (params.i_ls_amp * _gain_sine(op))
     k_i = k_p / (params.r_load * params.c_o)
     d_min, d_max = duty_bounds(op.phase_delay_norm)
@@ -238,17 +239,21 @@ def perturb_bode_oracle(params: ValidatedParams, op, f_grid: Sequence[float],
     the response starts on the exact periodic orbit (the one-period state
     map is affine, so its fixed point is available in closed form), and the
     first-harmonic gain/phase is the ratio of closed-form Fourier integrals
-    of output and input over an integer number of periods.
+    of output and input over one period.  One is enough: from the orbit,
+    every later period's drive and response repeat the first's, so more
+    periods would only multiply both sums by their count and leave the
+    ratio as it is (up to rounding in the cancellation of the output's
+    large DC term).
 
-    The whole grid is evaluated at once, one perturbation period at a
-    time: (frequency x segment) arrays, with the zero-order-hold recurrence
-    stepped segment by segment over all frequencies.  The arithmetic
-    repeats the scalar complex evaluation bit for bit, so the tables stay
-    byte-identical: the complex products and quotients are written on real
-    and imaginary float arrays in CPython's order (numpy's complex * and /
-    round differently), the per-frequency decays come from math.exp (np.exp
-    does not always match it), and each period's terms are summed in
-    sequence with cumsum (np.sum adds pairwise).  Raises
+    The whole grid is evaluated at once: (frequency x segment) arrays, with
+    the zero-order-hold recurrence stepped segment by segment over all
+    frequencies.  The arithmetic repeats the scalar complex evaluation bit
+    for bit, so the tables stay byte-identical: the complex products and
+    quotients are written on real and imaginary float arrays in CPython's
+    order (numpy's complex * and / round differently), the per-frequency
+    decays come from math.exp (np.exp does not always match it), and the
+    period's terms are summed in sequence with cumsum (np.sum adds
+    pairwise).  Raises
     NonPositiveParameter for a grid that is empty, non-finite, not > 0 or
     not ascending, and for rel_amp outside (0, 1).
     """
@@ -275,11 +280,10 @@ def perturb_bode_oracle(params: ValidatedParams, op, f_grid: Sequence[float],
     w, t_seg, g_re, g_im = (x[:, None] for x in (w, t_seg, g.real, g.imag))
     k = np.arange(_ORACLE_SEGMENTS, dtype=float)
 
-    def period(t0):
-        """Segment starts t_k, duties and v_inf of the period from t0."""
-        tk = t0 + k * t_seg
-        duty = d_bar + d_tilde * np.sin(w * tk)
-        return tk, duty, v_scale * (cos_phi - np.cos(TWO_PI * duty + phi))
+    # the period's segment starts t_k, duties and v_inf
+    tk = k * t_seg
+    duty = d_bar + d_tilde * np.sin(w * tk)
+    v_inf = v_scale * (cos_phi - np.cos(TWO_PI * duty + phi))
 
     def ramp(v, v_inf):
         """Step the ZOH recurrence over one period; returns the state at
@@ -312,16 +316,10 @@ def perturb_bode_oracle(params: ValidatedParams, op, f_grid: Sequence[float],
         u1 = [np.cumsum(a, axis=1)[:, -1] for a in _cmul(duty, 0.0, *box)]
         return np.array(u1 + y1)
 
-    drive = period(0.0)
     # Fixed point of the affine one-period map v -> a*v + b, b from v = 0.
-    _, b_per = ramp(np.zeros(len(f)), drive[2])
-    v = b_per / (1.0 - a_per)
-    sums = np.zeros((4, len(f)))
-    for p in range(_ORACLE_PERIODS):
-        if p:
-            drive = period(p * t_per[:, None])
-        starts, v = ramp(v, drive[2])
-        sums += fourier(*drive, starts)
+    _, b_per = ramp(np.zeros(len(f)), v_inf)
+    starts, _ = ramp(b_per / (1.0 - a_per), v_inf)
+    sums = fourier(tk, duty, v_inf, starts)
     h = [complex(yr, yi) / complex(ur, ui)
          for ur, ui, yr, yi in zip(*sums.tolist())]
     return bode_points(f, np.array(h))

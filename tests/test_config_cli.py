@@ -134,6 +134,20 @@ def test_cli_rejects_non_finite_controller_keys(key, tmp_path, capsys):
     assert not (tmp_path / "load_step.csv").exists()
 
 
+def test_cli_rejects_crossover_beyond_the_sampled_loop_edge(tmp_path,
+                                                            capsys):
+    # f_c >= f_s/pi (63.66 kHz at 200 kHz) puts the sampled loop's pole
+    # outside the unit circle; design printed a 90 degree margin for it and
+    # the load step wrote a period-2 tail as settled
+    cfg = _table2_with(tmp_path, "f_c", "64k")
+    out = tmp_path / "out"
+    for argv in (["design"], ["transient", "--scenario", "load_step"]):
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "f_c" in err and "63662" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["design"], ["transient", "--scenario", "startup"],
     ["transient", "--scenario", "load_step"]])
@@ -600,7 +614,9 @@ def test_cli_reproduce_deterministic(tmp_path):
 # the operating point became a bracketed Newton root instead of a damped
 # fixed-point loop: v_o moved by <= 2.5e-7 V in fig4a.csv and fig5.csv and
 # peak_reduction_v by 2e-9 V in fig5_summary.csv, within the old loop's own
-# 1e-6 V stopping error.
+# 1e-6 V stopping error.  fig7_oracle.csv's re-taken when the oracle took
+# its Fourier sums over one period from the orbit instead of two: mag_db
+# moved by <= 1.3e-9 dB and phase_deg by <= 2.5e-8 degrees.
 DESIGN_TABLE_SHA256 = {
     "fig4a": {"fig4a.csv": "77927eb3489bb54d8f596d12741809ea"
                            "49d356b3fe6023b68082016d6572abfc"},
@@ -610,8 +626,8 @@ DESIGN_TABLE_SHA256 = {
                                  "54a6615392ec6fd1fdf9a6639b213e22"},
     "fig7": {"fig7_analytic.csv": "0b53cd48755d29c8b283f5d62e772eff"
                                   "d334037b438873bb218d5f8e06c2f801",
-             "fig7_oracle.csv": "38f309c5f7ae12ba906c2d637530e409"
-                                "49a694e225707e15d20e1fb4c7cca40f"},
+             "fig7_oracle.csv": "b71a15b2b535841d4e6c88593dd75009"
+                                "644d091a1220fc392e1a1844ac0a25c9"},
     "fig9": {"fig9.csv": "709fcbf9d27ba44da6c962d7907320b1"
                          "b73d70ee80ec43db23b5bfba1313e2aa"},
 }

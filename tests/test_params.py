@@ -135,7 +135,8 @@ def test_entry_points_reject_non_finite_values(entry, value):
     ("averaged_sample_dt", 0.0), ("schedule_time", 0.5e-3),
     ("schedule_time", 1e-3), ("schedule_phase_delay", -0.01),
     ("schedule_phase_delay", 0.25), ("scenario_start", -5.0),
-    ("scenario_feedforward", 0.0), ("scenario_feedforward", -1.0)])
+    ("scenario_feedforward", 0.0), ("scenario_feedforward", -1.0),
+    ("design_pi", 200e3 / math.pi)])
 def test_entry_points_reject_out_of_range_values(entry, value):
     field, call = ENTRY_POINTS[entry]
     with pytest.raises(NonPositiveParameter) as err:
@@ -175,6 +176,23 @@ def test_every_duty_entry_point_rejects_the_same_range(entry, duty):
     with pytest.raises(NonPositiveParameter) as err:
         call(validate(table2_raw()), duty)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("entry", ["config", "design_pi"])
+def test_crossover_stops_at_the_sampled_loop_edge(entry):
+    # at f_c = f_s/pi the sampled loop's pole 1 - 2*pi*f_c/f_s reaches -1;
+    # both places an f_c enters reject it there and accept it just inside
+    vp = validate(table2_raw())
+    op = OperatingPoint.pinned(0.532, 0.0672, vp.f_s, v_o=24.0)
+    call = {"config": lambda f_c: parse_config_text(
+                _TABLE2_RECEIVER + f"f_c = {f_c!r}\n"),
+            "design_pi": lambda f_c: design_pi(vp, op, f_c)}[entry]
+    edge = 200e3 / math.pi
+    for f_c in (edge, 64e3):
+        with pytest.raises(NonPositiveParameter, match="< 63662") as err:
+            call(f_c)
+        assert err.value.field == "f_c"
+    call(math.nextafter(edge, 0.0))
 
 
 def test_validate_resonance_warning():

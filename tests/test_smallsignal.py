@@ -12,10 +12,9 @@ from wptrx.errors import (NoCrossover, NonPositiveParameter,
                           ZeroGainOperatingPoint)
 from wptrx.params import ReceiverParams, validate
 from wptrx.simulator import ModulationCommand, periodic_steady_state, run
-from wptrx.smallsignal import (_ORACLE_PERIODS, _ORACLE_SEGMENTS, PiGains,
-                               bode, bode_points, design_pi, loop_margins,
-                               loop_response, perturb_bode_oracle, plant_tf,
-                               switched_bode)
+from wptrx.smallsignal import (_ORACLE_SEGMENTS, PiGains, bode, bode_points,
+                               design_pi, loop_margins, loop_response,
+                               perturb_bode_oracle, plant_tf, switched_bode)
 
 TWO_PI = 2 * math.pi
 BODE_GRID = [10.0 * 10.0 ** (k / 30.0) for k in range(91)]
@@ -170,9 +169,10 @@ def test_perturbation_oracle_linearity(vp, op):
                                                    rel=1e-3)
 
 
-def oracle_reference(params, op, f_grid, rel_amp=1e-3):
+def oracle_reference(params, op, f_grid, rel_amp=1e-3, periods=1):
     """The oracle as a scalar loop over frequencies, periods and segments,
-    in Python complex arithmetic."""
+    in Python complex arithmetic, with the Fourier sums taken over
+    ``periods`` periods from the orbit."""
     d_bar, fst = op.duty, op.phase_delay_norm
     d_tilde = rel_amp * d_bar
     tau = params.r_load * params.c_o
@@ -199,7 +199,7 @@ def oracle_reference(params, op, f_grid, rel_amp=1e-3):
         b_per = one_period(0.0, w, 0.0, t_seg)[0]
         v = b_per / (1.0 - math.exp(-t_per / tau))
         u1 = y1 = 0.0 + 0.0j
-        for p in range(_ORACLE_PERIODS):
+        for p in range(periods):
             v, du, dy = one_period(v, w, p * t_per, t_seg)
             u1 += du
             y1 += dy
@@ -219,8 +219,19 @@ def _fig7_box_receiver(seed):
     return vp_r, OperatingPoint.pinned(duty, fst, vp_r.f_s)
 
 
-@pytest.mark.parametrize("point,rel_amp", [
-    ("fig7", 1e-3), ("table2", 1e-3), ("fig7_box", 1e-3), ("fig7", 0.3)])
+ORACLE_POINTS = [("fig7", 1e-3), ("table2", 1e-3), ("fig7_box", 1e-3),
+                 ("fig7", 0.3)]
+
+
+def _oracle_point(point, vp, op, vp_table2):
+    if point == "table2":
+        return vp_table2, OperatingPoint.pinned(0.532, 0.0672, vp_table2.f_s)
+    if point == "fig7_box":
+        return _fig7_box_receiver(11)
+    return vp, op
+
+
+@pytest.mark.parametrize("point,rel_amp", ORACLE_POINTS)
 def test_oracle_is_bit_identical_to_the_scalar_loop(point, rel_amp, vp, op,
                                                     vp_table2):
     # fig7's 1/tau = 333 s^-1 takes both branches of the complex quotient
@@ -228,15 +239,26 @@ def test_oracle_is_bit_identical_to_the_scalar_loop(point, rel_amp, vp, op,
     # rel_amp 1e-3 the quotient's term is too small beside v_inf*box for
     # the branch taken to reach the last bit of any point; at 0.3 it
     # reaches 8 of the 91.
-    if point == "table2":
-        vp = vp_table2
-        op = OperatingPoint.pinned(0.532, 0.0672, vp.f_s)
-    elif point == "fig7_box":
-        vp, op = _fig7_box_receiver(11)
+    vp, op = _oracle_point(point, vp, op, vp_table2)
     fast = perturb_bode_oracle(vp, op, BODE_GRID, rel_amp)
     ref = oracle_reference(vp, op, BODE_GRID, rel_amp)
     assert [(p.f_hz, p.mag_db, p.phase_deg) for p in fast] == \
         [(p.f_hz, p.mag_db, p.phase_deg) for p in ref]
+
+
+@pytest.mark.parametrize("point,rel_amp", ORACLE_POINTS)
+def test_oracle_period_two_repeats_period_one(point, rel_amp, vp, op,
+                                              vp_table2):
+    # From the exact orbit the second period's drive and response repeat
+    # the first's, so summing two periods doubles both harmonics and
+    # leaves their ratio; what is left is rounding in the cancellation of
+    # the output's DC term, which grows as 1/rel_amp.
+    vp, op = _oracle_point(point, vp, op, vp_table2)
+    fast = perturb_bode_oracle(vp, op, BODE_GRID, rel_amp)
+    two = oracle_reference(vp, op, BODE_GRID, rel_amp, periods=2)
+    assert max(abs(a.mag_db - b.mag_db) for a, b in zip(fast, two)) <= 1e-7
+    assert max(abs(a.phase_deg - b.phase_deg)
+               for a, b in zip(fast, two)) <= 1e-6
 
 
 @pytest.mark.parametrize("grid", [

@@ -88,15 +88,17 @@ and, in fresh interpreters run on a copy of the package without its
 compiles ``wptrx`` from source as one in a fresh checkout does:
 
 * ``import wptrx, wptrx.cli``, timed inside the process, in ms;
-* the wall time of ``python -m wptrx validate --config table2``,
-  ``python -m wptrx reproduce fig7`` (on its built-in fig7 config) and
+* the wall time of ``python -m wptrx validate --config table2``, of
+  ``python -m wptrx reproduce`` of every figure (``cli.FIGURES``, each on
+  its built-in config) and of
   ``python -m wptrx simulate --config table2 --cycles 400``, interpreter
   start-up included, in ms per process.  ``validate`` loads no layer past
   config validation, fig7 only the small-signal layer and ``simulate``
   only the simulator, so these rows show what each command's imports
-  cost.  ``import wptrx, wptrx.cli`` and ``validate`` load no numpy; every
-  command that writes or prints a table loads it, with ``wptrx.table``, at
-  its first table.
+  cost, and the figure rows what a whole ``reproduce`` costs figure by
+  figure.  ``import wptrx, wptrx.cli`` and ``validate`` load no numpy;
+  every command that writes or prints a table loads it, with
+  ``wptrx.table``, at its first table.
 
 The rows that write tables, the fresh-interpreter ones included, write
 each repeat into a new, empty directory, as a benchmark op does; making
@@ -124,7 +126,7 @@ back and several times in alternating order: rows taken in separate
 processes drift with the host's load (on a shared 2-core VM, the same
 commit's per-cycle stepping row has read 8.9 and 15.7 us per cycle minutes
 apart), so one run of each side can show a change that is not there.
-Needs numpy; about 8 s on a 2-core x86-64 VM, 3 of them in the
+Needs numpy; about 20 s on a 2-core x86-64 VM, 15 of them in the
 fresh-interpreter rows.
 """
 
@@ -336,7 +338,8 @@ def _fresh_rows() -> tuple:
                                            "--config", str(TABLE2)),
                             FRESH_REPEATS, 1e-3)))
         for label, argv in (
-                ("reproduce fig7", ("reproduce", "fig7")),
+                *((f"reproduce {fig}", ("reproduce", fig))
+                  for fig in cli.FIGURES),
                 (f"simulate --config table2 --cycles {SIMULATE_CYCLES}",
                  ("simulate", "--config", str(TABLE2), "--cycles",
                   str(SIMULATE_CYCLES)))):
