@@ -253,9 +253,8 @@ def perturb_bode_oracle(params: ValidatedParams, op, f_grid: Sequence[float],
     order (numpy's complex * and / round differently), the per-frequency
     decays come from math.exp (np.exp does not always match it), and the
     period's terms are summed in sequence with cumsum (np.sum adds
-    pairwise).  Raises
-    NonPositiveParameter for a grid that is empty, non-finite, not > 0 or
-    not ascending, and for rel_amp outside (0, 1).
+    pairwise).  Raises NonPositiveParameter for a grid that is empty,
+    non-finite, not > 0 or not ascending, and for rel_amp outside (0, 1).
     """
     f = _check_grid(f_grid)
     require_positive(below=1.0, rel_amp=rel_amp)
@@ -285,8 +284,8 @@ def perturb_bode_oracle(params: ValidatedParams, op, f_grid: Sequence[float],
     duty = d_bar + d_tilde * np.sin(w * tk)
     v_inf = v_scale * (cos_phi - np.cos(TWO_PI * duty + phi))
 
-    def ramp(v, v_inf):
-        """Step the ZOH recurrence over one period; returns the state at
+    def ramp(v):
+        """Step the ZOH recurrence over the period; returns the state at
         the start of each segment and the end state."""
         starts = np.empty_like(v_inf)
         for j in range(_ORACLE_SEGMENTS):
@@ -294,34 +293,30 @@ def perturb_bode_oracle(params: ValidatedParams, op, f_grid: Sequence[float],
             v = v_inf[:, j] + (v - v_inf[:, j]) * a_seg
         return starts, v
 
-    def fourier(tk, duty, v_inf, starts):
-        """The period's closed-form Fourier sums (Re U1, Im U1, Re Y1,
-        Im Y1), each segment's term added in order.  Each (frequency x
-        segment) temporary is released once used: together they set the
-        oracle's peak memory."""
-        th = -w * tk
-        e0_re, e0_im = np.cos(th), np.sin(th)
-        th = -w * (tk + t_seg)
-        # integral of e^{-jwt} over the segment: (e0 - e1)/(jw)
-        box = _cdiv(e0_re - np.cos(th), e0_im - np.sin(th), 0.0, w)
-        del th
-        # Y1's term is v_inf*box + tail, tail = (v - v_inf)*e0*g/c
-        tail = _cdiv(
-            *_cmul(*_cmul(starts - v_inf, 0.0, e0_re, e0_im), g_re, g_im),
-            c_re, w)
-        del e0_re, e0_im
-        head = _cmul(v_inf, 0.0, *box)
-        y1 = [np.cumsum(a + b, axis=1)[:, -1] for a, b in zip(head, tail)]
-        del head, tail
-        u1 = [np.cumsum(a, axis=1)[:, -1] for a in _cmul(duty, 0.0, *box)]
-        return np.array(u1 + y1)
-
     # Fixed point of the affine one-period map v -> a*v + b, b from v = 0.
-    _, b_per = ramp(np.zeros(len(f)), v_inf)
-    starts, _ = ramp(b_per / (1.0 - a_per), v_inf)
-    sums = fourier(tk, duty, v_inf, starts)
+    _, b_per = ramp(np.zeros(len(f)))
+    starts, _ = ramp(b_per / (1.0 - a_per))
+
+    # The period's closed-form Fourier sums U1 and Y1, each segment's term
+    # added in order.  Each (frequency x segment) temporary is released
+    # once used: together they set the oracle's peak memory.
+    th = -w * tk
+    e0_re, e0_im = np.cos(th), np.sin(th)
+    th = -w * (tk + t_seg)
+    # integral of e^{-jwt} over the segment: (e0 - e1)/(jw)
+    box = _cdiv(e0_re - np.cos(th), e0_im - np.sin(th), 0.0, w)
+    del th
+    # Y1's term is v_inf*box + tail, tail = (v - v_inf)*e0*g/c
+    tail = _cdiv(
+        *_cmul(*_cmul(starts - v_inf, 0.0, e0_re, e0_im), g_re, g_im),
+        c_re, w)
+    del e0_re, e0_im
+    head = _cmul(v_inf, 0.0, *box)
+    y1 = [np.cumsum(a + b, axis=1)[:, -1] for a, b in zip(head, tail)]
+    del head, tail
+    u1 = [np.cumsum(a, axis=1)[:, -1] for a in _cmul(duty, 0.0, *box)]
     h = [complex(yr, yi) / complex(ur, ui)
-         for ur, ui, yr, yi in zip(*sums.tolist())]
+         for ur, ui, yr, yi in zip(*np.array(u1 + y1).tolist())]
     return bode_points(f, np.array(h))
 
 
